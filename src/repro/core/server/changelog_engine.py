@@ -16,6 +16,7 @@ The engine owns everything that moves or applies change-log entries:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcError, RpcRequest
@@ -24,6 +25,8 @@ from ..changelog import ChangeLog, ChangeLogEntry
 from ..schema import DirEntry, dir_entry_key
 
 __all__ = ["ChangeLogEngine"]
+
+_BY_TIMESTAMP = attrgetter("timestamp")  # stable: ties keep arrival order
 
 
 class ChangeLogEngine:
@@ -256,13 +259,14 @@ class ChangeLogEngine:
         One WAL record covers the whole batch.  Presence is tracked through
         a name→present overlay so later ops in the batch see earlier ones
         (a create+delete of the same name nets to zero), matching what
-        per-entry application in list order would produce.
+        per-entry application in timestamp order would produce; a batch
+        merged from several servers arrives in no such order.
         """
         txn = self.kv.transaction()
         present: Dict[str, bool] = {}
         delta = 0
         kv = self.kv
-        for entry in entries:
+        for entry in sorted(entries, key=_BY_TIMESTAMP):
             name = entry.name
             was = present.get(name)
             if was is None:

@@ -15,29 +15,28 @@ relies on:
 Keys are ``(pid, name)`` tuples ordered lexicographically; values are
 opaque objects.
 
-The layout is LSM-flavoured, the way RocksDB's memtable + sorted runs
-make AsyncFS's entry-list puts cheap (DESIGN.md §11):
+Table 3 keys every entry by its parent's id so that a directory read is
+one prefix scan whose cost follows the directory, not the server's whole
+partition.  The layout keeps that property (DESIGN.md §11):
 
 * ``_mem`` — the authoritative live map (O(1) point ops);
-* ``_buffer`` — an insertion-ordered write buffer of keys added since
-  the last merge (O(1) amortised inserts — no per-put ``insort``);
-* ``_run`` — one lazily-maintained sorted run of keys.  Deleted keys
-  stay in the run as tombstones (tracked in ``_dead_keys``) until a
-  merge or compaction drops them.  The first ``scan_prefix`` after
-  writes pays one merge — a tombstone filter plus ``list.sort`` over
-  the concatenated sorted runs (timsort's galloping merge, or a plain
-  extend when the fresh keys all sort past the run's tail); subsequent
-  scans are O(log n + k) via bisect with a *sentinel* upper bound (no
-  per-key tuple slicing or liveness probes on the hot path);
-* ``_counts`` — a per-prefix live-entry count (keyed by ``key[:-1]``)
-  maintained on every put/delete, making the ``statdir``/``readdir``
-  ``count_prefix`` hot path O(1).
+* ``_dirs`` — the live keys grouped by immediate parent prefix
+  (``key[:-1]``), each key held once.  A directory is a sorted ``list``
+  while its order is known — a scan bisects and slices it — and an
+  insertion-ordered ``dict`` after a write broke that order (an
+  out-of-order put, or a delete).  The first scan of a dict sorts it back
+  into a list; timsort finds the old sorted run at the front, so a write
+  burst costs about O(k + b log b).  In-order appends keep the list.
+  Writes to other directories never touch it;
+* ``_len_counts`` — live keys by length: tells whether any key lies more
+  than one field below a prefix, the one case ``_dirs`` cannot answer.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import KeyNotFound
 from .txn import Transaction
@@ -47,21 +46,8 @@ __all__ = ["KVStore"]
 
 Key = Tuple[Any, ...]
 
-
-class _SentinelHigh:
-    """Compares greater than every key field: ``prefix + (_HIGH,)`` is the
-    exclusive upper bound of the prefix range under tuple ordering."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __gt__(self, other: Any) -> bool:
-        return True
-
-
-_HIGH = _SentinelHigh()
+# Keys of one directory differ in their last field only: order by that.
+_LAST_FIELD = itemgetter(-1)
 
 
 class KVStore:
@@ -69,18 +55,7 @@ class KVStore:
 
     def __init__(self, wal: Optional[WriteAheadLog] = None, log_writes: bool = True):
         self._mem: Dict[Key, Any] = {}
-        # Sorted run of keys; may contain dead keys (deleted since the last
-        # merge), tracked in _dead_keys.
-        self._run: List[Key] = []
-        self._dead_keys: Set[Key] = set()  # tombstones currently in _run
-        # Insertion-ordered set of keys not yet merged into _run; disjoint
-        # from _run (a delete-then-re-put resurrects the run's copy in
-        # place instead of buffering, keeping the merge duplicate-free).
-        self._buffer: Dict[Key, None] = {}
-        # Live keys grouped by their immediate parent prefix (key[:-1]), and
-        # live-key tally by key length — together they decide when a
-        # count_prefix can answer from cache (see count_prefix).
-        self._counts: Dict[Key, int] = {}
+        self._dirs: Dict[Key, Union[List[Key], Dict[Key, None]]] = {}
         self._len_counts: Dict[int, int] = {}
         self.wal = wal if wal is not None else WriteAheadLog()
         self._log_writes = log_writes
@@ -88,7 +63,7 @@ class KVStore:
         self.gets = 0
         self.deletes = 0
         self.scans = 0
-        self.merges = 0
+        self.merges = 0  # sorts paid: one directory's, or the fallback's whole-store one
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -130,7 +105,7 @@ class KVStore:
         start: Optional[Key] = None,
         limit: Optional[int] = None,
     ) -> Iterator[Tuple[Key, Any]]:
-        """Yield (key, value) for all keys whose leading fields equal *prefix*.
+        """Iterate (key, value) over all keys whose leading fields equal *prefix*.
 
         With keys of shape ``(pid, name)``, ``scan_prefix((pid,))`` lists a
         directory's entries in name order.
@@ -142,53 +117,43 @@ class KVStore:
         entries.  Both default to the full range.
         """
         self.scans += 1
-        run = self._merged_run()
-        lo = prefix if start is None else prefix + tuple(start)
-        i = bisect.bisect_left(run, lo)
-        end = bisect.bisect_left(run, prefix + (_HIGH,), i)
-        mem = self._mem
-        if not self._dead_keys:
-            # Tombstone-free: every run key in range is live.
-            if limit is not None and i + limit < end:
-                end = i + limit
-            for key in run[i:end]:
-                yield key, mem[key]
-            return
-        remaining = -1 if limit is None else limit
-        while i < end and remaining != 0:
-            key = run[i]
-            value = mem.get(key, _HIGH)  # _HIGH doubles as a "dead" marker
-            if value is not _HIGH:
-                yield key, value
-                remaining -= 1
-            i += 1
+        if self._is_flat(prefix):
+            keys = self._dirs.get(prefix, ())
+            if type(keys) is dict:
+                self._dirs[prefix] = keys = sorted(keys, key=_LAST_FIELD)
+                self.merges += 1
+        else:
+            n = len(prefix)
+            keys = sorted(k for k in self._mem if k[:n] == prefix)
+            self.merges += 1  # O(store) on every call: keep it visible
+        i = 0 if start is None else bisect.bisect_left(keys, prefix + tuple(start))
+        end = len(keys) if limit is None else i + limit
+        page = keys[i:end]
+        return zip(page, map(self._mem.__getitem__, page))
 
     def count_prefix(self, prefix: Key) -> int:
         """The number of live keys extending *prefix* — O(1) on the
-        ``statdir`` hot path.
-
-        The cache counts keys by their immediate parent (``key[:-1]``), so
-        it answers exactly when no live key extends *prefix* by two or more
-        fields; the length tally detects that case, falling back to a
-        key-only range count (no value materialisation either way).
-        """
-        cached = self._counts.get(prefix, 0)
-        exact = 1 if prefix in self._mem else 0
+        ``statdir`` hot path; a key-only pass over the store for prefixes
+        that deeper keys extend (no sort, no value materialisation)."""
+        if self._is_flat(prefix):
+            return len(self._dirs.get(prefix, ()))
         n = len(prefix)
-        for length, live in self._len_counts.items():
-            if live and length > n + 1:
-                return self._count_prefix_slow(prefix)
-        return cached + exact
+        return sum(1 for k in self._mem if k[:n] == prefix)
 
-    def _count_prefix_slow(self, prefix: Key) -> int:
-        """Range-count live keys for prefixes deeper keys may extend."""
-        run = self._merged_run()
-        lo = bisect.bisect_left(run, prefix)
-        hi = bisect.bisect_left(run, prefix + (_HIGH,), lo)
-        dead = self._dead_keys
-        if not dead:
-            return hi - lo
-        return sum(1 for i in range(lo, hi) if run[i] not in dead)
+    def _is_flat(self, prefix: Key) -> bool:
+        """True when ``_dirs[prefix]`` is everything under *prefix*: no live
+        key equals it or extends it by two or more fields.  Server reads of
+        one directory always are; ``("D",)`` / ``()`` (migration, recovery)
+        are not and fall back to filtering ``_mem``.  The test is store-wide:
+        one live key that deep anywhere sends every shorter prefix to the
+        fallback (DESIGN.md §11, "the cliff")."""
+        if prefix in self._mem:
+            return False
+        deep = len(prefix) + 1
+        for length, live in self._len_counts.items():
+            if live and length > deep:
+                return False
+        return True
 
     # -- transactions -----------------------------------------------------------
     def transaction(self) -> Transaction:
@@ -220,20 +185,15 @@ class KVStore:
 
     def restore(self, image: Dict[Key, Any]) -> None:
         """Replace the memtable with a checkpoint image."""
-        self._mem = dict(image)
-        self._run = sorted(self._mem.keys())
-        self._buffer.clear()
-        self._dead_keys.clear()
-        self._rebuild_counts()
+        self.crash()
+        for key, value in image.items():
+            self._apply_put(key, value)
 
     # -- crash / recovery ----------------------------------------------------
     def crash(self) -> None:
         """Lose all DRAM state; the WAL survives."""
         self._mem.clear()
-        self._run.clear()
-        self._buffer.clear()
-        self._dead_keys.clear()
-        self._counts.clear()
+        self._dirs.clear()
         self._len_counts.clear()
 
     def recover(self) -> int:
@@ -262,17 +222,17 @@ class KVStore:
     def _apply_put(self, key: Key, value: Any) -> None:
         mem = self._mem
         if key not in mem:
-            dead = self._dead_keys
-            if dead and key in dead:
-                # Resurrecting a tombstone: the run already holds the key
-                # at its sorted position; reviving in place keeps _buffer
-                # and _run disjoint (no duplicate after a merge).
-                dead.discard(key)
+            parent = key[:-1]
+            keys = self._dirs.get(parent)
+            if keys is None:
+                self._dirs[parent] = [key]
+            elif type(keys) is dict:
+                keys[key] = None
+            elif keys[-1] < key:
+                keys.append(key)  # in-order append: the list stays sorted
             else:
-                self._buffer[key] = None
-            prefix = key[:-1]
-            counts = self._counts
-            counts[prefix] = counts.get(prefix, 0) + 1
+                self._dirs[parent] = keys = dict.fromkeys(keys)
+                keys[key] = None
             len_counts = self._len_counts
             n = len(key)
             len_counts[n] = len_counts.get(n, 0) + 1
@@ -283,67 +243,13 @@ class KVStore:
         if key not in mem:
             return False
         del mem[key]
-        buffer = self._buffer
-        if key in buffer:
-            del buffer[key]
+        parent = key[:-1]
+        keys = self._dirs[parent]
+        if len(keys) == 1:
+            del self._dirs[parent]
         else:
-            # Key lives in the sorted run: leave it as a tombstone; a later
-            # merge or compaction drops it.
-            self._dead_keys.add(key)
-        counts = self._counts
-        prefix = key[:-1]
-        left = counts[prefix] - 1
-        if left:
-            counts[prefix] = left
-        else:
-            del counts[prefix]
+            if type(keys) is list:
+                self._dirs[parent] = keys = dict.fromkeys(keys)
+            del keys[key]
         self._len_counts[len(key)] -= 1
         return True
-
-    def _merged_run(self) -> List[Key]:
-        """The sorted run with all buffered writes merged in.
-
-        Called by every ordered read; no-op when nothing changed since the
-        last merge.  Tombstones are filtered out, then the sorted fresh
-        keys join the run — a plain extend when they all sort past the
-        run's tail (the common grow-a-directory pattern), otherwise
-        ``list.sort`` over the two concatenated sorted runs (timsort
-        detects and gallop-merges them).  The sort cost of a write burst
-        is paid once, by the first scan after it.  A scan-free store also
-        compacts when tombstones pile past half the run (keeps range
-        sizes proportional to live data).
-        """
-        run = self._run
-        buffer = self._buffer
-        dead = self._dead_keys
-        if not buffer:
-            if len(dead) * 2 > len(run):
-                self._run = run = [k for k in run if k not in dead]
-                dead.clear()
-                self.merges += 1
-            return run
-        fresh = sorted(buffer)
-        buffer.clear()
-        self.merges += 1
-        if dead:
-            run = [k for k in run if k not in dead]
-            dead.clear()
-        if not run:
-            self._run = fresh
-            return fresh
-        run.extend(fresh)
-        if run[-len(fresh) - 1] > fresh[0]:
-            run.sort()
-        self._run = run
-        return run
-
-    def _rebuild_counts(self) -> None:
-        counts: Dict[Key, int] = {}
-        len_counts: Dict[int, int] = {}
-        for key in self._mem:
-            prefix = key[:-1]
-            counts[prefix] = counts.get(prefix, 0) + 1
-            n = len(key)
-            len_counts[n] = len_counts.get(n, 0) + 1
-        self._counts = counts
-        self._len_counts = len_counts

@@ -219,3 +219,26 @@ class TestInstrumentedCluster:
         # are classified, never promoted to write-write races.
         for r in race_findings(tracer, include_reads=True):
             assert r["kind"] == "read-write"
+
+    def test_traced_paginated_readdir_pages_and_records_the_scan(self):
+        from repro.analysis import instrument_server
+        from repro.bench import make_cluster, scaled_config
+
+        cluster = make_cluster("SwitchFS", scaled_config(num_servers=2, seed=7))
+        tracer = SimTracer(capture_stacks=False)
+        tracer.attach(cluster.sim)
+        for server in cluster.servers:
+            instrument_server(tracer, server)
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(5):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        dir_id = cluster.run_op(fs.statdir("/d"))["id"]
+        page = cluster.run_op(fs.readdir("/d", limit=2))
+        rest = cluster.run_op(fs.readdir("/d", start_after=page["next"]))
+        tracer.detach()
+
+        assert page["entries"] == ["f0", "f1"] and page["next"] == "f1"
+        assert rest["entries"] == ["f2", "f3", "f4"]
+        scans = [k for k in tracer.state_records if k[0] == "kv-scan"]
+        assert [k[2] for k in scans] == [("E", dir_id)]

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import FSConfig, SwitchFSCluster, fingerprint_of, ROOT_ID
+from repro.core import (
+    ChangeLogEntry,
+    ChangeOp,
+    FSConfig,
+    SwitchFSCluster,
+    dir_entry_key,
+    fingerprint_of,
+    ROOT_ID,
+)
 
 
 def make(**overrides):
@@ -131,6 +139,27 @@ class TestOverflowFallback:
                 cluster.run_op(fs.create(f"/dir{i}/f{j}"))
         for i in range(10):
             assert cluster.run_op(fs.statdir(f"/dir{i}"))["entry_count"] == 3
+
+
+class TestRecastBatchOrder:
+    def test_batch_merged_out_of_order_applies_in_timestamp_order(self):
+        """A pushed create and a later-pulled delete of one name can meet in
+        one recast batch delete-first; the entry must stay deleted."""
+        cluster = make(proactive_enabled=False)
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        dir_id = cluster.run_op(fs.statdir("/d"))["id"]
+        owner = cluster.server_by_addr(
+            cluster.cmap.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+        )
+        batch = [
+            ChangeLogEntry(2.0, ChangeOp.DELETE, "x"),
+            ChangeLogEntry(1.0, ChangeOp.CREATE, "x"),
+        ]
+        cluster.run_op(owner._apply_logs([(dir_id, batch, None)]))
+        assert dir_entry_key(dir_id, "x") not in owner.kv
+        listing = cluster.run_op(fs.readdir("/d"))
+        assert listing["entries"] == [] and listing["entry_count"] == 0
 
 
 class TestSwitchCounters:

@@ -173,3 +173,108 @@ class TestLsmMatchesReference:
         assert list(store.scan_prefix(prefix)) == ref.scan_prefix(prefix)
         assert store.count_prefix(prefix) == ref.count_prefix(prefix)
         assert sorted(store.scan_prefix(())) == sorted(ref.data.items())
+
+
+# -- directory-shaped keys: the per-directory index (DESIGN.md §11) ----------
+
+def dir_keys_st():
+    """Table 3 shapes: entries of four directories and inodes beside them,
+    plus the odd two-field key that *equals* a directory's scan prefix."""
+    kind = st.sampled_from(["D", "E"])
+    ident = st.integers(min_value=0, max_value=3)
+    name = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+    return st.tuples(kind, ident, name) | st.tuples(kind, ident)
+
+
+def dir_prefix_st():
+    kind = st.sampled_from(["D", "E"])
+    return (
+        st.tuples(kind, st.integers(0, 3))
+        | st.tuples(kind)
+        | st.just(())
+    )
+
+
+dir_ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), dir_keys_st(), st.integers(0, 99)),
+        st.tuples(st.just("delete"), dir_keys_st(), st.none()),
+        # delete -> re-put of one key with no scan in between
+        st.tuples(st.just("reput"), dir_keys_st(), st.integers(0, 99)),
+        st.tuples(
+            st.just("scan_page"),
+            dir_prefix_st(),
+            st.tuples(
+                st.none() | st.tuples(st.sampled_from(["a", "c", "e", "g"])),
+                st.none() | st.integers(0, 4),
+            ),
+        ),
+        st.tuples(st.just("count"), dir_prefix_st(), st.none()),
+        st.tuples(st.just("crash_recover"), st.none(), st.none()),
+        st.tuples(st.just("checkpoint_restore"), st.none(), st.none()),
+    ),
+    max_size=80,
+)
+
+
+class TestPerDirectoryIndexMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=dir_ops_st)
+    def test_interleaved_directories(self, ops):
+        store, ref = KVStore(), ReferenceStore()
+        for op, a, b in ops:
+            if op == "put":
+                store.put(a, b)
+                ref.put(a, b)
+            elif op == "delete":
+                assert store.delete(a) == ref.delete(a)
+            elif op == "reput":
+                assert store.delete(a) == ref.delete(a)
+                store.put(a, b)
+                ref.put(a, b)
+            elif op == "scan_page":
+                start, limit = b
+                if len(a) < 2:
+                    start = None  # a name token only orders against names
+                assert list(store.scan_prefix(a, start=start, limit=limit)) == (
+                    ref.scan_prefix(a, start=start, limit=limit)
+                )
+            elif op == "count":
+                assert store.count_prefix(a) == ref.count_prefix(a)
+            elif op == "crash_recover":
+                store.crash()
+                store.recover()
+                ref.crash_recover()
+            elif op == "checkpoint_restore":
+                # Restoring the image just taken must rebuild the same index.
+                store.restore(store.snapshot())
+            for prefix in (("E",), ("D",), ()):
+                assert list(store.scan_prefix(prefix)) == ref.scan_prefix(prefix)
+                assert store.count_prefix(prefix) == ref.count_prefix(prefix)
+            assert_same_state(store, ref)
+
+    def test_key_equal_to_the_scanned_prefix_sorts_first(self):
+        store = KVStore()
+        store.put(("E", 1, "b"), 1)
+        store.put(("E", 1), 0)
+        store.put(("E", 1, "a"), 2)
+        assert [k for k, _ in store.scan_prefix(("E", 1))] == [
+            ("E", 1), ("E", 1, "a"), ("E", 1, "b"),
+        ]
+        assert store.count_prefix(("E", 1)) == 3
+        assert [k for k, _ in store.scan_prefix(("E", 1), start=("a",), limit=1)] == [
+            ("E", 1, "a")
+        ]
+
+    def test_paging_over_a_dirty_directory(self):
+        store = KVStore()
+        for name in "dbfa":
+            store.put(("E", 1, name), name)
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1), limit=2)] == ["a", "b"]
+        store.delete(("E", 1, "b"))
+        store.put(("E", 1, "c"), "c")
+        store.put(("E", 2, "z"), "z")
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1), start=("b",), limit=2)] == [
+            "c", "d",
+        ]
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1), start=("e",))] == ["f"]

@@ -1,4 +1,4 @@
-"""Paginated scans and the O(1) prefix-count cache."""
+"""Paginated scans, the O(1) prefix count, and per-directory scan locality."""
 
 from repro.kvstore import KVStore
 
@@ -94,3 +94,69 @@ class TestCountPrefixCache:
         # answer, so the slow key-only range count must.
         assert store.count_prefix(("E",)) == 10
         assert store.count_prefix(()) == 11
+
+
+class TestScanLocality:
+    """A directory read pays for its own directory only.  Gated by count
+    (``store.merges`` = per-directory sorts paid), never by time."""
+
+    def test_writes_to_b_cost_a_nothing_and_b_one_sort(self):
+        store = KVStore()
+        for name in ("m", "c", "x", "a"):  # out of order: A needs one sort
+            store.put(("E", "A", name), name)
+        assert [k[2] for k, _ in store.scan_prefix(("E", "A"))] == ["a", "c", "m", "x"]
+        warm = store.merges
+        assert warm == 1
+
+        for i in reversed(range(50)):
+            store.put(("E", "B", f"f{i:02d}"), i)
+        for i in range(0, 50, 2):
+            store.delete(("E", "B", f"f{i:02d}"))
+        store.put(("D", 0, "B"), "inode")
+
+        assert len(list(store.scan_prefix(("E", "A")))) == 4
+        assert list(store.scan_prefix(("E", "A"), start=("c",), limit=2))
+        assert store.merges == warm
+        assert [k[2] for k, _ in store.scan_prefix(("E", "B"))] == [
+            f"f{i:02d}" for i in range(1, 50, 2)
+        ]
+        assert store.merges == warm + 1
+        list(store.scan_prefix(("E", "B")))
+        list(store.scan_prefix(("E", "B"), limit=3))
+        assert store.merges == warm + 1
+
+    def test_in_order_appends_keep_the_directory_sorted(self):
+        store = filled()
+        assert len(list(store.scan_prefix(("E", 1)))) == 10
+        store.put(("E", 1, "f10"), 10)
+        store.put(("E", 1, "f11"), 11)
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1), start=("f09",))] == [
+            "f09", "f10", "f11",
+        ]
+        assert store.merges == 0
+
+    def test_empty_directory_scan_never_walks_the_store(self):
+        store = filled()
+        assert list(store.scan_prefix(("E", 2))) == []
+        assert store.count_prefix(("E", 2)) == 0
+        assert store.merges == 0
+
+    def test_fallback_sorts_are_counted_so_the_cliff_shows(self):
+        """One key two fields below a prefix anywhere in the store, or a key
+        equal to the prefix, sends scans of it to the whole-store fallback
+        on every call; ``merges`` must say so (DESIGN.md §11)."""
+        store = filled()
+        list(store.scan_prefix(("E", 1)))
+        assert store.merges == 0
+        store.put(("E", 9, "sub", "deep"), 0)
+        for paid in (1, 2):  # every call, not only the first after a write
+            assert len(list(store.scan_prefix(("E", 1)))) == 10
+            assert store.merges == paid
+        store.delete(("E", 9, "sub", "deep"))
+        list(store.scan_prefix(("E", 1)))
+        assert store.merges == 2
+        store.put(("E", 1), "self")
+        assert [k for k, _ in store.scan_prefix(("E", 1), limit=2)] == [
+            ("E", 1), ("E", 1, "f00"),
+        ]
+        assert store.merges == 3
