@@ -207,7 +207,7 @@ class SimTracer:
         """
         t = self.sim.now if self.sim is not None else 0.0
         lid = id(lock)
-        label = self._labels.setdefault(lid, _lock_label(lock))
+        label = self._labels.get(lid) or self._labels.setdefault(lid, _lock_label(lock))
         stack = self._stack()
         pname = self._proc_name()
         self.lock_events.append(LockEvent("acquire", t, pname, lid, label, mode, stack))
@@ -234,7 +234,7 @@ class SimTracer:
     def on_release(self, lock: Any, mode: str) -> None:
         t = self.sim.now if self.sim is not None else 0.0
         lid = id(lock)
-        label = self._labels.setdefault(lid, _lock_label(lock))
+        label = self._labels.get(lid) or self._labels.setdefault(lid, _lock_label(lock))
         self.lock_events.append(
             LockEvent("release", t, self._proc_name(), lid, label, mode, None)
         )

@@ -182,9 +182,10 @@ def run_stream(
         for w in range(inflight)
     ]
     # Collection pauses inside the measurement window would be charged to
-    # the workload; the sim's object graph is refcount-clean (pooled
-    # packets/timeouts, no cycles on the op path), so pay one collection
-    # up front and re-enable after the window closes (EXPERIMENTS.md).
+    # the workload, so pay one collection up front and re-enable after the
+    # window closes (EXPERIMENTS.md).  Leak-free only while the op path
+    # makes no reference cycle (DESIGN.md §9), which
+    # tests/integration/test_refcount_clean.py pins: gc.collect() == 0.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.collect()

@@ -40,7 +40,7 @@ class ChangeLogEngine:
     def _changelog_lock(self, dir_id: int) -> RWLock:
         lock = self._changelog_locks.get(dir_id)
         if lock is None:
-            lock = RWLock(self.sim, name=f"changelog:{self.addr}:{dir_id}")
+            lock = RWLock(self.sim, name="changelog", scope=self.addr, key=dir_id)
             self._changelog_locks[dir_id] = lock
         return lock
 

@@ -164,7 +164,7 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
     def _inode_lock(self, key: Tuple) -> RWLock:
         lock = self._inode_locks.get(key)
         if lock is None:
-            lock = RWLock(self.sim, name=f"inode:{self.addr}:{key!r}")
+            lock = RWLock(self.sim, name="inode", scope=self.addr, key=key)
             self._inode_locks[key] = lock
         return lock
 

@@ -234,6 +234,10 @@ class Process(Event):
     fails, the exception is thrown into the generator.  The process event
     succeeds with the generator's return value, or fails with its uncaught
     exception.
+
+    Completion releases the generator and the resume callback, the one
+    reference from a process back to itself, so a finished process dies
+    by refcount once its last waiter has run (DESIGN.md §9).
     """
 
     __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_cb")
@@ -308,12 +312,17 @@ class Process(Event):
                     err, exc = exc, None
                     target = gen.throw(err)
             except StopIteration as stop:
+                self.gen = self._resume_cb = None
                 self.succeed(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - propagate via event
                 # Covers both an unhandled throw (err is the exception we
                 # threw in) and a fresh exception raised by the generator;
-                # either way the process fails with what escaped.
+                # either way the process fails with what escaped.  The
+                # traceback's head is this frame, whose locals hold the
+                # process: drop it or the exception keeps its process alive.
+                err.__traceback__ = err.__traceback__.tb_next
+                self.gen = self._resume_cb = None
                 self.fail(err)
                 return
             if not isinstance(target, Event):
@@ -450,6 +459,8 @@ class AnyOf(Event):
         for ev, cb in zip(self._events, self._cbs):
             if not ev._processed:
                 ev._discard_callback(cb)
+        # Each callback closes over this combinator.
+        self._cbs.clear()
 
 
 class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__dict__ entries

@@ -89,9 +89,12 @@ class AliasTable:
     samplers seeded identically walk their RNG streams in lockstep even
     when their universes differ — the property the client-population
     engine's cross-population determinism tests pin down.
+
+    Immutable once built, so one instance may be shared (and cached
+    weakly); ``weights`` is the vector it was built from.
     """
 
-    __slots__ = ("n", "_prob", "_alias")
+    __slots__ = ("n", "weights", "_prob", "_alias", "__weakref__")
 
     def __init__(self, weights: Sequence[float]):
         n = len(weights)
@@ -101,6 +104,7 @@ class AliasTable:
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
         self.n = n
+        self.weights = weights
         prob = array("d", [0.0]) * n
         alias = array("L", [0]) * n
         scaled = array("d", [0.0]) * n

@@ -133,17 +133,30 @@ class RWLock:
     Fairness is strict FIFO over the mixed arrival order (a writer arriving
     before a reader blocks that reader), which prevents writer starvation
     and keeps runs deterministic.
+
+    The server tables keep one lock per inode and change-log ever touched,
+    nearly all never contended, so an idle lock is small: the first waiter
+    allocates the queue, and ``name`` is formatted when read.
     """
 
-    __slots__ = ("sim", "name", "_readers", "_writer", "_waiters")
+    __slots__ = ("sim", "_name", "_scope", "_key", "_readers", "_writer", "_waiters")
 
-    def __init__(self, sim: Simulator, name: str = ""):
+    def __init__(self, sim: Simulator, name: str = "", scope: Any = None, key: Any = None):
         self.sim = sim
-        self.name = name
+        self._name = name
+        self._scope = scope
+        self._key = key
         self._readers = 0
         self._writer = False
-        # Queue of (is_writer, event) in arrival order.
-        self._waiters: Deque[Tuple[bool, Event]] = deque()
+        # Queue of (is_writer, event) in arrival order; None until needed.
+        self._waiters: Optional[Deque[Tuple[bool, Event]]] = None
+
+    @property
+    def name(self) -> str:
+        """*name*, or ``name:scope:key!r`` when built with a *scope*."""
+        if self._scope is None:
+            return self._name
+        return f"{self._name}:{self._scope}:{self._key!r}"
 
     @property
     def readers(self) -> int:
@@ -160,9 +173,7 @@ class RWLock:
         if not self._writer and not self._waiters:
             self._readers += 1
             return self.sim.granted()
-        ev = Event(self.sim)
-        self._waiters.append((False, ev))
-        return ev
+        return self._enqueue(False)
 
     def try_acquire_read(self) -> bool:
         """Immediate-grant fast path (see :meth:`Resource.try_acquire`)."""
@@ -181,9 +192,7 @@ class RWLock:
         if not self._writer and self._readers == 0 and not self._waiters:
             self._writer = True
             return self.sim.granted()
-        ev = Event(self.sim)
-        self._waiters.append((True, ev))
-        return ev
+        return self._enqueue(True)
 
     def try_acquire_write(self) -> bool:
         """Immediate-grant fast path (see :meth:`Resource.try_acquire`)."""
@@ -213,19 +222,29 @@ class RWLock:
         self._writer = False
         self._drain()
 
+    def _enqueue(self, is_writer: bool) -> Event:
+        """Queued grant: a pending event at the tail of the FIFO."""
+        ev = Event(self.sim)
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
+        waiters.append((is_writer, ev))
+        return ev
+
     def _drain(self) -> None:
-        while self._waiters:
-            is_writer, ev = self._waiters[0]
+        waiters = self._waiters
+        while waiters:
+            is_writer, ev = waiters[0]
             if is_writer:
                 if self._writer or self._readers:
                     return
-                self._waiters.popleft()
+                waiters.popleft()
                 self._writer = True
                 ev.succeed()
                 return
             if self._writer:
                 return
-            self._waiters.popleft()
+            waiters.popleft()
             self._readers += 1
             ev.succeed()
             # Keep draining: consecutive readers may all enter.

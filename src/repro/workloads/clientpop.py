@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import gc
 import time
+import weakref
 from array import array
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
@@ -51,12 +52,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["UserTable", "PopulationClient", "run_fanin"]
 
 
+# (n, theta) -> AliasTable(zipf_weights(n, theta)): a pure function of its
+# key and never written once built, so the aggregates of a run share it;
+# held weakly, its three n-cell columns die with their last UserTable.
+_activity: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 class UserTable:
     """Per-user state for one aggregate, as parallel array columns.
 
     Rank 0 is the most active user.  Columns are plain ``array`` objects:
     compact (8 bytes per cell), allocation-free to update, and cheap to
     compare byte-for-byte in determinism tests (``tobytes()``).
+
+    ``weights`` and ``alias`` are immutable and shared by every live table
+    of the same ``(n, theta)``; ``ops_done``, ``lat_sum`` and
+    ``epoch_seen`` are written per op and belong to this table alone.
     """
 
     __slots__ = ("n", "theta", "weights", "alias", "ops_done", "lat_sum", "epoch_seen")
@@ -66,15 +77,18 @@ class UserTable:
             raise ValueError(f"population must have >= 1 user, got {n}")
         self.n = n
         self.theta = theta
-        self.weights = zipf_weights(n, theta)
-        self.alias = AliasTable(self.weights)
+        alias = _activity.get((n, theta))
+        if alias is None:
+            alias = _activity[n, theta] = AliasTable(zipf_weights(n, theta))
+        self.alias = alias
+        self.weights = alias.weights
         self.ops_done = array("Q", [0]) * n
         self.lat_sum = array("d", [0.0]) * n
         self.epoch_seen = array("Q", [0]) * n
 
     def active_users(self) -> int:
         """Users that completed at least one op."""
-        return sum(1 for c in self.ops_done if c)
+        return self.n - self.ops_done.count(0)
 
     def mean_latency_us(self, uid: int) -> float:
         count = self.ops_done[uid]
@@ -309,8 +323,8 @@ def run_fanin(
     ]
     for extra in extra_procs or []:
         procs.append(sim.spawn(extra, name="fanin-extra"))
-    # Same GC discipline as run_stream: collect once up front, keep
-    # collector pauses out of the measured window (EXPERIMENTS.md).
+    # Same GC discipline as run_stream, on the same invariant (no cycle on
+    # the op path; tests/integration/test_refcount_clean.py).
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.collect()

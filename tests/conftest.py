@@ -7,6 +7,7 @@ of silently corrupting later traffic.  Opt out (e.g. to time something)
 with ``REPRO_POOL_SANITIZER=0``.
 """
 
+import gc
 import os
 
 import pytest
@@ -24,3 +25,15 @@ def _pool_sanitizer():
         yield san
     finally:
         uninstall_pool_sanitizer()
+
+
+@pytest.fixture
+def collector_off():
+    """Run the test as the drivers run a window: one collection, then the
+    cyclic collector off, so only refcounts free anything."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

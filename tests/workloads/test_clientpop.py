@@ -7,6 +7,8 @@ the population size at a fixed offered load), and the K=1 equivalence
 oracle against the legacy closed-loop harness.
 """
 
+import weakref
+
 import pytest
 
 from repro.bench import run_stream
@@ -86,6 +88,26 @@ class TestUserTable:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             UserTable(0)
+
+    def test_activity_columns_shared_mutable_columns_private(self):
+        a, b = UserTable(5_000, 0.99), UserTable(5_000, 0.99)
+        assert a.weights is b.weights and a.alias is b.alias
+        for column in ("ops_done", "lat_sum", "epoch_seen"):
+            assert getattr(a, column) is not getattr(b, column)
+        a.ops_done[7] += 1
+        assert b.ops_done[7] == 0 and a.active_users() == 1 and b.active_users() == 0
+        # Another size or skew is another table, with its own columns.
+        assert UserTable(5_001, 0.99).alias is not a.alias
+        assert UserTable(5_000, 0.5).weights is not a.weights
+
+    def test_shared_columns_die_with_their_last_table(self):
+        a = UserTable(5_000, 0.75)
+        alias = weakref.ref(a.alias)
+        b = UserTable(5_000, 0.75)
+        del a
+        assert alias() is b.alias
+        del b
+        assert alias() is None
 
 
 class TestDeterminism:
