@@ -21,18 +21,22 @@ lock held in ``_handle_rmdir`` while ``yield from``-delegating into
   ``acquire``-family call on one of their own parameters (the runtime's
   ``_acquire(lock, mode)``); call sites map their argument expression to
   a lock class instead of descending into the wrapper,
+* **hold producers**: plain functions that *return* a timed hold on a
+  counted pool (``return self.cores.hold(...)``), so yielding their
+  result is a bounded wait, not an event,
 * **wait kinds** per generator (fixpoint over ``yield from`` edges):
   what a ``yield`` can block on — ``timeout`` (bounded simulated time),
   ``pool`` (counted CPU-core resources, not orderable), ``lock``
   (mutual-exclusion acquire), or ``event`` (RPC completions and bare
-  events: unbounded on simulated time).
+  events: unbounded on simulated time).  A pool hold is ``pool`` +
+  ``timeout``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["FuncInfo", "Project", "scan_project"]
 
@@ -86,11 +90,12 @@ class FuncInfo:
 # pools (CPU cores) cannot deadlock by ordering, mirroring SimTracer.
 _LOCK_CTORS = {"Lock", "RWLock"}
 _ACQUIRE_METHODS = {"acquire", "acquire_read", "acquire_write"}
-_TRY_ACQUIRE_METHODS = {"try_acquire", "try_acquire_read", "try_acquire_write"}
 #: Receiver names treated as counted pools (capacity > 1, not orderable —
 #: mirrors SimTracer's ``_orderable``); everything else that ``acquire``s
 #: is treated as a mutual-exclusion lock.
 _POOL_RECEIVERS = {"cores"}
+#: ``Resource`` methods returning one event for acquire + timed hold + release.
+_HOLD_METHODS = {"hold", "hold_all"}
 
 
 def _lock_class_of_ctor(call: ast.Call) -> Optional[str]:
@@ -128,12 +133,15 @@ def receiver_name(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def classify_yield_value(value: Optional[ast.expr]) -> Tuple[str, Optional[ast.Call]]:
+def classify_yield_value(
+    value: Optional[ast.expr], hold_producers: AbstractSet[str] = frozenset()
+) -> Tuple[str, Optional[ast.Call]]:
     """Classify a plain ``yield <value>``'s wait.
 
     Returns ``(kind, call)`` where kind is ``"timeout"``, ``"pool"``,
-    ``"lock"``, or ``"event"``, and call is the acquire call for
-    ``"lock"``/``"pool"`` kinds.
+    ``"hold"`` (a pool unit held for a bounded time), ``"lock"``, or
+    ``"event"``, and call is the acquire call for ``"lock"``/``"pool"``
+    kinds.  *hold_producers*: :attr:`Project.hold_producers`.
     """
     if value is None:
         return "event", None
@@ -141,6 +149,10 @@ def classify_yield_value(value: Optional[ast.expr]) -> Tuple[str, Optional[ast.C
         attr = value.func.attr
         if attr == "timeout":
             return "timeout", None
+        if attr in hold_producers or (
+            attr in _HOLD_METHODS and receiver_name(value.func.value) in _POOL_RECEIVERS
+        ):
+            return "hold", None
         if attr in _ACQUIRE_METHODS:
             recv = receiver_name(value.func.value)
             if attr == "acquire" and recv in _POOL_RECEIVERS:
@@ -159,6 +171,8 @@ class Project:
         self.by_name: Dict[str, List[FuncInfo]] = {}
         #: function name -> lock class it produces
         self.lock_producers: Dict[str, str] = {}
+        #: names of functions that return a timed pool hold
+        self.hold_producers: Set[str] = set()
         self.parse_errors: List[Tuple[str, str]] = []
 
     # -- scanning --------------------------------------------------------
@@ -183,6 +197,13 @@ class Project:
                 self.by_name.setdefault(stmt.name, []).append(info)
                 # Nested defs are indexed too (closures get their own CFG).
                 self._scan_body(stmt.body, qualname, path, class_name)
+            elif (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Name)
+                  and f"{prefix}.{stmt.value.id}" in self.functions):
+                # ``_cpu = charge_cpu``: an alias is another name for the def.
+                info = self.functions[f"{prefix}.{stmt.value.id}"]
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        self.by_name.setdefault(target.id, []).append(info)
             elif isinstance(stmt, ast.ClassDef):
                 self._scan_body(stmt.body, f"{prefix}.{stmt.name}", path, stmt.name)
 
@@ -196,6 +217,7 @@ class Project:
         for info in self.functions.values():
             if info.is_generator:
                 info.acquire_wrapper_param = self._wrapper_param(info)
+        self._derive_hold_producers()
         self._wait_kind_fixpoint()
 
     # -- facts -----------------------------------------------------------
@@ -206,6 +228,18 @@ class Project:
                 if cls is not None:
                     return cls
         return None
+
+    def _derive_hold_producers(self) -> None:
+        """Names (defs and their aliases) of plain functions that return a
+        pool hold — direct only, like lock-class producers."""
+        for name, infos in self.by_name.items():
+            if any(
+                isinstance(node, ast.Return)
+                and classify_yield_value(node.value)[0] == "hold"
+                for info in infos if not info.is_generator
+                for node in ast.walk(info.node)
+            ):
+                self.hold_producers.add(name)
 
     def _wrapper_param(self, info: FuncInfo) -> Optional[int]:
         """Detect runtime-style acquire wrappers: a generator whose every
@@ -267,7 +301,8 @@ class Project:
                 else:
                     kinds.add("event")
             elif isinstance(node, ast.Yield):
-                kinds.add(classify_yield_value(node.value)[0])
+                kind = classify_yield_value(node.value, self.hold_producers)[0]
+                kinds.update(("pool", "timeout") if kind == "hold" else (kind,))
         return kinds, delegations
 
     def _wait_kind_fixpoint(self) -> None:
@@ -291,18 +326,6 @@ class Project:
                         if not add <= f.wait_kinds:
                             f.wait_kinds |= add
                             changed = True
-
-    def wait_kinds_of_call(self, call: ast.Call) -> Set[str]:
-        """Wait kinds a ``yield from <call>`` can block on."""
-        out: Set[str] = set()
-        for callee in self.resolve_call(call):
-            if callee.acquire_wrapper_param is not None:
-                out.add("lock")
-            else:
-                out |= callee.wait_kinds
-        if not out:
-            out.add("event")  # unresolved delegation: assume the worst
-        return out
 
 
 def scan_project(paths: Iterable) -> Project:

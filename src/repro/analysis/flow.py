@@ -447,7 +447,7 @@ class _LockAnalysis:
                 elif out:
                     self._report_rl102(node, frozenset(out), "delegation")
             else:
-                kind, call = classify_yield_value(expr.value)
+                kind, call = classify_yield_value(expr.value, self.project.hold_producers)
                 if kind == "lock" and call is not None:
                     cls = self._class_of_expr(call.func.value)
                     if cls is not None:

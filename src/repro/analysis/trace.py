@@ -22,11 +22,8 @@ simulator's process class for :class:`_TracedProcess` (via
 :meth:`Simulator.set_tracer`), which brackets every generator advance
 with current-process bookkeeping; that cost exists only while tracing.
 
-Attribution caveat: the RPC layer dispatches a handler's first segment
-inline in the dispatcher's frame (DESIGN.md §10), so lock activity
-before a handler's first real suspension is attributed to the dispatch
-process.  All lock acquisitions in the server workflows happen after a
-CPU charge (a timeout yield), so in practice attribution is per-handler.
+Attribution: the RPC layer runs a handler's first segment inline in the
+inbox's frame (DESIGN.md §10) but already as its own process.
 """
 
 from __future__ import annotations

@@ -199,20 +199,20 @@ class SyncMetadataServer(ServerRuntime):
         pid, name = args["pid"], args["name"]
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         key = file_meta_key(pid, name)
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "w")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             exists = key in self.kv
             if create and exists:
                 raise FSError(EEXIST, f"{pid}/{name}")
             if not create and not exists:
                 raise FSError(ENOENT, f"{pid}/{name}")
-            yield from self._cpu(self.perf.wal_append_us)
+            yield self._cpu(self.perf.wal_append_us)
             now = self.sim.now
-            yield from self._cpu(self.perf.kv_put_us)
+            yield self._cpu(self.perf.kv_put_us)
             if create:
                 self.kv.put(key, FileInode(pid=pid, name=name, ctime=now, mtime=now))
             else:
@@ -261,7 +261,7 @@ class SyncMetadataServer(ServerRuntime):
     def _handle_parent_prepare(self, request: RpcRequest, packet) -> Generator:
         spec = request.args
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.txn_phase_us)
+        yield self._cpu(self.perf.txn_phase_us)
         key = tuple(spec["parent_key"])
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "w")
@@ -270,7 +270,7 @@ class SyncMetadataServer(ServerRuntime):
     def _handle_parent_commit(self, request: RpcRequest, packet) -> Generator:
         spec = request.args
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.txn_phase_us)
+        yield self._cpu(self.perf.txn_phase_us)
         key = tuple(spec["parent_key"])
         try:
             yield from self._apply_parent_inode(spec, locked=True)
@@ -288,7 +288,7 @@ class SyncMetadataServer(ServerRuntime):
             lock.release_write()
 
     def _apply_parent_inode(self, spec: Dict[str, Any], locked: bool) -> Generator:
-        yield from self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
+        yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
         key = tuple(spec["parent_key"])
         inode = self.kv.get_or_none(key)
         if inode is None:
@@ -310,15 +310,15 @@ class SyncMetadataServer(ServerRuntime):
         pid, name = args["pid"], args["name"]
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(pid, name)
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "w")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             if key in self.kv:
                 raise FSError(EEXIST, f"{pid}/{name}")
-            yield from self._cpu(self.perf.wal_append_us + self.perf.kv_put_us)
+            yield self._cpu(self.perf.wal_append_us + self.perf.kv_put_us)
             now = self.sim.now
             inode = DirInode(
                 id=new_dir_id(pid, name, 0),
@@ -348,12 +348,12 @@ class SyncMetadataServer(ServerRuntime):
         pid, name = args["pid"], args["name"]
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(pid, name)
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "w")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")
@@ -362,7 +362,7 @@ class SyncMetadataServer(ServerRuntime):
             count = self.kv.count_prefix(("E", inode.id))
             if inode.entry_count > 0 or count > 0:
                 raise FSError(ENOTEMPTY, f"{pid}/{name}")
-            yield from self._cpu(self.perf.wal_append_us + self.perf.kv_put_us)
+            yield self._cpu(self.perf.wal_append_us + self.perf.kv_put_us)
             self.kv.delete(key)
             self._dir_index.pop(inode.id, None)
             yield from self._update_parent_sync(  # reprolint: allow[RL102] sync baseline holds the inode lock across the parent-update RPC by design (the measured legacy cost)
@@ -383,12 +383,12 @@ class SyncMetadataServer(ServerRuntime):
         args = request.args
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         key = file_meta_key(args["pid"], args["name"])
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "r")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{args['pid']}/{args['name']}")
@@ -399,19 +399,19 @@ class SyncMetadataServer(ServerRuntime):
     def _handle_close(self, request: RpcRequest, packet) -> Generator:
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         return {"status": "ok"}
 
     def _handle_statdir(self, request: RpcRequest, packet) -> Generator:
         args = request.args
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(args["pid"], args["name"])
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "r")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{args['pid']}/{args['name']}")
@@ -425,14 +425,14 @@ class SyncMetadataServer(ServerRuntime):
         # Entries colocate with the directory inode (the parent-update path
         # always runs here), so the listing is a local prefix scan.
         names = [k[2] for k, _ in self.kv.scan_prefix(("E", dir_id))]
-        yield from self._cpu(self.perf.readdir_per_entry_us * max(1, len(names)))
+        yield self._cpu(self.perf.readdir_per_entry_us * max(1, len(names)))
         return {"id": dir_id, "entries": names, "entry_count": value["entry_count"]}
 
     def _handle_lookup_dir(self, request: RpcRequest, packet) -> Generator:
         args = request.args
         yield from self._wait_recovered()
         yield from self._net_penalty()
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         inode = self.kv.get_or_none(dir_meta_key(args["pid"], args["name"]))
         if inode is None:
             raise FSError(ENOENT, f"{args['pid']}/{args['name']}")
@@ -441,7 +441,7 @@ class SyncMetadataServer(ServerRuntime):
     # -- raw helpers (rename, remote scans) ------------------------------------
     def _handle_read_inode(self, request: RpcRequest, packet) -> Generator:
         args = request.args
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         if args.get("count_prefix"):
             return {"count": self.kv.count_prefix(tuple(args["count_prefix"]))}
         if args.get("scan_prefix"):
@@ -453,12 +453,12 @@ class SyncMetadataServer(ServerRuntime):
         return {"inode": inode}
 
     def _handle_put_inode(self, request: RpcRequest, packet) -> Generator:
-        yield from self._cpu(self.perf.kv_put_us + self.perf.wal_append_us)
+        yield self._cpu(self.perf.kv_put_us + self.perf.wal_append_us)
         self.kv.put(tuple(request.args["key"]), request.args["value"])
         return {"status": "ok"}
 
     def _handle_delete_inode(self, request: RpcRequest, packet) -> Generator:
-        yield from self._cpu(self.perf.kv_put_us)
+        yield self._cpu(self.perf.kv_put_us)
         self.kv.delete(tuple(request.args["key"]))
         return {"status": "ok"}
 

@@ -57,6 +57,15 @@ class PerfModel:
     stack_multiplier: float = 1.0      # scales every CPU segment
     extra_net_us: float = 0.0          # per-message kernel-networking penalty
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"PerfModel.{name} must be >= 0, got {value}")
+        if self.rpc_timeout_us <= 0:
+            raise ValueError(f"PerfModel.rpc_timeout_us must be > 0, got {self.rpc_timeout_us}")
+        if self.rpc_max_attempts < 1:
+            raise ValueError(f"PerfModel.rpc_max_attempts must be >= 1, got {self.rpc_max_attempts}")
+
     def scaled(self, factor: float, extra_net_us: float = 0.0) -> "PerfModel":
         """A copy with all CPU segments scaled (heavy-stack baselines)."""
         return replace(self, stack_multiplier=self.stack_multiplier * factor,
@@ -163,6 +172,11 @@ class FSConfig:
             raise ValueError("switch_cache_stages must be >= 1")
         if not 1 <= self.switch_cache_index_bits <= 16:
             raise ValueError("switch_cache_index_bits out of range")
+        for name in ("proactive_idle_push_us", "grace_period_us", "unlock_watchdog_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.grace_period_us > self.grace_cap_us:
+            raise ValueError("grace_period_us must not exceed grace_cap_us")
 
     def server_addr(self, idx: int) -> str:
         if not 0 <= idx < self.num_servers:

@@ -124,7 +124,7 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
     if serialise:
         yield server.rename_serializer().acquire()
     try:
-        yield from server.charge_cpu(perf.path_check_us)
+        yield server.charge_cpu(perf.path_check_us)
         if not server.inval.validate(args.get("ancestor_ids", ())):
             raise FSError("EINVALIDPATH", args.get("path", "?"))
         result = yield from rename_transaction(  # reprolint: allow[RL102] the rename serialiser spans the whole distributed transaction by design

@@ -68,9 +68,9 @@ class AggregationProtocol:
             try:
                 pulled = self._merge_pulled(results, local)
                 if pulled:
-                    yield from self._cpu(self.perf.wal_append_us)
+                    yield self._cpu(self.perf.wal_append_us)
                     self.wal.append("agg", [(d, e) for d, e, _ in pulled])
-                    yield from self._apply_logs(pulled)  # reprolint: allow[RL102] pull-until-ack: group changelog locks stay held while the drained entries apply
+                    yield from self._apply_logs(pulled)
                 self._send_agg_ack(fp, others, results, local)
             finally:
                 for lock in local_locks:
@@ -186,7 +186,7 @@ class AggregationProtocol:
         self._pull_locks[fp] = locks
         if self.config.unlock_watchdog_us:
             self._arm_pull_watchdog(fp, locks)
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         drained = self.changelogs.drain_group(fp)
         lsns = [lsn for _d, _e, lsn_list in drained for lsn in lsn_list]
         return {
@@ -242,7 +242,7 @@ class AggregationProtocol:
 
     def _handle_agg_ack(self, request: RpcRequest, packet: Packet) -> Generator:
         """Aggregation done: unlock change-logs, mark shipped WAL records."""
-        yield from self._cpu(self.perf.changelog_append_us)
+        yield self._cpu(self.perf.changelog_append_us)
         fp = request.args.get("fp")
         if fp is not None:
             self._release_pull_locks(fp)
@@ -264,7 +264,7 @@ class AggregationProtocol:
         self._pull_locks[fp] = locks
         if self.config.unlock_watchdog_us:
             self._arm_pull_watchdog(fp, locks)
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         self.inval.insert(dir_id)
         drained = self.changelogs.drain_group(fp)
         lsns = [lsn for _d, _e, lsn_list in drained for lsn in lsn_list]
@@ -274,7 +274,7 @@ class AggregationProtocol:
         }
 
     def _handle_uninvalidate(self, request: RpcRequest, packet: Packet) -> Generator:
-        yield from self._cpu(self.perf.changelog_append_us)
+        yield self._cpu(self.perf.changelog_append_us)
         self.inval.discard(request.args["dir_id"])
 
     def _handle_aggregate_now(self, request: RpcRequest, packet: Packet) -> Generator:

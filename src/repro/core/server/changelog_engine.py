@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcError, RpcRequest
-from ...sim import AllOf, RWLock
+from ...sim import RWLock
 from ..changelog import ChangeLog, ChangeLogEntry
 from ..schema import DirEntry, dir_entry_key
 
@@ -114,7 +114,7 @@ class ChangeLogEngine:
         args = request.args
         dir_id, fp = args["dir_id"], args["fp"]
         yield from self._wait_recovered()
-        yield from self._cpu(self.perf.wal_append_us)
+        yield self._cpu(self.perf.wal_append_us)
         entries = args["entries"]
         lsns = self.wal.append_many(
             "changelog", [(dir_id, fp, entry) for entry in entries]
@@ -166,7 +166,7 @@ class ChangeLogEngine:
                 yield from self._apply_recast(dir_id, entries, already_locked)
             else:
                 for entry in sorted(entries, key=lambda e: e.timestamp):
-                    yield from self._cpu(self.perf.txn_phase_us)
+                    yield self._cpu(self.perf.txn_phase_us)
                     yield from self._apply_entry_with_inode_txn(dir_id, entry, already_locked)
 
     def _apply_recast(
@@ -180,20 +180,11 @@ class ChangeLogEngine:
             return  # directory no longer exists here
         max_ts = max(e.timestamp for e in entries)
 
-        def entry_worker() -> Generator:
-            yield from self._cpu(self.perf.dir_entry_put_us)
-
-        # The per-entry CPU charge fans out across cores exactly as before;
-        # the entry-list mutations themselves are batched into one grouped
-        # KV transaction (one WAL record per directory) after the barrier.
-        # Workers have uniform cost, so completion order equals list order
-        # and the final state is unchanged; group read-blocking (§4.3)
-        # means nobody observes the list between the old per-worker apply
-        # points and the batched one.
-        workers = [
-            self.sim.spawn(entry_worker(), name="recast-entry") for _ in entries
-        ]
-        yield AllOf(self.sim, workers)
+        # The per-entry CPU charge fans out across cores; the entry-list
+        # mutations themselves are batched into one grouped KV transaction
+        # (one WAL record per directory) after the barrier.  Group
+        # read-blocking (§4.3) means nobody observes the list in between.
+        yield self.charge_cpu_all(len(entries), self.perf.dir_entry_put_us)
         delta = self._apply_entries_to_list(dir_id, entries)
 
         take_lock = key not in already_locked
@@ -201,7 +192,7 @@ class ChangeLogEngine:
         if take_lock:
             yield from self._acquire(lock, "w")
         try:
-            yield from self._cpu(self.perf.dir_inode_update_us)
+            yield self._cpu(self.perf.dir_inode_update_us)
             inode = self.kv.get_or_none(key)
             if inode is not None:
                 self.kv.put(key, inode.touched(max_ts, delta))
@@ -228,7 +219,7 @@ class ChangeLogEngine:
         if take_lock:
             yield from self._acquire(lock, "w")
         try:
-            yield from self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
+            yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
             delta = self._apply_entry_to_list(dir_id, entry)
             inode = self.kv.get_or_none(key)
             if inode is not None:
@@ -329,7 +320,7 @@ class ChangeLogEngine:
         pushed to the live owner rather than silently dropped (the
         ``_apply_recast`` fast path returns early on unknown dir ids)."""
         args = request.args
-        yield from self._cpu(self.perf.wal_append_us)
+        yield self._cpu(self.perf.wal_append_us)
         pulled = []
         for dir_id, fp, entries in args["logs"]:
             if self.cmap.dir_owner_by_fp(fp) == self.addr:
@@ -354,7 +345,7 @@ class ChangeLogEngine:
                 yield from self._acquire(lock, "w")
             try:
                 self.wal.append("agg", [(d, e) for d, e, _ in pulled])
-                yield from self._apply_logs(pulled)  # reprolint: allow[RL102] pull-until-ack: changelog locks stay held while the pulled entries apply
+                yield from self._apply_logs(pulled)
             finally:
                 for lock in locks:
                     lock.release_write()

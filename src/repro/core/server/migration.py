@@ -161,7 +161,7 @@ class ShardMigration:
         atomically at the end.
         """
         args = request.args
-        yield from self._cpu(self.perf.wal_append_us)
+        yield self._cpu(self.perf.wal_append_us)
         txn = self.kv.transaction()
         for key, value in args["kv_pairs"]:
             key = tuple(key)
@@ -193,7 +193,7 @@ class ShardMigration:
             self._note_push(fp)
         # Bulk install is much cheaper per record than the foreground
         # path — same 5% accounting recovery uses for restores.
-        yield from self._cpu(
+        yield self._cpu(
             self.perf.kv_put_us * max(1, len(args["kv_pairs"])) * 0.05
         )
         return {

@@ -59,33 +59,14 @@ class ServerOps:
         return self._double_inode_file_op(request, is_create=False)
 
     def _double_inode_file_op(self, request: RpcRequest, is_create: bool) -> Generator:
-        """Shared workflow of file ``create``/``delete`` (Figure 4, green).
-
-        The CPU charges are open-coded (try_acquire + timeout + release
-        instead of ``yield from self._cpu(...)``): this is the single
-        hottest generator in the system and each delegation saved here is
-        one fewer frame entered ~6 times per operation.  The inline form
-        is observably identical to :meth:`ServerRuntime.charge_cpu`.
-        """
+        """Shared workflow of file ``create``/``delete`` (Figure 4, green)."""
         args = request.args
         pid, name = args["pid"], args["name"]
         parent_fp = args["parent_fp"]
         perf = self.perf
-        sim = self.sim
-        cores = self.cores
-        phases = self.phases
-        mult = self._stack_mult
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        t0 = sim.now
-        if not cores.try_acquire():
-            yield cores.acquire()
-        acq = sim.now
-        try:
-            yield sim.timeout(perf.path_check_us * mult)
-        finally:
-            cores.release()
-            phases.add_queue_cpu(acq - t0, sim.now - acq)
+        yield self._cpu(perf.path_check_us)
         self._check_valid(args)
         self._check_owner_file(pid, name)
 
@@ -101,46 +82,22 @@ class ServerOps:
         yield from self._acquire(cl_lock, "r")
         yield from self._acquire(klock, "w")
         try:
-            t0 = sim.now
-            if not cores.try_acquire():
-                yield cores.acquire()
-            acq = sim.now
-            try:
-                yield sim.timeout(perf.kv_get_us * mult)
-            finally:
-                cores.release()
-                phases.add_queue_cpu(acq - t0, sim.now - acq)
+            yield self._cpu(perf.kv_get_us)
             exists = key in self.kv
             if is_create and exists:
                 raise FSError(EEXIST, f"{pid}/{name}")
             if not is_create and not exists:
                 raise FSError(ENOENT, f"{pid}/{name}")
 
-            t0 = sim.now
-            if not cores.try_acquire():
-                yield cores.acquire()
-            acq = sim.now
-            try:
-                yield sim.timeout(perf.wal_append_us * mult)
-            finally:
-                cores.release()
-                phases.add_queue_cpu(acq - t0, sim.now - acq)
-            now = sim.now
+            yield self._cpu(perf.wal_append_us)
+            now = self.sim.now
             perm = args.get("perm", 0o644)
             inode = (
                 FileInode(pid=pid, name=name, perm=perm, ctime=now, mtime=now)
                 if is_create
                 else None
             )
-            t0 = sim.now
-            if not cores.try_acquire():
-                yield cores.acquire()
-            acq = sim.now
-            try:
-                yield sim.timeout(perf.kv_put_us * mult)
-            finally:
-                cores.release()
-                phases.add_queue_cpu(acq - t0, sim.now - acq)
+            yield self._cpu(perf.kv_put_us)
             if is_create:
                 self.kv.put(key, inode)
             else:
@@ -178,7 +135,7 @@ class ServerOps:
         parent_fp = args["parent_fp"]
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         self._check_valid(args)
         self._check_owner_dir(fingerprint_of(pid, name))
 
@@ -190,10 +147,10 @@ class ServerOps:
         yield from self._acquire(cl_lock, "r")
         yield from self._acquire(klock, "w")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             if key in self.kv:
                 raise FSError(EEXIST, f"{pid}/{name}")
-            yield from self._cpu(self.perf.wal_append_us)
+            yield self._cpu(self.perf.wal_append_us)
             now = self.sim.now
             self._dir_nonce += 1
             inode = DirInode(
@@ -205,7 +162,7 @@ class ServerOps:
                 ctime=now,
                 mtime=now,
             )
-            yield from self._cpu(self.perf.kv_put_us)
+            yield self._cpu(self.perf.kv_put_us)
             self.kv.put(key, inode)
             self._dir_index[inode.id] = key
             self._send_cache_evict(inode.fingerprint)
@@ -240,7 +197,7 @@ class ServerOps:
         parent_fp = args["parent_fp"]
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         self._check_valid(args)
         self._check_owner_dir(fp)
 
@@ -253,7 +210,7 @@ class ServerOps:
         yield from self._acquire(cl_lock, "r")
         yield from self._acquire(klock, "w")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")
@@ -275,9 +232,9 @@ class ServerOps:
                     try:
                         pulled = self._merge_pulled(results, local)
                         if pulled:
-                            yield from self._cpu(self.perf.wal_append_us)
+                            yield self._cpu(self.perf.wal_append_us)
                             self.wal.append("agg", [(d, e) for d, e, _ in pulled])
-                            yield from self._apply_logs(  # reprolint: allow[RL102] rmdir freeze: the pulled group applies under the dir locks by design
+                            yield from self._apply_logs(
                                 pulled, already_locked=frozenset([key])
                             )
                         self._send_agg_ack(fp, others, results, local)
@@ -289,7 +246,7 @@ class ServerOps:
                     block.succeed()
 
             inode = self.kv.get(key)  # refreshed by aggregation
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             if inode.entry_count > 0:
                 # Not empty: revert the invalidation so the directory stays
                 # usable, then fail.  The revert must be as reliable as the
@@ -302,9 +259,9 @@ class ServerOps:
                     )
                 raise FSError(ENOTEMPTY, f"{pid}/{name}")
 
-            yield from self._cpu(self.perf.wal_append_us)
+            yield self._cpu(self.perf.wal_append_us)
             now = self.sim.now
-            yield from self._cpu(self.perf.kv_put_us)
+            yield self._cpu(self.perf.kv_put_us)
             self.kv.delete(key)
             self._dir_index.pop(dir_id, None)
             self._send_cache_evict(fp)
@@ -339,20 +296,9 @@ class ServerOps:
         or until the fallback path reports back.  With the server backend
         the stale-set RPC completes inline and locks release here.
         """
-        sim = self.sim
-        cores = self.cores
         lsn = self.wal.append("changelog", (parent_id, parent_fp, entry))
-        # Inline CPU charge (see _double_inode_file_op's docstring).
-        t0 = sim.now
-        if not cores.try_acquire():
-            yield cores.acquire()
-        acq = sim.now
-        try:
-            yield sim.timeout(self.perf.changelog_append_us * self._stack_mult)
-        finally:
-            cores.release()
-            self.phases.add_queue_cpu(acq - t0, sim.now - acq)
-        log = self.changelogs.append(parent_id, parent_fp, entry, lsn, sim.now)
+        yield self._cpu(self.perf.changelog_append_us)
+        log = self.changelogs.append(parent_id, parent_fp, entry, lsn, self.sim.now)
         self.counters.inc("changelog_appends")
 
         if self.ss is not None:  # stale-set-on-a-server mode (§6.5.2)
@@ -476,7 +422,7 @@ class ServerOps:
     def _handle_apply_parent_update(self, request: RpcRequest, packet: Packet) -> Generator:
         args = request.args
         yield from self._wait_recovered()
-        yield from self._cpu(self.perf.txn_phase_us)
+        yield self._cpu(self.perf.txn_phase_us)
         self._mutator_begin()
         try:
             yield from self._apply_entry_with_inode_txn(args["parent_id"], args["entry"])
@@ -546,7 +492,7 @@ class ServerOps:
         self.counters.inc("fallback_applied")
 
     def _handle_unlock_fallback(self, request: RpcRequest, packet: Packet) -> Generator:
-        yield from self._cpu(self.perf.changelog_append_us)
+        yield self._cpu(self.perf.changelog_append_us)
         self.release_unlock_token(request.args["token"], applied_sync=True)
 
     # ------------------------------------------------------------------

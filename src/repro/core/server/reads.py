@@ -64,7 +64,7 @@ class ReadOps:
             if limit is not None and len(names) > limit:
                 names = names[:limit]
                 next_token = names[-1] if names else None
-        yield from self._cpu(self.perf.readdir_per_entry_us * max(1, len(names)))
+        yield self._cpu(self.perf.readdir_per_entry_us * max(1, len(names)))
         result = {"id": inode.id, "entries": names, "entry_count": inode.entry_count}
         if next_token is not None:
             result["next"] = next_token
@@ -75,7 +75,7 @@ class ReadOps:
         pid, name, fp = args["pid"], args["name"], args["fp"]
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         self._check_valid(args)
         self._check_owner_dir(fp)
 
@@ -89,7 +89,7 @@ class ReadOps:
         # Checking for in-flight aggregations on the group costs a little
         # even in the common (normal-state) case — the statdir premium the
         # paper reports in §6.2.2.
-        yield from self._cpu(self.perf.agg_check_us)
+        yield self._cpu(self.perf.agg_check_us)
         yield from self._wait_group_unblocked(fp)
         if scattered:
             self.counters.inc("read_triggered_aggregations")
@@ -99,7 +99,7 @@ class ReadOps:
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "r")
         try:
-            yield from self._cpu(self.perf.kv_get_us)
+            yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")
@@ -120,7 +120,7 @@ class ReadOps:
 
     def _handle_close(self, request: RpcRequest, packet: Packet) -> Generator:
         yield from self._wait_recovered()
-        yield from self._cpu(self.perf.path_check_us)
+        yield self._cpu(self.perf.path_check_us)
         return {"status": "ok"}
 
     def _read_file_inode(self, request: RpcRequest, packet: Packet) -> Generator:
@@ -129,14 +129,14 @@ class ReadOps:
         perf = self.perf
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield from self._cpu(perf.path_check_us)
+        yield self._cpu(perf.path_check_us)
         self._check_valid(args)
         self._check_owner_file(pid, name)
         key = file_meta_key(pid, name)
         lock = self._inode_lock(key)
         yield from self._acquire(lock, "r")
         try:
-            yield from self._cpu(perf.kv_get_us)
+            yield self._cpu(perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")
@@ -169,7 +169,7 @@ class ReadOps:
         pid, name = args["pid"], args["name"]
         yield from self._wait_recovered()
         self._check_owner_dir(fingerprint_of(pid, name))
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         inode = self.kv.get_or_none(dir_meta_key(pid, name))
         if inode is None:
             raise FSError(ENOENT, f"{pid}/{name}")
@@ -193,13 +193,13 @@ class ReadOps:
         while the cluster is mid-migration, and retired servers keep
         answering so stale views always have a reachable refresh source.
         """
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         return {"view": self.cmap.view.to_wire()}
 
     def _handle_read_inode(self, request: RpcRequest, packet: Packet) -> Generator:
         """Raw inode read used by the rename coordinator."""
         args = request.args
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         inode = self.kv.get_or_none(tuple(args["key"]))
         if inode is None:
             raise FSError(ENOENT, str(args["key"]))
@@ -209,5 +209,5 @@ class ReadOps:
         """Prefix scan used by the rename coordinator to migrate entry lists."""
         prefix = tuple(request.args["prefix"])
         items = list(self.kv.scan_prefix(prefix))
-        yield from self._cpu(self.perf.readdir_per_entry_us * max(1, len(items)))
+        yield self._cpu(self.perf.readdir_per_entry_us * max(1, len(items)))
         return {"items": [(list(k), v) for k, v in items]}

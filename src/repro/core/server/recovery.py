@@ -24,7 +24,7 @@ class CrashRecovery:
     __slots__ = ()
 
     def _handle_clone_invalidation(self, request: RpcRequest, packet: Packet) -> Generator:
-        yield from self._cpu(self.perf.kv_get_us)
+        yield self._cpu(self.perf.kv_get_us)
         return {"ids": self.inval.snapshot()}
 
     def checkpoint(self) -> Generator:
@@ -55,7 +55,7 @@ class CrashRecovery:
         self.wal.checkpoint()
         self.counters.inc("checkpoints")
         # Charge background CPU proportional to the image size.
-        yield from self._cpu(self.perf.kv_put_us * max(1, len(image["kv"])) * 0.002)
+        yield self._cpu(self.perf.kv_put_us * max(1, len(image["kv"])) * 0.002)
         return len(image["kv"])
 
     def _changelog_state(self):
@@ -128,7 +128,7 @@ class CrashRecovery:
         for key, inode in list(self.kv.scan_prefix(("D",))):
             self._dir_index[inode.id] = key
         total = replayed + len(changelog_records)
-        yield from self._cpu(self.perf.kv_put_us * max(1, total) * 0.01)
+        yield self._cpu(self.perf.kv_put_us * max(1, total) * 0.01)
         # Recovery CPU: bulk replay is much cheaper per record than the
         # foreground path; 1% of a kv_put per record matches the ~5.8 s /
         # 2.5 M records rate of §6.7 when scaled.

@@ -47,7 +47,7 @@ class RenameParticipant:
         """
         args = request.args
         yield from self._wait_recovered()
-        yield from self._cpu(self.perf.txn_phase_us)
+        yield self._cpu(self.perf.txn_phase_us)
         key = tuple(args["key"])
         # Ownership check before taking the lock: a coordinator routing
         # with a stale view aborts cleanly (no lock registered here) and
@@ -103,7 +103,7 @@ class RenameParticipant:
 
     def _handle_rename_commit(self, request: RpcRequest, packet: Packet) -> Generator:
         args = request.args
-        yield from self._cpu(self.perf.txn_phase_us + self.perf.wal_append_us)
+        yield self._cpu(self.perf.txn_phase_us + self.perf.wal_append_us)
         txn = self.kv.transaction()
         for op in args["ops"]:
             kind, key, value = op
@@ -144,7 +144,7 @@ class RenameParticipant:
             yield AllOf(self.sim, marks)
         # Presence-aware parent fix-ups: entry list + inode touch.
         for parent_key, parent_id, name, add, is_dir, ts in args.get("entry_ops", []):
-            yield from self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
+            yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
             entry = ChangeLogEntry(
                 timestamp=ts,
                 op=ChangeOp.CREATE if add else ChangeOp.DELETE,
@@ -164,7 +164,7 @@ class RenameParticipant:
         return {"status": "ok"}
 
     def _handle_rename_abort(self, request: RpcRequest, packet: Packet) -> Generator:
-        yield from self._cpu(self.perf.txn_phase_us)
+        yield self._cpu(self.perf.txn_phase_us)
         self._release_rename_locks(request.args["txn_id"])
         return {"status": "ok"}
 

@@ -129,34 +129,24 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
     # ------------------------------------------------------------------
     # service-time accounting
     # ------------------------------------------------------------------
-    def charge_cpu(self, us: float) -> Generator:
+    def charge_cpu(self, us: float) -> Event:
         """Charge *us* microseconds of CPU on one of this server's cores.
 
-        Time spent waiting for a free core is recorded as ``queue``, the
-        core-hold time as ``cpu``.
+        Returns the hold event to yield.  Time spent waiting for a free
+        core is recorded as ``queue``, the core-hold time as ``cpu``.
         """
-        sim = self.sim
-        cores = self.cores
-        t0 = sim.now
-        # Uncontended grant: take the core without yielding at all (the
-        # inline-resume equivalence argument lives on try_acquire).
-        if not cores.try_acquire():
-            yield cores.acquire()
-        acquired = sim.now
-        try:
-            yield sim.timeout(us * self._stack_mult)
-        finally:
-            cores.release()
-            self.phases.add_queue_cpu(acquired - t0, sim.now - acquired)
+        return self.cores.hold(us * self._stack_mult, self.phases)
 
-    # Historical internal spelling; the server mixins predate the public
-    # name and charge through ``self._cpu`` throughout.
-    _cpu = charge_cpu
+    _cpu = charge_cpu  # the server mixins' internal spelling
+
+    def charge_cpu_all(self, n: int, us: float) -> Event:
+        """*n* parallel :meth:`charge_cpu` of *us* each behind one event."""
+        return self.cores.hold_all(n, us * self._stack_mult, self.phases)
 
     def _net_penalty(self) -> Generator:
         """Extra per-message software cost (kernel-networking baselines)."""
         if self.perf.extra_net_us:
-            yield from self._cpu(self.perf.extra_net_us)
+            yield self._cpu(self.perf.extra_net_us)
 
     # ------------------------------------------------------------------
     # locks

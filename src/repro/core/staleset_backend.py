@@ -50,23 +50,16 @@ class StaleSetServer:
         node.register("ss_query", self._handle_query)
         node.register("ss_remove", self._handle_remove)
 
-    def _cpu(self) -> Generator:
-        yield self.cores.acquire()
-        try:
-            yield self.sim.timeout(self.config.staleset_server_op_us)
-        finally:
-            self.cores.release()
-
     def _handle_insert(self, request, packet) -> Generator:
-        yield from self._cpu()
+        yield self.cores.hold(self.config.staleset_server_op_us)
         return {"ok": self.stale_set.insert(request.args["fingerprint"])}
 
     def _handle_query(self, request, packet) -> Generator:
-        yield from self._cpu()
+        yield self.cores.hold(self.config.staleset_server_op_us)
         return {"present": self.stale_set.query(request.args["fingerprint"])}
 
     def _handle_remove(self, request, packet) -> Generator:
-        yield from self._cpu()
+        yield self.cores.hold(self.config.staleset_server_op_us)
         args = request.args
         self.stale_set.remove(
             args["fingerprint"], source=args.get("source", ""), seq=args.get("seq")

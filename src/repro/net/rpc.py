@@ -17,17 +17,19 @@ core holds, nested RPCs) and return either a plain value or a
 
 Fast paths (DESIGN.md §10)
 --------------------------
-* **Inline dispatch**: an inbound request is served by driving the serve
-  generator directly in the dispatcher's frame.  A handler that returns
-  without blocking (cache hits, pure reads, change-log appends) completes
-  with *zero* process allocations; only a handler that reaches a genuinely
-  pending event is wrapped in a process via :meth:`Simulator.adopt`.
-  The handler itself runs via ``yield from`` inside the serve generator,
-  so even the blocking path costs one process instead of two.
+* **Inline dispatch**: an inbound request is served by
+  :meth:`Simulator.adopt`, which drives the serve generator in the
+  inbox's frame — no boot entry — and, its handle dropped, no completion
+  entry either.  The handler itself runs via ``yield from`` inside the
+  serve generator, so the blocking path costs one process instead of two.
 * **Scatter-gather multicast**: :meth:`RpcNode.multicast_call` sends all
   requests up front and counts completions on one shared event instead of
-  spawning a process per destination; a single shared timer drives
+  spawning a process per destination; one shared deadline drives
   retransmission to the still-unanswered subset.
+* **One retransmit deadline per node** (:class:`_Deadlines`) instead of
+  a timer per attempt, and **an inbox that is its own heap entry**
+  (:class:`_Inbox`) instead of a store, a getter event and a dispatcher
+  process.
 * **Packet pooling**: outbound packets come from :func:`alloc_packet`
   (validation-free, pooled) and the dispatcher recycles inbound packets
   it finished with, guarded by refcounts so a packet any handler or
@@ -39,10 +41,13 @@ Fast paths (DESIGN.md §10)
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from bisect import insort
+from collections import deque
+from heapq import heappush as _heappush
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..sim import Event, SimulationError, Simulator
+from ..sim import Event, Simulator
 from .packet import (
     Packet,
     REGULAR_PORT,
@@ -71,10 +76,10 @@ _rpc_ids = itertools.count(1)
 #: Sentinel distinguishing "no cache entry" from a cached ``None`` marker.
 _MISSING = object()
 
-#: Sentinel delivered to a waiting call when its retransmit timer fires
-#: first.  Racing the timer and the response on ONE event (whoever
-#: triggers first wins; the loser sees ``triggered`` and backs off) is
-#: cheaper than an AnyOf combinator per attempt.
+#: Sentinel delivered to a waiting call when its retransmit deadline
+#: fires first.  Racing the deadline and the response on ONE event
+#: (whoever triggers first wins; the loser sees ``triggered`` and backs
+#: off) is cheaper than an AnyOf combinator per attempt.
 _TIMED_OUT = object()
 
 
@@ -187,13 +192,6 @@ class _Pending:
         self.gather = gather
         self.index = index
 
-    def _expire(self, _timeout: Event) -> None:
-        """Retransmit-timer callback: deliver the timeout sentinel unless
-        the response already won the race on this attempt's event."""
-        ev = self.event
-        if not ev._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
-            ev.succeed(_TIMED_OUT)
-
 
 class _Gather:
     """Scatter-gather completion counter for :meth:`RpcNode.multicast_call`."""
@@ -206,10 +204,90 @@ class _Gather:
         self.values: List[Any] = [None] * fanout
         self.error: Optional[str] = None
 
-    def _expire(self, _timeout: Event) -> None:
-        ev = self.event
-        if not ev._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
-            ev.succeed(_TIMED_OUT)
+
+class _Deadlines(Event):
+    """One node's retransmit deadlines behind (normally) one heap entry.
+
+    Every attempt adds a record ``(deadline, seq, waiter)``; *seq* is a
+    tie-break tick reserved at send time, so an entry pushed for the
+    record — now or when an earlier one pops — lands exactly where a timer
+    pushed at send time would have.  ``records`` is sorted; ``live`` holds
+    the records with a heap entry, smallest last.  Invariant: while a
+    record is outstanding, some live entry is at or before it; only a
+    record added below the live one (after a backed-off attempt) pushes
+    a second entry.
+    """
+
+    __slots__ = ("records", "live")
+
+    def __init__(self, sim: Simulator):
+        Event.__init__(self, sim)
+        self.records: Deque[Tuple[float, int, Event]] = deque()
+        self.live: List[Tuple[float, int, Event]] = []
+
+    def add(self, timeout_us: float, waiter: Event) -> None:
+        sim = self.sim
+        record = (sim.now + timeout_us, sim.reserve_seq(), waiter)
+        records = self.records
+        if records and record < records[-1]:
+            insort(records, record)
+        else:
+            records.append(record)
+        self._arm(record)
+
+    def _arm(self, record: Tuple[float, int, Event]) -> None:
+        """Push an entry for *record* unless a live one is at or before it."""
+        live = self.live
+        if not live or record < live[-1]:
+            live.append(record)
+            self.sim.schedule_at(record[0], self, record[1])
+
+    def _run_callbacks(self) -> None:
+        """Fire the record this entry stands for unless its response won
+        the race, drop answered records, re-arm for the next outstanding."""
+        due = self.live.pop()
+        records = self.records
+        while records:
+            head = records[0]
+            waiter = head[2]
+            if not waiter._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
+                if head is not due:
+                    self._arm(head)
+                    return
+                waiter.succeed(_TIMED_OUT)
+            records.popleft()
+
+
+class _Inbox(Event):
+    """A host's inbound queue that is its own heap entry.
+
+    ``put`` queues the packet and, unless armed, pushes the inbox at
+    ``(now, next tick)``; the pop hands the node every queued packet in
+    arrival order, so one delivered meanwhile rides the first's entry.
+    """
+
+    __slots__ = ("node", "items", "armed")
+
+    def __init__(self, node: "RpcNode"):
+        Event.__init__(self, node.sim)
+        self.node = node
+        self.items: Deque[Packet] = deque()
+        self.armed = False
+
+    def put(self, packet: Packet) -> None:
+        self.items.append(packet)
+        if not self.armed:
+            self.armed = True
+            sim = self.sim
+            # Inlined Simulator.schedule_at: runs once per delivered packet.
+            _heappush(sim._heap, (sim.now, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+
+    def _run_callbacks(self) -> None:
+        items = self.items
+        on_packet = self.node._on_packet
+        while items:
+            on_packet(items.popleft())
+        self.armed = False
 
 
 class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built at boot
@@ -228,7 +306,8 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         self.sim = sim
         self.net = net
         self.addr = addr
-        self._inbox = net.attach(addr)
+        self._inbox = net.attach(addr, _Inbox(self))
+        self._deadlines = _Deadlines(sim)
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, _Pending] = {}
         # Reply cache for at-most-once semantics: (src, rpc_id) -> Reply |
@@ -244,7 +323,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         self._alive = True
         self.retransmits = 0
         self.reply_cache_evictions = 0
-        sim.spawn(self._dispatch_loop(), name=f"rpc-dispatch-{addr}")
 
     # -- registration --------------------------------------------------------
     def register(self, method: str, handler: Handler) -> None:
@@ -290,7 +368,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         pending = _Pending(event=None)
         self._pending[rpc_id] = pending
         sim = self.sim
-        expire = pending._expire
+        set_deadline = self._deadlines.add
         try:
             for attempt in range(max_attempts):
                 if attempt > 0:
@@ -308,15 +386,12 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 self.net.send(
                     alloc_packet(self.addr, dst, request, port, header, size_bytes)
                 )
-                # Race the response against the retransmit timer on ONE
+                # Race the response against the retransmit deadline on ONE
                 # fresh event (no AnyOf combinator): whichever triggers it
                 # first wins, the loser sees `triggered` and backs off.
                 ev = sim.event()
                 pending.event = ev
-                # Direct single-waiter registration: a timeout fresh from
-                # sim.timeout() (pooled or new) always has an empty _cb1
-                # slot, so this skips add_callback's three-way branch.
-                sim.timeout(attempt_timeout)._cb1 = expire  # reprolint: allow[private-access] hot path, slot known free
+                set_deadline(attempt_timeout, ev)
                 result = yield ev
                 if result is _TIMED_OUT:
                     result = pending.response  # may have landed in the race
@@ -402,7 +477,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         addr = self.addr
         send = self.net.send
         pending_map = self._pending
-        expire = gather._expire
         try:
             for attempt in range(max_attempts):
                 attempt_timeout = timeout_us * min(2 ** attempt, 64)
@@ -416,13 +490,13 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                         rpc_id=rpc_id, method=method, args=args, src=addr, attempt=attempt
                     )
                     send(alloc_packet(addr, dst, request, REGULAR_PORT, None, size_bytes))
-                # Same timer/response race as `call`: one fresh event per
+                # Same deadline/response race as `call`: one fresh event per
                 # round, sentinel on timeout.  The extra remaining/error
                 # check catches completions that land in the sentinel's
                 # race window (the shared event can only trigger once).
                 ev = sim.event()
                 gather.event = ev
-                sim.timeout(attempt_timeout)._cb1 = expire  # reprolint: allow[private-access] hot path, slot known free
+                self._deadlines.add(attempt_timeout, ev)
                 result = yield ev
                 if result is not _TIMED_OUT or gather.remaining == 0 or gather.error:
                     if gather.error is not None:
@@ -451,40 +525,31 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         )
 
     # -- dispatcher -------------------------------------------------------------
-    def _dispatch_loop(self) -> Generator:
-        inbox = self._inbox
-        inbox_get = inbox.get
-        inbox_try_get = inbox.try_get
-        while True:
-            # Drain waiting packets without a yield per packet: a non-empty
-            # inbox would hand back an already-processed event, which the
-            # trampoline resumes inline anyway — try_get skips the round.
-            packet: Optional[Packet] = inbox_try_get()
-            if packet is None:
-                packet = yield inbox_get()
-            if not self._alive:
-                # Crashed host: packets fall on the floor.
+    def _on_packet(self, packet: Packet) -> None:
+        """Handle one inbound packet (called from the inbox's heap entry)."""
+        if not self._alive:
+            # Crashed host: packets fall on the floor.
+            recycle_packet(packet)
+            return
+        for tap in self._raw_taps:
+            if tap(packet):
                 recycle_packet(packet)
-                continue
-            if self._raw_taps:
-                consumed = False
-                for tap in self._raw_taps:
-                    if tap(packet):
-                        consumed = True
-                        break
-                if consumed:
-                    recycle_packet(packet)
-                    continue
-            payload = packet.payload
-            if isinstance(payload, RpcResponse):
-                if not self._complete(payload, packet):
-                    recycle_packet(packet)
-            elif isinstance(payload, RpcRequest):
-                if self._start_serve(payload, packet):
-                    recycle_packet(packet)
-            else:
-                # Unknown payloads are dropped silently (UDP semantics).
+                return
+        payload = packet.payload
+        if isinstance(payload, RpcResponse):
+            if not self._complete(payload, packet):
                 recycle_packet(packet)
+        elif isinstance(payload, RpcRequest):
+            # Inline dispatch: the serve generator runs in this frame up to
+            # its first pending event; nobody observes the continuation.
+            serve = self.sim.adopt(
+                self._serve(payload, packet), f"serve-{payload.method}@{self.addr}"
+            )
+            if serve._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
+                recycle_packet(packet)
+        else:
+            # Unknown payloads are dropped silently (UDP semantics).
+            recycle_packet(packet)
 
     def _complete(self, response: RpcResponse, packet: Packet) -> bool:
         """Route a response to its waiter; True if *packet* was retained."""
@@ -518,55 +583,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         if gather.remaining == 0 and not gather.event._triggered:  # reprolint: allow[private-access] hot path
             gather.event.succeed()
         return False
-
-    def _start_serve(self, request: RpcRequest, packet: Packet) -> bool:
-        """Drive the serve generator inline; True if it completed.
-
-        This is the inline-dispatch fast path: the generator runs in the
-        dispatcher's frame until it either finishes (no process allocated
-        at all) or yields a genuinely pending event, at which point it is
-        handed to :meth:`Simulator.adopt` to continue as a process.  The
-        loop mirrors the kernel's ``Process._resume`` trampoline, including
-        the already-processed (immediate grant) fast path.
-        """
-        gen = self._serve(request, packet)
-        sim = self.sim
-        value: Any = None
-        exc: Optional[BaseException] = None
-        while True:
-            try:
-                if exc is None:
-                    target = gen.send(value)
-                else:
-                    err, exc = exc, None
-                    target = gen.throw(err)
-            except StopIteration:
-                return True
-            except Exception:  # noqa: BLE001 - parity with spawned serve:
-                # a spawned _serve that raised would fail its process event
-                # with no observer; the inline path likewise must not take
-                # down the dispatch loop.
-                return True
-            if not isinstance(target, Event):
-                value = None
-                exc = SimulationError(
-                    f"process 'serve-{request.method}@{self.addr}' "
-                    f"yielded non-event {target!r}"
-                )
-                continue
-            if target.sim is not sim:
-                value = None
-                exc = SimulationError("yielded event from another simulator")
-                continue
-            # Mirror of the kernel trampoline's processed-event fast path:
-            # this inline dispatch runs once per RPC, so it reads the Event
-            # slots directly rather than paying three property dispatches.
-            if target._processed:  # reprolint: allow[private-access] kernel-trampoline mirror, hot path
-                value = target._value  # reprolint: allow[private-access] see above
-                exc = target._exc  # reprolint: allow[private-access] see above
-                continue
-            sim.adopt(gen, target, name=f"serve-{request.method}@{self.addr}")
-            return False
 
     def _serve(self, request: RpcRequest, packet: Packet) -> Generator:
         handler = self._handlers.get(request.method)

@@ -8,7 +8,7 @@ Every transmitted packet:
 2. traverses the path's links, paying ``link_latency_us`` per link;
 3. is handed to each switch device on the path in order — a device may
    forward, rewrite, multicast, or consume the packet;
-4. lands in the destination host's inbox :class:`~repro.sim.Store`.
+4. lands in the destination host's inbox (``put``).
 
 Two topologies cover the paper's deployments:
 
@@ -256,22 +256,22 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
         self._plans: Dict[object, _Plan] = {}
         self.link_latency_us = link_latency_us
         self.faults = faults or FaultModel.reliable()
-        self._inboxes: Dict[str, Store] = {}
+        self._inboxes: Dict[str, object] = {}
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
 
     # -- host management ---------------------------------------------------
-    def attach(self, addr: str) -> Store:
-        """Register a host and return its inbox store."""
+    def attach(self, addr: str, inbox=None):
+        """Register a host and return its inbox: *inbox*, anything with
+        ``put(packet)`` (an RPC endpoint brings its own), or by default a
+        :class:`~repro.sim.Store` for a raw host to ``get`` from."""
         if addr in self._inboxes:
             raise ValueError(f"host address already attached: {addr}")
-        inbox = Store(self.sim)
+        if inbox is None:
+            inbox = Store(self.sim)
         self._inboxes[addr] = inbox
         return inbox
-
-    def inbox(self, addr: str) -> Store:
-        return self._inboxes[addr]
 
     @property
     def hosts(self) -> Iterable[str]:

@@ -24,10 +24,10 @@ invariants they must preserve):
 * the first callback of an event lives in a dedicated slot (``_cb1``);
   the overflow list is only allocated for the second waiter onward;
 * processes boot by pushing *themselves* onto the heap instead of
-  allocating a kick-off event;
+  allocating a kick-off event (an adopted one takes no entry at all);
 * a process that yields an already-*processed* event (e.g. an
   uncontended resource grant from :mod:`repro.sim.resources`) resumes
-  inline via a trampoline in :meth:`Process._step` — no heap traffic and
+  inline via a trampoline in :meth:`Process._resume` — no heap traffic and
   no recursion;
 * :meth:`Simulator.timeout` recycles :class:`Timeout` objects through a
   bounded free list, guarded by a refcount check so any timeout that
@@ -240,7 +240,7 @@ class Process(Event):
     by refcount once its last waiter has run (DESIGN.md §9).
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_cb")
+    __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_cb", "_adopted")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "", boot: bool = True):
         super().__init__(sim)
@@ -250,17 +250,14 @@ class Process(Event):
         # One bound method reused for every wait, instead of allocating a
         # fresh one per yield.
         self._resume_cb = self._resume
+        self._adopted = not boot
         if boot:
             self._started = False
             # Boot without a kick-off event: the process is its own heap
-            # entry; _run_callbacks dispatches on _started.  Heap position
-            # (and hence deterministic tie-break order) matches the old
-            # boot event exactly.
+            # entry; _run_callbacks dispatches on _started.
             heapq.heappush(sim._heap, (sim.now, next(sim._counter), self))
         else:
-            # Adopted process (Simulator.adopt): the generator already ran
-            # inline up to its first pending yield; the caller wires the
-            # resume callback onto that event.
+            # Adopted process: Simulator.adopt starts the generator inline.
             self._started = True
 
     @property
@@ -282,17 +279,16 @@ class Process(Event):
             target._discard_callback(self._resume_cb)
         self._waiting_on = None
         kick = Event(self.sim)
-        kick.add_callback(lambda ev: self._step(None, Interrupt(cause)))
-        kick.succeed()
+        kick._cb1 = self._resume_cb
+        kick.fail(Interrupt(cause))
 
     # -- internals ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator; trampoline over already-processed targets.
 
-        This single iterative loop replaces the old mutually-recursive
-        ``_step_send`` / ``_step_throw`` / ``_wait_on`` trio; it is also
-        the callback registered on every awaited event, so one Python
-        frame covers callback entry, generator advance, and re-wait.  A
+        This loop is also the callback registered on every awaited event,
+        so one Python frame covers callback entry, generator advance, and
+        re-wait (and delivers an :meth:`interrupt`'s failed carrier).  A
         yielded event that is *already processed* (uncontended resource
         grant, pre-fired event) feeds straight back into the loop rather
         than recursing or taking a trip through the heap.
@@ -313,7 +309,12 @@ class Process(Event):
                     target = gen.throw(err)
             except StopIteration as stop:
                 self.gen = self._resume_cb = None
-                self.succeed(stop.value)
+                if self._adopted and self._cb1 is None and self.callbacks is None:
+                    # Silent completion (the adopt no-observer contract).
+                    self._value = stop.value
+                    self._triggered = self._processed = True
+                else:
+                    self.succeed(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - propagate via event
                 # Covers both an unhandled throw (err is the exception we
@@ -358,25 +359,6 @@ class Process(Event):
             self._resume(self.sim._granted_none)
             return
         Event._run_callbacks(self)
-
-    # Entry points for code that steps a process outside the callback path
-    # (interrupt delivery, tests).  They wrap the value/exception in a
-    # processed carrier event and enter the trampoline.
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if exc is None:
-            self._resume(self.sim.granted(value))
-        else:
-            carrier = Event(self.sim)
-            carrier._exc = exc
-            carrier._triggered = True
-            carrier._processed = True
-            self._resume(carrier)
-
-    def _step_send(self, value: Any) -> None:
-        self._step(value, None)
-
-    def _step_throw(self, exc: BaseException) -> None:
-        self._step(None, exc)
 
 
 class AllOf(Event):
@@ -507,7 +489,7 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
 
         Recycles processed :class:`Timeout` objects from a bounded pool
         when the interpreter's refcounts prove no user code still holds
-        them (see :meth:`_recycle`).
+        them (see :meth:`_dispatch`).
         """
         pool = self._timeout_pool
         if pool:
@@ -553,25 +535,22 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         """Start a new process from generator *gen*."""
         return self._process_cls(self, gen, name=name)
 
-    def adopt(self, gen: Generator, waiting_on: Event, name: str = "") -> Process:
-        """Wrap an already-started generator in a process (inline dispatch).
+    def adopt(self, gen: Generator, name: str = "") -> Process:
+        """Run *gen* inline, now, as a process (inline dispatch).
 
-        The caller has driven *gen* inline until it yielded the pending
-        event *waiting_on*; this registers a process to continue it when
-        that event fires.  Unlike :meth:`spawn`, no boot heap entry is
-        consumed — the generator's past execution already happened in the
-        caller's frame.  Invariant: *waiting_on* must be pending (a
-        processed event would never resume the adopted process).
+        Unlike :meth:`spawn`, no boot heap entry is consumed: the generator
+        advances in the caller's frame up to its first pending event and
+        continues from there as a process; one that never blocks has
+        finished (``triggered``) when this returns.
+
+        No-observer contract: an adopted process that returns while no
+        callback is registered on it completes *silently* — processed in
+        place, no heap entry.  ``adopt`` is for continuations whose handle
+        the caller drops (the RPC serve path); to wait on the handle,
+        register before the generator finishes, or use :meth:`spawn`.
         """
-        if waiting_on._processed:
-            raise SimulationError("adopt requires a pending event")
         proc = self._process_cls(self, gen, name=name, boot=False)
-        proc._waiting_on = waiting_on
-        # Inlined add_callback single-waiter case (mirrors Process._resume).
-        if waiting_on._cb1 is None and waiting_on.callbacks is None:
-            waiting_on._cb1 = proc._resume_cb
-        else:
-            waiting_on.add_callback(proc._resume_cb)
+        proc._resume(self._granted_none)
         return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -580,63 +559,35 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling internals ----------------------------------------------
-    def schedule_at(self, when: float, event: Event) -> None:
+    # -- scheduling surface ------------------------------------------------
+    def reserve_seq(self) -> int:
+        """Take the next tick now for a later :meth:`schedule_at`: the entry
+        lands exactly where one pushed now would (deadline queues)."""
+        return next(self._counter)
+
+    def schedule_at(self, when: float, event: Event, seq: Optional[int] = None) -> None:
         """Enqueue *event* to run its callbacks at virtual time *when*.
 
-        Public scheduling surface for components that manage their own
-        events (the network hop path inlines the equivalent heappush —
-        see topology.py for the documented exception).
+        The public surface for self-scheduling events; *seq* is a tick
+        from :meth:`reserve_seq` (default: the next one).  Per-event sites
+        inline the push, each under a documented ``allow[private-access]``.
         """
-        heapq.heappush(self._heap, (when, next(self._counter), event))
-
-    def _enqueue_triggered(self, event: Event) -> None:
-        self.schedule_at(self.now, event)
-
-    def _recycle(self, t: Timeout) -> None:
-        """Return a processed timeout to the pool if nothing references it.
-
-        The refcount guard (caller local + our parameter + getrefcount's
-        argument = 3) proves no generator frame, combinator, or user
-        variable still holds the object, so reuse cannot corrupt a later
-        ``_value`` read.  Refcounts are deterministic in CPython, so
-        pooling never perturbs event ordering.
-        """
-        if _refcount is not None and len(self._timeout_pool) < _TIMEOUT_POOL_MAX:
-            if _refcount(t) == 3:
-                t._value = None
-                t._cb1 = None
-                t.callbacks = None
-                self._timeout_pool.append(t)
+        _heappush(self._heap, (when, next(self._counter) if seq is None else seq, event))
 
     # -- running -----------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        when, _, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        event._run_callbacks()
-        if type(event) is Timeout:
-            self._recycle(event)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or virtual time reaches *until*.
-
-        When *until* is given, the clock is advanced to exactly *until*
-        even if the last processed event fired earlier.
+    def _dispatch(self, until: Optional[float], proc: Optional[Process]) -> None:
+        """The event loop: pop and run entries until the heap drains, the
+        next entry lies beyond *until*, :meth:`stop` is called, or *proc*
+        has triggered.  Callback dispatch for the two leaf event classes
+        (plain Event, Timeout) is unrolled — this loop executes once per
+        simulated event repo-wide.
         """
-        self._stopped = False
-        # Hot loop: step() inlined with cached locals, and callback dispatch
-        # for the two leaf event classes (plain Event, Timeout) unrolled —
-        # this loop executes once per simulated event repo-wide.
         heap = self._heap
         pop = heapq.heappop
         pool = self._timeout_pool
         refcount = _refcount
-        while heap and not self._stopped:
+        while heap:
             if until is not None and heap[0][0] > until:
-                self.now = until
                 return
             when, _, event = pop(heap)
             if when < self.now:
@@ -653,7 +604,10 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-                # Inlined _recycle; refcount 2 = our local + getrefcount arg.
+                # Recycle a processed timeout nothing references: refcount
+                # 2 (our local + getrefcount's argument) proves no generator
+                # frame, combinator or user variable can still read its
+                # ``_value``.  CPython refcounts are deterministic.
                 if (
                     cls is Timeout
                     and refcount is not None
@@ -664,6 +618,24 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
                     pool.append(event)
             else:
                 event._run_callbacks()
+            if self._stopped or (proc is not None and proc._triggered):
+                return
+
+    def step(self) -> None:
+        """Process the single next event."""
+        if not self._heap:
+            raise SimulationError("step on an empty event heap")
+        self._stopped = True  # the loop checks after each event
+        self._dispatch(None, None)
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the heap drains or virtual time reaches *until*.
+
+        When *until* is given, the clock is advanced to exactly *until*
+        even if the last processed event fired earlier.
+        """
+        self._stopped = False
+        self._dispatch(until, None)
         if until is not None and self.now < until:
             self.now = until
 
@@ -674,40 +646,13 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         :class:`SimulationError` if the simulation drained (deadlock) or hit
         *until* before the process finished.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._timeout_pool
-        refcount = _refcount
-        while not proc._triggered:
-            if not heap:
-                raise SimulationError(f"deadlock: process {proc.name!r} never finished")
-            if until is not None and heap[0][0] > until:
-                raise SimulationError(f"process {proc.name!r} still running at t={until}")
-            when, _, event = pop(heap)
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            self.now = when
-            cls = event.__class__
-            if cls is Timeout or cls is Event:
-                # Same inlined dispatch as Simulator.run (kept in sync).
-                event._processed = True
-                cb1, event._cb1 = event._cb1, None
-                callbacks, event.callbacks = event.callbacks, None
-                if cb1 is not None:
-                    cb1(event)
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-                if (
-                    cls is Timeout
-                    and refcount is not None
-                    and len(pool) < _TIMEOUT_POOL_MAX
-                    and refcount(event) == 2
-                ):
-                    event._value = None
-                    pool.append(event)
-            else:
-                event._run_callbacks()
+        self._stopped = False
+        if not proc._triggered:
+            self._dispatch(until, proc)
+            if not proc._triggered:
+                if not self._heap:
+                    raise SimulationError(f"deadlock: process {proc.name!r} never finished")
+                raise SimulationError(f"process {proc.name!r} still running at t={self.now}")
         return proc.value
 
     def stop(self) -> None:

@@ -28,9 +28,11 @@ Two grant paths (see DESIGN.md §9):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional, Tuple
+from heapq import heappush as _heappush
+from typing import Any, Deque, Optional, Tuple
 
 from .kernel import Event, Simulator, SimulationError
+from .stats import PhaseStats
 
 __all__ = ["Resource", "Lock", "RWLock", "Store"]
 
@@ -39,8 +41,8 @@ class Resource:
     """A counted pool of identical units (e.g. CPU cores).
 
     ``acquire()`` returns an event that fires when a unit is granted;
-    ``release()`` returns one unit.  The :meth:`using` helper wraps a timed
-    hold as a sub-process-friendly generator.
+    ``release()`` returns one unit.  :meth:`hold` is acquire + timed hold
+    + release as one event.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters")
@@ -74,23 +76,6 @@ class Resource:
         self._waiters.append(ev)
         return ev
 
-    def try_acquire(self) -> bool:
-        """Immediate-grant fast path: take a unit *without* an event.
-
-        Equivalent to ``yield acquire()`` resuming inline off a processed
-        event — no virtual time passes and no other process can run in
-        between — but the caller skips the yield/trampoline round trip
-        entirely.  Returns False when the caller must fall back to
-        ``yield acquire()`` (the queued path).
-        """
-        if self._in_use < self.capacity:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.on_acquire(self, "x")
-            self._in_use += 1
-            return True
-        return False
-
     def release(self) -> None:
         tracer = self.sim.tracer
         if tracer is not None:
@@ -104,13 +89,113 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def using(self, hold: float) -> Generator[Event, Any, None]:
-        """Generator: acquire, hold for *hold* microseconds, release."""
-        yield self.acquire()
-        try:
-            yield self.sim.timeout(hold)
-        finally:
-            self.release()
+    def hold(self, delay: float, phases: Optional[PhaseStats] = None) -> Event:
+        """Acquire, hold a unit for *delay* µs, release: one event.
+
+        With *phases*, the wait for the unit is booked as ``queue`` and
+        the hold as ``cpu``.
+        """
+        return _Hold(self, delay, phases)
+
+    def hold_all(self, n: int, delay: float, phases: Optional[PhaseStats] = None) -> Event:
+        """An event that fires when *n* parallel :meth:`hold` have all ended.
+
+        Keeps the heap positions of *n* spawned workers under an ``AllOf``:
+        one boot entry issues the holds in order, and the last to end
+        reaches the waiter through two zero-delay hops (DESIGN.md §9).
+        """
+        if n < 1:
+            raise SimulationError(f"hold_all needs at least one hold, got {n}")
+        sim = self.sim
+        tracer = sim.tracer
+        proc = None if tracer is None else tracer.current
+        done, last = Event(sim), Event(sim)
+        last.add_callback(lambda _ev: done.succeed())
+        left = n
+
+        def ended(_hold: Event) -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                last.succeed()
+
+        def boot(_ev: Event) -> None:
+            if tracer is not None:  # issue the holds as the process that asked
+                tracer.current = proc
+            for _ in range(n):
+                _Hold(self, delay, phases).add_callback(ended)
+            if tracer is not None:
+                tracer.current = None
+
+        sim.timeout(0.0).add_callback(boot)
+        return done
+
+
+class _Hold(Event):
+    """A timed hold of one unit: a two-phase self-scheduling event.
+
+    Taken immediately, the hold is its own heap entry at ``now + delay``.
+    Queued, the releaser grants it through the heap like any waiter
+    (``succeed`` at ``(now, tick)``); on that pop it stamps its start and
+    re-pushes itself at ``now + delay`` — two entries, because the finish
+    push takes its tick at grant time (DESIGN.md §9).  The final pop
+    releases the unit, books queue/cpu time, then runs the callbacks.
+    Not cancellable: an interrupted waiter detaches, the hold runs on.
+    """
+
+    __slots__ = ("resource", "delay", "phases", "requested", "start", "proc")
+
+    def __init__(self, resource: Resource, delay: float, phases: Optional[PhaseStats]):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        self.sim = sim = resource.sim
+        # Event.__init__ inlined: one hold per CPU charge, ~6 per operation.
+        self._cb1 = self.callbacks = self._value = self._exc = None
+        self._processed = False
+        self.resource = resource
+        self.delay = delay
+        self.phases = phases
+        self.requested = now = sim.now
+        # The final pop runs outside any process; remember who asked.
+        tracer = sim.tracer
+        self.proc = None if tracer is None else tracer.current
+        if tracer is not None:
+            tracer.on_acquire(resource, "x")
+        if resource._in_use < resource.capacity:
+            resource._in_use += 1
+            self._triggered = True
+            self.start = now
+            # Inlined Simulator.schedule_at, here and at the grant below:
+            # the two pushes run once per CPU charge.
+            _heappush(sim._heap, (now + delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+        else:
+            self._triggered = False
+            self.start = None
+            resource._waiters.append(self)
+
+    def _run_callbacks(self) -> None:
+        sim = self.sim
+        now = sim.now
+        start = self.start
+        if start is None:  # the grant
+            self.start = now
+            _heappush(sim._heap, (now + self.delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+            return
+        tracer = sim.tracer
+        if tracer is not None:
+            tracer.current = self.proc
+        self.resource.release()
+        if tracer is not None:
+            tracer.current = None
+        if self.phases is not None:
+            self.phases.add_queue_cpu(start - self.requested, now - start)
+        # Event._run_callbacks with the single-waiter case inlined.
+        self._processed = True
+        cb1, self._cb1 = self._cb1, None
+        if cb1 is not None:
+            cb1(self)
+        if self.callbacks:
+            Event._run_callbacks(self)
 
 
 class Lock(Resource):
@@ -176,7 +261,12 @@ class RWLock:
         return self._enqueue(False)
 
     def try_acquire_read(self) -> bool:
-        """Immediate-grant fast path (see :meth:`Resource.try_acquire`)."""
+        """Immediate-grant fast path: take the lock *without* an event.
+
+        Equivalent to ``yield acquire_read()`` resuming inline off a
+        processed event, minus the yield/trampoline round trip.  False
+        means the caller must ``yield acquire_read()`` (the queued path).
+        """
         if not self._writer and not self._waiters:
             tracer = self.sim.tracer
             if tracer is not None:
@@ -195,7 +285,7 @@ class RWLock:
         return self._enqueue(True)
 
     def try_acquire_write(self) -> bool:
-        """Immediate-grant fast path (see :meth:`Resource.try_acquire`)."""
+        """Immediate-grant fast path (see :meth:`try_acquire_read`)."""
         if not self._writer and self._readers == 0 and not self._waiters:
             tracer = self.sim.tracer
             if tracer is not None:
@@ -280,9 +370,3 @@ class Store:
         ev = Event(self.sim)
         self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

@@ -96,6 +96,38 @@ class TestLockOrderCycles:
         # A capacity-4 pool is not orderable: no edges either way.
         assert tracer.order_edges == {}
 
+    def test_hold_release_is_attributed_to_the_requesting_process(self):
+        """A hold's final pop runs outside any process; its release must
+        still come off the requester's own hold list.  With a capacity-1
+        (orderable) core and two requesters queued on it, a release that
+        fell back to the global scan would drop the *other* process's
+        entry and leave a phantom ``core -> lock`` edge behind."""
+        from repro.sim import Resource
+
+        sim = Simulator()
+        tracer = SimTracer()
+        tracer.attach(sim)
+        core = Resource(sim, 1, name="core")
+        lock = Lock(sim, name="L")
+
+        def charge_then_lock():
+            yield core.hold(5.0)
+            yield lock.acquire()    # taken holding nothing
+            lock.release()
+
+        def fan_out_later():
+            yield sim.timeout(1.0)  # queues behind the first hold
+            yield core.hold_all(2, 5.0)
+
+        sim.spawn(charge_then_lock(), name="first")
+        sim.spawn(fan_out_later(), name="second")
+        sim.run()
+        tracer.detach()
+        releases = [e.proc for e in tracer.lock_events if e.kind == "release" and e.label == "core"]
+        assert releases == ["first", "second", "second"]
+        assert tracer.order_edges == {}
+        assert all(not holds for holds in tracer._holds.values())
+
     def test_rwlock_modes_recorded(self):
         sim = Simulator()
         tracer = SimTracer()

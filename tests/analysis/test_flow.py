@@ -8,6 +8,7 @@ from pathlib import Path
 import repro
 from repro.analysis import SimTracer, instrument_server
 from repro.analysis import flow
+from repro.analysis.callgraph import scan_project
 from repro.analysis.reprolint import lint_file
 from repro.core import FSConfig, SwitchFSCluster
 
@@ -139,6 +140,44 @@ class TestRL102LockAcrossYield:
         lock.release_write()
         """)
         assert _findings(tmp_path, rule="RL102") == []
+
+    def test_pool_hold_and_its_producers_are_bounded_waits(self, tmp_path):
+        """``yield self._cpu(x)``: a plain function returning a timed hold
+        on the core pool (and a class-level alias of it) is a hold
+        producer, derived from its body, not from its name."""
+        _write(tmp_path, "held_hold.py", RUNTIME + """
+    def spend(self, us):
+        return self.cores.hold(us * self.mult, self.phases)
+
+    _burn = spend
+
+    def op(self, key):
+        lock = self._inode_lock(key)
+        yield from self._acquire(lock, "w")
+        yield self.cores.hold(2.0)
+        yield self.cores.hold_all(3, 2.0)
+        yield self.spend(2.0)
+        yield self._burn(2.0)
+        lock.release_write()
+        """)
+        assert _findings(tmp_path, rule="RL102") == []
+        project = scan_project([tmp_path])
+        assert project.hold_producers == {"spend", "_burn"}
+        op = next(f for f in project.functions.values() if f.name == "op")
+        assert op.wait_kinds == {"lock", "pool", "timeout"}
+
+    def test_a_hold_on_something_else_is_still_an_event_wait(self, tmp_path):
+        _write(tmp_path, "held_other.py", RUNTIME + """
+    def lookalike(self, us):
+        return self.gate.hold(us)
+
+    def op(self, key):
+        lock = self._inode_lock(key)
+        yield from self._acquire(lock, "w")
+        yield self.lookalike(2.0)
+        lock.release_write()
+        """)
+        assert len(_findings(tmp_path, rule="RL102")) == 1
 
     def test_release_before_event_wait_is_clean(self, tmp_path):
         _write(tmp_path, "released.py", RUNTIME + """

@@ -74,6 +74,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.server_addr(2)
 
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (PerfModel, "rpc_timeout_us", 0.0),      # would retransmit in a zero-time loop
+            (PerfModel, "rpc_timeout_us", -1.0),
+            (PerfModel, "rpc_max_attempts", 0),      # would time out without sending
+            (PerfModel, "kv_put_us", -4.0),          # negative CPU segment
+            (PerfModel, "link_latency_us", -0.75),
+            (FSConfig, "grace_period_us", 501.0),    # above the default grace_cap_us
+            (FSConfig, "grace_period_us", -1.0),
+            (FSConfig, "proactive_idle_push_us", -5.0),
+            (FSConfig, "unlock_watchdog_us", -1.0),
+        ],
+    )
+    def test_bad_timing_rejected_up_front(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
+
+    def test_boundary_timing_accepted(self):
+        FSConfig(grace_period_us=500.0, unlock_watchdog_us=0.0, proactive_idle_push_us=0.0)
+        PerfModel(rpc_max_attempts=1, extra_net_us=0.0)
+
     def test_perf_scaled(self):
         perf = PerfModel().scaled(3.0, extra_net_us=10.0)
         assert perf.stack_multiplier == 3.0

@@ -46,7 +46,7 @@ class TestSharedRuntime:
         sim = cluster.sim
 
         def burn():
-            yield from server._cpu(10.0)
+            yield server.charge_cpu(10.0)
 
         t0 = sim.now
         p1 = sim.spawn(burn(), name="b1")

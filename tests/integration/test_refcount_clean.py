@@ -20,8 +20,8 @@ from repro.workloads import FixedOpStream, Population, bootstrap, run_fanin
 pytestmark = pytest.mark.usefixtures("collector_off")
 
 
-def _hot_directory(seed=17, files=200):
-    cluster = make_cluster("SwitchFS", scaled_config(num_servers=4, seed=seed))
+def _hot_directory(seed=17, files=200, **config):
+    cluster = make_cluster("SwitchFS", scaled_config(num_servers=4, seed=seed, **config))
     population = bootstrap(
         cluster, Population(dirs=["shared"], files_per_dir=files), warm_clients=[0, 1]
     )
@@ -79,3 +79,47 @@ def test_create_allocation_budget():
     run_stream(cluster, stream, ops, inflight=32)
     per_op = (sys.getallocatedblocks() - before) / ops
     assert per_op <= CREATE_BLOCKS_CEILING, per_op
+
+
+# The kernel's tie-break counter is a push counter: every heap entry takes
+# one tick, and so does every retransmit deadline a call sets (pushed or
+# not).  Ticks per operation is therefore an exact event budget — the same
+# on every run, no wall clock — and it gates the "a heap entry for every
+# model event and for nothing else" rule (DESIGN.md §9-§10).  Measured
+# with this exact set-up: a create took 26.203 ticks with a dispatcher
+# resume per packet, a grant-time resume per contended CPU charge, a
+# worker process per recast entry and a completion entry per served
+# request, and takes 22.688 without them; a switch-cached stat went
+# 10.2205 -> 10.1845 (most never reach a server).  Each ceiling sits
+# between the two, so any of those entries coming back fails it.
+CREATE_TICKS_CEILING = 24.0
+FANIN_STAT_TICKS_CEILING = 10.2
+
+
+def _ticks(sim, drive, ops):
+    before = sim.reserve_seq()
+    drive(ops)
+    return (sim.reserve_seq() - before - 1) / ops
+
+
+def test_create_event_budget():
+    cluster, population = _hot_directory()
+    stream = FixedOpStream("create", population, seed=17, dir_choice="single")
+    run_stream(cluster, stream, 500, inflight=32)  # warm-up
+    per_op = _ticks(cluster.sim, lambda ops: run_stream(cluster, stream, ops, inflight=32), 2000)
+    assert per_op <= CREATE_TICKS_CEILING, per_op
+
+
+def test_switch_cached_stat_event_budget():
+    cluster, population = _hot_directory(switch_cache=True)
+
+    def drive(ops):
+        return run_fanin(
+            cluster,
+            lambda a: FixedOpStream("stat", population, seed=17 + a, dir_choice="single"),
+            users=10_000, offered_load_ops=1_000_000.0, total_ops=ops, aggregates=2, seed=17,
+        )
+
+    drive(200)  # warm-up
+    per_op = _ticks(cluster.sim, drive, 2000)
+    assert per_op <= FANIN_STAT_TICKS_CEILING, per_op

@@ -387,3 +387,159 @@ class TestRawTap:
         net.send(Packet(src="client", dst="server", payload="raw"))
         sim.run()
         assert len(tapped) == 1
+
+
+class TestOneDeadlinePerNode:
+    """The retransmit deadline queue: one live heap entry per node, and a
+    deadline that does fire lands exactly where a per-attempt timer did."""
+
+    T = 10.0    # timeout_us
+    RTT = 3.0   # two 0.75 us links each way through a zero-latency switch
+
+    def test_answered_calls_leave_one_heap_entry(self):
+        sim, net, client, server = setup_pair()
+
+        def handler(request, packet):
+            yield sim.timeout(1.0)
+            return request.args
+
+        server.register("h", handler)
+        calls = [
+            sim.spawn(client.call("server", "h", i, timeout_us=400.0)) for i in range(64)
+        ]
+        sim.run(until=50.0)
+        assert [c.value[0] for c in calls] == list(range(64))   # all answered in flight
+        # A timer per attempt left 64 dead entries here.
+        assert len(sim._heap) <= 1
+        sim.run()
+        assert client.retransmits == 0
+
+    def test_dropped_replies_retransmit_at_exact_backoff_times(self):
+        sim, net, client, server = setup_pair()
+        arrivals, dropped = [], []
+
+        def handler(request, packet):
+            arrivals.append((sim.now, request.attempt))
+            return "ok"
+            yield
+
+        def drop_two_replies(packet):
+            if len(dropped) < 2:
+                dropped.append(sim.now)
+                return True
+            return False
+
+        server.register("h", handler)
+        client.add_raw_tap(drop_two_replies)
+        value, _ = run_call(sim, client, "server", "h", None, timeout_us=self.T)
+        assert value == "ok"
+        one_way = self.RTT / 2
+        # t0 = 0: retransmits leave at t0 + T and then 2T later (backoff).
+        # At-most-once: the handler ran for attempt 0 only; the retries were
+        # answered from the reply cache, and the third reply got through.
+        assert arrivals == [(one_way, 0)]
+        assert dropped == [self.RTT, self.T + self.RTT]
+        assert sim.now == self.T + 2 * self.T + self.RTT
+        assert client.retransmits == 2
+
+    def test_reply_handled_between_deadline_and_resume_is_taken(self):
+        """The ``_TIMED_OUT`` race window.  A reply that was already in
+        flight before the attempt was sent (reorder jitter) can reach the
+        inbox at the deadline's own timestamp, ahead of it in tick order:
+        the deadline fires, the inbox entry pops and finds the attempt's
+        event triggered, stashes the reply, and the resuming caller takes
+        it instead of retransmitting."""
+        from repro.net import Packet, RpcResponse
+
+        sim, net, client, server = setup_pair()
+        rpc_ids = []
+
+        def handler(request, packet):
+            rpc_ids.append(request.rpc_id)
+            yield sim.timeout(1000.0)   # the real reply comes far too late
+
+        def deliver_jittered_reply(_ev):
+            reply = RpcResponse(rpc_id=rpc_ids[0], value="jittered")
+            net._arrive([Packet(src="server", dst="client", payload=reply)])
+
+        server.register("h", handler)
+        # Scheduled before the call exists, so at t = T it precedes the
+        # call's deadline (whose tick is reserved at send time).
+        early = sim.event()
+        early.add_callback(deliver_jittered_reply)
+        sim.schedule_at(self.T, early)
+        value, _ = run_call(sim, client, "server", "h", None, timeout_us=self.T)
+        assert value == "jittered"
+        assert sim.now == self.T
+        assert client.retransmits == 0
+
+    def test_reply_arriving_on_the_deadline_loses_to_it(self):
+        """An on-time reply at the deadline's timestamp is behind it in
+        tick order and behind the caller's wake-up too: one retransmit,
+        exactly as with a timer per attempt."""
+        sim, net, client, server = setup_pair()
+
+        def handler(request, packet):
+            yield sim.timeout(self.T - self.RTT)
+            return "on the dot"
+
+        server.register("h", handler)
+        value, _ = run_call(sim, client, "server", "h", None, timeout_us=self.T)
+        assert value == "on the dot"
+        assert sim.now == self.T
+        assert client.retransmits == 1
+
+    def test_earlier_deadline_after_a_backed_off_one_fires_first(self):
+        sim, net, client, server = setup_pair()
+        server.kill()   # nothing is ever answered
+        fired = []
+
+        def caller(tag, start, timeout_us):
+            yield sim.timeout(start)
+            try:
+                yield from client.call("server", "h", None, timeout_us=timeout_us, max_attempts=1)
+            except RpcTimeout:
+                fired.append((tag, sim.now))
+
+        sim.spawn(caller("slow", 0.0, 100.0))
+        sim.spawn(caller("fast", 5.0, 10.0))    # issued later, due earlier
+        sim.run()
+        assert fired == [("fast", 15.0), ("slow", 100.0)]
+
+
+class TestInbox:
+    def test_same_timestamp_packets_ride_one_entry_in_arrival_order(self):
+        sim, net, client, server = setup_pair()
+        handled = []
+
+        def tap(packet):
+            handled.append((packet.payload, len(sim._heap)))
+            return True
+
+        server.add_raw_tap(tap)
+        from repro.net import Packet
+
+        for tag in ("first", "second"):
+            net.send(Packet(src="client", dst="server", payload=tag))
+        sim.run()
+        # Both handled in arrival order under the first packet's inbox
+        # entry: nothing is left in the heap while either is handled.
+        assert handled == [("first", 0), ("second", 0)]
+
+    def test_killed_node_still_drops_and_recycles(self):
+        from repro.net import alloc_packet, recycle_packet
+        from repro.net.packet import REGULAR_PORT
+
+        sim, net, client, server = setup_pair()
+        seen = []
+        server.add_raw_tap(lambda packet: seen.append(packet) or False)
+        server.kill()
+        packet = alloc_packet("client", "server", "raw", REGULAR_PORT, None, 128)
+        net.send(packet)
+        del packet
+        sim.run()
+        assert seen == []                    # dead host: not even the taps run
+        assert net.packets_delivered == 1    # it did reach the inbox
+        reused = alloc_packet("client", "server", "next", REGULAR_PORT, None, 128)
+        assert reused.payload == "next"      # the dropped packet went back to the pool
+        recycle_packet(reused)

@@ -1,8 +1,9 @@
 """Regression tests for the kernel fast paths (DESIGN.md §9).
 
 Covers the single-waiter callback slot, process boot without a kick-off
-event, the immediate-grant trampoline, Timeout pooling, combinator
-callback detaching, and interrupt catch/re-raise semantics.
+event, the immediate-grant trampoline, adopt and silent completion, the
+one dispatch loop behind step/run/run_process, Timeout pooling,
+combinator callback detaching, and interrupt catch/re-raise semantics.
 """
 
 import pytest
@@ -142,6 +143,155 @@ class TestProcessFastPath:
         a, b = sim.granted(1), sim.granted(2)
         assert a is not b
         assert a.value == 1 and b.value == 2
+
+
+# ---------------------------------------------------------------------------
+# adopt: inline start, silent completion (the no-observer contract)
+# ---------------------------------------------------------------------------
+class TestAdopt:
+    @staticmethod
+    def _sleeper(sim, log, value="done"):
+        log.append(("started", sim.now))
+        yield sim.timeout(3.0)
+        log.append(("woke", sim.now))
+        return value
+
+    def test_adopt_runs_inline_without_a_boot_entry(self):
+        sim = Simulator()
+        log = []
+        proc = sim.adopt(self._sleeper(sim, log))
+        assert log == [("started", 0.0)]    # ran in the caller's frame
+        assert len(sim._heap) == 1          # the timeout; no boot entry
+        assert proc.is_alive
+
+    def test_generator_that_never_blocks_is_finished_on_return(self):
+        sim = Simulator()
+
+        def immediate(sim):
+            return "now"
+            yield
+
+        proc = sim.adopt(immediate(sim))
+        assert proc.triggered and proc.processed and proc.value == "now"
+        assert sim._heap == []
+
+    def test_unobserved_adopted_process_completes_without_a_heap_entry(self):
+        sim = Simulator()
+        log = []
+        proc = sim.adopt(self._sleeper(sim, log))
+        sim.step()                          # the timeout pops, the process returns
+        assert log[-1] == ("woke", 3.0)
+        assert sim._heap == []              # no completion entry
+        assert proc.processed and proc.value == "done"
+        assert proc.gen is None
+
+    def test_adopted_process_with_a_waiter_completes_through_the_heap(self):
+        sim = Simulator()
+        log, seen = [], []
+        proc = sim.adopt(self._sleeper(sim, log))
+        proc.add_callback(lambda p: seen.append((p.value, sim.now)))
+        sim.step()
+        assert proc.triggered and not proc.processed
+        assert len(sim._heap) == 1          # its completion entry, as for a spawned one
+        sim.step()
+        assert seen == [("done", 3.0)]
+
+    def test_spawned_process_completed_then_yielded_behaves_as_before(self):
+        sim = Simulator()
+        log, seen = [], []
+        worker = sim.spawn(self._sleeper(sim, log))
+
+        def late_waiter(sim):
+            yield sim.timeout(10.0)
+            seen.append((yield worker))     # long processed: resumes inline
+
+        sim.spawn(late_waiter(sim))
+        sim.run(until=3.0)
+        # A spawned process always takes its completion entry, observed or not.
+        assert worker.triggered and worker.processed
+        sim.run()
+        assert seen == ["done"]
+
+
+# ---------------------------------------------------------------------------
+# one dispatch loop behind step / run / run_process
+# ---------------------------------------------------------------------------
+class TestOneDispatchLoop:
+    @staticmethod
+    def _ticker(sim, out, period=10.0):
+        while True:
+            yield sim.timeout(period)
+            out.append(sim.now)
+
+    def test_step_processes_exactly_one_entry(self):
+        sim = Simulator()
+        out = []
+        sim.spawn(self._ticker(sim, out))
+        sim.step()                          # boot
+        assert out == [] and sim.now == 0.0
+        sim.step()                          # first tick
+        assert out == [10.0]
+        sim.run(until=35.0)                 # a step does not leave the loop stopped
+        assert out == [10.0, 20.0, 30.0]
+
+    def test_step_on_an_empty_heap_is_an_error(self):
+        with pytest.raises(SimulationError, match="empty"):
+            Simulator().step()
+
+    def test_run_process_stops_at_completion_and_leaves_the_rest(self):
+        sim = Simulator()
+        out = []
+        sim.spawn(self._ticker(sim, out))
+
+        def short(sim):
+            yield sim.timeout(25.0)
+            return "done"
+
+        assert sim.run_process(sim.spawn(short(sim))) == "done"
+        assert out == [10.0, 20.0] and sim.now == 25.0
+        assert sim.run_process(sim.spawn(short(sim))) == "done"
+        assert out == [10.0, 20.0, 30.0, 40.0] and sim.now == 50.0   # the tick due at 50 is behind it
+
+    def test_run_process_until_reports_a_process_still_running(self):
+        sim = Simulator()
+
+        def long(sim):
+            yield sim.timeout(100.0)
+
+        proc = sim.spawn(long(sim))
+        with pytest.raises(SimulationError, match="still running"):
+            sim.run_process(proc, until=50.0)
+        assert sim.run_process(proc) is None    # resumable afterwards
+
+    def test_stop_ends_run_after_the_current_event(self):
+        sim = Simulator()
+        out = []
+        sim.spawn(self._ticker(sim, out))
+
+        def stopper(sim):
+            yield sim.timeout(20.0)
+            sim.stop()
+
+        sim.spawn(stopper(sim))
+        sim.run()
+        assert sim.now == 20.0 and out == [10.0]    # the tick due at 20 is behind it
+        sim.run(until=45.0)                 # run() clears the stop
+        assert out == [10.0, 20.0, 30.0, 40.0]
+
+    def test_schedule_at_reserved_seq_keeps_the_reserved_position(self):
+        sim = Simulator()
+        order = []
+
+        def note(tag):
+            ev = sim.event()
+            ev.add_callback(lambda _e: order.append(tag))
+            return ev
+
+        seq = sim.reserve_seq()             # a deadline set first ...
+        sim.schedule_at(5.0, note("second"))
+        sim.schedule_at(5.0, note("reserved-first"), seq=seq)   # ... but pushed last
+        sim.run()
+        assert order == ["reserved-first", "second"]
 
 
 # ---------------------------------------------------------------------------

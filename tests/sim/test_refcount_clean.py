@@ -136,13 +136,11 @@ class TestFinishedProcessIsFreed:
 
     def test_adopted_process(self):
         sim = _simulator()
-        gen = _returns(sim)
-        first = next(gen)  # driven inline up to its first pending yield
-        proc = sim.adopt(gen, first)
+        proc = sim.adopt(_returns(sim))  # runs inline up to its first pending yield
         ref = weakref.ref(proc)
         seen = []
         sim.spawn(_waiter(sim, [proc], seen))
-        del proc, gen, first
+        del proc
         sim.run()
         assert seen == ["done"]
         assert ref() is None

@@ -26,13 +26,13 @@ def test_resource_limits_concurrency():
     assert sim.now == 30.0  # ceil(5/2) waves of 10us
 
 
-def test_resource_using_helper():
+def test_resource_hold():
     sim = Simulator()
     res = Resource(sim, capacity=1)
     done = []
 
     def worker(sim, res, tag):
-        yield sim.spawn(res.using(5.0))
+        yield res.hold(5.0)
         done.append((tag, sim.now))
 
     sim.spawn(worker(sim, res, "a"))
@@ -189,12 +189,3 @@ def test_store_blocking_get_wakes_on_put():
     sim.spawn(producer(sim, store))
     sim.run()
     assert got == [("late", 7.0)]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(1)
-    assert store.try_get() == 1
-    assert store.try_get() is None
