@@ -2,14 +2,13 @@
 
 from .harness import RunResult, find_peak_throughput, run_stream
 from .report import Series, ascii_chart, format_table, print_series, print_table
-from .presets import bench_scale, paper_scale
+from .presets import paper_scale
 from .sweep import (
     SYSTEMS,
     SweepPool,
     derive_seed,
     make_cluster,
     scaled_config,
-    sweep_points,
 )
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "make_cluster",
     "scaled_config",
     "SweepPool",
-    "sweep_points",
     "derive_seed",
-    "bench_scale",
     "paper_scale",
 ]

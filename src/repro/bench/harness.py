@@ -239,24 +239,15 @@ def find_peak_throughput(
 
     With *pool* (a :class:`repro.bench.sweep.SweepPool`), every level is
     evaluated concurrently — ``make_run`` must then be picklable (a
-    module-level function) — and the same knee-selection scan runs over
-    the ordered results, so the chosen peak is identical to the serial
-    search (the levels past the knee are simply computed in parallel
-    instead of skipped).
+    module-level function) — and the same knee scan runs over the ordered
+    results, so the chosen peak is identical to the serial search (the
+    levels past the knee are computed in parallel instead of skipped).
     """
+    levels = list(inflight_levels)
+    # Serial: a lazy map, so breaking at the knee skips the later levels.
+    results = pool.map(make_run, levels) if pool is not None else map(make_run, levels)
     best: Optional[RunResult] = None
-    if pool is not None:
-        for result in pool.map(make_run, list(inflight_levels)):
-            if best is not None and result.throughput_ops < best.throughput_ops * tolerance:
-                if result.throughput_ops > best.throughput_ops:
-                    best = result
-                break
-            if best is None or result.throughput_ops > best.throughput_ops:
-                best = result
-        assert best is not None
-        return best
-    for level in inflight_levels:
-        result = make_run(level)
+    for result in results:
         if best is not None and result.throughput_ops < best.throughput_ops * tolerance:
             if result.throughput_ops > best.throughput_ops:
                 best = result

@@ -1,6 +1,7 @@
-"""Configuration presets: benchmark scale and paper (testbed) scale.
+"""Configuration preset: paper (testbed) scale.
 
-The shipped benchmarks run at laptop-simulation scale.  For longer,
+The shipped benchmarks run at laptop-simulation scale
+(:func:`repro.bench.scaled_config`).  For longer,
 higher-fidelity runs, :func:`paper_scale` mirrors the paper's testbed
 shape (Table 4): 16 metadata servers (two per dual-socket node), 12-core
 sockets with 4 cores used per server by default, the full 10 × 2^17 stale
@@ -15,7 +16,6 @@ from __future__ import annotations
 from ..core import FSConfig
 
 __all__ = [
-    "bench_scale",
     "paper_scale",
     "PAPER_INFLIGHT",
     "PAPER_CLIENT_MACHINES",
@@ -33,12 +33,6 @@ PAPER_SINGLE_DIR_FILES = 10_000_000
 #: Directory count / files per directory in the multi-directory experiment.
 PAPER_MULTI_DIRS = 1024
 PAPER_FILES_PER_DIR = 100_000
-
-
-def bench_scale(num_servers: int = 8, cores_per_server: int = 4, **overrides) -> FSConfig:
-    """The defaults the shipped benchmarks use (alias of scaled_config)."""
-    return FSConfig(num_servers=num_servers, cores_per_server=cores_per_server,
-                    **overrides)
 
 
 def paper_scale(num_servers: int = 16, cores_per_server: int = 4, **overrides) -> FSConfig:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..baselines import CephLikeCluster, CFSKVCluster, IndexFSCluster, InfiniFSCluster
 from ..core import FSConfig, SwitchFSCluster
@@ -41,7 +41,6 @@ __all__ = [
     "make_cluster",
     "scaled_config",
     "SweepPool",
-    "sweep_points",
     "derive_seed",
 ]
 
@@ -139,13 +138,3 @@ class SweepPool:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
             return list(ex.map(fn, points))
-
-
-def sweep_points(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    serial: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-) -> List[Any]:
-    """One-shot convenience wrapper around :meth:`SweepPool.map`."""
-    return SweepPool(max_workers=max_workers, serial=serial).map(fn, points)

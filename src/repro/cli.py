@@ -10,20 +10,18 @@ Examples
     python -m repro compare --op create --dirs 1 --ops 2000
     python -m repro workload --mix dcs --system SwitchFS --ops 3000
     python -m repro faults --loss 0.1 --dup 0.05 --ops 200
-    python -m repro perf --tiny
 
-All numbers except ``perf``'s are virtual-time measurements from the
-deterministic simulation; repeated invocations with the same arguments
-reproduce the same results bit-for-bit.  ``compare`` fans its per-system
-runs across a process pool (``--serial`` / ``--jobs`` control it), which
-does not change the reported numbers — each run is an independent
-seeded simulation.
+All numbers but ``throughput``'s ``wall time`` row are virtual-time
+measurements from the deterministic simulation; repeated invocations with
+the same arguments reproduce the same results bit-for-bit.  ``compare``
+fans its per-system runs across a process pool (``--serial`` / ``--jobs``
+control it), which does not change the reported numbers — each run is an
+independent seeded simulation.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -230,61 +228,7 @@ def _compare_point(point: dict) -> List:
             round(result.mean_latency_us, 1), hit_rate]
 
 
-def _compare_trajectories(labels: str, out_dir: Optional[str]) -> int:
-    """Print per-workload speedups between two labels across every
-    BENCH_*.json trajectory file present (kernel, rpc, store, e2e)."""
-    from .bench.perf import compare_rates, load_trajectory
-
-    older, _, newer = labels.partition(",")
-    older, newer = older.strip(), newer.strip()
-    if not older or not newer:
-        print("error: --perf-labels wants OLD,NEW", file=sys.stderr)
-        return 2
-    base = out_dir or os.getcwd()
-    suites = [
-        ("kernel", "BENCH_kernel.json", "events_per_sec"),
-        ("rpc", "BENCH_rpc.json", "ops_per_sec"),
-        ("store", "BENCH_store.json", "ops_per_sec"),
-        ("e2e", "BENCH_e2e.json", "wall_ops_per_sec"),
-    ]
-    shown = 0
-    for suite, fname, rate_key in suites:
-        path = os.path.join(base, fname)
-        if not os.path.exists(path):
-            continue
-        data = load_trajectory(path, suite)
-        by_label = {e.get("label"): e for e in data["history"]}
-        if older not in by_label or newer not in by_label:
-            continue
-        old_cpus = by_label[older].get("host_cpus")
-        new_cpus = by_label[newer].get("host_cpus")
-        if old_cpus != new_cpus:
-            print(
-                f"warning: {suite}: {older!r} ({old_cpus or '?'} cpus) and "
-                f"{newer!r} ({new_cpus or '?'} cpus) were recorded on "
-                f"different hardware — wall-rate speedups are not comparable",
-                file=sys.stderr,
-            )
-        speedups = compare_rates(data, rate_key, older, newer)
-        print_table(
-            f"{suite}: {newer} / {older} ({rate_key})",
-            ["workload", "speedup"],
-            [[name, f"{s:,.3f}x"] for name, s in speedups.items()],
-        )
-        shown += 1
-    if not shown:
-        print(
-            f"error: no trajectory file under {base} has both labels "
-            f"{older!r} and {newer!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_compare(args) -> int:
-    if args.perf_labels:
-        return _compare_trajectories(args.perf_labels, args.out_dir)
     systems = [s.strip() for s in args.systems.split(",")]
     arg_dict = {k: v for k, v in vars(args).items() if k != "fn"}
     points = [{"system": system, "args": arg_dict} for system in systems]
@@ -295,158 +239,6 @@ def cmd_compare(args) -> int:
         f"{args.servers} servers x {args.cores} cores",
         ["system", "Kops/s", "avg us", "sw-cache hit"], rows,
     )
-    return 0
-
-
-# Wall-clock suites: name -> (bench runner kwargs key, trajectory file,
-# rate key, table headers).  ``repro perf --suite`` picks among them.
-PERF_SUITES = ("kernel", "rpc", "store", "e2e")
-
-
-def cmd_perf(args) -> int:
-    """Wall-clock suites; see benchmarks/perf/ and EXPERIMENTS.md."""
-    from .bench.perf import (
-        bench_e2e,
-        bench_elasticity,
-        bench_fanin,
-        bench_kernel,
-        bench_rpc,
-        bench_store,
-        bench_switch_cache,
-        profile_suite,
-        record_entry,
-        write_profile,
-    )
-
-    scale = "tiny" if args.tiny else "full"
-    selected = PERF_SUITES if args.suite == "all" else (args.suite,)
-    recorded = []
-    out_dir = args.out_dir or os.getcwd()
-
-    # --parallel N short-circuits the suites: it runs the partitioned
-    # serial-vs-parallel comparison point (repro.bench.parallel) and
-    # records it in its own trajectory file.
-    if args.parallel:
-        from .bench.parallel import bench_parallel
-
-        results = bench_parallel(scale=scale, workers=args.parallel)
-        entry = results["parallel_partition_create"]
-        print_table(
-            f"parallel-partition create ({scale}, {entry['workers']} workers, "
-            f"{entry['host_cpus']} host cpu(s))",
-            ["mode", "ops/s wall", "wall s"],
-            [
-                ["serial", f"{entry['serial_wall_ops_per_sec']:,.0f}",
-                 entry["serial_wall_seconds"]],
-                ["parallel", f"{entry['parallel_wall_ops_per_sec']:,.0f}",
-                 entry["parallel_wall_seconds"]],
-            ],
-        )
-        print(f"speedup {entry['speedup']}x, "
-              f"state-equivalent: {entry['equivalent']}")
-        if not entry["equivalent"]:
-            print("error: partitioned run diverged from serial reference",
-                  file=sys.stderr)
-            return 1
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_parallel.json")
-            record_entry(path, "parallel", results, label=args.label,
-                         scale=scale)
-            print(f"recorded {args.label!r} -> {path}")
-        return 0
-
-    # --profile interposes cProfile around each suite and writes
-    # PROFILE_<suite>.json next to the BENCH files.  Profiled runs are
-    # never recorded in the trajectory: the profiler overhead (~2x)
-    # would poison the wall-rate history.
-    profiling = getattr(args, "profile", False)
-    if profiling:
-        args.no_record = True
-
-    def _run_suite(suite: str, fn):
-        """Run one suite's bench callable, profiled when asked."""
-        if not profiling:
-            return fn()
-        results, report = profile_suite(fn, top=args.profile_top)
-        for sort_key, title in (
-            ("top_cumulative", "cumulative"),
-            ("top_tottime", "self time"),
-        ):
-            print_table(
-                f"{suite} profile: top {args.profile_top} by {title} "
-                f"({report['total_time_s']:.3f}s total)",
-                ["function", "ncalls", "tottime s", "cumtime s"],
-                [[r["function"], f"{r['ncalls']:,}",
-                  f"{r['tottime_s']:.4f}", f"{r['cumtime_s']:.4f}"]
-                 for r in report[sort_key]],
-            )
-        path = os.path.join(out_dir, f"PROFILE_{suite}.json")
-        write_profile(path, suite, report, label=args.label, scale=scale)
-        print(f"profile -> {path}")
-        return results
-
-    if "kernel" in selected:
-        kernel = _run_suite(
-            "kernel", lambda: bench_kernel(scale=scale, repeats=args.repeats))
-        print_table(
-            f"kernel events/sec ({scale})",
-            ["workload", "events/s", "wall s"],
-            [[name, f"{r['events_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in kernel.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_kernel.json")
-            record_entry(path, "kernel", kernel, label=args.label, scale=scale)
-            recorded.append(path)
-    if "rpc" in selected:
-        rpc = _run_suite(
-            "rpc", lambda: bench_rpc(scale=scale, repeats=args.repeats))
-        print_table(
-            f"rpc/datapath ops/sec ({scale})",
-            ["workload", "ops/s", "wall s"],
-            [[name, f"{r['ops_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in rpc.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_rpc.json")
-            record_entry(path, "rpc", rpc, label=args.label, scale=scale)
-            recorded.append(path)
-    if "store" in selected:
-        store = _run_suite(
-            "store", lambda: bench_store(scale=scale, repeats=args.repeats))
-        print_table(
-            f"storage engine ops/sec ({scale})",
-            ["workload", "ops/s", "wall s"],
-            [[name, f"{r['ops_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in store.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_store.json")
-            record_entry(path, "store", store, label=args.label, scale=scale)
-            recorded.append(path)
-    if "e2e" in selected:
-        def _e2e():
-            out = bench_e2e(scale=scale)
-            out.update(bench_switch_cache(scale=scale))
-            out.update(bench_elasticity(scale=scale))
-            out.update(bench_fanin(scale=scale))
-            return out
-
-        e2e = _run_suite("e2e", _e2e)
-        print_table(
-            f"end-to-end wall clock ({scale})",
-            ["benchmark", "ops/s wall", "wall s", "sim Kops/s", "cache hit"],
-            [[name, f"{r['wall_ops_per_sec']:,.0f}", r["wall_seconds"],
-              f"{r['sim_throughput_kops']:,.1f}" if "sim_throughput_kops" in r else "-",
-              f"{r['cache_hit_rate']:.1%}" if r.get("cache_hit_rate") else "-"]
-             for name, r in e2e.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_e2e.json")
-            record_entry(path, "e2e", e2e, label=args.label, scale=scale)
-            recorded.append(path)
-    if recorded:
-        print(f"recorded {args.label!r} -> {', '.join(recorded)}")
     return 0
 
 
@@ -727,39 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run systems in-process instead of across a process pool")
     p.add_argument("--jobs", type=int, default=None,
                    help="max sweep worker processes (default: all cores)")
-    p.add_argument("--perf-labels", default=None, metavar="OLD,NEW",
-                   help="instead of simulating, print wall-clock speedups "
-                        "between two trajectory labels across BENCH_*.json "
-                        "(kernel, rpc, store, e2e)")
-    p.add_argument("--out-dir", default=None,
-                   help="directory holding BENCH_*.json (with --perf-labels; "
-                        "default: cwd)")
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("perf", help="wall-clock kernel + rpc + store + e2e suites")
-    p.add_argument("--suite", default="all",
-                   choices=("all",) + PERF_SUITES,
-                   help="run one suite only (default: all)")
-    p.add_argument("--tiny", action="store_true",
-                   help="CI-smoke scale (seconds, not minutes)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="take best wall time of N kernel runs (default 3)")
-    p.add_argument("--label", default="dev", help="trajectory entry label")
-    p.add_argument("--out-dir", default=None,
-                   help="where to write BENCH_*.json (default: cwd)")
-    p.add_argument("--no-record", action="store_true",
-                   help="print without touching the trajectory files")
-    p.add_argument("--profile", action="store_true",
-                   help="run each suite under cProfile; print the hottest "
-                        "functions and write PROFILE_<suite>.json next to "
-                        "the BENCH files (implies --no-record)")
-    p.add_argument("--profile-top", type=int, default=15, metavar="N",
-                   help="rows per profile table (default: 15)")
-    p.add_argument("--parallel", type=int, default=0, metavar="N",
-                   help="instead of the suites, run the partitioned "
-                        "parallel-DES comparison point across N worker "
-                        "processes (records BENCH_parallel.json)")
-    p.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser("workload", help="run a Table-5 workload mix")
     _add_cluster_args(p)

@@ -9,11 +9,9 @@ invalidated) and a retry after cache invalidation is in order.
 
 from __future__ import annotations
 
-from ..errors import ReproError
 from ..net import RpcError
 
 __all__ = [
-    "ReproError",
     "FSError",
     "EEXIST",
     "ENOENT",

@@ -16,7 +16,7 @@ The engine owns everything that moves or applies change-log entries:
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcError, RpcRequest
@@ -339,7 +339,11 @@ class ChangeLogEngine:
         if pulled:
             # Write-hold each directory's change-log lock across the apply
             # (the same discipline the aggregation drain uses): appenders
-            # are excluded while the pulled entries land.
+            # are excluded while the pulled entries land.  Every server
+            # flushes to this owner in its own drain order, so the locks
+            # are taken in dir_id order: two handlers holding one lock each
+            # and waiting for the other's would never finish (§17.4).
+            pulled.sort(key=itemgetter(0))
             locks = [self._changelog_lock(dir_id) for dir_id, _e, _l in pulled]
             for lock in locks:
                 yield from self._acquire(lock, "w")

@@ -12,61 +12,13 @@
 
 RPC-layer and harness code that wants "anything this stack can raise"
 catches ``ReproError`` instead of enumerating layer-specific types.  The
-concrete classes stay defined in their layers; this module re-exports
-them lazily so ``from repro.errors import FSError, KVError, RpcError``
-works without creating import cycles.
+concrete classes are defined in, and imported from, their own layers.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "ReproError",
-    # re-exported from repro.net.rpc
-    "RpcError",
-    "RpcTimeout",
-    # re-exported from repro.core.errors
-    "FSError",
-    "fs_error",
-    "EEXIST",
-    "ENOENT",
-    "ENOTEMPTY",
-    "ENOTDIR",
-    "EINVAL",
-    "EINVALIDPATH",
-    # re-exported from repro.kvstore.errors
-    "KVError",
-    "KeyNotFound",
-    "TransactionError",
-]
+__all__ = ["ReproError"]
 
 
 class ReproError(Exception):
     """Root of the reproduction's exception hierarchy."""
-
-
-_REEXPORTS = {
-    "RpcError": "repro.net.rpc",
-    "RpcTimeout": "repro.net.rpc",
-    "FSError": "repro.core.errors",
-    "fs_error": "repro.core.errors",
-    "EEXIST": "repro.core.errors",
-    "ENOENT": "repro.core.errors",
-    "ENOTEMPTY": "repro.core.errors",
-    "ENOTDIR": "repro.core.errors",
-    "EINVAL": "repro.core.errors",
-    "EINVALIDPATH": "repro.core.errors",
-    "KVError": "repro.kvstore.errors",
-    "KeyNotFound": "repro.kvstore.errors",
-    "TransactionError": "repro.kvstore.errors",
-}
-
-
-def __getattr__(name: str):
-    """Lazy re-exports (PEP 562): the owning layers import this module for
-    the root class, so eager imports here would be circular."""
-    module_name = _REEXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -206,8 +206,7 @@ class _Hop(Event):
         when = base + (hops[0][0] if hops else plan.total_us)
         sim = net.sim
         # Inlined Simulator.schedule_at: this push runs once per network
-        # hop, the hottest schedule site in the datapath — the method-call
-        # indirection measurably costs on BENCH_rpc.
+        # hop, the hottest schedule site in the datapath.
         heapq.heappush(sim._heap, (when, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
 
     def _run_callbacks(self) -> None:

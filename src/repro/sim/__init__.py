@@ -17,13 +17,6 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .partition import (
-    PartitionGuard,
-    PartitionViolation,
-    WindowedRunner,
-    lookahead_bound_us,
-    partition_of_dir,
-)
 from .rand import AliasTable, ZipfGenerator, make_rng, weighted_choice, zipf_weights
 from .resources import Lock, Resource, RWLock, Store
 from .stats import Counter, LatencyRecorder, PhaseStats, ThroughputMeter, percentile
@@ -51,9 +44,4 @@ __all__ = [
     "weighted_choice",
     "AliasTable",
     "zipf_weights",
-    "PartitionGuard",
-    "PartitionViolation",
-    "WindowedRunner",
-    "lookahead_bound_us",
-    "partition_of_dir",
 ]

@@ -38,8 +38,8 @@ class DentryCacheConfig:
 
     Defaults are deliberately small relative to the stale set: the cache
     competes for the same register budget, and the design-space bench
-    (``repro perf``) sweeps ``num_stages``/``index_bits`` to show where
-    capacity stops paying.
+    (``benchmarks/test_switch_cache_design_space.py``) sweeps
+    ``num_stages``/``index_bits`` to show where capacity stops paying.
     """
 
     num_stages: int = 4

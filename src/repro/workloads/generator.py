@@ -105,13 +105,7 @@ class FixedOpStream(OpStream):
         return self._dirs[self._rng.randrange(len(self._dirs))]
 
     def next_thunk(self) -> OpThunk:
-        op = self.op
-        d = self._pick_dir()
-        thunk = self._thunk_for(op, d)
-        # Partitioned mode routes ops by target directory; every thunk
-        # carries its directory so the partition guard can audit it.
-        thunk.dir_path = d
-        return thunk
+        return self._thunk_for(self.op, self._pick_dir())
 
     def _thunk_for(self, op: str, d: str) -> OpThunk:
         if op == "create":

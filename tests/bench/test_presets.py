@@ -1,18 +1,12 @@
 """Configuration presets."""
 
-from repro.bench import bench_scale, paper_scale
+from repro.bench import paper_scale
 from repro.bench.presets import (
     PAPER_INFLIGHT,
     PAPER_MULTI_DIRS,
     PAPER_SINGLE_DIR_FILES,
 )
 from repro.switchfab import StaleSetConfig
-
-
-def test_bench_scale_defaults():
-    cfg = bench_scale()
-    assert cfg.num_servers == 8
-    assert cfg.cores_per_server == 4
 
 
 def test_paper_scale_matches_table4():

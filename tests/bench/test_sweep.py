@@ -5,7 +5,6 @@ from repro.bench import (
     derive_seed,
     find_peak_throughput,
     run_stream,
-    sweep_points,
 )
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories
@@ -64,9 +63,6 @@ class TestSweepPool:
 
     def test_single_core_defaults_to_serial(self):
         assert SweepPool(max_workers=1).serial
-
-    def test_sweep_points_wrapper(self):
-        assert sweep_points(square, [2, 4], serial=True) == [4, 16]
 
     def test_worker_crash_propagates_from_pool(self):
         """A crash in a pool worker surfaces as the original exception,

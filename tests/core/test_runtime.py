@@ -155,18 +155,6 @@ class TestErrorHierarchy:
         assert issubclass(KVError, ReproError)
         assert issubclass(KeyNotFound, KVError)
 
-    def test_reexports_resolve_to_canonical_classes(self):
-        import repro.errors as errors
-        from repro.core.errors import FSError
-        from repro.kvstore.errors import KeyNotFound
-        from repro.net import RpcError
-
-        assert errors.RpcError is RpcError
-        assert errors.FSError is FSError
-        assert errors.KeyNotFound is KeyNotFound
-        with pytest.raises(AttributeError):
-            errors.NoSuchError
-
     def test_one_except_catches_every_layer(self):
         from repro.core.errors import ENOENT, FSError
         from repro.kvstore.errors import KeyNotFound

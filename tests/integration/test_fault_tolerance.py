@@ -5,6 +5,7 @@ import pytest
 from repro.core import FSConfig, FSError, SwitchFSCluster
 from repro.net import FaultModel
 from repro.sim import make_rng
+from repro.workloads import bootstrap, multiple_directories
 
 
 def lossy_cluster(loss=0.05, dup=0.02, reorder=0.05, seed=13, **cfg):
@@ -158,6 +159,28 @@ class TestSwitchFailure:
             return cluster.fail_switch()
 
         assert drill(40) > drill(5)
+
+    def test_flush_to_one_owner_from_many_servers_and_directories(self):
+        """§4.4.2 on more than one directory: the set-up of
+        ``benchmarks/test_recovery.py::test_switch_recovery_time``.  Every
+        server flushes several directories to every owner, each in its own
+        drain order; the owner takes their change-log locks in ``dir_id``
+        order, so two flush_apply handlers cannot hold-and-wait on each
+        other (they did: RpcTimeout after 10 attempts)."""
+        cluster = SwitchFSCluster(
+            FSConfig(num_servers=8, cores_per_server=4, seed=71, proactive_enabled=False)
+        )
+        bootstrap(cluster, multiple_directories(16, 2), warm_clients=[0])
+        fs = cluster.client(0)
+        for i in range(100):
+            cluster.run_op(fs.create(f"/d{i % 16}/r{i}"))
+        assert cluster.total_pending_entries() > 0
+        assert cluster.fail_switch() > 0
+        assert cluster.total_pending_entries() == 0
+        for d in range(16):
+            creates = len(range(d, 100, 16))
+            info = cluster.run_op(fs.statdir(f"/d{d}"))
+            assert info["entry_count"] == 2 + creates
 
     def test_ops_after_switch_recovery(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=4, cores_per_server=2))

@@ -123,3 +123,27 @@ def test_switch_cached_stat_event_budget():
     drive(200)  # warm-up
     per_op = _ticks(cluster.sim, drive, 2000)
     assert per_op <= FANIN_STAT_TICKS_CEILING, per_op
+
+
+# Fan-in run cost is O(offered load), not O(users): users are rows of flat
+# array columns, so ten times the population changes which user an arrival
+# is charged to and nothing the kernel sees.  Exact, no wall clock: the
+# same cold window takes the same ticks (15.052 an op with the switch cache
+# off, 10.5165 with it on) and yields the same virtual-time result.
+@pytest.mark.parametrize("switch_cache", [False, True])
+def test_fanin_event_budget_is_flat_in_users(switch_cache):
+    def window(users):
+        cluster, population = _hot_directory(switch_cache=switch_cache)
+        result = []
+
+        def drive(ops):
+            result.append(run_fanin(
+                cluster,
+                lambda a: FixedOpStream("stat", population, seed=17 + a, dir_choice="single"),
+                users=users, offered_load_ops=1_000_000.0, total_ops=ops, aggregates=2, seed=17,
+            ))
+
+        ticks = _ticks(cluster.sim, drive, 2000)
+        return ticks, result[0].throughput_kops, result[0].mean_latency_us
+
+    assert window(10_000) == window(100_000)

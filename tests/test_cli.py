@@ -197,3 +197,17 @@ class TestParser:
     def test_unknown_system_rejected(self):
         with pytest.raises(SystemExit):
             main(["throughput", "--system", "ZFS"])
+
+    def test_perf_command_is_gone(self, capsys):
+        """Wall time is the ledger's (benchmarks/ledger/run.py): ``repro``
+        has no ``perf`` command and ``compare`` reads no trajectory."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--systems" in help_text
+        assert "--perf-labels" not in help_text
+        assert "--out-dir" not in help_text

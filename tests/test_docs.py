@@ -1,0 +1,59 @@
+"""The docs only name commands and result files that exist.
+
+README.md, DESIGN.md and EXPERIMENTS.md describe the repo as it is, so a
+deleted command, figure bench or table may not linger in them.  CHANGES.md
+is history and exempt.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+
+_FENCE = re.compile(r"^```.*?$(.*?)^```", re.M | re.S)
+_SPAN = re.compile(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", re.S)
+_COMMAND = re.compile(r"(?:^\s*|\bpython3? -m )repro ([a-z]+\b.*)$")
+_CITED = re.compile(r"benchmarks/(?:test_\w+\.py|results/[\w.-]+\.txt)")
+
+
+def _code(text: str):
+    """Every line of code in *text*: fenced blocks (backslash continuations
+    joined) and inline spans (which may wrap)."""
+    for block in _FENCE.findall(text):
+        yield from block.replace("\\\n", " ").splitlines()
+    for _ticks, span in _SPAN.findall(_FENCE.sub("", text)):
+        yield " ".join(span.split())
+
+
+def _commands(doc: str):
+    for line in _code((ROOT / doc).read_text(encoding="utf-8")):
+        match = _COMMAND.search(line)
+        if match:
+            yield match.group(1)
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_repro_command_parses(doc):
+    commands = list(_commands(doc))
+    assert commands or doc != "README.md", "README documents no command at all"
+    rejected = []
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True))
+        except SystemExit as exit_info:
+            if exit_info.code:
+                rejected.append(command)
+    assert not rejected, f"{doc} documents commands argparse rejects: {rejected}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_cited_bench_and_table_exists(doc):
+    cited = set(_CITED.findall((ROOT / doc).read_text(encoding="utf-8")))
+    missing = sorted(path for path in cited if not (ROOT / path).exists())
+    assert not missing, f"{doc} cites files that do not exist: {missing}"
