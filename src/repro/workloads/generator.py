@@ -16,6 +16,7 @@ Streams are deterministic given their seed, so runs replay identically.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.client import LibFS
@@ -250,7 +251,8 @@ class MixStream(OpStream):
             self._create_seq[d] = seq + 1
             src = f"{d}/mx-rnsrc{seq}"
             dst_dir = self._pick_dir()
-            dst = f"{dst_dir}/mx-rndst{seq}-{abs(hash(d)) % 997}"
+            # crc32, not hash(): str hashes are salted per interpreter launch.
+            dst = f"{dst_dir}/mx-rndst{seq}-{zlib.crc32(d.encode()) % 997}"
 
             def thunk(fs: LibFS) -> Generator:
                 yield from safe_op(fs, fs.create(src), ("EEXIST",))

@@ -99,3 +99,50 @@ class TestRunDeterminism:
         other = _fingerprint(run_stream(cluster, stream, total_ops=250, inflight=4))
         assert base["samples"]["all"]  # non-trivial sample stream
         assert base != other
+
+
+# What one interpreter launch draws from MixStream: each thunk is run
+# against a stand-in LibFS that only records the calls it receives.
+_DRAW_MIX_OPS = """
+from repro.workloads import DATA_CENTER_SERVICES_MIX, MixStream, multiple_directories
+
+class Recorder:
+    def __init__(self):
+        self.calls = []
+        self.sim = self
+    def timeout(self, delay):
+        return None
+    def __getattr__(self, op):
+        def call(*paths):
+            self.calls.append((op,) + paths)
+            return iter(())
+        return call
+
+fs = Recorder()
+stream = MixStream(DATA_CENTER_SERVICES_MIX, multiple_directories(16, 8), seed=17)
+for _ in range(500):
+    thunk = stream.take()
+    for _ in thunk(fs):
+        pass
+    fs.calls.append(thunk.op_name)
+print(fs.calls)
+"""
+
+
+def test_mix_stream_is_independent_of_pythonhashseed():
+    """``hash(str)`` is salted per interpreter launch; a stream that used
+    it drew other rename destinations in every process."""
+    import os
+    import subprocess
+    import sys
+
+    def draw(hashseed):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", _DRAW_MIX_OPS], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        return done.stdout
+
+    first = draw("1")
+    assert "rename" in first and "mx-rndst" in first
+    assert first == draw("2")
