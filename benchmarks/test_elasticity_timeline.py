@@ -73,16 +73,13 @@ def test_elasticity_timeline(benchmark):
     out = one_shot(benchmark, _run)
     width, timeline, transitions = out["width_us"], out["timeline_kops"], out["transitions"]
 
-    def stalled_share(bucket: int) -> float:
-        """Fraction of the bucket during which some shard was stalled."""
-        lo, hi = bucket * width, (bucket + 1) * width
-        return sum(
-            max(0.0, min(hi, t["at_us"] + t["drain_us"] + t["stall_us"])
-                - max(lo, t["at_us"] + t["drain_us"]))
-            for t in transitions.values()
-        ) / width
-
-    shares = [stalled_share(b) for b in range(BUCKETS)]
+    # [from, to) of each stall, and the share of each bucket inside one.
+    stalls = [(t["at_us"] + t["drain_us"], t["at_us"] + t["drain_us"] + t["stall_us"])
+              for t in transitions.values()]
+    shares = [
+        sum(max(0.0, min(hi, (b + 1) * width) - max(lo, b * width)) for lo, hi in stalls) / width
+        for b in range(BUCKETS)
+    ]
     save_table(
         "elasticity_timeline",
         "\n\n".join([
@@ -129,6 +126,6 @@ def test_elasticity_timeline(benchmark):
 
     assert mean(stalled) < 0.7 * mean(free)
     before_join = mean(range(int(up["at_us"] / width)))
-    for t in (up, down):
-        ended = int((t["at_us"] + t["drain_us"] + t["stall_us"]) / width)
+    for _lo, hi in stalls:
+        ended = int(hi / width)
         assert max(timeline[ended + 1:ended + 4]) >= before_join

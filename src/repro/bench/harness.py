@@ -243,9 +243,8 @@ def find_peak_throughput(
     results, so the chosen peak is identical to the serial search (the
     levels past the knee are computed in parallel instead of skipped).
     """
-    levels = list(inflight_levels)
     # Serial: a lazy map, so breaking at the knee skips the later levels.
-    results = pool.map(make_run, levels) if pool is not None else map(make_run, levels)
+    results = (pool.map if pool is not None else map)(make_run, inflight_levels)
     best: Optional[RunResult] = None
     for result in results:
         if best is not None and result.throughput_ops < best.throughput_ops * tolerance:

@@ -1,11 +1,11 @@
 """Configuration preset: paper (testbed) scale.
 
 The shipped benchmarks run at laptop-simulation scale
-(:func:`repro.bench.scaled_config`).  For longer,
-higher-fidelity runs, :func:`paper_scale` mirrors the paper's testbed
-shape (Table 4): 16 metadata servers (two per dual-socket node), 12-core
-sockets with 4 cores used per server by default, the full 10 × 2^17 stale
-set, and 256 in-flight requests from three client machines.
+(:func:`repro.bench.scaled_config`).  For longer, higher-fidelity runs,
+:func:`paper_scale` mirrors the paper's testbed shape (Table 4): 16
+metadata servers (two per dual-socket node), 12-core sockets with 4 cores
+used per server by default, the full 10 × 2^17 stale set, and 256
+in-flight requests from three client machines.
 
 >>> from repro.bench.presets import paper_scale, PAPER_INFLIGHT
 >>> cluster = SwitchFSCluster(paper_scale())      # doctest: +SKIP
