@@ -320,8 +320,10 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
     """Flow-insensitive map: local name -> lock class it can hold.
 
     Covers direct producer calls (``klock = self._inode_lock(key)``),
-    one-level aliases, list/comprehension element classes, and ``for``
-    targets iterating such lists.
+    one-level aliases, list/comprehension element classes, ``for``
+    targets iterating such lists, and the list a delegate hands back
+    still locked (``locks = yield from self._take_group(fp)``: elements
+    of the callee's residual class).
     """
     classes: Dict[str, str] = {}
     elem: Dict[str, str] = {}
@@ -343,6 +345,10 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
                     return cls
         if isinstance(expr, ast.Name):
             return elem.get(expr.id)
+        if isinstance(expr, ast.YieldFrom) and isinstance(expr.value, ast.Call):
+            for callee in project.resolve_call(expr.value):
+                for cls in sorted(callee.residual_classes):
+                    return cls
         return None
 
     for _ in range(2):  # two rounds propagate one level of aliasing
@@ -599,7 +605,8 @@ class FlowReport:
         #: (held_class, acquired_class) -> first witness
         self.lock_graph: Dict[Tuple[str, str], Dict[str, Any]] = {}
         self.cycles: List[List[str]] = []
-        self.files_scanned: int = 0
+        #: the files findings were reported on (``restrict_to`` applied)
+        self.files: List[str] = []
         self.functions_analyzed: int = 0
 
     def counts(self) -> Dict[str, int]:
@@ -750,7 +757,7 @@ def analyze_paths(paths: Iterable, project: Optional[Project] = None,
 
     # Suppression filtering + dead-suppression audit, per file.
     files = sorted({f.path for f in infos if reported(f.path)})
-    report.files_scanned = len(files)
+    report.files = files
     lines_cache: Dict[str, List[str]] = {}
 
     def source_lines(path: str) -> List[str]:
@@ -827,7 +834,10 @@ def write_baseline(path, report: FlowReport) -> None:
 
 
 def new_findings(report: FlowReport, baseline: Dict[str, int]) -> List[FlowFinding]:
-    """Findings exceeding the baselined count for their fingerprint."""
+    """Findings exceeding the baselined count for their fingerprint, then
+    one RL007 per baseline entry whose count (or a part of it) excuses
+    nothing any more — judged only for files this run reported on, so a
+    ``--changed`` run says nothing about entries for files it skipped."""
     budget = dict(baseline)
     out: List[FlowFinding] = []
     for f in report.findings:
@@ -836,6 +846,17 @@ def new_findings(report: FlowReport, baseline: Dict[str, int]) -> List[FlowFindi
             budget[fp] -= 1
         else:
             out.append(f)
+    reported = {_fp_path(path) for path in report.files}
+    for fp, unused in sorted(budget.items()):
+        _rule, path, function = (fp.split(":", 3) + ["", ""])[:3]
+        if unused > 0 and path in reported:
+            out.append(FlowFinding(
+                path, 0, 0, "RL007",
+                f"baseline entry {fp!r} excuses {unused} finding(s) this run "
+                f"no longer reports — delete it from the baseline (or "
+                f"regenerate the file with --write-baseline)",
+                function, fp, "unused-baseline",
+            ))
     return out
 
 

@@ -88,9 +88,7 @@ def _build(args, system: Optional[str] = None):
     # SwitchFS datapath has; the knob is a no-op for baseline systems.
     cache = getattr(args, "switch_cache", False) and (system or args.system) == "SwitchFS"
     config = scaled_config(num_servers=args.servers, cores_per_server=args.cores,
-                           seed=args.seed, switch_cache=cache,
-                           population_users=getattr(args, "users", 0) or 0,
-                           offered_load_ops=getattr(args, "offered_load", 0.0) or 0.0)
+                           seed=args.seed, switch_cache=cache)
     cluster = make_cluster(system or args.system, config)
     population = bootstrap(cluster, _population(args), warm_clients=[0])
     return cluster, population
@@ -143,7 +141,6 @@ def _throughput_fanin(args) -> int:
         offered_load_ops=args.offered_load,
         total_ops=args.ops,
         aggregates=min(args.users, args.aggregates),
-        theta=cluster.config.population_theta,
         seed=args.seed,
     )
     print_table(
@@ -358,7 +355,7 @@ def cmd_flow(args) -> int:
     else:
         for f in findings:
             print(flow.format_flow_finding(f))
-        scope = f"{report.files_scanned} file(s)"
+        scope = f"{len(report.files)} file(s)"
         if findings:
             label = "new finding(s)" if args.baseline else "finding(s)"
             print(f"repro flow: {len(findings)} {label} in {scope}")

@@ -169,18 +169,37 @@ class LibFS:
     # ------------------------------------------------------------------
     # POSIX operations
     # ------------------------------------------------------------------
-    # Every public op is a plain function building an `attempt` closure and
-    # returning the `_with_revalidation` retry generator directly.  Nothing
-    # before the hand-off yields, so this is behaviour-identical to the old
+    # Every public op is a plain function returning its retry generator
+    # directly — the five file ops share the flattened `_file_op`, the rest
+    # build an `attempt` closure for `_with_revalidation`.  Nothing before
+    # the hand-off yields, so this is behaviour-identical to the old
     # `return (yield from ...)` spelling — but the two dropped delegation
     # frames are no longer traversed by every resume of the operation.
     def create(self, path: str, perm: int = 0o644) -> Generator:
-        return self._file_double_op("create", path, perm=perm)
+        return self._file_op("create", path, {"perm": perm})
 
     def delete(self, path: str) -> Generator:
-        return self._file_double_op("delete", path)
+        return self._file_op("delete", path, {})
 
-    def _file_double_op(self, method: str, path: str, **extra: Any) -> Generator:
+    def stat(self, path: str) -> Generator:
+        return self._file_op("stat", path)
+
+    def open(self, path: str) -> Generator:
+        return self._file_op("open", path)
+
+    def close(self, path: str) -> Generator:
+        return self._file_op("close", path)
+
+    def _file_op(
+        self, method: str, path: str, update: Optional[Dict[str, Any]] = None
+    ) -> Generator:
+        """One file op, routed to the file's owner (Figure 4's client half).
+
+        *update* marks a double-inode op: its keys ride in the request
+        beside the parent's fingerprint, which the server needs for the
+        delayed parent update.  Without it the op is a single-inode read,
+        which the switch's dentry cache may answer (LOOKUP header).
+        """
         # Flattened hot path: the retry wrapper (_with_revalidation), the
         # attempt closure, and the _call delegation were three extra
         # generator frames traversed by *every* resume of the op.  The
@@ -190,6 +209,7 @@ class LibFS:
         sim = self.sim
         perf = self.perf
         parent_path, name = split_path(path)
+        lookup = update is None and self._switch_cache and method != "close"
         invalid_left = 2
         epoch_left = 3
         while True:
@@ -206,17 +226,25 @@ class LibFS:
                 args = {
                     "pid": parent.id,
                     "name": name,
-                    "parent_fp": parent.fingerprint,
                     "ancestor_ids": parent.ancestor_ids,
                     "path": path,
-                    **extra,
                 }
+                if update is not None:
+                    args = {**args, "parent_fp": parent.fingerprint, **update}
                 yield sim.timeout(perf.client_cpu_us)
+                make_header = None
+                if lookup:
+                    fp = file_cache_fingerprint(parent.id, name)
+                    make_header = lambda attempt_no: StaleSetHeader(  # noqa: E731
+                        op=StaleSetOp.LOOKUP, fingerprint=fp
+                    )
+                t0 = sim.now
                 try:
-                    value, _ = yield from self.node.call(
+                    value, pkt = yield from self.node.call(
                         owner,  # reprolint: allow[RL104] a stale owner is safe: EWRONGEPOCH refreshes the view and the loop retries
                         method,
                         args,
+                        make_header=make_header,
                         timeout_us=perf.rpc_timeout_us,
                         max_attempts=perf.rpc_max_attempts,
                     )
@@ -224,6 +252,8 @@ class LibFS:
                     raise
                 except RpcError as exc:
                     raise fs_error(str(exc)) from exc
+                if lookup:
+                    self._note_switch_reply(pkt, sim.now - t0)
                 return value
             except FSError as exc:
                 if exc.code == EINVALIDPATH and invalid_left > 0:
@@ -277,77 +307,6 @@ class LibFS:
             return value
 
         return self._with_revalidation(attempt, path)
-
-    def stat(self, path: str) -> Generator:
-        return self._file_single_op("stat", path)
-
-    def open(self, path: str) -> Generator:
-        return self._file_single_op("open", path)
-
-    def close(self, path: str) -> Generator:
-        return self._file_single_op("close", path)
-
-    def _file_single_op(self, method: str, path: str) -> Generator:
-        # Flattened like _file_double_op (stat/open/close are the hot ops
-        # of the read-heavy sweeps).
-        sim = self.sim
-        perf = self.perf
-        parent_path, name = split_path(path)
-        invalid_left = 2
-        epoch_left = 3
-        while True:
-            try:
-                parent = (
-                    self._cache.get(parent_path) if parent_path != "/" else None
-                )
-                if parent is not None:
-                    self.counters.inc("cache_hits")
-                    yield sim.timeout(perf.cache_lookup_us)
-                else:
-                    parent = yield from self.resolve_dir(parent_path)
-                owner = self._view.file_owner(parent.id, name)
-                args = {
-                    "pid": parent.id,
-                    "name": name,
-                    "ancestor_ids": parent.ancestor_ids,
-                    "path": path,
-                }
-                yield sim.timeout(perf.client_cpu_us)
-                make_header = None
-                if self._switch_cache and method != "close":
-                    fp = file_cache_fingerprint(parent.id, name)
-                    make_header = lambda attempt_no: StaleSetHeader(  # noqa: E731
-                        op=StaleSetOp.LOOKUP, fingerprint=fp
-                    )
-                t0 = sim.now
-                try:
-                    value, pkt = yield from self.node.call(
-                        owner,  # reprolint: allow[RL104] a stale owner is safe: EWRONGEPOCH refreshes the view and the loop retries
-                        method,
-                        args,
-                        make_header=make_header,
-                        timeout_us=perf.rpc_timeout_us,
-                        max_attempts=perf.rpc_max_attempts,
-                    )
-                except FSError:
-                    raise
-                except RpcError as exc:
-                    raise fs_error(str(exc)) from exc
-                if make_header is not None:
-                    self._note_switch_reply(pkt, sim.now - t0)
-                return value
-            except FSError as exc:
-                if exc.code == EINVALIDPATH and invalid_left > 0:
-                    invalid_left -= 1
-                    self.counters.inc("cache_invalidations")
-                    self.invalidate_path(path)
-                    continue
-                if exc.code == EWRONGEPOCH and epoch_left > 0:
-                    epoch_left -= 1
-                    self.counters.inc("wrong_epoch_retries")
-                    yield from self._refresh_view()
-                    continue
-                raise
 
     def _note_switch_reply(self, packet, elapsed_us: float) -> None:
         """Bucket a LOOKUP-headed call by who answered it.

@@ -98,16 +98,6 @@ class FSConfig:
     async_updates: bool = True
     recast: bool = True
 
-    # Client-population fan-in (DESIGN.md §16): when population_users > 0
-    # the open-loop weighted-client engine carries that many logical
-    # users, multiplexed over num_clients aggregate processes, issuing
-    # Poisson arrivals at offered_load_ops operations per simulated
-    # second (summed over the population).  0 keeps the legacy one-user-
-    # per-client closed-loop model.
-    population_users: int = 0
-    offered_load_ops: float = 0.0
-    population_theta: float = 0.99     # Zipf skew of user activity weights
-
     # Stale-set backend: the programmable switch or a regular server (§6.5.2).
     stale_backend: str = "switch"          # "switch" | "server"
     staleset_server_cores: int = 12
@@ -158,14 +148,6 @@ class FSConfig:
             raise ValueError("proactive_push_entries must be >= 1")
         if self.shards_per_server < 1:
             raise ValueError("shards_per_server must be >= 1")
-        if self.population_users < 0:
-            raise ValueError("population_users must be >= 0")
-        if self.offered_load_ops < 0:
-            raise ValueError("offered_load_ops must be >= 0")
-        if self.population_users > 0 and self.offered_load_ops <= 0:
-            raise ValueError("a client population needs offered_load_ops > 0")
-        if self.population_theta < 0:
-            raise ValueError("population_theta must be >= 0")
         if self.switch_cache and self.stale_backend != "switch":
             raise ValueError("switch_cache requires stale_backend='switch'")
         if self.switch_cache_stages < 1:

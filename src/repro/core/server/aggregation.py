@@ -57,41 +57,61 @@ class AggregationProtocol:
             # Someone else is already aggregating: piggyback on them.
             yield from self._wait_group_unblocked(fp)
             return
+        yield from self._aggregation_round(fp)
+        self.counters.inc("aggregations")
+
+    def _aggregation_round(
+        self, fp: int, invalidate: Optional[int] = None,
+        already_locked: frozenset = frozenset(),
+    ) -> Generator:
+        """One aggregation round (§4.2.2 steps 4-9): block reads on the
+        group, pull every peer's change-logs, apply them together with
+        ours, acknowledge with REMOVE, unblock.
+
+        rmdir's round (Figure 5) is the same one behind an invalidation:
+        *invalidate* goes on every peer's invalidation list with the pull
+        and on ours once they answered.  *already_locked* names the inode
+        keys the caller write-holds.
+        """
         block = self.sim.event()
         self._group_blocks[fp] = block
         try:
             others = self.cmap.others(self.addr)
+            method, args = "agg_pull", {"fp": fp}
+            if invalidate is not None:
+                method, args = "invalidate_and_pull", {"dir_id": invalidate, "fp": fp}
             results = []
             if others:
-                results = yield from self._multicast(others, "agg_pull", {"fp": fp})
-            local, local_locks = yield from self._drain_local_group(fp)
+                results = yield from self._multicast(others, method, args)
+            if invalidate is not None:
+                self.inval.insert(invalidate)
+            local_locks = yield from self._take_group(fp)
             try:
+                local = self.changelogs.drain_group(fp)
                 pulled = self._merge_pulled(results, local)
                 if pulled:
                     yield self._cpu(self.perf.wal_append_us)
                     self.wal.append("agg", [(d, e) for d, e, _ in pulled])
-                    yield from self._apply_logs(pulled)
+                    yield from self._apply_logs(pulled, already_locked)
                 self._send_agg_ack(fp, others, results, local)
             finally:
                 for lock in local_locks:
                     lock.release_write()
-            self.counters.inc("aggregations")
         finally:
             del self._group_blocks[fp]
             block.succeed()
 
-    def _drain_local_group(self, fp: int) -> Generator:
-        """Drain this server's own change-logs for a group.
-
-        The write locks are returned to the caller and must be released
-        after application (matching the remote pull-until-ack discipline).
-        Returns ``(drained, locks)``.
-        """
-        logs = self.changelogs.logs_in_group(fp)
-        locks = [self._changelog_lock(log.dir_id) for log in logs]
+    def _take_group(self, fp: int) -> Generator:
+        """Write-lock every change-log this server holds for the group, in
+        ``logs_in_group`` order (one taker per group at a time, DESIGN
+        §17.4), and return the locks: the caller drains under them and
+        releases after application (locally) or at the ack (pull side)."""
+        locks = [
+            self._changelog_lock(log.dir_id) for log in self.changelogs.logs_in_group(fp)
+        ]
         for lock in locks:
             yield from self._acquire(lock, "w")
-        return self.changelogs.drain_group(fp), locks
+        return locks
 
     def _merge_pulled(
         self,
@@ -126,45 +146,46 @@ class AggregationProtocol:
         marked directly.
         """
         self._remove_seq += 1
-        seq = self._remove_seq
-        lsns_by_server: Dict[str, List[int]] = {}
-        for other, result in zip(others, remote_results):
-            lsns_by_server[other] = result.get("lsns", [])
+        header = None
         if self.ss is not None:
             # Server backend: one explicit remove RPC, plain acks.
-            self.sim.spawn(self._ss_remove(fp, seq), name="ss-remove")
-            for other in others:
-                self.node.notify(
-                    other, "agg_ack",
-                    {"fp": fp, "lsns": lsns_by_server.get(other, [])},
-                )
+            self.sim.spawn(self.ss.remove(fp, self.addr, self._remove_seq), name="ss-remove")
         else:
-            header = StaleSetHeader(op=StaleSetOp.REMOVE, fingerprint=fp, seq=seq)
-            if others:
-                # One sweep for the whole ack multicast: every copy shares
-                # the immutable REMOVE header but carries its own LSN list.
-                self._notify_many(
-                    (
-                        (other, {"fp": fp, "lsns": lsns_by_server.get(other, [])})
-                        for other in others
-                    ),
-                    "agg_ack",
-                    header=header,
-                )
-            else:
-                # Single-server cluster: still clear the switch state.
-                self.node.notify(self.addr, "agg_ack", {"fp": fp, "lsns": []}, header=header)
+            header = StaleSetHeader(
+                op=StaleSetOp.REMOVE, fingerprint=fp, seq=self._remove_seq
+            )
+        if others:
+            # One sweep for the whole ack multicast: every copy shares the
+            # immutable header but carries its own LSN list.
+            self.node.notify_many(
+                (
+                    (other, {"fp": fp, "lsns": result.get("lsns", [])})
+                    for other, result in zip(others, remote_results)
+                ),
+                "agg_ack",
+                header=header,
+            )
+        elif header is not None:
+            # Single-server cluster: still clear the switch state.
+            self.node.notify(self.addr, "agg_ack", {"fp": fp, "lsns": []}, header=header)
         for _dir_id, _entries, lsns in local:
             self.wal.mark_applied_many(lsns)
-
-    def _ss_remove(self, fp: int, seq: int) -> Generator:
-        yield from self.ss.remove(fp, self.addr, seq)
 
     # ------------------------------------------------------------------
     # pull side: hand over change-logs, hold locks until the ack
     # ------------------------------------------------------------------
     def _handle_agg_pull(self, request: RpcRequest, packet: Packet) -> Generator:
-        """Another server aggregates a group: hand over our change-logs.
+        """Another server aggregates a group: hand over our change-logs."""
+        return self._hand_over_group(request.args["fp"])
+
+    def _handle_invalidate_and_pull(self, request: RpcRequest, packet: Packet) -> Generator:
+        """rmdir at another server: invalidate locally, ship the group's logs."""
+        args = request.args
+        return self._hand_over_group(args["fp"], invalidate=args["dir_id"])
+
+    def _hand_over_group(self, fp: int, invalidate: Optional[int] = None) -> Generator:
+        """Pull side of a round: drain the group's logs into the reply,
+        after invalidating rmdir's directory id if one came with the pull.
 
         The write locks taken here are **held until the aggregation
         acknowledgment** (§4.2.2 step 9a), not released at reply time:
@@ -173,25 +194,22 @@ class AggregationProtocol:
         sustained update throughput by the application rate — the effect
         the +Async/+Recast ablation of §6.5.1 measures.
         """
-        fp = request.args["fp"]
         # If a previous aggregation's ack is still in flight, wait for it —
         # answering early with empty logs would hide entries appended since
         # that aggregation's drain (a visibility violation).
         while fp in self._pull_locks:
             yield self._pull_waiter(fp)
-        logs = self.changelogs.logs_in_group(fp)
-        locks = [self._changelog_lock(log.dir_id) for log in logs]
-        for lock in locks:
-            yield from self._acquire(lock, "w")
+        locks = yield from self._take_group(fp)
         self._pull_locks[fp] = locks
         if self.config.unlock_watchdog_us:
             self._arm_pull_watchdog(fp, locks)
         yield self._cpu(self.perf.kv_get_us)
+        if invalidate is not None:
+            self.inval.insert(invalidate)
         drained = self.changelogs.drain_group(fp)
-        lsns = [lsn for _d, _e, lsn_list in drained for lsn in lsn_list]
         return {
             "logs": [(dir_id, entries) for dir_id, entries, _ in drained],
-            "lsns": lsns,
+            "lsns": [lsn for _d, _e, lsn_list in drained for lsn in lsn_list],
         }
 
     def _pull_waiter(self, fp: int) -> Event:
@@ -251,28 +269,6 @@ class AggregationProtocol:
     # ------------------------------------------------------------------
     # rmdir support: invalidation
     # ------------------------------------------------------------------
-    def _handle_invalidate_and_pull(self, request: RpcRequest, packet: Packet) -> Generator:
-        """rmdir at another server: invalidate locally, ship the group's logs."""
-        args = request.args
-        dir_id, fp = args["dir_id"], args["fp"]
-        while fp in self._pull_locks:
-            yield self._pull_waiter(fp)
-        logs = self.changelogs.logs_in_group(fp)
-        locks = [self._changelog_lock(log.dir_id) for log in logs]
-        for lock in locks:
-            yield from self._acquire(lock, "w")
-        self._pull_locks[fp] = locks
-        if self.config.unlock_watchdog_us:
-            self._arm_pull_watchdog(fp, locks)
-        yield self._cpu(self.perf.kv_get_us)
-        self.inval.insert(dir_id)
-        drained = self.changelogs.drain_group(fp)
-        lsns = [lsn for _d, _e, lsn_list in drained for lsn in lsn_list]
-        return {
-            "logs": [(d, entries) for d, entries, _ in drained],
-            "lsns": lsns,
-        }
-
     def _handle_uninvalidate(self, request: RpcRequest, packet: Packet) -> Generator:
         yield self._cpu(self.perf.changelog_append_us)
         self.inval.discard(request.args["dir_id"])

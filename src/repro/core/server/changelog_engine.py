@@ -112,13 +112,18 @@ class ChangeLogEngine:
         """Receive a pushed change-log; stage it locally and schedule a
         grace-period aggregation."""
         args = request.args
-        dir_id, fp = args["dir_id"], args["fp"]
         yield from self._wait_recovered()
         yield self._cpu(self.perf.wal_append_us)
-        entries = args["entries"]
-        lsns = self.wal.append_many(
-            "changelog", [(dir_id, fp, entry) for entry in entries]
-        )
+        yield from self._stage_entries(args["dir_id"], args["fp"], args["entries"])
+        self._note_push(args["fp"])
+        return {"status": "ok"}
+
+    def _stage_entries(self, dir_id: int, fp: int, entries: List[ChangeLogEntry]) -> Generator:
+        """Take custody of entries another server shipped (a push, a
+        misrouted flush, a migrated shard): WAL-log them, then append them
+        to this server's change-log for the directory.
+        """
+        lsns = self.wal.append_many("changelog", [(dir_id, fp, entry) for entry in entries])
         # Appender discipline (same as create/delete/mkdir): hold the
         # directory's change-log lock in read mode across the extend so a
         # concurrent drain (write-holder) is excluded.
@@ -128,8 +133,6 @@ class ChangeLogEngine:
             self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)
         finally:
             cl_lock.release_read()
-        self._note_push(fp)
-        return {"status": "ok"}
 
     def _idle_push_sweeper(self) -> Generator:
         """Periodically push change-logs that have gone idle (§4.3 cond. 2)."""
@@ -326,13 +329,7 @@ class ChangeLogEngine:
             if self.cmap.dir_owner_by_fp(fp) == self.addr:
                 pulled.append((dir_id, entries, None))
                 continue
-            lsns = self.wal.append_many("changelog", [(dir_id, fp, e) for e in entries])
-            cl_lock = self._changelog_lock(dir_id)
-            yield from self._acquire(cl_lock, "r")
-            try:
-                self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)
-            finally:
-                cl_lock.release_read()
+            yield from self._stage_entries(dir_id, fp, entries)
             for log in self.changelogs.logs_in_group(fp):
                 if log.dir_id == dir_id:
                     self.sim.spawn(self._push_log(log), name="flush-restage")

@@ -72,8 +72,8 @@ class ShardMigration:
 
         The KV capture is synchronous (atomic in virtual time); the
         change-log drains write-hold each directory's change-log lock —
-        the same discipline the aggregation drain uses — so appenders are
-        excluded per directory.  The source is gated and quiesced, so the
+        the same ``_take_group`` the aggregation drain uses — so appenders
+        are excluded per directory.  The source is gated and quiesced, so the
         whole capture is still a consistent cut.  Change-log custody
         transfers with the package: shipped entries are marked applied in
         the local WAL so a later crash-recovery here cannot resurrect
@@ -99,10 +99,7 @@ class ShardMigration:
             if fp % num_shards not in shards:
                 continue
             fingerprints.add(fp)
-            group_logs = self.changelogs.logs_in_group(fp)
-            locks = [self._changelog_lock(log.dir_id) for log in group_logs]
-            for lock in locks:
-                yield from self._acquire(lock, "w")
+            locks = yield from self._take_group(fp)
             try:
                 for dir_id, entries, lsns in self.changelogs.drain_group(fp):
                     logs.append((dir_id, fp, list(entries)))
@@ -180,15 +177,7 @@ class ShardMigration:
             self._dir_index[dir_id] = tuple(key)
         staged = 0
         for dir_id, fp, entries in args["logs"]:
-            lsns = self.wal.append_many(
-                "changelog", [(dir_id, fp, entry) for entry in entries]
-            )
-            cl_lock = self._changelog_lock(dir_id)
-            yield from self._acquire(cl_lock, "r")
-            try:
-                self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)
-            finally:
-                cl_lock.release_read()
+            yield from self._stage_entries(dir_id, fp, entries)
             staged += len(entries)
             self._note_push(fp)
         # Bulk install is much cheaper per record than the foreground

@@ -53,13 +53,28 @@ class ServerOps:
     # frame from every resume of the op — `_serve` drives whatever
     # generator the handler hands back.
     def _handle_create(self, request: RpcRequest, packet: Packet) -> Generator:
-        return self._double_inode_file_op(request, is_create=True)
+        return self._double_inode_op(request, ChangeOp.CREATE, adds=True, is_dir=False)
 
     def _handle_delete(self, request: RpcRequest, packet: Packet) -> Generator:
-        return self._double_inode_file_op(request, is_create=False)
+        return self._double_inode_op(request, ChangeOp.DELETE, adds=False, is_dir=False)
 
-    def _double_inode_file_op(self, request: RpcRequest, is_create: bool) -> Generator:
-        """Shared workflow of file ``create``/``delete`` (Figure 4, green)."""
+    def _handle_mkdir(self, request: RpcRequest, packet: Packet) -> Generator:
+        """mkdir executes on the *new directory's* owner server."""
+        return self._double_inode_op(request, ChangeOp.MKDIR, adds=True, is_dir=True)
+
+    def _handle_rmdir(self, request: RpcRequest, packet: Packet) -> Generator:
+        return self._double_inode_op(request, ChangeOp.RMDIR, adds=False, is_dir=True)
+
+    def _double_inode_op(
+        self, request: RpcRequest, op: ChangeOp, adds: bool, is_dir: bool
+    ) -> Generator:
+        """The double-inode workflow (§4.2.1, Figure 4, green): mutate the
+        target inode here, log the parent's update, reply with INSERT.
+
+        The four ops differ in *adds* (put an inode or remove one) and
+        *is_dir* (which key, owner check and index upkeep); rmdir also
+        proves the directory empty first (:meth:`_rmdir_check_empty`).
+        """
         args = request.args
         pid, name = args["pid"], args["name"]
         parent_fp = args["parent_fp"]
@@ -68,12 +83,17 @@ class ServerOps:
             yield self._recovered_ev
         yield self._cpu(perf.path_check_us)
         self._check_valid(args)
-        self._check_owner_file(pid, name)
+        if is_dir:
+            # rmdir's client resolved the directory and ships its fingerprint.
+            fp = fingerprint_of(pid, name) if adds else args["fp"]
+            self._check_owner_dir(fp)
+            key = dir_meta_key(pid, name)
+        else:
+            self._check_owner_file(pid, name)
+            key = file_meta_key(pid, name)
 
         cl_lock = self._changelog_lock(pid)
-        key = file_meta_key(pid, name)
         klock = self._inode_lock(key)
-        deferred_unlock = False
         # Counted before the lock waits: an op parked on a lock is still
         # an in-flight mutator the migration quiesce must wait out.
         self._mutator_begin()
@@ -81,205 +101,86 @@ class ServerOps:
         # characterization tests observe acquisition order through it.
         yield from self._acquire(cl_lock, "r")
         yield from self._acquire(klock, "w")
+        # Custody: whoever holds this list releases what is in it — the
+        # unlock token once _finish_async_update emptied it, else `finally`.
+        held = [(klock, "w"), (cl_lock, "r")]
         try:
             yield self._cpu(perf.kv_get_us)
             exists = key in self.kv
-            if is_create and exists:
+            if adds and exists:
                 raise FSError(EEXIST, f"{pid}/{name}")
-            if not is_create and not exists:
+            if not adds and not exists:
                 raise FSError(ENOENT, f"{pid}/{name}")
+            if is_dir and not adds:
+                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL102] rmdir freeze (Fig 5 steps 4-7): barrier, invalidation multicast, aggregation and revert all run under the dir locks
 
             yield self._cpu(perf.wal_append_us)
             now = self.sim.now
-            perm = args.get("perm", 0o644)
-            inode = (
-                FileInode(pid=pid, name=name, perm=perm, ctime=now, mtime=now)
-                if is_create
-                else None
-            )
+            perm = args.get("perm", 0o755 if is_dir and adds else 0o644)
+            inode = None
+            if adds and is_dir:
+                self._dir_nonce += 1
+                inode = DirInode(
+                    id=new_dir_id(pid, name, self._dir_nonce), pid=pid, name=name,
+                    fingerprint=fp, perm=perm, ctime=now, mtime=now,
+                )
+            elif adds:
+                inode = FileInode(pid=pid, name=name, perm=perm, ctime=now, mtime=now)
             yield self._cpu(perf.kv_put_us)
-            if is_create:
+            if adds:
                 self.kv.put(key, inode)
+                if is_dir:
+                    self._dir_index[inode.id] = key
             else:
                 self.kv.delete(key)
+                if is_dir:
+                    self._dir_index.pop(args["dir_id"], None)
             # Evict before the reply departs: per-fp FIFO then orders any
             # stale in-flight FILL ahead of this EVICT at the switch.
             if self.config.switch_cache:
-                self._send_cache_evict(file_cache_fingerprint(pid, name))
+                self._send_cache_evict(fp if is_dir else file_cache_fingerprint(pid, name))
 
-            entry = ChangeLogEntry(
-                timestamp=now,
-                op=ChangeOp.CREATE if is_create else ChangeOp.DELETE,
-                name=name,
-                is_dir=False,
-                perm=perm,
-            )
+            entry = ChangeLogEntry(timestamp=now, op=op, name=name, is_dir=is_dir, perm=perm)
             if self.config.async_updates:
                 reply = yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the locks across the switch round-trip; unlock defers to the INSERT multicast
-                    request, parent_fp, pid, entry, [(klock, "w"), (cl_lock, "r")]
+                    request, parent_fp, pid, entry, held
                 )
-                deferred_unlock = reply is not None and reply.header is not None
-                return reply
-            yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL102] sync fallback holds the locks across the parent-update RPC by design
-            return {"status": "ok"}
+            else:
+                yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL102] sync fallback holds the locks across the parent-update RPC by design
+                reply = Reply(value={"status": "ok"})
+            if adds and is_dir:  # the client caches what mkdir made
+                reply.value["id"] = inode.id
+                reply.value["fingerprint"] = inode.fingerprint
+            return reply
         finally:
             self._mutator_end()
-            if not deferred_unlock:
-                klock.release_write()
-                cl_lock.release_read()
+            self._release_locks(held)
 
-    def _handle_mkdir(self, request: RpcRequest, packet: Packet) -> Generator:
-        """mkdir executes on the *new directory's* owner server."""
-        args = request.args
-        pid, name = args["pid"], args["name"]
-        parent_fp = args["parent_fp"]
-        if self._recovered_ev is not None:  # inline _wait_recovered
-            yield self._recovered_ev
-        yield self._cpu(self.perf.path_check_us)
-        self._check_valid(args)
-        self._check_owner_dir(fingerprint_of(pid, name))
-
-        cl_lock = self._changelog_lock(pid)
-        key = dir_meta_key(pid, name)
-        klock = self._inode_lock(key)
-        deferred_unlock = False
-        self._mutator_begin()
-        yield from self._acquire(cl_lock, "r")
-        yield from self._acquire(klock, "w")
-        try:
-            yield self._cpu(self.perf.kv_get_us)
-            if key in self.kv:
-                raise FSError(EEXIST, f"{pid}/{name}")
-            yield self._cpu(self.perf.wal_append_us)
-            now = self.sim.now
-            self._dir_nonce += 1
-            inode = DirInode(
-                id=new_dir_id(pid, name, self._dir_nonce),
-                pid=pid,
-                name=name,
-                fingerprint=fingerprint_of(pid, name),
-                perm=args.get("perm", 0o755),
-                ctime=now,
-                mtime=now,
-            )
-            yield self._cpu(self.perf.kv_put_us)
-            self.kv.put(key, inode)
-            self._dir_index[inode.id] = key
-            self._send_cache_evict(inode.fingerprint)
-
-            entry = ChangeLogEntry(
-                timestamp=now, op=ChangeOp.MKDIR, name=name, is_dir=True,
-                perm=args.get("perm", 0o755),
-            )
-            if self.config.async_updates:
-                reply = yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the locks across the switch round-trip; unlock defers to the INSERT multicast
-                    request, parent_fp, pid, entry, [(klock, "w"), (cl_lock, "r")]
-                )
-                deferred_unlock = reply is not None and reply.header is not None
-                if isinstance(reply, Reply) and isinstance(reply.value, dict):
-                    reply.value["id"] = inode.id
-                    reply.value["fingerprint"] = inode.fingerprint
-                return reply
-            yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL102] sync fallback holds the locks across the parent-update RPC by design
-            return {"status": "ok", "id": inode.id, "fingerprint": inode.fingerprint}
-        finally:
-            self._mutator_end()
-            if not deferred_unlock:
-                klock.release_write()
-                cl_lock.release_read()
-
-    def _handle_rmdir(self, request: RpcRequest, packet: Packet) -> Generator:
-        """rmdir: invalidate everywhere, gather scattered updates, check
-        emptiness, then proceed like create (Figure 5)."""
-        args = request.args
-        pid, name = args["pid"], args["name"]
+    def _rmdir_check_empty(self, args: Dict[str, Any], key: Tuple) -> Generator:
+        """rmdir only (Figure 5, steps 4-7): freeze the directory on every
+        server, gather its group's scattered updates, and fail ENOTEMPTY —
+        thawing it again — unless that leaves it empty.  Runs under the
+        caller's locks on *key*."""
         dir_id, fp = args["dir_id"], args["fp"]
-        parent_fp = args["parent_fp"]
-        if self._recovered_ev is not None:  # inline _wait_recovered
-            yield self._recovered_ev
-        yield self._cpu(self.perf.path_check_us)
-        self._check_valid(args)
-        self._check_owner_dir(fp)
-
-        cl_lock = self._changelog_lock(pid)
-        key = dir_meta_key(pid, name)
-        klock = self._inode_lock(key)
-        deferred_unlock = False
-        invalidated = False
-        self._mutator_begin()
-        yield from self._acquire(cl_lock, "r")
-        yield from self._acquire(klock, "w")
-        try:
-            yield self._cpu(self.perf.kv_get_us)
-            inode = self.kv.get_or_none(key)
-            if inode is None:
-                raise FSError(ENOENT, f"{pid}/{name}")
-
-            if self.config.async_updates:
-                # Invalidate the directory everywhere and pull its group's
-                # scattered updates (steps 4-6).
-                yield from self._wait_group_unblocked(fp)  # reprolint: allow[RL102] rmdir barrier: dir locks held while a concurrent aggregation group drains
-                block = self.sim.event()
-                self._group_blocks[fp] = block
-                try:
-                    others = self.cmap.others(self.addr)
-                    results = yield from self._multicast(  # reprolint: allow[RL102] rmdir freeze: the invalidation multicast runs under the dir locks (steps 4-6)
-                        others, "invalidate_and_pull", {"dir_id": dir_id, "fp": fp}
-                    )
-                    self.inval.insert(dir_id)
-                    invalidated = True
-                    local, local_locks = yield from self._drain_local_group(fp)
-                    try:
-                        pulled = self._merge_pulled(results, local)
-                        if pulled:
-                            yield self._cpu(self.perf.wal_append_us)
-                            self.wal.append("agg", [(d, e) for d, e, _ in pulled])
-                            yield from self._apply_logs(
-                                pulled, already_locked=frozenset([key])
-                            )
-                        self._send_agg_ack(fp, others, results, local)
-                    finally:
-                        for lock in local_locks:
-                            lock.release_write()
-                finally:
-                    del self._group_blocks[fp]
-                    block.succeed()
-
-            inode = self.kv.get(key)  # refreshed by aggregation
-            yield self._cpu(self.perf.kv_get_us)
-            if inode.entry_count > 0:
-                # Not empty: revert the invalidation so the directory stays
-                # usable, then fail.  The revert must be as reliable as the
-                # invalidation it undoes: a lost fire-and-forget uninvalidate
-                # leaves the directory permanently EINVALIDPATH on that peer.
-                if invalidated:
-                    self.inval.discard(dir_id)
-                    yield from self._multicast(  # reprolint: allow[RL102] rmdir revert: the acked un-invalidate runs under the dir locks, like the freeze it reverts
-                        self.cmap.others(self.addr), "uninvalidate", {"dir_id": dir_id}
-                    )
-                raise FSError(ENOTEMPTY, f"{pid}/{name}")
-
-            yield self._cpu(self.perf.wal_append_us)
-            now = self.sim.now
-            yield self._cpu(self.perf.kv_put_us)
-            self.kv.delete(key)
-            self._dir_index.pop(dir_id, None)
-            self._send_cache_evict(fp)
-
-            entry = ChangeLogEntry(timestamp=now, op=ChangeOp.RMDIR, name=name, is_dir=True)
-            if self.config.async_updates:
-                reply = yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the locks across the switch round-trip; unlock defers to the INSERT multicast
-                    request, parent_fp, pid, entry, [(klock, "w"), (cl_lock, "r")]
+        frozen = self.config.async_updates
+        if frozen:
+            yield from self._wait_group_unblocked(fp)
+            yield from self._aggregation_round(
+                fp, invalidate=dir_id, already_locked=frozenset([key])
+            )
+        inode = self.kv.get(key)  # refreshed by aggregation
+        yield self._cpu(self.perf.kv_get_us)
+        if inode.entry_count > 0:
+            # Not empty: revert the invalidation so the directory stays
+            # usable, then fail.  The revert must be as reliable as the
+            # invalidation it undoes: a lost fire-and-forget uninvalidate
+            # leaves the directory permanently EINVALIDPATH on that peer.
+            if frozen:
+                self.inval.discard(dir_id)
+                yield from self._multicast(  # reprolint: allow[RL102] rmdir revert: the acked un-invalidate runs under the caller's dir locks, like the freeze it reverts
+                    self.cmap.others(self.addr), "uninvalidate", {"dir_id": dir_id}
                 )
-                deferred_unlock = reply is not None and reply.header is not None
-                return reply
-            yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL102] sync fallback holds the locks across the parent-update RPC by design
-            return {"status": "ok"}
-        finally:
-            self._mutator_end()
-            if not deferred_unlock:
-                klock.release_write()
-                cl_lock.release_read()
+            raise FSError(ENOTEMPTY, f"{args['pid']}/{args['name']}")
 
     def _finish_async_update(
         self,
@@ -287,14 +188,16 @@ class ServerOps:
         parent_fp: int,
         parent_id: int,
         entry: ChangeLogEntry,
-        locks: List[Tuple[RWLock, str]],
+        held: List[Tuple[RWLock, str]],
     ) -> Generator:
         """Log the delayed parent update and emit the INSERT response.
 
         With the switch backend, the locks stay held until the switch's
         multicast copy of the response returns (the unlock notification),
-        or until the fallback path reports back.  With the server backend
-        the stale-set RPC completes inline and locks release here.
+        or until the fallback path reports back: the unlock token takes
+        them out of *held*, the caller's custody list.  With the server
+        backend the stale-set RPC completes inline and the caller, still
+        holding them, releases.
         """
         lsn = self.wal.append("changelog", (parent_id, parent_fp, entry))
         yield self._cpu(self.perf.changelog_append_us)
@@ -303,8 +206,7 @@ class ServerOps:
 
         if self.ss is not None:  # stale-set-on-a-server mode (§6.5.2)
             # The extra RTT to the stale-set server sits on the critical
-            # path here (Figure 16a).  Locks are released by the caller's
-            # finally-block right after we return.
+            # path here (Figure 16a).
             ok = yield from self.ss.insert(parent_fp)
             if not ok:
                 # Fallback: apply the parent update synchronously.
@@ -317,11 +219,12 @@ class ServerOps:
 
         token = next(_unlock_tokens)
         self._pending_unlocks[token] = {
-            "locks": locks,
+            "locks": held[:],
             "log": log,
             "entry": entry,
             "lsn": lsn,
         }
+        held.clear()  # custody handed over: release_unlock_token unlocks
         if self.config.unlock_watchdog_us:
             self._arm_unlock_watchdog(token)
         return Reply(
@@ -508,8 +411,6 @@ class ServerOps:
         EVICT does.  The EVICT packet is consumed at the switch — the
         self-address only gives the topology a routable destination.
         """
-        if not self.config.switch_cache:
-            return
         self.counters.inc("cache_evicts_sent")
         self.node.notify(
             self.addr,

@@ -89,17 +89,13 @@ class RenameParticipant:
         # inode locks, so this acquisition cannot complete a lock cycle.
         cl_lock = self._changelog_lock(args["parent_id"])
         yield from self._acquire(cl_lock, "r")
-        deferred_unlock = False
+        held = [(cl_lock, "r")]
         try:
-            reply = yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
-                request, args["parent_fp"], args["parent_id"], args["entry"],
-                locks=[(cl_lock, "r")],
-            )
-            deferred_unlock = reply is not None and reply.header is not None
-            return reply
+            return (yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
+                request, args["parent_fp"], args["parent_id"], args["entry"], held
+            ))
         finally:
-            if not deferred_unlock:
-                cl_lock.release_read()
+            self._release_locks(held)
 
     def _handle_rename_commit(self, request: RpcRequest, packet: Packet) -> Generator:
         args = request.args

@@ -118,14 +118,6 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         finally:
             self.phases.add("net", self.sim.now - t0)
 
-    def _notify_many(self, pairs, method: str, header=None, size_bytes: int = 128) -> None:
-        """Fire-and-forget *method* to many peers in one sweep.
-
-        ``pairs`` yields ``(dst, args)``; no reply, no retransmission, no
-        ``net``-phase charge (matching :meth:`RpcNode.notify`).
-        """
-        self.node.notify_many(pairs, method, header=header, size_bytes=size_bytes)
-
     # ------------------------------------------------------------------
     # service-time accounting
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .kernel import (
 )
 from .rand import AliasTable, ZipfGenerator, make_rng, weighted_choice, zipf_weights
 from .resources import Lock, Resource, RWLock, Store
-from .stats import Counter, LatencyRecorder, PhaseStats, ThroughputMeter, percentile
+from .stats import Counter, LatencyRecorder, PhaseStats, percentile
 
 __all__ = [
     "Simulator",
@@ -36,7 +36,6 @@ __all__ = [
     "Store",
     "LatencyRecorder",
     "PhaseStats",
-    "ThroughputMeter",
     "Counter",
     "percentile",
     "make_rng",

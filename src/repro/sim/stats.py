@@ -9,9 +9,9 @@ rather than approximated.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-__all__ = ["LatencyRecorder", "PhaseStats", "ThroughputMeter", "Counter", "percentile"]
+__all__ = ["LatencyRecorder", "PhaseStats", "Counter", "percentile"]
 
 
 def percentile(samples: List[float], q: float) -> float:
@@ -80,43 +80,6 @@ class LatencyRecorder:
     def merge(self, other: "LatencyRecorder") -> None:
         for op, xs in other._samples.items():
             self._samples.setdefault(op, []).extend(xs)
-
-
-class ThroughputMeter:
-    """Counts completions over a virtual-time window.
-
-    ``ops_per_sec`` converts microsecond virtual time into the ops/s the
-    paper's figures use.  A measurement window (`start`/`stop`) lets the
-    harness exclude warm-up and drain phases.
-    """
-
-    def __init__(self):
-        self._count = 0
-        self._start: Optional[float] = None
-        self._stop: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        self._start = now
-        self._count = 0
-
-    def stop(self, now: float) -> None:
-        self._stop = now
-
-    def record(self) -> None:
-        if self._start is not None and self._stop is None:
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def ops_per_sec(self) -> float:
-        if self._start is None or self._stop is None:
-            raise ValueError("throughput window not closed")
-        elapsed_us = self._stop - self._start
-        if elapsed_us <= 0:
-            raise ValueError(f"empty throughput window: {elapsed_us}")
-        return self._count / (elapsed_us / 1e6)
 
 
 class PhaseStats:

@@ -332,6 +332,39 @@ class TestBaselineRoundTrip:
         fresh = flow.new_findings(report2, baseline)
         assert [f.function for f in fresh] == ["route2"]
 
+    def test_unused_baseline_entry_is_a_finding(self, tmp_path):
+        """A baseline only subtracts; an entry left behind by a fixed (or
+        renamed) finding would be carried for ever.  The run that reports
+        on the entry's file fails on it, naming the fingerprint; a run
+        restricted to other files (``--changed``) does not judge it."""
+        _write(tmp_path, "stale.py", """
+        def route(self, key):
+            owner = self.cmap.view.owner_of(key)
+            yield self.sim.timeout(1)
+            return self.call(owner)
+        """)
+        other = _write(tmp_path, "other.py", """
+        def fine():
+            return 0
+        """)
+        (finding,) = flow.analyze_paths([tmp_path]).findings
+        baseline = {finding.fingerprint: 2}  # one more than there is
+
+        (unused,) = flow.new_findings(flow.analyze_paths([tmp_path]), baseline)
+        assert unused.rule == "RL007" and unused.sink == "unused-baseline"
+        assert finding.fingerprint in unused.message and "1 finding(s)" in unused.message
+
+        _write(tmp_path, "stale.py", """
+        def route(self, key):
+            yield self.sim.timeout(1)
+            return self.call(self.cmap.view.owner_of(key))
+        """)
+        (unused,) = flow.new_findings(flow.analyze_paths([tmp_path]), baseline)
+        assert "2 finding(s)" in unused.message
+
+        elsewhere = flow.analyze_paths([tmp_path], restrict_to=[other])
+        assert flow.new_findings(elsewhere, baseline) == []
+
     def test_baseline_file_shape(self, tmp_path):
         _write(tmp_path, "dead.py", """
         def route(self, key):

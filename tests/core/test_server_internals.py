@@ -1,11 +1,16 @@
 """White-box tests of MetadataServer internals."""
 
+import pytest
+
 from repro.core import (
     ChangeLogEntry,
     ChangeOp,
     FSConfig,
+    FSError,
     SwitchFSCluster,
     dir_entry_key,
+    dir_meta_key,
+    file_meta_key,
     fingerprint_of,
     ROOT_ID,
 )
@@ -139,6 +144,41 @@ class TestPullLocks:
         cluster = make()
         cluster.servers[0]._release_pull_locks(999)  # no-op
 
+    @pytest.mark.parametrize("method", ["agg_pull", "invalidate_and_pull"])
+    def test_second_pull_waits_for_first_ack(self, method):
+        """One hand-over serves both pulls: the group's logs stay locked
+        from the pull to its ack (§4.2.2 step 9a), so a second pull of the
+        group queues behind the first; only rmdir's pull invalidates."""
+        cluster = make(proactive_enabled=False)
+        fs = cluster.client(0)
+        made = cluster.run_op(fs.mkdir("/d"))
+        for i in range(6):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        fp, dir_id = made["fingerprint"], made["id"]
+        owner = cluster.cmap.dir_owner_by_fp(fp)
+        peer = next(
+            s for s in cluster.servers
+            if s.addr != owner and s.changelogs.logs_in_group(fp)
+        )
+        puller = cluster.client(1).node
+        replies = []
+
+        def pull():
+            value, _ = yield from puller.call(
+                peer.addr, method, {"fp": fp, "dir_id": dir_id}, max_attempts=8
+            )
+            replies.append(value)
+
+        cluster.sim.run_process(cluster.sim.spawn(pull(), name="pull-1"))
+        assert replies[0]["logs"] and fp in peer._pull_locks
+        cluster.sim.spawn(pull(), name="pull-2")
+        cluster.run(until=cluster.sim.now + 1_000.0)
+        assert len(replies) == 1  # parked behind the first pull's locks
+        puller.notify(peer.addr, "agg_ack", {"fp": fp, "lsns": replies[0]["lsns"]})
+        cluster.run(until=cluster.sim.now + 1_000.0)
+        assert len(replies) == 2 and replies[1]["logs"] == []
+        assert (dir_id in peer.inval) == (method == "invalidate_and_pull")
+
 
 class TestFlushAllChangelogs:
     def test_flush_applies_remote_and_local(self):
@@ -158,8 +198,6 @@ class TestFlushAllChangelogs:
         # Inode is current without any aggregation.
         fp = fingerprint_of(ROOT_ID, "d")
         owner = cluster.server_by_addr(cluster.cmap.dir_owner_by_fp(fp))
-        from repro.core import dir_meta_key
-
         inode = owner.kv.get(dir_meta_key(ROOT_ID, "d"))
         assert inode.entry_count == 6
 
@@ -196,11 +234,16 @@ class TestDoubleInodeLockDiscipline:
     the log exclusively.  A reordering would be a protocol change.
     """
 
-    def test_create_acquires_changelog_read_before_inode_write(self):
+    @pytest.mark.parametrize("op", ["create", "delete", "mkdir", "rmdir"])
+    def test_lock_order(self, op):
         cluster = make(num_servers=1, proactive_enabled=False)
         server = cluster.servers[0]
         fs = cluster.client(0)
         d_id = cluster.run_op(fs.mkdir("/d"))["id"]
+        cluster.run_op(fs.create("/d/f"))
+        cluster.run_op(fs.mkdir("/d/sub"))
+        target = {"create": "/d/g", "delete": "/d/f", "mkdir": "/d/sub2", "rmdir": "/d/sub"}[op]
+        make_key = file_meta_key if op in ("create", "delete") else dir_meta_key
 
         order = []
         orig_acquire = server._acquire
@@ -211,61 +254,61 @@ class TestDoubleInodeLockDiscipline:
 
         server._acquire = recording
         try:
-            cluster.run_op(fs.create("/d/f"))
+            cluster.run_op(getattr(fs, op)(target))
         finally:
             server._acquire = orig_acquire
 
-        from repro.core import file_meta_key
-
         cl_lock = server._changelog_lock(d_id)
-        inode_lock = server._inode_lock(file_meta_key(d_id, "f"))
-        assert (cl_lock, "r") in order
-        assert (inode_lock, "w") in order
-        assert order.index((cl_lock, "r")) < order.index((inode_lock, "w"))
-
-    def test_mkdir_uses_same_discipline(self):
-        cluster = make(num_servers=1, proactive_enabled=False)
-        server = cluster.servers[0]
-        fs = cluster.client(0)
-        d_id = cluster.run_op(fs.mkdir("/d"))["id"]
-
-        order = []
-        orig_acquire = server._acquire
-
-        def recording(lock, mode):
-            order.append((lock, mode))
-            return orig_acquire(lock, mode)
-
-        server._acquire = recording
-        try:
-            cluster.run_op(fs.mkdir("/d/sub"))
-        finally:
-            server._acquire = orig_acquire
-
-        from repro.core import dir_meta_key
-
-        cl_lock = server._changelog_lock(d_id)
-        inode_lock = server._inode_lock(dir_meta_key(d_id, "sub"))
+        inode_lock = server._inode_lock(make_key(d_id, target.rsplit("/", 1)[1]))
         assert order.index((cl_lock, "r")) < order.index((inode_lock, "w"))
 
 
 class TestUnlockTokenLifecycle:
     """Characterization: deferred-unlock tokens drain and locks release."""
 
-    def test_tokens_drain_after_completed_ops(self):
-        cluster = make(proactive_enabled=False)
-        fs = cluster.client(0)
-        cluster.run_op(fs.mkdir("/d"))
-        for i in range(4):
-            cluster.run_op(fs.create(f"/d/f{i}"))
-        # The switch's multicast copy released every token; nothing
-        # pending, no lock still held anywhere.
-        for server in cluster.servers:
-            assert not server._pending_unlocks
-            for lock in server._inode_locks.values():
-                assert not lock.write_locked
-            for lock in server._changelog_locks.values():
-                assert not lock.write_locked and lock.readers == 0
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            {},  # async updates, stale set in the switch: unlock by token
+            {"stale_backend": "server"},  # async, inline stale-set RPC
+            {"async_updates": False, "recast": False},  # synchronous baseline
+        ],
+        ids=["switch", "server", "sync"],
+    )
+    def test_custody_released(self, mode):
+        """Whatever the outcome and whoever ended up holding the locks —
+        the handler's ``finally`` or an unlock token — a finished op leaves
+        no token, lock, mutator count or group block behind."""
+        cluster = make(proactive_enabled=False, **mode)
+        fs, other = cluster.client(0), cluster.client(1)
+        steps = [(fs.mkdir("/d"), None), (fs.mkdir("/gone"), None)]
+        steps += [(fs.create(f"/d/f{i}"), None) for i in range(4)]
+        steps += [
+            (fs.create("/d/f0"), "EEXIST"),
+            (fs.mkdir("/d"), "EEXIST"),
+            (fs.delete("/d/nope"), "ENOENT"),
+            (fs.rmdir("/d"), "ENOTEMPTY"),
+            (other.statdir("/gone"), None),  # caches /gone at the other client
+            (fs.rmdir("/gone"), None),
+            (other.rmdir("/gone"), "ENOENT"),  # reaches the server: stale cache
+        ]
+        steps += [(fs.delete(f"/d/f{i}"), None) for i in range(4)]
+        steps += [(fs.rmdir("/d"), None)]
+        for op, error in steps:
+            if error is None:
+                cluster.run_op(op)
+            else:
+                with pytest.raises(FSError) as failure:
+                    cluster.run_op(op)
+                assert failure.value.code == error
+            for server in cluster.servers:
+                assert not server._pending_unlocks
+                assert server._inflight_mutators == 0
+                assert not server._group_blocks
+                for lock in server._inode_locks.values():
+                    assert not lock.write_locked and lock.readers == 0
+                for lock in server._changelog_locks.values():
+                    assert not lock.write_locked and lock.readers == 0
 
     def test_release_returns_true_then_false(self):
         from repro.sim import RWLock

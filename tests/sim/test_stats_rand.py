@@ -8,7 +8,6 @@ from repro.sim import (
     AliasTable,
     Counter,
     LatencyRecorder,
-    ThroughputMeter,
     ZipfGenerator,
     make_rng,
     percentile,
@@ -73,31 +72,6 @@ class TestLatencyRecorder:
         b.record(3.0, "x")
         a.merge(b)
         assert a.mean("x") == 2.0
-
-
-class TestThroughputMeter:
-    def test_ops_per_sec(self):
-        m = ThroughputMeter()
-        m.start(0.0)
-        for _ in range(50):
-            m.record()
-        m.stop(1_000_000.0)  # one virtual second
-        assert m.ops_per_sec() == 50.0
-
-    def test_records_outside_window_ignored(self):
-        m = ThroughputMeter()
-        m.record()  # before start: ignored
-        m.start(0.0)
-        m.record()
-        m.stop(1e6)
-        m.record()  # after stop: ignored
-        assert m.count == 1
-
-    def test_unclosed_window_rejected(self):
-        m = ThroughputMeter()
-        m.start(0.0)
-        with pytest.raises(ValueError):
-            m.ops_per_sec()
 
 
 def test_counter():

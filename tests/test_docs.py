@@ -5,6 +5,7 @@ deleted command, figure bench or table may not linger in them.  CHANGES.md
 is history and exempt.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -57,3 +58,38 @@ def test_every_cited_bench_and_table_exists(doc):
     cited = set(_CITED.findall((ROOT / doc).read_text(encoding="utf-8")))
     missing = sorted(path for path in cited if not (ROOT / path).exists())
     assert not missing, f"{doc} cites files that do not exist: {missing}"
+
+
+_PRIVATE = re.compile(r"(?<![\w*])_[A-Za-z]\w*")  # not `__dunder__`, not a `*_glob`
+
+
+def _bound_names():
+    """Every name the code binds: functions, classes, assignment targets,
+    parameters, and strings (``__slots__`` entries)."""
+    names = set()
+    for top in ("src", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    if isinstance(node.ctx, ast.Store):
+                        names.add(node.id if isinstance(node, ast.Name) else node.attr)
+                elif isinstance(node, ast.arg):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_private_name_is_defined(doc):
+    """A `_private_name` in a code span points into the code (src/, or the
+    benchmarks beside it); one that no longer names anything there
+    describes code that is gone.  Say history in prose, as CHANGES.md does."""
+    text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
+    cited = {
+        name for _ticks, span in _SPAN.findall(text) for name in _PRIVATE.findall(span)
+    }
+    missing = sorted(cited - _bound_names())
+    assert not missing, f"{doc} names private code that is not defined: {missing}"
