@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ...net import Packet, RpcRequest, StaleSetHeader, StaleSetOp
+from ...net import Packet, RpcRequest, RpcTimeout, StaleSetHeader, StaleSetOp
 from ...sim import Event
 from ..changelog import ChangeLog, ChangeLogEntry
 
@@ -80,10 +80,20 @@ class AggregationProtocol:
             method, args = "agg_pull", {"fp": fp}
             if invalidate is not None:
                 method, args = "invalidate_and_pull", {"dir_id": invalidate, "fp": fp}
-            results = []
+            results, silent = [], None
             if others:
-                results = yield from self._multicast(others, method, args)
-            if invalidate is not None:
+                try:
+                    results = yield from self._multicast(others, method, args)
+                except RpcTimeout as exc:
+                    # A peer is silent, but the ones that answered drained
+                    # their logs into these replies: land those first
+                    # (§4.4), then fail.  No REMOVE and no invalidation —
+                    # the silent peer may hold entries, so the stale-set
+                    # bit stays and the next read aggregates again.
+                    silent = exc
+                    answered = [(o, r) for o, r in zip(others, exc.values) if r is not None]
+                    others, results = [o for o, _ in answered], [r for _, r in answered]
+            if invalidate is not None and silent is None:
                 self.inval.insert(invalidate)
             local_locks = yield from self._take_group(fp)
             try:
@@ -93,10 +103,14 @@ class AggregationProtocol:
                     yield self._cpu(self.perf.wal_append_us)
                     self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                     yield from self._apply_logs(pulled, already_locked)
-                self._send_agg_ack(fp, others, results, local)
+                self._send_agg_ack(fp, others, results, local, remove=silent is None)
             finally:
                 for lock in local_locks:
                     lock.release_write()
+            if silent is not None:
+                if invalidate is not None and others:
+                    yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})
+                raise silent
         finally:
             del self._group_blocks[fp]
             block.succeed()
@@ -137,23 +151,28 @@ class AggregationProtocol:
         others: List[str],
         remote_results: List[Dict[str, Any]],
         local: List[Tuple[int, List[ChangeLogEntry], List[int]]],
+        remove: bool = True,
     ) -> None:
         """Multicast the aggregation acknowledgment.
 
         Each copy carries a REMOVE stale-set header (same SEQ): the switch
         executes the first and filters the duplicates (§4.4.1).  Receivers
         mark their shipped WAL records as applied.  Local records are
-        marked directly.
+        marked directly.  Without *remove* (a round that reached only some
+        peers) the acks are plain and the directory stays scattered.
         """
-        self._remove_seq += 1
         header = None
-        if self.ss is not None:
-            # Server backend: one explicit remove RPC, plain acks.
-            self.sim.spawn(self.ss.remove(fp, self.addr, self._remove_seq), name="ss-remove")
-        else:
-            header = StaleSetHeader(
-                op=StaleSetOp.REMOVE, fingerprint=fp, seq=self._remove_seq
-            )
+        if remove:
+            self._remove_seq += 1
+            if self.ss is not None:
+                # Server backend: one explicit remove RPC, plain acks.
+                self.sim.spawn(
+                    self.ss.remove(fp, self.addr, self._remove_seq), name="ss-remove"
+                )
+            else:
+                header = StaleSetHeader(
+                    op=StaleSetOp.REMOVE, fingerprint=fp, seq=self._remove_seq
+                )
         if others:
             # One sweep for the whole ack multicast: every copy shares the
             # immutable header but carries its own LSN list.

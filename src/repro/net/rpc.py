@@ -464,6 +464,11 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         retransmits to whichever destinations haven't answered.  Compared
         with per-destination :meth:`call` processes this costs O(1) events
         per round instead of O(fanout) processes.
+
+        The :class:`RpcTimeout` raised when some destination stays silent
+        carries what the others answered as ``.values`` (``None`` for the
+        silent ones): a reply may hand over state that must not be lost
+        with the call.
         """
         if not dsts:
             return []
@@ -502,10 +507,12 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                     if gather.error is not None:
                         raise RpcError(gather.error)
                     return list(gather.values)
-            raise RpcTimeout(
+            timeout = RpcTimeout(
                 f"rpc {method} multicast to {len(dsts)} hosts timed out "
                 f"after {max_attempts} attempts"
             )
+            timeout.values = list(gather.values)
+            raise timeout
         finally:
             for rpc_id in ids:
                 pending_map.pop(rpc_id, None)

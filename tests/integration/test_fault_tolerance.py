@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import FSConfig, FSError, SwitchFSCluster
+from repro.core import ROOT_ID, FSConfig, FSError, SwitchFSCluster, fingerprint_of
 from repro.net import FaultModel
 from repro.sim import make_rng
 from repro.workloads import bootstrap, multiple_directories
@@ -191,3 +191,50 @@ class TestSwitchFailure:
         cluster.run_op(fs.create("/d/after"))
         listing = cluster.run_op(fs.readdir("/d"))
         assert sorted(listing["entries"]) == ["after", "before"]
+
+
+class TestSilentChangeLogOwner:
+    """§4.4 when one peer is network-silent (state intact) through a whole
+    pull multicast, then heals: what the *answering* peers drained into
+    their replies must land before the round fails."""
+
+    @staticmethod
+    def scattered_directory():
+        cluster = SwitchFSCluster(
+            FSConfig(num_servers=4, cores_per_server=2, proactive_enabled=False)
+        )
+        fs = cluster.client(0)
+        dir_id = cluster.run_op(fs.mkdir("/d"))["id"]
+        cluster.run_op(fs.statdir("/"))  # lands mkdir's own delayed update
+        for i in range(12):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        owner = cluster.cmap.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+        silent = next(s for s in cluster.servers if s.addr != owner)
+        assert silent.pending_changelog_entries() > 0
+        return cluster, fs, dir_id, silent
+
+    def test_read_lands_what_the_answering_peers_handed_over(self):
+        cluster, fs, _dir_id, silent = self.scattered_directory()
+        silent.node.kill()
+        with pytest.raises(FSError) as failure:
+            cluster.run_op(fs.statdir("/d"))
+        assert failure.value.code == "EIO"
+        silent.node.revive()
+        info = cluster.run_op(fs.statdir("/d"))
+        listing = cluster.run_op(fs.readdir("/d"))
+        assert info["entry_count"] == len(listing["entries"]) == 12
+        cluster.settle()
+        assert cluster.total_pending_entries() == 0
+
+    def test_failed_rmdir_thaws_the_peers_it_froze(self):
+        cluster, fs, dir_id, silent = self.scattered_directory()
+        silent.node.kill()
+        with pytest.raises(FSError) as failure:
+            cluster.run_op(fs.rmdir("/d"))
+        assert failure.value.code == "EIO"
+        silent.node.revive()
+        cluster.run(until=cluster.sim.now + 1_000.0)  # the owner's round winds up
+        assert not any(dir_id in s.inval.snapshot() for s in cluster.servers)
+        for i in range(24):
+            cluster.run_op(fs.create(f"/d/g{i}"))
+        assert cluster.run_op(fs.statdir("/d"))["entry_count"] == 36
