@@ -347,8 +347,8 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
             return elem.get(expr.id)
         if isinstance(expr, ast.YieldFrom) and isinstance(expr.value, ast.Call):
             for callee in project.resolve_call(expr.value):
-                for cls in sorted(callee.residual_classes):
-                    return cls
+                if callee.residual_classes:
+                    return min(callee.residual_classes)
         return None
 
     for _ in range(2):  # two rounds propagate one level of aliasing
@@ -848,14 +848,14 @@ def new_findings(report: FlowReport, baseline: Dict[str, int]) -> List[FlowFindi
             out.append(f)
     reported = {_fp_path(path) for path in report.files}
     for fp, unused in sorted(budget.items()):
-        _rule, path, function = (fp.split(":", 3) + ["", ""])[:3]
-        if unused > 0 and path in reported:
+        parts = fp.split(":")  # rule:path:function:symbol:sink
+        if unused > 0 and len(parts) > 2 and parts[1] in reported:
             out.append(FlowFinding(
-                path, 0, 0, "RL007",
+                parts[1], 0, 0, "RL007",
                 f"baseline entry {fp!r} excuses {unused} finding(s) this run "
                 f"no longer reports — delete it from the baseline (or "
                 f"regenerate the file with --write-baseline)",
-                function, fp, "unused-baseline",
+                parts[2], fp, "unused-baseline",
             ))
     return out
 

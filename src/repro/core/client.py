@@ -230,7 +230,8 @@ class LibFS:
                     "path": path,
                 }
                 if update is not None:
-                    args = {**args, "parent_fp": parent.fingerprint, **update}
+                    args["parent_fp"] = parent.fingerprint
+                    args.update(update)
                 yield sim.timeout(perf.client_cpu_us)
                 make_header = None
                 if lookup:

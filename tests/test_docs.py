@@ -63,7 +63,8 @@ def test_every_cited_bench_and_table_exists(doc):
 _PRIVATE = re.compile(r"(?<![\w*])_[A-Za-z]\w*")  # not `__dunder__`, not a `*_glob`
 
 
-def _bound_names():
+@pytest.fixture(scope="module")
+def bound_names():
     """Every name the code binds: functions, classes, assignment targets,
     parameters, and strings (``__slots__`` entries)."""
     names = set()
@@ -83,7 +84,7 @@ def _bound_names():
 
 
 @pytest.mark.parametrize("doc", DOCS)
-def test_every_private_name_is_defined(doc):
+def test_every_private_name_is_defined(doc, bound_names):
     """A `_private_name` in a code span points into the code (src/, or the
     benchmarks beside it); one that no longer names anything there
     describes code that is gone.  Say history in prose, as CHANGES.md does."""
@@ -91,5 +92,5 @@ def test_every_private_name_is_defined(doc):
     cited = {
         name for _ticks, span in _SPAN.findall(text) for name in _PRIVATE.findall(span)
     }
-    missing = sorted(cited - _bound_names())
+    missing = sorted(cited - bound_names)
     assert not missing, f"{doc} names private code that is not defined: {missing}"
