@@ -1,7 +1,7 @@
-"""Correctness-analysis layer: dynamic race/lock-order detection, pool
-sanitizing, and the repo-specific AST lint (DESIGN.md §12).
+"""Correctness-analysis layer: dynamic race/lock-order detection and the
+repo-specific AST lint (DESIGN.md §12).
 
-Three pillars, all opt-in and zero-cost when disabled:
+All opt-in and zero-cost when disabled:
 
 * :mod:`.trace` — :class:`SimTracer`, the dynamic instrumentation sink
   for the simulation kernel: per-process lock/resource acquire–release
@@ -9,31 +9,22 @@ Three pillars, all opt-in and zero-cost when disabled:
 * :mod:`.detect` — analyses over a tracer's event stream: lock-order
   cycle detection (potential deadlock) and Eraser-style lockset race
   detection on server/changelog state.
-* :mod:`.poolsan` — :class:`PoolSanitizer`, a poisoning mode for the
-  packet/header freelists in :mod:`repro.net.packet` that traps
-  use-after-recycle, double-recycle, and stale-reference aliasing.
 * :mod:`.reprolint` — ``reprolint``, an AST lint (stdlib ``ast`` only)
   enforcing repo rules: no wall-clock/``random``-module calls in
   sim-visible code, no cross-module private-attribute access, generator
-  hygiene, and packet-pool protocol discipline.
+  hygiene, and ``__slots__`` on hot-path classes.
 * :mod:`.cfg` / :mod:`.callgraph` / :mod:`.flow` — the flow-sensitive
   static complement (DESIGN.md §17): generator-aware CFGs with explicit
-  yield/resume edges, a name-resolved project call graph, and four
-  interprocedural analyses (RL101 packet-escape, RL102
-  lock-across-yield, RL103 static lock-order graph cross-checked
-  against SimTracer's dynamic one, RL104 stale-view-across-yield).
+  yield/resume edges, a name-resolved project call graph, and three
+  interprocedural analyses (RL102 lock-across-yield, RL103 static
+  lock-order graph cross-checked against SimTracer's dynamic one, RL104
+  stale-view-across-yield).
 
 Surface through the CLI as ``repro analyze``, ``repro lint``, and
 ``repro flow``.
 """
 
 from .detect import analyze_report, lock_order_cycles, race_findings
-from .poolsan import (
-    PoolSanitizer,
-    install_pool_sanitizer,
-    pool_sanitizer_enabled,
-    uninstall_pool_sanitizer,
-)
 from .flow import (
     FLOW_RULES,
     FlowFinding,
@@ -56,10 +47,6 @@ __all__ = [
     "analyze_report",
     "lock_order_cycles",
     "race_findings",
-    "PoolSanitizer",
-    "install_pool_sanitizer",
-    "uninstall_pool_sanitizer",
-    "pool_sanitizer_enabled",
     "Finding",
     "lint_paths",
     "format_finding",

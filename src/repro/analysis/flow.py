@@ -1,17 +1,9 @@
 """Flow-sensitive static analyses over generator-aware CFGs (DESIGN.md §17).
 
-Four rules, all path-sensitive — the static complement of the *dynamic*
+Three rules, all path-sensitive — the static complement of the *dynamic*
 detectors in :mod:`repro.analysis.trace`/:mod:`~repro.analysis.detect`
 (which certify only the schedules that actually ran) and of the
 *syntactic* ``reprolint`` rules (which see one suite at a time):
-
-RL101 ``packet-escape``
-    A locally allocated pooled packet/header (``alloc_packet``/
-    ``alloc_header``/``.clone()``) reaches function exit, an explicit
-    raise, or a container/attribute store on **some** CFG path without
-    being recycled or handed off (passed to a call, returned, yielded).
-    The dynamic pool sanitizer traps use-after-recycle at run time; this
-    rule proves every path recycles at lint time.
 
 RL102 ``lock-across-yield``
     An orderable lock (the classes SimTracer labels: ``inode``,
@@ -77,7 +69,6 @@ __all__ = [
 ]
 
 FLOW_RULES = {
-    "RL101": "packet-escape",
     "RL102": "lock-across-yield",
     "RL103": "lock-order-cycle",
     "RL104": "stale-view-across-yield",
@@ -86,18 +77,11 @@ FLOW_RULES = {
 _NAME_TO_ID = {v: k for k, v in FLOW_RULES.items()}
 
 # Files whose *implementation* is the thing being modelled: analysing the
-# lock/pool primitives as their own clients is meaningless.
+# lock primitives as their own clients is meaningless.
 _EXEMPT_PARTS = {"tests", "benchmarks"}
 _EXEMPT_SUFFIXES = ("sim/kernel.py", "sim/resources.py")
 _EXEMPT_DIR_SUFFIXES = ("analysis",)
-# The pool implementation itself allocates/recycles freely.
-_RL101_EXEMPT_SUFFIXES = ("net/packet.py",)
 
-_ALLOCATORS = {"alloc_packet", "alloc_header"}
-_RECYCLERS = {"recycle_packet", "recycle_header"}
-_CONTAINER_STORE_METHODS = {
-    "append", "appendleft", "add", "insert", "put", "push", "setdefault",
-}
 _RELEASE_METHODS = {"release", "release_read", "release_write"}
 _VIEW_ATTRS = {"view", "_view"}
 _VIEW_CALLS = {"view_epoch"}
@@ -145,18 +129,14 @@ def _fp_path(path: str) -> str:
     return posix.rsplit("/", 1)[-1]
 
 
-def _exempt(path: str, rule: str) -> bool:
+def _exempt(path: str) -> bool:
     p = Path(path)
     posix = p.as_posix()
     if any(part in _EXEMPT_PARTS for part in p.parts):
         return True
     if any(part in _EXEMPT_DIR_SUFFIXES for part in p.parts[:-1]):
         return True
-    if any(posix.endswith(s) for s in _EXEMPT_SUFFIXES):
-        return True
-    if rule == "RL101" and any(posix.endswith(s) for s in _RL101_EXEMPT_SUFFIXES):
-        return True
-    return False
+    return any(posix.endswith(s) for s in _EXEMPT_SUFFIXES)
 
 
 # ---------------------------------------------------------------------------
@@ -176,141 +156,6 @@ def _forward(cfg: CFG, init: Any, transfer, join) -> Dict[int, Any]:
                 states[succ] = merged
                 work.append(succ)
     return states
-
-
-# ---------------------------------------------------------------------------
-# RL101: packet escape
-# ---------------------------------------------------------------------------
-def _call_name(call: ast.Call) -> Optional[str]:
-    fn = call.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return None
-
-
-def _is_alloc_call(expr: ast.expr) -> bool:
-    if not isinstance(expr, ast.Call):
-        return False
-    name = _call_name(expr)
-    return name in _ALLOCATORS or name == "clone"
-
-
-class _PacketAnalysis:
-    """Custody dataflow: set of ``(var, alloc_line)`` live allocations."""
-
-    def __init__(self, info: FuncInfo, cfg: CFG, emit) -> None:
-        self.info = info
-        self.cfg = cfg
-        self.emit = emit
-        self._reported: Set[Tuple[str, int, str]] = set()
-
-    def run(self) -> None:
-        states = _forward(self.cfg, frozenset(), self.transfer,
-                         lambda a, b: a | b)
-        for node in self.cfg.nodes:
-            if node.kind not in ("exit", "raise"):
-                continue
-            live = states.get(node.idx)
-            if not live:
-                continue
-            sink = "exit" if node.kind == "exit" else "raise"
-            for var, line in live:
-                self.report(var, line, sink,
-                            f"pooled allocation {var!r} (line {line}) can reach "
-                            f"function {sink} without recycle_*/hand-off — "
-                            f"every control path must recycle or transfer it")
-
-    def report(self, var: str, line: int, sink: str, message: str) -> None:
-        key = (var, line, sink)
-        if key in self._reported:
-            return
-        self._reported.add(key)
-        self.emit(FlowFinding(
-            self.info.path, line, 0, "RL101", message,
-            self.info.name, var, sink,
-        ))
-
-    def transfer(self, node: CFGNode, live: FrozenSet[Tuple[str, int]]):
-        stmt = node.stmt
-        if stmt is None or node.kind == "yield":
-            return live
-        out = set(live)
-        live_names = {v for v, _ in out}
-
-        def kill(name: str) -> None:
-            nonlocal out
-            out = {(v, l) for v, l in out if v != name}
-
-        def line_of(name: str) -> int:
-            for v, l in live:
-                if v == name:
-                    return l
-            return node.lineno
-
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Call):
-                cname = _call_name(sub)
-                is_store = (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _CONTAINER_STORE_METHODS
-                )
-                for arg in list(sub.args) + [kw.value for kw in sub.keywords]:
-                    if isinstance(arg, ast.Name) and arg.id in live_names:
-                        if cname in _RECYCLERS:
-                            kill(arg.id)
-                        elif is_store:
-                            self.report(
-                                arg.id, line_of(arg.id), "store",
-                                f"pooled allocation {arg.id!r} stored into a "
-                                f"container via .{sub.func.attr}() on line "
-                                f"{sub.lineno} — parked custody needs an "
-                                f"owner that recycles; justify with "
-                                f"'# reprolint: allow[RL101] why'",
-                            )
-                            kill(arg.id)
-                        else:
-                            kill(arg.id)  # custody transferred to the callee
-        # Container / attribute stores by assignment.
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            value = stmt.value
-            if isinstance(value, ast.Name) and value.id in live_names:
-                for tgt in targets:
-                    if isinstance(tgt, (ast.Subscript, ast.Attribute)):
-                        self.report(
-                            value.id, line_of(value.id), "store",
-                            f"pooled allocation {value.id!r} stored into "
-                            f"{'a container' if isinstance(tgt, ast.Subscript) else 'an attribute'} "
-                            f"on line {stmt.lineno} — parked custody needs an "
-                            f"owner that recycles; justify with "
-                            f"'# reprolint: allow[RL101] why'",
-                        )
-                        kill(value.id)
-        # Hand-off to the caller: a live name anywhere inside a returned
-        # or yielded value (incl. list/tuple/dict literals) transfers
-        # custody to whoever consumes the value.
-        handoff_exprs: List[ast.expr] = []
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            handoff_exprs.append(stmt.value)
-        for sub in ast.walk(stmt):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)) and sub.value is not None:
-                handoff_exprs.append(sub.value)
-        for expr in handoff_exprs:
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.Name) and sub.id in live_names:
-                    kill(sub.id)
-        # (Re)bindings last: x = alloc_packet(...) gens; x = other kills.
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                isinstance(stmt.targets[0], ast.Name):
-            name = stmt.targets[0].id
-            if _is_alloc_call(stmt.value):
-                kill(name)
-                out.add((name, stmt.lineno))
-            elif name in live_names:
-                kill(name)
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +361,15 @@ class _LockAnalysis:
 # ---------------------------------------------------------------------------
 # RL104: stale membership view across a resume point
 # ---------------------------------------------------------------------------
+def _call_name(call: ast.Call) -> Optional[str]:
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        return fn.id
+    if isinstance(fn, ast.Attribute):
+        return fn.attr
+    return None
+
+
 def _reads_view(expr: ast.expr) -> bool:
     for sub in ast.walk(expr):
         if isinstance(sub, ast.Attribute) and sub.attr in _VIEW_ATTRS and \
@@ -668,7 +522,7 @@ def _allow_rules_on_line(text: str) -> Optional[Set[str]]:
 
 def analyze_paths(paths: Iterable, project: Optional[Project] = None,
                   restrict_to: Optional[Iterable] = None) -> FlowReport:
-    """Run RL101/RL102/RL103/RL104 over the given files/directories.
+    """Run RL102/RL103/RL104 over the given files/directories.
 
     *restrict_to* limits **reported** findings to those files while the
     whole *paths* scope is still scanned for interprocedural facts (lock
@@ -690,7 +544,7 @@ def analyze_paths(paths: Iterable, project: Optional[Project] = None,
 
     # Group functions per file, skipping exempt paths wholesale.
     infos = [f for f in project.functions.values()
-             if not _exempt(f.path, "RL10x")]
+             if not _exempt(f.path)]
     cfgs: Dict[str, CFG] = {}
 
     def cfg_of(info: FuncInfo) -> CFG:
@@ -727,14 +581,6 @@ def analyze_paths(paths: Iterable, project: Optional[Project] = None,
     for info in infos:
         if not reported(info.path):
             continue
-        has_alloc = any(
-            isinstance(n, ast.Call) and (
-                _call_name(n) in _ALLOCATORS or _call_name(n) == "clone"
-            )
-            for n in ast.walk(info.node)
-        )
-        if has_alloc and not _exempt(info.path, "RL101"):
-            _PacketAnalysis(info, cfg_of(info), emit).run()
         if info.is_generator and any(_reads_view(n) for n in ast.walk(info.node)
                                      if isinstance(n, ast.expr)):
             _ViewAnalysis(info, cfg_of(info), emit).run()

@@ -31,11 +31,6 @@ RL004 ``unadopted-generator``
     runs.  Drive it (``yield from``), hand it to ``sim.spawn``/
     ``sim.adopt``, or delete it.
 
-RL005 ``pool-protocol``
-    After ``recycle_packet(p)`` / ``recycle_header(h)`` the local name
-    must not be used again in the same suite (use-after-recycle) nor
-    recycled twice (double-recycle), until rebound.
-
 RL006 ``slotless-hot-class``
     Classes defined in hot-path modules (``core/server``, ``net``, the
     sim kernel/resources) must declare ``__slots__``: their instances
@@ -50,7 +45,7 @@ RL007 ``dead-suppression``
     rules above, on a line where that rule no longer fires: the code it
     once justified is gone, so the comment is dead weight (and would
     silently mask a *future* reintroduction).  Delete it.  ``allow[*]``
-    and flow-rule suppressions (RL101+, audited by ``repro flow``) are
+    and flow-rule suppressions (RL102+, audited by ``repro flow``) are
     not checked here.
 
 Suppression: append ``# reprolint: allow[<rule-or-id>] <reason>`` on the
@@ -62,7 +57,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = ["Finding", "lint_file", "lint_paths", "format_finding", "RULES"]
 
@@ -72,7 +67,6 @@ RULES = {
     "RL002": "private-access",
     "RL003": "bare-except",
     "RL004": "unadopted-generator",
-    "RL005": "pool-protocol",
     "RL006": "slotless-hot-class",
     "RL007": "dead-suppression",
 }
@@ -85,8 +79,6 @@ _RL001_EXEMPT_PARTS = {"bench", "benchmarks", "analysis", "tests"}
 _RL001_EXEMPT_SUFFIXES = ("sim/rand.py",)
 _WALLCLOCK_MODULES = {"time", "random"}
 _DATETIME_CALLS = {"now", "utcnow", "today"}
-
-_RECYCLERS = {"recycle_packet", "recycle_header"}
 
 # RL006 — hot-path scopes where instance allocation sits on the op path.
 _RL006_HOT_DIR_PAIRS = (("core", "server"), ("repro", "net"))
@@ -388,72 +380,6 @@ class _Linter(ast.NodeVisitor):
                     f"or delete the call",
                 )
         self.generic_visit(node)
-
-    # -- RL005 ------------------------------------------------------------
-    def _scan_suite(self, body: Sequence[ast.stmt]) -> None:
-        tainted: Dict[str, int] = {}  # name -> line of recycle
-
-        def recycled_name(stmt: ast.stmt) -> Optional[Tuple[str, ast.Call]]:
-            if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
-                return None
-            call = stmt.value
-            fn = call.func
-            fname = fn.id if isinstance(fn, ast.Name) else (
-                fn.attr if isinstance(fn, ast.Attribute) else None
-            )
-            if fname in _RECYCLERS and call.args and isinstance(call.args[0], ast.Name):
-                return call.args[0].id, call
-            return None
-
-        def bound_names(stmt: ast.stmt) -> Set[str]:
-            out: Set[str] = set()
-            for n in ast.walk(stmt):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                    out.add(n.id)
-            return out
-
-        for stmt in body:
-            rec = recycled_name(stmt)
-            if rec is not None:
-                name, call = rec
-                if name in tainted:
-                    self._add(
-                        call,
-                        "RL005",
-                        f"double recycle of {name!r} (first recycled on line "
-                        f"{tainted[name]}) — each allocation pairs with exactly "
-                        f"one recycle",
-                    )
-                else:
-                    tainted[name] = stmt.lineno
-                continue
-            if tainted:
-                for n in ast.walk(stmt):
-                    if (
-                        isinstance(n, ast.Name)
-                        and isinstance(n.ctx, ast.Load)
-                        and n.id in tainted
-                    ):
-                        self._add(
-                            n,
-                            "RL005",
-                            f"use of {n.id!r} after recycle on line "
-                            f"{tainted[n.id]} — a recycled packet/header must "
-                            f"not be touched; copy fields before recycling",
-                        )
-                        del tainted[n.id]
-                for name in bound_names(stmt):
-                    tainted.pop(name, None)
-
-    def _visit_suites(self, node: ast.AST) -> None:
-        for field in ("body", "orelse", "finalbody"):
-            body = getattr(node, field, None)
-            if isinstance(body, list) and body and isinstance(body[0], ast.stmt):
-                self._scan_suite(body)
-
-    def generic_visit(self, node: ast.AST) -> None:
-        self._visit_suites(node)
-        super().generic_visit(node)
 
 
 def _rl001_exempt(path: Path) -> bool:

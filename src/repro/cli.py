@@ -293,7 +293,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    """Run the flow-sensitive analyses (RL101-RL104) over paths."""
+    """Run the flow-sensitive analyses (RL102-RL104) over paths."""
     import json as _json
 
     from .analysis import flow
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("flow",
-                       help="flow-sensitive static analyses (RL101-RL104)")
+                       help="flow-sensitive static analyses (RL102-RL104)")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files/directories to analyze (default: src)")
     p.add_argument("--json", action="store_true",

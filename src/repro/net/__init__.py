@@ -10,7 +10,6 @@ from .packet import (
     StaleSetHeader,
     StaleSetOp,
     alloc_packet,
-    recycle_packet,
 )
 from .rpc import Reply, RpcError, RpcNode, RpcRequest, RpcResponse, RpcTimeout
 from .sniffer import CapturedPacket, Sniffer
@@ -33,7 +32,6 @@ __all__ = [
     "FINGERPRINT_BITS",
     "HEADER_STRUCT",
     "alloc_packet",
-    "recycle_packet",
     "FaultModel",
     "FaultDecision",
     "Network",

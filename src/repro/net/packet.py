@@ -22,11 +22,6 @@ construction paths avoid both dataclass machinery and revalidation:
   validates the port/header pairing (external callers, tests); the
   internal :func:`alloc_packet` / :meth:`Packet.clone` paths skip the
   check because their inputs are already-validated packets.
-* ``alloc_packet`` reuses retired instances from a bounded freelist
-  (mirroring the kernel's Timeout pool).  :func:`recycle_packet` returns
-  a packet only when CPython refcounts prove nothing else holds it, and
-  clears ``payload``/``header`` so a pooled packet can never alias a
-  live packet's fields.
 * :meth:`StaleSetHeader.with_ret` and :meth:`StaleSetHeader.unpack`
   construct headers through ``object.__new__`` with explicit range
   checks, skipping the frozen-dataclass ``__init__`` on the switch's
@@ -38,19 +33,14 @@ from __future__ import annotations
 import enum
 import itertools
 import struct
-import sys
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 __all__ = [
     "StaleSetOp",
     "StaleSetHeader",
     "Packet",
     "alloc_packet",
-    "recycle_packet",
     "alloc_header",
-    "recycle_header",
-    "set_pool_sanitizer",
-    "pool_sanitizer",
     "REGULAR_PORT",
     "STALESET_PORT",
     "FINGERPRINT_BITS",
@@ -168,55 +158,16 @@ class StaleSetHeader:
         return alloc_header(self.op, self.fingerprint, self.seq, 1 if ret else 0)
 
 
-_packet_ids = itertools.count(1)
-
-# Bounded freelist of retired packets; refcount-guarded like the kernel's
-# Timeout pool (CPython only — elsewhere pooling is simply disabled).
-_refcount = getattr(sys, "getrefcount", None)
-if sys.implementation.name != "cpython":  # pragma: no cover - CPython-only repo
-    _refcount = None
-_PACKET_POOL_MAX = 1024
-_packet_pool: List["Packet"] = []
-_HEADER_POOL_MAX = 512
-_header_pool: List["StaleSetHeader"] = []
-
-# Optional pool sanitizer (repro.analysis.poolsan).  None in production:
-# the hot paths pay exactly one global load + ``is not None`` test.
-_sanitizer = None
-
-
-def set_pool_sanitizer(san) -> None:
-    """Install (or, with ``None``, remove) a pool sanitizer.
-
-    Both freelists are dropped on every transition so no instance ever
-    straddles sanitized and unsanitized modes.
-    """
-    global _sanitizer
-    _sanitizer = san
-    del _packet_pool[:]
-    del _header_pool[:]
-
-
-def pool_sanitizer():
-    """The currently installed pool sanitizer, or ``None``."""
-    return _sanitizer
-
-
 def alloc_header(
     op: StaleSetOp, fingerprint: int = 0, seq: int = 0, ret: int = 0
 ) -> StaleSetHeader:
-    """Pooled, validation-free header construction (internal hot path).
+    """Validation-free header construction (internal hot path).
 
     Callers (:meth:`StaleSetHeader.unpack`, :meth:`StaleSetHeader.with_ret`,
     the switch pipeline) pass already-validated field values; external
     code should use ``StaleSetHeader(...)``, which validates.
     """
-    if _header_pool:
-        h = _header_pool.pop()
-        if _sanitizer is not None:
-            _sanitizer.unpoison(h, StaleSetHeader)
-    else:
-        h = object.__new__(StaleSetHeader)
+    h = object.__new__(StaleSetHeader)
     object.__setattr__(h, "op", op)
     object.__setattr__(h, "fingerprint", fingerprint)
     object.__setattr__(h, "seq", seq)
@@ -224,23 +175,7 @@ def alloc_header(
     return h
 
 
-def recycle_header(h: StaleSetHeader) -> None:
-    """Return *h* to the header freelist if nothing else references it.
-
-    Same refcount discipline as :func:`recycle_packet`.  Headers are
-    immutable, so the only hazard is identity aliasing (a recycled header
-    resurfacing with different field values while someone still holds the
-    old reference) — which the refcount guard rules out.
-    """
-    if _sanitizer is not None:
-        _sanitizer.recycle(h, StaleSetHeader, _header_pool, _HEADER_POOL_MAX)
-        return
-    if (
-        _refcount is not None
-        and len(_header_pool) < _HEADER_POOL_MAX
-        and _refcount(h) == 3
-    ):
-        _header_pool.append(h)
+_packet_ids = itertools.count(1)
 
 
 class Packet:
@@ -285,9 +220,9 @@ class Packet:
         """Duplicate this packet (fresh uid), optionally overriding fields.
 
         Used by the fault model for duplication and by the switch for
-        multicast / address rewriting.  Allocates through the packet pool
-        and skips revalidation — the source fields are already valid and
-        the switch only rewrites ``dst``/``header`` consistently.
+        multicast / address rewriting.  Skips revalidation — the source
+        fields are already valid and the switch only rewrites
+        ``dst``/``header`` consistently.
         """
         p = alloc_packet(
             self.src, self.dst, self.payload, self.port, self.header, self.size_bytes
@@ -305,20 +240,14 @@ def alloc_packet(
     header: Optional[StaleSetHeader] = None,
     size_bytes: int = 128,
 ) -> Packet:
-    """Pooled, validation-free packet construction (internal hot path).
+    """Validation-free packet construction (internal hot path).
 
     Callers are the RPC layer and the switch, whose port/header pairing
     is correct by construction; external code should use ``Packet(...)``,
     which validates.
     """
-    if _packet_pool:
-        p = _packet_pool.pop()
-        if _sanitizer is not None:
-            _sanitizer.unpoison(p, Packet)
-        p.uid = next(_packet_ids)
-    else:
-        p = object.__new__(Packet)
-        p.uid = next(_packet_ids)
+    p = object.__new__(Packet)
+    p.uid = next(_packet_ids)
     p.src = src
     p.dst = dst
     p.payload = payload
@@ -326,30 +255,3 @@ def alloc_packet(
     p.header = header
     p.size_bytes = size_bytes
     return p
-
-
-def recycle_packet(p: Packet) -> None:
-    """Return *p* to the freelist if nothing else references it.
-
-    The refcount guard (caller local + our parameter + getrefcount's
-    argument = 3) proves no handler frame, pending-call record, or user
-    variable still holds the packet, so reuse cannot mutate a packet
-    something is still reading.  ``payload``/``header`` are cleared so a
-    pooled packet never keeps live objects reachable — and never aliases
-    a previous packet's header after reallocation.  The header, if now
-    unreferenced, is recycled into its own freelist.
-    """
-    if _sanitizer is not None:
-        _sanitizer.recycle(p, Packet, _packet_pool, _PACKET_POOL_MAX)
-        return
-    if (
-        _refcount is not None
-        and len(_packet_pool) < _PACKET_POOL_MAX
-        and _refcount(p) == 3
-    ):
-        p.payload = None
-        h = p.header
-        p.header = None
-        _packet_pool.append(p)
-        if h is not None:
-            recycle_header(h)

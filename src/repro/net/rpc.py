@@ -30,10 +30,9 @@ Fast paths (DESIGN.md §10)
   a timer per attempt, and **an inbox that is its own heap entry**
   (:class:`_Inbox`) instead of a store, a getter event and a dispatcher
   process.
-* **Packet pooling**: outbound packets come from :func:`alloc_packet`
-  (validation-free, pooled) and the dispatcher recycles inbound packets
-  it finished with, guarded by refcounts so a packet any handler or
-  pending call still references is never reused.
+* **Validation-free packets**: outbound packets come from
+  :func:`alloc_packet`, which skips the port/header pairing check the
+  public constructor makes (the pairing is correct by construction here).
 * **Bounded reply cache**: two-generation rotation caps memory on
   week-long runs; see :meth:`RpcNode._cache_put`.
 """
@@ -54,7 +53,6 @@ from .packet import (
     STALESET_PORT,
     StaleSetHeader,
     alloc_packet,
-    recycle_packet,
 )
 from .topology import Network
 
@@ -536,33 +534,26 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         """Handle one inbound packet (called from the inbox's heap entry)."""
         if not self._alive:
             # Crashed host: packets fall on the floor.
-            recycle_packet(packet)
             return
         for tap in self._raw_taps:
             if tap(packet):
-                recycle_packet(packet)
                 return
         payload = packet.payload
         if isinstance(payload, RpcResponse):
-            if not self._complete(payload, packet):
-                recycle_packet(packet)
+            self._complete(payload, packet)
         elif isinstance(payload, RpcRequest):
             # Inline dispatch: the serve generator runs in this frame up to
             # its first pending event; nobody observes the continuation.
-            serve = self.sim.adopt(
+            self.sim.adopt(
                 self._serve(payload, packet), f"serve-{payload.method}@{self.addr}"
             )
-            if serve._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
-                recycle_packet(packet)
-        else:
-            # Unknown payloads are dropped silently (UDP semantics).
-            recycle_packet(packet)
+        # Unknown payloads are dropped silently (UDP semantics).
 
-    def _complete(self, response: RpcResponse, packet: Packet) -> bool:
-        """Route a response to its waiter; True if *packet* was retained."""
+    def _complete(self, response: RpcResponse, packet: Packet) -> None:
+        """Route a response to its waiter."""
         pending = self._pending.get(response.rpc_id)
         if pending is None:
-            return False  # duplicate, late, or notification echo
+            return  # duplicate, late, or notification echo
         gather = pending.gather
         if gather is None:
             ev = pending.event
@@ -572,10 +563,10 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 # instead of paying a full retransmission round trip.
                 pending.response = response
                 pending.packet = packet
-                return True
+                return
             pending.packet = packet
             ev.succeed(response)
-            return True
+            return
         # Multicast member: first response wins; removing the entry is what
         # makes later duplicates fall through to the `pending is None` path.
         del self._pending[response.rpc_id]
@@ -584,12 +575,11 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 gather.error = response.error
             if not gather.event._triggered:  # reprolint: allow[private-access] hot path
                 gather.event.succeed()  # fail fast, mirroring AllOf semantics
-            return False
+            return
         gather.values[pending.index] = response.value
         gather.remaining -= 1
         if gather.remaining == 0 and not gather.event._triggered:  # reprolint: allow[private-access] hot path
             gather.event.succeed()
-        return False
 
     def _serve(self, request: RpcRequest, packet: Packet) -> Generator:
         handler = self._handlers.get(request.method)

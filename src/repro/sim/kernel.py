@@ -28,10 +28,7 @@ invariants they must preserve):
 * a process that yields an already-*processed* event (e.g. an
   uncontended resource grant from :mod:`repro.sim.resources`) resumes
   inline via a trampoline in :meth:`Process._resume` — no heap traffic and
-  no recursion;
-* :meth:`Simulator.timeout` recycles :class:`Timeout` objects through a
-  bounded free list, guarded by a refcount check so any timeout that
-  user code still references is never reused.
+  no recursion.
 
 All fast paths preserve the documented determinism contract: events
 scheduled at equal virtual times run in insertion (FIFO) order, and two
@@ -54,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import sys
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -67,14 +63,6 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
-
-# CPython refcounts are the guard for Timeout recycling; without them
-# (other interpreters) the pool is simply disabled.
-_refcount = getattr(sys, "getrefcount", None)
-if sys.implementation.name != "cpython":  # pragma: no cover - CPython-only repo
-    _refcount = None
-
-_TIMEOUT_POOL_MAX = 1024
 
 # Module-level alias: one global load instead of two attribute lookups in
 # the scheduling hot paths (succeed/fail/timeout run once per event).
@@ -208,11 +196,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after a fixed delay.
-
-    Prefer :meth:`Simulator.timeout`, which recycles processed instances
-    through a bounded pool instead of allocating fresh ones.
-    """
+    """An event that fires automatically after a fixed delay."""
 
     __slots__ = ("delay",)
 
@@ -466,7 +450,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         self._heap: List = []
         self._counter = itertools.count()
         self._stopped = False
-        self._timeout_pool: List[Timeout] = []
         #: Attached :class:`repro.analysis.trace.SimTracer`, or ``None``.
         #: The resource primitives test this on every acquire/release —
         #: their only instrumentation cost when tracing is off.
@@ -485,22 +468,7 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires after *delay* microseconds.
-
-        Recycles processed :class:`Timeout` objects from a bounded pool
-        when the interpreter's refcounts prove no user code still holds
-        them (see :meth:`_dispatch`).
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = value
-            t._processed = False
-            _heappush(self._heap, (self.now + delay, next(self._counter), t))
-            return t
+        """An event that fires after *delay* microseconds."""
         return Timeout(self, delay, value)
 
     def granted(self, value: Any = None) -> Event:
@@ -584,8 +552,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         """
         heap = self._heap
         pop = heapq.heappop
-        pool = self._timeout_pool
-        refcount = _refcount
         while heap:
             if until is not None and heap[0][0] > until:
                 return
@@ -604,18 +570,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-                # Recycle a processed timeout nothing references: refcount
-                # 2 (our local + getrefcount's argument) proves no generator
-                # frame, combinator or user variable can still read its
-                # ``_value``.  CPython refcounts are deterministic.
-                if (
-                    cls is Timeout
-                    and refcount is not None
-                    and len(pool) < _TIMEOUT_POOL_MAX
-                    and refcount(event) == 2
-                ):
-                    event._value = None
-                    pool.append(event)
             else:
                 event._run_callbacks()
             if self._stopped or (proc is not None and proc._triggered):

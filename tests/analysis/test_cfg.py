@@ -74,8 +74,8 @@ class TestReturnThroughFinally:
             (7, RAISE_LINE, "finally"),   # ...or keeps propagating
         }
         # The return never reaches the exit directly: every path to the
-        # exit passes the finally body (that ordering is what lets RL101
-        # see a recycle-in-finally on the return path).
+        # exit passes the finally body (that ordering is what lets a
+        # dataflow rule see a release-in-finally on the return path).
         direct = [(s, d, k) for (s, d, k) in cfg.edge_lines()
                   if d == EXIT_LINE and s != 7]
         assert direct == []

@@ -48,74 +48,6 @@ class MiniRuntime:
 """
 
 
-class TestRL101PacketEscape:
-    def test_seeded_leak_on_one_path_is_caught(self, tmp_path):
-        p = _write(tmp_path, "leak.py", """
-        from repro.net.packet import alloc_packet, recycle_packet
-
-        def handler(net, dst):
-            p = alloc_packet(dst=dst)
-            if dst == 0:
-                return None
-            net.send(p)
-            return None
-        """)
-        found = _findings(tmp_path, rule="RL101")
-        assert len(found) == 1
-        assert found[0].symbol == "p"
-        assert found[0].sink == "exit"
-        # The syntactic lint cannot see the leaking path.
-        assert lint_file(p) == []
-
-    def test_recycle_on_every_path_is_clean(self, tmp_path):
-        _write(tmp_path, "clean.py", """
-        from repro.net.packet import alloc_packet, recycle_packet
-
-        def handler(net, dst):
-            p = alloc_packet(dst=dst)
-            if dst == 0:
-                recycle_packet(p)
-                return None
-            net.send(p)
-            return None
-        """)
-        assert _findings(tmp_path, rule="RL101") == []
-
-    def test_recycle_in_finally_covers_the_return_path(self, tmp_path):
-        _write(tmp_path, "fin.py", """
-        from repro.net.packet import alloc_packet, recycle_packet
-
-        def handler(net, dst):
-            p = alloc_packet(dst=dst)
-            try:
-                return use(p.payload)
-            finally:
-                recycle_packet(p)
-        """)
-        assert _findings(tmp_path, rule="RL101") == []
-
-    def test_store_into_container_is_an_escape(self, tmp_path):
-        _write(tmp_path, "store.py", """
-        from repro.net.packet import alloc_packet
-
-        def park(queue, dst):
-            p = alloc_packet(dst=dst)
-            queue.append(p)
-        """)
-        found = _findings(tmp_path, rule="RL101")
-        assert [f.sink for f in found] == ["store"]
-
-    def test_returning_inside_a_list_transfers_custody(self, tmp_path):
-        _write(tmp_path, "ret.py", """
-        from repro.net.packet import alloc_packet
-
-        def duplicate(packet):
-            out = packet.clone()
-            return [out, out.clone()]
-        """)
-        assert _findings(tmp_path, rule="RL101") == []
-
-
 class TestRL102LockAcrossYield:
     def test_seeded_event_wait_under_lock_is_caught(self, tmp_path):
         p = _write(tmp_path, "held.py", RUNTIME + """

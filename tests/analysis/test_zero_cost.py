@@ -2,12 +2,10 @@
 
 These tests pin the *mechanism* of the perf guarantee: a detached
 simulator carries only a ``tracer is None`` test in the resource paths
-and spawns the stock :class:`Process`; an uninstalled sanitizer leaves
-the packet pools as plain freelists.
+and spawns the stock :class:`Process`.
 """
 
-from repro.analysis import SimTracer, install_pool_sanitizer, uninstall_pool_sanitizer
-from repro.net.packet import alloc_packet, pool_sanitizer, recycle_packet
+from repro.analysis import SimTracer
 from repro.sim import Lock, Simulator
 from repro.sim.kernel import Process
 
@@ -84,22 +82,3 @@ class TestTracerDetached:
                 tracer.attach(Simulator())
         finally:
             tracer.detach()
-
-
-class TestSanitizerUninstalled:
-    def test_uninstalled_pools_are_plain_freelists(self):
-        uninstall_pool_sanitizer()
-        try:
-            assert pool_sanitizer() is None
-            p = alloc_packet("a", "b", None)
-            recycle_packet(p)
-            q = alloc_packet("c", "d", None)
-            assert q is p  # straight pool pop, no poisoning or metadata
-            assert q.src == "c"
-            recycle_packet(q)
-        finally:
-            install_pool_sanitizer()
-
-    def test_install_returns_the_active_sanitizer(self):
-        san = install_pool_sanitizer()
-        assert pool_sanitizer() is san

@@ -120,3 +120,42 @@ class TestReadYourWritesAcrossClients:
             listing = cluster.run_op(reader.readdir("/log"))
             assert f"seg{i}" in listing["entries"]
             assert len(listing["entries"]) == i + 1
+
+
+class TestHeldPacketsStayValid:
+    """A delivered packet is a value: whoever keeps a reference to one (a
+    tap, a tracer, a fault schedule) reads what was delivered, for as long
+    as the reference is held."""
+
+    def test_every_delivered_packet_keeps_what_it_was_delivered_with(self, cluster, fs):
+        held = []
+
+        def fields(packet):
+            header = packet.header
+            return (
+                packet.uid, packet.src, packet.dst, packet.port, header,
+                header and (header.op, header.fingerprint, header.seq, header.ret),
+                packet.payload,
+            )
+
+        def keep(packet):
+            held.append((packet, fields(packet)))
+            return False
+
+        for node in [server.node for server in cluster.servers] + [fs.node]:
+            # Ahead of the server's own tap, which consumes unlock copies.
+            node._raw_taps.insert(0, keep)
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(12):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        assert cluster.run_op(fs.statdir("/d"))["entry_count"] == 12
+        for i in range(12):
+            cluster.run_op(fs.delete(f"/d/f{i}"))
+        cluster.run_op(fs.rmdir("/d"))
+        assert len(held) > 50
+        assert len({id(packet) for packet, _ in held}) == len(held)
+        for packet, delivered in held:
+            now = fields(packet)
+            assert now == delivered
+            # The header and payload are the same objects, not equal ones.
+            assert now[4] is delivered[4] and now[6] is delivered[6]

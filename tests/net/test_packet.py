@@ -13,7 +13,7 @@ from repro.net import (
     StaleSetHeader,
     StaleSetOp,
 )
-from repro.net.packet import alloc_packet, recycle_packet
+from repro.net.packet import alloc_packet
 
 
 class TestStaleSetHeader:
@@ -108,40 +108,6 @@ class TestStaleSetHeaderBoundaries:
         assert StaleSetHeader.unpack(h2.pack()) == h2
 
 
-class TestPacketPool:
-    """Regression tests for the bounded packet freelist (DESIGN.md §10)."""
-
-    def test_recycled_packet_never_aliases_previous_header(self):
-        h = StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=3)
-        p = alloc_packet("a", "b", {"v": 1}, STALESET_PORT, h, 64)
-        old_uid = p.uid
-        recycle_packet(p)
-        del p
-        q = alloc_packet("c", "d", "payload")
-        # Reused or fresh, the new packet carries no stale header/payload
-        # and a fresh uid.
-        assert q.header is None
-        assert q.payload == "payload"
-        assert q.uid != old_uid
-
-    def test_live_packet_is_not_recycled(self):
-        p = alloc_packet("a", "b", "x")
-        keep = p  # second reference: the refcount guard must refuse to pool
-        recycle_packet(p)
-        q = alloc_packet("c", "d", "y")
-        assert q is not p
-        assert keep.payload == "x"  # untouched by the failed recycle
-
-    def test_clone_of_pooled_packet_is_independent(self):
-        h = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=9)
-        p = alloc_packet("a", "b", "x", STALESET_PORT, h)
-        q = p.clone(dst="c")
-        assert q.uid != p.uid and q.dst == "c" and p.dst == "b"
-        assert q.header is p.header  # headers are immutable, sharing is safe
-        recycle_packet(q)
-        assert p.header is h  # recycling the clone never touches the original
-
-
 class TestPacket:
     def test_staleset_port_requires_header(self):
         with pytest.raises(ValueError):
@@ -162,3 +128,29 @@ class TestPacket:
         p = Packet(src="a", dst="b", payload="x")
         q = p.clone(dst="c")
         assert q.dst == "c" and p.dst == "b"
+
+    def test_clone_is_independent_of_its_source(self):
+        h = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=9)
+        p = alloc_packet("a", "b", "x", STALESET_PORT, h)
+        q = p.clone(dst="c")
+        assert q.uid != p.uid and q.dst == "c" and p.dst == "b"
+        assert q.header is p.header  # headers are immutable, sharing is safe
+        q.header = q.header.with_ret(1)
+        q.payload = "y"
+        assert p.header is h and h.ret == 0 and p.payload == "x"
+
+    def test_alloc_packet_skips_the_pairing_check_and_numbers_like_packet(self):
+        # The internal constructor trusts its callers: a pairing that
+        # Packet(...) rejects goes through.
+        with pytest.raises(ValueError):
+            Packet("a", "b", None, STALESET_PORT, None)
+        unchecked = alloc_packet("a", "b", None, STALESET_PORT, None)
+        assert unchecked.port == STALESET_PORT and unchecked.header is None
+        # Both constructors draw from one strictly increasing uid sequence.
+        uids = [
+            Packet("a", "b", 0).uid,
+            alloc_packet("a", "b", 1).uid,
+            Packet("a", "b", 2).uid,
+            alloc_packet("a", "b", 3).clone().uid,
+        ]
+        assert uids == sorted(set(uids))

@@ -2,7 +2,7 @@
 
 Covers the single-waiter callback slot, process boot without a kick-off
 event, the immediate-grant trampoline, adopt and silent completion, the
-one dispatch loop behind step/run/run_process, Timeout pooling,
+one dispatch loop behind step/run/run_process, timeouts,
 combinator callback detaching, and interrupt catch/re-raise semantics.
 """
 
@@ -295,38 +295,12 @@ class TestOneDispatchLoop:
 
 
 # ---------------------------------------------------------------------------
-# Timeout pooling
+# timeouts
 # ---------------------------------------------------------------------------
 
 
-class TestTimeoutPool:
-    def test_unreferenced_timeouts_are_recycled(self):
-        sim = Simulator()
-
-        def proc(sim):
-            for _ in range(10):
-                yield sim.timeout(1.0)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert len(sim._timeout_pool) >= 1
-
-    def test_referenced_timeout_is_never_recycled(self):
-        sim = Simulator()
-        held = []
-
-        def proc(sim):
-            t = sim.timeout(1.0)
-            held.append(t)
-            yield t
-            yield sim.timeout(1.0)
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert held[0] not in sim._timeout_pool
-        assert held[0].processed  # the held object's terminal state is intact
-
-    def test_recycled_timeout_reused_with_fresh_state(self):
+class TestTimeout:
+    def test_back_to_back_timeouts_deliver_their_own_values_and_times(self):
         sim = Simulator()
         times = []
 
@@ -340,7 +314,7 @@ class TestTimeoutPool:
         sim.run()
         assert times == [(1.0, "first"), (3.5, "second")]
 
-    def test_pooled_negative_delay_still_rejected(self):
+    def test_negative_delay_is_rejected_after_timeouts_have_run(self):
         sim = Simulator()
 
         def proc(sim):
@@ -348,12 +322,10 @@ class TestTimeoutPool:
 
         sim.spawn(proc(sim))
         sim.run()
-        assert sim._timeout_pool  # reuse path is active
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
-    def test_allof_over_timeouts_reads_correct_values(self):
-        """Constituents referenced by a combinator must not be recycled."""
+    def test_allof_over_timeouts_reads_the_right_values(self):
         sim = Simulator()
         out = []
 
