@@ -15,16 +15,22 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cluster import SwitchFSCluster
-from ..sim import AllOf, LatencyRecorder, PhaseStats
+from ..sim import AllOf, LatencyRecorder, PhaseStats, Process, Simulator
 from ..workloads.generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .sweep import SweepPool
 
-__all__ = ["RunResult", "run_stream", "find_peak_throughput"]
+__all__ = [
+    "RunResult",
+    "MeasurementWindow",
+    "run_collector_off",
+    "run_stream",
+    "find_peak_throughput",
+]
 
 
 @dataclass
@@ -77,6 +83,99 @@ class RunResult:
         return self.latency.p(99)
 
 
+class MeasurementWindow:
+    """What both drivers measure over their window only: the servers' phase
+    accounting, the switch dentry-cache counters and the clients'
+    switch-served-reply buckets."""
+
+    def __init__(self, cluster, num_clients: int):
+        self.cluster = cluster
+        self.num_clients = num_clients
+        self.servers = getattr(cluster, "servers", [])
+        self.cache_base: Dict[str, int] = {}
+
+    def _switch_cache_counts(self) -> Optional[Dict[str, int]]:
+        stats_fn = getattr(self.cluster, "switch_stats", None)
+        if stats_fn is None:
+            return None
+        st = stats_fn()
+        if st is None or getattr(st, "cache_capacity", 0) == 0:
+            return None  # no dentry cache provisioned
+        return {
+            "hits": st.cache_hits,
+            "misses": st.cache_misses,
+            "fills": st.cache_fills,
+            "evictions": st.cache_evictions,
+        }
+
+    def _switch_clients(self):
+        for w in range(self.num_clients):
+            fs = self.cluster.client(w)
+            if hasattr(fs, "switch_latency"):
+                yield fs
+
+    def open(self) -> None:
+        # Phase accounting covers the measurement window only: drop
+        # whatever bootstrap / warmup traffic accumulated before it.
+        for server in self.servers:
+            server.phases.clear()
+        counts = self._switch_cache_counts()
+        if counts is not None:
+            self.cache_base = counts
+        # Same windowing for the clients' switch-served-reply buckets:
+        # LatencyRecorder has no clear(), so swap in fresh recorders.
+        for fs in self._switch_clients():
+            fs.switch_latency = type(fs.switch_latency)()
+
+    def close(
+        self, latency: LatencyRecorder, start: Optional[float], end: float
+    ) -> Tuple[PhaseStats, Dict[str, int]]:
+        """Merged server phases and the window's cache-counter deltas; the
+        clients' ``switch_hit`` / ``switch_miss`` buckets join *latency*."""
+        if start is None or end <= start:
+            raise RuntimeError("measurement window is empty; increase total_ops")
+        phases = PhaseStats()
+        for server in self.servers:
+            phases.merge(server.phases)
+        switch_cache: Dict[str, int] = {}
+        counts = self._switch_cache_counts()
+        if counts is not None:
+            switch_cache = {
+                k: v - self.cache_base.get(k, 0) for k, v in counts.items()
+            }
+            for fs in self._switch_clients():
+                latency.merge(fs.switch_latency)
+        return phases, switch_cache
+
+
+def run_collector_off(sim: Simulator, procs: List[Process], name: str) -> float:
+    """Run until every process in *procs* has finished; returns the wall
+    seconds that took.
+
+    Collection pauses inside the measurement window would be charged to
+    the workload, so pay one collection up front and re-enable after the
+    window closes (EXPERIMENTS.md).  Leak-free only while the op path
+    makes no reference cycle (DESIGN.md §9), which
+    tests/integration/test_refcount_clean.py pins: gc.collect() == 0.
+    """
+
+    def join():
+        yield AllOf(sim, procs)
+
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.collect()
+        gc.disable()
+    wall0 = time.time()
+    try:
+        sim.run_process(sim.spawn(join(), name=name))
+    finally:
+        wall1 = time.time()
+        if gc_was_enabled:
+            gc.enable()
+    return wall1 - wall0
+
+
 class _StreamState:
     """Progress counters shared by every run_stream worker coroutine."""
 
@@ -110,44 +209,16 @@ def run_stream(
     latency = LatencyRecorder()
     label = op_label or "all"
     state = _StreamState()
-    servers = getattr(cluster, "servers", [])
+    window = MeasurementWindow(cluster, num_clients)
     # The workers append straight into the recorder's sample lists:
     # elapsed is non-negative by construction (virtual time is monotone),
     # so the record() validation adds nothing on this innermost loop.
     label_samples = latency.bucket(label)
     all_samples = latency.bucket("all") if label != "all" else label_samples
-    cache_base: Dict[str, int] = {}
-
-    def switch_cache_counts() -> Optional[Dict[str, int]]:
-        stats_fn = getattr(cluster, "switch_stats", None)
-        if stats_fn is None:
-            return None
-        st = stats_fn()
-        if st is None or getattr(st, "cache_capacity", 0) == 0:
-            return None  # no dentry cache provisioned
-        return {
-            "hits": st.cache_hits,
-            "misses": st.cache_misses,
-            "fills": st.cache_fills,
-            "evictions": st.cache_evictions,
-        }
 
     def open_window():
         state.window_start = sim.now
-        # Phase accounting covers the measurement window only: drop
-        # whatever bootstrap / warmup traffic accumulated before it.
-        for server in servers:
-            server.phases.clear()
-        counts = switch_cache_counts()
-        if counts is not None:
-            cache_base.clear()
-            cache_base.update(counts)
-        # Same windowing for the clients' switch-served-reply buckets:
-        # LatencyRecorder has no clear(), so swap in fresh recorders.
-        for w in range(num_clients):
-            fs = cluster.client(w)
-            if hasattr(fs, "switch_latency"):
-                fs.switch_latency = type(fs.switch_latency)()
+        window.open()
 
     def worker(client_idx: int):
         fs = cluster.client(client_idx)
@@ -172,52 +243,20 @@ def run_stream(
                     latency.record(elapsed, op_name)
                 state.window_end = sim.now
 
-    def join(procs):
-        yield AllOf(sim, procs)
-
     if warmup_ops == 0:
         open_window()
     procs = [
         sim.spawn(worker(w % num_clients), name=f"bench-worker-{w}")
         for w in range(inflight)
     ]
-    # Collection pauses inside the measurement window would be charged to
-    # the workload, so pay one collection up front and re-enable after the
-    # window closes (EXPERIMENTS.md).  Leak-free only while the op path
-    # makes no reference cycle (DESIGN.md §9), which
-    # tests/integration/test_refcount_clean.py pins: gc.collect() == 0.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.collect()
-        gc.disable()
-    wall0 = time.time()
-    try:
-        sim.run_process(sim.spawn(join(procs), name="bench-join"))
-    finally:
-        wall1 = time.time()
-        if gc_was_enabled:
-            gc.enable()
+    wall_seconds = run_collector_off(sim, procs, "bench-join")
     window_start = state.window_start
     window_end = state.window_end or sim.now
-    if window_start is None or window_end <= window_start:
-        raise RuntimeError("measurement window is empty; increase total_ops")
-    phases = PhaseStats()
-    for server in servers:
-        phases.merge(server.phases)
-    switch_cache: Dict[str, int] = {}
-    counts = switch_cache_counts()
-    if counts is not None:
-        switch_cache = {
-            k: v - cache_base.get(k, 0) for k, v in counts.items()
-        }
-        for w in range(num_clients):
-            fs = cluster.client(w)
-            if hasattr(fs, "switch_latency"):
-                latency.merge(fs.switch_latency)
+    phases, switch_cache = window.close(latency, window_start, window_end)
     return RunResult(
         ops_completed=total_ops - warmup_ops,
         sim_elapsed_us=window_end - window_start,
-        wall_seconds=wall1 - wall0,
+        wall_seconds=wall_seconds,
         latency=latency,
         inflight=inflight,
         phases=phases,

@@ -122,6 +122,19 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _switch_cache_rows(result) -> List[List[str]]:
+    """The dentry-cache row of a throughput table; none without a cache."""
+    if not result.switch_cache:
+        return []
+    return [[
+        "switch cache",
+        f"{result.switch_cache_hit_rate:.1%} hit "
+        f"({result.switch_cache.get('hits', 0)} hit / "
+        f"{result.switch_cache.get('misses', 0)} miss / "
+        f"{result.switch_cache.get('evictions', 0)} evict)",
+    ]]
+
+
 def _throughput_fanin(args) -> int:
     """Open-loop fan-in run (``--users`` / ``--offered-load``, DESIGN.md §16)."""
     from .workloads import run_fanin
@@ -154,7 +167,7 @@ def _throughput_fanin(args) -> int:
             ["peak in-flight", result.inflight],
             ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
             ["wall time", f"{result.wall_seconds:,.2f} s"],
-        ],
+        ] + _switch_cache_rows(result),
     )
     print_table(
         "populations",
@@ -184,25 +197,16 @@ def cmd_throughput(args) -> int:
         dir_choice="single" if args.dirs == 1 else "uniform",
     )
     result = run_stream(cluster, stream, total_ops=args.ops, inflight=args.inflight)
-    rows = [
-        ["throughput", f"{result.throughput_kops:,.1f} Kops/s"],
-        ["avg latency", f"{result.mean_latency_us:,.1f} us"],
-        ["p99 latency", f"{result.p99_latency_us():,.1f} us"],
-        ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
-        ["wall time", f"{result.wall_seconds:,.2f} s"],
-    ]
-    if result.switch_cache:
-        rows.append([
-            "switch cache",
-            f"{result.switch_cache_hit_rate:.1%} hit "
-            f"({result.switch_cache.get('hits', 0)} hit / "
-            f"{result.switch_cache.get('misses', 0)} miss / "
-            f"{result.switch_cache.get('evictions', 0)} evict)",
-        ])
     print_table(
         f"{args.system}: {args.op} x {args.ops} over {args.dirs} dir(s)",
         ["metric", "value"],
-        rows,
+        [
+            ["throughput", f"{result.throughput_kops:,.1f} Kops/s"],
+            ["avg latency", f"{result.mean_latency_us:,.1f} us"],
+            ["p99 latency", f"{result.p99_latency_us():,.1f} us"],
+            ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
+            ["wall time", f"{result.wall_seconds:,.2f} s"],
+        ] + _switch_cache_rows(result),
     )
     return 0
 

@@ -36,13 +36,11 @@ population percentiles and achieved load.
 
 from __future__ import annotations
 
-import gc
-import time
 import weakref
 from array import array
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
-from ..sim import AliasTable, AllOf, LatencyRecorder, PhaseStats, make_rng, zipf_weights
+from ..sim import AliasTable, LatencyRecorder, make_rng, zipf_weights
 from .generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -267,7 +265,8 @@ def run_fanin(
     one bucket per population ("pop0", ...) and whose ``populations``
     dict carries the per-population percentiles and load accounting.
     """
-    from ..bench.harness import RunResult  # deferred: bench imports workloads
+    # Deferred: bench imports workloads.
+    from ..bench.harness import MeasurementWindow, RunResult, run_collector_off
 
     if total_ops <= warmup_ops:
         raise ValueError("total_ops must exceed warmup_ops")
@@ -278,7 +277,6 @@ def run_fanin(
                          f"{aggregates} aggregates)")
     sim = cluster.sim
     latency = LatencyRecorder()
-    servers = getattr(cluster, "servers", [])
     warmup = [warmup_ops]
     window = [sim.now, sim.now]
     pops: List[PopulationClient] = []
@@ -300,20 +298,13 @@ def run_fanin(
         )
         pops.append(pop)
 
-    def open_window():
-        # Phase accounting covers the measurement window only.
-        for server in servers:
-            server.phases.clear()
-
+    measured = MeasurementWindow(cluster, aggregates)
     if warmup_ops == 0:
         window[0] = sim.now
-        open_window()
+        measured.open()
     else:
         for pop in pops:
-            pop._open_hook = open_window
-
-    def join(procs):
-        yield AllOf(sim, procs)
+            pop._open_hook = measured.open
 
     shares = [base_ops + (1 if a < total_ops % aggregates else 0)
               for a in range(aggregates)]
@@ -323,34 +314,18 @@ def run_fanin(
     ]
     for extra in extra_procs or []:
         procs.append(sim.spawn(extra, name="fanin-extra"))
-    # Same GC discipline as run_stream, on the same invariant (no cycle on
-    # the op path; tests/integration/test_refcount_clean.py).
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.collect()
-        gc.disable()
-    wall0 = time.time()  # reprolint: allow[RL001] harness wall measurement
-    try:
-        sim.run_process(sim.spawn(join(procs), name="fanin-join"))
-    finally:
-        wall1 = time.time()  # reprolint: allow[RL001] harness wall measurement
-        if gc_was_enabled:
-            gc.enable()
+    wall_seconds = run_collector_off(sim, procs, "fanin-join")
     if warmup_ops > 0 and warmup[0] > 0:
         raise RuntimeError("measurement window never opened; increase total_ops")
     window_start, window_end = window
-    if window_end <= window_start:
-        raise RuntimeError("measurement window is empty; increase total_ops")
-    phases = PhaseStats()
-    for server in servers:
-        phases.merge(server.phases)
-    result = RunResult(
+    phases, switch_cache = measured.close(latency, window_start, window_end)
+    return RunResult(
         ops_completed=total_ops - warmup_ops,
         sim_elapsed_us=window_end - window_start,
-        wall_seconds=wall1 - wall0,
+        wall_seconds=wall_seconds,
         latency=latency,
         inflight=max(pop.peak_inflight for pop in pops),
         phases=phases,
+        switch_cache=switch_cache,
         populations={pop.name: pop.summary() for pop in pops},
     )
-    return result

@@ -258,3 +258,41 @@ class TestRunFanin:
         )
         assert result.ops_completed == 150
         assert len(result.latency.bucket("all")) == 150
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_switch_cache_window_is_reported(self, cache):
+        """The open-loop driver fills ``RunResult.switch_cache`` and the
+        switch-served-reply buckets for its window, as run_stream does."""
+        # Eight cache lines under 64 files: hits and misses both occur.
+        cluster = SwitchFSCluster(FSConfig(
+            num_servers=2, seed=3, switch_cache=cache,
+            switch_cache_stages=1, switch_cache_index_bits=3,
+        ))
+        ns = bootstrap(cluster, single_large_directory(64), warm_clients=[0, 1])
+        result = run_fanin(
+            cluster,
+            lambda a: FixedOpStream("stat", ns, seed=5 + a, dir_choice="single"),
+            users=1_000,
+            offered_load_ops=120_000.0,
+            total_ops=400,
+            aggregates=2,
+            warmup_ops=100,
+            seed=7,
+        )
+        latency = result.latency
+        assert latency.count("all") == 300
+        if not cache:
+            assert result.switch_cache == {}
+            assert result.switch_cache_hit_rate == 0.0
+            assert set(latency.ops()) == {"all", "pop0", "pop1"}
+            return
+        counts = result.switch_cache
+        assert counts["hits"] > 0 and counts["misses"] > 0
+        assert 0.0 < result.switch_cache_hit_rate <= 1.0
+        # One probe per stat: the 100 warm-up stats are in neither the
+        # counters nor the buckets (give or take the stats in flight when
+        # the window opened, probed before it and answered inside it).
+        assert abs(counts["hits"] + counts["misses"] - 300) <= result.inflight
+        assert 0 < latency.count("switch_hit") <= counts["hits"] + result.inflight
+        assert 0 < latency.count("switch_miss") <= counts["misses"] + result.inflight
+        assert latency.count("switch_hit") + latency.count("switch_miss") == 300
