@@ -25,10 +25,10 @@ RL103 ``lock-order-cycle``
 
 RL104 ``stale-view-across-yield``
     A captured ``MembershipView``/epoch value (an expression reading
-    ``.view``/``._view`` or calling ``view_epoch``) used after a resume
-    point without being re-read.  Any suspension can interleave a
-    membership epoch bump, so a pre-yield capture may route to a
-    pre-migration owner.
+    ``.view``/``._view``/``.current`` or calling ``view_epoch``) used
+    after a resume point without being re-read.  Any suspension can
+    interleave a membership epoch bump, so a pre-yield capture may route
+    to a pre-migration owner.
 
 Suppression uses the same ``# reprolint: allow[rule] why`` comments as
 the syntactic lint, on the reported line.  Findings carry line-free
@@ -83,7 +83,7 @@ _EXEMPT_SUFFIXES = ("sim/kernel.py", "sim/resources.py")
 _EXEMPT_DIR_SUFFIXES = ("analysis",)
 
 _RELEASE_METHODS = {"release", "release_read", "release_write"}
-_VIEW_ATTRS = {"view", "_view"}
+_VIEW_ATTRS = {"view", "_view", "current"}
 _VIEW_CALLS = {"view_epoch"}
 
 

@@ -13,7 +13,6 @@ Public surface:
 
 from .changelog import ChangeLog, ChangeLogEntry, ChangeLogTable, ChangeOp, RecastLog
 from .client import LibFS, ResolvedDir, split_path
-from .clustermap import ClusterMap
 from .cluster import SwitchFSCluster
 from .config import FSConfig, PerfModel
 from .errors import (
@@ -53,7 +52,6 @@ __all__ = [
     "split_path",
     "MetadataServer",
     "ServerRuntime",
-    "ClusterMap",
     "StaleSetServer",
     "ServerBackendClient",
     "ChangeLog",

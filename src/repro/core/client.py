@@ -22,10 +22,9 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..net import RpcError, RpcNode, StaleSetHeader, StaleSetOp
 from ..net.topology import Network
 from ..sim import Counter, LatencyRecorder, Simulator
-from .clustermap import ClusterMap
 from .config import FSConfig
 from .errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
-from .membership import MembershipView
+from .membership import Membership, MembershipView
 from .schema import ROOT_ID, file_cache_fingerprint, fingerprint_of, root_inode
 
 __all__ = ["LibFS", "ResolvedDir"]
@@ -66,17 +65,17 @@ class LibFS:
         net: Network,
         addr: str,
         config: FSConfig,
-        cmap: ClusterMap,
+        membership: Membership,
     ):
         self.sim = sim
         self.config = config
         self.perf = config.perf
-        self.cmap = cmap
-        # Clients route against an epoch snapshot, not the live map: a
+        self.membership = membership
+        # Clients route against an epoch snapshot, not the live view: a
         # migration bumps the cluster's epoch without telling clients, and
         # the WrongEpoch redirect protocol (refresh + retry) is how a
         # stale view catches up — exactly like a real deployment.
-        self._view: MembershipView = cmap.view
+        self._view: MembershipView = membership.current
         self.node = RpcNode(sim, net, addr)
         self.counters = Counter()
         # In-switch dentry cache (DESIGN.md §15): when enabled, lookups

@@ -35,9 +35,8 @@ from ..switchfab import (
     SwitchControlPlane,
 )
 from .client import LibFS
-from .clustermap import ClusterMap
 from .config import FSConfig
-from .membership import plan_scale_down, plan_scale_up
+from .membership import Membership, bootstrap_view, plan_scale_down, plan_scale_up
 from .server import MetadataServer
 from .staleset_backend import StaleSetServer
 
@@ -63,7 +62,7 @@ class SwitchFSCluster:
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
         self.config = config
         self.sim = Simulator()
-        self.cmap = ClusterMap(config)
+        self.membership = Membership(bootstrap_view(config))
 
         def make_programmable():
             switch = ProgrammableSwitch(
@@ -80,10 +79,10 @@ class SwitchFSCluster:
                     else None
                 ),
             )
-            # Bound to the bootstrap *view*, not the live map: routes are
-            # an epoch snapshot the control plane reprograms explicitly at
-            # each epoch bump (apply_epoch), mirroring real switch state.
-            switch.install_fingerprint_owner(self.cmap.view.dir_owner_by_fp)
+            # Bound to the bootstrap *view*, not the live membership: routes
+            # are an epoch snapshot the control plane reprograms explicitly
+            # at each epoch bump (apply_epoch), mirroring real switch state.
+            switch.install_fingerprint_owner(self.membership.current.dir_owner_by_fp)
             return switch
 
         self.spines: List[ProgrammableSwitch] = []
@@ -123,7 +122,7 @@ class SwitchFSCluster:
         )
 
         self.servers: List[MetadataServer] = [
-            MetadataServer(self.sim, self.net, config.server_addr(i), config, self.cmap)
+            MetadataServer(self.sim, self.net, config.server_addr(i), config, self.membership)
             for i in range(config.num_servers)
         ]
         for server in self.servers:
@@ -148,7 +147,7 @@ class SwitchFSCluster:
         fs = self._clients.get(idx)
         if fs is None:
             fs = LibFS(
-                self.sim, self.net, self.config.client_addr(idx), self.config, self.cmap
+                self.sim, self.net, self.config.client_addr(idx), self.config, self.membership
             )
             self._clients[idx] = fs
         return fs
@@ -202,7 +201,7 @@ class SwitchFSCluster:
         if addr is None:
             addr = f"server-{self._server_seq}"
         self._server_seq += 1
-        server = MetadataServer(self.sim, self.net, addr, self.config, self.cmap)
+        server = MetadataServer(self.sim, self.net, addr, self.config, self.membership)
         # A joiner missed every invalidation broadcast so far; clone the
         # list from a member (same mechanism crash recovery uses).
         if self.servers:
@@ -213,7 +212,7 @@ class SwitchFSCluster:
     def scale_up_gen(self) -> Generator:
         """Join one server and migrate its shard quota to it, live."""
         joiner = self.add_server()
-        servers, shard_table, moved = plan_scale_up(self.cmap.view, joiner.addr)
+        servers, shard_table, moved = plan_scale_up(self.membership.current, joiner.addr)
         stats = yield from self._migrate_gen(servers, shard_table, moved)
         stats["joined"] = joiner.addr
         return stats
@@ -227,7 +226,7 @@ class SwitchFSCluster:
         through the ordinary push path.
         """
         leaver = self.server_by_addr(addr)
-        servers, shard_table, moved = plan_scale_down(self.cmap.view, addr)
+        servers, shard_table, moved = plan_scale_down(self.membership.current, addr)
         stats = yield from self._migrate_gen(
             servers, shard_table, moved, leaving=leaver
         )
@@ -258,7 +257,7 @@ class SwitchFSCluster:
         new owner before its state is installed, nor keep mutating the old
         one after its state left.
         """
-        old_view = self.cmap.view
+        old_view = self.membership.current
         num_shards = old_view.num_shards
         moving = set(moved)
         moves: Dict[Tuple[str, str], List[int]] = {}
@@ -330,7 +329,7 @@ class SwitchFSCluster:
             stats["migrated_keys"] += value["installed"]
             stats["staged_entries"] += value["staged"]
             packages.append((source, package))
-        new_view = self.cmap.membership.advance(
+        new_view = self.membership.advance(
             servers=servers, shard_table=shard_table
         )
         if self.control is not None:
@@ -418,7 +417,7 @@ class SwitchFSCluster:
         """WAL-replay recovery of server *idx*; returns simulated duration."""
         server = self.servers[idx]
         peer = next(
-            (a for a in self.cmap.server_addrs if a != server.addr), None
+            (a for a in self.membership.current.servers if a != server.addr), None
         )
         start = self.sim.now
         proc = self.sim.spawn(server.recover(peer=peer), name="server-recovery")

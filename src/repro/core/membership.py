@@ -61,8 +61,8 @@ class MembershipView:
         if strays:
             raise ValueError(f"shard table references non-members: {sorted(strays)}")
         # Per-view multicast-target cache: computed once per (view, addr),
-        # so the per-call list rebuild of the old ClusterMap.others() is
-        # gone and invalidation is automatic (a new epoch is a new view).
+        # so no call rebuilds the list and invalidation is automatic (a new
+        # epoch is a new view).
         self._others: Dict[str, Tuple[str, ...]] = {}
 
     # -- routing ------------------------------------------------------------

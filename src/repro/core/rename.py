@@ -116,7 +116,7 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
     :func:`rename_transaction`; this coordinator path still handles them
     for clients that choose to delegate.
     """
-    sim, cmap, perf = server.sim, server.cmap, server.perf
+    sim, perf = server.sim, server.perf
     node = server.node
 
     is_dir = args["is_dir"]
@@ -127,8 +127,11 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
         yield server.charge_cpu(perf.path_check_us)
         if not server.inval.validate(args.get("ancestor_ids", ())):
             raise FSError("EINVALIDPATH", args.get("path", "?"))
+        # The whole transaction routes against the view as of now, under
+        # the serialiser; a participant that has since lost a shard answers
+        # EWRONGEPOCH and the client refreshes and retries.
         result = yield from rename_transaction(  # reprolint: allow[RL102] the rename serialiser spans the whole distributed transaction by design
-            node, sim, cmap, perf, args,
+            node, sim, server.membership.current, perf, args,
             async_updates=server.config.async_updates,
         )
         server.counters.inc("renames")
@@ -138,12 +141,13 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
             server.rename_serializer().release()
 
 
-def rename_transaction(node, sim, cmap, perf, args: Dict[str, Any],
+def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
                        async_updates: bool = True) -> Generator:
     """The rename distributed transaction, drivable from any RPC node.
 
     File renames are driven directly by the client (no coordinator hop);
     directory renames run under the coordinator (see :func:`run_rename`).
+    Every step routes against *view*, one ``MembershipView`` snapshot.
     """
     is_dir = args["is_dir"]
     src_pid, src_name = args["src_pid"], args["src_name"]
@@ -162,7 +166,7 @@ def rename_transaction(node, sim, cmap, perf, args: Dict[str, Any],
             fingerprint_of(src_pid, src_name),
         }
         for fp in sorted(fps):
-            owner = cmap.dir_owner_by_fp(fp)
+            owner = view.dir_owner_by_fp(fp)
             yield from node.call(
                 owner, "aggregate_now", {"fp": fp},
                 timeout_us=perf.rpc_timeout_us,
@@ -174,15 +178,15 @@ def rename_transaction(node, sim, cmap, perf, args: Dict[str, Any],
     dst_fp = fingerprint_of(dst_pid, dst_name)
     if is_dir:
         src_key, dst_key = dir_meta_key(src_pid, src_name), dir_meta_key(dst_pid, dst_name)
-        src_owner = cmap.dir_owner_by_fp(src_fp)
-        dst_owner = cmap.dir_owner_by_fp(dst_fp)
+        src_owner = view.dir_owner_by_fp(src_fp)
+        dst_owner = view.dir_owner_by_fp(dst_fp)
     else:
         src_key, dst_key = file_meta_key(src_pid, src_name), file_meta_key(dst_pid, dst_name)
-        src_owner = cmap.file_owner(src_pid, src_name)
-        dst_owner = cmap.file_owner(dst_pid, dst_name)
+        src_owner = view.file_owner(src_pid, src_name)
+        dst_owner = view.file_owner(dst_pid, dst_name)
 
-    src_parent_owner = cmap.dir_owner_by_fp(args["src_parent_fp"])
-    dst_parent_owner = cmap.dir_owner_by_fp(args["dst_parent_fp"])
+    src_parent_owner = view.dir_owner_by_fp(args["src_parent_fp"])
+    dst_parent_owner = view.dir_owner_by_fp(args["dst_parent_fp"])
 
     now = sim.now
     txn_id = next(_txn_ids)

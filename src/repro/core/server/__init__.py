@@ -56,9 +56,9 @@ from typing import Any, Dict, List
 from ...net.topology import Network
 from ...sim import Event, RWLock, Simulator
 from ..changelog import ChangeLogTable
-from ..clustermap import ClusterMap
 from ..config import FSConfig
 from ..invalidation import InvalidationList
+from ..membership import Membership
 from ..schema import root_inode
 from ..staleset_backend import ServerBackendClient
 from .aggregation import AggregationProtocol
@@ -91,10 +91,10 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         net: Network,
         addr: str,
         config: FSConfig,
-        cmap: ClusterMap,
+        membership: Membership,
     ):
         ServerRuntime.__init__(self, sim, net, addr, config)
-        self.cmap = cmap
+        self.membership = membership
         self.changelogs = ChangeLogTable()
         self.inval = InvalidationList()
 
@@ -165,5 +165,5 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
     def install_root(self) -> None:
         """Install the root inode if this server owns it."""
         root = root_inode()
-        if self.cmap.dir_owner_by_fp(root.fingerprint) == self.addr:
+        if self.membership.current.dir_owner_by_fp(root.fingerprint) == self.addr:
             self.install_root_inode()

@@ -45,7 +45,7 @@ class AggregationProtocol:
         """Aggregate every change-log in the fingerprint group onto the
         directories this server owns."""
         yield from self._wait_recovered()
-        if self.cmap.dir_owner_by_fp(fp) != self.addr:
+        if self.membership.current.dir_owner_by_fp(fp) != self.addr:
             # Ownership moved underneath a queued aggregation (migration
             # bumped the epoch while we waited): the new owner drives
             # aggregation for this group now, and any entries still staged
@@ -76,7 +76,10 @@ class AggregationProtocol:
         block = self.sim.event()
         self._group_blocks[fp] = block
         try:
-            others = self.cmap.others(self.addr)
+            # The round's peers are fixed here: a reply is paired with the
+            # peer it was asked of, and the ack and any revert go to exactly
+            # the peers that answered, whatever the membership is by then.
+            others = self.membership.current.others(self.addr)
             method, args = "agg_pull", {"fp": fp}
             if invalidate is not None:
                 method, args = "invalidate_and_pull", {"dir_id": invalidate, "fp": fp}
@@ -91,7 +94,7 @@ class AggregationProtocol:
                     # the silent peer may hold entries, so the stale-set
                     # bit stays and the next read aggregates again.
                     silent = exc
-                    answered = [(o, r) for o, r in zip(others, exc.values) if r is not None]
+                    answered = [(o, r) for o, r in zip(others, exc.values) if r is not None]  # reprolint: allow[RL104] the round's peers
                     others, results = [o for o, _ in answered], [r for _, r in answered]
             if invalidate is not None and silent is None:
                 self.inval.insert(invalidate)
@@ -103,13 +106,13 @@ class AggregationProtocol:
                     yield self._cpu(self.perf.wal_append_us)
                     self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                     yield from self._apply_logs(pulled, already_locked)
-                self._send_agg_ack(fp, others, results, local, remove=silent is None)
+                self._send_agg_ack(fp, others, results, local, remove=silent is None)  # reprolint: allow[RL104] the round's peers
             finally:
                 for lock in local_locks:
                     lock.release_write()
             if silent is not None:
-                if invalidate is not None and others:
-                    yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})
+                if invalidate is not None and others:  # reprolint: allow[RL104] the round's peers
+                    yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})  # reprolint: allow[RL104] the round's peers
                 raise silent
         finally:
             del self._group_blocks[fp]
@@ -311,7 +314,7 @@ class AggregationProtocol:
         if not self.config.proactive_enabled:
             return
         if len(log) >= self.config.proactive_push_entries:
-            if self.cmap.dir_owner_by_fp(log.fingerprint) == self.addr:
+            if self.membership.current.dir_owner_by_fp(log.fingerprint) == self.addr:
                 # Locally-owned log: nothing to ship (see _push_log); nudge
                 # the grace-period aggregation without a process spawn.
                 self._note_push(log.fingerprint)

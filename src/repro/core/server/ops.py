@@ -178,7 +178,7 @@ class ServerOps:
             if frozen:
                 self.inval.discard(dir_id)
                 yield from self._multicast(  # reprolint: allow[RL102] rmdir revert: the acked un-invalidate runs under the caller's dir locks, like the freeze it reverts
-                    self.cmap.others(self.addr), "uninvalidate", {"dir_id": dir_id}
+                    self.membership.current.others(self.addr), "uninvalidate", {"dir_id": dir_id}
                 )
             raise FSError(ENOTEMPTY, f"{args['pid']}/{args['name']}")
 
@@ -313,7 +313,7 @@ class ServerOps:
     ) -> Generator:
         """Apply a parent-directory update synchronously (cross-server when
         the parent lives elsewhere)."""
-        owner = self.cmap.dir_owner_by_fp(parent_fp)
+        owner = self.membership.current.dir_owner_by_fp(parent_fp)
         if owner == self.addr:
             yield from self._apply_entry_with_inode_txn(parent_id, entry)
             return
@@ -361,7 +361,7 @@ class ServerOps:
     def _sync_fallback(self, response: RpcResponse, packet: Packet) -> Generator:
         value = response.value
         yield from self._wait_recovered()
-        owner = self.cmap.dir_owner_by_fp(value["parent_fp"])
+        owner = self.membership.current.dir_owner_by_fp(value["parent_fp"])
         if owner != self.addr:
             # The switch redirected with routes from a previous epoch and
             # the group has since migrated: hand the update to the live

@@ -194,7 +194,7 @@ class ReadOps:
         answering so stale views always have a reachable refresh source.
         """
         yield self._cpu(self.perf.kv_get_us)
-        return {"view": self.cmap.view.to_wire()}
+        return {"view": self.membership.current.to_wire()}
 
     def _handle_read_inode(self, request: RpcRequest, packet: Packet) -> Generator:
         """Raw inode read used by the rename coordinator."""

@@ -31,7 +31,7 @@ class RenameParticipant:
             # Directory renames must serialise through the one live
             # coordinator; a client whose view predates a coordinator
             # hand-off (server 0 left) is redirected.
-            coordinator = self.cmap.rename_coordinator
+            coordinator = self.membership.current.rename_coordinator
             if coordinator != self.addr:
                 raise FSError(EWRONGEPOCH, f"rename coordinator is {coordinator}")
         return (yield from run_rename(self, request.args))

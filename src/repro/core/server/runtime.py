@@ -204,13 +204,13 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
 
     def _check_owner_file(self, pid: int, name: str) -> None:
         """Reject a file op routed here with a stale membership view."""
-        owner = self.cmap.file_owner(pid, name)
+        owner = self.membership.current.file_owner(pid, name)
         if owner != self.addr:
             raise FSError(EWRONGEPOCH, f"file {pid}/{name} owned by {owner}")
 
     def _check_owner_dir(self, fingerprint: int) -> None:
         """Reject a directory op routed here with a stale membership view."""
-        owner = self.cmap.dir_owner_by_fp(fingerprint)
+        owner = self.membership.current.dir_owner_by_fp(fingerprint)
         if owner != self.addr:
             raise FSError(EWRONGEPOCH, f"group {fingerprint:#x} owned by {owner}")
 

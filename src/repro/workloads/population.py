@@ -82,7 +82,7 @@ def bootstrap(
     installed state is exactly what protocol-driven population would have
     produced.
     """
-    if hasattr(cluster, "cmap"):
+    if hasattr(cluster, "membership"):
         _install(population, cluster, _SwitchFSPlacement(cluster), log_writes)
     else:
         _install(population, cluster, _BaselinePlacement(cluster), log_writes)
@@ -96,17 +96,18 @@ class _SwitchFSPlacement:
 
     def __init__(self, cluster):
         self.cluster = cluster
+        self.view = cluster.membership.current
 
     def dir_owner(self, dname: str) -> object:
         fp = fingerprint_of(ROOT_ID, dname)
-        return self.cluster.server_by_addr(self.cluster.cmap.dir_owner_by_fp(fp))
+        return self.cluster.server_by_addr(self.view.dir_owner_by_fp(fp))
 
     def file_owner(self, dir_id: int, fname: str) -> object:
-        return self.cluster.server_by_addr(self.cluster.cmap.file_owner(dir_id, fname))
+        return self.cluster.server_by_addr(self.view.file_owner(dir_id, fname))
 
     def root_owner(self) -> object:
         root_fp = fingerprint_of(0, "/")
-        return self.cluster.server_by_addr(self.cluster.cmap.dir_owner_by_fp(root_fp))
+        return self.cluster.server_by_addr(self.view.dir_owner_by_fp(root_fp))
 
 
 class _BaselinePlacement:

@@ -167,7 +167,7 @@ class TestRL104StaleView:
     def test_seeded_stale_owner_is_caught(self, tmp_path):
         p = _write(tmp_path, "stale.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
         """)
@@ -179,7 +179,7 @@ class TestRL104StaleView:
     def test_use_before_any_yield_is_fresh(self, tmp_path):
         _write(tmp_path, "fresh.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             value = yield from self.call(owner, key)
             return value
         """)
@@ -190,9 +190,9 @@ class TestRL104StaleView:
     def test_rebinding_after_resume_refreshes(self, tmp_path):
         _write(tmp_path, "refresh.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             return self.call(owner)
         """)
         assert _findings(tmp_path, rule="RL104") == []
@@ -202,7 +202,7 @@ class TestSuppressionAndAudit:
     def test_allow_comment_suppresses_a_flow_finding(self, tmp_path):
         _write(tmp_path, "ok.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)  # reprolint: allow[RL104] epoch-checked downstream
         """)
@@ -232,7 +232,7 @@ class TestBaselineRoundTrip:
     def test_round_trip_masks_known_findings_only(self, tmp_path):
         _write(tmp_path, "stale.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
         """)
@@ -251,12 +251,12 @@ class TestBaselineRoundTrip:
             return 0
 
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
 
         def route2(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
         """)
@@ -271,7 +271,7 @@ class TestBaselineRoundTrip:
         restricted to other files (``--changed``) does not judge it."""
         _write(tmp_path, "stale.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
         """)
@@ -289,7 +289,7 @@ class TestBaselineRoundTrip:
         _write(tmp_path, "stale.py", """
         def route(self, key):
             yield self.sim.timeout(1)
-            return self.call(self.cmap.view.owner_of(key))
+            return self.call(self.membership.current.owner_of(key))
         """)
         (unused,) = flow.new_findings(flow.analyze_paths([tmp_path]), baseline)
         assert "2 finding(s)" in unused.message
@@ -314,7 +314,7 @@ class TestSarif:
     def test_sarif_document_shape(self, tmp_path):
         _write(tmp_path, "stale.py", """
         def route(self, key):
-            owner = self.cmap.view.owner_of(key)
+            owner = self.membership.current.owner_of(key)
             yield self.sim.timeout(1)
             return self.call(owner)
         """)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import FSConfig
-from repro.core.clustermap import ClusterMap
 from repro.core.membership import (
     Membership,
     MembershipView,
@@ -148,17 +147,3 @@ class TestScalePlans:
         # valid (no references to the departed member).
         assert sorted(moved2) == sorted(grown.owned_shards("server-2"))
         assert set(table2) <= {"server-0", "server-1"}
-
-
-class TestClusterMapFacade:
-    def test_facade_tracks_membership_epoch(self):
-        config = FSConfig(num_servers=2)
-        cmap = ClusterMap(config)
-        assert cmap.epoch == 0
-        assert cmap.num_servers == 2
-        old_view = cmap.view
-        cmap.membership.advance(servers=["server-0", "server-1", "x"],
-                                shard_table=old_view.shard_table)
-        assert cmap.epoch == 1
-        assert cmap.num_servers == 3
-        assert cmap.view is not old_view

@@ -110,7 +110,7 @@ class TestGroupBlocks:
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
         fp = fingerprint_of(ROOT_ID, "d")
-        owner = cluster.server_by_addr(cluster.cmap.dir_owner_by_fp(fp))
+        owner = cluster.server_by_addr(cluster.membership.current.dir_owner_by_fp(fp))
         # Block the group manually, issue a statdir, confirm it stalls.
         block = cluster.sim.event()
         owner._group_blocks[fp] = block
@@ -155,7 +155,7 @@ class TestPullLocks:
         for i in range(6):
             cluster.run_op(fs.create(f"/d/f{i}"))
         fp, dir_id = made["fingerprint"], made["id"]
-        owner = cluster.cmap.dir_owner_by_fp(fp)
+        owner = cluster.membership.current.dir_owner_by_fp(fp)
         peer = next(
             s for s in cluster.servers
             if s.addr != owner and s.changelogs.logs_in_group(fp)
@@ -197,7 +197,7 @@ class TestFlushAllChangelogs:
         assert cluster.total_pending_entries() == 0
         # Inode is current without any aggregation.
         fp = fingerprint_of(ROOT_ID, "d")
-        owner = cluster.server_by_addr(cluster.cmap.dir_owner_by_fp(fp))
+        owner = cluster.server_by_addr(cluster.membership.current.dir_owner_by_fp(fp))
         inode = owner.kv.get(dir_meta_key(ROOT_ID, "d"))
         assert inode.entry_count == 6
 

@@ -44,7 +44,7 @@ class TestStaleSetInterplay:
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.statdir("/d"))  # clears the mkdir scatter on root? no: /d itself is fresh
         owner = cluster.server_by_addr(
-            cluster.cmap.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+            cluster.membership.current.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
         )
         before = owner.counters.get("read_triggered_aggregations")
         cluster.run_op(fs.statdir("/d"))
@@ -150,7 +150,7 @@ class TestRecastBatchOrder:
         cluster.run_op(fs.mkdir("/d"))
         dir_id = cluster.run_op(fs.statdir("/d"))["id"]
         owner = cluster.server_by_addr(
-            cluster.cmap.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+            cluster.membership.current.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
         )
         batch = [
             ChangeLogEntry(2.0, ChangeOp.DELETE, "x"),

@@ -80,7 +80,7 @@ class TestNamespaceEquivalenceOracle:
         assert up["epoch"] == 1 and down["epoch"] == 2
         assert up["migrated_keys"] > 0 and down["migrated_keys"] > 0
         assert up["shards_moved"] > 0 and down["shards_moved"] > 0
-        assert elastic_cluster.cmap.epoch == 2
+        assert elastic_cluster.membership.current.epoch == 2
 
     def test_stale_clients_redirect_and_refresh(self):
         cluster, fs, _ns, _stats = _run_elastic()
@@ -104,10 +104,10 @@ class TestScaleDownDetails:
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/proj"))
         cluster.run_op(fs.mkdir("/proj/v1"))
-        assert cluster.cmap.view.rename_coordinator == "server-0"
+        assert cluster.membership.current.rename_coordinator == "server-0"
 
         cluster.scale_down("server-0")
-        assert cluster.cmap.view.rename_coordinator == "server-1"
+        assert cluster.membership.current.rename_coordinator == "server-1"
 
         # The client still holds the pre-leave view; the directory rename
         # must land on the new coordinator via redirect + refresh.

@@ -121,7 +121,7 @@ class TestServerCrashRecovery:
         # time out.  Find a file owned by a live server.
         landed = 0
         for i in range(12):
-            owner = cluster.cmap.file_owner(fs._cache["/d"].id, f"g{i}")
+            owner = cluster.membership.current.file_owner(fs._cache["/d"].id, f"g{i}")
             if owner != "server-2":
                 cluster.run_op(fs.create(f"/d/g{i}"))
                 landed += 1
@@ -208,7 +208,7 @@ class TestSilentChangeLogOwner:
         cluster.run_op(fs.statdir("/"))  # lands mkdir's own delayed update
         for i in range(12):
             cluster.run_op(fs.create(f"/d/f{i}"))
-        owner = cluster.cmap.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+        owner = cluster.membership.current.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
         silent = next(s for s in cluster.servers if s.addr != owner)
         assert silent.pending_changelog_entries() > 0
         return cluster, fs, dir_id, silent

@@ -267,11 +267,11 @@ class TestSettle:
         # After settling, the proactive path has applied everything and
         # cleared the switch: a statdir needs no aggregation.
         before = cluster.server_by_addr(
-            cluster.cmap.dir_owner_by_fp(fs._cache["/d"].fingerprint)
+            cluster.membership.current.dir_owner_by_fp(fs._cache["/d"].fingerprint)
         ).counters.get("read_triggered_aggregations")
         info = cluster.run_op(fs.statdir("/d"))
         after = cluster.server_by_addr(
-            cluster.cmap.dir_owner_by_fp(fs._cache["/d"].fingerprint)
+            cluster.membership.current.dir_owner_by_fp(fs._cache["/d"].fingerprint)
         ).counters.get("read_triggered_aggregations")
         assert info["entry_count"] == 40
         assert after == before

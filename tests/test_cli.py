@@ -116,7 +116,7 @@ class TestAnalyze:
 
 STALE_VIEW = (
     "def route(self, key):\n"
-    "    owner = self.cmap.view.owner_of(key)\n"
+    "    owner = self.membership.current.owner_of(key)\n"
     "    yield self.sim.timeout(1)\n"
     "    return self.call(owner)\n"
 )
