@@ -1,4 +1,4 @@
-"""The docs only name commands and result files that exist.
+"""The docs only name commands, result files, rules and switches that exist.
 
 README.md, DESIGN.md and EXPERIMENTS.md describe the repo as it is, so a
 deleted command, figure bench or table may not linger in them.  CHANGES.md
@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import FLOW_RULES
+from repro.analysis.reprolint import RULES
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +96,32 @@ def test_every_private_name_is_defined(doc, bound_names):
     }
     missing = sorted(cited - bound_names)
     assert not missing, f"{doc} names private code that is not defined: {missing}"
+
+
+_RULE_ID = re.compile(r"\bRL\d{3}\b")
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z_]*\b")
+
+
+@pytest.fixture(scope="module")
+def variables_read():
+    """Every ``REPRO_*`` name in the code (this file aside)."""
+    return {
+        name
+        for top in ("src", "tests")
+        for path in (ROOT / top).rglob("*.py")
+        if path != Path(__file__).resolve()
+        for name in _ENV_VAR.findall(path.read_text(encoding="utf-8"))
+    }
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+def test_every_rule_id_and_environment_variable_exists(doc, variables_read):
+    """A rule id or a ``REPRO_*`` variable anywhere in the present-tense
+    docs is one ``repro lint`` / ``repro flow`` enforces, or one the code
+    reads.  EXPERIMENTS.md is dated history: it may say, in prose, what a
+    PR deleted."""
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    retired = sorted(set(_RULE_ID.findall(text)) - set(RULES) - set(FLOW_RULES))
+    assert not retired, f"{doc} names rules no tool enforces: {retired}"
+    unread = sorted(set(_ENV_VAR.findall(text)) - variables_read)
+    assert not unread, f"{doc} names environment variables nothing reads: {unread}"
