@@ -361,24 +361,13 @@ class _LockAnalysis:
 # ---------------------------------------------------------------------------
 # RL104: stale membership view across a resume point
 # ---------------------------------------------------------------------------
-def _call_name(call: ast.Call) -> Optional[str]:
-    fn = call.func
-    if isinstance(fn, ast.Name):
-        return fn.id
-    if isinstance(fn, ast.Attribute):
-        return fn.attr
-    return None
-
-
 def _reads_view(expr: ast.expr) -> bool:
     for sub in ast.walk(expr):
         if isinstance(sub, ast.Attribute) and sub.attr in _VIEW_ATTRS and \
                 isinstance(sub.ctx, ast.Load):
             return True
-        if isinstance(sub, ast.Call):
-            name = _call_name(sub)
-            if name in _VIEW_CALLS:
-                return True
+        if isinstance(sub, ast.Call) and receiver_name(sub.func) in _VIEW_CALLS:
+            return True
     return False
 
 

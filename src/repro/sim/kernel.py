@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 # Module-level alias: one global load instead of two attribute lookups in
-# the scheduling hot paths (succeed/fail/timeout run once per event).
+# the scheduling hot paths (succeed/fail run once per event).
 _heappush = heapq.heappush
 
 
