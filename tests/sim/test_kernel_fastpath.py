@@ -300,7 +300,7 @@ class TestOneDispatchLoop:
 
 
 class TestTimeout:
-    def test_back_to_back_timeouts_deliver_their_own_values_and_times(self):
+    def test_back_to_back_timeouts_keep_their_values_and_times(self):
         sim = Simulator()
         times = []
 
