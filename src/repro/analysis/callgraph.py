@@ -19,8 +19,10 @@ lock held in ``_handle_rmdir`` while ``yield from``-delegating into
   cross-check possible,
 * **acquire wrappers**: generator helpers whose every yield waits on an
   ``acquire``-family call on one of their own parameters (the runtime's
-  ``_acquire(lock, mode)``); call sites map their argument expression to
-  a lock class instead of descending into the wrapper,
+  ``_acquire(lock, mode)``, which hands the lock back); call sites map
+  their argument expression to a lock class instead of descending into
+  the wrapper — and **release wrappers**, plain functions that call a
+  ``release``-family method on one of theirs (``_release(lock, mode)``),
 * **hold producers**: plain functions that *return* a timed hold on a
   counted pool (``return self.cores.hold(...)``), so yielding their
   result is a bounded wait, not an event,
@@ -58,7 +60,7 @@ class FuncInfo:
 
     __slots__ = (
         "qualname", "name", "path", "node", "is_generator", "class_name",
-        "lock_class", "acquire_wrapper_param", "wait_kinds",
+        "lock_class", "acquire_wrapper_param", "release_wrapper_param", "wait_kinds",
         "acquired_classes", "residual_classes",
     )
 
@@ -75,6 +77,8 @@ class FuncInfo:
         #: parameter index (0-based, ``self`` excluded) acquired on behalf
         #: of the caller, for runtime-style ``_acquire(lock, mode)`` helpers
         self.acquire_wrapper_param: Optional[int] = None
+        #: likewise for plain ``_release(lock, mode)`` helpers
+        self.release_wrapper_param: Optional[int] = None
         #: what this generator's yields can block on (fixpoint result)
         self.wait_kinds: Set[str] = set()
         #: lock classes acquired here or in yield-from callees (flow.py fixpoint)
@@ -90,6 +94,7 @@ class FuncInfo:
 # pools (CPU cores) cannot deadlock by ordering, mirroring SimTracer.
 _LOCK_CTORS = {"Lock", "RWLock"}
 _ACQUIRE_METHODS = {"acquire", "acquire_read", "acquire_write"}
+RELEASE_METHODS = {"release", "release_read", "release_write"}
 #: Receiver names treated as counted pools (capacity > 1, not orderable —
 #: mirrors SimTracer's ``_orderable``); everything else that ``acquire``s
 #: is treated as a mutual-exclusion lock.
@@ -121,6 +126,11 @@ def _lock_class_of_ctor(call: ast.Call) -> Optional[str]:
         if text:
             return text.split(":", 1)[0]
     return None
+
+
+def _own_params(info: FuncInfo) -> List[str]:
+    args = [a.arg for a in info.node.args.args]
+    return args[1:] if args and args[0] in ("self", "cls") else args
 
 
 def receiver_name(expr: ast.expr) -> Optional[str]:
@@ -217,6 +227,8 @@ class Project:
         for info in self.functions.values():
             if info.is_generator:
                 info.acquire_wrapper_param = self._wrapper_param(info)
+            else:
+                info.release_wrapper_param = self._release_param(info)
         self._derive_hold_producers()
         self._wait_kind_fixpoint()
 
@@ -244,8 +256,7 @@ class Project:
     def _wrapper_param(self, info: FuncInfo) -> Optional[int]:
         """Detect runtime-style acquire wrappers: a generator whose every
         yield is an acquire-family wait on one of its own parameters."""
-        args = [a.arg for a in info.node.args.args]
-        params = args[1:] if args and args[0] in ("self", "cls") else args
+        params = _own_params(info)
         target: Optional[str] = None
         yields = [n for n in ast.walk(info.node)
                   if isinstance(n, (ast.Yield, ast.YieldFrom))]
@@ -265,6 +276,18 @@ class Project:
             elif target != recv:
                 return None
         return params.index(target) if target is not None else None
+
+    def _release_param(self, info: FuncInfo) -> Optional[int]:
+        """Detect release wrappers: a plain function that calls a
+        release-family method on one of its own parameters."""
+        params = _own_params(info)
+        for node in ast.walk(info.node):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in RELEASE_METHODS:
+                recv = receiver_name(node.func.value)
+                if recv in params:
+                    return params.index(recv)
+        return None
 
     # -- call resolution -------------------------------------------------
     def resolve_call(self, call: ast.Call,

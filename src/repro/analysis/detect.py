@@ -29,12 +29,12 @@ def lock_order_cycles(tracer) -> List[Dict[str, Any]]:
     and ``witnesses`` (one per edge: the first observation of "held X
     while acquiring Y", with process name, sim time, and stacks).
     """
-    adj: Dict[int, List[int]] = {}
+    adj: Dict[str, List[str]] = {}
     for (a, b) in tracer.order_edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, [])
 
-    cycles: List[List[int]] = []
+    cycles: List[List[str]] = []
     seen_cycles = set()
 
     # Iterative DFS from every node; record cycles through the root only,
@@ -74,7 +74,7 @@ def lock_order_cycles(tracer) -> List[Dict[str, Any]]:
             witnesses.append(tracer.order_edges[(a, b)])
         out.append(
             {
-                "labels": [tracer.label_of(lid) for lid in cyc],
+                "labels": list(cyc),
                 "witnesses": witnesses,
             }
         )

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import (
+    RELEASE_METHODS,
     FuncInfo,
     Project,
     classify_yield_value,
@@ -82,7 +83,6 @@ _EXEMPT_PARTS = {"tests", "benchmarks"}
 _EXEMPT_SUFFIXES = ("sim/kernel.py", "sim/resources.py")
 _EXEMPT_DIR_SUFFIXES = ("analysis",)
 
-_RELEASE_METHODS = {"release", "release_read", "release_write"}
 _VIEW_ATTRS = {"view", "_view", "current"}
 _VIEW_CALLS = {"view_epoch"}
 
@@ -178,6 +178,12 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
             return project.producer_class_of_call(expr)
         if isinstance(expr, ast.Name):
             return classes.get(expr.id)
+        if isinstance(expr, ast.YieldFrom) and isinstance(expr.value, ast.Call):
+            # ``lock = yield from self._acquire(self._inode_lock(key), "w")``
+            for callee in project.resolve_call(expr.value):
+                idx = callee.acquire_wrapper_param
+                if idx is not None and idx < len(expr.value.args):
+                    return class_of(expr.value.args[idx])
         return None
 
     def elem_class_of(expr: ast.expr) -> Optional[str]:
@@ -320,12 +326,15 @@ class _LockAnalysis:
                     if cls is not None:
                         self._record_edges(frozenset(out), [cls], node)
                         out.add(cls)
-                elif fn.attr in _RELEASE_METHODS:
-                    cls = self._class_of_expr(fn.value)
-                    if cls is not None:
-                        out.discard(cls)
+                elif fn.attr in RELEASE_METHODS:
+                    out.discard(self._class_of_expr(fn.value))
                 elif fn.attr == "_release_locks":
                     out.clear()
+                else:
+                    for callee in self.project.resolve_call(sub, generators_only=False):
+                        idx = callee.release_wrapper_param
+                        if idx is not None and idx < len(sub.args):
+                            out.discard(self._class_of_expr(sub.args[idx]))
         return frozenset(out)
 
     def _apply_delegation(self, call: ast.Call, held: FrozenSet[str],
@@ -760,12 +769,7 @@ def lock_graph_json(report: FlowReport) -> Dict[str, Any]:
 def _dynamic_class_edges(tracer) -> Set[Tuple[str, str]]:
     """SimTracer order edges lifted to lock-class level via the shared
     ``class:`` label prefix (``inode:s0:(...)`` -> ``inode``)."""
-    out: Set[Tuple[str, str]] = set()
-    for (a, b), _witness in tracer.order_edges.items():
-        la = tracer.label_of(a).split(":", 1)[0]
-        lb = tracer.label_of(b).split(":", 1)[0]
-        out.add((la, lb))
-    return out
+    return {(a.split(":", 1)[0], b.split(":", 1)[0]) for a, b in tracer.order_edges}
 
 
 def cross_check_lock_orders(report: FlowReport, tracer) -> Dict[str, Any]:

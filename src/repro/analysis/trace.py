@@ -41,6 +41,9 @@ _STACK_NOISE = ("sim/kernel.py", "sim/resources.py", "analysis/trace.py")
 
 
 def _lock_label(lock: Any) -> str:
+    """A lock's identity in the trace: its name (class, server, key) —
+    a server table makes a new object per busy period of a key, and
+    ``id()`` is reused — or type and ``id()`` for an unnamed one."""
     name = getattr(lock, "name", "")
     return name or f"{type(lock).__name__}@{id(lock):#x}"
 
@@ -61,14 +64,13 @@ def _orderable(lock: Any) -> bool:
 class LockEvent:
     """One acquire/release observation."""
 
-    __slots__ = ("kind", "time", "proc", "lock_id", "label", "mode", "stack")
+    __slots__ = ("kind", "time", "proc", "label", "mode", "stack")
 
-    def __init__(self, kind, time, proc, lock_id, label, mode, stack):
+    def __init__(self, kind, time, proc, label, mode, stack):
         self.kind = kind
         self.time = time
         self.proc = proc
-        self.lock_id = lock_id
-        self.label = label
+        self.label = label  # the lock's identity, see _lock_label
         self.mode = mode
         self.stack = stack
 
@@ -94,10 +96,9 @@ class StateAccess:
 
 
 class _Hold:
-    __slots__ = ("lock_id", "label", "mode", "time", "stack")
+    __slots__ = ("label", "mode", "time", "stack")
 
-    def __init__(self, lock_id, label, mode, time, stack):
-        self.lock_id = lock_id
+    def __init__(self, label, mode, time, stack):
         self.label = label
         self.mode = mode
         self.time = time
@@ -148,13 +149,12 @@ class SimTracer:
         self.current: Optional[Process] = None
         #: Chronological acquire/release observations.
         self.lock_events: List[LockEvent] = []
-        #: (held_lock_id, acquired_lock_id) -> witness dict, first sighting.
-        self.order_edges: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        #: (held label, acquired label) -> witness dict, first sighting.
+        self.order_edges: Dict[Tuple[str, str], Dict[str, Any]] = {}
         self.state_records: Dict[Any, Dict[str, Any]] = {}
         #: Race findings: dicts with the two conflicting accesses.
         self.races: List[Dict[str, Any]] = []
         self._holds: Dict[int, List[_Hold]] = {}  # id(proc) -> active holds
-        self._labels: Dict[int, str] = {}
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, sim: Simulator) -> "SimTracer":
@@ -191,9 +191,6 @@ class SimTracer:
             out.append(f"{fn.rsplit('/', 1)[-1]}:{fr.lineno} in {fr.name}")
         return out[-self.stack_limit:]
 
-    def label_of(self, lock_id: int) -> str:
-        return self._labels.get(lock_id, f"lock@{lock_id:#x}")
-
     # -- hooks called by repro.sim.resources ------------------------------
     def on_acquire(self, lock: Any, mode: str) -> None:
         """A process requested *lock*; recorded at request time.
@@ -203,18 +200,17 @@ class SimTracer:
         process hold tracking exact for lock-order purposes.
         """
         t = self.sim.now if self.sim is not None else 0.0
-        lid = id(lock)
-        label = self._labels.get(lid) or self._labels.setdefault(lid, _lock_label(lock))
+        label = _lock_label(lock)
         stack = self._stack()
         pname = self._proc_name()
-        self.lock_events.append(LockEvent("acquire", t, pname, lid, label, mode, stack))
+        self.lock_events.append(LockEvent("acquire", t, pname, label, mode, stack))
         if not _orderable(lock):
             return
         holds = self._holds.setdefault(self._proc_key(), [])
         for prev in holds:
-            if prev.lock_id == lid:
+            if prev.label == label:
                 continue
-            edge = (prev.lock_id, lid)
+            edge = (prev.label, label)
             if edge not in self.order_edges:
                 self.order_edges[edge] = {
                     "proc": pname,
@@ -226,31 +222,28 @@ class SimTracer:
                     "acquired_mode": mode,
                     "stack": stack,
                 }
-        holds.append(_Hold(lid, label, mode, t, stack))
+        holds.append(_Hold(label, mode, t, stack))
 
     def on_release(self, lock: Any, mode: str) -> None:
         t = self.sim.now if self.sim is not None else 0.0
-        lid = id(lock)
-        label = self._labels.get(lid) or self._labels.setdefault(lid, _lock_label(lock))
-        self.lock_events.append(
-            LockEvent("release", t, self._proc_name(), lid, label, mode, None)
-        )
+        label = _lock_label(lock)
+        self.lock_events.append(LockEvent("release", t, self._proc_name(), label, mode, None))
         if not _orderable(lock):
             return
         # Releases may come from a different process than the acquirer
         # (deferred unlock tokens, aggregation acks), so fall back to a
         # global scan when the releasing process holds no matching entry.
         holds = self._holds.get(self._proc_key())
-        if holds is not None and self._drop_hold(holds, lid, mode):
+        if holds is not None and self._drop_hold(holds, label, mode):
             return
         for other in self._holds.values():
-            if other is not holds and self._drop_hold(other, lid, mode):
+            if other is not holds and self._drop_hold(other, label, mode):
                 return
 
     @staticmethod
-    def _drop_hold(holds: List[_Hold], lock_id: int, mode: str) -> bool:
+    def _drop_hold(holds: List[_Hold], label: str, mode: str) -> bool:
         for i, h in enumerate(holds):
-            if h.lock_id == lock_id and h.mode == mode:
+            if h.label == label and h.mode == mode:
                 del holds[i]
                 return True
         return False
@@ -259,7 +252,7 @@ class SimTracer:
         holds = self._holds.get(self._proc_key())
         if not holds:
             return frozenset()
-        return frozenset(h.lock_id for h in holds)
+        return frozenset(h.label for h in holds)
 
     def global_lockset(self) -> frozenset:
         """Every orderable lock currently held by *any* process.
@@ -279,7 +272,7 @@ class SimTracer:
         out = set()
         for holds in self._holds.values():
             for h in holds:
-                out.add(h.lock_id)
+                out.add(h.label)
         return frozenset(out)
 
     # -- hooks called by the state proxies --------------------------------

@@ -201,8 +201,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.path_check_us)
         key = file_meta_key(pid, name)
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield self._cpu(self.perf.kv_get_us)
             exists = key in self.kv
@@ -229,7 +228,7 @@ class SyncMetadataServer(ServerRuntime):
             )
             return {"status": "ok"}
         finally:
-            lock.release_write()
+            self._release(lock, "w")
 
     def _update_parent_sync(
         self,
@@ -263,8 +262,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.txn_phase_us)
         key = tuple(spec["parent_key"])
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        yield from self._acquire(self._inode_lock(key), "w")  # until parent_commit
         return {"status": "prepared"}
 
     def _handle_parent_commit(self, request: RpcRequest, packet) -> Generator:
@@ -275,17 +273,16 @@ class SyncMetadataServer(ServerRuntime):
         try:
             yield from self._apply_parent_inode(spec, locked=True)
         finally:
-            self._inode_lock(key).release_write()
+            self._release(self._inode_lock(key), "w")  # held since parent_prepare
         return {"status": "ok"}
 
     def _apply_parent_local(self, spec: Dict[str, Any]) -> Generator:
         key = tuple(spec["parent_key"])
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield from self._apply_parent_inode(spec, locked=True)
         finally:
-            lock.release_write()
+            self._release(lock, "w")
 
     def _apply_parent_inode(self, spec: Dict[str, Any], locked: bool) -> Generator:
         yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
@@ -312,8 +309,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(pid, name)
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield self._cpu(self.perf.kv_get_us)
             if key in self.kv:
@@ -341,7 +337,7 @@ class SyncMetadataServer(ServerRuntime):
             )
             return {"status": "ok", "id": inode.id}
         finally:
-            lock.release_write()
+            self._release(lock, "w")
 
     def _handle_rmdir(self, request: RpcRequest, packet) -> Generator:
         args = request.args
@@ -350,8 +346,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(pid, name)
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
@@ -376,7 +371,7 @@ class SyncMetadataServer(ServerRuntime):
             )
             return {"status": "ok"}
         finally:
-            lock.release_write()
+            self._release(lock, "w")
 
     # -- reads -----------------------------------------------------------------
     def _handle_stat(self, request: RpcRequest, packet) -> Generator:
@@ -385,8 +380,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.path_check_us)
         key = file_meta_key(args["pid"], args["name"])
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "r")
+        lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
             yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
@@ -394,7 +388,7 @@ class SyncMetadataServer(ServerRuntime):
                 raise FSError(ENOENT, f"{args['pid']}/{args['name']}")
             return {"perm": inode.perm, "size": inode.size, "mtime": inode.mtime}
         finally:
-            lock.release_read()
+            self._release(lock, "r")
 
     def _handle_close(self, request: RpcRequest, packet) -> Generator:
         yield from self._wait_recovered()
@@ -408,8 +402,7 @@ class SyncMetadataServer(ServerRuntime):
         yield from self._net_penalty()
         yield self._cpu(self.perf.path_check_us)
         key = dir_meta_key(args["pid"], args["name"])
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "r")
+        lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
             yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
@@ -417,7 +410,7 @@ class SyncMetadataServer(ServerRuntime):
                 raise FSError(ENOENT, f"{args['pid']}/{args['name']}")
             return {"id": inode.id, "mtime": inode.mtime, "entry_count": inode.entry_count}
         finally:
-            lock.release_read()
+            self._release(lock, "r")
 
     def _handle_readdir(self, request: RpcRequest, packet) -> Generator:
         value = yield from self._handle_statdir(request, packet)

@@ -155,13 +155,14 @@ class LibFS:
 
     def invalidate_path(self, path: str) -> None:
         """Drop every cached entry on *path* (server said our view is stale)."""
-        parts = path.rstrip("/").split("/")
+        path = path.rstrip("/")
         prefix = ""
-        for part in parts[1:]:
+        for part in path.split("/")[1:]:
             prefix = f"{prefix}/{part}"
             self._cache.pop(prefix, None)
         # Also drop anything *under* the path (a removed subtree).
-        doomed = [p for p in self._cache if p.startswith(path.rstrip("/") + "/")]
+        under = path + "/"
+        doomed = [p for p in self._cache if p.startswith(under)]
         for p in doomed:
             del self._cache[p]
 

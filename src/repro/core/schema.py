@@ -103,32 +103,23 @@ def file_cache_fingerprint(pid: int, name: str) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _file_hash(pid: int, name: str) -> int:
-    """The shared per-file routing hash (salt ``"file-owner"``).
-
-    Both the server-index and shard mappings reduce this same digest, so
-    it is hashed once per distinct (pid, name) instead of once per
-    mapping — a create-heavy workload presents a fresh name on every op,
-    which makes the sha256 itself the cost that matters.
-    """
+    """The per-file routing hash (salt ``"file-owner"``) and the one
+    routing memo: client, then server, ask for each name's, so the sha256
+    runs once per distinct (pid, name) and both mappings below are a ``%``
+    on it (``num_shards`` is fixed for a run; what moves is the shard →
+    server table in the membership view)."""
     return _h256("file-owner", pid, name)
 
 
-@lru_cache(maxsize=1 << 16)
 def owner_of_file(pid: int, name: str, num_servers: int) -> int:
     """Per-file hash partitioning: the server index owning a file inode."""
     return _file_hash(pid, name) % num_servers
 
 
-@lru_cache(maxsize=1 << 16)
 def file_shard_of(pid: int, name: str, num_shards: int) -> int:
-    """Per-file hash partitioning into the fixed shard space.
-
-    Uses the same hash salt as :func:`owner_of_file`, so with the
+    """Per-file hash partitioning into the fixed shard space: with the
     bootstrap shard table (shard ``s`` → server ``s % num_servers``)
-    routing is bit-identical to the historical direct mapping.  Safe to
-    memoise across epochs: ``num_shards`` is fixed for a run — only the
-    shard → server table changes, and that lives in the membership view.
-    """
+    routing is bit-identical to :func:`owner_of_file`."""
     return _file_hash(pid, name) % num_shards
 
 

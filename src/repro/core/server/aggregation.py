@@ -109,7 +109,7 @@ class AggregationProtocol:
                 self._send_agg_ack(fp, others, results, local, remove=silent is None)  # reprolint: allow[RL104] the round's peers
             finally:
                 for lock in local_locks:
-                    lock.release_write()
+                    self._release(lock, "w")
             if silent is not None:
                 if invalidate is not None and others:  # reprolint: allow[RL104] the round's peers
                     yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})  # reprolint: allow[RL104] the round's peers
@@ -123,11 +123,10 @@ class AggregationProtocol:
         ``logs_in_group`` order (one taker per group at a time, DESIGN
         §17.4), and return the locks: the caller drains under them and
         releases after application (locally) or at the ack (pull side)."""
-        locks = [
-            self._changelog_lock(log.dir_id) for log in self.changelogs.logs_in_group(fp)
-        ]
-        for lock in locks:
-            yield from self._acquire(lock, "w")
+        locks = []
+        for log in self.changelogs.logs_in_group(fp):
+            lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")
+            locks.append(lock)
         return locks
 
     def _merge_pulled(
@@ -243,7 +242,7 @@ class AggregationProtocol:
 
     def _release_pull_locks(self, fp: int) -> None:
         for lock in self._pull_locks.pop(fp, []):
-            lock.release_write()
+            self._release(lock, "w")
         waiter = self._pull_waiters.pop(fp, None)
         if waiter is not None:
             waiter.succeed()

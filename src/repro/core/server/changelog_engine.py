@@ -40,8 +40,10 @@ class ChangeLogEngine:
     def _changelog_lock(self, dir_id: int) -> RWLock:
         lock = self._changelog_locks.get(dir_id)
         if lock is None:
-            lock = RWLock(self.sim, name="changelog", scope=self.addr, key=dir_id)
-            self._changelog_locks[dir_id] = lock
+            lock = self._changelog_locks[dir_id] = RWLock(
+                self.sim, name="changelog", scope=self.addr, key=dir_id,
+                table=self._changelog_locks,
+            )
         return lock
 
     def pending_changelog_entries(self) -> int:
@@ -62,10 +64,9 @@ class ChangeLogEngine:
             if len(log):
                 self._note_push(log.fingerprint)
             return
-        lock = self._changelog_lock(log.dir_id)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")
         entries, lsns = log.drain()
-        lock.release_write()
+        self._release(lock, "w")
         if not entries:
             return
         # While drained-but-not-landed, the entries are in no server's
@@ -127,12 +128,11 @@ class ChangeLogEngine:
         # Appender discipline (same as create/delete/mkdir): hold the
         # directory's change-log lock in read mode across the extend so a
         # concurrent drain (write-holder) is excluded.
-        cl_lock = self._changelog_lock(dir_id)
-        yield from self._acquire(cl_lock, "r")
+        cl_lock = yield from self._acquire(self._changelog_lock(dir_id), "r")
         try:
             self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)
         finally:
-            cl_lock.release_read()
+            self._release(cl_lock, "r")
 
     def _idle_push_sweeper(self) -> Generator:
         """Periodically push change-logs that have gone idle (§4.3 cond. 2)."""
@@ -190,18 +190,17 @@ class ChangeLogEngine:
         yield self.charge_cpu_all(len(entries), self.perf.dir_entry_put_us)
         delta = self._apply_entries_to_list(dir_id, entries)
 
-        take_lock = key not in already_locked
-        lock = self._inode_lock(key)
-        if take_lock:
-            yield from self._acquire(lock, "w")
+        lock = None
+        if key not in already_locked:
+            lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield self._cpu(self.perf.dir_inode_update_us)
             inode = self.kv.get_or_none(key)
             if inode is not None:
                 self.kv.put(key, inode.touched(max_ts, delta))
         finally:
-            if take_lock:
-                lock.release_write()
+            if lock is not None:
+                self._release(lock, "w")
 
     def _apply_entry_with_inode_txn(
         self, dir_id: int, entry: ChangeLogEntry, already_locked: frozenset = frozenset()
@@ -217,10 +216,9 @@ class ChangeLogEngine:
         key = self._dir_index.get(dir_id)
         if key is None:
             return  # directory removed concurrently; update is moot
-        take_lock = key not in already_locked
-        lock = self._inode_lock(key)
-        if take_lock:
-            yield from self._acquire(lock, "w")
+        lock = None
+        if key not in already_locked:
+            lock = yield from self._acquire(self._inode_lock(key), "w")
         try:
             yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
             delta = self._apply_entry_to_list(dir_id, entry)
@@ -228,8 +226,8 @@ class ChangeLogEngine:
             if inode is not None:
                 self.kv.put(key, inode.touched(entry.timestamp, delta))
         finally:
-            if take_lock:
-                lock.release_write()
+            if lock is not None:
+                self._release(lock, "w")
 
     def _apply_entry_to_list(self, dir_id: int, entry: ChangeLogEntry) -> int:
         """Apply one op to the entry list; returns the entry-count delta.
@@ -341,13 +339,14 @@ class ChangeLogEngine:
             # are taken in dir_id order: two handlers holding one lock each
             # and waiting for the other's would never finish (§17.4).
             pulled.sort(key=itemgetter(0))
-            locks = [self._changelog_lock(dir_id) for dir_id, _e, _l in pulled]
-            for lock in locks:
-                yield from self._acquire(lock, "w")
+            locks = []
+            for dir_id, _e, _l in pulled:
+                lock = yield from self._acquire(self._changelog_lock(dir_id), "w")
+                locks.append(lock)
             try:
                 self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                 yield from self._apply_logs(pulled)
             finally:
                 for lock in locks:
-                    lock.release_write()
+                    self._release(lock, "w")
         return {"status": "ok"}

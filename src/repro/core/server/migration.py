@@ -108,7 +108,7 @@ class ShardMigration:
                     )
             finally:
                 for lock in locks:
-                    lock.release_write()
+                    self._release(lock, "w")
         return {
             "shards": sorted(shards),
             "kv_pairs": kv_pairs,
@@ -117,29 +117,32 @@ class ShardMigration:
             "fingerprints": sorted(fingerprints),
         }
 
+    def _stage_locked(self, kv_pairs: List[Tuple[list, Any]], stage) -> Generator:
+        """``stage(key, value)`` each shipped pair under the lock a
+        foreground mutator of that key holds (inode lock for D/F keys, the
+        directory's change-log lock for entry-list keys), one at a time —
+        never nested, so no new lock-order edges."""
+        for key, value in kv_pairs:
+            key = tuple(key)
+            lock = yield from self._acquire(
+                self._changelog_lock(key[1]) if key[0] == "E" else self._inode_lock(key), "w"
+            )
+            try:
+                stage(key, value)
+            finally:
+                self._release(lock, "w")
+
     def discard_shards(self, package: Dict[str, Any]) -> Generator:
         """Drop exactly what :meth:`collect_shards` captured.
 
         Runs after the install is acknowledged and the epoch bumped; the
         source is still gated and quiesced, so the captured key set is
-        still exact.  Deletes are staged under the same locks foreground
-        mutators hold for those keys (inode lock for D/F keys, the
-        directory's change-log lock for entry-list keys) and committed in
-        one transaction, keeping the drop atomic.
+        still exact.  Deletes are staged under the keys' locks
+        (:meth:`_stage_locked`) and committed in one transaction, keeping
+        the drop atomic.
         """
         txn = self.kv.transaction()
-        for key, _value in package["kv_pairs"]:
-            key = tuple(key)
-            lock = (
-                self._changelog_lock(key[1])
-                if key[0] == "E"
-                else self._inode_lock(key)
-            )
-            yield from self._acquire(lock, "w")
-            try:
-                txn.delete(key)
-            finally:
-                lock.release_write()
+        yield from self._stage_locked(package["kv_pairs"], lambda key, _value: txn.delete(key))
         txn.commit()
         for dir_id, _key in package["dir_index"]:
             self._dir_index.pop(dir_id, None)
@@ -151,27 +154,14 @@ class ShardMigration:
         Deliberately *not* gated behind the recovery gate: the target is
         live and must accept the package while the sources stall.  No
         client can race it — routes to these shards flip only when the
-        epoch bumps, which happens strictly after this returns.  Each
-        staged write still takes the lock a foreground mutator of the
-        same key would hold, one at a time (never nested, so no new
-        lock-order edges); the transaction commit flips the KV state
-        atomically at the end.
+        epoch bumps, which happens strictly after this returns.  Writes
+        are staged under the keys' locks (:meth:`_stage_locked`); the
+        transaction commit flips the KV state atomically at the end.
         """
         args = request.args
         yield self._cpu(self.perf.wal_append_us)
         txn = self.kv.transaction()
-        for key, value in args["kv_pairs"]:
-            key = tuple(key)
-            lock = (
-                self._changelog_lock(key[1])
-                if key[0] == "E"
-                else self._inode_lock(key)
-            )
-            yield from self._acquire(lock, "w")
-            try:
-                txn.put(key, value)
-            finally:
-                lock.release_write()
+        yield from self._stage_locked(args["kv_pairs"], txn.put)
         txn.commit()
         for dir_id, key in args["dir_index"]:
             self._dir_index[dir_id] = tuple(key)

@@ -92,15 +92,13 @@ class ServerOps:
             self._check_owner_file(pid, name)
             key = file_meta_key(pid, name)
 
-        cl_lock = self._changelog_lock(pid)
-        klock = self._inode_lock(key)
         # Counted before the lock waits: an op parked on a lock is still
         # an in-flight mutator the migration quiesce must wait out.
         self._mutator_begin()
         # Locks go through _acquire (not inlined): the lock-discipline
         # characterization tests observe acquisition order through it.
-        yield from self._acquire(cl_lock, "r")
-        yield from self._acquire(klock, "w")
+        cl_lock = yield from self._acquire(self._changelog_lock(pid), "r")
+        klock = yield from self._acquire(self._inode_lock(key), "w")
         # Custody: whoever holds this list releases what is in it — the
         # unlock token once _finish_async_update emptied it, else `finally`.
         held = [(klock, "w"), (cl_lock, "r")]
@@ -239,13 +237,6 @@ class ServerOps:
             },
             header=StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=parent_fp),
         )
-
-    def _release_locks(self, locks: List[Tuple[RWLock, str]]) -> None:
-        for lock, mode in locks:
-            if mode == "w":
-                lock.release_write()
-            else:
-                lock.release_read()
 
     def _detach_entry(self, log: ChangeLog, entry: ChangeLogEntry, lsn: int) -> None:
         """Remove a change-log entry that was applied synchronously."""

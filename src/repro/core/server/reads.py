@@ -96,8 +96,7 @@ class ReadOps:
             yield from self._aggregate_group(fp)
 
         key = dir_meta_key(pid, name)
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "r")
+        lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
             yield self._cpu(self.perf.kv_get_us)
             inode = self.kv.get_or_none(key)
@@ -105,7 +104,7 @@ class ReadOps:
                 raise FSError(ENOENT, f"{pid}/{name}")
             return inode
         finally:
-            lock.release_read()
+            self._release(lock, "r")
 
     # ------------------------------------------------------------------
     # single-inode operations
@@ -133,8 +132,7 @@ class ReadOps:
         self._check_valid(args)
         self._check_owner_file(pid, name)
         key = file_meta_key(pid, name)
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "r")
+        lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
             yield self._cpu(perf.kv_get_us)
             inode = self.kv.get_or_none(key)
@@ -161,7 +159,7 @@ class ReadOps:
                 )
             return value
         finally:
-            lock.release_read()
+            self._release(lock, "r")
 
     def _handle_lookup_dir(self, request: RpcRequest, packet: Packet) -> Generator:
         """Path-resolution lookup: directory id + permissions by (pid, name)."""

@@ -56,8 +56,7 @@ class RenameParticipant:
             self._check_owner_dir(fingerprint_of(key[1], key[2]))
         elif key[0] == "F":
             self._check_owner_file(key[1], key[2])
-        lock = self._inode_lock(key)
-        yield from self._acquire(lock, "w")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
         txn_id = args["txn_id"]
         self._rename_locks.setdefault(txn_id, []).append(lock)
         result: Dict[str, Any] = {"vote": True}
@@ -87,8 +86,7 @@ class RenameParticipant:
         # inode locks (parents are deliberately unlocked in async mode),
         # and change-log write-holders only ever acquire *directory*
         # inode locks, so this acquisition cannot complete a lock cycle.
-        cl_lock = self._changelog_lock(args["parent_id"])
-        yield from self._acquire(cl_lock, "r")
+        cl_lock = yield from self._acquire(self._changelog_lock(args["parent_id"]), "r")
         held = [(cl_lock, "r")]
         try:
             return (yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
@@ -165,6 +163,5 @@ class RenameParticipant:
         return {"status": "ok"}
 
     def _release_rename_locks(self, txn_id: int) -> None:
-        locks = self._rename_locks.pop(txn_id, [])
-        for lock in locks:
-            lock.release_write()
+        for lock in self._rename_locks.pop(txn_id, []):
+            self._release(lock, "w")

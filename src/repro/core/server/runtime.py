@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ...kvstore import KVStore
 from ...net import RpcNode
 from ...net.topology import Network
-from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, Simulator
+from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
 from ..config import FSConfig
 from ..errors import EWRONGEPOCH, FSError
 from ..schema import dir_meta_key, root_inode
@@ -141,13 +141,14 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
             yield self._cpu(self.perf.extra_net_us)
 
     # ------------------------------------------------------------------
-    # locks
+    # locks (DESIGN §9: a table holds one only while held or waited on)
     # ------------------------------------------------------------------
     def _inode_lock(self, key: Tuple) -> RWLock:
         lock = self._inode_locks.get(key)
         if lock is None:
-            lock = RWLock(self.sim, name="inode", scope=self.addr, key=key)
-            self._inode_locks[key] = lock
+            lock = self._inode_locks[key] = RWLock(
+                self.sim, name="inode", scope=self.addr, key=key, table=self._inode_locks
+            )
         return lock
 
     def rename_serializer(self) -> Lock:
@@ -162,7 +163,12 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         return self._rename_serial
 
     def _acquire(self, lock: RWLock, mode: str) -> Generator:
-        """Acquire *lock* (``"r"``/``"w"``), recording ``lock`` wait time."""
+        """Acquire *lock* (``"r"``/``"w"``) and return it, recording
+        ``lock`` wait time.  It is granted or queued before the first
+        yield, so ``_acquire(self._inode_lock(key), "w")`` is one step."""
+        if lock.table is None or lock.table.get(lock.key) is not lock:
+            # Fetched ahead of a yield, forgotten since: excludes nobody.
+            raise SimulationError(f"{lock.name} acquired after its table forgot it")
         sim = self.sim
         t0 = sim.now
         if mode == "w":
@@ -171,6 +177,19 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         elif not lock.try_acquire_read():
             yield lock.acquire_read()
         self.phases.add("lock", sim.now - t0)
+        return lock
+
+    def _release(self, lock: RWLock, mode: str) -> None:
+        """Give *lock* back; its table forgets it once idle (a lock from
+        before a crash is no longer its entry, and is only released)."""
+        idle = lock.release_write() if mode == "w" else lock.release_read()
+        table = lock.table
+        if idle and table is not None and table.get(lock.key) is lock:
+            del table[lock.key]
+
+    def _release_locks(self, locks: List[Tuple[RWLock, str]]) -> None:
+        for lock, mode in locks:
+            self._release(lock, mode)
 
     # ------------------------------------------------------------------
     # recovery gate (§4.4.2: operations block while a server recovers)

@@ -4,8 +4,9 @@ The paper's implementation uses a coroutine-based, non-blocking RPC engine
 on DPDK; ours provides the same facilities on the simulation kernel:
 
 * request/response matching by ``rpc_id`` with timeout + retransmission;
-* at-most-once execution on the server via a reply cache (duplicated
-  requests re-send the cached reply without re-executing, §4.4.1);
+* at-most-once execution on the server via acknowledged replies: a
+  duplicated request re-sends the kept reply without re-executing, and a
+  reply is kept until its caller says it is done with it (§4.4.1);
 * one-way notifications (no reply expected) for change-log pushes and
   unlock messages;
 * custom reply routing so a response can carry a stale-set header and be
@@ -33,15 +34,17 @@ Fast paths (DESIGN.md §10)
 * **Validation-free packets**: outbound packets come from
   :func:`alloc_packet`, which skips the port/header pairing check the
   public constructor makes (the pairing is correct by construction here).
-* **Bounded reply cache**: two-generation rotation caps memory on
-  week-long runs; see :meth:`RpcNode._cache_put`.
+* **Acknowledged replies**: a request carries ``acked``, its sender's
+  lowest outstanding ``rpc_id``; a server keeps per source that watermark
+  and the replies above it (:class:`_Replies`), never runs a request
+  below it, and so holds O(calls in flight) entries, not a history.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from collections import deque
+from collections import defaultdict, deque
 from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
@@ -89,7 +92,7 @@ class RpcRequest:
     ``__dict__`` is measurable on the op fast path.
     """
 
-    __slots__ = ("rpc_id", "method", "args", "src", "wants_reply", "attempt")
+    __slots__ = ("rpc_id", "method", "args", "src", "wants_reply", "attempt", "acked")
 
     def __init__(
         self,
@@ -99,6 +102,7 @@ class RpcRequest:
         src: str,
         wants_reply: bool = True,
         attempt: int = 0,
+        acked: int = 0,
     ):
         self.rpc_id = rpc_id
         self.method = method
@@ -106,6 +110,7 @@ class RpcRequest:
         self.src = src
         self.wants_reply = wants_reply
         self.attempt = attempt
+        self.acked = acked  # sender's lowest outstanding rpc_id (0: unsaid)
 
     def __repr__(self) -> str:
         return (
@@ -288,39 +293,48 @@ class _Inbox(Event):
         self.armed = False
 
 
+class _Replies(dict):
+    """One caller's replies on a server: ``rpc_id`` -> :class:`Reply`
+    (``None`` while the first execution runs), in arrival order — id order
+    unless the fabric reorders — above ``acked``, its highest watermark."""
+
+    __slots__ = ("acked",)
+
+    def __init__(self) -> None:
+        self.acked = 0
+
+    def advance(self, acked: int) -> None:
+        """Forget the replies below the caller's new watermark (a marker
+        stays until its handler returns; a reply that arrived out of id
+        order goes with the later id it arrived behind)."""
+        self.acked = acked
+        done = []
+        for rpc_id, reply in self.items():
+            if rpc_id >= acked:
+                break
+            if reply is not None:
+                done.append(rpc_id)
+        for rpc_id in done:
+            del self[rpc_id]
+
+
 class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built at boot
     """One host's RPC endpoint: dispatcher, handlers, and outgoing calls."""
 
-    #: Entries kept per reply-cache generation (two generations live).
-    REPLY_CACHE_LIMIT = 4096
-
-    def __init__(
-        self,
-        sim: Simulator,
-        net: Network,
-        addr: str,
-        reply_cache_limit: int = REPLY_CACHE_LIMIT,
-    ):
+    def __init__(self, sim: Simulator, net: Network, addr: str):
         self.sim = sim
         self.net = net
         self.addr = addr
         self._inbox = net.attach(addr, _Inbox(self))
         self._deadlines = _Deadlines(sim)
         self._handlers: Dict[str, Handler] = {}
+        # In rpc_id order (ids only grow): the first key is the `acked`
+        # every request carries.
         self._pending: Dict[int, _Pending] = {}
-        # Reply cache for at-most-once semantics: (src, rpc_id) -> Reply |
-        # None (None while the first execution is still in progress).
-        # Bounded by two-generation rotation: `_reply_cache` is the current
-        # generation; when it fills, it becomes `_reply_cache_old` and a
-        # fresh generation starts.  Hits in the old generation are promoted
-        # back; entries that age out of the old generation are evicted.
-        self._reply_cache: Dict[Tuple[str, int], Optional[Reply]] = {}
-        self._reply_cache_old: Dict[Tuple[str, int], Optional[Reply]] = {}
-        self._reply_cache_limit = reply_cache_limit
+        self._replies: Dict[str, _Replies] = defaultdict(_Replies)  # by source addr
         self._raw_taps: List[Callable[[Packet], bool]] = []
         self._alive = True
         self.retransmits = 0
-        self.reply_cache_evictions = 0
 
     # -- registration --------------------------------------------------------
     def register(self, method: str, handler: Handler) -> None:
@@ -377,7 +391,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 # absorbs, so patience grows instead of giving up.
                 attempt_timeout = timeout_us * min(2 ** attempt, 64)
                 request = RpcRequest(
-                    rpc_id=rpc_id, method=method, args=args, src=self.addr, attempt=attempt
+                    rpc_id, method, args, self.addr, True, attempt, next(iter(self._pending))
                 )
                 header = make_header(attempt) if make_header else None
                 port = STALESET_PORT if header is not None else REGULAR_PORT
@@ -483,15 +497,14 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         try:
             for attempt in range(max_attempts):
                 attempt_timeout = timeout_us * min(2 ** attempt, 64)
+                acked = next(iter(pending_map))  # nothing completes mid-sweep
                 for index, dst in enumerate(dsts):
                     rpc_id = ids[index]
                     if rpc_id not in pending_map:
                         continue  # already answered
                     if attempt > 0:
                         self.retransmits += 1
-                    request = RpcRequest(
-                        rpc_id=rpc_id, method=method, args=args, src=addr, attempt=attempt
-                    )
+                    request = RpcRequest(rpc_id, method, args, addr, True, attempt, acked)
                     send(alloc_packet(addr, dst, request, REGULAR_PORT, None, size_bytes))
                 # Same deadline/response race as `call`: one fresh event per
                 # round, sentinel on timeout.  The extra remaining/error
@@ -591,16 +604,21 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                     packet,
                 )
             return None
-        cache_key = (request.src, request.rpc_id)
         if request.wants_reply:
-            cached = self._cache_get(cache_key)
+            rpc_id = request.rpc_id
+            replies = self._replies[request.src]
+            if request.acked > replies.acked:
+                replies.advance(request.acked)
+            elif rpc_id < replies.acked:
+                return None  # late copy of a call its caller is done with
+            cached = replies.get(rpc_id, _MISSING)
             if cached is not _MISSING:
                 if cached is not None:
                     self.send_response(request, cached, packet)
                 # else: first execution still running; drop the duplicate —
                 # the client will retransmit again if the reply is lost.
                 return None
-            self._cache_put(cache_key, None)
+            replies[rpc_id] = None
         try:
             # The handler runs inside this generator (yield from) instead of
             # as a second spawned process; its events pass straight through.
@@ -613,45 +631,14 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
             result = Reply(error=f"EINTERNAL: {type(exc).__name__}: {exc}")
         reply = result if isinstance(result, Reply) else Reply(value=result)
         if request.wants_reply:
-            self._cache_put(cache_key, reply)
+            if rpc_id < replies.acked:
+                del replies[rpc_id]  # abandoned meanwhile: nobody will ask again
+            else:
+                replies[rpc_id] = reply
             if self._alive:
                 self.send_response(request, reply, packet)
         return None
 
-    # -- reply cache -------------------------------------------------------
-    def _cache_get(self, key: Tuple[str, int]) -> Any:
-        """Look up *key*; returns the entry or :data:`_MISSING`.
-
-        Old-generation hits are promoted into the current generation so a
-        still-retransmitting client keeps its at-most-once guarantee for as
-        long as it keeps asking.
-        """
-        entry = self._reply_cache.get(key, _MISSING)
-        if entry is not _MISSING:
-            return entry
-        entry = self._reply_cache_old.pop(key, _MISSING)
-        if entry is not _MISSING:
-            self._reply_cache[key] = entry
-        return entry
-
-    def _cache_put(self, key: Tuple[str, int], value: Optional[Reply]) -> None:
-        """Insert into the current generation, rotating when it fills.
-
-        Rotation drops the previous old generation — except in-progress
-        markers (``None``): an execution that is still running must keep
-        its marker or a retransmit would re-execute the handler, breaking
-        at-most-once.  Dropped entries count in ``reply_cache_evictions``.
-        """
-        cache = self._reply_cache
-        if key not in cache and len(cache) >= self._reply_cache_limit:
-            dying = self._reply_cache_old
-            carried = {k: v for k, v in dying.items() if v is None and k not in cache}
-            self.reply_cache_evictions += len(dying) - len(carried)
-            self._reply_cache_old = cache
-            cache = self._reply_cache = carried
-        cache[key] = value
-
     def clear_reply_cache(self) -> None:
-        """Drop at-most-once state (used when simulating a server restart)."""
-        self._reply_cache.clear()
-        self._reply_cache_old.clear()
+        """Drop at-most-once state, replies and watermarks (a server restart)."""
+        self._replies.clear()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from .kernel import Event, Simulator, SimulationError
 from .stats import PhaseStats
@@ -219,18 +219,23 @@ class RWLock:
     before a reader blocks that reader), which prevents writer starvation
     and keeps runs deterministic.
 
-    The server tables keep one lock per inode and change-log ever touched,
-    nearly all never contended, so an idle lock is small: the first waiter
-    allocates the queue, and ``name`` is formatted when read.
+    The server tables make one lock per acquisition of an uncontended
+    inode or change-log and forget it when a release leaves it idle, so a
+    lock is small: the first waiter allocates the queue, and ``name`` is
+    formatted when read.
     """
 
-    __slots__ = ("sim", "_name", "_scope", "_key", "_readers", "_writer", "_waiters")
+    __slots__ = ("sim", "_name", "_scope", "key", "table", "_readers", "_writer", "_waiters")
 
-    def __init__(self, sim: Simulator, name: str = "", scope: Any = None, key: Any = None):
+    def __init__(
+        self, sim: Simulator, name: str = "", scope: Any = None, key: Any = None,
+        table: Optional[Dict[Any, "RWLock"]] = None,
+    ):
         self.sim = sim
         self._name = name
         self._scope = scope
-        self._key = key
+        self.key = key
+        self.table = table  # the owner's key -> lock map this is an entry of
         self._readers = 0
         self._writer = False
         # Queue of (is_writer, event) in arrival order; None until needed.
@@ -241,7 +246,7 @@ class RWLock:
         """*name*, or ``name:scope:key!r`` when built with a *scope*."""
         if self._scope is None:
             return self._name
-        return f"{self._name}:{self._scope}:{self._key!r}"
+        return f"{self._name}:{self._scope}:{self.key!r}"
 
     @property
     def readers(self) -> int:
@@ -294,7 +299,9 @@ class RWLock:
             return True
         return False
 
-    def release_read(self) -> None:
+    def release_read(self) -> bool:
+        """Drop a read hold; True when that left the lock idle (nobody
+        holds it, nobody waits for it), as for :meth:`release_write`."""
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.on_release(self, "r")
@@ -302,8 +309,9 @@ class RWLock:
             raise SimulationError("release_read without a read hold")
         self._readers -= 1
         self._drain()
+        return not (self._readers or self._writer or self._waiters)
 
-    def release_write(self) -> None:
+    def release_write(self) -> bool:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.on_release(self, "w")
@@ -311,6 +319,7 @@ class RWLock:
             raise SimulationError("release_write without a write hold")
         self._writer = False
         self._drain()
+        return not (self._writer or self._readers or self._waiters)
 
     def _enqueue(self, is_writer: bool) -> Event:
         """Queued grant: a pending event at the tail of the FIFO."""

@@ -121,6 +121,40 @@ class TestRL102LockAcrossYield:
         """)
         assert _findings(tmp_path, rule="RL102") == []
 
+    def test_lock_handed_back_by_the_wrapper_and_released_through_one(self, tmp_path):
+        """The runtime's idiom since the tables hold held locks only: the
+        producer call is the wrapper's argument, the wrapper returns the
+        lock, and a plain ``_release(lock, mode)`` gives it back."""
+        _write(tmp_path, "handed.py", RUNTIME + """
+        return lock
+
+    def _release(self, lock, mode):
+        if mode == "w":
+            lock.release_write()
+        else:
+            lock.release_read()
+        self.forget(lock)
+
+    def held(self, key):
+        lock = yield from self._acquire(self._inode_lock(key), "w")
+        yield self.completion_event()
+        self._release(lock, "w")
+
+    def released(self, key, dir_id):
+        cl = yield from self._acquire(self._changelog_lock(dir_id), "r")
+        lock = yield from self._acquire(self._inode_lock(key), "w")
+        self._release(lock, "w")
+        self._release(cl, "r")
+        yield self.completion_event()
+        """)
+        found = _findings(tmp_path, rule="RL102")
+        assert [(f.function, f.symbol) for f in found] == [("held", "inode")]
+        project = scan_project([tmp_path])
+        wrappers = {f.name: (f.acquire_wrapper_param, f.release_wrapper_param)
+                    for f in project.functions.values()}
+        assert wrappers["_acquire"] == (0, None) and wrappers["_release"] == (None, 0)
+        assert ("changelog", "inode") in flow.analyze_paths([tmp_path]).lock_graph
+
 
 class TestRL103LockOrderGraph:
     def test_opposite_acquisition_orders_make_a_cycle(self, tmp_path):

@@ -9,7 +9,7 @@ from repro.baselines import BaselineCluster, SyncMetadataServer
 from repro.baselines.common import PerFilePartition
 from repro.core import FSConfig, MetadataServer, ServerRuntime, SwitchFSCluster
 from repro.errors import ReproError
-from repro.sim import PhaseStats
+from repro.sim import PhaseStats, SimulationError
 
 
 def switchfs(**overrides):
@@ -35,7 +35,7 @@ class TestSharedRuntime:
         # The fair-comparison property (§6.1): CPU accounting, lock
         # acquisition, and RPC plumbing are the same code object for
         # SwitchFS and the baselines, not parallel implementations.
-        for method in ("_cpu", "_acquire", "_call", "_inode_lock",
+        for method in ("_cpu", "_acquire", "_release", "_call", "_inode_lock",
                        "_net_penalty", "_wait_recovered"):
             assert getattr(MetadataServer, method) is getattr(ServerRuntime, method)
             assert getattr(SyncMetadataServer, method) is getattr(ServerRuntime, method)
@@ -103,6 +103,73 @@ class TestSharedRuntime:
         sim.run_process(p1)
         sim.run_process(p2)
         assert server.phases.total("lock") == pytest.approx(50.0)
+
+
+class TestHeldOnlyLockTable:
+    """The inode table holds a lock only while it is held or waited on."""
+
+    KEY = ("F", 0, "x")
+
+    @pytest.mark.parametrize("make", [switchfs, baseline], ids=["switchfs", "baseline"])
+    def test_table_forgets_an_idle_lock_and_keeps_a_wanted_one(self, make):
+        cluster = make(num_servers=1)
+        server, sim = cluster.servers[0], cluster.sim
+        table = server._inode_locks
+        seen = []
+
+        def holder():
+            lock = yield from server._acquire(server._inode_lock(self.KEY), "w")
+            yield sim.timeout(50.0)
+            server._release(lock, "w")
+            seen.append(table.get(self.KEY))
+
+        def waiter():
+            lock = yield from server._acquire(server._inode_lock(self.KEY), "r")
+            seen.append(lock)
+            server._release(lock, "r")
+
+        p1, p2 = sim.spawn(holder(), name="h"), sim.spawn(waiter(), name="w")
+        sim.run_process(p1)
+        sim.run_process(p2)
+        # The holder's release handed the lock to the waiter, so the table
+        # kept it — one lock, FIFO intact — until the waiter let go.
+        assert seen[0] is seen[1] and seen[0].readers == 0
+        assert not table
+
+    def test_acquiring_through_a_stale_handle_raises(self):
+        """The hazard that kept idle locks unreclaimed until now: fetch a
+        lock, park on something else, lock it afterwards.  If the table
+        forgot it meanwhile, the next op to look the key up gets a
+        different lock and the two exclude nobody — so it fails loudly."""
+        cluster = switchfs(num_servers=1)
+        server, sim = cluster.servers[0], cluster.sim
+
+        def fetch_then_park():
+            lock = server._inode_lock(self.KEY)  # fetched ahead of a yield
+            yield sim.timeout(10.0)
+            yield from server._acquire(lock, "w")
+
+        def someone_else():
+            lock = yield from server._acquire(server._inode_lock(self.KEY), "w")
+            server._release(lock, "w")  # idle: the table forgets it
+
+        stale = sim.spawn(fetch_then_park(), name="stale")
+        sim.run_process(sim.spawn(someone_else(), name="other"))
+        with pytest.raises(SimulationError, match="after its table forgot it"):
+            sim.run_process(stale)
+
+    def test_release_of_a_lock_from_before_a_crash_leaves_the_new_entry(self):
+        cluster = switchfs(num_servers=1)
+        server, sim = cluster.servers[0], cluster.sim
+        old = server._inode_lock(self.KEY)
+        assert old.try_acquire_write()
+        server._inode_locks.clear()  # what crash() does to the tables
+        new = server._inode_lock(self.KEY)
+        assert new is not old and new.try_acquire_read()
+        server._release(old, "w")
+        assert server._inode_locks[self.KEY] is new
+        server._release(new, "r")
+        assert self.KEY not in server._inode_locks
 
 
 class TestPhaseStats:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import (
+    FaultDecision,
     FaultModel,
     Network,
     PassthroughSwitch,
@@ -31,6 +32,11 @@ def setup_pair(loss_prob=0.0, seed=1):
 def run_call(sim, client, *args, **kwargs):
     proc = sim.spawn(client.call(*args, **kwargs), name="call")
     return sim.run_process(proc)
+
+
+def _cached(server):
+    """Entries (replies and in-progress markers) a node holds, all sources."""
+    return sum(len(replies) for replies in server._replies.values())
 
 
 class TestBasicRpc:
@@ -125,13 +131,15 @@ class TestRetransmission:
         # Manually re-deliver a duplicate of the same request id.
         from repro.net import Packet, RpcRequest
 
-        dup = RpcRequest(rpc_id=1, method="h", args=None, src="client", attempt=1)
-        # Find the actual rpc_id used: executions==1 so grab from cache.
-        key = next(iter(server._reply_cache))
-        dup.rpc_id = key[1]
+        # The one call the server holds a reply for is the one just made.
+        (rpc_id,) = server._replies["client"]
+        dup = RpcRequest(rpc_id=rpc_id, method="h", args=None, src="client", attempt=1)
+        resent = []
+        client.add_raw_tap(lambda p: resent.append(p.payload.value) or True)
         net.send(Packet(src="client", dst="server", payload=dup))
         sim.run()
         assert len(executions) == 1
+        assert resent == ["v"]
 
     def test_timeout_after_all_attempts(self):
         sim, net, client, server = setup_pair(loss_prob=1.0)
@@ -270,22 +278,32 @@ class TestFaultModelRpc:
         # Every duplicated request hit the reply cache, never the handler.
         assert len(executions) == 20
 
-    def test_reply_cache_bounded_with_eviction_counter(self):
-        sim = Simulator()
-        net = Network(sim, single_rack_path([PassthroughSwitch()]))
-        client = RpcNode(sim, net, "client")
-        server = RpcNode(sim, net, "server", reply_cache_limit=8)
+    def test_reply_cache_holds_calls_in_flight_not_history(self):
+        sim, net, client, server = setup_pair()
+        gate = sim.event()
 
         def handler(request, packet):
             yield sim.timeout(0.1)
+            if request.args == "slow":
+                yield gate
             return "r"
 
         server.register("h", handler)
         for _ in range(50):
             run_call(sim, client, "server", "h", None)
-        # Two-generation rotation: at most 2x the limit live at once.
-        assert len(server._reply_cache) + len(server._reply_cache_old) <= 16
-        assert server.reply_cache_evictions > 0
+        # Each request acknowledged everything before it: one reply is left,
+        # the one nothing has acknowledged yet.
+        assert _cached(server) == 1
+        # With a call outstanding the watermark stands still, so the replies
+        # of the calls made meanwhile stay: it is load in flight that is held.
+        slow = sim.spawn(client.call("server", "h", "slow"), name="slow")
+        for _ in range(5):
+            run_call(sim, client, "server", "h", None)
+        assert _cached(server) == 1 + 5  # its marker and the five behind it
+        gate.succeed()
+        sim.run_process(slow)
+        run_call(sim, client, "server", "h", None)
+        assert _cached(server) == 1
 
     def test_fresh_header_seq_per_retransmission(self):
         """make_header(attempt) runs per transmission: REMOVE gets a new SEQ."""
@@ -368,6 +386,102 @@ class TestFaultModelRpc:
             )
         )
         assert probe[0].header.ret == 1
+
+
+class _LateDuplicate(FaultModel):
+    """Duplicates the first packet sent and delivers the copy *delay* late."""
+
+    def __init__(self, delay):
+        super().__init__(make_rng(0, "late"), dup_prob=1.0)
+        self._fates = [FaultDecision(copies=2, extra_delays=(0.0, delay))]
+
+    def decide(self):
+        return self._fates.pop() if self._fates else FaultDecision(1, (0.0,))
+
+
+class TestAcknowledgedReplies:
+    """At-most-once by watermark: what a server keeps, and for how long."""
+
+    def _counting_server(self, sim, server, gate=None):
+        runs = []
+
+        def bump(request, packet):  # not idempotent
+            runs.append(request.rpc_id)
+            yield sim.timeout(0.1)
+            if gate is not None and request.args == "park":
+                yield gate
+            return len(runs)
+
+        server.register("bump", bump)
+        return runs
+
+    def test_late_duplicate_of_a_finished_call_does_not_run_again(self):
+        """The parent kept the last 2 x 4096 replies per node, so a copy
+        the fabric held back past that many later calls ran the handler a
+        second time; below the caller's watermark it is refused."""
+        sim = Simulator()
+        net = Network(sim, single_rack_path([PassthroughSwitch()]), faults=_LateDuplicate(1e6))
+        client, server = RpcNode(sim, net, "client"), RpcNode(sim, net, "server")
+        runs = self._counting_server(sim, server)
+        later = 2 * 4096 + 1
+        for expected in range(1, later + 2):
+            value, _ = run_call(sim, client, "server", "bump", None)
+            assert value == expected
+        assert sim.now < 1e6  # the copy of the first request is still out
+        sim.run()
+        assert sim.now >= 1e6 and len(runs) == later + 1
+        assert _cached(server) == 1
+
+    def test_marker_outlives_the_watermark_and_an_abandoned_call_leaves_nothing(self):
+        sim, net, client, server = setup_pair()
+        gate = sim.event()
+        runs = self._counting_server(sim, server, gate)
+        parked = sim.spawn(
+            client.call("server", "bump", "park", timeout_us=5.0, max_attempts=2), name="p"
+        )
+        with pytest.raises(RpcTimeout):
+            sim.run_process(parked)
+        (abandoned,) = runs
+        replies = server._replies["client"]
+        assert replies[abandoned] is None  # still running
+        # Later calls carry a watermark above the abandoned id ...
+        for _ in range(3):
+            run_call(sim, client, "server", "bump", None)
+        assert replies.acked > abandoned
+        # ... which forgets finished calls, never a running one: a copy of
+        # the parked request meets its marker or the watermark, not the handler.
+        assert replies[abandoned] is None and len(replies) == 2
+        from repro.net import Packet, RpcRequest
+
+        net.send(Packet(src="client", dst="server", payload=RpcRequest(
+            abandoned, "bump", "park", "client", attempt=2)))
+        sim.run()
+        assert runs.count(abandoned) == 1
+        # When the handler finally returns, nobody can ask for its reply.
+        gate.succeed()
+        sim.run()
+        assert abandoned not in replies and len(replies) == 1
+
+    def test_restart_forgets_watermarks_with_the_replies(self):
+        sim, net, client, server = setup_pair()
+        runs = self._counting_server(sim, server)
+        for _ in range(3):
+            run_call(sim, client, "server", "bump", None)
+        first = runs[0]
+        assert server._replies["client"].acked > first
+        from repro.net import Packet, RpcRequest
+
+        copy = RpcRequest(first, "bump", None, "client", attempt=1)
+        net.send(Packet(src="client", dst="server", payload=copy))
+        sim.run()
+        assert runs.count(first) == 1  # refused: below the watermark
+        server.clear_reply_cache()
+        assert server._replies == {}
+        # A restarted server knows nothing of what it served before (§4.4.2
+        # recovery replays the WAL instead), so the same copy now runs.
+        net.send(Packet(src="client", dst="server", payload=copy))
+        sim.run()
+        assert runs.count(first) == 2
 
 
 class TestRawTap:

@@ -197,10 +197,10 @@ class TestIdleRWLockIsLean:
         sim = _simulator()
         lock = RWLock(sim)
         assert lock.try_acquire_read() and lock.try_acquire_read()
-        lock.release_read()
-        lock.release_read()
+        assert lock.release_read() is False  # the other reader still holds it
+        assert lock.release_read() is True  # idle: nobody holds, nobody waits
         assert lock.acquire_write().processed
-        lock.release_write()
+        assert lock.release_write() is True
         assert lock._waiters is None
 
     def test_first_waiter_allocates_the_queue(self):
@@ -209,7 +209,7 @@ class TestIdleRWLockIsLean:
         assert lock.try_acquire_write()
         waiting = lock.acquire_read()
         assert not waiting.triggered and len(lock._waiters) == 1
-        lock.release_write()
+        assert lock.release_write() is False  # handed to the waiter, not idle
         sim.run()
         assert waiting.processed and lock.readers == 1
 
@@ -219,7 +219,7 @@ class TestIdleRWLockIsLean:
         lock = RWLock(sim, name="inode", scope=3, key=key)
         assert lock.name == f"inode:3:{key!r}"
         assert lock.name.split(":", 1)[0] == "inode"
-        assert lock._key is key  # the table's key, not a formatted copy
+        assert lock.key is key  # the table's key, not a formatted copy
         assert RWLock(sim, name="changelog", scope=0, key=12).name == "changelog:0:12"
         assert RWLock(sim, name="plain").name == "plain"
         assert RWLock(sim).name == ""
