@@ -9,36 +9,24 @@ All opt-in and zero-cost when disabled:
 * :mod:`.detect` — analyses over a tracer's event stream: lock-order
   cycle detection (potential deadlock) and Eraser-style lockset race
   detection on server/changelog state.
-* :mod:`.reprolint` — ``reprolint``, an AST lint (stdlib ``ast`` only)
-  enforcing repo rules: no wall-clock/``random``-module calls in
-  sim-visible code, no cross-module private-attribute access, generator
-  hygiene, and ``__slots__`` on hot-path classes.
+* :mod:`.reprolint` — ``reprolint``, the static gate (stdlib ``ast``
+  only): one rule table, one suppression pass, one driver
+  (:func:`lint_paths`) over the syntactic repo rules — no wall-clock/
+  ``random``-module calls in sim-visible code, no cross-module
+  private-attribute access, generator hygiene, ``__slots__`` on hot-path
+  classes — and the flow-sensitive ones.
 * :mod:`.cfg` / :mod:`.callgraph` / :mod:`.flow` — the flow-sensitive
-  static complement (DESIGN.md §17): generator-aware CFGs with explicit
-  yield/resume edges, a name-resolved project call graph, and three
-  interprocedural analyses (RL102 lock-across-yield, RL103 static
-  lock-order graph cross-checked against SimTracer's dynamic one, RL104
-  stale-view-across-yield).
+  rules (DESIGN.md §17): generator-aware CFGs with explicit yield/resume
+  edges, a name-resolved project call graph, and two interprocedural
+  analyses (RL103 static lock-order graph cross-checked against
+  SimTracer's dynamic one, RL104 stale-view-across-yield).
 
-Surface through the CLI as ``repro analyze``, ``repro lint``, and
-``repro flow``.
+Surface through the CLI as ``repro analyze`` and ``repro lint``.
 """
 
 from .detect import analyze_report, lock_order_cycles, race_findings
-from .flow import (
-    FLOW_RULES,
-    FlowFinding,
-    FlowReport,
-    analyze_paths,
-    cross_check_lock_orders,
-    format_flow_finding,
-    load_baseline,
-    lock_graph_json,
-    new_findings,
-    to_sarif,
-    write_baseline,
-)
-from .reprolint import Finding, format_finding, lint_paths
+from .flow import FlowReport, analyze_paths, cross_check_lock_orders
+from .reprolint import RULES, Finding, LintReport, format_finding, lint_paths
 from .trace import SimTracer, instrument_server
 
 __all__ = [
@@ -47,18 +35,12 @@ __all__ = [
     "analyze_report",
     "lock_order_cycles",
     "race_findings",
+    "RULES",
     "Finding",
+    "LintReport",
     "lint_paths",
     "format_finding",
-    "FLOW_RULES",
-    "FlowFinding",
     "FlowReport",
     "analyze_paths",
     "cross_check_lock_orders",
-    "format_flow_finding",
-    "load_baseline",
-    "lock_graph_json",
-    "new_findings",
-    "to_sarif",
-    "write_baseline",
 ]

@@ -22,33 +22,25 @@ lock held in ``_handle_rmdir`` while ``yield from``-delegating into
   ``_acquire(lock, mode)``, which hands the lock back); call sites map
   their argument expression to a lock class instead of descending into
   the wrapper — and **release wrappers**, plain functions that call a
-  ``release``-family method on one of theirs (``_release(lock, mode)``),
-* **hold producers**: plain functions that *return* a timed hold on a
-  counted pool (``return self.cores.hold(...)``), so yielding their
-  result is a bounded wait, not an event,
-* **wait kinds** per generator (fixpoint over ``yield from`` edges):
-  what a ``yield`` can block on — ``timeout`` (bounded simulated time),
-  ``pool`` (counted CPU-core resources, not orderable), ``lock``
-  (mutual-exclusion acquire), or ``event`` (RPC completions and bare
-  events: unbounded on simulated time).  A pool hold is ``pool`` +
-  ``timeout``.
+  ``release``-family method on one of theirs (``_release(lock, mode)``).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["FuncInfo", "Project", "scan_project"]
+__all__ = ["FuncInfo", "Project", "is_generator", "python_files", "scan_project"]
 
 
-def _is_generator(fn: ast.AST) -> bool:
+def is_generator(fn: ast.AST) -> bool:
+    """True when *fn* is a generator function (yield at its own level)."""
     stack: List[ast.AST] = list(fn.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+            continue  # yields inside nested defs belong to them
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
         stack.extend(ast.iter_child_nodes(node))
@@ -60,7 +52,7 @@ class FuncInfo:
 
     __slots__ = (
         "qualname", "name", "path", "node", "is_generator", "class_name",
-        "lock_class", "acquire_wrapper_param", "release_wrapper_param", "wait_kinds",
+        "lock_class", "acquire_wrapper_param", "release_wrapper_param",
         "acquired_classes", "residual_classes",
     )
 
@@ -79,8 +71,6 @@ class FuncInfo:
         self.acquire_wrapper_param: Optional[int] = None
         #: likewise for plain ``_release(lock, mode)`` helpers
         self.release_wrapper_param: Optional[int] = None
-        #: what this generator's yields can block on (fixpoint result)
-        self.wait_kinds: Set[str] = set()
         #: lock classes acquired here or in yield-from callees (flow.py fixpoint)
         self.acquired_classes: Set[str] = set()
         #: lock classes possibly still held at exit (flow.py fixpoint)
@@ -91,16 +81,11 @@ class FuncInfo:
 
 
 # Orderable mutual-exclusion constructors only: counted ``Resource``
-# pools (CPU cores) cannot deadlock by ordering, mirroring SimTracer.
+# pools (CPU cores) cannot deadlock by ordering, mirroring SimTracer —
+# an ``acquire`` on one resolves to no lock class and is ignored.
 _LOCK_CTORS = {"Lock", "RWLock"}
 _ACQUIRE_METHODS = {"acquire", "acquire_read", "acquire_write"}
 RELEASE_METHODS = {"release", "release_read", "release_write"}
-#: Receiver names treated as counted pools (capacity > 1, not orderable —
-#: mirrors SimTracer's ``_orderable``); everything else that ``acquire``s
-#: is treated as a mutual-exclusion lock.
-_POOL_RECEIVERS = {"cores"}
-#: ``Resource`` methods returning one event for acquire + timed hold + release.
-_HOLD_METHODS = {"hold", "hold_all"}
 
 
 def _lock_class_of_ctor(call: ast.Call) -> Optional[str]:
@@ -143,34 +128,13 @@ def receiver_name(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def classify_yield_value(
-    value: Optional[ast.expr], hold_producers: AbstractSet[str] = frozenset()
-) -> Tuple[str, Optional[ast.Call]]:
-    """Classify a plain ``yield <value>``'s wait.
-
-    Returns ``(kind, call)`` where kind is ``"timeout"``, ``"pool"``,
-    ``"hold"`` (a pool unit held for a bounded time), ``"lock"``, or
-    ``"event"``, and call is the acquire call for ``"lock"``/``"pool"``
-    kinds.  *hold_producers*: :attr:`Project.hold_producers`.
-    """
-    if value is None:
-        return "event", None
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
-        attr = value.func.attr
-        if attr == "timeout":
-            return "timeout", None
-        if attr in hold_producers or (
-            attr in _HOLD_METHODS and receiver_name(value.func.value) in _POOL_RECEIVERS
-        ):
-            return "hold", None
-        if attr in _ACQUIRE_METHODS:
-            recv = receiver_name(value.func.value)
-            if attr == "acquire" and recv in _POOL_RECEIVERS:
-                return "pool", value
-            return "lock", value
-        if attr == "granted":
-            return "timeout", None
-    return "event", None
+def acquire_call(value: Optional[ast.expr]) -> Optional[ast.Call]:
+    """The ``X.acquire*()`` call a plain ``yield <value>`` waits on, or
+    None when the yield waits on anything else."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) \
+            and value.func.attr in _ACQUIRE_METHODS:
+        return value
+    return None
 
 
 class Project:
@@ -181,8 +145,6 @@ class Project:
         self.by_name: Dict[str, List[FuncInfo]] = {}
         #: function name -> lock class it produces
         self.lock_producers: Dict[str, str] = {}
-        #: names of functions that return a timed pool hold
-        self.hold_producers: Set[str] = set()
         self.parse_errors: List[Tuple[str, str]] = []
 
     # -- scanning --------------------------------------------------------
@@ -202,7 +164,7 @@ class Project:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}.{stmt.name}"
                 info = FuncInfo(qualname, stmt.name, path, stmt,
-                                _is_generator(stmt), class_name)
+                                is_generator(stmt), class_name)
                 self.functions[qualname] = info
                 self.by_name.setdefault(stmt.name, []).append(info)
                 # Nested defs are indexed too (closures get their own CFG).
@@ -218,7 +180,7 @@ class Project:
                 self._scan_body(stmt.body, f"{prefix}.{stmt.name}", path, stmt.name)
 
     def finalize(self) -> None:
-        """Derive producer/wrapper facts and run the wait-kind fixpoint."""
+        """Derive the producer and wrapper facts."""
         for info in self.functions.values():
             cls = self._producer_class(info)
             if cls is not None:
@@ -229,8 +191,6 @@ class Project:
                 info.acquire_wrapper_param = self._wrapper_param(info)
             else:
                 info.release_wrapper_param = self._release_param(info)
-        self._derive_hold_producers()
-        self._wait_kind_fixpoint()
 
     # -- facts -----------------------------------------------------------
     def _producer_class(self, info: FuncInfo) -> Optional[str]:
@@ -240,18 +200,6 @@ class Project:
                 if cls is not None:
                     return cls
         return None
-
-    def _derive_hold_producers(self) -> None:
-        """Names (defs and their aliases) of plain functions that return a
-        pool hold — direct only, like lock-class producers."""
-        for name, infos in self.by_name.items():
-            if any(
-                isinstance(node, ast.Return)
-                and classify_yield_value(node.value)[0] == "hold"
-                for info in infos if not info.is_generator
-                for node in ast.walk(info.node)
-            ):
-                self.hold_producers.add(name)
 
     def _wrapper_param(self, info: FuncInfo) -> Optional[int]:
         """Detect runtime-style acquire wrappers: a generator whose every
@@ -265,8 +213,8 @@ class Project:
         for y in yields:
             if isinstance(y, ast.YieldFrom):
                 return None
-            kind, call = classify_yield_value(y.value)
-            if kind != "lock" or call is None:
+            call = acquire_call(y.value)
+            if call is None:
                 return None
             recv = receiver_name(call.func.value)
             if recv not in params:
@@ -313,53 +261,20 @@ class Project:
             return None
         return self.lock_producers.get(name)
 
-    # -- wait kinds ------------------------------------------------------
-    def _direct_wait_kinds(self, info: FuncInfo) -> Tuple[Set[str], List[ast.Call]]:
-        kinds: Set[str] = set()
-        delegations: List[ast.Call] = []
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.YieldFrom):
-                if isinstance(node.value, ast.Call):
-                    delegations.append(node.value)
-                else:
-                    kinds.add("event")
-            elif isinstance(node, ast.Yield):
-                kind = classify_yield_value(node.value, self.hold_producers)[0]
-                kinds.update(("pool", "timeout") if kind == "hold" else (kind,))
-        return kinds, delegations
 
-    def _wait_kind_fixpoint(self) -> None:
-        gens = [f for f in self.functions.values() if f.is_generator]
-        direct: Dict[str, Tuple[Set[str], List[ast.Call]]] = {
-            f.qualname: self._direct_wait_kinds(f) for f in gens
-        }
-        for f in gens:
-            f.wait_kinds = set(direct[f.qualname][0])
-        changed = True
-        while changed:
-            changed = False
-            for f in gens:
-                delegations = direct[f.qualname][1]
-                for call in delegations:
-                    for callee in self.resolve_call(call):
-                        if callee.acquire_wrapper_param is not None:
-                            add = {"lock"}
-                        else:
-                            add = callee.wait_kinds
-                        if not add <= f.wait_kinds:
-                            f.wait_kinds |= add
-                            changed = True
+def python_files(paths: Iterable) -> List[Path]:
+    """The ``*.py`` files under files/directories (recursively, sorted)."""
+    files: List[Path] = []
+    for path in paths:
+        p = Path(path)
+        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+    return files
 
 
 def scan_project(paths: Iterable) -> Project:
     """Scan files/directories (recursively, ``*.py``) into a Project."""
     project = Project()
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for f in sorted(p.rglob("*.py")):
-                project.add_file(f)
-        else:
-            project.add_file(p)
+    for f in python_files(paths):
+        project.add_file(f)
     project.finalize()
     return project

@@ -1,24 +1,19 @@
-"""Flow-sensitive static analyses over generator-aware CFGs (DESIGN.md §17).
+"""Flow-sensitive static rules over generator-aware CFGs (DESIGN.md §17).
 
-Three rules, all path-sensitive — the static complement of the *dynamic*
+Two rules, both path-sensitive — the static complement of the *dynamic*
 detectors in :mod:`repro.analysis.trace`/:mod:`~repro.analysis.detect`
 (which certify only the schedules that actually ran) and of the
 *syntactic* ``reprolint`` rules (which see one suite at a time):
 
-RL102 ``lock-across-yield``
-    An orderable lock (the classes SimTracer labels: ``inode``,
-    ``changelog``, ``rename-serial``) provably held over a ``yield``
-    that can block **unboundedly on simulated time** — a bare event or
-    an RPC completion, directly or through ``yield from`` delegation
-    (wait-kind fixpoint over the call graph).  Bounded waits (CPU-core
-    pools, ``sim.timeout``) and lock-acquire waits (RL103's domain) are
-    not reported.
-
 RL103 ``lock-order-cycle``
     The whole-program static acquisition graph at lock-*class* level
     ("held A while acquiring B" on any path, interprocedurally through
-    ``yield from``), with every elementary cycle reported.  The graph is
-    exported as JSON and cross-checked against SimTracer's dynamic
+    ``yield from``), every site of every edge kept.  Each elementary
+    cycle is reported at **every site of its least-witnessed edge** (for
+    a self-loop: every line that nests two locks of one class), so each
+    multi-lock line carries its own justification — the instance-level
+    order that holds *there* — and a new one cannot hide behind an old
+    one's.  The graph is cross-checked against SimTracer's dynamic
     first-witness graph: a dynamic edge the static graph misses flags
     the *analysis* (unsound resolution), a static cycle never seen
     dynamically flags an *untested schedule*.
@@ -30,52 +25,32 @@ RL104 ``stale-view-across-yield``
     interleave a membership epoch bump, so a pre-yield capture may route
     to a pre-migration owner.
 
-Suppression uses the same ``# reprolint: allow[rule] why`` comments as
-the syntactic lint, on the reported line.  Findings carry line-free
-**fingerprints** (rule + file + function + symbol + sink) so a committed
-baseline (:func:`load_baseline`/:func:`new_findings`) fails CI only on
-*new* findings while the justified backlog ages out.
+:func:`analyze_paths` returns the *raw* findings; suppression and the
+dead-suppression audit are ``reprolint``'s one pass over every rule's
+findings (:func:`repro.analysis.reprolint.lint_paths`).
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .callgraph import (
     RELEASE_METHODS,
     FuncInfo,
     Project,
-    classify_yield_value,
+    acquire_call,
     receiver_name,
     scan_project,
 )
 from .cfg import CFG, CFGNode, build_cfg, stmt_yields
-from .reprolint import _ALLOW_RE, _comment_tokens
+from .reprolint import Finding
 
-__all__ = [
-    "FLOW_RULES",
-    "FlowFinding",
-    "FlowReport",
-    "analyze_paths",
-    "format_flow_finding",
-    "load_baseline",
-    "write_baseline",
-    "new_findings",
-    "to_sarif",
-    "lock_graph_json",
-    "cross_check_lock_orders",
-]
+__all__ = ["FlowReport", "analyze_paths", "cross_check_lock_orders"]
 
-FLOW_RULES = {
-    "RL102": "lock-across-yield",
-    "RL103": "lock-order-cycle",
-    "RL104": "stale-view-across-yield",
-    "RL007": "dead-suppression",
-}
-_NAME_TO_ID = {v: k for k, v in FLOW_RULES.items()}
+#: (held_class, acquired_class) -> every ``(path, line)`` acquiring so
+LockGraph = Dict[Tuple[str, str], Set[Tuple[str, int]]]
 
 # Files whose *implementation* is the thing being modelled: analysing the
 # lock primitives as their own clients is meaningless.
@@ -85,48 +60,6 @@ _EXEMPT_DIR_SUFFIXES = ("analysis",)
 
 _VIEW_ATTRS = {"view", "_view", "current"}
 _VIEW_CALLS = {"view_epoch"}
-
-
-class FlowFinding:
-    """One flow-analysis finding with a line-free baseline fingerprint."""
-
-    __slots__ = ("path", "line", "col", "rule", "name", "message",
-                 "function", "symbol", "sink")
-
-    def __init__(self, path: str, line: int, col: int, rule: str,
-                 message: str, function: str, symbol: str, sink: str):
-        self.path = path
-        self.line = line
-        self.col = col
-        self.rule = rule
-        self.name = FLOW_RULES[rule]
-        self.message = message
-        self.function = function
-        self.symbol = symbol
-        self.sink = sink
-
-    @property
-    def fingerprint(self) -> str:
-        return (f"{self.rule}:{_fp_path(self.path)}:{self.function}:"
-                f"{self.symbol}:{self.sink}")
-
-    def __repr__(self) -> str:
-        return f"FlowFinding({format_flow_finding(self)!r})"
-
-
-def format_flow_finding(f: FlowFinding) -> str:
-    return f"{f.path}:{f.line}:{f.col}: {f.rule}[{f.name}] {f.message}"
-
-
-def _fp_path(path: str) -> str:
-    """Stable fingerprint path: from the ``repro/`` package root when the
-    file lives under one, else the bare filename (temp dirs in tests)."""
-    posix = Path(path).as_posix()
-    marker = "/repro/"
-    i = posix.rfind(marker)
-    if i >= 0:
-        return posix[i + 1:]
-    return posix.rsplit("/", 1)[-1]
 
 
 def _exempt(path: str) -> bool:
@@ -159,7 +92,7 @@ def _forward(cfg: CFG, init: Any, transfer, join) -> Dict[int, Any]:
 
 
 # ---------------------------------------------------------------------------
-# RL102 + RL103: lock dataflow
+# RL103: lock dataflow
 # ---------------------------------------------------------------------------
 def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
     """Flow-insensitive map: local name -> lock class it can hold.
@@ -223,23 +156,20 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
 class _LockAnalysis:
     """Held-lock-class dataflow over one generator's CFG.
 
-    Produces RL102 findings, RL103 graph edges, and the function's
-    ``acquired_classes``/``residual_classes`` summaries (driven to a
-    fixpoint across the project by :func:`analyze_paths`).
+    Produces RL103 graph edges and the function's ``acquired_classes``/
+    ``residual_classes`` summaries (driven to a fixpoint across the
+    project by :func:`analyze_paths`).
     """
 
     def __init__(self, info: FuncInfo, cfg: CFG, project: Project,
-                 graph: Dict[Tuple[str, str], Dict[str, Any]],
-                 emit) -> None:
+                 graph: LockGraph) -> None:
         self.info = info
         self.cfg = cfg
         self.project = project
         self.graph = graph
-        self.emit = emit
         self.lockvars = _lockvar_classes(info, project)
         self.acquired: Set[str] = set()
         self.residual: Set[str] = set()
-        self._reported_lines: Set[int] = set()
 
     # -- helpers ---------------------------------------------------------
     def _class_of_expr(self, expr: ast.expr) -> Optional[str]:
@@ -247,50 +177,22 @@ class _LockAnalysis:
             return self.lockvars.get(expr.id)
         if isinstance(expr, ast.Call):
             return self.project.producer_class_of_call(expr)
-        if isinstance(expr, ast.Attribute):
-            # self._rename_serial and friends: resolve via producer names.
-            return None
         return None
 
-    def _record_edges(self, held: FrozenSet[str], acquired: Iterable[str],
+    def _record_edges(self, held: Iterable[str], acquired: Iterable[str],
                       node: CFGNode) -> None:
+        site = (self.info.path, node.lineno)
         for cls in acquired:
             self.acquired.add(cls)
             for h in held:
-                edge = (h, cls)
-                if edge not in self.graph:
-                    self.graph[edge] = {
-                        "file": self.info.path,
-                        "line": node.lineno,
-                        "function": self.info.name,
-                    }
-
-    def _report_rl102(self, node: CFGNode, held: FrozenSet[str],
-                      waits_on: str) -> None:
-        if node.lineno in self._reported_lines:
-            return
-        self._reported_lines.add(node.lineno)
-        classes = ",".join(sorted(held))
-        self.emit(FlowFinding(
-            self.info.path, node.lineno, 0, "RL102",
-            f"lock(s) [{classes}] held across a yield that can block "
-            f"unboundedly on sim time ({waits_on}) — a wedged peer wedges "
-            f"this lock's critical section; release first, or justify the "
-            f"design with '# reprolint: allow[RL102] why'",
-            self.info.name, classes, f"yield:{waits_on}",
-        ))
+                self.graph.setdefault((h, cls), set()).add(site)
 
     # -- dataflow --------------------------------------------------------
     def run(self) -> None:
         states = _forward(self.cfg, frozenset(), self.transfer,
-                         lambda a, b: a | b)
-        exit_state = states.get(self.cfg.exit)
-        raise_state = states.get(self.cfg.raise_exit)
-        residual: Set[str] = set()
-        for st in (exit_state, raise_state):
-            if st:
-                residual |= set(st)
-        self.residual = residual
+                          lambda a, b: a | b)
+        self.residual = set(states.get(self.cfg.exit, ())) | \
+            set(states.get(self.cfg.raise_exit, ()))
 
     def transfer(self, node: CFGNode, held: FrozenSet[str]) -> FrozenSet[str]:
         out = set(held)
@@ -298,23 +200,18 @@ class _LockAnalysis:
         if node.kind == "yield" and node.expr is not None:
             expr = node.expr
             if isinstance(expr, ast.YieldFrom):
-                call = expr.value if isinstance(expr.value, ast.Call) else None
-                if call is not None:
-                    out |= self._apply_delegation(call, frozenset(out), node)
-                elif out:
-                    self._report_rl102(node, frozenset(out), "delegation")
+                if isinstance(expr.value, ast.Call):
+                    out |= self._apply_delegation(expr.value, held, node)
             else:
-                kind, call = classify_yield_value(expr.value, self.project.hold_producers)
-                if kind == "lock" and call is not None:
+                call = acquire_call(expr.value)
+                if call is not None:
                     cls = self._class_of_expr(call.func.value)
                     if cls is not None:
-                        self._record_edges(frozenset(out), [cls], node)
+                        self._record_edges(held, [cls], node)
                         out.add(cls)
-                elif kind == "event" and out:
-                    self._report_rl102(node, frozenset(out), "event wait")
             return frozenset(out)
         if stmt is None:
-            return frozenset(out)
+            return held
         for sub in ast.walk(stmt):
             if not isinstance(sub, ast.Call):
                 continue
@@ -324,7 +221,7 @@ class _LockAnalysis:
                                "try_acquire"}:
                     cls = self._class_of_expr(fn.value)
                     if cls is not None:
-                        self._record_edges(frozenset(out), [cls], node)
+                        self._record_edges(out, [cls], node)
                         out.add(cls)
                 elif fn.attr in RELEASE_METHODS:
                     out.discard(self._class_of_expr(fn.value))
@@ -340,30 +237,19 @@ class _LockAnalysis:
     def _apply_delegation(self, call: ast.Call, held: FrozenSet[str],
                           node: CFGNode) -> Set[str]:
         """One ``yield from f(...)``: wrapper acquisition, callee summary
-        edges, residual holds, and RL102 when the callee event-waits."""
+        edges, and the classes the callee hands back still held."""
         out: Set[str] = set()
-        callees = self.project.resolve_call(call)
-        wrapper_handled = False
-        for callee in callees:
-            if callee.acquire_wrapper_param is not None:
-                idx = callee.acquire_wrapper_param
+        for callee in self.project.resolve_call(call):
+            idx = callee.acquire_wrapper_param
+            if idx is not None:
                 if idx < len(call.args):
                     cls = self._class_of_expr(call.args[idx])
                     if cls is not None:
                         self._record_edges(held, [cls], node)
                         out.add(cls)
-                        wrapper_handled = True
                 continue
-            if callee.acquired_classes:
-                self._record_edges(held, callee.acquired_classes, node)
-                self.acquired |= callee.acquired_classes
-            if callee.residual_classes:
-                out |= callee.residual_classes
-            if held and "event" in callee.wait_kinds:
-                self._report_rl102(node, held, f"yield from {callee.name}()")
-        if not callees and held and not wrapper_handled:
-            # Unresolved delegation: assume it can event-wait.
-            self._report_rl102(node, held, "unresolved delegation")
+            self._record_edges(held, callee.acquired_classes, node)
+            out |= callee.residual_classes
         return out
 
 
@@ -405,14 +291,13 @@ class _ViewAnalysis:
                 key = (sub.id, sub.lineno)
                 if key not in self._reported:
                     self._reported.add(key)
-                    self.emit(FlowFinding(
+                    self.emit(Finding(
                         self.info.path, sub.lineno, sub.col_offset, "RL104",
                         f"membership view captured into {sub.id!r} on line "
                         f"{stale[sub.id]} is used after a resume point — an "
                         f"epoch bump can interleave at any yield; re-read the "
                         f"view after resuming, or justify with "
                         f"'# reprolint: allow[RL104] why'",
-                        self.info.name, sub.id, "stale-use",
                     ))
 
     def transfer(self, node: CFGNode, state: FrozenSet[Tuple[str, str, int]]):
@@ -450,22 +335,12 @@ class _ViewAnalysis:
 # report assembly
 # ---------------------------------------------------------------------------
 class FlowReport:
-    """Everything one analysis run produced."""
+    """What one flow-analysis run produced (findings unsuppressed)."""
 
     def __init__(self) -> None:
-        self.findings: List[FlowFinding] = []
-        #: (held_class, acquired_class) -> first witness
-        self.lock_graph: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        self.findings: List[Finding] = []
+        self.lock_graph: LockGraph = {}
         self.cycles: List[List[str]] = []
-        #: the files findings were reported on (``restrict_to`` applied)
-        self.files: List[str] = []
-        self.functions_analyzed: int = 0
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for f in self.findings:
-            out[f.rule] = out.get(f.rule, 0) + 1
-        return out
 
 
 def _class_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
@@ -502,270 +377,70 @@ def _class_cycles(edges: Iterable[Tuple[str, str]]) -> List[List[str]]:
     return cycles
 
 
-def _allow_rules_on_line(text: str) -> Optional[Set[str]]:
-    m = _ALLOW_RE.search(text)
-    if m is None:
-        return None
-    out: Set[str] = set()
-    for token in m.group(1).split(","):
-        token = token.strip()
-        if token == "*":
-            out.update(FLOW_RULES)
-        elif token in FLOW_RULES:
-            out.add(token)
-        elif token in _NAME_TO_ID:
-            out.add(_NAME_TO_ID[token])
-    return out
-
-
-def analyze_paths(paths: Iterable, project: Optional[Project] = None,
-                  restrict_to: Optional[Iterable] = None) -> FlowReport:
-    """Run RL102/RL103/RL104 over the given files/directories.
+def analyze_paths(paths: Iterable, restrict_to: Optional[Iterable] = None) -> FlowReport:
+    """Run RL103/RL104 over the given files/directories.
 
     *restrict_to* limits **reported** findings to those files while the
     whole *paths* scope is still scanned for interprocedural facts (lock
     producers, acquire wrappers, callee summaries) — this is what makes
-    ``repro flow --changed`` sound: a partial scan would lose the
+    ``repro lint --changed`` sound: a partial scan would lose the
     runtime's producers and mis-resolve every acquisition.
     """
-    if project is None:
-        project = scan_project(paths)
+    project = scan_project(paths)
     restrict: Optional[Set[str]] = None
     if restrict_to is not None:
         restrict = {Path(p).as_posix() for p in restrict_to}
-    report = FlowReport()
-    raw: List[FlowFinding] = []
-    emit = raw.append
 
     def reported(path: str) -> bool:
         return restrict is None or Path(path).as_posix() in restrict
 
-    # Group functions per file, skipping exempt paths wholesale.
-    infos = [f for f in project.functions.values()
-             if not _exempt(f.path)]
-    cfgs: Dict[str, CFG] = {}
+    report = FlowReport()
+    generators = [f for f in project.functions.values()
+                  if f.is_generator and not _exempt(f.path)]
+    cfgs = {info.qualname: build_cfg(info.node, info.name) for info in generators}
 
-    def cfg_of(info: FuncInfo) -> CFG:
-        cfg = cfgs.get(info.qualname)
-        if cfg is None:
-            cfg = build_cfg(info.node, info.name)
-            cfgs[info.qualname] = cfg
-        return cfg
-
-    # Lock summaries to a fixpoint: RL103 edges and residual-hold sets
-    # reach through yield-from chains, so iterate until stable, then one
-    # final emitting pass.
-    lock_infos = [f for f in infos if f.is_generator]
-    for _round in range(6):
+    # Lock summaries to a fixpoint: edges and residual-hold sets reach
+    # through yield-from chains, and both only ever grow.
+    changed = True
+    while changed:
         changed = False
-        for info in lock_infos:
-            analysis = _LockAnalysis(info, cfg_of(info), project,
-                                     report.lock_graph, lambda f: None)
+        for info in generators:
+            analysis = _LockAnalysis(info, cfgs[info.qualname], project,
+                                     report.lock_graph)
             analysis.run()
             if analysis.acquired != info.acquired_classes or \
                     analysis.residual != info.residual_classes:
                 info.acquired_classes = analysis.acquired
                 info.residual_classes = analysis.residual
                 changed = True
-        if not changed:
-            break
-    for info in lock_infos:
-        analysis = _LockAnalysis(info, cfg_of(info), project,
-                                 report.lock_graph,
-                                 emit if reported(info.path) else lambda f: None)
-        analysis.run()
-        report.functions_analyzed += 1
 
-    for info in infos:
-        if not reported(info.path):
-            continue
-        if info.is_generator and any(_reads_view(n) for n in ast.walk(info.node)
-                                     if isinstance(n, ast.expr)):
-            _ViewAnalysis(info, cfg_of(info), emit).run()
-
-    # Cycles over the class graph.
-    report.cycles = _class_cycles(report.lock_graph.keys())
+    report.cycles = _class_cycles(report.lock_graph)
     for cyc in report.cycles:
-        witness = report.lock_graph[(cyc[0], cyc[(1) % len(cyc)] if len(cyc) > 1 else cyc[0])]
-        if not reported(witness["file"]):
-            continue
-        chain = " -> ".join(cyc + [cyc[0]])
-        raw.append(FlowFinding(
-            witness["file"], witness["line"], 0, "RL103",
-            f"static lock-order cycle: {chain} — two workflows can acquire "
-            f"these lock classes in opposite orders; if the ordering is "
-            f"protocol-protected, baseline this finding with the "
-            f"justification in flow-baseline.json",
-            witness["function"], chain, "cycle",
-        ))
-
-    # Suppression filtering + dead-suppression audit, per file.
-    files = sorted({f.path for f in infos if reported(f.path)})
-    report.files = files
-    lines_cache: Dict[str, List[str]] = {}
-
-    def source_lines(path: str) -> List[str]:
-        cached = lines_cache.get(path)
-        if cached is None:
-            try:
-                cached = Path(path).read_text(encoding="utf-8").splitlines()
-            except OSError:
-                cached = []
-            lines_cache[path] = cached
-        return cached
-
-    survivors: List[FlowFinding] = []
-    suppressed_at: Dict[Tuple[str, int], Set[str]] = {}
-    for f in raw:
-        lines = source_lines(f.path)
-        text = lines[f.line - 1] if 0 < f.line <= len(lines) else ""
-        allowed = _allow_rules_on_line(text)
-        if allowed is not None and f.rule in allowed:
-            suppressed_at.setdefault((f.path, f.line), set()).add(f.rule)
-            continue
-        survivors.append(f)
-
-    flow_ids = set(FLOW_RULES) - {"RL007"}
-    for path in files:
-        source = "\n".join(source_lines(path))
-        for lineno, col, text in _comment_tokens(source):
-            m = _ALLOW_RE.search(text)
-            if m and "*" in {t.strip() for t in m.group(1).split(",")}:
-                continue  # blanket allows are not audited
-            allowed = _allow_rules_on_line(text)
-            if not allowed:
-                continue
-            auditable = allowed & flow_ids
-            if not auditable:
-                continue
-            used = suppressed_at.get((path, lineno), set())
-            dead = sorted(auditable - used)
-            if dead:
-                survivors.append(FlowFinding(
-                    path, lineno, col, "RL007",
-                    f"suppression allow[{','.join(dead)}] no longer matches "
-                    f"a finding on this line — delete the dead allow comment",
-                    "<module>", ",".join(dead), "dead",
+        edges = zip(cyc, cyc[1:] + cyc[:1])
+        weakest = min(edges, key=lambda e: (len(report.lock_graph[e]), e))
+        chain = " -> ".join(cyc + cyc[:1])
+        for path, line in sorted(report.lock_graph[weakest]):
+            if reported(path):
+                report.findings.append(Finding(
+                    path, line, 0, "RL103",
+                    f"static lock-order cycle: {chain} — this line acquires "
+                    f"{weakest[1]} while {weakest[0]} is held, and two "
+                    f"workflows can do so in opposite orders; name the "
+                    f"instance-level order that holds here with "
+                    f"'# reprolint: allow[RL103] <order>'",
                 ))
 
-    survivors.sort(key=lambda f: (f.path, f.line, f.rule))
-    report.findings = survivors
+    for info in generators:
+        if reported(info.path) and any(
+                _reads_view(n) for n in ast.walk(info.node)
+                if isinstance(n, ast.expr)):
+            _ViewAnalysis(info, cfgs[info.qualname], report.findings.append).run()
     return report
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# dynamic cross-check
 # ---------------------------------------------------------------------------
-def load_baseline(path) -> Dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return dict(data.get("fingerprints", {}))
-
-
-def write_baseline(path, report: FlowReport) -> None:
-    fps: Dict[str, int] = {}
-    for f in report.findings:
-        fps[f.fingerprint] = fps.get(f.fingerprint, 0) + 1
-    data = {
-        "version": 1,
-        "comment": "committed flow-analysis baseline: CI fails only on "
-                   "findings not fingerprinted here (repro flow --baseline)",
-        "fingerprints": dict(sorted(fps.items())),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
-def new_findings(report: FlowReport, baseline: Dict[str, int]) -> List[FlowFinding]:
-    """Findings exceeding the baselined count for their fingerprint, then
-    one RL007 per baseline entry whose count (or a part of it) excuses
-    nothing any more — judged only for files this run reported on, so a
-    ``--changed`` run says nothing about entries for files it skipped."""
-    budget = dict(baseline)
-    out: List[FlowFinding] = []
-    for f in report.findings:
-        fp = f.fingerprint
-        if budget.get(fp, 0) > 0:
-            budget[fp] -= 1
-        else:
-            out.append(f)
-    reported = {_fp_path(path) for path in report.files}
-    for fp, unused in sorted(budget.items()):
-        parts = fp.split(":")  # rule:path:function:symbol:sink
-        if unused > 0 and len(parts) > 2 and parts[1] in reported:
-            out.append(FlowFinding(
-                parts[1], 0, 0, "RL007",
-                f"baseline entry {fp!r} excuses {unused} finding(s) this run "
-                f"no longer reports — delete it from the baseline (or "
-                f"regenerate the file with --write-baseline)",
-                parts[2], fp, "unused-baseline",
-            ))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exports: SARIF + lock-graph JSON + dynamic cross-check
-# ---------------------------------------------------------------------------
-def to_sarif(report: FlowReport, findings: Optional[Sequence[FlowFinding]] = None) -> Dict[str, Any]:
-    """Minimal SARIF 2.1.0 document (GitHub code-scanning compatible)."""
-    if findings is None:
-        findings = report.findings
-    rules = [
-        {
-            "id": rule,
-            "name": name,
-            "shortDescription": {"text": name},
-        }
-        for rule, name in sorted(FLOW_RULES.items())
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": f.message},
-            "partialFingerprints": {"reproFlow/v1": f.fingerprint},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": Path(f.path).as_posix()},
-                        "region": {"startLine": max(1, f.line),
-                                   "startColumn": max(1, f.col + 1)},
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    return {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                   "master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-flow",
-                        "informationUri": "https://example.invalid/repro",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-
-
-def lock_graph_json(report: FlowReport) -> Dict[str, Any]:
-    return {
-        "edges": [
-            {"from": a, "to": b, **witness}
-            for (a, b), witness in sorted(report.lock_graph.items())
-        ],
-        "cycles": report.cycles,
-    }
-
-
 def _dynamic_class_edges(tracer) -> Set[Tuple[str, str]]:
     """SimTracer order edges lifted to lock-class level via the shared
     ``class:`` label prefix (``inode:s0:(...)`` -> ``inode``)."""
@@ -780,7 +455,7 @@ def cross_check_lock_orders(report: FlowReport, tracer) -> Dict[str, Any]:
     schedules* (paths no dynamic run has exercised yet).
     """
     dynamic = _dynamic_class_edges(tracer)
-    static = set(report.lock_graph.keys())
+    static = set(report.lock_graph)
     return {
         "static_edges": sorted(static),
         "dynamic_edges": sorted(dynamic),

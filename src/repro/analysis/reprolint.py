@@ -1,6 +1,13 @@
-"""``reprolint``: the repo-specific AST lint (stdlib ``ast`` only).
+"""``reprolint``: the repo-specific lint and its one rule driver (stdlib
+``ast`` only).
 
-Rules (DESIGN.md §12):
+:func:`lint_paths` runs every rule — the syntactic ones below and the
+flow-sensitive RL103/RL104 of :mod:`repro.analysis.flow` — and puts the
+union of their findings through one suppression pass and one
+dead-suppression audit.  ``repro lint`` and the tier-1 "repo is clean"
+test call it; nothing else excuses a finding.
+
+Rules (DESIGN.md §12.3):
 
 RL001 ``wall-clock``
     No calls into the ``time``/``random`` stdlib modules (or
@@ -41,12 +48,15 @@ RL006 ``slotless-hot-class``
     ``class`` line with ``# reprolint: allow[RL006] why``.
 
 RL007 ``dead-suppression``
-    A ``# reprolint: allow[...]`` comment naming one of the syntactic
-    rules above, on a line where that rule no longer fires: the code it
-    once justified is gone, so the comment is dead weight (and would
-    silently mask a *future* reintroduction).  Delete it.  ``allow[*]``
-    and flow-rule suppressions (RL102+, audited by ``repro flow``) are
-    not checked here.
+    A ``# reprolint: allow[...]`` comment naming a rule that does not
+    fire on its line any more — the code it once justified is gone, so
+    the comment is dead weight (and would silently mask a *future*
+    reintroduction) — or naming something that is not a rule at all (a
+    typo, a retired id), which never suppressed anything.  Delete it.
+    ``allow[*]`` is not audited.
+
+RL103 ``lock-order-cycle``, RL104 ``stale-view-across-yield``
+    The flow-sensitive rules; see :mod:`repro.analysis.flow`.
 
 Suppression: append ``# reprolint: allow[<rule-or-id>] <reason>`` on the
 flagged line.  ``allow[*]`` suppresses every rule on that line.
@@ -55,11 +65,15 @@ flagged line.  ``allow[*]`` suppresses every rule on that line.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-__all__ = ["Finding", "lint_file", "lint_paths", "format_finding", "RULES"]
+from .callgraph import is_generator, python_files
+
+__all__ = ["Finding", "LintReport", "lint_paths", "format_finding", "RULES"]
 
 #: rule id -> short name
 RULES = {
@@ -69,6 +83,8 @@ RULES = {
     "RL004": "unadopted-generator",
     "RL006": "slotless-hot-class",
     "RL007": "dead-suppression",
+    "RL103": "lock-order-cycle",
+    "RL104": "stale-view-across-yield",
 }
 _NAME_TO_ID = {v: k for k, v in RULES.items()}
 
@@ -114,36 +130,6 @@ def format_finding(f: Finding) -> str:
     return f"{f.path}:{f.line}:{f.col}: {f.rule}[{f.name}] {f.message}"
 
 
-def _allowed_rules(line_text: str) -> Optional[Set[str]]:
-    """Rule ids suppressed by an allow-comment on this line, or None."""
-    m = _ALLOW_RE.search(line_text)
-    if not m:
-        return None
-    out: Set[str] = set()
-    for token in m.group(1).split(","):
-        token = token.strip()
-        if token == "*":
-            out.update(RULES)
-        elif token in RULES:
-            out.add(token)
-        elif token in _NAME_TO_ID:
-            out.add(_NAME_TO_ID[token])
-    return out
-
-
-def _is_generator_fn(fn: ast.FunctionDef) -> bool:
-    """True when *fn* is a generator function (yield at its own level)."""
-    stack: List[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # yields inside nested defs belong to them
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
 class _ModuleFacts(ast.NodeVisitor):
     """First pass: names defined by this module (for RL002/RL004) and
     which local names alias the ``time``/``random`` modules (RL001)."""
@@ -177,7 +163,7 @@ class _ModuleFacts(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._note_def(node.name)
-        if _is_generator_fn(node):
+        if is_generator(node):
             self.generator_fns.add(node.name)
         self.generic_visit(node)
 
@@ -400,24 +386,24 @@ def _rl006_hot(path: Path) -> bool:
     return any(posix.endswith(suffix) for suffix in _RL006_HOT_SUFFIXES)
 
 
-def _comment_tokens(source: str) -> List[Tuple[int, int, str]]:
-    """``(line, col, text)`` of every real comment token in *source*."""
-    import io
-    import tokenize
-    out: List[Tuple[int, int, str]] = []
+def _allow_comments(source: str) -> Dict[int, Tuple[int, List[str]]]:
+    """``line -> (col, tokens)`` of every allow comment in *source*, rule
+    names translated to ids.  Only real COMMENT tokens count: docstrings
+    and messages that merely *mention* the allow syntax are prose."""
+    out: Dict[int, Tuple[int, List[str]]] = {}
     try:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT:
-                out.append((tok.start[0], tok.start[1], tok.string))
+            m = _ALLOW_RE.search(tok.string) if tok.type == tokenize.COMMENT else None
+            if m:
+                tokens = [t.strip() for t in m.group(1).split(",")]
+                out[tok.start[0]] = (tok.start[1], [_NAME_TO_ID.get(t, t) for t in tokens])
     except (tokenize.TokenError, IndentationError):
-        pass  # the caller already parsed the file; be forgiving here
+        pass  # a file that does not parse is reported as such, once
     return out
 
 
-def lint_file(path) -> List[Finding]:
-    """Lint one Python source file; returns surviving findings."""
-    p = Path(path)
-    source = p.read_text(encoding="utf-8")
+def _syntactic_findings(p: Path, source: str) -> List[Finding]:
+    """RL001-RL006 over one file, unsuppressed."""
     try:
         tree = ast.parse(source, filename=str(p))
     except SyntaxError as exc:
@@ -428,49 +414,67 @@ def lint_file(path) -> List[Finding]:
     facts.visit(tree)
     linter = _Linter(str(p), facts, _rl001_exempt(p), rl006_hot=_rl006_hot(p))
     linter.visit(tree)
-
-    lines = source.splitlines()
-    out = []
-    used: Dict[int, Set[str]] = {}
-    for f in linter.findings:
-        text = lines[f.line - 1] if 0 < f.line <= len(lines) else ""
-        allowed = _allowed_rules(text)
-        if allowed is not None and f.rule in allowed:
-            used.setdefault(f.line, set()).add(f.rule)
-            continue
-        out.append(f)
-    # RL007: audit the allow comments themselves — a named syntactic rule
-    # that suppressed nothing on its line is a dead suppression.  Only
-    # real COMMENT tokens count: docstrings/messages that merely *mention*
-    # the allow syntax are prose, not suppressions.
-    auditable_ids = set(RULES) - {"RL007"}
-    for lineno, col, text in _comment_tokens(source):
-        m = _ALLOW_RE.search(text)
-        if not m:
-            continue
-        tokens = [t.strip() for t in m.group(1).split(",")]
-        if "*" in tokens:
-            continue  # blanket allows are not audited
-        named = {_NAME_TO_ID.get(t, t) for t in tokens} & auditable_ids
-        dead = sorted(named - used.get(lineno, set()))
-        if dead:
-            out.append(Finding(
-                str(p), lineno, col, "RL007",
-                f"allow[{','.join(dead)}] suppresses nothing on this line "
-                f"any more — delete the dead comment",
-            ))
-    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return out
+    return linter.findings
 
 
-def lint_paths(paths: Iterable) -> List[Finding]:
-    """Lint files and directories (recursively, ``*.py``)."""
-    findings: List[Finding] = []
-    for path in paths:
-        p = Path(path)
-        if p.is_dir():
-            for f in sorted(p.rglob("*.py")):
-                findings.extend(lint_file(f))
+class LintReport(NamedTuple):
+    """What one :func:`lint_paths` run produced."""
+
+    findings: List[Finding]  #: what survived suppression, plus the RL007 audit
+    files: List[Path]  #: the files reported on (``restrict_to`` applied)
+    flow: Any  #: the flow rules' ``FlowReport`` (the static lock graph)
+
+
+def lint_paths(paths: Iterable, restrict_to: Optional[Iterable] = None) -> LintReport:
+    """Run every rule over files and directories (recursively, ``*.py``).
+
+    *restrict_to* limits what is **reported** to those files; the whole
+    *paths* scope is still scanned for the flow rules' interprocedural
+    facts (``repro lint --changed``).
+    """
+    from .flow import analyze_paths  # flow builds its findings from this module's Finding
+
+    files = python_files(paths)
+    if restrict_to is not None:
+        restrict = {Path(p).as_posix() for p in restrict_to}
+        files = [f for f in files if f.as_posix() in restrict]
+    flow = analyze_paths(paths, restrict_to=restrict_to)
+    raw = list(flow.findings)
+    allows: Dict[str, Dict[int, Tuple[int, List[str]]]] = {}
+    for f in files:
+        source = f.read_text(encoding="utf-8")
+        raw.extend(_syntactic_findings(f, source))
+        allows[str(f)] = _allow_comments(source)
+
+    # The one suppression pass, then RL007 over the allow comments
+    # themselves: a named rule that suppressed nothing on its line is a
+    # dead suppression, a token that names no rule never was one.
+    out: List[Finding] = []
+    used: Dict[Tuple[str, int], Set[str]] = {}
+    for finding in raw:
+        _col, tokens = allows[finding.path].get(finding.line, (0, ()))
+        if "*" in tokens or finding.rule in tokens:
+            used.setdefault((finding.path, finding.line), set()).add(finding.rule)
         else:
-            findings.extend(lint_file(p))
-    return findings
+            out.append(finding)
+    known = set(RULES)
+    for path, comments in allows.items():
+        for line, (col, tokens) in comments.items():
+            if "*" in tokens:
+                continue  # blanket allows are not audited
+            unknown = sorted(set(tokens) - known)
+            if unknown:
+                out.append(Finding(
+                    path, line, col, "RL007",
+                    f"allow[{','.join(unknown)}] names no rule and suppresses "
+                    f"nothing — fix the id or delete the comment",
+                ))
+            dead = sorted(set(tokens) & known - {"RL007"} - used.get((path, line), set()))
+            if dead:
+                out.append(Finding(
+                    path, line, col, "RL007",
+                    f"allow[{','.join(dead)}] suppresses nothing on this line "
+                    f"any more — delete the dead comment",
+                ))
+    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return LintReport(out, files, flow)

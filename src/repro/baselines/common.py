@@ -216,8 +216,10 @@ class SyncMetadataServer(ServerRuntime):
                 self.kv.put(key, FileInode(pid=pid, name=name, ctime=now, mtime=now))
             else:
                 self.kv.delete(key)
-            # Synchronous parent update before returning (the crux).
-            yield from self._update_parent_sync(  # reprolint: allow[RL102] sync baseline holds the inode lock across the parent-update RPC by design (the measured legacy cost)
+            # Synchronous parent update before returning (the crux): the
+            # inode lock is held across the parent-update RPC by design
+            # (the measured legacy cost).
+            yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
                 parent_owner=args["parent_owner"],
                 parent_key=tuple(args["parent_key"]),
                 parent_id=pid,
@@ -326,7 +328,8 @@ class SyncMetadataServer(ServerRuntime):
             )
             self.kv.put(key, inode)
             self._dir_index[inode.id] = key
-            yield from self._update_parent_sync(  # reprolint: allow[RL102] sync baseline holds the inode lock across the parent-update RPC by design (the measured legacy cost)
+            # Held across the parent-update RPC by design, as in _file_double.
+            yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
                 parent_owner=args["parent_owner"],
                 parent_key=tuple(args["parent_key"]),
                 parent_id=pid,
@@ -360,7 +363,8 @@ class SyncMetadataServer(ServerRuntime):
             yield self._cpu(self.perf.wal_append_us + self.perf.kv_put_us)
             self.kv.delete(key)
             self._dir_index.pop(inode.id, None)
-            yield from self._update_parent_sync(  # reprolint: allow[RL102] sync baseline holds the inode lock across the parent-update RPC by design (the measured legacy cost)
+            # Held across the parent-update RPC by design, as in _file_double.
+            yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
                 parent_owner=args["parent_owner"],
                 parent_key=tuple(args["parent_key"]),
                 parent_id=pid,

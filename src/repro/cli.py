@@ -273,100 +273,32 @@ def _changed_paths(base: str, scope: List[str]) -> Optional[List[str]]:
 
 
 def cmd_lint(args) -> int:
-    """Run ``reprolint`` (the repo-specific AST lint) over paths."""
-    from .analysis import format_finding, lint_paths
+    """Run ``reprolint`` — every static rule — over paths."""
+    from pathlib import Path
 
-    paths = args.paths
-    if args.changed is not None:
-        changed = _changed_paths(args.changed, paths)
-        if changed is not None:
-            if not changed:
-                print(f"reprolint: no python files changed vs {args.changed}")
-                return 0
-            paths = changed
-    findings = lint_paths(paths)
-    for f in findings:
-        print(format_finding(f))
-    count = len(findings)
-    files = len({f.path for f in findings})
-    if count:
-        print(f"reprolint: {count} finding(s) in {files} file(s)")
-        return 1
-    print("reprolint: clean")
-    return 0
+    from .analysis import RULES, format_finding, lint_paths
 
-
-def cmd_flow(args) -> int:
-    """Run the flow-sensitive analyses (RL102-RL104) over paths."""
-    import json as _json
-
-    from .analysis import flow
-
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        print(f"reprolint: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
     restrict = None
     if args.changed is not None:
-        changed = _changed_paths(args.changed, args.paths)
-        if changed is not None:
-            if not changed:
-                print(f"repro flow: no python files changed vs {args.changed}")
-                return 0
-            # Full-scope scan (interprocedural facts), changed-only report.
-            restrict = changed
-    report = flow.analyze_paths(args.paths, restrict_to=restrict)
-
-    if args.write_baseline:
-        flow.write_baseline(args.write_baseline, report)
-        print(f"repro flow: wrote {len(report.findings)} fingerprint(s) "
-              f"to {args.write_baseline}")
-        return 0
-
-    findings = report.findings
-    if args.baseline:
-        try:
-            baseline = flow.load_baseline(args.baseline)
-        except OSError as exc:
-            print(f"repro flow: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        findings = flow.new_findings(report, baseline)
-
-    if args.lock_graph:
-        with open(args.lock_graph, "w", encoding="utf-8") as fh:
-            _json.dump(flow.lock_graph_json(report), fh, indent=2)
-            fh.write("\n")
-    if args.sarif:
-        doc = flow.to_sarif(report, findings)
-        if args.sarif == "-":
-            print(_json.dumps(doc, indent=2))
-        else:
-            with open(args.sarif, "w", encoding="utf-8") as fh:
-                _json.dump(doc, fh, indent=2)
-                fh.write("\n")
-
-    if args.json:
-        doc = {
-            "findings": [
-                {
-                    "path": f.path, "line": f.line, "col": f.col,
-                    "rule": f.rule, "name": f.name, "message": f.message,
-                    "function": f.function, "fingerprint": f.fingerprint,
-                }
-                for f in findings
-            ],
-            "lock_graph": flow.lock_graph_json(report),
-            "counts": report.counts(),
-        }
-        print(_json.dumps(doc, indent=2))
-    else:
-        for f in findings:
-            print(flow.format_flow_finding(f))
-        scope = f"{len(report.files)} file(s)"
-        if findings:
-            label = "new finding(s)" if args.baseline else "finding(s)"
-            print(f"repro flow: {len(findings)} {label} in {scope}")
-        else:
-            print(f"repro flow: clean ({scope}, "
-                  f"{len(report.lock_graph)} lock-order edge(s))")
-    return 1 if findings else 0
+        # Full-scope scan (interprocedural facts), changed-only report.
+        restrict = _changed_paths(args.changed, args.paths)
+        if restrict == []:
+            print(f"reprolint: no python files changed vs {args.changed}")
+            return 0
+    report = lint_paths(args.paths, restrict_to=restrict)
+    for f in report.findings:
+        print(format_finding(f))
+    scope = f"{len(report.files)} file(s)"
+    if report.findings:
+        print(f"reprolint: {len(report.findings)} finding(s) in {scope}")
+        return 1
+    print(f"reprolint: clean ({scope}; rules {' '.join(RULES)}; "
+          f"{len(report.flow.lock_graph)} lock-order edge(s))")
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -415,26 +347,6 @@ def cmd_analyze(args) -> int:
         lock_order_cycles(tracer)
         or race_findings(tracer, include_reads=args.include_reads)
     )
-    if args.strict:
-        # Fold in the static complement: new (unbaselined) flow findings
-        # fail strict mode just like dynamic cycles/races do.
-        from pathlib import Path
-
-        from .analysis import flow
-
-        src = Path("src/repro")
-        if src.is_dir():
-            report = flow.analyze_paths([src])
-            baseline_path = Path("flow-baseline.json")
-            baseline = (
-                flow.load_baseline(baseline_path) if baseline_path.exists() else {}
-            )
-            fresh = flow.new_findings(report, baseline)
-            for f in fresh:
-                print(flow.format_flow_finding(f))
-            print(f"static flow: {len(fresh)} new finding(s), "
-                  f"{len(report.lock_graph)} lock-order edge(s)")
-            failed = failed or bool(fresh)
     return 1 if failed else 0
 
 
@@ -530,34 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip modelled datanode reads/writes")
     p.set_defaults(fn=cmd_workload)
 
-    p = sub.add_parser("lint", help="repo-specific AST lint (reprolint)")
+    p = sub.add_parser("lint", help="the static gate: every reprolint rule")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files/directories to lint (default: src)")
     p.add_argument("--changed", nargs="?", const="HEAD", default=None,
                    metavar="BASE",
-                   help="lint only files changed vs BASE "
-                        "(git diff --name-only; default base: HEAD)")
+                   help="report only on files changed vs BASE (git diff "
+                        "--name-only; default base: HEAD); the whole scope "
+                        "is still scanned")
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser("flow",
-                       help="flow-sensitive static analyses (RL102-RL104)")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files/directories to analyze (default: src)")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings + lock-order graph as JSON")
-    p.add_argument("--sarif", metavar="FILE",
-                   help="write SARIF 2.1.0 to FILE ('-' for stdout)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="fail only on findings not fingerprinted in FILE")
-    p.add_argument("--write-baseline", metavar="FILE",
-                   help="write the current findings as a baseline and exit")
-    p.add_argument("--lock-graph", metavar="FILE",
-                   help="write the static lock-order graph JSON to FILE")
-    p.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                   metavar="BASE",
-                   help="analyze only files changed vs BASE "
-                        "(git diff --name-only; default base: HEAD)")
-    p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("analyze",
                        help="traced run: lock-order cycle + race detection")

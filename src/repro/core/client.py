@@ -128,13 +128,10 @@ class LibFS:
                 op=StaleSetOp.LOOKUP, fingerprint=fp
             )
         t0 = self.sim.now
-        try:
-            value, pkt = yield from self._call(
-                owner, "lookup_dir", {"pid": parent.id, "name": name},
-                make_header=make_header,
-            )
-        except FSError:
-            raise
+        value, pkt = yield from self._call(
+            owner, "lookup_dir", {"pid": parent.id, "name": name},
+            make_header=make_header,
+        )
         if make_header is not None:
             self._note_switch_reply(pkt, self.sim.now - t0)
         # value: {"id", "fingerprint", "perm"}

@@ -130,7 +130,7 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
         # The whole transaction routes against the view as of now, under
         # the serialiser; a participant that has since lost a shard answers
         # EWRONGEPOCH and the client refreshes and retries.
-        result = yield from rename_transaction(  # reprolint: allow[RL102] the rename serialiser spans the whole distributed transaction by design
+        result = yield from rename_transaction(  # the rename serialiser spans the whole distributed transaction by design
             node, sim, server.membership.current, perf, args,
             async_updates=server.config.async_updates,
         )

@@ -125,7 +125,7 @@ class AggregationProtocol:
         releases after application (locally) or at the ack (pull side)."""
         locks = []
         for log in self.changelogs.logs_in_group(fp):
-            lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")
+            lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")  # reprolint: allow[RL103] one group, one taker; logs_in_group order is stable under a held lock
             locks.append(lock)
         return locks
 

@@ -341,7 +341,7 @@ class ChangeLogEngine:
             pulled.sort(key=itemgetter(0))
             locks = []
             for dir_id, _e, _l in pulled:
-                lock = yield from self._acquire(self._changelog_lock(dir_id), "w")
+                lock = yield from self._acquire(self._changelog_lock(dir_id), "w")  # reprolint: allow[RL103] dir_id order (sorted above), behind the recovery gate
                 locks.append(lock)
             try:
                 self.wal.append("agg", [(d, e) for d, e, _ in pulled])

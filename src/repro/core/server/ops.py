@@ -110,7 +110,14 @@ class ServerOps:
             if not adds and not exists:
                 raise FSError(ENOENT, f"{pid}/{name}")
             if is_dir and not adds:
-                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL102] rmdir freeze (Fig 5 steps 4-7): barrier, invalidation multicast, aggregation and revert all run under the dir locks
+                # rmdir freeze (Fig 5 steps 4-7): barrier, invalidation
+                # multicast, aggregation and revert all run under the dir
+                # locks.  The order below is this op's own; nothing orders
+                # it against a round on the same group that is already in
+                # flight (a reader's, a colliding rmdir's): that round
+                # holds the group's logs and will want this inode while we
+                # wait for its block (DESIGN §17.4, open).
+                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL103] parent's log and own inode first, then the group's logs in _take_group order, then the group's other inodes (already_locked skips this one)
 
             yield self._cpu(perf.wal_append_us)
             now = self.sim.now
@@ -140,11 +147,14 @@ class ServerOps:
 
             entry = ChangeLogEntry(timestamp=now, op=op, name=name, is_dir=is_dir, perm=perm)
             if self.config.async_updates:
-                reply = yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the locks across the switch round-trip; unlock defers to the INSERT multicast
+                # The locks are held across the switch round-trip; unlock
+                # defers to the INSERT multicast.
+                reply = yield from self._finish_async_update(  # reprolint: allow[RL103] child before parent: only the ss-backend fallback locks again, the parent's inode
                     request, parent_fp, pid, entry, held
                 )
             else:
-                yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL102] sync fallback holds the locks across the parent-update RPC by design
+                # Held across the parent-update RPC by design.
+                yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL103] child before parent: locks the parent's inode and nothing else
                 reply = Reply(value={"status": "ok"})
             if adds and is_dir:  # the client caches what mkdir made
                 reply.value["id"] = inode.id
@@ -175,7 +185,7 @@ class ServerOps:
             # leaves the directory permanently EINVALIDPATH on that peer.
             if frozen:
                 self.inval.discard(dir_id)
-                yield from self._multicast(  # reprolint: allow[RL102] rmdir revert: the acked un-invalidate runs under the caller's dir locks, like the freeze it reverts
+                yield from self._multicast(  # the acked un-invalidate runs under the caller's dir locks, like the freeze it reverts
                     self.membership.current.others(self.addr), "uninvalidate", {"dir_id": dir_id}
                 )
             raise FSError(ENOTEMPTY, f"{args['pid']}/{args['name']}")

@@ -20,6 +20,24 @@ from ..schema import dir_meta_key, file_meta_key, fingerprint_of
 __all__ = ["ReadOps"]
 
 
+def _fill_on_lookup(packet: Packet, value: dict):
+    """The reply to a single-inode read of *value*.
+
+    A LOOKUP-headed request asked the dentry cache first and missed:
+    attach a FILL so the switch installs the reply on the return path.
+    The caller returns this straight after its kv read — no yield
+    separates that read from the reply send in _serve, so the filled line
+    is exactly the value the read returned (DESIGN.md §15 invariant I1).
+    """
+    header = packet.header
+    if header is not None and header.op == StaleSetOp.LOOKUP:
+        return Reply(
+            value=value,
+            header=StaleSetHeader(op=StaleSetOp.FILL, fingerprint=header.fingerprint),
+        )
+    return value
+
+
 class ReadOps:
     """Mixin: read-side RPC handlers."""
 
@@ -145,19 +163,7 @@ class ReadOps:
                 "size": inode.size,
                 "mtime": inode.mtime,
             }
-            # A LOOKUP-headed request asked the dentry cache first and
-            # missed: attach a FILL so the switch installs the reply on
-            # the return path.  No yield separates the kv read above from
-            # the reply send in _serve, so the filled line is exactly the
-            # value this read returned (DESIGN.md §15 invariant I1).
-            if packet.header is not None and packet.header.op == StaleSetOp.LOOKUP:
-                return Reply(
-                    value=value,
-                    header=StaleSetHeader(
-                        op=StaleSetOp.FILL, fingerprint=packet.header.fingerprint
-                    ),
-                )
-            return value
+            return _fill_on_lookup(packet, value)
         finally:
             self._release(lock, "r")
 
@@ -172,16 +178,7 @@ class ReadOps:
         if inode is None:
             raise FSError(ENOENT, f"{pid}/{name}")
         value = {"id": inode.id, "fingerprint": inode.fingerprint, "perm": inode.perm}
-        # Cache-miss fill on the return path (same invariant as
-        # _read_file_inode: kv read and reply send are one atomic step).
-        if packet.header is not None and packet.header.op == StaleSetOp.LOOKUP:
-            return Reply(
-                value=value,
-                header=StaleSetHeader(
-                    op=StaleSetOp.FILL, fingerprint=packet.header.fingerprint
-                ),
-            )
-        return value
+        return _fill_on_lookup(packet, value)
 
     def _handle_get_membership(self, request: RpcRequest, packet: Packet) -> Generator:
         """Serve the current membership view (epoch refresh protocol).

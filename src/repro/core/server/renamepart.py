@@ -89,7 +89,7 @@ class RenameParticipant:
         cl_lock = yield from self._acquire(self._changelog_lock(args["parent_id"]), "r")
         held = [(cl_lock, "r")]
         try:
-            return (yield from self._finish_async_update(  # reprolint: allow[RL102] async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
+            return (yield from self._finish_async_update(  # async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
                 request, args["parent_fp"], args["parent_id"], args["entry"], held
             ))
         finally:

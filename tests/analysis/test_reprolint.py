@@ -3,8 +3,12 @@
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Finding, format_finding, lint_paths
-from repro.analysis.reprolint import RULES, lint_file
+from repro.analysis import RULES, Finding, format_finding, lint_paths
+
+
+def lint_file(path):
+    """What ``repro lint <path>`` reports: the one driver, one file."""
+    return lint_paths([path]).findings
 
 
 def _write(tmp_path, name, source):
@@ -392,8 +396,9 @@ class TestSuppressionAndOutput:
                     pass
             """,
         )
-        findings = lint_paths([tmp_path])
-        assert sorted(_rules(findings)) == ["RL002", "RL003"]
+        report = lint_paths([tmp_path])
+        assert sorted(_rules(report.findings)) == ["RL002", "RL003"]
+        assert len(report.files) == 3
 
     def test_syntax_error_is_reported_not_raised(self, tmp_path):
         p = _write(tmp_path, "broken.py", "def oops(:\n")
@@ -402,8 +407,10 @@ class TestSuppressionAndOutput:
         assert "syntax error" in findings[0].message
 
     def test_rule_table_is_complete(self):
+        """One table: the syntactic rules and the flow rules; RL005 and
+        RL101-102 are retired ids, never reused."""
         assert set(RULES) == {
-            "RL001", "RL002", "RL003", "RL004", "RL006", "RL007",
+            "RL001", "RL002", "RL003", "RL004", "RL006", "RL007", "RL103", "RL104",
         }
 
 
@@ -457,25 +464,51 @@ class TestRL007DeadSuppression:
         )
         assert lint_file(p) == []
 
-    def test_flow_rule_allows_are_not_lints_business(self, tmp_path):
-        # RL102+ suppressions are audited by `repro flow`, not the lint.
+    def test_flow_rule_allows_are_audited_by_the_same_pass(self, tmp_path):
         p = _write(
             tmp_path,
             "mod.py",
             """
             def add(a, b):
-                return a + b  # reprolint: allow[RL102] flow-rule territory
+                return a + b  # reprolint: allow[RL104] no view is read here
             """,
         )
-        assert lint_file(p) == []
+        findings = lint_file(p)
+        assert _rules(findings) == ["RL007"]
+        assert "allow[RL104]" in findings[0].message
+
+    def test_a_token_that_names_no_rule_is_reported(self, tmp_path):
+        """A typo or a retired id never suppressed anything; accepted
+        silently, it would outlive the rule it once named."""
+        p = _write(
+            tmp_path,
+            "mod.py",
+            """
+            x = 1  # reprolint: allow[RL005] a retired id
+            y = 2  # reprolint: allow[no-such-rule] a typo
+
+            def peek(server):
+                return server._heap  # reprolint: allow[private-access, RL999] half right
+            """,
+        )
+        findings = lint_file(p)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("RL007", 2), ("RL007", 3), ("RL007", 6),
+        ]
+        assert "allow[RL005] names no rule" in findings[0].message
+        assert "allow[no-such-rule] names no rule" in findings[1].message
+        assert "allow[RL999] names no rule" in findings[2].message
 
 
 class TestRepoIsClean:
     SRC = Path(__file__).resolve().parents[2] / "src"
 
     def test_src_tree_has_no_findings(self):
-        findings = lint_paths([self.SRC])
-        assert findings == [], "\n".join(format_finding(f) for f in findings)
+        """The single static gate — every rule, every suppression audited,
+        no baseline — is clean over ``src/``."""
+        report = lint_paths([self.SRC])
+        assert report.findings == [], "\n".join(map(format_finding, report.findings))
+        assert len(report.files) > 50 and report.flow.lock_graph
 
     def test_nothing_in_src_reads_a_refcount(self):
         """No object is ever reused, so nothing needs to prove that an

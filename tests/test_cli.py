@@ -76,7 +76,8 @@ class TestLint:
         target.write_text("def add(a, b):\n    return a + b\n", encoding="utf-8")
         code, out = run_cli(capsys, ["lint", str(target)])
         assert code == 0
-        assert "clean" in out
+        assert "reprolint: clean (1 file(s); rules RL001 " in out
+        assert "RL104; 0 lock-order edge(s))" in out
 
     def test_findings_exit_nonzero_and_print_locations(self, capsys, tmp_path):
         target = tmp_path / "dirty.py"
@@ -96,7 +97,13 @@ class TestLint:
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         code, out = run_cli(capsys, ["lint", str(src)])
         assert code == 0, out
-        assert "clean" in out
+        assert "clean" in out and " 4 lock-order edge(s)" in out
+
+    def test_missing_path_is_an_error_not_a_clean_run(self, capsys, tmp_path):
+        code = main(["lint", str(tmp_path / "no_such_dir")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no such path" in captured.err and "clean" not in captured.out
 
 
 class TestAnalyze:
@@ -109,9 +116,6 @@ class TestAnalyze:
         assert "simulation analysis report" in out
         assert "lock-order cycles: 0" in out
         assert "no lock-order cycles or lockset races detected" in out
-        # --strict folds in the static flow analyses against the
-        # committed baseline.
-        assert "static flow: 0 new finding(s)" in out
 
 
 STALE_VIEW = (
@@ -123,68 +127,19 @@ STALE_VIEW = (
 
 
 class TestFlow:
+    """The flow rules run under ``repro lint``, like every other rule."""
+
     def test_seeded_finding_exits_nonzero(self, capsys, tmp_path):
         target = tmp_path / "stale.py"
         target.write_text(STALE_VIEW, encoding="utf-8")
-        code, out = run_cli(capsys, ["flow", str(tmp_path)])
+        code, out = run_cli(capsys, ["lint", str(tmp_path)])
         assert code == 1
         assert "RL104[stale-view-across-yield]" in out
         assert "stale.py:4" in out
 
-    def test_baseline_masks_known_findings(self, capsys, tmp_path):
-        (tmp_path / "stale.py").write_text(STALE_VIEW, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        code, out = run_cli(
-            capsys, ["flow", str(tmp_path), "--write-baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "wrote 1 fingerprint(s)" in out
-        code, out = run_cli(
-            capsys, ["flow", str(tmp_path), "--baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "clean" in out
-
-    def test_sarif_and_lock_graph_outputs(self, capsys, tmp_path):
-        import json
-
-        (tmp_path / "stale.py").write_text(STALE_VIEW, encoding="utf-8")
-        sarif = tmp_path / "flow.sarif"
-        graph = tmp_path / "graph.json"
-        code, _ = run_cli(capsys, [
-            "flow", str(tmp_path), "--sarif", str(sarif),
-            "--lock-graph", str(graph),
-        ])
-        assert code == 1
-        doc = json.loads(sarif.read_text())
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"][0]["ruleId"] == "RL104"
-        assert json.loads(graph.read_text()) == {"edges": [], "cycles": []}
-
-    def test_src_tree_is_clean_vs_committed_baseline(self, capsys):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        code, out = run_cli(capsys, [
-            "flow", str(root / "src"),
-            "--baseline", str(root / "flow-baseline.json"),
-        ])
-        assert code == 0, out
-        assert "clean" in out
-
-    def test_changed_scope_with_baseline(self, capsys):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        code, out = run_cli(capsys, [
-            "flow", "src", "--changed", "HEAD",
-            "--baseline", str(root / "flow-baseline.json"),
-        ])
-        # Either nothing relevant changed vs HEAD, or the changed subset
-        # is clean against the committed baseline.
-        assert code == 0, out
-
     def test_lint_changed_scope(self, capsys):
+        # Either nothing relevant changed vs HEAD, or the changed subset
+        # is clean (the whole scope is scanned either way).
         code, out = run_cli(capsys, ["lint", "src", "--changed", "HEAD"])
         assert code == 0, out
 
@@ -211,3 +166,17 @@ class TestParser:
         assert "--systems" in help_text
         assert "--perf-labels" not in help_text
         assert "--out-dir" not in help_text
+
+    def test_flow_command_is_gone(self, capsys):
+        """``repro lint`` is the one static gate: no ``flow`` command, no
+        baseline, SARIF or lock-graph option anywhere."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flow", "src"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["lint", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--changed" in help_text
+        for option in ("--baseline", "--sarif", "--lock-graph", "--json"):
+            assert option not in help_text

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import FLOW_RULES
-from repro.analysis.reprolint import RULES
+from repro.analysis import RULES
 from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,11 +116,11 @@ def variables_read():
 @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
 def test_every_rule_id_and_environment_variable_exists(doc, variables_read):
     """A rule id or a ``REPRO_*`` variable anywhere in the present-tense
-    docs is one ``repro lint`` / ``repro flow`` enforces, or one the code
+    docs is one ``repro lint`` enforces, or one the code
     reads.  EXPERIMENTS.md is dated history: it may say, in prose, what a
     PR deleted."""
     text = (ROOT / doc).read_text(encoding="utf-8")
-    retired = sorted(set(_RULE_ID.findall(text)) - set(RULES) - set(FLOW_RULES))
+    retired = sorted(set(_RULE_ID.findall(text)) - set(RULES))
     assert not retired, f"{doc} names rules no tool enforces: {retired}"
     unread = sorted(set(_ENV_VAR.findall(text)) - variables_read)
     assert not unread, f"{doc} names environment variables nothing reads: {unread}"
