@@ -28,8 +28,6 @@ CEPH_EXTRA_NET_US = 60.0
 class CephLikeCluster(BaselineCluster):
     """Ceph-like: subtree partition + heavy-stack cost model."""
 
-    system_name = "Ceph"
-
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
         perf = config.perf.scaled(CEPH_STACK_MULTIPLIER, extra_net_us=CEPH_EXTRA_NET_US)
         config = dataclasses.replace(config, perf=perf)

@@ -21,7 +21,5 @@ __all__ = ["CFSKVCluster"]
 class CFSKVCluster(BaselineCluster):
     """CFS-KV on the shared substrate: per-file partition + sync updates."""
 
-    system_name = "CFS-KV"
-
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
         super().__init__(config, partition_cls=PerFilePartition, faults=faults)

@@ -27,8 +27,6 @@ INDEXFS_EXTRA_NET_US = 15.0
 class IndexFSCluster(BaselineCluster):
     """IndexFS-like: grouped partition + kernel-networking cost model."""
 
-    system_name = "IndexFS"
-
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
         perf = config.perf.scaled(
             INDEXFS_STACK_MULTIPLIER, extra_net_us=INDEXFS_EXTRA_NET_US

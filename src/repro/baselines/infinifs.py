@@ -21,7 +21,5 @@ __all__ = ["InfiniFSCluster"]
 class InfiniFSCluster(BaselineCluster):
     """InfiniFS on the shared substrate: grouped partition + sync updates."""
 
-    system_name = "InfiniFS"
-
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
         super().__init__(config, partition_cls=GroupedPartition, faults=faults)

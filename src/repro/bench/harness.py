@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.cluster import SwitchFSCluster
+from ..core.client import LibFS
+from ..core.cluster import Cluster
 from ..sim import AllOf, LatencyRecorder, PhaseStats, Process, Simulator
 from ..workloads.generator import OpStream
 
@@ -88,18 +89,14 @@ class MeasurementWindow:
     accounting, the switch dentry-cache counters and the clients'
     switch-served-reply buckets."""
 
-    def __init__(self, cluster, num_clients: int):
+    def __init__(self, cluster: Cluster, num_clients: int):
         self.cluster = cluster
         self.num_clients = num_clients
-        self.servers = getattr(cluster, "servers", [])
         self.cache_base: Dict[str, int] = {}
 
     def _switch_cache_counts(self) -> Optional[Dict[str, int]]:
-        stats_fn = getattr(self.cluster, "switch_stats", None)
-        if stats_fn is None:
-            return None
-        st = stats_fn()
-        if st is None or getattr(st, "cache_capacity", 0) == 0:
+        st = self.cluster.switch_stats()
+        if st is None or st.cache_capacity == 0:
             return None  # no dentry cache provisioned
         return {
             "hits": st.cache_hits,
@@ -108,24 +105,21 @@ class MeasurementWindow:
             "evictions": st.cache_evictions,
         }
 
-    def _switch_clients(self):
-        for w in range(self.num_clients):
-            fs = self.cluster.client(w)
-            if hasattr(fs, "switch_latency"):
-                yield fs
+    def _clients(self) -> List[LibFS]:
+        return [self.cluster.client(w) for w in range(self.num_clients)]
 
     def open(self) -> None:
         # Phase accounting covers the measurement window only: drop
         # whatever bootstrap / warmup traffic accumulated before it.
-        for server in self.servers:
+        for server in self.cluster.servers:
             server.phases.clear()
         counts = self._switch_cache_counts()
         if counts is not None:
             self.cache_base = counts
         # Same windowing for the clients' switch-served-reply buckets:
         # LatencyRecorder has no clear(), so swap in fresh recorders.
-        for fs in self._switch_clients():
-            fs.switch_latency = type(fs.switch_latency)()
+        for fs in self._clients():
+            fs.switch_latency = LatencyRecorder()
 
     def close(
         self, latency: LatencyRecorder, start: Optional[float], end: float
@@ -135,7 +129,7 @@ class MeasurementWindow:
         if start is None or end <= start:
             raise RuntimeError("measurement window is empty; increase total_ops")
         phases = PhaseStats()
-        for server in self.servers:
+        for server in self.cluster.servers:
             phases.merge(server.phases)
         switch_cache: Dict[str, int] = {}
         counts = self._switch_cache_counts()
@@ -143,7 +137,7 @@ class MeasurementWindow:
             switch_cache = {
                 k: v - self.cache_base.get(k, 0) for k, v in counts.items()
             }
-            for fs in self._switch_clients():
+            for fs in self._clients():
                 latency.merge(fs.switch_latency)
         return phases, switch_cache
 
@@ -189,7 +183,7 @@ class _StreamState:
 
 
 def run_stream(
-    cluster: SwitchFSCluster,
+    cluster: Cluster,
     stream: OpStream,
     total_ops: int,
     inflight: int = 32,

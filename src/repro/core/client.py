@@ -24,8 +24,8 @@ from ..net.topology import Network
 from ..sim import Counter, LatencyRecorder, Simulator
 from .config import FSConfig
 from .errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
-from .membership import Membership, MembershipView
-from .schema import ROOT_ID, file_cache_fingerprint, fingerprint_of, root_inode
+from .membership import MembershipView, Placement
+from .schema import file_cache_fingerprint, fingerprint_of, root_inode
 
 __all__ = ["LibFS", "ResolvedDir"]
 
@@ -65,23 +65,26 @@ class LibFS:
         net: Network,
         addr: str,
         config: FSConfig,
-        membership: Membership,
+        placement: Placement,
     ):
         self.sim = sim
         self.config = config
         self.perf = config.perf
-        self.membership = membership
+        # Every routing question goes to *placement*: the membership view
+        # current when the client was built, or a baseline's partition.
         # Clients route against an epoch snapshot, not the live view: a
         # migration bumps the cluster's epoch without telling clients, and
         # the WrongEpoch redirect protocol (refresh + retry) is how a
         # stale view catches up — exactly like a real deployment.
-        self._view: MembershipView = membership.current
+        self._view = placement
         self.node = RpcNode(sim, net, addr)
         self.counters = Counter()
+        # Directory reads carry a QUERY header for the in-network stale set.
+        self._stale_headers = config.stale_backend == "switch"
         # In-switch dentry cache (DESIGN.md §15): when enabled, lookups
         # and stats carry a LOOKUP header and switch-served replies land
         # in their own latency bucket ("switch_hit" vs "switch_miss").
-        self._switch_cache = config.switch_cache and config.stale_backend == "switch"
+        self._switch_cache = config.switch_cache and self._stale_headers
         self.switch_latency = LatencyRecorder()
         root = root_inode()
         self._root = ResolvedDir(
@@ -120,10 +123,10 @@ class LibFS:
         self.counters.inc("cache_misses")
         parent_path, name = split_path(path)
         parent = yield from self.resolve_dir(parent_path)
-        fp = fingerprint_of(parent.id, name)
-        owner = self._view.dir_owner_by_fp(fp)
+        owner = self._view.dir_owner(parent.id, name, path)
         make_header = None
         if self._switch_cache:
+            fp = fingerprint_of(parent.id, name)
             make_header = lambda attempt_no: StaleSetHeader(  # noqa: E731
                 op=StaleSetOp.LOOKUP, fingerprint=fp
             )
@@ -219,7 +222,7 @@ class LibFS:
                     yield sim.timeout(perf.cache_lookup_us)
                 else:
                     parent = yield from self.resolve_dir(parent_path)
-                owner = self._view.file_owner(parent.id, name)
+                owner = self._view.file_owner(parent.id, name, parent_path)
                 args = {
                     "pid": parent.id,
                     "name": name,
@@ -270,8 +273,7 @@ class LibFS:
         def attempt() -> Generator:
             parent_path, name = split_path(path)
             parent = yield from self.resolve_dir(parent_path)
-            fp = fingerprint_of(parent.id, name)
-            owner = self._view.dir_owner_by_fp(fp)
+            owner = self._view.dir_owner(parent.id, name, path)
             args = {
                 "pid": parent.id,
                 "name": name,
@@ -290,7 +292,7 @@ class LibFS:
             target = yield from self.resolve_dir(path)
             parent_path, name = split_path(path)
             parent = yield from self.resolve_dir(parent_path)
-            owner = self._view.dir_owner_by_fp(target.fingerprint)
+            owner = self._view.dir_owner(parent.id, name, path)
             args = {
                 "pid": parent.id,
                 "name": name,
@@ -351,7 +353,7 @@ class LibFS:
 
         def attempt() -> Generator:
             target = yield from self.resolve_dir(path)
-            owner = self._view.dir_owner_by_fp(target.fingerprint)
+            owner = self._view.dir_owner(target.pid, target.name, path)
             args = {
                 "pid": target.pid,
                 "name": target.name,
@@ -364,7 +366,7 @@ class LibFS:
             if limit is not None:
                 args["limit"] = limit
             header = None
-            if self.config.stale_backend == "switch":
+            if self._stale_headers:
                 fp = target.fingerprint
                 header = lambda attempt_no: StaleSetHeader(  # noqa: E731
                     op=StaleSetOp.QUERY, fingerprint=fp

@@ -36,11 +36,18 @@ from ..switchfab import (
 )
 from .client import LibFS
 from .config import FSConfig
-from .membership import Membership, bootstrap_view, plan_scale_down, plan_scale_up
-from .server import MetadataServer
+from .membership import (
+    Membership,
+    MembershipView,
+    Placement,
+    bootstrap_view,
+    plan_scale_down,
+    plan_scale_up,
+)
+from .server import MetadataServer, ServerRuntime
 from .staleset_backend import StaleSetServer
 
-__all__ = ["SwitchFSCluster"]
+__all__ = ["Cluster", "SwitchFSCluster"]
 
 
 class _RackMap:
@@ -56,12 +63,63 @@ class _RackMap:
         return 0  # singleton hosts (e.g. a stale-set server) sit in rack 0
 
 
-class SwitchFSCluster:
+class Cluster:
+    """What every deployment, SwitchFS or baseline, is to its callers: a
+    simulator, a network, servers and lazily built clients that route by
+    the deployment's :class:`~repro.core.membership.Placement`."""
+
+    client_cls = LibFS
+    #: What a client built now, and ``bootstrap``, route by.
+    placement: Placement
+    #: The control plane of a programmable switch; None when there is none.
+    control: Optional[SwitchControlPlane] = None
+
+    def __init__(self, config: FSConfig):
+        self.config = config
+        self.sim = Simulator()
+        self.servers: List[ServerRuntime] = []
+        # Servers retired by scale-down: no longer in the view, kept alive
+        # so in-flight traffic and view-refresh RPCs still get answers.
+        self.retired: List[ServerRuntime] = []
+        self._clients: Dict[int, LibFS] = {}
+
+    def client(self, idx: int = 0) -> LibFS:
+        """Get (or lazily create) client *idx*'s LibFS handle."""
+        fs = self._clients.get(idx)
+        if fs is None:
+            fs = self._clients[idx] = self.client_cls(
+                self.sim, self.net, self.config.client_addr(idx), self.config, self.placement
+            )
+        return fs
+
+    def server_by_addr(self, addr: str) -> ServerRuntime:
+        for server in self.servers:
+            if server.addr == addr:
+                return server
+        for server in self.retired:
+            if server.addr == addr:
+                return server
+        raise KeyError(addr)
+
+    def run_op(self, gen: Generator, until: Optional[float] = None):
+        """Run a single client operation to completion, returning its value."""
+        proc = self.sim.spawn(gen, name="op")
+        return self.sim.run_process(proc, until=until)
+
+    def run(self, until: Optional[float] = None) -> None:
+        self.sim.run(until=until)
+
+    def switch_stats(self):
+        if self.control is None:
+            return None
+        return self.control.stats()
+
+
+class SwitchFSCluster(Cluster):
     """A complete simulated SwitchFS deployment."""
 
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
-        self.config = config
-        self.sim = Simulator()
+        Cluster.__init__(self, config)
         self.membership = Membership(bootstrap_view(config))
 
         def make_programmable():
@@ -121,15 +179,12 @@ class SwitchFSCluster:
             faults=faults,
         )
 
-        self.servers: List[MetadataServer] = [
+        self.servers = [
             MetadataServer(self.sim, self.net, config.server_addr(i), config, self.membership)
             for i in range(config.num_servers)
         ]
         for server in self.servers:
             server.install_root()
-        # Servers retired by scale-down: no longer in the view, kept alive
-        # so in-flight traffic and view-refresh RPCs still get answers.
-        self.retired: List[MetadataServer] = []
         self._server_seq = config.num_servers
 
         self.staleset_server: Optional[StaleSetServer] = None
@@ -137,43 +192,12 @@ class SwitchFSCluster:
             node = RpcNode(self.sim, self.net, config.staleset_server_addr)
             self.staleset_server = StaleSetServer(self.sim, node, config)
 
-        self._clients: Dict[int, LibFS] = {}
-
-    # ------------------------------------------------------------------
-    # access
-    # ------------------------------------------------------------------
-    def client(self, idx: int = 0) -> LibFS:
-        """Get (or lazily create) client *idx*'s LibFS handle."""
-        fs = self._clients.get(idx)
-        if fs is None:
-            fs = LibFS(
-                self.sim, self.net, self.config.client_addr(idx), self.config, self.membership
-            )
-            self._clients[idx] = fs
-        return fs
+    @property
+    def placement(self) -> MembershipView:
+        return self.membership.current
 
     def server(self, idx: int) -> MetadataServer:
         return self.servers[idx]
-
-    def server_by_addr(self, addr: str) -> MetadataServer:
-        for server in self.servers:
-            if server.addr == addr:
-                return server
-        for server in self.retired:
-            if server.addr == addr:
-                return server
-        raise KeyError(addr)
-
-    # ------------------------------------------------------------------
-    # running
-    # ------------------------------------------------------------------
-    def run_op(self, gen: Generator, until: Optional[float] = None):
-        """Run a single client operation to completion, returning its value."""
-        proc = self.sim.spawn(gen, name="op")
-        return self.sim.run_process(proc, until=until)
-
-    def run(self, until: Optional[float] = None) -> None:
-        self.sim.run(until=until)
 
     def settle(self, quiet_us: float = 20_000.0) -> None:
         """Run until all proactive aggregation activity has drained.
@@ -431,8 +455,3 @@ class SwitchFSCluster:
         return sum(
             s.pending_changelog_entries() for s in self.servers + self.retired
         )
-
-    def switch_stats(self):
-        if self.control is None:
-            return None
-        return self.control.stats()

@@ -24,18 +24,36 @@ bit-identical for static clusters (the pinned fig-11 test certifies it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from .config import FSConfig
-from .schema import file_shard_of, fingerprint_of
+from .schema import file_shard_of, fingerprint_of, new_dir_id, root_inode
 
 __all__ = [
+    "Placement",
     "MembershipView",
     "Membership",
     "bootstrap_view",
     "plan_scale_up",
     "plan_scale_down",
 ]
+
+
+class Placement(Protocol):
+    """Which server holds this name: the one routing question (§6.1).
+
+    Answered by a :class:`MembershipView` and by the baselines'
+    partitions; asked by the one client, the one ``bootstrap`` and the
+    baseline server working out where a parent directory lives.
+    """
+
+    def file_owner(self, pid: int, name: str, dir_path: str) -> str: ...
+
+    def dir_owner(self, pid: int, name: str, path: str) -> str: ...
+
+    def root_owner(self) -> str: ...
+
+    def dir_id(self, pid: int, name: str, nonce: int) -> int: ...
 
 
 class MembershipView:
@@ -76,12 +94,20 @@ class MembershipView:
         """Owner server address for a directory fingerprint group."""
         return self.shard_table[fingerprint % self.num_shards]
 
-    def dir_owner(self, pid: int, name: str) -> str:
+    # Placement: a view hashes names and never looks at the path.
+    def dir_owner(self, pid: int, name: str, path: Optional[str] = None) -> str:
         return self.shard_table[fingerprint_of(pid, name) % self.num_shards]
 
-    def file_owner(self, pid: int, name: str) -> str:
+    def file_owner(self, pid: int, name: str, dir_path: Optional[str] = None) -> str:
         """Owner server address for file ``name`` under directory *pid*."""
         return self.shard_table[file_shard_of(pid, name, self.num_shards)]
+
+    def root_owner(self) -> str:
+        return self.dir_owner_by_fp(root_inode().fingerprint)
+
+    def dir_id(self, pid: int, name: str, nonce: int) -> int:
+        """A fresh id per mkdir: *nonce* tells a re-created name apart."""
+        return new_dir_id(pid, name, nonce)
 
     def others(self, addr: str) -> Tuple[str, ...]:
         """All member addresses except *addr* (multicast targets).

@@ -59,7 +59,6 @@ from ..changelog import ChangeLogTable
 from ..config import FSConfig
 from ..invalidation import InvalidationList
 from ..membership import Membership
-from ..schema import root_inode
 from ..staleset_backend import ServerBackendClient
 from .aggregation import AggregationProtocol
 from .changelog_engine import ChangeLogEngine
@@ -164,6 +163,5 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
 
     def install_root(self) -> None:
         """Install the root inode if this server owns it."""
-        root = root_inode()
-        if self.membership.current.dir_owner_by_fp(root.fingerprint) == self.addr:
+        if self.membership.current.root_owner() == self.addr:
             self.install_root_inode()

@@ -202,49 +202,6 @@ class ChangeLogEngine:
             if lock is not None:
                 self._release(lock, "w")
 
-    def _apply_entry_with_inode_txn(
-        self, dir_id: int, entry: ChangeLogEntry, already_locked: frozenset = frozenset()
-    ) -> Generator:
-        """One entry applied under the directory-inode write lock.
-
-        This is the contended segment: the lock-hold window is what
-        serialises concurrent updates of one directory in synchronous
-        systems (Challenge 2).  *already_locked* names inode keys the
-        caller holds write locks on (rmdir holds its own target's lock
-        while aggregating, so re-acquiring would self-deadlock).
-        """
-        key = self._dir_index.get(dir_id)
-        if key is None:
-            return  # directory removed concurrently; update is moot
-        lock = None
-        if key not in already_locked:
-            lock = yield from self._acquire(self._inode_lock(key), "w")
-        try:
-            yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
-            delta = self._apply_entry_to_list(dir_id, entry)
-            inode = self.kv.get_or_none(key)
-            if inode is not None:
-                self.kv.put(key, inode.touched(entry.timestamp, delta))
-        finally:
-            if lock is not None:
-                self._release(lock, "w")
-
-    def _apply_entry_to_list(self, dir_id: int, entry: ChangeLogEntry) -> int:
-        """Apply one op to the entry list; returns the entry-count delta.
-
-        Presence-aware so that re-application (recovery, duplicated
-        flushes) never corrupts the count.
-        """
-        ekey = dir_entry_key(dir_id, entry.name)
-        present = ekey in self.kv
-        if entry.op.adds_entry:
-            self.kv.put(ekey, DirEntry(is_dir=entry.is_dir, perm=entry.perm))
-            return 0 if present else 1
-        if present:
-            self.kv.delete(ekey)
-            return -1
-        return 0
-
     def _apply_entries_to_list(self, dir_id: int, entries: List[ChangeLogEntry]) -> int:
         """Apply a recast log's op queue in one grouped KV transaction.
 

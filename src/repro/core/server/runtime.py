@@ -8,6 +8,7 @@ have the same storage and networking framework", §6.1) is realised here:
 * the KV store + WAL pair (the RocksDB stand-in),
 * a pool of CPU cores with service-time accounting,
 * the inode lock table,
+* the one application of an entry to a directory under its inode lock,
 * the recovery gate that blocks operations while a server rebuilds
   state after a crash (§4.4.2),
 
@@ -32,9 +33,10 @@ from ...kvstore import KVStore
 from ...net import RpcNode
 from ...net.topology import Network
 from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
+from ..changelog import ChangeLogEntry
 from ..config import FSConfig
 from ..errors import EWRONGEPOCH, FSError
-from ..schema import dir_meta_key, root_inode
+from ..schema import DirEntry, dir_entry_key, dir_meta_key, root_inode
 
 __all__ = ["ServerRuntime"]
 
@@ -232,6 +234,60 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         owner = self.membership.current.dir_owner_by_fp(fingerprint)
         if owner != self.addr:
             raise FSError(EWRONGEPOCH, f"group {fingerprint:#x} owned by {owner}")
+
+    # ------------------------------------------------------------------
+    # the parent-directory update every scheme ends in
+    # ------------------------------------------------------------------
+    def _apply_entry_with_inode_txn(
+        self, dir_id: int, entry: ChangeLogEntry, already_locked: frozenset = frozenset()
+    ) -> Generator:
+        """One entry applied under the directory-inode write lock; returns
+        whether the directory was there to take it.
+
+        This is the contended segment: the lock-hold window is what
+        serialises concurrent updates of one directory in synchronous
+        systems (Challenge 2).  *already_locked* names inode keys the
+        caller holds write locks on (rmdir holds its own target's lock
+        while aggregating, so re-acquiring would self-deadlock; a
+        baseline's commit phase holds the one its prepare phase took).
+
+        A directory removed meanwhile is not an error here: a delayed
+        update has nobody left to tell, and a synchronous caller turns
+        False into its client's ENOENT.
+        """
+        key = self._dir_index.get(dir_id)
+        if key is None:
+            return False
+        lock = None
+        if key not in already_locked:
+            lock = yield from self._acquire(self._inode_lock(key), "w")
+        try:
+            yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
+            inode = self.kv.get_or_none(key)
+            if inode is None:
+                return False
+            delta = self._apply_entry_to_list(dir_id, entry)
+            self.kv.put(key, inode.touched(entry.timestamp, delta))
+            return True
+        finally:
+            if lock is not None:
+                self._release(lock, "w")
+
+    def _apply_entry_to_list(self, dir_id: int, entry: ChangeLogEntry) -> int:
+        """Apply one op to the entry list; returns the entry-count delta.
+
+        Presence-aware so that re-application (recovery, duplicated
+        flushes) never corrupts the count.
+        """
+        ekey = dir_entry_key(dir_id, entry.name)
+        present = ekey in self.kv
+        if entry.op.adds_entry:
+            self.kv.put(ekey, DirEntry(is_dir=entry.is_dir, perm=entry.perm))
+            return 0 if present else 1
+        if present:
+            self.kv.delete(ekey)
+            return -1
+        return 0
 
     # ------------------------------------------------------------------
     # bootstrap

@@ -17,10 +17,10 @@ experiments measure the operations under test, not cold path resolution
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.client import ResolvedDir
-from ..core.cluster import SwitchFSCluster
+from ..core.cluster import Cluster
 from ..core.schema import (
     DirEntry,
     DirInode,
@@ -30,7 +30,6 @@ from ..core.schema import (
     dir_meta_key,
     file_meta_key,
     fingerprint_of,
-    new_dir_id,
 )
 
 __all__ = ["Population", "bootstrap", "single_large_directory", "multiple_directories"]
@@ -70,87 +69,28 @@ def multiple_directories(num_dirs: int = 1024, files_per_dir: int = 100) -> Popu
 
 
 def bootstrap(
-    cluster,
+    cluster: Cluster,
     population: Population,
     log_writes: bool = False,
     warm_clients: Optional[List[int]] = None,
 ) -> Population:
     """Install *population* into *cluster* directly (no protocol traffic).
 
-    Works for both :class:`~repro.core.SwitchFSCluster` and the baseline
-    clusters — placement follows each system's partition strategy, so the
-    installed state is exactly what protocol-driven population would have
-    produced.
+    Placement follows the cluster's own — a membership view or a
+    baseline's partition — so the installed state is exactly what
+    protocol-driven population would have produced.
     """
-    if hasattr(cluster, "membership"):
-        _install(population, cluster, _SwitchFSPlacement(cluster), log_writes)
-    else:
-        _install(population, cluster, _BaselinePlacement(cluster), log_writes)
-    for client_idx in warm_clients or []:
-        warm_client_cache(cluster, population, client_idx)
-    return population
-
-
-class _SwitchFSPlacement:
-    """Placement rules for the core system: fingerprint/dir-id routing."""
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.view = cluster.membership.current
-
-    def dir_owner(self, dname: str) -> object:
-        fp = fingerprint_of(ROOT_ID, dname)
-        return self.cluster.server_by_addr(self.view.dir_owner_by_fp(fp))
-
-    def file_owner(self, dir_id: int, fname: str) -> object:
-        return self.cluster.server_by_addr(self.view.file_owner(dir_id, fname))
-
-    def root_owner(self) -> object:
-        root_fp = fingerprint_of(0, "/")
-        return self.cluster.server_by_addr(self.view.dir_owner_by_fp(root_fp))
-
-
-class _BaselinePlacement:
-    """Placement rules for baseline clusters: their partition strategy.
-
-    Baseline directory ids are deterministic (nonce 0) so that grouped
-    partitions can route by id without resolution.
-    """
-
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.partition = cluster.partition
-        self._paths: dict = {}
-
-    def dir_owner(self, dname: str) -> object:
-        addr = self.partition.dir_owner(ROOT_ID, dname, f"/{dname}")
-        return self.cluster.server_by_addr(addr)
-
-    def file_owner(self, dir_id: int, fname: str) -> object:
-        # dir_path is only consulted by the subtree partition, which needs
-        # the top-level component; every population dir is top-level.
-        addr = self.partition.file_owner(dir_id, fname, self._dir_path(dir_id))
-        return self.cluster.server_by_addr(addr)
-
-    def root_owner(self) -> object:
-        return self.cluster.server_by_addr(self.partition.dir_owner_root())
-
-    def _dir_path(self, dir_id: int) -> str:
-        return self._paths.get(dir_id, "/")
-
-
-def _install(population: Population, cluster, placement, log_writes: bool) -> None:
     now = cluster.sim.now
-    deterministic = isinstance(placement, _BaselinePlacement)
-    root_owner = placement.root_owner()
+    placement = cluster.placement
+    servers = {server.addr: server for server in cluster.servers}
+    root_owner = servers[placement.root_owner()]
     for nonce, dname in enumerate(population.dirs, start=1):
+        dir_path = f"/{dname}"
         fp = fingerprint_of(ROOT_ID, dname)
-        dir_id = new_dir_id(ROOT_ID, dname, 0 if deterministic else nonce)
+        dir_id = placement.dir_id(ROOT_ID, dname, nonce)
         population.dir_ids[dname] = dir_id
         population.dir_fps[dname] = fp
-        if deterministic:
-            placement._paths[dir_id] = f"/{dname}"
-        owner = placement.dir_owner(dname)
+        owner = servers[placement.dir_owner(ROOT_ID, dname, dir_path)]
         inode = DirInode(
             id=dir_id, pid=ROOT_ID, name=dname, fingerprint=fp,
             ctime=now, mtime=now, entry_count=population.files_per_dir,
@@ -163,7 +103,7 @@ def _install(population: Population, cluster, placement, log_writes: bool) -> No
 
         for i in range(population.files_per_dir):
             fname = population.file_name(i)
-            fowner = placement.file_owner(dir_id, fname)
+            fowner = servers[placement.file_owner(dir_id, fname, dir_path)]
             fowner.kv.put(
                 file_meta_key(dir_id, fname),
                 FileInode(pid=dir_id, name=fname, ctime=now, mtime=now),
@@ -174,10 +114,13 @@ def _install(population: Population, cluster, placement, log_writes: bool) -> No
     root_key = dir_meta_key(0, "/")
     root = root_owner.kv.get(root_key)
     root_owner.kv.put(root_key, root.touched(now, len(population.dirs)), log=log_writes)
+    for client_idx in warm_clients or []:
+        warm_client_cache(cluster, population, client_idx)
+    return population
 
 
 def warm_client_cache(
-    cluster: SwitchFSCluster, population: Population, client_idx: int = 0
+    cluster: Cluster, population: Population, client_idx: int = 0
 ) -> None:
     """Prime a client's metadata cache with the population's directories."""
     fs = cluster.client(client_idx)

@@ -5,9 +5,10 @@ AsyncFS-terminology aliases."""
 import pytest
 
 import repro
-from repro.baselines import BaselineCluster, SyncMetadataServer
+from repro.baselines import BaselineClient, BaselineCluster, SyncMetadataServer
 from repro.baselines.common import PerFilePartition
-from repro.core import FSConfig, MetadataServer, ServerRuntime, SwitchFSCluster
+from repro.core import FSConfig, LibFS, MetadataServer, ServerRuntime, SwitchFSCluster
+from repro.core.cluster import Cluster
 from repro.errors import ReproError
 from repro.sim import PhaseStats, SimulationError
 
@@ -39,6 +40,19 @@ class TestSharedRuntime:
                        "_net_penalty", "_wait_recovered"):
             assert getattr(MetadataServer, method) is getattr(ServerRuntime, method)
             assert getattr(SyncMetadataServer, method) is getattr(ServerRuntime, method)
+
+    def test_client_and_cluster_are_shared_not_retyped(self):
+        # The same cut one layer up: a baseline client is LibFS but for
+        # the two ops its wire protocol changes, and a baseline cluster is
+        # the cluster base with another network, server and placement.
+        for method in ("resolve_dir", "_call", "_file_op", "mkdir", "_dir_read",
+                       "prime_cache", "invalidate_path"):
+            assert getattr(BaselineClient, method) is getattr(LibFS, method)
+        own = {n for n in vars(BaselineClient) if n in vars(LibFS)} - {"__module__", "__doc__"}
+        assert own == {"__init__", "rmdir", "rename"}
+        for method in ("client", "server_by_addr", "run_op", "run", "switch_stats"):
+            assert getattr(SwitchFSCluster, method) is getattr(Cluster, method)
+            assert getattr(BaselineCluster, method) is getattr(Cluster, method)
 
     def test_cpu_serializes_on_one_core(self):
         cluster = switchfs(num_servers=1, cores_per_server=1)
