@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..core.changelog import ChangeLogEntry, ChangeOp
 from ..core.client import LibFS, split_path
 from ..core.cluster import Cluster
 from ..core.config import FSConfig
-from ..core.errors import EEXIST, ENOENT, ENOTEMPTY, FSError
+from ..core.errors import EEXIST, ENOENT, ENOTEMPTY, FSError, fs_error
 from ..core.schema import (
     ROOT_ID,
     DirInode,
@@ -48,7 +48,7 @@ from ..core.schema import (
     owner_of_file,
 )
 from ..core.server import ServerRuntime
-from ..net import FaultModel, Network, PassthroughSwitch, RpcRequest, single_rack_path
+from ..net import FaultModel, Network, PassthroughSwitch, RpcError, RpcRequest, single_rack_path
 from ..sim import Simulator
 
 __all__ = [
@@ -207,7 +207,7 @@ class SyncMetadataServer(ServerRuntime):
             # (the measured legacy cost).
             op = ChangeOp.CREATE if create else ChangeOp.DELETE
             yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
-                args, ChangeLogEntry(now, op, name, perm=perm)
+                args, key, ChangeLogEntry(now, op, name, perm=perm)
             )
             return {"status": "ok"}
         finally:
@@ -225,18 +225,33 @@ class SyncMetadataServer(ServerRuntime):
         grandparent_id = ancestors[-2] if len(ancestors) > 1 else ROOT_ID
         return self.partition.dir_owner(grandparent_id, parent_name, parent_path)
 
-    def _update_parent_sync(self, args: Dict[str, Any], entry: ChangeLogEntry) -> Generator:
+    def _update_parent_sync(
+        self, args: Dict[str, Any], key: Tuple, entry: ChangeLogEntry
+    ) -> Generator:
+        """Apply *entry* to the parent of the inode at *key*, which the
+        caller has just written or removed under its lock."""
         parent_id = args["pid"]
         owner = self._parent_owner(args)
-        if owner == self.addr:
-            yield from self._apply_parent(parent_id, entry)
-            return
-        # Cross-server: two-phase update holding the parent lock across
-        # both phases (the distributed-transaction overhead of Table 2).
-        self.counters.inc("cross_server_updates")
-        update = {"parent_id": parent_id, "entry": entry}
-        yield from self._call(owner, "parent_prepare", update)
-        yield from self._call(owner, "parent_commit", update)
+        try:
+            if owner == self.addr:
+                yield from self._apply_parent(parent_id, entry)
+                return
+            # Cross-server: two-phase update holding the parent lock across
+            # both phases (the distributed-transaction overhead of Table 2).
+            self.counters.inc("cross_server_updates")
+            update = {"parent_id": parent_id, "entry": entry}
+            yield from self._call(owner, "parent_prepare", update)
+            yield from self._call(owner, "parent_commit", update)
+        except RpcError as exc:  # a remote ENOENT arrives as its wire string
+            if entry.op.adds_entry and fs_error(str(exc)).code == ENOENT:
+                # The parent is gone (a client's cache outlived it): the
+                # inode written ahead of this update must not outlive the
+                # ENOENT as an orphan no listing reaches.
+                inode = self.kv.get(key)
+                self.kv.delete(key)
+                if entry.is_dir:
+                    self._dir_index.pop(inode.id, None)
+            raise
 
     def _handle_parent_prepare(self, request: RpcRequest, packet) -> Generator:
         yield from self._net_penalty()
@@ -297,7 +312,7 @@ class SyncMetadataServer(ServerRuntime):
             self._dir_index[inode.id] = key
             # Held across the parent-update RPC by design, as in _file_double.
             yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
-                args, ChangeLogEntry(now, ChangeOp.MKDIR, name, is_dir=True, perm=perm)
+                args, key, ChangeLogEntry(now, ChangeOp.MKDIR, name, is_dir=True, perm=perm)
             )
             return {"status": "ok", "id": inode.id}
         finally:
@@ -326,7 +341,7 @@ class SyncMetadataServer(ServerRuntime):
             self._dir_index.pop(inode.id, None)
             # Held across the parent-update RPC by design, as in _file_double.
             yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: the parent update locks the parent's inode and nothing else
-                args, ChangeLogEntry(self.sim.now, ChangeOp.RMDIR, name, is_dir=True)
+                args, key, ChangeLogEntry(self.sim.now, ChangeOp.RMDIR, name, is_dir=True)
             )
             return {"status": "ok"}
         finally:
