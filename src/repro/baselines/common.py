@@ -247,18 +247,18 @@ class SyncMetadataServer(ServerRuntime):
                 # The parent is gone (a client's cache outlived it): the
                 # inode written ahead of this update must not outlive the
                 # ENOENT as an orphan no listing reaches.
-                inode = self.kv.get(key)
-                self.kv.delete(key)
                 if entry.is_dir:
-                    self._dir_index.pop(inode.id, None)
+                    self._dir_index.pop(self.kv.get(key).id, None)
+                self.kv.delete(key)
             raise
 
     def _handle_parent_prepare(self, request: RpcRequest, packet) -> Generator:
         yield from self._net_penalty()
         yield self._cpu(self.perf.txn_phase_us)
-        key = self._dir_index.get(request.args["parent_id"])
+        parent_id = request.args["parent_id"]
+        key = self._dir_index.get(parent_id)
         if key is None:
-            raise FSError(ENOENT, f"directory {request.args['parent_id']}")
+            raise FSError(ENOENT, f"directory {parent_id}")
         yield from self._acquire(self._inode_lock(key), "w")  # until parent_commit
         return {"status": "prepared"}
 
