@@ -259,14 +259,20 @@ class SyncMetadataServer(ServerRuntime):
         key = self._dir_index.get(parent_id)
         if key is None:
             raise FSError(ENOENT, f"directory {parent_id}")
-        yield from self._acquire(self._inode_lock(key), "w")  # until parent_commit
+        lock = yield from self._acquire(self._inode_lock(key), "w")  # until parent_commit
+        # An rmdir may have held the lock this waited for: only a directory
+        # still there once the lock is granted is prepared.
+        if self._dir_index.get(parent_id) != key:
+            self._release(lock, "w")
+            raise FSError(ENOENT, f"directory {parent_id}")
         return {"status": "prepared"}
 
     def _handle_parent_commit(self, request: RpcRequest, packet) -> Generator:
         args = request.args
         yield from self._net_penalty()
         yield self._cpu(self.perf.txn_phase_us)
-        # parent_prepare found the directory, and its lock has kept it since.
+        # parent_prepare saw the directory with its lock held, and an rmdir
+        # needs that lock: the directory is still there.
         key = self._dir_index[args["parent_id"]]
         try:
             yield from self._apply_parent(args["parent_id"], args["entry"], frozenset([key]))
@@ -426,22 +432,10 @@ class SyncMetadataServer(ServerRuntime):
 
 
 class BaselineClient(LibFS):
-    """LibFS with what a baseline's wire protocol changes: no stale-set
-    headers, an ``rmdir`` that need not resolve its target, and a
-    client-driven synchronous ``rename``."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        net: Network,
-        addr: str,
-        config: FSConfig,
-        partition: BaselinePartition,
-    ):
-        LibFS.__init__(self, sim, net, addr, config, partition)
-        self.partition = partition  # static: no epoch for a captured owner to outlive
-        # A baseline's switch forwards and nothing else: no QUERY, no LOOKUP.
-        self._stale_headers = self._switch_cache = False
+    """LibFS with what a baseline's wire protocol changes: an ``rmdir``
+    that need not resolve its target and a client-driven synchronous
+    ``rename``.  (Its cluster's config is why it sends no stale-set
+    headers.)"""
 
     def rmdir(self, path: str) -> Generator:
         # The directory's owner follows from the parent's id and the name,
@@ -449,7 +443,7 @@ class BaselineClient(LibFS):
         # no resolve of the target, where SwitchFS's client must.
         parent_path, name = split_path(path)
         parent = yield from self.resolve_dir(parent_path)
-        owner = self.partition.dir_owner(parent.id, name, path)
+        owner = self._view.dir_owner(parent.id, name, path)
         args = {
             "pid": parent.id,
             "name": name,
@@ -466,23 +460,23 @@ class BaselineClient(LibFS):
         dst_parent_path, dst_name = split_path(dst)
         src_parent = yield from self.resolve_dir(src_parent_path)
         dst_parent = yield from self.resolve_dir(dst_parent_path)
-        src_owner = self.partition.file_owner(src_parent.id, src_name, src_parent_path)
-        dst_owner = self.partition.file_owner(dst_parent.id, dst_name, dst_parent_path)
+        src_owner = self._view.file_owner(src_parent.id, src_name, src_parent_path)
+        dst_owner = self._view.file_owner(dst_parent.id, dst_name, dst_parent_path)
         src_key = file_meta_key(src_parent.id, src_name)
         value, _ = yield from self._call(src_owner, "read_inode", {"key": list(src_key)})
         moved = replace(value["inode"], pid=dst_parent.id, name=dst_name)
         dst_key = file_meta_key(dst_parent.id, dst_name)
-        yield from self._call(dst_owner, "put_inode", {"key": list(dst_key), "value": moved})
-        yield from self._call(src_owner, "delete_inode", {"key": list(src_key)})
+        yield from self._call(dst_owner, "put_inode", {"key": list(dst_key), "value": moved})  # reprolint: allow[RL104] a partition is static: no epoch for the owner to outlive
+        yield from self._call(src_owner, "delete_inode", {"key": list(src_key)})  # reprolint: allow[RL104] a partition is static: no epoch for the owner to outlive
         # Parent fix-ups reuse the create/delete parent-update handlers.
         for parent, parent_path, name, op in (
             (src_parent, src_parent_path, src_name, ChangeOp.DELETE),
             (dst_parent, dst_parent_path, dst_name, ChangeOp.CREATE),
         ):
-            owner = self.partition.dir_owner(parent.pid, parent.name, parent_path)
+            owner = self._view.dir_owner(parent.pid, parent.name, parent_path)
             update = {"parent_id": parent.id, "entry": ChangeLogEntry(self.sim.now, op, name)}
             yield from self._call(owner, "parent_prepare", update)
-            yield from self._call(owner, "parent_commit", update)
+            yield from self._call(owner, "parent_commit", update)  # reprolint: allow[RL104] a partition is static: no epoch for the owner to outlive
         return {"status": "ok"}
 
 
@@ -498,6 +492,9 @@ class BaselineCluster(Cluster):
         partition_cls=PerFilePartition,
         faults: Optional[FaultModel] = None,
     ):
+        # A baseline's switch forwards and nothing else: with the stale set
+        # declared out of it, no client sends a QUERY or a LOOKUP header.
+        config = replace(config, stale_backend="server", switch_cache=False)
         Cluster.__init__(self, config)
         self.placement = partition_cls(config.num_servers)
         self.net = Network(

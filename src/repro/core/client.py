@@ -79,12 +79,10 @@ class LibFS:
         self._view = placement
         self.node = RpcNode(sim, net, addr)
         self.counters = Counter()
-        # Directory reads carry a QUERY header for the in-network stale set.
-        self._stale_headers = config.stale_backend == "switch"
         # In-switch dentry cache (DESIGN.md §15): when enabled, lookups
         # and stats carry a LOOKUP header and switch-served replies land
         # in their own latency bucket ("switch_hit" vs "switch_miss").
-        self._switch_cache = config.switch_cache and self._stale_headers
+        self._switch_cache = config.switch_cache and config.stale_backend == "switch"
         self.switch_latency = LatencyRecorder()
         root = root_inode()
         self._root = ResolvedDir(
@@ -366,7 +364,7 @@ class LibFS:
             if limit is not None:
                 args["limit"] = limit
             header = None
-            if self._stale_headers:
+            if self.config.stale_backend == "switch":
                 fp = target.fingerprint
                 header = lambda attempt_no: StaleSetHeader(  # noqa: E731
                     op=StaleSetOp.QUERY, fingerprint=fp

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines import CephLikeCluster, CFSKVCluster, IndexFSCluster, InfiniFSCluster
 from repro.core import FSConfig, FSError
+from repro.core.schema import ROOT_ID
 
 
 def removed_parent(cluster_cls):
@@ -37,3 +38,55 @@ def test_add_under_a_removed_parent_leaves_no_orphan(cluster_cls, op):
     assert all(
         key[1] != dir_id for s in cluster.servers for key in s._dir_index.values()
     )
+
+
+def race(offset_us):
+    """``create /d/f`` starts; ``rmdir /d`` starts *offset_us* later.  On
+    CFS-KV the file and the directory live on different servers, so the
+    create reaches ``/d`` through the two-phase parent update."""
+    cluster = CFSKVCluster(FSConfig(num_servers=4, cores_per_server=2, seed=2))
+    creator, remover = cluster.client(0), cluster.client(1)
+    cluster.run_op(creator.mkdir("/d"))
+    for fs in (creator, remover):
+        cluster.run_op(fs.statdir("/d"))  # both have /d cached
+    dir_id = cluster.run_op(creator.statdir("/d"))["id"]
+    where = cluster.placement
+    name = next(
+        n
+        for n in map("f{}".format, range(16))
+        if where.file_owner(dir_id, n, "/d") != where.dir_owner(ROOT_ID, "d", "/d")
+    )
+    outcome = {}
+
+    def attempt(name, gen, delay):
+        yield cluster.sim.timeout(delay)
+        try:
+            yield from gen
+            outcome[name] = "ok"
+        except FSError as exc:
+            outcome[name] = exc.code
+
+    cluster.sim.spawn(attempt("create", creator.create("/d/" + name), 0.0))
+    cluster.sim.spawn(attempt("rmdir", remover.rmdir("/d"), offset_us))
+    cluster.run()
+    return cluster, dir_id, outcome
+
+
+def test_create_racing_rmdir_is_refused_cleanly_and_strands_no_lock():
+    """A prepare that queues behind rmdir's lock is granted it after the
+    directory is gone: it must answer ENOENT and hold nothing."""
+    outcomes = set()
+    for offset_us in range(0, 16):
+        cluster, dir_id, outcome = race(float(offset_us))
+        outcomes.add((outcome["create"], outcome["rmdir"]))
+        if outcome["create"] == "ok":
+            assert outcome["rmdir"] == "ENOTEMPTY"
+            assert cluster.run_op(cluster.client(2).statdir("/d"))["entry_count"] == 1
+        else:
+            assert (outcome["create"], outcome["rmdir"]) == ("ENOENT", "ok")
+            assert keys_under(cluster, dir_id) == []
+            # The same (pid, name) again, on the same server: a lock left
+            # behind by the refused prepare would block this forever.
+            cluster.run_op(cluster.client(2).mkdir("/d"), until=cluster.sim.now + 10_000)
+            assert cluster.run_op(cluster.client(2).statdir("/d"))["entry_count"] == 0
+    assert outcomes == {("ok", "ENOTEMPTY"), ("ENOENT", "ok")}  # the sweep crosses the window

@@ -49,7 +49,7 @@ class TestSharedRuntime:
                        "prime_cache", "invalidate_path"):
             assert getattr(BaselineClient, method) is getattr(LibFS, method)
         own = {n for n in vars(BaselineClient) if n in vars(LibFS)} - {"__module__", "__doc__"}
-        assert own == {"__init__", "rmdir", "rename"}
+        assert own == {"rmdir", "rename"}
         for method in ("client", "server_by_addr", "run_op", "run", "switch_stats"):
             assert getattr(SwitchFSCluster, method) is getattr(Cluster, method)
             assert getattr(BaselineCluster, method) is getattr(Cluster, method)
