@@ -5,6 +5,8 @@ directories are range-partitioned over them by fingerprint.  Semantics
 must be identical to single-rack; the observable differences are longer
 paths (4 links) and stale-set state spread over the spines."""
 
+import hashlib
+
 import pytest
 
 from repro.core import FSConfig, FSError, SwitchFSCluster, fingerprint_of, ROOT_ID
@@ -98,6 +100,32 @@ class TestMultipleSpines:
         assert all(s.occupancy == 0 for s in cluster.spines)
         for i in range(8):
             assert cluster.run_op(fs.statdir(f"/dir{i}"))["entry_count"] == 1
+
+
+class TestLeafSpineVirtualTimePinned:
+    """Virtual time on leaf-spine, captured at the commit before the path
+    factories were merged: which spine a packet climbs to must not move
+    when it arrives."""
+
+    @pytest.mark.parametrize("spines", [1, 2])
+    def test_completion_timestamps(self, spines):
+        cluster = make(num_spine_switches=spines)
+        fs = cluster.client(0)
+        stamps = []
+
+        def op(gen):
+            cluster.run_op(gen)
+            stamps.append(cluster.sim.now)
+
+        op(fs.mkdir("/d"))
+        for i in range(40):
+            op(fs.create(f"/d/f{i}"))
+            if i % 7 == 6:
+                op(fs.statdir("/d"))
+        assert len(stamps) == 46
+        assert cluster.sim.now == 1004.6999999999991
+        digest = hashlib.sha256(repr(stamps).encode()).hexdigest()
+        assert digest[:16] == "f31665e5259f822f"
 
 
 class TestConfigValidation:
