@@ -58,10 +58,10 @@ def main() -> None:
     for i in range(40):
         cluster.run_op(fs.create(f"/data/f{i}"))
     print(f"  {cluster.total_pending_entries()} change-log entries scattered, "
-          f"switch occupancy {cluster.switch.occupancy}")
+          f"switch occupancy {cluster.switch_stats().occupancy}")
     duration = cluster.fail_switch()
     print(f"  switch failed; all servers flushed change-logs in {duration:.1f} us")
-    print(f"  switch occupancy now {cluster.switch.occupancy}, "
+    print(f"  switch occupancy now {cluster.switch_stats().occupancy}, "
           f"pending entries {cluster.total_pending_entries()}")
     info = cluster.run_op(fs.statdir("/data"))
     print(f"  statdir after recovery: entry_count={info['entry_count']} (correct)")

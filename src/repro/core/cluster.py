@@ -24,16 +24,10 @@ from ..net import (
     PassthroughSwitch,
     RpcNode,
     leaf_spine_path,
-    multi_spine_path,
     single_rack_path,
 )
 from ..sim import AllOf, Simulator
-from ..switchfab import (
-    DentryCacheConfig,
-    ProgrammableSwitch,
-    StaleSetConfig,
-    SwitchControlPlane,
-)
+from ..switchfab import ProgrammableSwitch, SwitchControlPlane
 from .client import LibFS
 from .config import FSConfig
 from .membership import (
@@ -122,55 +116,34 @@ class SwitchFSCluster(Cluster):
         Cluster.__init__(self, config)
         self.membership = Membership(bootstrap_view(config))
 
-        def make_programmable():
-            switch = ProgrammableSwitch(
-                stale_config=StaleSetConfig(
-                    num_stages=config.stale_stages, index_bits=config.stale_index_bits
-                ),
-                latency_us=config.perf.switch_latency_us,
-                cache_config=(
-                    DentryCacheConfig(
-                        num_stages=config.switch_cache_stages,
-                        index_bits=config.switch_cache_index_bits,
-                    )
-                    if config.switch_cache
-                    else None
-                ),
-            )
+        latency_us = config.perf.switch_latency_us
+        if config.stale_backend == "switch":
+            # One programmable switch on a single rack, one per spine on
+            # leaf-spine (FSConfig rejects spines without leaf-spine).
+            switches = [
+                ProgrammableSwitch(
+                    stale_config=config.stale_geometry,
+                    latency_us=latency_us,
+                    cache_config=(
+                        config.switch_cache_geometry if config.switch_cache else None
+                    ),
+                )
+                for _ in range(config.num_spine_switches)
+            ]
+            self.control = SwitchControlPlane(switches)
             # Bound to the bootstrap *view*, not the live membership: routes
             # are an epoch snapshot the control plane reprograms explicitly
             # at each epoch bump (apply_epoch), mirroring real switch state.
-            switch.install_fingerprint_owner(self.membership.current.dir_owner_by_fp)
-            return switch
-
-        self.spines: List[ProgrammableSwitch] = []
-        if config.stale_backend == "switch":
-            if config.topology == "single-rack":
-                self.switch: Optional[ProgrammableSwitch] = make_programmable()
-                path_fn = single_rack_path([self.switch])
-            else:
-                # Leaf-spine (§5.4): passthrough ToR leaves, programmable
-                # spines with directories range-partitioned by fingerprint.
-                self.spines = [
-                    make_programmable() for _ in range(config.num_spine_switches)
-                ]
-                self.switch = self.spines[0]
-                leaves = {
-                    r: PassthroughSwitch(latency_us=config.perf.switch_latency_us)
-                    for r in range(config.num_racks)
-                }
-                rack_of = _RackMap(config.num_racks)
-                if len(self.spines) == 1:
-                    path_fn = leaf_spine_path(rack_of, leaves, self.spines[0])
-                else:
-                    path_fn = multi_spine_path(rack_of, leaves, self.spines)
-            self.control = SwitchControlPlane(self.switch)
+            self.control.install_routes(self.membership.current.dir_owner_by_fp)
         else:
-            self.switch = None
-            self.control = None
-            path_fn = single_rack_path(
-                [PassthroughSwitch(latency_us=config.perf.switch_latency_us)]
-            )
+            switches = [PassthroughSwitch(latency_us)]
+        if self.control is not None and config.topology == "leaf-spine":
+            # §5.4: passthrough ToR leaves, programmable spines with
+            # directories partitioned over them by fingerprint.
+            leaves = {r: PassthroughSwitch(latency_us) for r in range(config.num_racks)}
+            path_fn = leaf_spine_path(_RackMap(config.num_racks), leaves, switches)
+        else:
+            path_fn = single_rack_path(switches)
 
         self.net = Network(
             self.sim,
@@ -357,15 +330,8 @@ class SwitchFSCluster(Cluster):
             servers=servers, shard_table=shard_table
         )
         if self.control is not None:
-            # apply_epoch reprograms routes *and* flushes the primary
-            # spine's dentry cache; secondary spines get the same pair of
-            # updates here (cached replies may name outgoing-epoch owners).
             self.control.apply_epoch(new_view)
-            for spine in self.spines[1:]:
-                spine.install_fingerprint_owner(new_view.dir_owner_by_fp)
-                if spine.cache_enabled:
-                    spine.flush_cache()
-            if len(self.spines) <= 1:
+            if len(self.control.switches) <= 1:
                 # Reclaim stale-set bits for groups that are provably
                 # settled: zero staged entries anywhere and zero drained
                 # entries still in flight, checked atomically while the
@@ -411,11 +377,10 @@ class SwitchFSCluster(Cluster):
         Returns the simulated recovery duration in microseconds.  All
         filesystem operations are blocked during recovery (§4.4.2).
         """
-        if self.switch is None:
+        if self.control is None:
             raise RuntimeError("no programmable switch in server-backend mode")
         start = self.sim.now
-        for switch in self.spines or [self.switch]:
-            switch.reset()
+        self.control.fail()
         members = self.servers + self.retired
         for server in members:
             server.begin_recovery()

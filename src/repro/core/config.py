@@ -18,7 +18,8 @@ Feature flags reproduce the ablation of §6.5.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+
+from ..switchfab import TableGeometry
 
 __all__ = ["PerfModel", "FSConfig"]
 
@@ -142,6 +143,8 @@ class FSConfig:
             raise ValueError(f"unknown topology: {self.topology!r}")
         if self.num_racks < 1 or self.num_spine_switches < 1:
             raise ValueError("need at least one rack and one spine switch")
+        if self.num_spine_switches > 1 and self.topology != "leaf-spine":
+            raise ValueError("num_spine_switches > 1 requires topology='leaf-spine'")
         if self.recast and not self.async_updates:
             raise ValueError("recast requires async_updates")
         if self.proactive_push_entries < 1:
@@ -150,10 +153,13 @@ class FSConfig:
             raise ValueError("shards_per_server must be >= 1")
         if self.switch_cache and self.stale_backend != "switch":
             raise ValueError("switch_cache requires stale_backend='switch'")
-        if self.switch_cache_stages < 1:
-            raise ValueError("switch_cache_stages must be >= 1")
-        if not 1 <= self.switch_cache_index_bits <= 16:
-            raise ValueError("switch_cache_index_bits out of range")
+        # Building a geometry validates it (stages >= 1, index bits within
+        # the fingerprint); the cache's is checked whether or not it is on.
+        for table in ("stale", "switch_cache"):
+            try:
+                getattr(self, f"{table}_geometry")
+            except ValueError as exc:
+                raise ValueError(f"{table}_stages / {table}_index_bits: {exc}") from None
         for name in ("proactive_idle_push_us", "grace_period_us", "unlock_watchdog_us"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -176,6 +182,14 @@ class FSConfig:
     def num_shards(self) -> int:
         """Size of the fixed shard space (constant for a run's lifetime)."""
         return self.num_servers * self.shards_per_server
+
+    @property
+    def stale_geometry(self) -> TableGeometry:
+        return TableGeometry(self.stale_stages, self.stale_index_bits)
+
+    @property
+    def switch_cache_geometry(self) -> TableGeometry:
+        return TableGeometry(self.switch_cache_stages, self.switch_cache_index_bits)
 
     @property
     def staleset_server_addr(self) -> str:

@@ -23,7 +23,7 @@ from typing import Generator, Optional
 
 from ..net import RpcNode, Reply
 from ..sim import Resource, Simulator
-from ..switchfab import StaleSet, StaleSetConfig
+from ..switchfab import StaleSet
 from .config import FSConfig
 
 __all__ = ["StaleSetServer", "ServerBackendClient"]
@@ -41,11 +41,7 @@ class StaleSetServer:
         self.node = node
         self.config = config
         self.cores = Resource(sim, config.staleset_server_cores)
-        self.stale_set = StaleSet(
-            StaleSetConfig(
-                num_stages=config.stale_stages, index_bits=config.stale_index_bits
-            )
-        )
+        self.stale_set = StaleSet(config.stale_geometry)
         node.register("ss_insert", self._handle_insert)
         node.register("ss_query", self._handle_query)
         node.register("ss_remove", self._handle_remove)

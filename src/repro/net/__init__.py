@@ -19,7 +19,6 @@ from .topology import (
     PathFn,
     SwitchDevice,
     leaf_spine_path,
-    multi_spine_path,
     single_rack_path,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "SwitchDevice",
     "single_rack_path",
     "leaf_spine_path",
-    "multi_spine_path",
     "PathFn",
     "RpcNode",
     "RpcRequest",

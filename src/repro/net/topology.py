@@ -15,7 +15,8 @@ Two topologies cover the paper's deployments:
 * :func:`single_rack_path` — host → ToR switch → host (the programmable
   switch is the ToR, monitoring all rack traffic);
 * :func:`leaf_spine_path` — host → leaf → spine → leaf → host, with the
-  programmable stale set at the spine (Figure 10).
+  programmable stale set at the spine (Figure 10), partitioned over
+  several spines by :func:`switch_of_fingerprint` when one is not enough.
 
 Fast paths (DESIGN.md §10)
 --------------------------
@@ -25,8 +26,8 @@ device forwarding delays are coalesced into a :class:`_Plan` of absolute
 offsets — one heap entry per *non-transparent* device plus one for final
 delivery, and zero process allocations.  A passthrough path (no
 programmable device) is a single heap entry end to end.  Plans are cached
-per routing key when the path function exposes ``plan_key`` (the three
-topology factories all do); the timing arithmetic is identical to the old
+per routing key when the path function exposes ``plan_key`` (both
+topology factories do); the timing arithmetic is identical to the old
 per-hop walk, so delivery timestamps — and therefore packet arrival order
 at the switch and the FIFO tie-break contract of DESIGN.md §9 — are
 unchanged.
@@ -48,7 +49,7 @@ __all__ = [
     "PathFn",
     "single_rack_path",
     "leaf_spine_path",
-    "multi_spine_path",
+    "switch_of_fingerprint",
 ]
 
 
@@ -98,12 +99,22 @@ def single_rack_path(devices: Sequence[SwitchDevice]) -> PathFn:
     return path
 
 
+def switch_of_fingerprint(fingerprint: int, num_switches: int) -> int:
+    """Which of a deployment's programmable switches holds *fingerprint*.
+
+    The one answer to that question: the path function routes a stale-set
+    packet by it and the control plane reads, clears and counts state by
+    it, so the two can never disagree about where a bit lives.
+    """
+    return fingerprint % num_switches
+
+
 def leaf_spine_path(
     rack_of: Dict[str, int],
     leaves: Dict[int, SwitchDevice],
-    spine: SwitchDevice,
+    spines: Sequence[SwitchDevice],
 ) -> PathFn:
-    """Leaf-spine routing with the programmable stale set at the spine.
+    """Leaf-spine routing with the programmable stale set at the spines.
 
     ToR switches no longer see all traffic in a multi-rack deployment
     (Figure 10), so the stale set moves to the spine.  SwitchFS routes
@@ -111,27 +122,12 @@ def leaf_spine_path(
     through the spine; we model that by climbing to the spine for all
     traffic — intra-rack round trips just pay the two extra links the
     detour costs, which is exactly the trade the paper describes.
-    """
 
-    def path(packet: Packet) -> List[SwitchDevice]:
-        return [leaves[rack_of[packet.src]], spine, leaves[rack_of[packet.dst]]]
-
-    path.plan_key = lambda packet: (rack_of[packet.src], rack_of[packet.dst])
-    return path
-
-
-def multi_spine_path(
-    rack_of: Dict[str, int],
-    leaves: Dict[int, SwitchDevice],
-    spines: Sequence[SwitchDevice],
-) -> PathFn:
-    """Multiple programmable spine switches (§5.4 scaling).
-
-    Directories are range-partitioned over the spines by fingerprint:
-    a packet carrying a stale-set operation is routed through the spine
-    designated for its fingerprint, so each spine holds a disjoint slice
-    of the stale set.  Packets without stale-set headers balance over the
-    spines by flow hash.
+    With several spines (§5.4 scaling) directories are partitioned over
+    them by fingerprint: a packet carrying a stale-set operation climbs to
+    the spine :func:`switch_of_fingerprint` names, so each spine holds a
+    disjoint slice of the stale set.  Packets without stale-set headers
+    balance over the spines by flow hash.
     """
     spines = list(spines)
     if not spines:
@@ -140,7 +136,7 @@ def multi_spine_path(
 
     def spine_index(packet: Packet) -> int:
         if packet.port == STALESET_PORT and packet.header is not None:
-            return packet.header.fingerprint % k
+            return switch_of_fingerprint(packet.header.fingerprint, k)
         return hash((packet.src, packet.dst)) % k
 
     def path(packet: Packet) -> List[SwitchDevice]:

@@ -1,17 +1,16 @@
 """Programmable-switch data plane: register stages, stale set, dentry cache, device."""
 
 from .control import SwitchControlPlane, SwitchStats
-from .dentry_cache import DentryCache, DentryCacheConfig
-from .pipeline import RegisterStage
-from .stale_set import StaleSet, StaleSetConfig
+from .dentry_cache import DentryCache
+from .pipeline import RegisterStage, TableGeometry
+from .stale_set import StaleSet
 from .switch import ProgrammableSwitch
 
 __all__ = [
     "RegisterStage",
+    "TableGeometry",
     "StaleSet",
-    "StaleSetConfig",
     "DentryCache",
-    "DentryCacheConfig",
     "ProgrammableSwitch",
     "SwitchControlPlane",
     "SwitchStats",

@@ -3,14 +3,16 @@
 The control plane is the slow-path management interface a real deployment
 drives through the switch OS.  It installs the fingerprint → owner-server
 routes the address rewriter needs, injects switch failures for the
-recovery drill of §6.7, and exports occupancy / traffic statistics.
+recovery drill of §6.7, and exports occupancy / traffic statistics — for
+every programmable switch of the deployment at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable
+from typing import Callable, Iterable, Sequence
 
+from ..net.topology import switch_of_fingerprint
 from .switch import ProgrammableSwitch
 
 __all__ = ["SwitchControlPlane", "SwitchStats"]
@@ -35,7 +37,6 @@ class SwitchStats:
     forwarded: int
     multicasts: int
     redirects: int
-    mirrored: int
     cache_hits: int = 0
     cache_misses: int = 0
     cache_fills: int = 0
@@ -43,49 +44,46 @@ class SwitchStats:
     cache_occupancy: int = 0
     cache_capacity: int = 0
 
-    @property
-    def load_factor(self) -> float:
-        return self.occupancy / self.capacity if self.capacity else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        probes = self.cache_hits + self.cache_misses
-        return self.cache_hits / probes if probes else 0.0
-
 
 class SwitchControlPlane:
-    """Management handle over one programmable switch."""
+    """Management handle over every programmable switch of a deployment.
 
-    def __init__(self, switch: ProgrammableSwitch):
-        self.switch = switch
-        self._failure_listeners = []
-        self.epoch = 0
-        self.epoch_installs = 0
+    One switch on a single rack, one per spine on leaf-spine; a
+    fingerprint's state lives at :meth:`switch_for` and nowhere else, so
+    routes, flushes, failure and reconciliation are written once over the
+    whole sequence and :meth:`stats` is its sum.
+    """
+
+    def __init__(self, switches: Sequence[ProgrammableSwitch]):
+        self.switches = tuple(switches)
         self._ctl_remove_seq = 0
+
+    def switch_for(self, fingerprint: int) -> ProgrammableSwitch:
+        """The switch whose tables hold *fingerprint*."""
+        return self.switches[switch_of_fingerprint(fingerprint, len(self.switches))]
 
     def install_routes(self, fingerprint_owner: Callable[[int], str]) -> None:
         """Program the fingerprint → owner-server mapping (fallback path)."""
-        self.switch.install_fingerprint_owner(fingerprint_owner)
+        for switch in self.switches:
+            switch.install_fingerprint_owner(fingerprint_owner)
 
     def apply_epoch(self, view) -> None:
         """Reprogram the data plane for a new membership epoch.
 
         Installs the new view's fingerprint → owner routes (the overflow
         rewriter must redirect to the *new* owner from the first packet of
-        the new epoch) and stamps the epoch.  Must run **before** the
-        migration sources unblock: stale-set bits are fingerprint-keyed
-        and ownership-agnostic, so the bits themselves need no rewrite —
-        the routes are the only switch state that encodes ownership.
+        the new epoch).  Must run **before** the migration sources
+        unblock: stale-set bits are fingerprint-keyed and
+        ownership-agnostic, so the bits themselves need no rewrite — the
+        routes are the only switch state that encodes ownership.
 
         The dentry cache, by contrast, holds whole replies that may name
         owners from the outgoing epoch, so its lines are flushed at
         cutover (DESIGN.md §15) — a cold cache is always safe.
         """
-        self.switch.install_fingerprint_owner(view.dir_owner_by_fp)
-        if self.switch.cache_enabled:
-            self.switch.flush_cache()
-        self.epoch = view.epoch
-        self.epoch_installs += 1
+        self.install_routes(view.dir_owner_by_fp)
+        for switch in self.switches:
+            switch.flush_cache()
 
     def reconcile_stale_set(self, fingerprints: Iterable[int]) -> int:
         """Control-plane removal of stale-set bits after a migration.
@@ -96,55 +94,47 @@ class SwitchControlPlane:
         would hide a completed update from readers.  Uses the per-source
         SEQ filter with a dedicated control-plane source id, so a
         retransmitted data-plane REMOVE can never be mistaken for (or
-        filtered against) these.
+        filtered against) these; one counter serves every switch, since
+        each switch only needs its own share to be increasing.
         """
         cleared = 0
         for fp in fingerprints:
             self._ctl_remove_seq += 1
-            if self.switch.stale_set_for(fp).remove(
+            if self.switch_for(fp).stale_set.remove(
                 fp, source="ctl-plane", seq=self._ctl_remove_seq
             ):
                 cleared += 1
         return cleared
 
-    def on_failure(self, listener: Callable[[], None]) -> None:
-        """Register a callback run when the switch fails (cluster recovery)."""
-        self._failure_listeners.append(listener)
-
     def fail(self) -> None:
-        """Crash the switch: all data-plane state is lost (§4.4.2).
+        """Crash every switch: all data-plane state is lost (§4.4.2).
 
-        AsyncFS recovery initialises an *empty* stale set and has every
-        server flush its change-logs; listeners registered via
-        :meth:`on_failure` perform that flush.
+        SwitchFS recovery starts from *empty* stale sets and has every
+        server flush its change-logs; the cluster drives that flush.
         """
-        self.switch.reset()
-        for listener in self._failure_listeners:
-            listener()
+        for switch in self.switches:
+            switch.reset()
 
     def stats(self) -> SwitchStats:
-        sw = self.switch
-        pipes = [sw.pipe(i) for i in range(sw.num_pipes)]
-        caches = sw.caches()
+        """Data-plane statistics, summed over the switches."""
+        switches = self.switches
+        sets = [sw.stale_set for sw in switches]
+        caches = [sw.dentry_cache for sw in switches if sw.dentry_cache is not None]
         return SwitchStats(
-            occupancy=sw.occupancy,
-            capacity=sum(p.config.capacity for p in pipes),
-            inserts=sum(p.inserts for p in pipes),
-            insert_overflows=sum(p.insert_overflows for p in pipes),
-            removes=sum(p.removes for p in pipes),
-            removes_filtered=sum(p.removes_filtered for p in pipes),
-            queries=sum(p.queries for p in pipes),
-            forwarded=sw.forwarded,
-            multicasts=sw.multicasts,
-            redirects=sw.redirects,
-            mirrored=sw.mirrored,
+            occupancy=sum(s.occupancy for s in sets),
+            capacity=sum(s.geometry.capacity for s in sets),
+            inserts=sum(s.inserts for s in sets),
+            insert_overflows=sum(s.insert_overflows for s in sets),
+            removes=sum(s.removes for s in sets),
+            removes_filtered=sum(s.removes_filtered for s in sets),
+            queries=sum(s.queries for s in sets),
+            forwarded=sum(sw.forwarded for sw in switches),
+            multicasts=sum(sw.multicasts for sw in switches),
+            redirects=sum(sw.redirects for sw in switches),
             cache_hits=sum(c.hits for c in caches),
             cache_misses=sum(c.misses for c in caches),
             cache_fills=sum(c.fills for c in caches),
             cache_evictions=sum(c.evictions for c in caches),
-            cache_occupancy=sw.cache_occupancy,
-            cache_capacity=sw.cache_capacity,
+            cache_occupancy=sum(c.occupancy for c in caches),
+            cache_capacity=sum(c.geometry.capacity for c in caches),
         )
-
-    def per_pipe_occupancy(self) -> Dict[int, int]:
-        return {i: self.switch.pipe(i).occupancy for i in range(self.switch.num_pipes)}

@@ -22,76 +22,27 @@ accepts (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from ..net.packet import FINGERPRINT_BITS
-from .pipeline import RegisterStage
-from .stale_set import TAG_BITS
+from .pipeline import TableGeometry
 
-__all__ = ["DentryCacheConfig", "DentryCache"]
-
-
-@dataclass(frozen=True)
-class DentryCacheConfig:
-    """Geometry of the hot-dentry cache.
-
-    Defaults are deliberately small relative to the stale set: the cache
-    competes for the same register budget, and the design-space bench
-    (``benchmarks/test_switch_cache_design_space.py``) sweeps
-    ``num_stages``/``index_bits`` to show where capacity stops paying.
-    """
-
-    num_stages: int = 4
-    index_bits: int = 10
-
-    def __post_init__(self):
-        if self.num_stages < 1:
-            raise ValueError(f"need at least one stage, got {self.num_stages}")
-        if not 1 <= self.index_bits <= FINGERPRINT_BITS - 1:
-            raise ValueError(f"index_bits out of range: {self.index_bits}")
-
-    @property
-    def registers_per_stage(self) -> int:
-        return 1 << self.index_bits
-
-    @property
-    def capacity(self) -> int:
-        return self.num_stages * self.registers_per_stage
+__all__ = ["DentryCache"]
 
 
 class DentryCache:
     """A fingerprint-indexed cache of lookup/stat replies in the pipeline."""
 
-    def __init__(self, config: Optional[DentryCacheConfig] = None):
-        self.config = config or DentryCacheConfig()
-        self._stages: List[RegisterStage] = [
-            RegisterStage(self.config.registers_per_stage)
-            for _ in range(self.config.num_stages)
-        ]
+    def __init__(self, geometry: TableGeometry):
+        self.geometry = geometry
+        self._stages = geometry.stages()
         # values[stage][index] = (full fingerprint, cached reply value).
         self._values: List[List[Optional[Tuple[int, Any]]]] = [
-            [None] * self.config.registers_per_stage
-            for _ in range(self.config.num_stages)
+            [None] * geometry.registers_per_stage for _ in self._stages
         ]
-        self._index_mask = self.config.registers_per_stage - 1
         self.hits = 0
         self.misses = 0
         self.fills = 0
         self.evictions = 0
-
-    # -- fingerprint split -------------------------------------------------
-    def split(self, fingerprint: int) -> Tuple[int, int]:
-        """Decompose a 49-bit fingerprint into (stage index, 32-bit tag)."""
-        if not 0 <= fingerprint < (1 << FINGERPRINT_BITS):
-            raise ValueError(f"fingerprint out of 49-bit range: {fingerprint:#x}")
-        index = (fingerprint >> TAG_BITS) & self._index_mask
-        tag = fingerprint & 0xFFFFFFFF
-        if tag == 0:
-            # Tag 0 means "empty register"; fingerprint generation avoids it
-            # (repro.core.schema) so hitting this is a bug.
-            raise ValueError("fingerprint with tag 0 cannot be cached")
-        return index, tag
 
     # -- operations --------------------------------------------------------
     def lookup(self, fingerprint: int) -> Optional[Any]:
@@ -101,7 +52,7 @@ class DentryCache:
         counts when the stored full fingerprint matches too (aliasing
         guard, see module docstring).
         """
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         for stage_no, stage in enumerate(self._stages):
             if stage.occupied and stage.regs[index] == tag:
                 slot = self._values[stage_no][index]
@@ -120,14 +71,14 @@ class DentryCache:
         write, so hot fingerprints converge into the cache instead of
         being locked out by earlier residents.
         """
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         for stage_no, stage in enumerate(self._stages):
             if stage.occupied and stage.regs[index] == tag:
                 self._values[stage_no][index] = (fingerprint, value)
                 self.fills += 1
                 return
         for stage_no, stage in enumerate(self._stages):
-            if stage.conditional_insert_unchecked(index, tag):
+            if stage.conditional_insert(index, tag):
                 self._values[stage_no][index] = (fingerprint, value)
                 self.fills += 1
                 return
@@ -146,11 +97,11 @@ class DentryCache:
         alias is safe (the next lookup just misses), whereas keeping a
         stale line is not.
         """
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         dropped = False
         for stage_no, stage in enumerate(self._stages):
             if stage.occupied and stage.regs[index] == tag:
-                stage.conditional_remove_unchecked(index, tag)
+                stage.conditional_remove(index, tag)
                 self._values[stage_no][index] = None
                 self.evictions += 1
                 dropped = True
@@ -161,14 +112,8 @@ class DentryCache:
     def occupancy(self) -> int:
         return sum(stage.occupied for stage in self._stages)
 
-    @property
-    def capacity(self) -> int:
-        return self.config.capacity
-
     def reset(self) -> None:
         """Lose all state (switch reboot / epoch flush): cold start."""
-        for stage_no, stage in enumerate(self._stages):
+        for stage, values in zip(self._stages, self._values):
             stage.reset()
-            values = self._values[stage_no]
-            for i in range(len(values)):
-                values[i] = None
+            values[:] = [None] * len(values)

@@ -17,12 +17,18 @@ semantics (duplicate-tag cleanup, conditional writes) are faithful.
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass
+from typing import List, Tuple
 
-__all__ = ["RegisterStage"]
+from ..net.packet import FINGERPRINT_BITS
+
+__all__ = ["RegisterStage", "TableGeometry"]
 
 #: Register value that denotes an empty slot.
 EMPTY = 0
+
+#: Tag width in bits (register width).
+TAG_BITS = 32
 
 
 class RegisterStage:
@@ -35,6 +41,12 @@ class RegisterStage:
       returns True when the register now holds *tag* (it was empty or
       already equal);
     * :meth:`conditional_remove` — zero the register if it equals *tag*.
+
+    The actions do not validate *index* and *tag*: a pair enters a table
+    only through :meth:`TableGeometry.split`, which proves
+    ``0 <= index < size`` and ``0 < tag < 2^32`` once for the whole
+    pipeline pass; re-checking per stage would validate identical values
+    ten times per packet.
     """
 
     __slots__ = ("size", "regs", "occupied")
@@ -46,17 +58,8 @@ class RegisterStage:
         self.regs: List[int] = [EMPTY] * size
         self.occupied = 0
 
-    def _check(self, index: int, tag: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(f"register index {index} out of range [0, {self.size})")
-        if tag == EMPTY:
-            raise ValueError("tag 0 is reserved for empty registers")
-        if not 0 < tag < (1 << 32):
-            raise ValueError(f"tag out of 32-bit range: {tag:#x}")
-
     def query(self, index: int, tag: int) -> bool:
         """Register action (a): does the register hold *tag*?"""
-        self._check(index, tag)
         return self.regs[index] == tag
 
     def conditional_insert(self, index: int, tag: int) -> bool:
@@ -66,7 +69,6 @@ class RegisterStage:
         to tag** (the paper's insert treats both as success so a duplicated
         insert is idempotent).
         """
-        self._check(index, tag)
         current = self.regs[index]
         if current == EMPTY:
             self.regs[index] = tag
@@ -76,29 +78,6 @@ class RegisterStage:
 
     def conditional_remove(self, index: int, tag: int) -> None:
         """Register action (c): zero the register if it equals *tag*."""
-        self._check(index, tag)
-        if self.regs[index] == tag:
-            self.regs[index] = EMPTY
-            self.occupied -= 1
-
-    # -- unchecked variants (switch datapath fast path) --------------------
-    # Same register actions without the domain checks.  Only the stale set
-    # calls these, after StaleSet.split() has already proven
-    # 0 <= index < size and 0 < tag < 2^32 for the whole pipeline pass;
-    # re-checking per stage would validate identical values ten times per
-    # packet.  External callers use the checked actions above.
-    def query_unchecked(self, index: int, tag: int) -> bool:
-        return self.regs[index] == tag
-
-    def conditional_insert_unchecked(self, index: int, tag: int) -> bool:
-        current = self.regs[index]
-        if current == EMPTY:
-            self.regs[index] = tag
-            self.occupied += 1
-            return True
-        return current == tag
-
-    def conditional_remove_unchecked(self, index: int, tag: int) -> None:
         if self.regs[index] == tag:
             self.regs[index] = EMPTY
             self.occupied -= 1
@@ -107,3 +86,55 @@ class RegisterStage:
         """Clear every register (switch failure / control-plane flush)."""
         self.regs = [EMPTY] * self.size
         self.occupied = 0
+
+
+@dataclass(frozen=True)
+class TableGeometry:
+    """Shape of one fingerprint-indexed table over register stages.
+
+    The stale set and the dentry cache are the same hardware resource:
+    ``num_stages`` stages of ``2^index_bits`` registers, indexed by the
+    fingerprint bits above the 32-bit tag.  The paper's stale set is
+    ``TableGeometry(10, 17)`` (131,072 registers per stage); tests and
+    laptop-scale experiments shrink ``index_bits``, semantics unchanged.
+    """
+
+    num_stages: int
+    index_bits: int
+
+    def __post_init__(self):
+        if self.num_stages < 1:
+            raise ValueError(f"need at least one stage, got {self.num_stages}")
+        if not 1 <= self.index_bits <= FINGERPRINT_BITS - TAG_BITS:
+            raise ValueError(
+                f"index_bits must be in [1, {FINGERPRINT_BITS - TAG_BITS}], "
+                f"got {self.index_bits}"
+            )
+
+    @property
+    def registers_per_stage(self) -> int:
+        return 1 << self.index_bits
+
+    @property
+    def capacity(self) -> int:
+        return self.num_stages * self.registers_per_stage
+
+    def stages(self) -> List[RegisterStage]:
+        """A fresh, empty set of register stages of this shape."""
+        return [RegisterStage(self.registers_per_stage) for _ in range(self.num_stages)]
+
+    def split(self, fingerprint: int) -> Tuple[int, int]:
+        """Decompose a 49-bit fingerprint into (stage index, 32-bit tag).
+
+        The one place a fingerprint enters a table, so the one place its
+        range is checked; the per-stage register actions then run on the
+        proven-valid pair.
+        """
+        if not 0 <= fingerprint < (1 << FINGERPRINT_BITS):
+            raise ValueError(f"fingerprint out of 49-bit range: {fingerprint:#x}")
+        tag = fingerprint & 0xFFFFFFFF
+        if tag == EMPTY:
+            # Tag 0 means "empty register"; fingerprint generation avoids it
+            # (see repro.core.schema.fingerprint_of) so hitting this is a bug.
+            raise ValueError("fingerprint with tag 0 cannot be stored")
+        return (fingerprint >> TAG_BITS) & ((1 << self.index_bits) - 1), tag

@@ -22,55 +22,19 @@ Operations (executed as a sequence of register actions, one per stage):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from ..net.packet import FINGERPRINT_BITS
-from .pipeline import RegisterStage
+from .pipeline import TableGeometry
 
-__all__ = ["StaleSetConfig", "StaleSet"]
-
-#: Tag width in bits (register width).
-TAG_BITS = 32
-
-
-@dataclass(frozen=True)
-class StaleSetConfig:
-    """Geometry of the stale set.
-
-    The paper's switch offers ``num_stages=10`` stages of
-    ``index_bits=17`` (131,072 registers each).  Tests and laptop-scale
-    experiments shrink ``index_bits``; semantics are unchanged.
-    """
-
-    num_stages: int = 10
-    index_bits: int = 17
-
-    def __post_init__(self):
-        if self.num_stages < 1:
-            raise ValueError(f"need at least one stage, got {self.num_stages}")
-        if not 1 <= self.index_bits <= FINGERPRINT_BITS - 1:
-            raise ValueError(f"index_bits out of range: {self.index_bits}")
-
-    @property
-    def registers_per_stage(self) -> int:
-        return 1 << self.index_bits
-
-    @property
-    def capacity(self) -> int:
-        return self.num_stages * self.registers_per_stage
+__all__ = ["StaleSet"]
 
 
 class StaleSet:
     """A set of 49-bit fingerprints stored across register stages."""
 
-    def __init__(self, config: Optional[StaleSetConfig] = None):
-        self.config = config or StaleSetConfig()
-        self._stages: List[RegisterStage] = [
-            RegisterStage(self.config.registers_per_stage)
-            for _ in range(self.config.num_stages)
-        ]
-        self._index_mask = self.config.registers_per_stage - 1
+    def __init__(self, geometry: TableGeometry):
+        self.geometry = geometry
+        self._stages = geometry.stages()
         # Largest REMOVE sequence number seen per source address (§4.4.1).
         self._remove_seq: Dict[str, int] = {}
         self.inserts = 0
@@ -78,26 +42,6 @@ class StaleSet:
         self.removes = 0
         self.removes_filtered = 0
         self.queries = 0
-
-    # -- fingerprint split -----------------------------------------------------
-    def split(self, fingerprint: int) -> Tuple[int, int]:
-        """Decompose a 49-bit fingerprint into (stage index, 32-bit tag).
-
-        Validates once for a whole pipeline pass; the per-stage register
-        actions below then run unchecked on the proven-valid pair.
-        """
-        if not 0 <= fingerprint < (1 << FINGERPRINT_BITS):
-            raise ValueError(f"fingerprint out of 49-bit range: {fingerprint:#x}")
-        index = (fingerprint >> TAG_BITS) & self._index_mask
-        tag = fingerprint & 0xFFFFFFFF
-        if tag == 0:
-            # Tag 0 means "empty register"; fingerprint generation avoids it
-            # (see repro.core.schema.fingerprint_of) so hitting this is a bug.
-            raise ValueError("fingerprint with tag 0 cannot be stored")
-        return index, tag
-
-    # Backwards-compatible alias (pre-fast-path name).
-    _split = split
 
     # -- operations ---------------------------------------------------------
     def query(self, fingerprint: int) -> bool:
@@ -109,7 +53,7 @@ class StaleSet:
         identical, and queries are read-only so no interleaving changes.
         """
         self.queries += 1
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         for stage in self._stages:
             if stage.occupied and stage.regs[index] == tag:
                 return True
@@ -124,13 +68,13 @@ class StaleSet:
         cleaned up (skipped for empty stages, which cannot hold the tag).
         """
         self.inserts += 1
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         inserted = False
         for stage in self._stages:
             if not inserted:
-                inserted = stage.conditional_insert_unchecked(index, tag)
+                inserted = stage.conditional_insert(index, tag)
             elif stage.occupied:
-                stage.conditional_remove_unchecked(index, tag)
+                stage.conditional_remove(index, tag)
         if not inserted:
             self.insert_overflows += 1
         return inserted
@@ -149,10 +93,10 @@ class StaleSet:
                 return False
             self._remove_seq[source] = seq
         self.removes += 1
-        index, tag = self.split(fingerprint)
+        index, tag = self.geometry.split(fingerprint)
         for stage in self._stages:
             if stage.occupied:
-                stage.conditional_remove_unchecked(index, tag)
+                stage.conditional_remove(index, tag)
         return True
 
     # -- introspection -----------------------------------------------------

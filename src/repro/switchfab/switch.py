@@ -5,14 +5,14 @@ combining the paper's components:
 
 * **Parser** — extracts the stale-set header from packets on the reserved
   stale-set UDP port (exercising the byte codec end-to-end);
-* **Router** — regular packets forward by destination; stale-set packets
-  route to the pipe owning their fingerprint prefix;
-* **Stale set** — one per egress pipe (pipes do not share state);
+* **Router** — regular packets forward by destination;
+* **Stale set** — one per switch.  Figure 7's split of the set over
+  egress pipes (and the mirroring between them) is not modelled: a
+  fingerprint space larger than one table is partitioned once, over
+  switches, by :func:`~repro.net.topology.switch_of_fingerprint`
+  (DESIGN.md §3);
 * **Address rewriter** — on insert overflow, rewrites the destination to
-  the directory's owner server so updates fall back to synchronous mode;
-* **Packet mirroring** — a packet whose destination lives in a different
-  pipe than its fingerprint is mirrored across pipes (counted; it models
-  the recirculation cost of prior work [22, 72]).
+  the directory's owner server so updates fall back to synchronous mode.
 
 Behaviour per stale-set op:
 
@@ -44,44 +44,31 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..net.packet import Packet, StaleSetHeader, StaleSetOp, STALESET_PORT, FINGERPRINT_BITS
+from ..net.packet import Packet, StaleSetHeader, StaleSetOp, STALESET_PORT
 from ..net.rpc import RpcResponse
-from .dentry_cache import DentryCache, DentryCacheConfig
-from .stale_set import StaleSet, StaleSetConfig
+from .dentry_cache import DentryCache
+from .pipeline import TableGeometry
+from .stale_set import StaleSet
 
 __all__ = ["ProgrammableSwitch"]
 
 
 class ProgrammableSwitch:
-    """Tofino-style switch model with per-pipe stale sets."""
+    """Tofino-style switch model: one stale set, at most one dentry cache."""
 
     def __init__(
         self,
-        stale_config: Optional[StaleSetConfig] = None,
-        num_pipes: int = 1,
+        stale_config: TableGeometry,
         latency_us: float = 0.05,
         fingerprint_owner: Optional[Callable[[int], str]] = None,
-        pipe_of_host: Optional[Callable[[str], int]] = None,
-        cache_config: Optional[DentryCacheConfig] = None,
+        cache_config: Optional[TableGeometry] = None,
     ):
-        if num_pipes < 1 or (num_pipes & (num_pipes - 1)) != 0:
-            raise ValueError(f"num_pipes must be a power of two, got {num_pipes}")
         self.latency_us = latency_us
-        self.num_pipes = num_pipes
-        self._pipe_bits = num_pipes.bit_length() - 1
-        self._pipes: List[StaleSet] = [
-            StaleSet(stale_config) for _ in range(num_pipes)
-        ]
-        self._caches: List[Optional[DentryCache]] = [
+        self.stale_set = StaleSet(stale_config)
+        self.dentry_cache: Optional[DentryCache] = (
             DentryCache(cache_config) if cache_config is not None else None
-            for _ in range(num_pipes)
-        ]
+        )
         self._fingerprint_owner = fingerprint_owner
-        self._pipe_of_host = pipe_of_host or (lambda host: hash(host) % num_pipes)
-        # Host → pipe results are stable for a run; memoise so the hot
-        # per-packet mirror check is one dict probe instead of a callback.
-        self._pipe_of_host_cache: dict = {}
-        self.mirrored = 0
         self.forwarded = 0
         self.multicasts = 0
         self.redirects = 0
@@ -99,11 +86,9 @@ class ProgrammableSwitch:
         The dentry cache cold-starts with the stale set — a rebooted
         switch serves no hits until ``FILL`` replies repopulate it.
         """
-        for pipe in self._pipes:
-            pipe.reset()
-        for cache in self._caches:
-            if cache is not None:
-                cache.reset()
+        self.stale_set.reset()
+        if self.dentry_cache is not None:
+            self.dentry_cache.reset()
 
     def flush_cache(self) -> None:
         """Drop every dentry-cache line (epoch cutover, DESIGN.md §15).
@@ -112,44 +97,13 @@ class ProgrammableSwitch:
         reconciles the stale set explicitly, but cached replies may name
         owners from the outgoing epoch and are simply invalidated.
         """
-        for cache in self._caches:
-            if cache is not None:
-                cache.reset()
-        self.cache_flushes += 1
+        if self.dentry_cache is not None:
+            self.dentry_cache.reset()
+            self.cache_flushes += 1
 
     @property
     def occupancy(self) -> int:
-        return sum(p.occupancy for p in self._pipes)
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._caches[0] is not None
-
-    @property
-    def cache_occupancy(self) -> int:
-        return sum(c.occupancy for c in self._caches if c is not None)
-
-    @property
-    def cache_capacity(self) -> int:
-        return sum(c.capacity for c in self._caches if c is not None)
-
-    def pipe(self, idx: int) -> StaleSet:
-        return self._pipes[idx]
-
-    def stale_set_for(self, fingerprint: int) -> StaleSet:
-        return self._pipes[self._pipe_index(fingerprint)]
-
-    def dentry_cache_for(self, fingerprint: int) -> Optional[DentryCache]:
-        return self._caches[self._pipe_index(fingerprint)]
-
-    def caches(self) -> List[DentryCache]:
-        """The provisioned per-pipe dentry caches (empty when disabled)."""
-        return [c for c in self._caches if c is not None]
-
-    def _pipe_index(self, fingerprint: int) -> int:
-        if self.num_pipes == 1:
-            return 0
-        return (fingerprint >> (FINGERPRINT_BITS - self._pipe_bits)) & (self.num_pipes - 1)
+        return self.stale_set.occupancy
 
     # -- data plane -----------------------------------------------------------
     def process(self, packet: Packet) -> List[Packet]:
@@ -159,15 +113,8 @@ class ProgrammableSwitch:
         assert packet.header is not None
         # Parser: run the real byte codec so header layout stays honest.
         header = StaleSetHeader.unpack(packet.header.pack())
-        pipe_idx = self._pipe_index(header.fingerprint)
-        stale_set = self._pipes[pipe_idx]
-        cache = self._pipe_of_host_cache
-        dst_pipe = cache.get(packet.dst)
-        if dst_pipe is None:
-            dst_pipe = cache[packet.dst] = self._pipe_of_host(packet.dst)
-        if dst_pipe != pipe_idx:
-            # Destination port belongs to another pipe: mirror to reach it.
-            self.mirrored += 1
+        stale_set = self.stale_set
+        dentry_cache = self.dentry_cache
 
         if header.op == StaleSetOp.QUERY:
             present = stale_set.query(header.fingerprint)
@@ -175,7 +122,6 @@ class ProgrammableSwitch:
             return [packet.clone(header=header.with_ret(1 if present else 0))]
 
         if header.op == StaleSetOp.LOOKUP:
-            dentry_cache = self._caches[pipe_idx]
             if dentry_cache is not None:
                 value = dentry_cache.lookup(header.fingerprint)
                 if value is not None:
@@ -196,7 +142,6 @@ class ProgrammableSwitch:
             return [packet]
 
         if header.op == StaleSetOp.FILL:
-            dentry_cache = self._caches[pipe_idx]
             payload = packet.payload
             if (
                 dentry_cache is not None
@@ -210,14 +155,12 @@ class ProgrammableSwitch:
             return [packet]
 
         if header.op == StaleSetOp.EVICT:
-            dentry_cache = self._caches[pipe_idx]
             if dentry_cache is not None:
                 dentry_cache.invalidate(header.fingerprint)
             # The switch is the EVICT's real destination: consume it.
             return []
 
         if header.op == StaleSetOp.INSERT:
-            dentry_cache = self._caches[pipe_idx]
             if dentry_cache is not None:
                 # Stale-set-coupled eviction (DESIGN.md §15): a directory
                 # going scattered drops its cached lookup line even before

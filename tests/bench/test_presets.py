@@ -6,7 +6,6 @@ from repro.bench.presets import (
     PAPER_MULTI_DIRS,
     PAPER_SINGLE_DIR_FILES,
 )
-from repro.switchfab import StaleSetConfig
 
 
 def test_paper_scale_matches_table4():
@@ -14,8 +13,7 @@ def test_paper_scale_matches_table4():
     assert cfg.num_servers == 16           # two per dual-socket node
     assert cfg.stale_stages == 10          # ten pipeline stages
     assert cfg.stale_index_bits == 17      # 131,072 registers each
-    geometry = StaleSetConfig(cfg.stale_stages, cfg.stale_index_bits)
-    assert geometry.capacity == 1_310_720  # the paper's stale-set capacity
+    assert cfg.stale_geometry.capacity == 1_310_720  # the paper's stale-set capacity
     assert cfg.num_clients == 3
 
 

@@ -10,8 +10,7 @@ class TestAssembly:
     def test_servers_and_switch_wired(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=3, cores_per_server=2))
         assert len(cluster.servers) == 3
-        assert cluster.switch is not None
-        assert cluster.control is not None
+        assert len(cluster.control.switches) == 1
         # Exactly one server holds the root inode.
         roots = sum(
             1 for s in cluster.servers if ("D", 0, "/") in s.kv
@@ -22,7 +21,7 @@ class TestAssembly:
         cluster = SwitchFSCluster(
             FSConfig(num_servers=2, cores_per_server=2, stale_backend="server")
         )
-        assert cluster.switch is None
+        assert cluster.control is None
         assert cluster.switch_stats() is None
         assert cluster.staleset_server is not None
         with pytest.raises(RuntimeError):
@@ -46,8 +45,7 @@ class TestAssembly:
                 topology="leaf-spine", num_racks=2, num_spine_switches=2,
             )
         )
-        assert len(cluster.spines) == 2
-        assert cluster.switch is cluster.spines[0]
+        assert len(cluster.control.switches) == 2
 
 
 class TestSettle:

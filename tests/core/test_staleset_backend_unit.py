@@ -48,7 +48,7 @@ class TestServerBackend:
     def test_overflow_reports_false(self):
         sim, server, client = make_pair()
         server.stale_set = type(server.stale_set)(
-            server.stale_set.config.__class__(num_stages=1, index_bits=1)
+            server.stale_set.geometry.__class__(num_stages=1, index_bits=1)
         )
         assert run(sim, client.insert(0x0_0000_0001)) is True
         assert run(sim, client.insert(0x0_0000_0002)) is False  # set full

@@ -141,7 +141,7 @@ class TestSwitchFailure:
         duration = cluster.fail_switch()
         assert duration > 0
         assert cluster.total_pending_entries() == 0
-        assert cluster.switch.occupancy == 0
+        assert cluster.switch_stats().occupancy == 0
         # After recovery, directories are in normal state and reads are
         # correct without any stale-set hits.
         info = cluster.run_op(fs.statdir("/d"))

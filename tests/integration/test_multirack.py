@@ -5,11 +5,14 @@ directories are range-partitioned over them by fingerprint.  Semantics
 must be identical to single-rack; the observable differences are longer
 paths (4 links) and stale-set state spread over the spines."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.bench import run_stream
 from repro.core import FSConfig, FSError, SwitchFSCluster, fingerprint_of, ROOT_ID
+from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
 
 def make(**overrides):
@@ -55,7 +58,7 @@ class TestLeafSpineSemantics:
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
         fp = fingerprint_of(ROOT_ID, "d")
-        assert cluster.switch.stale_set_for(fp).query(fp)
+        assert cluster.control.switch_for(fp).stale_set.query(fp)
 
     def test_switch_failure_recovery_multirack(self):
         cluster = make(proactive_enabled=False)
@@ -76,7 +79,7 @@ class TestMultipleSpines:
         for i in range(12):
             cluster.run_op(fs.mkdir(f"/dir{i}"))
             cluster.run_op(fs.create(f"/dir{i}/f"))
-        occupancies = [s.occupancy for s in cluster.spines]
+        occupancies = [s.occupancy for s in cluster.control.switches]
         assert all(o > 0 for o in occupancies), occupancies
 
     def test_semantics_with_two_spines(self):
@@ -97,9 +100,50 @@ class TestMultipleSpines:
             cluster.run_op(fs.mkdir(f"/dir{i}"))
             cluster.run_op(fs.create(f"/dir{i}/f"))
         cluster.fail_switch()
-        assert all(s.occupancy == 0 for s in cluster.spines)
+        assert all(s.occupancy == 0 for s in cluster.control.switches)
         for i in range(8):
             assert cluster.run_op(fs.statdir(f"/dir{i}"))["entry_count"] == 1
+
+
+def twelve_directories(cluster):
+    fs = cluster.client(0)
+    for i in range(12):
+        cluster.run_op(fs.mkdir(f"/dir{i}"))
+        cluster.run_op(fs.create(f"/dir{i}/f"))
+    return fs
+
+
+class TestStatsCoverEverySpine:
+    """``switch_stats()`` is the sum over the switches, not spine 0's share."""
+
+    def test_switch_stats_sum_over_spines(self):
+        cluster = make(num_spine_switches=2, proactive_enabled=False)
+        twelve_directories(cluster)
+        stats = dataclasses.asdict(cluster.switch_stats())
+        assert (stats["inserts"], stats["occupancy"]) == (24, 13)
+        spines = cluster.control.switches
+        assert len(spines) == 2
+        per_spine = [
+            dataclasses.asdict(type(cluster.control)([spine]).stats()) for spine in spines
+        ]
+        assert all(share["inserts"] > 0 for share in per_spine)
+        for name, total in stats.items():
+            assert total == sum(share[name] for share in per_spine), name
+
+    def test_measurement_window_counts_both_caches(self):
+        cluster = make(
+            num_spine_switches=2, switch_cache=True,
+            switch_cache_stages=2, switch_cache_index_bits=6,
+        )
+        pop = bootstrap(cluster, single_large_directory(48), warm_clients=[0])
+        caches = [spine.dentry_cache for spine in cluster.control.switches]
+        before = [cache.hits + cache.misses for cache in caches]
+        stream = FixedOpStream("stat", pop, seed=14, dir_choice="single")
+        result = run_stream(cluster, stream, total_ops=300, inflight=8, op_label="stat")
+        deltas = [cache.hits + cache.misses - b for cache, b in zip(caches, before)]
+        assert all(delta > 0 for delta in deltas), deltas
+        window = result.switch_cache
+        assert window["hits"] + window["misses"] == sum(deltas) == 300
 
 
 class TestLeafSpineVirtualTimePinned:
@@ -136,3 +180,31 @@ class TestConfigValidation:
     def test_bad_rack_count_rejected(self):
         with pytest.raises(ValueError):
             FSConfig(topology="leaf-spine", num_racks=0)
+
+    def test_spines_without_leaf_spine_rejected(self):
+        with pytest.raises(ValueError, match="leaf-spine"):
+            FSConfig(topology="single-rack", num_spine_switches=3)
+        FSConfig(topology="leaf-spine", num_spine_switches=3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(stale_stages=0),
+            dict(stale_index_bits=0),
+            dict(stale_index_bits=60),
+            dict(stale_index_bits=18),
+            dict(switch_cache_stages=0),
+            dict(switch_cache_index_bits=0),
+            dict(switch_cache_index_bits=18),
+        ],
+    )
+    def test_bad_table_geometry_rejected_up_front(self, bad):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            FSConfig(**bad)
+
+    def test_one_index_bound_for_both_tables(self):
+        # FINGERPRINT_BITS - TAG_BITS = 17 fingerprint bits above the tag.
+        cfg = FSConfig(stale_index_bits=17, switch_cache_index_bits=17)
+        assert cfg.stale_geometry.capacity == 10 << 17
+        assert cfg.switch_cache_geometry.capacity == 4 << 17

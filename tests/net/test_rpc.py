@@ -344,14 +344,14 @@ class TestFaultModelRpc:
     def test_duplicated_remove_filtered_by_switch_end_to_end(self):
         """A duplicated REMOVE (same SEQ) must not clear a newer insert."""
         from repro.net import Packet, STALESET_PORT, StaleSetHeader, StaleSetOp
-        from repro.switchfab import ProgrammableSwitch, StaleSetConfig
+        from repro.switchfab import ProgrammableSwitch, TableGeometry
 
         sim = Simulator()
         # dup_prob=1: the fabric duplicates every packet, simulating the
         # worst-case retransmission storm of §4.4.1.
         faults = FaultModel(make_rng(9, "dup"), dup_prob=1.0)
         sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=2, index_bits=3),
+            stale_config=TableGeometry(num_stages=2, index_bits=3),
             fingerprint_owner=lambda fp: "server",
         )
         net = Network(sim, single_rack_path([sw]), faults=faults)

@@ -121,7 +121,7 @@ class TestNetwork:
         rack_of = {"a": 0, "b": 1}
         leaves = {0: PassthroughSwitch(), 1: PassthroughSwitch()}
         spine = PassthroughSwitch()
-        net = Network(sim, leaf_spine_path(rack_of, leaves, spine), link_latency_us=1.0)
+        net = Network(sim, leaf_spine_path(rack_of, leaves, [spine]), link_latency_us=1.0)
         net.attach("a")
         inbox = net.attach("b")
         got = []

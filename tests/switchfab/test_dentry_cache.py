@@ -11,10 +11,9 @@ from repro.net import (
 )
 from repro.switchfab import (
     DentryCache,
-    DentryCacheConfig,
     ProgrammableSwitch,
-    StaleSetConfig,
     SwitchControlPlane,
+    TableGeometry,
 )
 
 # Fingerprints sharing one cache set index (index_bits=2 below): the
@@ -27,7 +26,7 @@ FP_A_ALIAS = (0x4 << 32) | 0x1111  # index (0x4 & 0b11) = 0 with index_bits=2
 
 
 def make_cache(num_stages=2, index_bits=2):
-    return DentryCache(DentryCacheConfig(num_stages=num_stages, index_bits=index_bits))
+    return DentryCache(TableGeometry(num_stages=num_stages, index_bits=index_bits))
 
 
 class TestDentryCacheUnit:
@@ -102,10 +101,10 @@ class TestDentryCacheUnit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DentryCacheConfig(num_stages=0)
+            make_cache(num_stages=0)
         with pytest.raises(ValueError):
-            DentryCacheConfig(index_bits=0)
-        assert DentryCacheConfig(num_stages=4, index_bits=10).capacity == 4096
+            make_cache(index_bits=0)
+        assert make_cache(num_stages=4, index_bits=10).geometry.capacity == 4096
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +113,8 @@ class TestDentryCacheUnit:
 
 
 def make_switch(**kwargs):
-    kwargs.setdefault("stale_config", StaleSetConfig(num_stages=2, index_bits=3))
-    kwargs.setdefault("cache_config", DentryCacheConfig(num_stages=2, index_bits=2))
+    kwargs.setdefault("stale_config", TableGeometry(num_stages=2, index_bits=3))
+    kwargs.setdefault("cache_config", TableGeometry(num_stages=2, index_bits=2))
     kwargs.setdefault("fingerprint_owner", lambda fp: "owner-server")
     return ProgrammableSwitch(**kwargs)
 
@@ -175,7 +174,7 @@ class TestSwitchFill:
         sw = make_switch()
         out = fill_via_packet(sw, FP_A, "v")
         assert len(out) == 1 and out[0].dst == "client-0"  # reply continues
-        assert sw.caches()[0].lookup(FP_A) == "v"
+        assert sw.dentry_cache.lookup(FP_A) == "v"
 
     def test_error_replies_never_cached(self):
         sw = make_switch()
@@ -187,13 +186,13 @@ class TestSwitchFill:
         )
         out = sw.process(reply)
         assert len(out) == 1  # still forwarded to the client
-        assert sw.cache_occupancy == 0
+        assert sw.dentry_cache.occupancy == 0
 
     def test_non_rpc_payload_not_cached(self):
         sw = make_switch()
         out = sw.process(pkt(hdr(StaleSetOp.FILL, FP_A), payload="raw"))
         assert len(out) == 1
-        assert sw.cache_occupancy == 0
+        assert sw.dentry_cache.occupancy == 0
 
 
 class TestSwitchEvict:
@@ -202,20 +201,20 @@ class TestSwitchEvict:
         fill_via_packet(sw, FP_A, "v")
         out = sw.process(pkt(hdr(StaleSetOp.EVICT, FP_A), payload=None))
         assert out == []  # the switch is the EVICT's destination
-        assert sw.caches()[0].lookup(FP_A) is None
+        assert sw.dentry_cache.lookup(FP_A) is None
 
     def test_staleset_insert_evicts_matching_line(self):
         sw = make_switch()
         fill_via_packet(sw, FP_A, "v")
         out = sw.process(pkt(hdr(StaleSetOp.INSERT, FP_A), src="server-0"))
         assert len(out) == 2  # the usual INSERT multicast still happens
-        assert sw.caches()[0].lookup(FP_A) is None
+        assert sw.dentry_cache.lookup(FP_A) is None
 
     def test_insert_leaves_other_lines_alone(self):
         sw = make_switch()
         fill_via_packet(sw, FP_B, "v")
         sw.process(pkt(hdr(StaleSetOp.INSERT, FP_A), src="server-0"))
-        assert sw.caches()[0].lookup(FP_B) == "v"
+        assert sw.dentry_cache.lookup(FP_B) == "v"
 
 
 class TestSwitchLifecycle:
@@ -224,24 +223,24 @@ class TestSwitchLifecycle:
         fill_via_packet(sw, FP_A, "v")
         sw.process(pkt(hdr(StaleSetOp.INSERT, FP_B), src="server-0"))
         sw.reset()
-        assert sw.cache_occupancy == 0
+        assert sw.dentry_cache.occupancy == 0
         assert sw.occupancy == 0
         # Post-reset the datapath works again from cold.
         fill_via_packet(sw, FP_A, "v2")
-        assert sw.caches()[0].lookup(FP_A) == "v2"
+        assert sw.dentry_cache.lookup(FP_A) == "v2"
 
     def test_flush_cache_preserves_stale_set(self):
         sw = make_switch()
         fill_via_packet(sw, FP_A, "v")
         sw.process(pkt(hdr(StaleSetOp.INSERT, FP_B), src="server-0"))
         sw.flush_cache()
-        assert sw.cache_occupancy == 0
+        assert sw.dentry_cache.occupancy == 0
         assert sw.occupancy == 1  # stale-set bit survives
         assert sw.cache_flushes == 1
 
     def test_stats_carry_cache_counters(self):
         sw = make_switch()
-        cp = SwitchControlPlane(sw)
+        cp = SwitchControlPlane([sw])
         sw.process(pkt(hdr(StaleSetOp.LOOKUP), payload=object()))  # miss
         fill_via_packet(sw, FP_A, "v")
         sw.process(
@@ -253,10 +252,9 @@ class TestSwitchLifecycle:
         assert stats.cache_fills == 1
         assert stats.cache_occupancy == 1
         assert stats.cache_capacity == 8  # 2 stages x 2^2
-        assert stats.cache_hit_rate == 0.5
 
     def test_disabled_cache_reports_zero_capacity(self):
         sw = make_switch(cache_config=None)
-        stats = SwitchControlPlane(sw).stats()
+        stats = SwitchControlPlane([sw]).stats()
         assert stats.cache_capacity == 0
-        assert stats.cache_hit_rate == 0.0
+        assert (stats.cache_hits, stats.cache_misses) == (0, 0)

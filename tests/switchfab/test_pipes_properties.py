@@ -1,25 +1,39 @@
-"""Property tests on the multi-pipe switch: partitioning is a bijection
-onto per-pipe sequential sets, and SEQ filtering is per (source, pipe)."""
+"""Property tests on fingerprint partitioning: a two-switch fabric behaves
+like one sequential set, every fingerprint lives in exactly one switch, and
+SEQ filtering is per (source, switch).
+
+The file and ``test_two_pipe_switch_matches_model`` keep the names they had
+when the partition they check sat between a switch's pipes; it now sits
+between switches (DESIGN.md §3), one level, same property."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FINGERPRINT_BITS, Packet, STALESET_PORT, StaleSetHeader, StaleSetOp
-from repro.switchfab import ProgrammableSwitch, StaleSetConfig
+from repro.switchfab import ProgrammableSwitch, SwitchControlPlane, TableGeometry
 
 fingerprints = st.integers(min_value=0, max_value=(1 << 10) - 1).map(
     lambda n: ((n >> 5) << 32) | ((n & 0x1F) + 1) | ((n % 2) << (FINGERPRINT_BITS - 1))
 )
 
 
-def make_switch(num_pipes=2):
+def make_switch():
     return ProgrammableSwitch(
-        stale_config=StaleSetConfig(num_stages=6, index_bits=6),
-        num_pipes=num_pipes,
+        stale_config=TableGeometry(num_stages=6, index_bits=6),
         fingerprint_owner=lambda fp: "owner",
-        pipe_of_host=lambda host: 0,
     )
+
+
+class Fabric:
+    """Routes each packet to the switch that holds its fingerprint, as the
+    path function does."""
+
+    def __init__(self, num_switches):
+        self.control = SwitchControlPlane([make_switch() for _ in range(num_switches)])
+
+    def process(self, packet):
+        return self.control.switch_for(packet.header.fingerprint).process(packet)
 
 
 def insert(sw, fp, src="s0", dst="c0"):
@@ -43,30 +57,55 @@ def remove(sw, fp, src="s0", seq=None):
 
 
 @settings(max_examples=100)
-@given(ops=st.lists(st.tuples(st.sampled_from(["i", "r", "q"]), fingerprints), max_size=40))
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["i", "r", "q", "dup"]), fingerprints, st.sampled_from(["s0", "s1"])),
+        max_size=40,
+    )
+)
 def test_two_pipe_switch_matches_model(ops):
-    sw = make_switch(num_pipes=2)
+    fabric = Fabric(2)
+    switches = fabric.control.switches
     model = set()
-    seq = 0
-    for kind, fp in ops:
+    seq = {"s0": 0, "s1": 0}
+    last_remove = {}
+    for kind, fp, src in ops:
         if kind == "i":
-            out = insert(sw, fp)
+            out = insert(fabric, fp, src=src)
             if out[0].header.ret == 1:
                 model.add(fp)
         elif kind == "r":
-            seq += 1
-            remove(sw, fp, seq=seq)
+            seq[src] += 1
+            remove(fabric, fp, src=src, seq=seq[src])
+            last_remove[src] = (fp, seq[src])
             model.discard(fp)
+        elif kind == "dup" and src in last_remove:
+            # A retransmitted REMOVE reaches the same switch with the same
+            # SEQ: that source's filter there drops it.
+            old_fp, old_seq = last_remove[src]
+            remove(fabric, old_fp, src=src, seq=old_seq)
         else:
-            assert query(sw, fp) == (fp in model)
+            assert query(fabric, fp) == (fp in model)
     for fp in model:
-        assert query(sw, fp)
+        assert query(fabric, fp)
+        # In exactly one switch, and it is the one the partition names.
+        holders = [sw for sw in switches if sw.stale_set.query(fp)]
+        assert holders == [fabric.control.switch_for(fp)]
+    assert fabric.control.stats().occupancy == len(model)
+    # Failure empties every switch and forgets every SEQ filter.
+    fabric.control.fail()
+    assert [sw.occupancy for sw in switches] == [0, 0]
+    for n, fp in enumerate(model, start=1):
+        assert not query(fabric, fp)
+        insert(fabric, fp)
+        remove(fabric, fp, src="s0", seq=n)  # far below the pre-failure SEQs
+        assert not query(fabric, fp)
 
 
 @settings(max_examples=60)
 @given(fp=fingerprints, s1=st.integers(1, 100), s2=st.integers(1, 100))
 def test_seq_filter_is_per_source(fp, s1, s2):
-    sw = make_switch(num_pipes=1)
+    sw = make_switch()
     insert(sw, fp)
     remove(sw, fp, src="server-A", seq=s1)
     assert not query(sw, fp)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.switchfab import RegisterStage, StaleSet, StaleSetConfig
+from repro.switchfab import RegisterStage, StaleSet, TableGeometry
 
 
 class TestRegisterStage:
@@ -39,15 +39,24 @@ class TestRegisterStage:
         assert not stage.query(0, 7)
         assert stage.occupied == 0
 
+    # The stage's (index, tag) domain is proven where a fingerprint enters
+    # a table, by TableGeometry.split; the actions themselves do not check.
     def test_tag_zero_reserved(self):
-        stage = RegisterStage(8)
-        with pytest.raises(ValueError):
-            stage.query(0, 0)
+        geometry = TableGeometry(num_stages=1, index_bits=3)
+        with pytest.raises(ValueError, match="tag 0"):
+            geometry.split(5 << 32)
+        assert geometry.split((5 << 32) | 1) == (5, 1)
 
     def test_index_bounds(self):
-        stage = RegisterStage(8)
-        with pytest.raises(IndexError):
-            stage.query(8, 1)
+        geometry = TableGeometry(num_stages=1, index_bits=3)
+        size = geometry.stages()[0].size
+        top = (1 << 49) - 1
+        for fingerprint in (1, top, (8 << 32) | 1, (0x1FFFF << 32) | 0xFFFFFFFF):
+            index, tag = geometry.split(fingerprint)
+            assert 0 <= index < size and 0 < tag < (1 << 32)
+        for fingerprint in (-1, top + 1):
+            with pytest.raises(ValueError, match="49-bit"):
+                geometry.split(fingerprint)
 
     def test_reset(self):
         stage = RegisterStage(4)
@@ -58,7 +67,7 @@ class TestRegisterStage:
 
 
 def small_set(stages=3, index_bits=2):
-    return StaleSet(StaleSetConfig(num_stages=stages, index_bits=index_bits))
+    return StaleSet(TableGeometry(num_stages=stages, index_bits=index_bits))
 
 
 def fp(index: int, tag: int, index_bits: int = 2) -> int:
@@ -165,16 +174,18 @@ class TestRemoveSeqFilter:
 
 class TestConfig:
     def test_capacity(self):
-        cfg = StaleSetConfig(num_stages=10, index_bits=17)
+        cfg = TableGeometry(num_stages=10, index_bits=17)
         assert cfg.capacity == 1_310_720  # the paper's figure
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            StaleSetConfig(num_stages=0)
+            TableGeometry(num_stages=0, index_bits=10)
         with pytest.raises(ValueError):
-            StaleSetConfig(index_bits=0)
+            TableGeometry(num_stages=10, index_bits=0)
+        # One bound for every table: the fingerprint bits above the tag.
+        TableGeometry(num_stages=10, index_bits=17)
         with pytest.raises(ValueError):
-            StaleSetConfig(index_bits=49)
+            TableGeometry(num_stages=10, index_bits=18)
 
 
 # -- property-based: the stale set behaves like a sequential set --------------
@@ -196,7 +207,7 @@ def test_stale_set_matches_model_set(ops):
     Overflow (insert returning False) is the one legal divergence; the model
     then also skips the element.
     """
-    s = StaleSet(StaleSetConfig(num_stages=4, index_bits=2))
+    s = StaleSet(TableGeometry(num_stages=4, index_bits=2))
     model = set()
     for op, f in ops:
         if op == "insert":
@@ -217,7 +228,7 @@ def test_stale_set_matches_model_set(ops):
     fs=st.lists(fingerprints, min_size=1, max_size=10, unique=True),
 )
 def test_insert_remove_leaves_empty(fs):
-    s = StaleSet(StaleSetConfig(num_stages=10, index_bits=2))
+    s = StaleSet(TableGeometry(num_stages=10, index_bits=2))
     inserted = [f for f in fs if s.insert(f)]
     for f in inserted:
         s.remove(f)

@@ -11,13 +11,13 @@ from repro.net import (
 )
 from repro.switchfab import (
     ProgrammableSwitch,
-    StaleSetConfig,
     SwitchControlPlane,
+    TableGeometry,
 )
 
 
 def make_switch(**kwargs):
-    kwargs.setdefault("stale_config", StaleSetConfig(num_stages=2, index_bits=3))
+    kwargs.setdefault("stale_config", TableGeometry(num_stages=2, index_bits=3))
     kwargs.setdefault("fingerprint_owner", lambda fp: "owner-server")
     return ProgrammableSwitch(**kwargs)
 
@@ -69,7 +69,7 @@ class TestInsert:
     def test_insert_overflow_redirects_to_owner(self):
         # One stage, index_bits=1: each set has exactly one way.
         sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=1, index_bits=1),
+            stale_config=TableGeometry(num_stages=1, index_bits=1),
             fingerprint_owner=lambda fp: "fallback-server",
         )
         a = hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)
@@ -83,7 +83,7 @@ class TestInsert:
 
     def test_overflow_without_route_is_an_error(self):
         sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=1, index_bits=1),
+            stale_config=TableGeometry(num_stages=1, index_bits=1),
             fingerprint_owner=None,
         )
         sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
@@ -109,65 +109,34 @@ class TestRemove:
         assert sw.process(pkt(hdr(StaleSetOp.QUERY)))[0].header.ret == 1
 
 
-class TestPipes:
-    def test_fingerprints_partition_across_pipes(self):
-        sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=2, index_bits=3),
-            num_pipes=2,
-            fingerprint_owner=lambda fp: "o",
-            pipe_of_host=lambda host: 0,
-        )
-        low = 0x0000_0000_0001  # top bit 0 -> pipe 0
-        high = (1 << 48) | 0x1  # top bit 1 -> pipe 1
-        sw.process(pkt(hdr(StaleSetOp.INSERT, fp=low)))
-        sw.process(pkt(hdr(StaleSetOp.INSERT, fp=high)))
-        assert sw.pipe(0).occupancy == 1
-        assert sw.pipe(1).occupancy == 1
-
-    def test_cross_pipe_packets_are_mirrored(self):
-        sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=2, index_bits=3),
-            num_pipes=2,
-            fingerprint_owner=lambda fp: "o",
-            pipe_of_host=lambda host: 0,  # every host hangs off pipe 0
-        )
-        high = (1 << 48) | 0x1  # fingerprint owned by pipe 1
-        sw.process(pkt(hdr(StaleSetOp.QUERY, fp=high)))
-        assert sw.mirrored == 1
-
-    def test_non_power_of_two_pipes_rejected(self):
-        with pytest.raises(ValueError):
-            ProgrammableSwitch(num_pipes=3)
-
-
 class TestControlPlane:
     def test_stats_aggregate(self):
         sw = make_switch()
-        cp = SwitchControlPlane(sw)
+        cp = SwitchControlPlane([sw])
         sw.process(pkt(hdr(StaleSetOp.INSERT)))
         sw.process(pkt(hdr(StaleSetOp.QUERY)))
         stats = cp.stats()
         assert stats.inserts == 1
         assert stats.queries == 1
         assert stats.occupancy == 1
-        assert 0 < stats.load_factor < 1
+        assert stats.capacity == 16  # 2 stages x 2^3
 
-    def test_failure_resets_and_notifies(self):
-        sw = make_switch()
-        cp = SwitchControlPlane(sw)
-        flushed = []
-        cp.on_failure(lambda: flushed.append(True))
-        sw.process(pkt(hdr(StaleSetOp.INSERT)))
+    def test_failure_resets_every_switch(self):
+        switches = [make_switch(), make_switch()]
+        cp = SwitchControlPlane(switches)
+        for fp in (0x1_0000_0001, 0x1_0000_0002):
+            cp.switch_for(fp).process(pkt(hdr(StaleSetOp.INSERT, fp=fp)))
+        assert [sw.occupancy for sw in switches] == [1, 1]
         cp.fail()
-        assert flushed == [True]
-        assert sw.occupancy == 0
+        assert [sw.occupancy for sw in switches] == [0, 0]
 
     def test_install_routes(self):
-        sw = ProgrammableSwitch(
-            stale_config=StaleSetConfig(num_stages=1, index_bits=1),
-        )
-        cp = SwitchControlPlane(sw)
-        cp.install_routes(lambda fp: "routed-owner")
-        sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
-        out = sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0002)))
-        assert out[0].dst == "routed-owner"
+        switches = [
+            ProgrammableSwitch(stale_config=TableGeometry(num_stages=1, index_bits=1))
+            for _ in range(2)
+        ]
+        SwitchControlPlane(switches).install_routes(lambda fp: "routed-owner")
+        for sw in switches:
+            sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
+            out = sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0002)))
+            assert out[0].dst == "routed-owner"
