@@ -331,18 +331,17 @@ class SwitchFSCluster(Cluster):
         )
         if self.control is not None:
             self.control.apply_epoch(new_view)
-            if len(self.control.switches) <= 1:
-                # Reclaim stale-set bits for groups that are provably
-                # settled: zero staged entries anywhere and zero drained
-                # entries still in flight, checked atomically while the
-                # sources are quiesced.  Anything else clears lazily via
-                # the normal aggregation REMOVE.
-                safe = [
-                    fp
-                    for fp in sorted(migrated_fps)
-                    if self._pending_for_fp(fp) == 0
-                ]
-                stats["stale_bits_cleared"] = self.control.reconcile_stale_set(safe)
+            # Reclaim stale-set bits for groups that are provably
+            # settled: zero staged entries anywhere and zero drained
+            # entries still in flight, checked atomically while the
+            # sources are quiesced.  Anything else clears lazily via
+            # the normal aggregation REMOVE.
+            safe = [
+                fp
+                for fp in sorted(migrated_fps)
+                if self._pending_for_fp(fp) == 0
+            ]
+            stats["stale_bits_cleared"] = self.control.reconcile_stale_set(safe)
         for source, package in packages:
             yield from source.discard_shards(package)
         for server in sources:

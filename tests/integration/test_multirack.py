@@ -12,6 +12,7 @@ import pytest
 
 from repro.bench import run_stream
 from repro.core import FSConfig, FSError, SwitchFSCluster, fingerprint_of, ROOT_ID
+from repro.core.membership import plan_scale_up
 from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
 
@@ -144,6 +145,78 @@ class TestStatsCoverEverySpine:
         assert all(delta > 0 for delta in deltas), deltas
         window = result.switch_cache
         assert window["hits"] + window["misses"] == sum(deltas) == 300
+
+
+class TestStaleSetReconciliation:
+    """After a migration the control plane clears the bits of provably
+    settled directories — each at the switch that holds it, whatever the
+    number of switches."""
+
+    @staticmethod
+    def moving_directories(cluster, count):
+        view = cluster.membership.current
+        _, _, moved = plan_scale_up(view, f"server-{len(view.servers)}")
+        fps = {f"/dir{i}": fingerprint_of(ROOT_ID, f"dir{i}") for i in range(count)}
+        moving = {d: fp for d, fp in fps.items() if fp % view.num_shards in moved}
+        return fps, moving
+
+    @pytest.mark.parametrize("spines", [1, 2])
+    def test_bits_left_by_lost_removes_are_reclaimed(self, spines):
+        cluster = make(num_spine_switches=spines, proactive_enabled=False)
+        fs = cluster.client(0)
+        for i in range(40):
+            cluster.run_op(fs.mkdir(f"/dir{i}"))
+        cluster.run_op(fs.statdir("/"))  # aggregate the root: nothing pending
+        assert cluster.total_pending_entries() == 0
+        assert cluster.switch_stats().occupancy == 0
+        # A bit with nothing pending behind it, as a lost REMOVE leaves it.
+        control = cluster.control
+        fps, moving = self.moving_directories(cluster, 40)
+        for fp in fps.values():
+            assert control.switch_for(fp).stale_set.insert(fp)
+        holders = {control.switches.index(control.switch_for(fp)) for fp in moving.values()}
+        assert holders == set(range(spines))  # the scenario reaches every switch
+        stats = cluster.scale_up()
+        assert stats["stale_bits_cleared"] >= len(moving)
+        for name, fp in fps.items():
+            held = [sw.stale_set.query(fp) for sw in control.switches]
+            assert sum(held) == (0 if name in moving else 1), name
+        assert cluster.switch_stats().occupancy == len(fps) - len(moving)
+
+    @pytest.mark.parametrize("spines", [1, 2])
+    def test_directory_with_pending_entries_keeps_its_bit(self, spines):
+        cluster = make(num_spine_switches=spines, proactive_enabled=False)
+        fs = twelve_directories(cluster)
+        _, moving = self.moving_directories(cluster, 12)
+        (name, fp), = moving.items()
+        writer_fs = cluster.client(1)
+
+        def writer():
+            # Lands creates in the moving directory between the online
+            # drain and the cutover, so entries are pending at reconcile.
+            yield cluster.sim.timeout(10.0)
+            for j in range(6):
+                yield from writer_fs.create(f"{name}/g{j}")
+
+        control = cluster.control
+        seen = {}
+        reconcile = control.reconcile_stale_set
+
+        def spy(safe):
+            safe = list(safe)
+            seen["safe"] = safe
+            seen["pending"] = cluster._pending_for_fp(fp)
+            seen["bit"] = control.switch_for(fp).stale_set.query(fp)
+            return reconcile(safe)
+
+        control.reconcile_stale_set = spy
+        proc = cluster.sim.spawn(writer(), name="writer")
+        cluster.scale_up()
+        assert seen["pending"] > 0 and seen["bit"] and fp not in seen["safe"]
+        assert control.switch_for(fp).stale_set.query(fp)  # still scattered
+        cluster.sim.run_process(proc)
+        assert cluster.run_op(fs.statdir(name))["entry_count"] == 7
+        assert not control.switch_for(fp).stale_set.query(fp)  # aggregated
 
 
 class TestLeafSpineVirtualTimePinned:
