@@ -36,6 +36,7 @@ unchanged.
 from __future__ import annotations
 
 import heapq
+from zlib import crc32
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..sim import Event, Simulator, Store
@@ -133,11 +134,18 @@ def leaf_spine_path(
     if not spines:
         raise ValueError("need at least one spine switch")
     k = len(spines)
+    # A stable hash of the address pair (``hash()`` of a string moves with
+    # PYTHONHASHSEED), computed once per pair.
+    flow_spine: Dict[Tuple[str, str], int] = {}
 
     def spine_index(packet: Packet) -> int:
         if packet.port == STALESET_PORT and packet.header is not None:
             return switch_of_fingerprint(packet.header.fingerprint, k)
-        return hash((packet.src, packet.dst)) % k
+        flow = (packet.src, packet.dst)
+        idx = flow_spine.get(flow)
+        if idx is None:
+            idx = flow_spine[flow] = crc32(f"{flow[0]}>{flow[1]}".encode()) % k
+        return idx
 
     def path(packet: Packet) -> List[SwitchDevice]:
         idx = spine_index(packet)

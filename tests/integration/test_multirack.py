@@ -7,6 +7,10 @@ paths (4 links) and stale-set state spread over the spines."""
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,6 +221,40 @@ class TestStaleSetReconciliation:
         cluster.sim.run_process(proc)
         assert cluster.run_op(fs.statdir(name))["entry_count"] == 7
         assert not control.switch_for(fp).stale_set.query(fp)  # aggregated
+
+
+class TestHashSeedIndependence:
+    """No result depends on PYTHONHASHSEED: not even which spine a packet
+    without a stale-set header climbs to."""
+
+    SCRIPT = (
+        "import dataclasses, json\n"
+        "from tests.integration.test_multirack import make, twelve_directories\n"
+        "cluster = make(num_spine_switches=2, proactive_enabled=False)\n"
+        "twelve_directories(cluster)\n"
+        "print(json.dumps({\n"
+        "    'forwarded': [sw.forwarded for sw in cluster.control.switches],\n"
+        "    'stats': dataclasses.asdict(cluster.switch_stats()),\n"
+        "    'now': cluster.sim.now,\n"
+        "}))\n"
+    )
+
+    def run_under(self, hash_seed):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, cwd=root,
+            capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout)
+
+    def test_two_spine_run_is_identical_under_two_hash_seeds(self):
+        first, second = self.run_under("0"), self.run_under("1")
+        assert sum(first["forwarded"]) == first["stats"]["forwarded"] > 0
+        assert first == second
 
 
 class TestLeafSpineVirtualTimePinned:
