@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ...kvstore import KVStore
 from ...net import RpcNode
 from ...net.topology import Network
-from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
+from ...sim import Counter, Event, Hold, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
 from ..changelog import ChangeLogEntry
 from ..config import FSConfig
 from ..errors import EWRONGEPOCH, FSError
@@ -129,7 +129,7 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         Returns the hold event to yield.  Time spent waiting for a free
         core is recorded as ``queue``, the core-hold time as ``cpu``.
         """
-        return self.cores.hold(us * self._stack_mult, self.phases)
+        return Hold(self.cores, us * self._stack_mult, self.phases)
 
     _cpu = charge_cpu  # the server mixins' internal spelling
 

@@ -28,7 +28,7 @@ Fast paths (DESIGN.md §10)
   spawning a process per destination; one shared deadline drives
   retransmission to the still-unanswered subset.
 * **One retransmit deadline per node** (:class:`_Deadlines`) instead of
-  a timer per attempt, and **an inbox that is its own heap entry**
+  a timer per attempt, and **an inbox that is its own kernel entry**
   (:class:`_Inbox`) instead of a store, a getter event and a dispatcher
   process.
 * **Validation-free packets**: outbound packets come from
@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import defaultdict, deque
-from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
@@ -262,11 +261,12 @@ class _Deadlines(Event):
 
 
 class _Inbox(Event):
-    """A host's inbound queue that is its own heap entry.
+    """A host's inbound queue that is its own kernel entry.
 
-    ``put`` queues the packet and, unless armed, pushes the inbox at
-    ``(now, next tick)``; the pop hands the node every queued packet in
-    arrival order, so one delivered meanwhile rides the first's entry.
+    ``put`` queues the packet and, unless armed, queues the inbox at
+    ``(now, next tick)`` on the kernel's ready queue; the pop hands the
+    node every queued packet in arrival order, so one delivered meanwhile
+    rides the first's entry.
     """
 
     __slots__ = ("node", "items", "armed")
@@ -282,8 +282,8 @@ class _Inbox(Event):
         if not self.armed:
             self.armed = True
             sim = self.sim
-            # Inlined Simulator.schedule_at: runs once per delivered packet.
-            _heappush(sim._heap, (sim.now, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+            # Inlined Event.succeed's push: runs once per delivered packet.
+            sim._ready.append((sim.now, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
 
     def _run_callbacks(self) -> None:
         items = self.items
@@ -544,7 +544,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
 
     # -- dispatcher -------------------------------------------------------------
     def _on_packet(self, packet: Packet) -> None:
-        """Handle one inbound packet (called from the inbox's heap entry)."""
+        """Handle one inbound packet (called from the inbox's entry)."""
         if not self._alive:
             # Crashed host: packets fall on the floor.
             return

@@ -190,7 +190,7 @@ class _Hop(Event):
     """Self-scheduling delivery event: one heap entry per remaining stage.
 
     Like a booting :class:`~repro.sim.kernel.Process`, a ``_Hop`` is its
-    own heap entry; ``_run_callbacks`` runs the stage directly (no
+    own kernel entry; ``_run_callbacks`` runs the stage directly (no
     generator, no process).  The same instance is re-pushed for each
     subsequent stage, so a delivery allocates exactly one event no matter
     how many programmable devices it crosses.  ``idx == len(plan.hops)``
@@ -200,7 +200,10 @@ class _Hop(Event):
     __slots__ = ("net", "plan", "idx", "packets", "base")
 
     def __init__(self, net: "Network", plan: _Plan, packets: List[Packet], base: float):
-        Event.__init__(self, net.sim)
+        # Event.__init__ inlined: one hop per delivery.
+        self.sim = sim = net.sim
+        self._cb1 = self.callbacks = self._value = self._exc = None
+        self._triggered = self._processed = False
         self.net = net
         self.plan = plan
         self.idx = 0
@@ -208,7 +211,6 @@ class _Hop(Event):
         self.base = base
         hops = plan.hops
         when = base + (hops[0][0] if hops else plan.total_us)
-        sim = net.sim
         # Inlined Simulator.schedule_at: this push runs once per network
         # hop, the hottest schedule site in the datapath.
         heapq.heappush(sim._heap, (when, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path

@@ -18,7 +18,7 @@ from .kernel import (
     Timeout,
 )
 from .rand import AliasTable, ZipfGenerator, make_rng, weighted_choice, zipf_weights
-from .resources import Lock, Resource, RWLock, Store
+from .resources import Hold, Lock, Resource, RWLock, Store
 from .stats import Counter, LatencyRecorder, PhaseStats, percentile
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "Resource",
+    "Hold",
     "Lock",
     "RWLock",
     "Store",

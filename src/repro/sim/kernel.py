@@ -5,7 +5,8 @@ in the reproduction: metadata servers, clients, the programmable switch's
 control plane, and the network.  It is a compact, dependency-free
 discrete-event engine in the style of SimPy:
 
-* :class:`Simulator` owns the virtual clock and the pending-event heap.
+* :class:`Simulator` owns the virtual clock and the pending entries: a
+  heap of timed ones and a FIFO of those due at the current instant.
 * :class:`Event` is a one-shot occurrence that processes can wait on.
 * :class:`Process` wraps a generator; the generator *yields* events (or
   other processes) to suspend until they fire, and receives the event's
@@ -21,14 +22,18 @@ Every simulated microsecond in the repo funnels through this loop, so it
 carries several allocation-avoiding fast paths (see DESIGN.md §9 for the
 invariants they must preserve):
 
+* an entry due at the current instant with a fresh tick — ``succeed`` /
+  ``fail``, a process boot, an inbox arrival — is appended to a FIFO
+  ready queue instead of the heap; the one dispatch loop merges the two
+  by ``(time, tick)``, so no entry moves;
 * the first callback of an event lives in a dedicated slot (``_cb1``);
   the overflow list is only allocated for the second waiter onward;
-* processes boot by pushing *themselves* onto the heap instead of
-  allocating a kick-off event (an adopted one takes no entry at all);
+* processes boot by queueing *themselves* instead of allocating a
+  kick-off event (an adopted one takes no entry at all);
 * a process that yields an already-*processed* event (e.g. an
   uncontended resource grant from :mod:`repro.sim.resources`) resumes
-  inline via a trampoline in :meth:`Process._resume` — no heap traffic and
-  no recursion.
+  inline via a trampoline in :meth:`Process._resume` — no entry and no
+  recursion.
 
 All fast paths preserve the documented determinism contract: events
 scheduled at equal virtual times run in insertion (FIFO) order, and two
@@ -51,7 +56,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Simulator",
@@ -65,7 +71,7 @@ __all__ = [
 ]
 
 # Module-level alias: one global load instead of two attribute lookups in
-# the scheduling hot paths (succeed/fail run once per event).
+# the timed push paths (a Timeout is 2-3 per operation).
 _heappush = heapq.heappush
 
 
@@ -141,7 +147,7 @@ class Event:
         self._triggered = True
         self._value = value
         sim = self.sim
-        _heappush(sim._heap, (sim.now, next(sim._counter), self))
+        sim._ready.append((sim.now, next(sim._counter), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -153,7 +159,7 @@ class Event:
         self._triggered = True
         self._exc = exc
         sim = self.sim
-        _heappush(sim._heap, (sim.now, next(sim._counter), self))
+        sim._ready.append((sim.now, next(sim._counter), self))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -203,11 +209,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Event.__init__ inlined: 2-3 timeouts per operation.
+        self.sim = sim
+        self._cb1 = self.callbacks = self._exc = None
+        self._processed = False
         self.delay = delay
         self._triggered = True
         self._value = value
-        heapq.heappush(sim._heap, (sim.now + delay, next(sim._counter), self))
+        _heappush(sim._heap, (sim.now + delay, next(sim._counter), self))
 
 
 class Process(Event):
@@ -227,7 +236,10 @@ class Process(Event):
     __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_cb", "_adopted")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "", boot: bool = True):
-        super().__init__(sim)
+        # Event.__init__ inlined, as in Timeout.
+        self.sim = sim
+        self._cb1 = self.callbacks = self._value = self._exc = None
+        self._triggered = self._processed = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Event] = None
@@ -237,9 +249,9 @@ class Process(Event):
         self._adopted = not boot
         if boot:
             self._started = False
-            # Boot without a kick-off event: the process is its own heap
+            # Boot without a kick-off event: the process is its own ready
             # entry; _run_callbacks dispatches on _started.
-            heapq.heappush(sim._heap, (sim.now, next(sim._counter), self))
+            sim._ready.append((sim.now, next(sim._counter), self))
         else:
             # Adopted process: Simulator.adopt starts the generator inline.
             self._started = True
@@ -275,7 +287,7 @@ class Process(Event):
         re-wait (and delivers an :meth:`interrupt`'s failed carrier).  A
         yielded event that is *already processed* (uncontended resource
         grant, pre-fired event) feeds straight back into the loop rather
-        than recursing or taking a trip through the heap.
+        than recursing or taking a trip through the scheduler.
         """
         if self._triggered:
             return
@@ -447,7 +459,10 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         #: property): it is read on every hot-path resume and the kernel is
         #: its only writer.
         self.now = 0.0
-        self._heap: List = []
+        # Pending (time, tick, event) entries: the timed ones on the heap,
+        # those pushed at `now` with a fresh tick on the FIFO ready queue.
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._ready: Deque[Tuple[float, int, Event]] = deque()
         self._counter = itertools.count()
         self._stopped = False
         #: Attached :class:`repro.analysis.trace.SimTracer`, or ``None``.
@@ -475,7 +490,7 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         """An already-processed successful event (immediate-grant fast path).
 
         Yielding it resumes the process inline — no allocation for the
-        ``None``-valued case, and no heap round-trip ever.  Used by the
+        ``None``-valued case, and no entry ever.  Used by the
         resource primitives when an acquire can be served without waiting.
         """
         if value is None:
@@ -506,14 +521,14 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
     def adopt(self, gen: Generator, name: str = "") -> Process:
         """Run *gen* inline, now, as a process (inline dispatch).
 
-        Unlike :meth:`spawn`, no boot heap entry is consumed: the generator
+        Unlike :meth:`spawn`, no boot entry is consumed: the generator
         advances in the caller's frame up to its first pending event and
         continues from there as a process; one that never blocks has
         finished (``triggered``) when this returns.
 
         No-observer contract: an adopted process that returns while no
         callback is registered on it completes *silently* — processed in
-        place, no heap entry.  ``adopt`` is for continuations whose handle
+        place, no entry.  ``adopt`` is for continuations whose handle
         the caller drops (the RPC serve path); to wait on the handle,
         register before the generator finishes, or use :meth:`spawn`.
         """
@@ -544,21 +559,36 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
 
     # -- running -----------------------------------------------------------
     def _dispatch(self, until: Optional[float], proc: Optional[Process]) -> None:
-        """The event loop: pop and run entries until the heap drains, the
-        next entry lies beyond *until*, :meth:`stop` is called, or *proc*
-        has triggered.  Callback dispatch for the two leaf event classes
-        (plain Event, Timeout) is unrolled — this loop executes once per
-        simulated event repo-wide.
+        """The event loop: run entries in ``(time, tick)`` order until none
+        is pending, the next lies beyond *until*, :meth:`stop` is called,
+        or *proc* has triggered.  Callback dispatch for the two leaf event
+        classes (plain Event, Timeout) is unrolled — this loop executes
+        once per simulated event repo-wide.
+
+        The two sources merge by comparing their heads.  Every ready entry
+        is due now with a tick fresher than any before it, so the heap's
+        top runs first only when it is due now with an older tick (a
+        reserved seq, or an entry pushed before the clock got here), and
+        the clock moves only when the ready queue is empty.
         """
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
+        popleft = ready.popleft
+        if until is not None and until < self.now:
+            return
+        while True:
+            if ready and not (heap and heap[0] < ready[0]):
+                event = popleft()[2]
+            elif heap:
+                if until is not None and heap[0][0] > until:
+                    return
+                when, _, event = pop(heap)
+                if when < self.now:
+                    raise SimulationError("time went backwards")
+                self.now = when
+            else:
                 return
-            when, _, event = pop(heap)
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            self.now = when
             cls = event.__class__
             if cls is Timeout or cls is Event:
                 # Inlined Event._run_callbacks.
@@ -577,20 +607,23 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._heap:
-            raise SimulationError("step on an empty event heap")
+        if not self._heap and not self._ready:
+            raise SimulationError("step on an empty schedule")
         self._stopped = True  # the loop checks after each event
         self._dispatch(None, None)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or virtual time reaches *until*.
+        """Run until nothing is pending, virtual time reaches *until*, or
+        :meth:`stop` is called.
 
-        When *until* is given, the clock is advanced to exactly *until*
-        even if the last processed event fired earlier.
+        When *until* is given and the run was not stopped, the clock is
+        advanced to exactly *until* even if the last processed event fired
+        earlier.  A stopped run leaves the clock where it stopped: what is
+        still pending may be due before *until*.
         """
         self._stopped = False
         self._dispatch(until, None)
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and not self._stopped:
             self.now = until
 
     def run_process(self, proc: Process, until: Optional[float] = None) -> Any:
@@ -604,7 +637,7 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         if not proc._triggered:
             self._dispatch(until, proc)
             if not proc._triggered:
-                if not self._heap:
+                if not self._heap and not self._ready:
                     raise SimulationError(f"deadlock: process {proc.name!r} never finished")
                 raise SimulationError(f"process {proc.name!r} still running at t={self.now}")
         return proc.value

@@ -18,10 +18,10 @@ Two grant paths (see DESIGN.md §9):
 * **Immediate grant** — when an acquire (or ``Store.get``) can be served
   without waiting, it returns an already-*processed* event via
   :meth:`Simulator.granted`; the yielding process resumes inline with no
-  pending-event allocation and no heap round-trip.
+  pending-event allocation and no kernel entry.
 * **Queued grant** — when the caller must wait, a pending event joins the
   FIFO queue and is succeeded on release/put, which defers the resume
-  through the heap.  Release and put therefore never re-enter the
+  to its own kernel entry.  Release and put therefore never re-enter the
   releasing process, and waiters wake strictly in arrival order.
 """
 
@@ -34,7 +34,7 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from .kernel import Event, Simulator, SimulationError
 from .stats import PhaseStats
 
-__all__ = ["Resource", "Lock", "RWLock", "Store"]
+__all__ = ["Resource", "Hold", "Lock", "RWLock", "Store"]
 
 
 class Resource:
@@ -84,7 +84,7 @@ class Resource:
             raise SimulationError("release of an idle resource")
         if self._waiters:
             # Hand the unit straight to the next waiter; _in_use unchanged.
-            # The waiter wakes via the heap, never inline from release().
+            # The waiter wakes at its own entry, never inline from release().
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
@@ -95,7 +95,7 @@ class Resource:
         With *phases*, the wait for the unit is booked as ``queue`` and
         the hold as ``cpu``.
         """
-        return _Hold(self, delay, phases)
+        return Hold(self, delay, phases)
 
     def hold_all(self, n: int, delay: float, phases: Optional[PhaseStats] = None) -> Event:
         """An event that fires when *n* parallel :meth:`hold` have all ended.
@@ -123,7 +123,7 @@ class Resource:
             if tracer is not None:  # issue the holds as the process that asked
                 tracer.current = proc
             for _ in range(n):
-                _Hold(self, delay, phases).add_callback(ended)
+                Hold(self, delay, phases).add_callback(ended)
             if tracer is not None:
                 tracer.current = None
 
@@ -131,16 +131,17 @@ class Resource:
         return done
 
 
-class _Hold(Event):
+class Hold(Event):
     """A timed hold of one unit: a two-phase self-scheduling event.
 
+    :meth:`Resource.hold` and the servers' CPU charge build one directly.
     Taken immediately, the hold is its own heap entry at ``now + delay``.
-    Queued, the releaser grants it through the heap like any waiter
-    (``succeed`` at ``(now, tick)``); on that pop it stamps its start and
-    re-pushes itself at ``now + delay`` — two entries, because the finish
-    push takes its tick at grant time (DESIGN.md §9).  The final pop
-    releases the unit, books queue/cpu time, then runs the callbacks.
-    Not cancellable: an interrupted waiter detaches, the hold runs on.
+    Queued, the releaser grants it like any waiter (``succeed``: a ready
+    entry at ``(now, tick)``); on that pop it stamps its start and pushes
+    itself at ``now + delay`` — two entries, because the finish push takes
+    its tick at grant time (DESIGN.md §9).  The final pop releases the
+    unit and books queue/cpu time inline, then runs the callbacks.  Not
+    cancellable: an interrupted waiter detaches, the hold runs on.
     """
 
     __slots__ = ("resource", "delay", "phases", "requested", "start", "proc")
@@ -181,14 +182,28 @@ class _Hold(Event):
             self.start = now
             _heappush(sim._heap, (now + self.delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
             return
+        # Resource.release inlined, tracer hook and idle check included.
+        resource = self.resource
         tracer = sim.tracer
         if tracer is not None:
             tracer.current = self.proc
-        self.resource.release()
+            tracer.on_release(resource, "x")
+        if resource._in_use <= 0:
+            raise SimulationError("release of an idle resource")
+        if resource._waiters:
+            resource._waiters.popleft().succeed()  # the unit passes on
+        else:
+            resource._in_use -= 1
         if tracer is not None:
             tracer.current = None
-        if self.phases is not None:
-            self.phases.add_queue_cpu(start - self.requested, now - start)
+        phases = self.phases
+        if phases is not None:
+            # Neither duration can be negative: the delay was checked at
+            # issue and the clock never runs backwards.
+            phases.queue_total += start - self.requested
+            phases.queue_count += 1
+            phases.cpu_total += now - start
+            phases.cpu_count += 1
         # Event._run_callbacks with the single-waiter case inlined.
         self._processed = True
         cb1, self._cb1 = self._cb1, None

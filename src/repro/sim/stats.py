@@ -96,56 +96,43 @@ class PhaseStats:
     PHASES = ("queue", "cpu", "lock", "net")
 
     # queue/cpu are recorded on every CPU charge (~4-6 times per op), so
-    # they live in plain float/int attributes; the dict holds only the
-    # rarer phases (lock, net).  All read paths merge the two.
+    # they live in plain public float/int attributes that the hold ending
+    # the charge bumps itself (sim/resources.py, Hold); the dict holds
+    # only the rarer phases (lock, net).  All read paths merge the two.
 
     def __init__(self):
         self._totals: Dict[str, float] = {}
         self._counts: Dict[str, int] = {}
-        self._queue_total = 0.0
-        self._queue_count = 0
-        self._cpu_total = 0.0
-        self._cpu_count = 0
+        self.queue_total = 0.0
+        self.queue_count = 0
+        self.cpu_total = 0.0
+        self.cpu_count = 0
 
     def add(self, phase: str, us: float) -> None:
         if us < 0:
             raise ValueError(f"negative phase duration: {phase}={us}")
         if phase == "queue":
-            self._queue_total += us
-            self._queue_count += 1
+            self.queue_total += us
+            self.queue_count += 1
         elif phase == "cpu":
-            self._cpu_total += us
-            self._cpu_count += 1
+            self.cpu_total += us
+            self.cpu_count += 1
         else:
             self._totals[phase] = self._totals.get(phase, 0.0) + us
             self._counts[phase] = self._counts.get(phase, 0) + 1
 
-    def add_queue_cpu(self, queue_us: float, cpu_us: float) -> None:
-        """Record one CPU charge (queue wait + core hold) in a single call.
-
-        Equivalent to ``add("queue", queue_us); add("cpu", cpu_us)`` — the
-        server runtime's innermost accounting, reduced to four attribute
-        bumps on the op fast path.
-        """
-        if queue_us < 0 or cpu_us < 0:
-            raise ValueError(f"negative phase duration: queue={queue_us} cpu={cpu_us}")
-        self._queue_total += queue_us
-        self._queue_count += 1
-        self._cpu_total += cpu_us
-        self._cpu_count += 1
-
     def total(self, phase: str) -> float:
         if phase == "queue":
-            return self._queue_total
+            return self.queue_total
         if phase == "cpu":
-            return self._cpu_total
+            return self.cpu_total
         return self._totals.get(phase, 0.0)
 
     def count(self, phase: str) -> int:
         if phase == "queue":
-            return self._queue_count
+            return self.queue_count
         if phase == "cpu":
-            return self._cpu_count
+            return self.cpu_count
         return self._counts.get(phase, 0)
 
     def mean(self, phase: str) -> float:
@@ -157,18 +144,18 @@ class PhaseStats:
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        if self._queue_count:
-            out["queue"] = self._queue_total
-        if self._cpu_count:
-            out["cpu"] = self._cpu_total
+        if self.queue_count:
+            out["queue"] = self.queue_total
+        if self.cpu_count:
+            out["cpu"] = self.cpu_total
         out.update(self._totals)
         return out
 
     def merge(self, other: "PhaseStats") -> None:
-        self._queue_total += other._queue_total
-        self._queue_count += other._queue_count
-        self._cpu_total += other._cpu_total
-        self._cpu_count += other._cpu_count
+        self.queue_total += other.queue_total
+        self.queue_count += other.queue_count
+        self.cpu_total += other.cpu_total
+        self.cpu_count += other.cpu_count
         for phase, total in other._totals.items():
             self._totals[phase] = self._totals.get(phase, 0.0) + total
             self._counts[phase] = self._counts.get(phase, 0) + other._counts[phase]
@@ -176,10 +163,10 @@ class PhaseStats:
     def clear(self) -> None:
         self._totals.clear()
         self._counts.clear()
-        self._queue_total = 0.0
-        self._queue_count = 0
-        self._cpu_total = 0.0
-        self._cpu_count = 0
+        self.queue_total = 0.0
+        self.queue_count = 0
+        self.cpu_total = 0.0
+        self.cpu_count = 0
 
 
 class Counter:

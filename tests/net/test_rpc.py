@@ -29,6 +29,11 @@ def setup_pair(loss_prob=0.0, seed=1):
     return sim, net, client, server
 
 
+def pending(sim):
+    """The scheduler's pending entries, timed and ready alike."""
+    return [*sim._heap, *sim._ready]
+
+
 def run_call(sim, client, *args, **kwargs):
     proc = sim.spawn(client.call(*args, **kwargs), name="call")
     return sim.run_process(proc)
@@ -524,7 +529,7 @@ class TestOneDeadlinePerNode:
         sim.run(until=50.0)
         assert [c.value[0] for c in calls] == list(range(64))   # all answered in flight
         # A timer per attempt left 64 dead entries here.
-        assert len(sim._heap) <= 1
+        assert len(pending(sim)) <= 1
         sim.run()
         assert client.retransmits == 0
 
@@ -627,7 +632,7 @@ class TestInbox:
         handled = []
 
         def tap(packet):
-            handled.append((packet.payload, len(sim._heap)))
+            handled.append((packet.payload, len(pending(sim))))
             return True
 
         server.add_raw_tap(tap)
@@ -637,7 +642,7 @@ class TestInbox:
             net.send(Packet(src="client", dst="server", payload=tag))
         sim.run()
         # Both handled in arrival order under the first packet's inbox
-        # entry: nothing is left in the heap while either is handled.
+        # entry: nothing is pending while either is handled.
         assert handled == [("first", 0), ("second", 0)]
 
     def test_killed_node_drops_before_the_taps(self):

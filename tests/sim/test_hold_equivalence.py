@@ -29,7 +29,8 @@ def _ref_charge(sim, res, cost, stats):
         yield sim.timeout(cost)
     finally:
         res.release()
-        stats.add_queue_cpu(acquired - t0, sim.now - acquired)
+        stats.add("queue", acquired - t0)
+        stats.add("cpu", sim.now - acquired)
 
 
 def _ref_fan(sim, res, n, cost, stats):

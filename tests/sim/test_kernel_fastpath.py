@@ -18,7 +18,13 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Store,
+    Timeout,
 )
+
+
+def pending(sim):
+    """The scheduler's pending entries, timed and ready alike."""
+    return [*sim._heap, *sim._ready]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +167,7 @@ class TestAdopt:
         log = []
         proc = sim.adopt(self._sleeper(sim, log))
         assert log == [("started", 0.0)]    # ran in the caller's frame
-        assert len(sim._heap) == 1          # the timeout; no boot entry
+        assert [type(ev) for _, _, ev in pending(sim)] == [Timeout]   # no boot entry
         assert proc.is_alive
 
     def test_generator_that_never_blocks_is_finished_on_return(self):
@@ -173,7 +179,7 @@ class TestAdopt:
 
         proc = sim.adopt(immediate(sim))
         assert proc.triggered and proc.processed and proc.value == "now"
-        assert sim._heap == []
+        assert pending(sim) == []
 
     def test_unobserved_adopted_process_completes_without_a_heap_entry(self):
         sim = Simulator()
@@ -181,7 +187,7 @@ class TestAdopt:
         proc = sim.adopt(self._sleeper(sim, log))
         sim.step()                          # the timeout pops, the process returns
         assert log[-1] == ("woke", 3.0)
-        assert sim._heap == []              # no completion entry
+        assert pending(sim) == []           # no completion entry
         assert proc.processed and proc.value == "done"
         assert proc.gen is None
 
@@ -192,7 +198,7 @@ class TestAdopt:
         proc.add_callback(lambda p: seen.append((p.value, sim.now)))
         sim.step()
         assert proc.triggered and not proc.processed
-        assert len(sim._heap) == 1          # its completion entry, as for a spawned one
+        assert [ev for _, _, ev in pending(sim)] == [proc]   # its completion entry, as if spawned
         sim.step()
         assert seen == [("done", 3.0)]
 
@@ -277,6 +283,22 @@ class TestOneDispatchLoop:
         assert sim.now == 20.0 and out == [10.0]    # the tick due at 20 is behind it
         sim.run(until=45.0)                 # run() clears the stop
         assert out == [10.0, 20.0, 30.0, 40.0]
+
+    def test_a_stopped_run_until_leaves_the_clock_where_it_stopped(self):
+        sim = Simulator()
+        out = []
+        sim.spawn(self._ticker(sim, out))
+
+        def stopper(sim):
+            yield sim.timeout(20.0)
+            sim.stop()
+
+        sim.spawn(stopper(sim))
+        sim.run(until=45.0)
+        # Not advanced to 45: the tick due at 20 is still pending.
+        assert sim.now == 20.0 and out == [10.0]
+        sim.run(until=45.0)
+        assert out == [10.0, 20.0, 30.0, 40.0] and sim.now == 45.0
 
     def test_schedule_at_reserved_seq_keeps_the_reserved_position(self):
         sim = Simulator()
