@@ -95,15 +95,17 @@ class SwitchControlPlane:
         SEQ filter with a dedicated control-plane source id, so a
         retransmitted data-plane REMOVE can never be mistaken for (or
         filtered against) these; one counter serves every switch, since
-        each switch only needs its own share to be increasing.
+        each switch only needs its own share to be increasing.  Returns
+        the bits cleared: a fingerprint whose bit is already gone (the
+        online drain's REMOVE got through) counts for nothing.
         """
         cleared = 0
         for fp in fingerprints:
             self._ctl_remove_seq += 1
-            if self.switch_for(fp).stale_set.remove(
-                fp, source="ctl-plane", seq=self._ctl_remove_seq
-            ):
-                cleared += 1
+            stale_set = self.switch_for(fp).stale_set
+            before = stale_set.occupancy
+            stale_set.remove(fp, source="ctl-plane", seq=self._ctl_remove_seq)
+            cleared += before - stale_set.occupancy
         return cleared
 
     def fail(self) -> None:

@@ -182,11 +182,28 @@ class TestStaleSetReconciliation:
         holders = {control.switches.index(control.switch_for(fp)) for fp in moving.values()}
         assert holders == set(range(spines))  # the scenario reaches every switch
         stats = cluster.scale_up()
-        assert stats["stale_bits_cleared"] >= len(moving)
+        assert stats["stale_bits_cleared"] == len(moving)
         for name, fp in fps.items():
             held = [sw.stale_set.query(fp) for sw in control.switches]
             assert sum(held) == (0 if name in moving else 1), name
-        assert cluster.switch_stats().occupancy == len(fps) - len(moving)
+        assert cluster.switch_stats().occupancy == len(fps) - len(moving) == 35
+
+    @pytest.mark.parametrize("spines", [1, 2])
+    def test_bits_the_drain_already_cleared_are_not_counted(self, spines):
+        """Fault-free, the online drain's REMOVE clears the moving
+        directory's bit before the cutover: the control plane clears
+        nothing more and reports so."""
+        cluster = make(num_spine_switches=spines, proactive_enabled=False)
+        twelve_directories(cluster)
+        _, moving = self.moving_directories(cluster, 12)
+        (fp,) = moving.values()
+        assert cluster.control.switch_for(fp).stale_set.query(fp)
+        occupancy = cluster.switch_stats().occupancy
+        stats = cluster.scale_up()
+        assert stats["drain_groups"] > 0
+        assert not cluster.control.switch_for(fp).stale_set.query(fp)
+        assert stats["stale_bits_cleared"] == 0
+        assert cluster.switch_stats().occupancy == occupancy - 1
 
     @pytest.mark.parametrize("spines", [1, 2])
     def test_directory_with_pending_entries_keeps_its_bit(self, spines):
