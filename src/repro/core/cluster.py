@@ -137,7 +137,7 @@ class SwitchFSCluster(Cluster):
             self.control.install_routes(self.membership.current.dir_owner_by_fp)
         else:
             switches = [PassthroughSwitch(latency_us)]
-        if self.control is not None and config.topology == "leaf-spine":
+        if config.topology == "leaf-spine":  # FSConfig: only with the switch backend
             # §5.4: passthrough ToR leaves, programmable spines with
             # directories partitioned over them by fingerprint.
             leaves = {r: PassthroughSwitch(latency_us) for r in range(config.num_racks)}

@@ -145,6 +145,8 @@ class FSConfig:
             raise ValueError("need at least one rack and one spine switch")
         if self.num_spine_switches > 1 and self.topology != "leaf-spine":
             raise ValueError("num_spine_switches > 1 requires topology='leaf-spine'")
+        if self.stale_backend == "server" and self.topology == "leaf-spine":
+            raise ValueError("stale_backend='server' requires topology='single-rack'")
         if self.recast and not self.async_updates:
             raise ValueError("recast requires async_updates")
         if self.proactive_push_entries < 1:

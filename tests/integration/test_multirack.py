@@ -306,6 +306,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FSConfig(topology="mesh")
 
+    def test_server_stale_set_on_leaf_spine_rejected(self):
+        # Its spines would be passthrough and the run single-rack.
+        with pytest.raises(ValueError, match="stale_backend='server' requires topology"):
+            FSConfig(stale_backend="server", topology="leaf-spine")
+        FSConfig(stale_backend="server", topology="single-rack")
+
     def test_bad_rack_count_rejected(self):
         with pytest.raises(ValueError):
             FSConfig(topology="leaf-spine", num_racks=0)
