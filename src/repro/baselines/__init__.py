@@ -2,28 +2,11 @@
 
 from .cephlike import CephLikeCluster
 from .cfskv import CFSKVCluster
-from .common import (
-    BaselineClient,
-    BaselineCluster,
-    BaselinePartition,
-    GroupedPartition,
-    PerFilePartition,
-    SubtreePartition,
-    SyncMetadataServer,
-)
+from .common import BaselineCluster, GroupedPartition, SubtreePartition, heavy_stack
 from .indexfs import IndexFSCluster
 from .infinifs import InfiniFSCluster
 
 __all__ = [
-    "BaselineCluster",
-    "BaselineClient",
-    "BaselinePartition",
-    "PerFilePartition",
-    "GroupedPartition",
-    "SubtreePartition",
-    "SyncMetadataServer",
-    "InfiniFSCluster",
-    "CFSKVCluster",
-    "IndexFSCluster",
-    "CephLikeCluster",
+    "BaselineCluster", "GroupedPartition", "SubtreePartition", "heavy_stack",
+    "InfiniFSCluster", "CFSKVCluster", "IndexFSCluster", "CephLikeCluster",
 ]

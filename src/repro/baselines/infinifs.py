@@ -7,8 +7,6 @@ but every file of a hot directory hits the same server, and directory
 updates serialise on the parent inode lock (Figure 2's flat scaling).
 """
 
-from __future__ import annotations
-
 from typing import Optional
 
 from ..core.config import FSConfig
@@ -22,4 +20,4 @@ class InfiniFSCluster(BaselineCluster):
     """InfiniFS on the shared substrate: grouped partition + sync updates."""
 
     def __init__(self, config: FSConfig, faults: Optional[FaultModel] = None):
-        super().__init__(config, partition_cls=GroupedPartition, faults=faults)
+        super().__init__(config, GroupedPartition(config.num_servers), faults=faults)

@@ -281,6 +281,16 @@ class LibFS:
                 "perm": perm,
             }
             value, _ = yield from self._call(owner, "mkdir", args)
+            # What mkdir made is what a lookup would return: an rmdir or a
+            # create under it right after resolves from the cache.
+            self._cache[path] = ResolvedDir(
+                id=value["id"],
+                fingerprint=value["fingerprint"],
+                pid=parent.id,
+                name=name,
+                perm=perm,
+                ancestor_ids=parent.ancestor_ids + (value["id"],),
+            )
             return value
 
         return self._with_revalidation(attempt, path)
@@ -404,6 +414,9 @@ class LibFS:
                 "ancestor_ids": tuple(src_parent.ancestor_ids) + tuple(dst_parent.ancestor_ids),
                 "dst_ancestor_ids": dst_parent.ancestor_ids,
                 "path": src,
+                "dst_path": dst,
+                "src_parent_path": src_parent_path,
+                "dst_parent_path": dst_parent_path,
             }
             if is_dir:
                 # Directory renames delegate to the centralised coordinator

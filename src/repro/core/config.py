@@ -54,9 +54,8 @@ class PerfModel:
                                        # in-flight aggregations (§6.2.2:
                                        # statdir +28.6% vs InfiniFS)
 
-    # Software-stack multipliers for behavioural baselines (§6.2.2 obs. 3).
+    # Software-stack multiplier for behavioural baselines (§6.2.2 obs. 3).
     stack_multiplier: float = 1.0      # scales every CPU segment
-    extra_net_us: float = 0.0          # per-message kernel-networking penalty
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -67,10 +66,9 @@ class PerfModel:
         if self.rpc_max_attempts < 1:
             raise ValueError(f"PerfModel.rpc_max_attempts must be >= 1, got {self.rpc_max_attempts}")
 
-    def scaled(self, factor: float, extra_net_us: float = 0.0) -> "PerfModel":
+    def scaled(self, factor: float) -> "PerfModel":
         """A copy with all CPU segments scaled (heavy-stack baselines)."""
-        return replace(self, stack_multiplier=self.stack_multiplier * factor,
-                       extra_net_us=self.extra_net_us + extra_net_us)
+        return replace(self, stack_multiplier=self.stack_multiplier * factor)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,13 @@ class Placement(Protocol):
     """Which server holds this name: the one routing question (§6.1).
 
     Answered by a :class:`MembershipView` and by the baselines'
-    partitions; asked by the one client, the one ``bootstrap`` and the
-    baseline server working out where a parent directory lives.
+    partitions; asked by the one client, the one ``bootstrap``, the
+    rename transaction and a server working out where a parent
+    directory lives.
     """
+
+    epoch: int
+    rename_coordinator: str
 
     def file_owner(self, pid: int, name: str, dir_path: str) -> str: ...
 

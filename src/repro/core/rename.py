@@ -27,9 +27,9 @@ Correctness against earlier pending entries falls out of placement:
 per-file partitioning puts the pending ``CREATE(src)`` on the *same
 server* (same change-log) where the rename appends its ``DELETE(src)``,
 so per-name application order is append order; entries for distinct
-names commute.  The synchronous baseline (``async_updates=False``)
-instead locks the parents and applies presence-aware *entry ops* in the
-commit.
+names commute.  A synchronous scheme (``async_updates=False``) instead
+locks the parents and applies *entry ops* in the commit, through the
+same apply as every synchronous parent update.
 """
 
 from __future__ import annotations
@@ -147,7 +147,9 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
 
     File renames are driven directly by the client (no coordinator hop);
     directory renames run under the coordinator (see :func:`run_rename`).
-    Every step routes against *view*, one ``MembershipView`` snapshot.
+    Every step routes against *view*, one
+    :class:`~repro.core.membership.Placement` snapshot (a membership view
+    or a baseline's partition), by the names and paths in *args*.
     """
     is_dir = args["is_dir"]
     src_pid, src_name = args["src_pid"], args["src_name"]
@@ -174,19 +176,15 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
             )
 
     # -- read state and build the plan ------------------------------------
-    src_fp = fingerprint_of(src_pid, src_name)
-    dst_fp = fingerprint_of(dst_pid, dst_name)
+    src_parent_path, dst_parent_path = args["src_parent_path"], args["dst_parent_path"]
     if is_dir:
         src_key, dst_key = dir_meta_key(src_pid, src_name), dir_meta_key(dst_pid, dst_name)
-        src_owner = view.dir_owner_by_fp(src_fp)
-        dst_owner = view.dir_owner_by_fp(dst_fp)
+        src_owner = view.dir_owner(src_pid, src_name, args["path"])
+        dst_owner = view.dir_owner(dst_pid, dst_name, args["dst_path"])
     else:
         src_key, dst_key = file_meta_key(src_pid, src_name), file_meta_key(dst_pid, dst_name)
-        src_owner = view.file_owner(src_pid, src_name)
-        dst_owner = view.file_owner(dst_pid, dst_name)
-
-    src_parent_owner = view.dir_owner_by_fp(args["src_parent_fp"])
-    dst_parent_owner = view.dir_owner_by_fp(args["dst_parent_fp"])
+        src_owner = view.file_owner(src_pid, src_name, src_parent_path)
+        dst_owner = view.file_owner(dst_pid, dst_name, dst_parent_path)
 
     now = sim.now
     txn_id = next(_txn_ids)
@@ -229,8 +227,11 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
     target_keys = set(lock_specs)
     defer_parents = (not is_dir) and async_updates
     if not defer_parents:
-        lock_specs.setdefault(tuple(args["src_parent_key"]), (src_parent_owner, {}))
-        lock_specs.setdefault(tuple(args["dst_parent_key"]), (dst_parent_owner, {}))
+        src_parent_key, dst_parent_key = args["src_parent_key"], args["dst_parent_key"]
+        src_parent_owner = view.dir_owner(src_parent_key[1], src_parent_key[2], src_parent_path)
+        dst_parent_owner = view.dir_owner(dst_parent_key[1], dst_parent_key[2], dst_parent_path)
+        lock_specs.setdefault(tuple(src_parent_key), (src_parent_owner, {}))
+        lock_specs.setdefault(tuple(dst_parent_key), (dst_parent_owner, {}))
     lock_order = sorted(target_keys) + sorted(set(lock_specs) - target_keys)
     locked_at = []
     failed_vote = None
@@ -256,7 +257,8 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
             plan.delete(src_owner, src_key)
             if is_dir:
                 moved = dataclasses.replace(
-                    src_inode, pid=dst_pid, name=dst_name, fingerprint=dst_fp
+                    src_inode, pid=dst_pid, name=dst_name,
+                    fingerprint=fingerprint_of(dst_pid, dst_name),
                 )
                 plan.index_drop(src_owner, src_inode.id)
                 plan.index(dst_owner, src_inode.id, dst_key)
@@ -291,11 +293,11 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
                 )
             else:
                 plan.entry_op(
-                    src_parent_owner, args["src_parent_key"], src_pid, src_name,
+                    src_parent_owner, src_parent_key, src_pid, src_name,
                     add=False, is_dir=is_dir, ts=now,
                 )
                 plan.entry_op(
-                    dst_parent_owner, args["dst_parent_key"], dst_pid, dst_name,
+                    dst_parent_owner, dst_parent_key, dst_pid, dst_name,
                     add=True, is_dir=is_dir, ts=now,
                 )
             for addr in locked_at:

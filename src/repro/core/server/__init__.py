@@ -28,15 +28,17 @@ list, a WAL, and a pool of CPU cores.  The op workflows follow §4.2:
 
 Feature flags (``config.async_updates`` / ``config.recast``) switch the
 server into the ablation modes of §6.5.1, and ``config.stale_backend``
-swaps the in-network stale set for a stale-set *server* (§6.5.2).
+swaps the in-network stale set for a stale-set *server* (§6.5.2).  With
+``async_updates=False`` and a baseline's placement, the same server is
+every baseline DFS of §6.1 (:mod:`repro.baselines`).
 
 The implementation is layered — each layer is one module:
 
 ========================  =============================================
 :mod:`.runtime`           CPU / lock / RPC / recovery-gate substrate
-                          (:class:`ServerRuntime`, shared with the
-                          baselines' ``SyncMetadataServer``)
-:mod:`.ops`               double-inode update workflows (§4.2)
+                          (:class:`ServerRuntime`)
+:mod:`.ops`               double-inode update workflows (§4.2) and
+                          the synchronous parent update
 :mod:`.reads`             directory / single-inode read workflows
 :mod:`.aggregation`       pull/apply/ack + proactive policy (§4.2.2/§4.3)
 :mod:`.changelog_engine`  change-log push, recast, idle sweep, flush
@@ -58,7 +60,7 @@ from ...sim import Event, RWLock, Simulator
 from ..changelog import ChangeLogTable
 from ..config import FSConfig
 from ..invalidation import InvalidationList
-from ..membership import Membership
+from ..membership import Membership, MembershipView
 from ..staleset_backend import ServerBackendClient
 from .aggregation import AggregationProtocol
 from .changelog_engine import ChangeLogEngine
@@ -72,6 +74,10 @@ from .runtime import ServerRuntime
 __all__ = ["MetadataServer", "ServerRuntime"]
 
 
+def _routed_here(*_key) -> None:
+    """The owner check of a placement that never moves."""
+
+
 class MetadataServer(  # reprolint: allow[RL006] one instance per server, built at boot
     ServerOps,
     ReadOps,
@@ -82,7 +88,8 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
     ShardMigration,
     ServerRuntime,
 ):
-    """One SwitchFS metadata server."""
+    """One SwitchFS metadata server — or, over a baseline's placement, one
+    baseline metadata server."""
 
     def __init__(
         self,
@@ -142,7 +149,8 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
                 "invalidate_and_pull": self._handle_invalidate_and_pull,
                 "uninvalidate": self._handle_uninvalidate,
                 "unlock_fallback": self._handle_unlock_fallback,
-                "apply_parent_update": self._handle_apply_parent_update,
+                "parent_prepare": self._handle_parent_prepare,
+                "parent_commit": self._handle_parent_commit,
                 "aggregate_now": self._handle_aggregate_now,
                 "rename": self._handle_rename,
                 "read_inode": self._handle_read_inode,
@@ -158,6 +166,11 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
             }
         )
         self.node.add_raw_tap(self._tap)
+        if not isinstance(membership.current, MembershipView):
+            # A baseline's partition has no epochs: whatever reaches this
+            # server was routed here by the placement it would be checked
+            # against.
+            self._check_owner_file = self._check_owner_dir = _routed_here
         if config.proactive_enabled and config.async_updates:
             sim.spawn(self._idle_push_sweeper(), name=f"sweeper-{addr}")
 

@@ -9,6 +9,12 @@
   redirects the response to the parent's owner, which applies the update
   synchronously (fallback) before completing the operation.
 
+* **The synchronous parent update** (:meth:`ServerOps._update_parent_sync`)
+  is the one way a parent directory is updated before a reply: with
+  ``async_updates=False`` (Fig 15's Baseline and every baseline DFS) and
+  on both overflow fallbacks.  Cross-server it is a prepare / commit
+  exchange that holds the parent's inode lock across both phases.
+
 Read workflows live in :mod:`repro.core.server.reads`.
 
 The deferred-unlock machinery (unlock tokens, the raw-packet tap that
@@ -24,15 +30,16 @@ from typing import Any, Dict, Generator, List, Tuple
 from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, StaleSetOp
 from ...sim import Event, RWLock
 from ..changelog import ChangeLog, ChangeLogEntry, ChangeOp
+from ..client import split_path
 from ..errors import EEXIST, EINVALIDPATH, ENOENT, ENOTEMPTY, FSError
 from ..schema import (
+    ROOT_ID,
     DirInode,
     FileInode,
     dir_meta_key,
     file_cache_fingerprint,
     file_meta_key,
     fingerprint_of,
-    new_dir_id,
 )
 
 __all__ = ["ServerOps"]
@@ -124,9 +131,8 @@ class ServerOps:
             perm = args.get("perm", 0o755 if is_dir and adds else 0o644)
             inode = None
             if adds and is_dir:
-                self._dir_nonce += 1
                 inode = DirInode(
-                    id=new_dir_id(pid, name, self._dir_nonce), pid=pid, name=name,
+                    id=self._new_dir_id(pid, name), pid=pid, name=name,
                     fingerprint=fp, perm=perm, ctime=now, mtime=now,
                 )
             elif adds:
@@ -153,8 +159,20 @@ class ServerOps:
                     request, parent_fp, pid, entry, held
                 )
             else:
-                # Held across the parent-update RPC by design.
-                yield from self._apply_parent_sync(pid, parent_fp, entry)  # reprolint: allow[RL103] child before parent: locks the parent's inode and nothing else
+                # Held across the parent update by design (the measured
+                # cost of a synchronous scheme).
+                applied = yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: locks the parent's inode and nothing else
+                    self._parent_owner(args), pid, entry
+                )
+                if not applied:
+                    # The parent is gone (a client's cache outlived it): the
+                    # inode written ahead of the update must not outlive the
+                    # ENOENT as an orphan no listing reaches.
+                    if adds:
+                        self.kv.delete(key)
+                        if is_dir:
+                            self._dir_index.pop(inode.id, None)
+                    raise FSError(ENOENT, f"directory {pid}")
                 reply = Reply(value={"status": "ok"})
             if adds and is_dir:  # the client caches what mkdir made
                 reply.value["id"] = inode.id
@@ -163,6 +181,11 @@ class ServerOps:
         finally:
             self._mutator_end()
             self._release_locks(held)
+
+    def _new_dir_id(self, pid: int, name: str) -> int:
+        """A fresh id for a directory made here, minted by the placement."""
+        self._dir_nonce += 1
+        return self.membership.current.dir_id(pid, name, self._dir_nonce)
 
     def _rmdir_check_empty(self, args: Dict[str, Any], key: Tuple) -> Generator:
         """rmdir only (Figure 5, steps 4-7): freeze the directory on every
@@ -219,7 +242,9 @@ class ServerOps:
             if not ok:
                 # Fallback: apply the parent update synchronously.
                 self._detach_entry(log, entry, lsn)
-                yield from self._apply_parent_sync(parent_id, parent_fp, entry)
+                yield from self._update_parent_sync(
+                    self.membership.current.dir_owner_by_fp(parent_fp), parent_id, entry
+                )
                 self.counters.inc("sync_fallbacks")
             else:
                 self._maybe_push(log)
@@ -308,30 +333,74 @@ class ServerOps:
             self._maybe_push(info["log"])
         return True
 
-    # -- synchronous parent update (baseline / fallback) --------------------
-    def _apply_parent_sync(
-        self, parent_id: int, parent_fp: int, entry: ChangeLogEntry
-    ) -> Generator:
-        """Apply a parent-directory update synchronously (cross-server when
-        the parent lives elsewhere)."""
-        owner = self.membership.current.dir_owner_by_fp(parent_fp)
-        if owner == self.addr:
-            yield from self._apply_entry_with_inode_txn(parent_id, entry)
-            return
-        self.counters.inc("cross_server_updates")
-        yield from self._call(
-            owner, "apply_parent_update", {"parent_id": parent_id, "entry": entry}
-        )
+    # -- the synchronous parent update (sync mode, both fallbacks) ----------
+    def _parent_owner(self, args: Dict[str, Any]) -> str:
+        """Where the parent of the op's target lives: the target's path and
+        its parent's ancestry, which every request carries, name the parent
+        to any placement."""
+        view = self.membership.current
+        parent_path, _ = split_path(args["path"])
+        if parent_path == "/":
+            return view.root_owner()
+        _, parent_name = split_path(parent_path)
+        ancestors = args["ancestor_ids"]  # root excluded, the parent last
+        grandparent_id = ancestors[-2] if len(ancestors) > 1 else ROOT_ID
+        return view.dir_owner(grandparent_id, parent_name, parent_path)
 
-    def _handle_apply_parent_update(self, request: RpcRequest, packet: Packet) -> Generator:
-        args = request.args
+    def _update_parent_sync(self, owner: str, parent_id: int, entry: ChangeLogEntry) -> Generator:
+        """Apply *entry* to directory *parent_id* on *owner* before the
+        caller replies; returns whether the directory was there to take it.
+
+        Cross-server this is the distributed transaction of Table 2: a
+        prepare that takes the parent's inode lock and a commit that
+        applies the entry and lets it go.  Only the local arm counts as
+        a mutator here: counting across the prepare could wedge a
+        migration quiesce behind the owner's recovery gate.
+        """
+        if owner == self.addr:
+            self._mutator_begin()
+            try:
+                return (yield from self._apply_entry_with_inode_txn(parent_id, entry))
+            finally:
+                self._mutator_end()
+        self.counters.inc("cross_server_updates")
+        update = {"parent_id": parent_id, "entry": entry}
+        value = yield from self._call(owner, "parent_prepare", update)
+        if not value["prepared"]:
+            return False
+        yield from self._call(owner, "parent_commit", update)
+        return True
+
+    def _handle_parent_prepare(self, request: RpcRequest, packet: Packet) -> Generator:
+        parent_id = request.args["parent_id"]
         yield from self._wait_recovered()
         yield self._cpu(self.perf.txn_phase_us)
-        self._mutator_begin()
+        key = self._dir_index.get(parent_id)
+        if key is None:
+            return {"prepared": False}
+        self._mutator_begin()  # until parent_commit, like the lock
+        lock = yield from self._acquire(self._inode_lock(key), "w")
+        # An rmdir may have held the lock this waited for: only a directory
+        # still there once the lock is granted is prepared.
+        if self._dir_index.get(parent_id) != key:
+            self._mutator_end()
+            self._release(lock, "w")
+            return {"prepared": False}
+        return {"prepared": True}
+
+    def _handle_parent_commit(self, request: RpcRequest, packet: Packet) -> Generator:
+        args = request.args
+        yield self._cpu(self.perf.txn_phase_us)
+        # parent_prepare saw the directory with its lock held, and an rmdir
+        # needs that lock: the directory is still there.
+        key = self._dir_index[args["parent_id"]]
         try:
-            yield from self._apply_entry_with_inode_txn(args["parent_id"], args["entry"])
+            yield from self._apply_entry_with_inode_txn(
+                args["parent_id"], args["entry"], frozenset([key])
+            )
         finally:
             self._mutator_end()
+            self._release(self._inode_lock(key), "w")  # held since parent_prepare
         return {"status": "ok"}
 
     # ------------------------------------------------------------------
@@ -362,24 +431,12 @@ class ServerOps:
     def _sync_fallback(self, response: RpcResponse, packet: Packet) -> Generator:
         value = response.value
         yield from self._wait_recovered()
+        # Normally this server owns the parent; if the switch redirected
+        # with routes from a previous epoch, the live owner takes it.  The
+        # child is already written at its own server, so a parent removed
+        # meanwhile goes unreported, as it would for a delayed update.
         owner = self.membership.current.dir_owner_by_fp(value["parent_fp"])
-        if owner != self.addr:
-            # The switch redirected with routes from a previous epoch and
-            # the group has since migrated: hand the update to the live
-            # owner instead of writing into a moved shard.
-            yield from self._call(
-                owner,
-                "apply_parent_update",
-                {"parent_id": value["parent_id"], "entry": value["entry"]},
-            )
-        else:
-            self._mutator_begin()
-            try:
-                yield from self._apply_entry_with_inode_txn(
-                    value["parent_id"], value["entry"]
-                )
-            finally:
-                self._mutator_end()
+        yield from self._update_parent_sync(owner, value["parent_id"], value["entry"])
         # Forward the (now fulfilled) response to the client.
         self.node.net.send(
             Packet(

@@ -97,21 +97,24 @@ class ReadOps:
         self._check_valid(args)
         self._check_owner_dir(fp)
 
-        # Directory state comes from the switch (RET bit on the request) or
-        # from an explicit stale-set-server query.
-        if self.ss is not None:
-            scattered = yield from self.ss.query(fp)
-        else:
-            scattered = bool(packet.header is not None and packet.header.ret)
+        # A synchronous scheme scatters nothing: its reads ask no stale set
+        # and pay no aggregation check.
+        if self.config.async_updates:
+            # Directory state comes from the switch (RET bit on the request)
+            # or from an explicit stale-set-server query.
+            if self.ss is not None:
+                scattered = yield from self.ss.query(fp)
+            else:
+                scattered = bool(packet.header is not None and packet.header.ret)
 
-        # Checking for in-flight aggregations on the group costs a little
-        # even in the common (normal-state) case — the statdir premium the
-        # paper reports in §6.2.2.
-        yield self._cpu(self.perf.agg_check_us)
-        yield from self._wait_group_unblocked(fp)
-        if scattered:
-            self.counters.inc("read_triggered_aggregations")
-            yield from self._aggregate_group(fp)
+            # Checking for in-flight aggregations on the group costs a little
+            # even in the common (normal-state) case — the statdir premium
+            # the paper reports in §6.2.2.
+            yield self._cpu(self.perf.agg_check_us)
+            yield from self._wait_group_unblocked(fp)
+            if scattered:
+                self.counters.inc("read_triggered_aggregations")
+                yield from self._aggregate_group(fp)
 
         key = dir_meta_key(pid, name)
         lock = yield from self._acquire(self._inode_lock(key), "r")

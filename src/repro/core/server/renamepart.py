@@ -136,20 +136,18 @@ class RenameParticipant:
                 for pid, fp, entry in async_entries
             ]
             yield AllOf(self.sim, marks)
-        # Presence-aware parent fix-ups: entry list + inode touch.
+        # Synchronous parent fix-ups (sync mode, directory renames): the
+        # shared apply, under the parent lock round 1 took.
         for parent_key, parent_id, name, add, is_dir, ts in args.get("entry_ops", []):
-            yield self._cpu(self.perf.dir_inode_update_us + self.perf.dir_entry_put_us)
             entry = ChangeLogEntry(
                 timestamp=ts,
                 op=ChangeOp.CREATE if add else ChangeOp.DELETE,
                 name=name,
                 is_dir=is_dir,
             )
-            delta = self._apply_entry_to_list(parent_id, entry)
-            key = tuple(parent_key)
-            inode = self.kv.get_or_none(key)
-            if inode is not None:
-                self.kv.put(key, inode.touched(ts, delta))
+            yield from self._apply_entry_with_inode_txn(
+                parent_id, entry, frozenset([tuple(parent_key)])
+            )
         for dir_id, key in args.get("dir_index", []):
             self._dir_index[dir_id] = tuple(key)
         for dir_id in args.get("dir_index_drop", []):

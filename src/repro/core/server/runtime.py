@@ -12,11 +12,11 @@ have the same storage and networking framework", §6.1) is realised here:
 * the recovery gate that blocks operations while a server rebuilds
   state after a crash (§4.4.2),
 
-so :class:`~repro.core.server.MetadataServer` and the baselines'
-``SyncMetadataServer`` differ only in their *metadata scheme*, never in
-the substrate.  Throughput/latency differences between systems therefore
-come from the protocols, not from divergent engineering — exactly the
-property the evaluation relies on.
+and :class:`~repro.core.server.MetadataServer` builds SwitchFS and every
+baseline on it, so systems differ only in their *metadata scheme* and
+placement, never in the substrate.  Throughput/latency differences
+between systems therefore come from the protocols, not from divergent
+engineering — exactly the property the evaluation relies on.
 
 Every substrate primitive doubles as an instrumentation hook: CPU
 charges record ``queue``/``cpu`` time, lock acquisitions record ``lock``
@@ -137,11 +137,6 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         """*n* parallel :meth:`charge_cpu` of *us* each behind one event."""
         return self.cores.hold_all(n, us * self._stack_mult, self.phases)
 
-    def _net_penalty(self) -> Generator:
-        """Extra per-message software cost (kernel-networking baselines)."""
-        if self.perf.extra_net_us:
-            yield self._cpu(self.perf.extra_net_us)
-
     # ------------------------------------------------------------------
     # locks (DESIGN §9: a table holds one only while held or waited on)
     # ------------------------------------------------------------------
@@ -249,7 +244,8 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         systems (Challenge 2).  *already_locked* names inode keys the
         caller holds write locks on (rmdir holds its own target's lock
         while aggregating, so re-acquiring would self-deadlock; a
-        baseline's commit phase holds the one its prepare phase took).
+        ``parent_commit`` holds the one its ``parent_prepare`` took, a
+        rename commit the ones its round 1 took).
 
         A directory removed meanwhile is not an error here: a delayed
         update has nobody left to tell, and a synchronous caller turns

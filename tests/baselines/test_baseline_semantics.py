@@ -9,10 +9,10 @@ from repro.baselines import (
     GroupedPartition,
     IndexFSCluster,
     InfiniFSCluster,
-    PerFilePartition,
     SubtreePartition,
 )
 from repro.core import FSConfig, FSError
+from repro.core.membership import bootstrap_view
 
 ALL_SYSTEMS = [InfiniFSCluster, CFSKVCluster, IndexFSCluster, CephLikeCluster]
 
@@ -99,7 +99,8 @@ class TestPartitionPlacement:
         assert len(owners) == 1
 
     def test_per_file_spreads_children(self):
-        part = PerFilePartition(8)
+        """CFS-KV separating: its placement is the epoch-0 view."""
+        part = bootstrap_view(FSConfig(num_servers=8))
         owners = {part.file_owner(12345, f"f{i}", "/d") for i in range(200)}
         assert len(owners) == 8
 

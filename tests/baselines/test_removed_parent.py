@@ -16,13 +16,6 @@ def switchfs_sync(config):
     return SwitchFSCluster(replace(config, async_updates=False, recast=False))
 
 
-# Until the synchronous parent update is written once, SwitchFS's copy
-# answers ok under a removed parent and leaves the child behind.
-SWITCHFS_SYNC = pytest.param(
-    switchfs_sync, id="switchfs_sync",
-    marks=pytest.mark.xfail(strict=True, reason="orphan under a removed parent"),
-)
-
 
 def removed_parent(cluster_cls):
     """Client 0 has ``/d`` cached; client 1 removed it."""
@@ -42,7 +35,7 @@ def keys_under(cluster, dir_id):
 
 @pytest.mark.parametrize(
     "cluster_cls",
-    [InfiniFSCluster, CFSKVCluster, IndexFSCluster, CephLikeCluster, SWITCHFS_SYNC],
+    [InfiniFSCluster, CFSKVCluster, IndexFSCluster, CephLikeCluster, switchfs_sync],
 )
 @pytest.mark.parametrize("op", ["create", "mkdir"])
 def test_add_under_a_removed_parent_leaves_no_orphan(cluster_cls, op):
@@ -94,7 +87,6 @@ def test_create_racing_rmdir_is_refused_cleanly_and_strands_no_lock():
     sweep_create_against_rmdir(CFSKVCluster)
 
 
-@pytest.mark.xfail(strict=True, reason="orphan under a removed parent")
 def test_switchfs_sync_create_racing_rmdir_is_refused_cleanly():
     sweep_create_against_rmdir(switchfs_sync)
 

@@ -5,8 +5,7 @@ AsyncFS-terminology aliases."""
 import pytest
 
 import repro
-from repro.baselines import BaselineClient, BaselineCluster, SyncMetadataServer
-from repro.baselines.common import PerFilePartition
+from repro.baselines import BaselineCluster, CFSKVCluster
 from repro.core import FSConfig, LibFS, MetadataServer, ServerRuntime, SwitchFSCluster
 from repro.core.cluster import Cluster
 from repro.errors import ReproError
@@ -22,7 +21,7 @@ def switchfs(**overrides):
 def baseline(**overrides):
     defaults = dict(num_servers=2, cores_per_server=2, seed=9)
     defaults.update(overrides)
-    return BaselineCluster(FSConfig(**defaults), partition_cls=PerFilePartition)
+    return CFSKVCluster(FSConfig(**defaults))
 
 
 class TestSharedRuntime:
@@ -37,9 +36,8 @@ class TestSharedRuntime:
         # acquisition, and RPC plumbing are the same code object for
         # SwitchFS and the baselines, not parallel implementations.
         for method in ("_cpu", "_acquire", "_release", "_call", "_inode_lock",
-                       "_net_penalty", "_wait_recovered"):
+                       "_wait_recovered"):
             assert getattr(MetadataServer, method) is getattr(ServerRuntime, method)
-            assert getattr(SyncMetadataServer, method) is getattr(ServerRuntime, method)
 
     def test_client_and_cluster_are_shared_not_retyped(self):
         # The same cut one layer up: a baseline client is LibFS but for
