@@ -6,7 +6,9 @@ the directory update itself was deferred (visibility, §1/§4.1)."""
 
 import pytest
 
+from repro.baselines import CFSKVCluster, InfiniFSCluster
 from repro.core import FSConfig, FSError, SwitchFSCluster
+from repro.net import Sniffer
 
 
 @pytest.fixture
@@ -113,6 +115,22 @@ class TestMkdirRmdir:
         with pytest.raises(FSError) as err:
             cluster.run_op(fs.rmdir("/ghost"))
         assert err.value.code == "ENOENT"
+
+    @pytest.mark.parametrize("make", [SwitchFSCluster, InfiniFSCluster, CFSKVCluster])
+    def test_mkdir_caches_what_it_made(self, make):
+        """mkdir returns the new directory's id and fingerprint and the
+        client keeps them: the rmdir and the create that follow resolve
+        the directory without a lookup_dir."""
+        cluster = make(FSConfig(num_servers=4, cores_per_server=2, seed=11))
+        fs = cluster.client(0)
+        sniffer = Sniffer.attach(cluster.net)
+        cluster.run_op(fs.mkdir("/d"))
+        cluster.run_op(fs.create("/d/f"))
+        cluster.run_op(fs.delete("/d/f"))
+        cluster.run_op(fs.rmdir("/d"))
+        sniffer.detach()
+        assert sniffer.count(method="lookup_dir") == 0
+        assert sniffer.count(method="rmdir") == 1
 
     def test_create_under_removed_dir_fails(self, cluster, fs):
         cluster.run_op(fs.mkdir("/dying"))
