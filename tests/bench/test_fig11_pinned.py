@@ -43,33 +43,43 @@ def test_fig11_small_point_bit_identical_to_seed_engine():
 
 
 # The baselines' virtual time, one small closed-loop point per system and
-# op: (sim_elapsed_us, mean latency, sha256 of the sample list), captured at
-# PR 22's head, before the baseline client and placement were folded into
-# LibFS.  rmdir is a mkdir -> rmdir pair, as in the figure benches.
+# op: (sim_elapsed_us, mean latency, sha256 of the sample list), captured
+# once the baselines became MetadataServers with async_updates=False over
+# their placements.  rmdir is a mkdir -> rmdir pair, as in the figure
+# benches.
 PINNED_BASELINES = {
     ("InfiniFS", "create"): (865.6999999999999, 108.89333333333333, "87d45ae1072271c3c751dc6e460531be3240ce8c3d52a0c5d4396074f0517b98"),
     ("InfiniFS", "rmdir"): (2306.2499999999977, 293.90249999999935, "3eb25b4ca91fd6cd8a46f5992973da7a82ee325d585738263c0dc3906a858771"),
     ("InfiniFS", "statdir"): (65.4, 8.453333333333333, "506378c5754f7df5bb8c1c23141f710db1df8837e0119bc27e24bac88201e433"),
-    ("CFS-KV", "create"): (1167.3499999999976, 146.26666666666634, "43a905cdf9e162319fd8268efc375aaad1c20ed9155fccf6fadce0878920ac31"),
-    ("CFS-KV", "rmdir"): (2280.2999999999984, 290.5991666666663, "3f5c537e23b541a6a913bd0a76c366998068686b6eb39a3ea11b6926783091e4"),
+    ("CFS-KV", "create"): (1149.049999999998, 144.20749999999978, "97af9cc61ad62a0d60f16383b39e5d30a0ec7e38ca154c25015256ab777c3e62"),
+    ("CFS-KV", "rmdir"): (2257.4499999999985, 286.53249999999946, "3a795ac6ade36eb8f08924f27338f7013b08aecdcb57b5b1218f56f6a74d721f"),
     ("CFS-KV", "statdir"): (65.4, 8.453333333333333, "506378c5754f7df5bb8c1c23141f710db1df8837e0119bc27e24bac88201e433"),
     ("IndexFS", "create"): (1787.7, 225.29333333333335, "49776425dab6def2cadab2c882023c38ea2d30631a2ace3bd82ae1849fbe99b5"),
     ("IndexFS", "rmdir"): (7369.700000000024, 939.8591666666701, "95295126f78e68fa5cbfaab11dcc8285956cc2cdd2078549382e090bf3ad3583"),
     ("IndexFS", "statdir"): (573.6999999999999, 73.96, "6b20f3598143422cd3ac62d23e5d0e4be79836301e6fd4e2dad3850251644523"),
-    ("Ceph", "create"): (24235.399999999998, 3110.4866666666658, "17908e0a61946eede704b61bda6023e541e159ebfd60ec7d4f267710f3498b71"),
-    ("Ceph", "rmdir"): (47135.100000000006, 6061.533333333335, "cd60e47616316797d7b4400cec5220109abb6ae52856c5e901ec2166fe2c8d96"),
+    ("Ceph", "create"): (24253.399999999998, 3111.925, "6f06dec655809b590d5792d763f10e04f58b1819e1818515eb78004093403736"),
+    ("Ceph", "rmdir"): (47639.3, 6126.353333333333, "025d73bb1ba5e52aa8d0828f70089cc0ccc32087c5ccce1b0c502bdd3fd399a3"),
     ("Ceph", "statdir"): (17283.7, 2227.6933333333336, "74c972200ff0b8f64c14ddfa8675707c153c4c38bda52f1427c551abba7fd552"),
 }
 
 
-@pytest.mark.parametrize("system,op", sorted(PINNED_BASELINES))
-def test_baseline_small_point_bit_identical(system, op):
-    cluster = make_cluster(system, scaled_config(num_servers=4, seed=17))
+def small_point(system, op, **config):
+    cluster = make_cluster(system, scaled_config(num_servers=4, seed=17, **config))
     pop = bootstrap(cluster, single_large_directory(100), warm_clients=[0])
     stream = FixedOpStream(op, pop, seed=17, dir_choice="single")
     result = run_stream(cluster, stream, total_ops=60, inflight=8)
     samples = result.latency.samples("all")
     digest = hashlib.sha256(json.dumps(samples).encode()).hexdigest()
-    assert (result.sim_elapsed_us, result.mean_latency_us, digest) == (
-        PINNED_BASELINES[system, op]
-    )
+    return result.sim_elapsed_us, result.mean_latency_us, digest
+
+
+@pytest.mark.parametrize("system,op", sorted(PINNED_BASELINES))
+def test_baseline_small_point_bit_identical(system, op):
+    assert small_point(system, op) == PINNED_BASELINES[system, op]
+
+
+def test_switchfs_sync_create_point_is_cfskv_point():
+    """SwitchFS with async_updates=False (Fig 15's Baseline) is CFS-KV's
+    scheme over CFS-KV's placement: the same point, bit for bit."""
+    point = small_point("SwitchFS", "create", async_updates=False, recast=False)
+    assert point == PINNED_BASELINES["CFS-KV", "create"]

@@ -94,12 +94,12 @@ class TestConfig:
 
     def test_boundary_timing_accepted(self):
         FSConfig(grace_period_us=500.0, unlock_watchdog_us=0.0, proactive_idle_push_us=0.0)
-        PerfModel(rpc_max_attempts=1, extra_net_us=0.0)
+        PerfModel(rpc_max_attempts=1, stack_multiplier=0.0)
 
     def test_perf_scaled(self):
-        perf = PerfModel().scaled(3.0, extra_net_us=10.0)
+        perf = PerfModel().scaled(3.0)
         assert perf.stack_multiplier == 3.0
-        assert perf.extra_net_us == 10.0
+        assert perf.path_check_us == PerfModel().path_check_us  # segments stay
         # scaled() composes.
         perf2 = perf.scaled(2.0)
         assert perf2.stack_multiplier == 6.0

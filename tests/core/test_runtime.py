@@ -40,14 +40,13 @@ class TestSharedRuntime:
             assert getattr(MetadataServer, method) is getattr(ServerRuntime, method)
 
     def test_client_and_cluster_are_shared_not_retyped(self):
-        # The same cut one layer up: a baseline client is LibFS but for
-        # the two ops its wire protocol changes, and a baseline cluster is
-        # the cluster base with another network, server and placement.
-        for method in ("resolve_dir", "_call", "_file_op", "mkdir", "_dir_read",
-                       "prime_cache", "invalidate_path"):
-            assert getattr(BaselineClient, method) is getattr(LibFS, method)
-        own = {n for n in vars(BaselineClient) if n in vars(LibFS)} - {"__module__", "__doc__"}
-        assert own == {"rmdir", "rename"}
+        # The same cut one layer up: a baseline is SwitchFS's own server
+        # and client with async_updates=False, and its cluster is the
+        # cluster base with another network and placement.
+        bl = baseline()
+        assert all(type(server) is MetadataServer for server in bl.servers)
+        assert type(bl.client(0)) is LibFS
+        assert not bl.config.async_updates
         for method in ("client", "server_by_addr", "run_op", "run", "switch_stats"):
             assert getattr(SwitchFSCluster, method) is getattr(Cluster, method)
             assert getattr(BaselineCluster, method) is getattr(Cluster, method)

@@ -278,7 +278,9 @@ class TestHashSeedIndependence:
 class TestLeafSpineVirtualTimePinned:
     """Virtual time on leaf-spine, captured at the commit before the path
     factories were merged: which spine a packet climbs to must not move
-    when it arrives."""
+    when it arrives.  (Re-captured once since, 8.8 us earlier from the
+    first create on: mkdir now caches /d, so that create sends no
+    lookup_dir.)"""
 
     @pytest.mark.parametrize("spines", [1, 2])
     def test_completion_timestamps(self, spines):
@@ -296,9 +298,9 @@ class TestLeafSpineVirtualTimePinned:
             if i % 7 == 6:
                 op(fs.statdir("/d"))
         assert len(stamps) == 46
-        assert cluster.sim.now == 1004.6999999999991
+        assert cluster.sim.now == 995.8999999999991
         digest = hashlib.sha256(repr(stamps).encode()).hexdigest()
-        assert digest[:16] == "f31665e5259f822f"
+        assert digest[:16] == "929909596686ef81"
 
 
 class TestConfigValidation:
