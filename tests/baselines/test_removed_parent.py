@@ -16,7 +16,6 @@ def switchfs_sync(config):
     return SwitchFSCluster(replace(config, async_updates=False, recast=False))
 
 
-
 def removed_parent(cluster_cls):
     """Client 0 has ``/d`` cached; client 1 removed it."""
     cluster = cluster_cls(FSConfig(num_servers=4, cores_per_server=2, seed=2))
