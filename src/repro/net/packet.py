@@ -216,20 +216,28 @@ class Packet:
             f"uid={self.uid}, payload={self.payload!r})"
         )
 
-    def clone(self, **overrides: Any) -> "Packet":
-        """Duplicate this packet (fresh uid), optionally overriding fields.
+    def clone(
+        self,
+        dst: Optional[str] = None,
+        payload: Any = None,
+        header: Optional[StaleSetHeader] = None,
+    ) -> "Packet":
+        """Duplicate this packet (fresh uid), overriding the fields given.
 
-        Used by the fault model for duplication and by the switch for
-        multicast / address rewriting.  Skips revalidation — the source
-        fields are already valid and the switch only rewrites
-        ``dst``/``header`` consistently.
+        Used by the fault model for duplication, by the RPC layer to resend
+        a kept reply and by the switch for multicast, address rewriting and
+        turning a request around.  Skips revalidation — the source fields
+        are already valid and the switch only rewrites ``dst``/``header``
+        consistently.
         """
-        p = alloc_packet(
-            self.src, self.dst, self.payload, self.port, self.header, self.size_bytes
+        return alloc_packet(
+            self.src,
+            self.dst if dst is None else dst,
+            self.payload if payload is None else payload,
+            self.port,
+            self.header if header is None else header,
+            self.size_bytes,
         )
-        for name, value in overrides.items():
-            setattr(p, name, value)
-        return p
 
 
 def alloc_packet(

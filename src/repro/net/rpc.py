@@ -18,19 +18,23 @@ core holds, nested RPCs) and return either a plain value or a
 
 Fast paths (DESIGN.md §10)
 --------------------------
-* **Inline dispatch**: an inbound request is served by
+* **The inbox drain is the dispatcher**: a host's :class:`_Inbox` is its
+  own kernel entry; its pop swaps out the queued packets and dispatches
+  each in place — a response to its waiter, a request to
   :meth:`Simulator.adopt`, which drives the serve generator in the
-  inbox's frame — no boot entry — and, its handle dropped, no completion
-  entry either.  The handler itself runs via ``yield from`` inside the
+  drain's frame (no boot entry) and, its handle dropped, takes no
+  completion entry either.  The handler runs via ``yield from`` inside the
   serve generator, so the blocking path costs one process instead of two.
+* **A reply is its packet**: the serve generator builds and sends the
+  response packet itself (a plain return value makes no :class:`Reply`),
+  and at-most-once keeps that packet; a duplicate request gets a clone.
 * **Scatter-gather multicast**: :meth:`RpcNode.multicast_call` sends all
   requests up front and counts completions on one shared event instead of
   spawning a process per destination; one shared deadline drives
   retransmission to the still-unanswered subset.
 * **One retransmit deadline per node** (:class:`_Deadlines`) instead of
-  a timer per attempt, and **an inbox that is its own kernel entry**
-  (:class:`_Inbox`) instead of a store, a getter event and a dispatcher
-  process.
+  a timer per attempt; the backoff is a table, the lowest outstanding id
+  the first key of the pending map.
 * **Validation-free packets**: outbound packets come from
   :func:`alloc_packet`, which skips the port/header pairing check the
   public constructor makes (the pairing is correct by construction here).
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from heapq import heappush as _heappush
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
@@ -73,8 +78,10 @@ class RpcTimeout(RpcError):
 # response, so they don't consume ids from the shared counter).
 _rpc_ids = itertools.count(1)
 
-#: Sentinel distinguishing "no cache entry" from a cached ``None`` marker.
-_MISSING = object()
+#: Retransmit backoff per attempt: the timeout doubles up to 64 times.
+_BACKOFF = (1, 2, 4, 8, 16, 32)
+_BACKOFF_STEPS = len(_BACKOFF)
+_BACKOFF_CAP = 64
 
 #: Sentinel delivered to a waiting call when its retransmit deadline
 #: fires first.  Racing the deadline and the response on ONE event
@@ -168,33 +175,6 @@ class Reply:
 Handler = Callable[[RpcRequest, Packet], Generator]
 
 
-class _Pending:
-    """Bookkeeping for one in-flight rpc_id.
-
-    For a plain :meth:`RpcNode.call`, ``event`` fires with the response and
-    ``packet`` carries the response packet back to the caller.  For a
-    multicast member, ``gather``/``index`` route the value into the shared
-    :class:`_Gather` instead (and the entry is removed on first response,
-    which is also what dedupes duplicates).
-    """
-
-    __slots__ = ("event", "packet", "response", "gather", "index")
-
-    def __init__(
-        self,
-        event: Optional[Event],
-        gather: Optional["_Gather"] = None,
-        index: int = 0,
-    ):
-        self.event = event
-        self.packet: Optional[Packet] = None
-        # A response that landed in the race window after the retransmit
-        # timer's sentinel fired but before the caller resumed.
-        self.response: Optional[RpcResponse] = None
-        self.gather = gather
-        self.index = index
-
-
 class _Gather:
     """Scatter-gather completion counter for :meth:`RpcNode.multicast_call`."""
 
@@ -229,20 +209,18 @@ class _Deadlines(Event):
 
     def add(self, timeout_us: float, waiter: Event) -> None:
         sim = self.sim
-        record = (sim.now + timeout_us, sim.reserve_seq(), waiter)
+        # Inlined Simulator.reserve_seq and, below, schedule_at: one record
+        # per attempt.
+        record = (sim.now + timeout_us, next(sim._counter), waiter)  # reprolint: allow[private-access] documented scheduler fast path
         records = self.records
         if records and record < records[-1]:
             insort(records, record)
         else:
             records.append(record)
-        self._arm(record)
-
-    def _arm(self, record: Tuple[float, int, Event]) -> None:
-        """Push an entry for *record* unless a live one is at or before it."""
         live = self.live
         if not live or record < live[-1]:
             live.append(record)
-            self.sim.schedule_at(record[0], self, record[1])
+            _heappush(sim._heap, (record[0], record[1], self))  # reprolint: allow[private-access] documented scheduler fast path
 
     def _run_callbacks(self) -> None:
         """Fire the record this entry stands for unless its response won
@@ -254,27 +232,31 @@ class _Deadlines(Event):
             waiter = head[2]
             if not waiter._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
                 if head is not due:
-                    self._arm(head)
+                    live = self.live  # re-arm unless a live entry is at or before it
+                    if not live or head < live[-1]:
+                        live.append(head)
+                        self.sim.schedule_at(head[0], self, head[1])
                     return
                 waiter.succeed(_TIMED_OUT)
             records.popleft()
 
 
-class _Inbox(Event):
-    """A host's inbound queue that is its own kernel entry.
+class _Inbox:
+    """A host's inbound queue that is its own kernel entry (DESIGN.md §9).
 
     ``put`` queues the packet and, unless armed, queues the inbox at
-    ``(now, next tick)`` on the kernel's ready queue; the pop hands the
-    node every queued packet in arrival order, so one delivered meanwhile
-    rides the first's entry.
+    ``(now, next tick)`` on the kernel's ready queue; the pop takes every
+    queued packet in arrival order, so one delivered meanwhile rides the
+    first's entry, and dispatches it here: a response to its waiter, a
+    request to an adopted serve generator.
     """
 
-    __slots__ = ("node", "items", "armed")
+    __slots__ = ("node", "sim", "items", "armed")
 
     def __init__(self, node: "RpcNode"):
-        Event.__init__(self, node.sim)
         self.node = node
-        self.items: Deque[Packet] = deque()
+        self.sim = node.sim
+        self.items: List[Packet] = []
         self.armed = False
 
     def put(self, packet: Packet) -> None:
@@ -286,17 +268,42 @@ class _Inbox(Event):
             sim._ready.append((sim.now, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
 
     def _run_callbacks(self) -> None:
+        node = self.node
+        handlers = node._handlers
         items = self.items
-        on_packet = self.node._on_packet
-        while items:
-            on_packet(items.popleft())
+        while items:  # a packet put during the drain joins it
+            self.items = []
+            for packet in items:
+                if not node._alive:
+                    continue  # crashed host: packets fall on the floor
+                for tap in node._raw_taps:
+                    if tap(packet):
+                        break
+                else:
+                    payload = packet.payload
+                    kind = payload.__class__
+                    if kind is RpcResponse:
+                        node._complete(payload, packet)
+                    elif kind is RpcRequest:
+                        method = payload.method
+                        handler, name = (
+                            handlers[method] if method in handlers
+                            else (None, f"serve-{method}@{node.addr}")
+                        )
+                        # Inline dispatch: the serve generator runs in this
+                        # frame up to its first pending event; nobody
+                        # observes the continuation.
+                        node.sim.adopt(node._serve(payload, packet, handler), name)
+                    # Unknown payloads are dropped silently (UDP semantics).
+            items = self.items
         self.armed = False
 
 
 class _Replies(dict):
-    """One caller's replies on a server: ``rpc_id`` -> :class:`Reply`
-    (``None`` while the first execution runs), in arrival order — id order
-    unless the fabric reorders — above ``acked``, its highest watermark."""
+    """One caller's replies on a server: ``rpc_id`` -> the response packet
+    sent (``None`` while the first execution runs; a duplicate request gets
+    a clone), in arrival order — id order unless the fabric reorders —
+    above ``acked``, its highest watermark."""
 
     __slots__ = ("acked",)
 
@@ -305,16 +312,9 @@ class _Replies(dict):
 
     def advance(self, acked: int) -> None:
         """Forget the replies below the caller's new watermark (a marker
-        stays until its handler returns; a reply that arrived out of id
-        order goes with the later id it arrived behind)."""
+        stays until its handler returns)."""
         self.acked = acked
-        done = []
-        for rpc_id, reply in self.items():
-            if rpc_id >= acked:
-                break
-            if reply is not None:
-                done.append(rpc_id)
-        for rpc_id in done:
+        for rpc_id in [i for i, sent in self.items() if i < acked and sent is not None]:
             del self[rpc_id]
 
 
@@ -327,10 +327,13 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         self.addr = addr
         self._inbox = net.attach(addr, _Inbox(self))
         self._deadlines = _Deadlines(sim)
-        self._handlers: Dict[str, Handler] = {}
-        # In rpc_id order (ids only grow): the first key is the `acked`
-        # every request carries.
-        self._pending: Dict[int, _Pending] = {}
+        # method -> (handler, the name its serve processes carry)
+        self._handlers: Dict[str, Tuple[Handler, str]] = {}
+        # rpc_id -> a call's current attempt event (or the reply packet that
+        # landed in its race window), or a multicast member's
+        # (_Gather, index).  In rpc_id order (ids only grow): the first key
+        # is the `acked` every request carries.
+        self._pending: Dict[int, Any] = {}
         self._replies: Dict[str, _Replies] = defaultdict(_Replies)  # by source addr
         self._raw_taps: List[Callable[[Packet], bool]] = []
         self._alive = True
@@ -339,7 +342,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
     # -- registration --------------------------------------------------------
     def register(self, method: str, handler: Handler) -> None:
         """Install *handler* for *method*; replaces any existing one."""
-        self._handlers[method] = handler
+        self._handlers[method] = (handler, f"serve-{method}@{self.addr}")
 
     def add_raw_tap(self, tap: Callable[[Packet], bool]) -> None:
         """Install a packet tap that sees every inbound packet first.
@@ -377,8 +380,8 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         and :class:`RpcError` for application errors.
         """
         rpc_id = next(_rpc_ids)
-        pending = _Pending(event=None)
-        self._pending[rpc_id] = pending
+        pending_map = self._pending
+        pending_map[rpc_id] = None  # listed first: acked <= rpc_id
         sim = self.sim
         set_deadline = self._deadlines.add
         try:
@@ -389,33 +392,34 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 # contended lock during aggregation) still answers the first
                 # request; later retransmits are duplicates the reply cache
                 # absorbs, so patience grows instead of giving up.
-                attempt_timeout = timeout_us * min(2 ** attempt, 64)
-                request = RpcRequest(
-                    rpc_id, method, args, self.addr, True, attempt, next(iter(self._pending))
+                attempt_timeout = timeout_us * (
+                    _BACKOFF[attempt] if attempt < _BACKOFF_STEPS else _BACKOFF_CAP
                 )
+                for acked in pending_map:  # the first key: lowest outstanding id
+                    break
+                request = RpcRequest(rpc_id, method, args, self.addr, True, attempt, acked)
                 header = make_header(attempt) if make_header else None
                 port = STALESET_PORT if header is not None else REGULAR_PORT
-                self.net.send(
-                    alloc_packet(self.addr, dst, request, port, header, size_bytes)
-                )
                 # Race the response against the retransmit deadline on ONE
                 # fresh event (no AnyOf combinator): whichever triggers it
                 # first wins, the loser sees `triggered` and backs off.
-                ev = sim.event()
-                pending.event = ev
+                ev = pending_map[rpc_id] = sim.event()
+                self.net.send(
+                    alloc_packet(self.addr, dst, request, port, header, size_bytes)
+                )
                 set_deadline(attempt_timeout, ev)
-                result = yield ev
-                if result is _TIMED_OUT:
-                    result = pending.response  # may have landed in the race
-                    if result is None:         # window at this timestamp
+                packet = yield ev
+                if packet is _TIMED_OUT:
+                    packet = pending_map[rpc_id]  # a reply may have landed in
+                    if packet is ev:              # the race window meanwhile
                         continue
-                response: RpcResponse = result
+                response: RpcResponse = packet.payload
                 if response.error is not None:
                     raise RpcError(response.error)
-                return response.value, pending.packet
+                return response.value, packet
             raise RpcTimeout(f"rpc {method} to {dst} timed out after {max_attempts} attempts")
         finally:
-            self._pending.pop(rpc_id, None)
+            del pending_map[rpc_id]  # only this frame removes a call's entry
 
     def notify(
         self,
@@ -490,14 +494,17 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         for index in range(len(dsts)):
             rpc_id = next(_rpc_ids)
             ids.append(rpc_id)
-            self._pending[rpc_id] = _Pending(None, gather, index)
+            self._pending[rpc_id] = (gather, index)
         addr = self.addr
         send = self.net.send
         pending_map = self._pending
         try:
             for attempt in range(max_attempts):
-                attempt_timeout = timeout_us * min(2 ** attempt, 64)
-                acked = next(iter(pending_map))  # nothing completes mid-sweep
+                attempt_timeout = timeout_us * (
+                    _BACKOFF[attempt] if attempt < _BACKOFF_STEPS else _BACKOFF_CAP
+                )
+                for acked in pending_map:  # nothing completes mid-sweep
+                    break
                 for index, dst in enumerate(dsts):
                     rpc_id = ids[index]
                     if rpc_id not in pending_map:
@@ -528,115 +535,94 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
             for rpc_id in ids:
                 pending_map.pop(rpc_id, None)
 
-    def send_response(
-        self,
-        request: RpcRequest,
-        reply: Reply,
-        request_packet: Packet,
-    ) -> None:
-        """Transmit the response packet for *request* according to *reply*."""
-        response = RpcResponse(rpc_id=request.rpc_id, value=reply.value, error=reply.error)
-        dst = reply.dst or request.src
-        port = STALESET_PORT if reply.header is not None else REGULAR_PORT
-        self.net.send(
-            alloc_packet(self.addr, dst, response, port, reply.header, reply.size_bytes)
-        )
-
-    # -- dispatcher -------------------------------------------------------------
-    def _on_packet(self, packet: Packet) -> None:
-        """Handle one inbound packet (called from the inbox's entry)."""
-        if not self._alive:
-            # Crashed host: packets fall on the floor.
-            return
-        for tap in self._raw_taps:
-            if tap(packet):
-                return
-        payload = packet.payload
-        if isinstance(payload, RpcResponse):
-            self._complete(payload, packet)
-        elif isinstance(payload, RpcRequest):
-            # Inline dispatch: the serve generator runs in this frame up to
-            # its first pending event; nobody observes the continuation.
-            self.sim.adopt(
-                self._serve(payload, packet), f"serve-{payload.method}@{self.addr}"
-            )
-        # Unknown payloads are dropped silently (UDP semantics).
-
+    # -- dispatcher (the inbox entry calls these) ---------------------------------
     def _complete(self, response: RpcResponse, packet: Packet) -> None:
         """Route a response to its waiter."""
-        pending = self._pending.get(response.rpc_id)
-        if pending is None:
+        pending_map = self._pending
+        rpc_id = response.rpc_id
+        if rpc_id not in pending_map:
             return  # duplicate, late, or notification echo
-        gather = pending.gather
-        if gather is None:
-            ev = pending.event
-            if ev is None or ev._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
+        waiter = pending_map[rpc_id]
+        kind = waiter.__class__
+        if kind is not tuple:
+            if kind is Packet or waiter._triggered:  # reprolint: allow[private-access] hot path, mirrors Event.triggered
                 # The retransmit timer's sentinel beat us at this timestamp;
-                # stash the response so the caller picks it up on resume
+                # stash the packet so the caller picks it up on resume
                 # instead of paying a full retransmission round trip.
-                pending.response = response
-                pending.packet = packet
-                return
-            pending.packet = packet
-            ev.succeed(response)
+                pending_map[rpc_id] = packet
+            else:
+                waiter.succeed(packet)
             return
         # Multicast member: first response wins; removing the entry is what
-        # makes later duplicates fall through to the `pending is None` path.
-        del self._pending[response.rpc_id]
+        # makes later duplicates fall through to the `not in` check.
+        del pending_map[rpc_id]
+        gather, index = waiter
         if response.error is not None:
             if gather.error is None:
                 gather.error = response.error
             if not gather.event._triggered:  # reprolint: allow[private-access] hot path
                 gather.event.succeed()  # fail fast, mirroring AllOf semantics
             return
-        gather.values[pending.index] = response.value
+        gather.values[index] = response.value
         gather.remaining -= 1
         if gather.remaining == 0 and not gather.event._triggered:  # reprolint: allow[private-access] hot path
             gather.event.succeed()
 
-    def _serve(self, request: RpcRequest, packet: Packet) -> Generator:
-        handler = self._handlers.get(request.method)
+    def _serve(
+        self, request: RpcRequest, packet: Packet, handler: Optional[Handler]
+    ) -> Generator:
+        """Run *handler* for *request* and send its response packet, at most
+        once per ``rpc_id`` for a request that wants a reply."""
+        wants_reply = request.wants_reply
+        rpc_id = request.rpc_id
+        replies = None
         if handler is None:
-            if request.wants_reply:
-                self.send_response(
-                    request,
-                    Reply(error=f"no handler for method {request.method!r} on {self.addr}"),
-                    packet,
-                )
-            return None
-        if request.wants_reply:
-            rpc_id = request.rpc_id
-            replies = self._replies[request.src]
-            if request.acked > replies.acked:
-                replies.advance(request.acked)
-            elif rpc_id < replies.acked:
-                return None  # late copy of a call its caller is done with
-            cached = replies.get(rpc_id, _MISSING)
-            if cached is not _MISSING:
-                if cached is not None:
-                    self.send_response(request, cached, packet)
-                # else: first execution still running; drop the duplicate —
-                # the client will retransmit again if the reply is lost.
+            if not wants_reply:
                 return None
-            replies[rpc_id] = None
-        try:
-            # The handler runs inside this generator (yield from) instead of
-            # as a second spawned process; its events pass straight through.
-            result = yield from handler(request, packet)
-        except RpcError as exc:
-            result = Reply(error=str(exc))
-        except Exception as exc:  # noqa: BLE001 - a crashed handler must not
-            # leave the caller retrying forever against an in-progress
-            # reply-cache marker; surface the bug as an error reply.
-            result = Reply(error=f"EINTERNAL: {type(exc).__name__}: {exc}")
-        reply = result if isinstance(result, Reply) else Reply(value=result)
-        if request.wants_reply:
+            value, error = None, f"no handler for method {request.method!r} on {self.addr}"
+        else:
+            if wants_reply:
+                replies = self._replies[request.src]
+                if request.acked > replies.acked:
+                    replies.advance(request.acked)
+                elif rpc_id < replies.acked:
+                    return None  # late copy of a call its caller is done with
+                if rpc_id in replies:
+                    sent = replies[rpc_id]
+                    if sent is not None:
+                        self.net.send(sent.clone())
+                    # else: first execution still running; drop the
+                    # duplicate — the client retransmits if the reply is lost.
+                    return None
+                replies[rpc_id] = None
+            error = None
+            try:
+                # The handler runs inside this generator (yield from) instead
+                # of as a second spawned process; its events pass through.
+                value = yield from handler(request, packet)
+            except RpcError as exc:
+                value, error = None, str(exc)
+            except Exception as exc:  # noqa: BLE001 - a crashed handler must
+                # not leave the caller retrying forever against an
+                # in-progress marker; surface the bug as an error reply.
+                value, error = None, f"EINTERNAL: {type(exc).__name__}: {exc}"
+            if not wants_reply:
+                return None
+        dst, header, size_bytes = request.src, None, 128
+        if value.__class__ is Reply:
+            reply = value
+            value, error, header = reply.value, reply.error, reply.header
+            dst, size_bytes = reply.dst or dst, reply.size_bytes
+        port = REGULAR_PORT if header is None else STALESET_PORT
+        response = RpcResponse(rpc_id, value, error)
+        sent = alloc_packet(self.addr, dst, response, port, header, size_bytes)
+        if replies is not None:
             if rpc_id < replies.acked:
                 del replies[rpc_id]  # abandoned meanwhile: nobody will ask again
             else:
-                replies[rpc_id] = reply
-            if self._alive:
-                self.send_response(request, reply, packet)
+                replies[rpc_id] = sent
+        if self._alive:
+            self.net.send(sent)
         return None
 
     def clear_reply_cache(self) -> None:

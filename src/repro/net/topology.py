@@ -20,26 +20,26 @@ Two topologies cover the paper's deployments:
 
 Fast paths (DESIGN.md §10)
 --------------------------
-Delivery used to be a spawned generator paying one timeout per link and
-per device.  It is now plan-driven: the path's per-link latencies and
-device forwarding delays are coalesced into a :class:`_Plan` of absolute
-offsets — one heap entry per *non-transparent* device plus one for final
-delivery, and zero process allocations.  A passthrough path (no
-programmable device) is a single heap entry end to end.  Plans are cached
-per routing key when the path function exposes ``plan_key`` (both
-topology factories do); the timing arithmetic is identical to the old
-per-hop walk, so delivery timestamps — and therefore packet arrival order
-at the switch and the FIFO tie-break contract of DESIGN.md §9 — are
-unchanged.
+A path compiles into one ``stages`` tuple of absolute offsets: one
+``(offset_us, device)`` per *non-transparent* device, ending in
+``(total_us, None)`` for the delivery; every link latency and device
+latency (transparent ones included) is folded in.  The chain every packet
+shares on a single rack compiles once, when the network is built; a keyed
+path (leaf-spine) caches its stages per ``plan_key``.  Each transmitted
+copy is one plain kernel entry (:class:`_Hop`) re-pushed per stage: a
+device stage hands the packet to ``device.process``, the delivery stage
+puts the packets into their hosts' inboxes.  The arithmetic is that of a
+per-link walk, so delivery timestamps, packet arrival order at the switch
+and the FIFO tie-break contract of DESIGN.md §9 are unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappush as _heappush
 from zlib import crc32
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from ..sim import Event, Simulator, Store
+from ..sim import Simulator, Store
 from .faults import FaultModel
 from .packet import Packet, STALESET_PORT
 
@@ -86,6 +86,9 @@ class PassthroughSwitch:  # reprolint: allow[RL006] one per network, built at bo
 
 
 #: A path function maps a packet to the ordered device chain it traverses.
+#: It may carry ``chain``, the one chain every packet takes (compiled once),
+#: or ``plan_key(packet)``, a routing key the compiled stages are cached
+#: under — ``None`` for a packet no route reaches (an unknown host).
 PathFn = Callable[[Packet], List[SwitchDevice]]
 
 
@@ -96,7 +99,7 @@ def single_rack_path(devices: Sequence[SwitchDevice]) -> PathFn:
     def path(packet: Packet) -> List[SwitchDevice]:
         return chain
 
-    path.plan_key = lambda packet: 0  # one chain for everyone
+    path.chain = chain  # one chain for everyone
     return path
 
 
@@ -151,96 +154,89 @@ def leaf_spine_path(
         idx = spine_index(packet)
         return [leaves[rack_of[packet.src]], spines[idx], leaves[rack_of[packet.dst]]]
 
-    # The routing key must include the chosen spine: two stale-set packets
-    # between the same pair of hosts can take different spines depending
-    # on their fingerprint.
-    path.plan_key = lambda packet: (
-        rack_of[packet.src], rack_of[packet.dst], spine_index(packet)
-    )
+    def plan_key(packet: Packet) -> Optional[Tuple[int, int, int]]:
+        # The key must include the chosen spine: two stale-set packets
+        # between the same pair of hosts can take different spines
+        # depending on their fingerprint.
+        try:
+            src_rack, dst_rack = rack_of[packet.src], rack_of[packet.dst]
+        except KeyError:
+            return None  # a host in no rack: no route
+        return src_rack, dst_rack, spine_index(packet)
+
+    path.plan_key = plan_key
     return path
 
 
-class _Plan:
-    """A compiled path: absolute time offsets instead of per-hop timeouts.
+#: A compiled path: ``(offset_us, device)`` per non-transparent device,
+#: then ``(total_us, None)``; offsets are relative to transmission.
+Stages = Tuple[Tuple[float, Optional[SwitchDevice]], ...]
 
-    ``hops`` holds ``(offset_us, device)`` for every *non-transparent*
-    device on the path, where ``offset_us`` is the device's processing
-    time relative to transmission; ``total_us`` is the end-to-end delivery
-    offset.  Both fold in every link latency and every device latency
-    (including transparent ones), reproducing exactly the timing of the
-    old walk: device *i* processes at ``(i+1)·link + Σ_{j≤i} lat_j`` and
-    delivery lands at ``(n+1)·link + Σ lat_j``.
+
+def _plan(devices: Sequence[SwitchDevice], link_latency_us: float) -> Stages:
+    """Compile *devices* into stages: device *i* processes at
+    ``(i+1)·link + Σ_{j≤i} lat_j`` and delivery lands at
+    ``(n+1)·link + Σ lat_j``, exactly the timing of a per-link walk."""
+    t = link_latency_us
+    stages = []
+    for device in devices:
+        t += device.latency_us
+        if not getattr(device, "is_transparent", False):
+            stages.append((t, device))
+        t += link_latency_us
+    stages.append((t, None))
+    return tuple(stages)
+
+
+class _Hop:
+    """One transmitted copy in flight: a plain kernel entry (DESIGN.md §9),
+    re-pushed for each stage of its plan, so a delivery allocates one
+    object no matter how many devices it crosses.
+
+    :meth:`Network.send` builds it (no ``__init__``).  ``packets`` is the
+    one packet sent until a device returns a list; the delivery stage puts
+    every packet into its host's inbox and never dispatches it: the inbox
+    takes its own entry (DESIGN.md §10).
     """
 
-    __slots__ = ("hops", "total_us")
-
-    def __init__(self, devices: Sequence[SwitchDevice], link_latency_us: float):
-        t = link_latency_us
-        hops: List[Tuple[float, SwitchDevice]] = []
-        for device in devices:
-            t += device.latency_us
-            if not getattr(device, "is_transparent", False):
-                hops.append((t, device))
-            t += link_latency_us
-        self.hops = hops
-        self.total_us = t
-
-
-class _Hop(Event):
-    """Self-scheduling delivery event: one heap entry per remaining stage.
-
-    Like a booting :class:`~repro.sim.kernel.Process`, a ``_Hop`` is its
-    own kernel entry; ``_run_callbacks`` runs the stage directly (no
-    generator, no process).  The same instance is re-pushed for each
-    subsequent stage, so a delivery allocates exactly one event no matter
-    how many programmable devices it crosses.  ``idx == len(plan.hops)``
-    is the terminal stage: hand the in-flight packets to their inboxes.
-    """
-
-    __slots__ = ("net", "plan", "idx", "packets", "base")
-
-    def __init__(self, net: "Network", plan: _Plan, packets: List[Packet], base: float):
-        # Event.__init__ inlined: one hop per delivery.
-        self.sim = sim = net.sim
-        self._cb1 = self.callbacks = self._value = self._exc = None
-        self._triggered = self._processed = False
-        self.net = net
-        self.plan = plan
-        self.idx = 0
-        self.packets = packets
-        self.base = base
-        hops = plan.hops
-        when = base + (hops[0][0] if hops else plan.total_us)
-        # Inlined Simulator.schedule_at: this push runs once per network
-        # hop, the hottest schedule site in the datapath.
-        heapq.heappush(sim._heap, (when, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+    __slots__ = ("net", "stages", "idx", "packets", "base")
 
     def _run_callbacks(self) -> None:
-        self._processed = True
-        plan = self.plan
+        stages = self.stages
         idx = self.idx
-        hops = plan.hops
-        if idx == len(hops):
-            self.net._arrive(self.packets)
+        device = stages[idx][1]
+        packets = self.packets
+        net = self.net
+        if device is None:
+            inboxes = net._inboxes
+            for p in packets if packets.__class__ is list else (packets,):
+                dst = p.dst
+                if dst in inboxes:
+                    net.packets_delivered += 1
+                    inboxes[dst].put(p)
+                else:
+                    # Unknown destination (e.g. crashed and detached):
+                    # UDP silently drops.
+                    net.packets_dropped += 1
             return
-        device = hops[idx][1]
-        out: List[Packet] = []
-        try:
-            for p in self.packets:
+        if packets.__class__ is list:  # several in flight (an upstream multicast)
+            out: List[Packet] = []
+            for p in packets:
                 out.extend(device.process(p))
-        except Exception:  # noqa: BLE001 - parity with the old spawned
-            # deliver process, whose failure was recorded on an unobserved
-            # process event; a faulty device consumes the packet either way.
-            return
+        else:
+            out = device.process(packets)
         if not out:
             return  # consumed (e.g. dropped by policy)
         idx += 1
         self.idx = idx
         self.packets = out
-        when = self.base + (hops[idx][0] if idx < len(hops) else plan.total_us)
-        sim = self.sim
-        # Inlined Simulator.schedule_at (see __init__).
-        heapq.heappush(sim._heap, (when, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+        sim = net.sim
+        # Inlined Simulator.schedule_at, as in Network.send.
+        _heappush(sim._heap, (self.base + stages[idx][0], next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+
+
+#: The fault-free fate of a transmission: one copy, on time.
+_ON_TIME = (0.0,)
 
 
 class Network:  # reprolint: allow[RL006] one per cluster, built at boot
@@ -258,7 +254,10 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
         self.sim = sim
         self._path_fn = path_fn
         self._plan_key_fn = getattr(path_fn, "plan_key", None)
-        self._plans: Dict[object, _Plan] = {}
+        self._plans: Dict[object, Stages] = {}
+        chain = getattr(path_fn, "chain", None)
+        # The stages every packet takes, or None when routed per packet.
+        self._stages = None if chain is None else _plan(chain, link_latency_us)
         self.link_latency_us = link_latency_us
         self.faults = faults or FaultModel.reliable()
         self._inboxes: Dict[str, object] = {}
@@ -284,51 +283,50 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
 
     # -- transmission --------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Transmit *packet* asynchronously (fire and forget, UDP-style)."""
+        """Transmit *packet* asynchronously (fire and forget, UDP-style).
+
+        A packet to a host no route reaches is dropped; anything a path
+        function or a device raises propagates (DESIGN.md §10).
+        """
         self.packets_sent += 1
         faults = self.faults
+        delays = _ON_TIME
+        clone = False
         if faults.active:
             decision = faults.decide()
             if decision.dropped:
                 self.packets_dropped += 1
                 return
-        else:
-            decision = None  # fault-free: exactly one on-time copy
-        try:
-            plan = self._plan_for(packet)
-        except Exception:  # noqa: BLE001 - an unroutable packet used to
-            # fail an unobserved deliver process; keep the silent-UDP-drop
-            # semantics instead of raising into the sender.
-            self.packets_dropped += 1
-            return
-        now = self.sim.now
-        if decision is None:
-            _Hop(self, plan, [packet], now)
-            return
-        for extra in decision.extra_delays:
-            copy = packet if decision.copies == 1 else packet.clone()
-            _Hop(self, plan, [copy], now + extra)
+            delays = decision.extra_delays
+            clone = decision.copies != 1  # duplicated: every copy is a clone
+        stages = self._stages
+        if stages is None:
+            stages = self._route(packet)
+            if stages is None:
+                self.packets_dropped += 1
+                return
+        sim = self.sim
+        now = sim.now
+        for extra in delays:
+            hop = _Hop()
+            hop.net = self
+            hop.stages = stages
+            hop.idx = 0
+            hop.packets = packet.clone() if clone else packet
+            hop.base = base = now + extra
+            # Inlined Simulator.schedule_at: this push runs once per packet,
+            # the hottest schedule site in the datapath.
+            _heappush(sim._heap, (base + stages[0][0], next(sim._counter), hop))  # reprolint: allow[private-access] documented scheduler fast path
 
-    def _plan_for(self, packet: Packet) -> _Plan:
+    def _route(self, packet: Packet) -> Optional[Stages]:
         key_fn = self._plan_key_fn
         if key_fn is None:
             # Custom path function (tests): no cache contract, recompile.
-            return _Plan(self._path_fn(packet), self.link_latency_us)
+            return _plan(self._path_fn(packet), self.link_latency_us)
         key = key_fn(packet)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _Plan(self._path_fn(packet), self.link_latency_us)
-            self._plans[key] = plan
-        return plan
-
-    def _arrive(self, packets: List[Packet]) -> None:
-        inboxes = self._inboxes
-        for p in packets:
-            box = inboxes.get(p.dst)
-            if box is None:
-                # Destination unknown (e.g. crashed and detached): UDP
-                # silently drops.
-                self.packets_dropped += 1
-                continue
-            self.packets_delivered += 1
-            box.put(p)
+        if key is None:
+            return None
+        stages = self._plans.get(key)
+        if stages is None:
+            stages = self._plans[key] = _plan(self._path_fn(packet), self.link_latency_us)
+        return stages

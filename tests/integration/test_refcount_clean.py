@@ -10,10 +10,13 @@ pinned ceiling.
 
 import cProfile
 import gc
+import os
 import sys
+from collections import defaultdict
 
 import pytest
 
+import repro
 from repro.bench import make_cluster, run_stream, scaled_config
 from repro.workloads import FixedOpStream, OpStream, Population, bootstrap, run_fanin
 
@@ -139,6 +142,43 @@ FANIN_STAT_TICKS_CEILING = 10.2
 CREATE_PUSHES_CEILING = 14.0
 FANIN_STAT_PUSHES_CEILING = 6.0
 
+# The packet hop's cost: calls into `repro/net` per op, counted as the
+# ledger counts a layer's calls (its own functions' activations, and the
+# builtins and standard library it calls).  A create went 123.695 ->
+# 76.316 and a switch-cached stat 65.383 -> 41.878 once a plan became one
+# stages tuple compiled once per shared chain, the hop a plain entry with
+# no `__init__`, the inbox drain the dispatcher and a kept reply its sent
+# packet; each ceiling sits halfway between the two counts.
+CREATE_NET_CALLS_CEILING = 100.0
+FANIN_STAT_NET_CALLS_CEILING = 53.5
+
+_REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_NET_DIR = _REPRO_DIR + "net" + os.sep
+
+
+def _net_calls(stats):
+    """Calls charged to `repro/net` in a cProfile run: code outside the
+    package works for whoever called it, shared by call count."""
+    callers = defaultdict(list)
+    for entry in stats:
+        for edge in entry.calls or ():
+            callers[edge.code].append((entry.code, edge.callcount))
+
+    def net_share(code, path):
+        if not isinstance(code, str) and code.co_filename.startswith(_REPRO_DIR):
+            return 1.0 if code.co_filename.startswith(_NET_DIR) else 0.0
+        edges = [(caller, n) for caller, n in callers[code] if caller not in path]
+        total = sum(n for _, n in edges)
+        path = path + (code,)
+        return sum(n * net_share(caller, path) for caller, n in edges) / total if total else 0.0
+
+    return sum(
+        entry.callcount * net_share(entry.code, ()) if not isinstance(entry.code, str)
+        and entry.code.co_filename.startswith(_REPRO_DIR)
+        else sum(n * net_share(caller, (entry.code,)) for caller, n in callers[entry.code])
+        for entry in stats
+    )
+
 
 def _ticks(sim, drive, ops):
     before = sim.reserve_seq()
@@ -146,26 +186,28 @@ def _ticks(sim, drive, ops):
     return (sim.reserve_seq() - before - 1) / ops
 
 
-def _ticks_and_pushes(sim, drive, ops):
-    """Ticks and ``heappush`` calls per op (cProfile's built-in count)."""
+def _ticks_pushes_and_net_calls(sim, drive, ops):
+    """Ticks, ``heappush`` calls and `repro/net` calls per op."""
     profiler = cProfile.Profile()
     ticks = _ticks(sim, lambda n: profiler.runcall(drive, n), ops)
+    stats = profiler.getstats()
     pushes = sum(
-        entry.callcount for entry in profiler.getstats()
+        entry.callcount for entry in stats
         if entry.code == "<built-in method _heapq.heappush>"
     )
-    return ticks, pushes / ops
+    return ticks, pushes / ops, _net_calls(stats) / ops
 
 
 def test_create_event_budget():
     cluster, population = _hot_directory()
     stream = FixedOpStream("create", population, seed=17, dir_choice="single")
     run_stream(cluster, stream, 500, inflight=32)  # warm-up
-    ticks, pushes = _ticks_and_pushes(
+    ticks, pushes, net_calls = _ticks_pushes_and_net_calls(
         cluster.sim, lambda ops: run_stream(cluster, stream, ops, inflight=32), 2000
     )
     assert ticks <= CREATE_TICKS_CEILING, ticks
     assert pushes <= CREATE_PUSHES_CEILING, pushes
+    assert net_calls <= CREATE_NET_CALLS_CEILING, net_calls
 
 
 def test_switch_cached_stat_event_budget():
@@ -179,9 +221,10 @@ def test_switch_cached_stat_event_budget():
         )
 
     drive(200)  # warm-up
-    ticks, pushes = _ticks_and_pushes(cluster.sim, drive, 2000)
+    ticks, pushes, net_calls = _ticks_pushes_and_net_calls(cluster.sim, drive, 2000)
     assert ticks <= FANIN_STAT_TICKS_CEILING, ticks
     assert pushes <= FANIN_STAT_PUSHES_CEILING, pushes
+    assert net_calls <= FANIN_STAT_NET_CALLS_CEILING, net_calls
 
 
 # Fan-in run cost is O(offered load), not O(users): users are rows of flat

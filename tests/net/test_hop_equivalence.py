@@ -13,7 +13,7 @@ kernel ticks, and count the same packets sent, delivered and dropped.
 """
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
 

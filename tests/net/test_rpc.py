@@ -579,7 +579,7 @@ class TestOneDeadlinePerNode:
 
         def deliver_jittered_reply(_ev):
             reply = RpcResponse(rpc_id=rpc_ids[0], value="jittered")
-            net._arrive([Packet(src="server", dst="client", payload=reply)])
+            client._inbox.put(Packet(src="server", dst="client", payload=reply))
 
         server.register("h", handler)
         # Scheduled before the call exists, so at t = T it precedes the

@@ -81,6 +81,44 @@ class TestNetwork:
         assert net.packets_dropped == 1
         assert net.packets_delivered == 0
 
+    def test_unknown_destination_dropped_on_leaf_spine(self):
+        sim = Simulator()
+        leaves = {0: PassthroughSwitch(), 1: PassthroughSwitch()}
+        net = Network(sim, leaf_spine_path({"a": 0, "b": 1}, leaves, [PassthroughSwitch()]))
+        net.attach("a")
+        net.attach("b")
+        net.send(Packet(src="a", dst="ghost", payload="x"))
+        sim.run()
+        assert (net.packets_sent, net.packets_dropped, net.packets_delivered) == (1, 1, 0)
+
+    def test_a_raising_device_fails_the_run(self):
+        """A device bug (a switch with no owner route, say) is not a lost
+        packet: it surfaces from the run instead of as a far-off timeout."""
+
+        class Broken:
+            latency_us = 0.0
+
+            def process(self, packet):
+                raise RuntimeError("no route installed")
+
+        sim = Simulator()
+        net = Network(sim, single_rack_path([Broken()]))
+        net.attach("a")
+        net.attach("b")
+        net.send(Packet(src="a", dst="b", payload="x"))
+        with pytest.raises(RuntimeError, match="no route installed"):
+            sim.run()
+        assert net.packets_dropped == 0
+
+    def test_a_raising_path_function_fails_the_send(self):
+        def path(packet):
+            raise LookupError("no such rack")
+
+        net = Network(Simulator(), path)
+        net.attach("a")
+        with pytest.raises(LookupError, match="no such rack"):
+            net.send(Packet(src="a", dst="a", payload="x"))
+
     def test_lossy_network_counts_drops(self):
         sim = Simulator()
         net = Network(
