@@ -21,7 +21,8 @@ Subpackages
 ``repro.workloads``
     Op mixes (Tables 1 & 5), populations, bursts, and trace synthesis.
 ``repro.bench``
-    Closed-loop harness, sweeps, and reporters for every table/figure.
+    One measurement window for closed- and open-loop runs, sweeps, and
+    reporters for every table/figure.
 
 Quickstart
 ----------

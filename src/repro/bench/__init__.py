@@ -1,4 +1,4 @@
-"""Benchmark harness: closed-loop runner, sweeps, and table reporters."""
+"""Benchmark harness: one measurement window, sweeps, and table reporters."""
 
 from .harness import RunResult, find_peak_throughput, run_stream
 from .report import Series, ascii_chart, format_table, print_series, print_table

@@ -1,10 +1,12 @@
-"""Closed-loop benchmark harness.
+"""Benchmark harness: one measurement window, two arrival policies.
 
-Mirrors the paper's measurement methodology (§6.1/§6.2): clients keep a
-fixed number of requests in flight against the metadata cluster; peak
+:class:`MeasurementWindow` is how every run is measured.  The closed loop
+here mirrors the paper's methodology (§6.1/§6.2): workers keep a fixed
+number of requests in flight against the metadata cluster; peak
 throughput is found by increasing the in-flight level until throughput
 stops improving; latency is reported from single-client (or low
-in-flight) runs.
+in-flight) runs.  The open loop, :func:`repro.workloads.run_fanin`,
+issues Poisson arrivals into the same window.
 
 The harness runs on virtual time: reported throughput is operations per
 *simulated* second, latency in simulated microseconds.
@@ -15,14 +17,14 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
-from ..core.client import LibFS
 from ..core.cluster import Cluster
 from ..sim import AllOf, LatencyRecorder, PhaseStats, Process, Simulator
 from ..workloads.generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..workloads.clientpop import PopulationClient
     from .sweep import SweepPool
 
 __all__ = [
@@ -36,7 +38,7 @@ __all__ = [
 
 @dataclass
 class RunResult:
-    """Measurements from one closed-loop run."""
+    """Measurements from one run's window."""
 
     ops_completed: int
     sim_elapsed_us: float
@@ -85,14 +87,33 @@ class RunResult:
 
 
 class MeasurementWindow:
-    """What both drivers measure over their window only: the servers' phase
-    accounting, the switch dentry-cache counters and the clients'
-    switch-served-reply buckets."""
+    """The one measurement of a run, whichever arrival policy drives it.
 
-    def __init__(self, cluster: Cluster, num_clients: int):
+    The window opens when built: server phase accounting restarts, the
+    switch dentry-cache counters are snapshotted and the clients get fresh
+    switch-served-reply buckets, so bootstrap and warm-up traffic (a
+    separate driver call) stay out of it.  Every completed op reports to
+    :meth:`done`; :meth:`run` joins the driver's processes, closes the
+    window and builds the run's :class:`RunResult`.
+    """
+
+    def __init__(self, cluster: Cluster, clients: int, total_ops: int):
+        if total_ops < 1:
+            raise ValueError(f"total_ops must be >= 1, got {total_ops}")
         self.cluster = cluster
-        self.num_clients = num_clients
-        self.cache_base: Dict[str, int] = {}
+        self.sim = cluster.sim
+        self.clients = [cluster.client(c) for c in range(clients)]
+        self.latency = LatencyRecorder()
+        # Appended to directly: elapsed is non-negative by construction
+        # (virtual time is monotone), so record()'s check adds nothing.
+        self.all = self.latency.bucket("all")
+        for server in cluster.servers:
+            server.phases.clear()
+        self.cache_base = self._switch_cache_counts() or {}
+        # LatencyRecorder has no clear(), so swap in fresh recorders.
+        for fs in self.clients:
+            fs.switch_latency = LatencyRecorder()
+        self.start = self.end = self.sim.now
 
     def _switch_cache_counts(self) -> Optional[Dict[str, int]]:
         st = self.cluster.switch_stats()
@@ -105,28 +126,29 @@ class MeasurementWindow:
             "evictions": st.cache_evictions,
         }
 
-    def _clients(self) -> List[LibFS]:
-        return [self.cluster.client(w) for w in range(self.num_clients)]
+    def done(self, t0: float) -> float:
+        """Count one op that started at *t0* and just completed; returns
+        its latency."""
+        now = self.sim.now
+        self.end = now
+        elapsed = now - t0
+        self.all.append(elapsed)
+        return elapsed
 
-    def open(self) -> None:
-        # Phase accounting covers the measurement window only: drop
-        # whatever bootstrap / warmup traffic accumulated before it.
-        for server in self.cluster.servers:
-            server.phases.clear()
-        counts = self._switch_cache_counts()
-        if counts is not None:
-            self.cache_base = counts
-        # Same windowing for the clients' switch-served-reply buckets:
-        # LatencyRecorder has no clear(), so swap in fresh recorders.
-        for fs in self._clients():
-            fs.switch_latency = LatencyRecorder()
+    def run(
+        self,
+        procs: List[Process],
+        name: str,
+        inflight: int = 0,
+        populations: Sequence["PopulationClient"] = (),
+    ) -> RunResult:
+        """Run *procs* to completion and close the window.
 
-    def close(
-        self, latency: LatencyRecorder, start: Optional[float], end: float
-    ) -> Tuple[PhaseStats, Dict[str, int]]:
-        """Merged server phases and the window's cache-counter deltas; the
-        clients' ``switch_hit`` / ``switch_miss`` buckets join *latency*."""
-        if start is None or end <= start:
+        *inflight* is the closed loop's fixed level; an open-loop run
+        passes its *populations* instead and reports their peak.
+        """
+        wall_seconds = run_collector_off(self.sim, procs, name)
+        if self.end <= self.start:
             raise RuntimeError("measurement window is empty; increase total_ops")
         phases = PhaseStats()
         for server in self.cluster.servers:
@@ -134,12 +156,21 @@ class MeasurementWindow:
         switch_cache: Dict[str, int] = {}
         counts = self._switch_cache_counts()
         if counts is not None:
-            switch_cache = {
-                k: v - self.cache_base.get(k, 0) for k, v in counts.items()
-            }
-            for fs in self._clients():
-                latency.merge(fs.switch_latency)
-        return phases, switch_cache
+            switch_cache = {k: v - self.cache_base.get(k, 0) for k, v in counts.items()}
+            for fs in self.clients:
+                self.latency.merge(fs.switch_latency)
+        if populations:
+            inflight = max(pop.peak_inflight for pop in populations)
+        return RunResult(
+            ops_completed=len(self.all),
+            sim_elapsed_us=self.end - self.start,
+            wall_seconds=wall_seconds,
+            latency=self.latency,
+            inflight=inflight,
+            phases=phases,
+            switch_cache=switch_cache,
+            populations={pop.name: pop.summary() for pop in populations},
+        )
 
 
 def run_collector_off(sim: Simulator, procs: List[Process], name: str) -> float:
@@ -170,92 +201,45 @@ def run_collector_off(sim: Simulator, procs: List[Process], name: str) -> float:
     return wall1 - wall0
 
 
-class _StreamState:
-    """Progress counters shared by every run_stream worker coroutine."""
-
-    __slots__ = ("issued", "completed", "window_start", "window_end")
-
-    def __init__(self):
-        self.issued = 0
-        self.completed = 0
-        self.window_start: Optional[float] = None
-        self.window_end: Optional[float] = None
-
-
 def run_stream(
     cluster: Cluster,
     stream: OpStream,
     total_ops: int,
     inflight: int = 32,
-    warmup_ops: int = 0,
-    num_clients: int = 1,
     op_label: Optional[str] = None,
 ) -> RunResult:
     """Run *total_ops* operations from *stream* with a fixed in-flight level.
 
-    Workers spread round-robin over *num_clients* LibFS instances.  The
-    measurement window opens after *warmup_ops* completions and closes
-    when the last measured op finishes.
+    *inflight* persistent workers share client 0.  The measurement window
+    is the whole call: warm up with a separate call before it.
     """
-    if total_ops <= warmup_ops:
-        raise ValueError("total_ops must exceed warmup_ops")
+    window = MeasurementWindow(cluster, 1, total_ops)
     sim = cluster.sim
-    latency = LatencyRecorder()
+    fs = cluster.client(0)
+    take = stream.take
+    done = window.done
+    latency = window.latency
     label = op_label or "all"
-    state = _StreamState()
-    window = MeasurementWindow(cluster, num_clients)
-    # The workers append straight into the recorder's sample lists:
-    # elapsed is non-negative by construction (virtual time is monotone),
-    # so the record() validation adds nothing on this innermost loop.
-    label_samples = latency.bucket(label)
-    all_samples = latency.bucket("all") if label != "all" else label_samples
+    labelled = latency.bucket(label) if label != "all" else None
+    issued = 0
 
-    def open_window():
-        state.window_start = sim.now
-        window.open()
-
-    def worker(client_idx: int):
-        fs = cluster.client(client_idx)
-        take = stream.take
-        while state.issued < total_ops:
-            state.issued += 1
+    def worker():
+        nonlocal issued
+        while issued < total_ops:
+            issued += 1
             thunk = take()
             t0 = sim.now
             yield from thunk(fs)
-            completed = state.completed + 1
-            state.completed = completed
-            if completed == warmup_ops:
-                open_window()
-            elif completed > warmup_ops:
-                elapsed = sim.now - t0
-                label_samples.append(elapsed)
-                if all_samples is not label_samples:
-                    all_samples.append(elapsed)
-                # Per-op breakdown when the stream labels its thunks.
-                op_name = getattr(thunk, "op_name", None)
-                if op_name and op_name != label:
-                    latency.record(elapsed, op_name)
-                state.window_end = sim.now
+            elapsed = done(t0)
+            if labelled is not None:
+                labelled.append(elapsed)
+            # Per-op breakdown when the stream labels its thunks.
+            op_name = thunk.op_name
+            if op_name and op_name != label:
+                latency.record(elapsed, op_name)
 
-    if warmup_ops == 0:
-        open_window()
-    procs = [
-        sim.spawn(worker(w % num_clients), name=f"bench-worker-{w}")
-        for w in range(inflight)
-    ]
-    wall_seconds = run_collector_off(sim, procs, "bench-join")
-    window_start = state.window_start
-    window_end = state.window_end or sim.now
-    phases, switch_cache = window.close(latency, window_start, window_end)
-    return RunResult(
-        ops_completed=total_ops - warmup_ops,
-        sim_elapsed_us=window_end - window_start,
-        wall_seconds=wall_seconds,
-        latency=latency,
-        inflight=inflight,
-        phases=phases,
-        switch_cache=switch_cache,
-    )
+    procs = [sim.spawn(worker(), name=f"bench-worker-{w}") for w in range(inflight)]
+    return window.run(procs, "bench-join", inflight)
 
 
 def find_peak_throughput(

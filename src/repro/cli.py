@@ -37,6 +37,7 @@ from .workloads import (
     THUMBNAIL_MIX,
     bootstrap,
     multiple_directories,
+    run_fanin,
     single_large_directory,
 )
 
@@ -122,92 +123,69 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _switch_cache_rows(result) -> List[List[str]]:
-    """The dentry-cache row of a throughput table; none without a cache."""
-    if not result.switch_cache:
-        return []
-    return [[
-        "switch cache",
-        f"{result.switch_cache_hit_rate:.1%} hit "
-        f"({result.switch_cache.get('hits', 0)} hit / "
-        f"{result.switch_cache.get('misses', 0)} miss / "
-        f"{result.switch_cache.get('evictions', 0)} evict)",
-    ]]
-
-
-def _throughput_fanin(args) -> int:
-    """Open-loop fan-in run (``--users`` / ``--offered-load``, DESIGN.md §16)."""
-    from .workloads import run_fanin
-
+def cmd_throughput(args) -> int:
+    """One op's throughput: closed loop, or open loop with ``--users``
+    (DESIGN.md §16)."""
+    if args.users and args.offered_load <= 0:
+        print("error: --users needs --offered-load > 0 (total ops per "
+              "simulated second)", file=sys.stderr)
+        return 2
     cluster, population = _build(args)
 
-    def make_stream(a: int):
+    def make_stream(a: int = 0):
         return FixedOpStream(
             args.op, population, seed=args.seed + a,
             dir_choice="single" if args.dirs == 1 else "uniform",
         )
 
-    result = run_fanin(
-        cluster,
-        make_stream,
-        users=args.users,
-        offered_load_ops=args.offered_load,
-        total_ops=args.ops,
-        aggregates=min(args.users, args.aggregates),
-        seed=args.seed,
-    )
-    print_table(
-        f"{args.system}: open-loop {args.op}, {args.users:,} users",
-        ["metric", "value"],
-        [
+    if args.users:
+        result = run_fanin(
+            cluster,
+            make_stream,
+            users=args.users,
+            offered_load_ops=args.offered_load,
+            total_ops=args.ops,
+            aggregates=min(args.users, args.aggregates),
+            seed=args.seed,
+        )
+        title = f"{args.system}: open-loop {args.op}, {args.users:,} users"
+        rows = [
             ["offered load", f"{args.offered_load:,.0f} ops/s"],
             ["achieved load", f"{result.throughput_ops:,.0f} ops/s"],
-            ["avg latency", f"{result.mean_latency_us:,.1f} us"],
-            ["p99 latency", f"{result.p99_latency_us():,.1f} us"],
             ["peak in-flight", result.inflight],
-            ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
-            ["wall time", f"{result.wall_seconds:,.2f} s"],
-        ] + _switch_cache_rows(result),
-    )
-    print_table(
-        "populations",
-        ["pop", "users", "load ops/s", "ops", "avg us", "p99 us",
-         "active", "top share", "epoch catchups"],
-        [
-            [name, f"{p['users']:,}", f"{p['offered_load_ops']:,.0f}",
-             p["ops_completed"], f"{p.get('mean_latency_us', 0.0):,.1f}",
-             f"{p.get('p99_latency_us', 0.0):,.1f}", p["active_users"],
-             f"{p['top_user_share']:.1%}", p["epoch_catchups"]]
-            for name, p in result.populations.items()
-        ],
-    )
-    return 0
-
-
-def cmd_throughput(args) -> int:
-    if args.users:
-        if args.offered_load <= 0:
-            print("error: --users needs --offered-load > 0 (total ops per "
-                  "simulated second)", file=sys.stderr)
-            return 2
-        return _throughput_fanin(args)
-    cluster, population = _build(args)
-    stream = FixedOpStream(
-        args.op, population, seed=args.seed,
-        dir_choice="single" if args.dirs == 1 else "uniform",
-    )
-    result = run_stream(cluster, stream, total_ops=args.ops, inflight=args.inflight)
-    print_table(
-        f"{args.system}: {args.op} x {args.ops} over {args.dirs} dir(s)",
-        ["metric", "value"],
-        [
-            ["throughput", f"{result.throughput_kops:,.1f} Kops/s"],
-            ["avg latency", f"{result.mean_latency_us:,.1f} us"],
-            ["p99 latency", f"{result.p99_latency_us():,.1f} us"],
-            ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
-            ["wall time", f"{result.wall_seconds:,.2f} s"],
-        ] + _switch_cache_rows(result),
-    )
+        ]
+    else:
+        result = run_stream(cluster, make_stream(), total_ops=args.ops,
+                            inflight=args.inflight)
+        title = f"{args.system}: {args.op} x {args.ops} over {args.dirs} dir(s)"
+        rows = [["throughput", f"{result.throughput_kops:,.1f} Kops/s"]]
+    rows += [
+        ["avg latency", f"{result.mean_latency_us:,.1f} us"],
+        ["p99 latency", f"{result.p99_latency_us():,.1f} us"],
+        ["simulated time", f"{result.sim_elapsed_us/1000:,.2f} ms"],
+        ["wall time", f"{result.wall_seconds:,.2f} s"],
+    ]
+    cache = result.switch_cache
+    if cache:
+        rows.append([
+            "switch cache",
+            f"{result.switch_cache_hit_rate:.1%} hit ({cache.get('hits', 0)} hit / "
+            f"{cache.get('misses', 0)} miss / {cache.get('evictions', 0)} evict)",
+        ])
+    print_table(title, ["metric", "value"], rows)
+    if result.populations:
+        print_table(
+            "populations",
+            ["pop", "users", "load ops/s", "ops", "avg us", "p99 us",
+             "active", "top share", "epoch catchups"],
+            [
+                [name, f"{p['users']:,}", f"{p['offered_load_ops']:,.0f}",
+                 p["ops_completed"], f"{p.get('mean_latency_us', 0.0):,.1f}",
+                 f"{p.get('p99_latency_us', 0.0):,.1f}", p["active_users"],
+                 f"{p['top_user_share']:.1%}", p["epoch_catchups"]]
+                for name, p in result.populations.items()
+            ],
+        )
     return 0
 
 
@@ -407,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="list systems, mixes, and defaults")
     p.set_defaults(fn=cmd_info)
 
-    p = sub.add_parser("throughput", help="closed-loop throughput of one op")
+    p = sub.add_parser("throughput", help="throughput of one op, closed or open loop")
     _add_cluster_args(p)
     _add_workload_args(p)
     p.add_argument("--op", default="create", choices=OPS)
     p.add_argument("--users", type=int, default=0,
                    help="logical users for an open-loop fan-in run "
-                        "(0 = legacy closed-loop; DESIGN.md §16)")
+                        "(0 = closed loop; DESIGN.md §16)")
     p.add_argument("--offered-load", type=float, default=0.0,
                    help="total offered load in ops per simulated second "
                         "(required with --users)")

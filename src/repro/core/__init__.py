@@ -15,7 +15,7 @@ from .changelog import ChangeLog, ChangeLogEntry, ChangeLogTable, ChangeOp, Reca
 from .client import LibFS, ResolvedDir, split_path
 from .cluster import SwitchFSCluster
 from .config import FSConfig, PerfModel
-from .errors import (
+from ..errors import (
     EEXIST,
     EINVAL,
     EINVALIDPATH,

@@ -23,7 +23,7 @@ from ..net import RpcError, RpcNode, StaleSetHeader, StaleSetOp
 from ..net.topology import Network
 from ..sim import Counter, LatencyRecorder, Simulator
 from .config import FSConfig
-from .errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
+from ..errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
 from .membership import MembershipView, Placement
 from .schema import file_cache_fingerprint, fingerprint_of, root_inode
 

@@ -38,7 +38,7 @@ import dataclasses
 import itertools
 from typing import Any, Dict, Generator, List, TYPE_CHECKING
 
-from .errors import EEXIST, EINVAL, ENOENT, FSError
+from ..errors import EEXIST, EINVAL, ENOENT, FSError
 from .schema import (
     dir_entry_key,
     dir_meta_key,

@@ -31,7 +31,7 @@ from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, Stale
 from ...sim import Event, RWLock
 from ..changelog import ChangeLog, ChangeLogEntry, ChangeOp
 from ..client import split_path
-from ..errors import EEXIST, EINVALIDPATH, ENOENT, ENOTEMPTY, FSError
+from ...errors import EEXIST, EINVALIDPATH, ENOENT, ENOTEMPTY, FSError
 from ..schema import (
     ROOT_ID,
     DirInode,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ...net import Packet, Reply, RpcRequest, StaleSetHeader, StaleSetOp
-from ..errors import ENOENT, FSError
+from ...errors import ENOENT, FSError
 from ..schema import dir_meta_key, file_meta_key, fingerprint_of
 
 __all__ = ["ReadOps"]

@@ -13,7 +13,7 @@ from typing import Any, Dict, Generator
 from ...net import Packet, RpcRequest
 from ...sim import AllOf
 from ..changelog import ChangeLogEntry, ChangeOp
-from ..errors import EWRONGEPOCH, FSError
+from ...errors import EWRONGEPOCH, FSError
 from ..schema import file_cache_fingerprint, fingerprint_of
 
 __all__ = ["RenameParticipant"]

@@ -35,7 +35,7 @@ from ...net.topology import Network
 from ...sim import Counter, Event, Hold, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
 from ..changelog import ChangeLogEntry
 from ..config import FSConfig
-from ..errors import EWRONGEPOCH, FSError
+from ...errors import EWRONGEPOCH, FSError
 from ..schema import DirEntry, dir_entry_key, dir_meta_key, root_inode
 
 __all__ = ["ServerRuntime"]

@@ -38,7 +38,7 @@ import bisect
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from .errors import KeyNotFound
+from ..errors import KeyNotFound
 from .txn import Transaction
 from .wal import WriteAheadLog
 

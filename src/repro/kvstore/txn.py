@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from .errors import KeyNotFound, TransactionError
+from ..errors import KeyNotFound, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kv import KVStore

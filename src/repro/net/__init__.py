@@ -11,7 +11,8 @@ from .packet import (
     StaleSetOp,
     alloc_packet,
 )
-from .rpc import Reply, RpcError, RpcNode, RpcRequest, RpcResponse, RpcTimeout
+from ..errors import RpcError, RpcTimeout
+from .rpc import Reply, RpcNode, RpcRequest, RpcResponse
 from .sniffer import CapturedPacket, Sniffer
 from .topology import (
     Network,

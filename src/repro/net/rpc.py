@@ -52,7 +52,7 @@ from heapq import heappush as _heappush
 from collections import defaultdict, deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
-from ..errors import ReproError
+from ..errors import RpcError, RpcTimeout
 from ..sim import Event, Simulator
 from .packet import (
     Packet,
@@ -63,15 +63,7 @@ from .packet import (
 )
 from .topology import Network
 
-__all__ = ["RpcRequest", "RpcResponse", "Reply", "RpcError", "RpcTimeout", "RpcNode"]
-
-
-class RpcError(ReproError):
-    """An application-level error returned by the remote handler."""
-
-
-class RpcTimeout(RpcError):
-    """All retransmissions of a request went unanswered."""
+__all__ = ["RpcRequest", "RpcResponse", "Reply", "RpcNode"]
 
 
 # rpc_id 0 is reserved for one-way notifications (they never match a

@@ -1,9 +1,9 @@
 """Weighted client-population engine: million-user fan-in at O(load) cost.
 
-The closed-loop harness (:mod:`repro.bench.harness`) charges one ``LibFS``
-instance plus one worker coroutine per simulated client, so simulation
-wall cost grows with the *user count* instead of the *offered load* — a
-million-user scaling curve is flatly infeasible.  This module aggregates
+The closed loop (:func:`repro.bench.harness.run_stream`) charges one
+worker coroutine per simulated client, so its wall cost would grow with
+the *user count* instead of the *offered load* — a million-user scaling
+curve is flatly infeasible that way.  This module aggregates
 ``K`` logical users into one :class:`PopulationClient` sim process (the
 λFS play: multiplex thousands of tenants over a small serving pool):
 
@@ -28,7 +28,8 @@ million-user scaling curve is flatly infeasible.  This module aggregates
   ``epoch_catchups`` without any per-user cache flush.
 
 :func:`run_fanin` is the open-loop counterpart of ``run_stream``: it
-drives one or more aggregates to a total op count and returns the same
+drives one or more aggregates to a total op count inside the same
+:class:`~repro.bench.harness.MeasurementWindow` and returns the same
 :class:`~repro.bench.harness.RunResult`, with per-population latency
 buckets ("pop0", "pop1", ...) and a ``populations`` summary of per-
 population percentiles and achieved load.
@@ -40,11 +41,11 @@ import weakref
 from array import array
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
-from ..sim import AliasTable, LatencyRecorder, make_rng, zipf_weights
+from ..sim import AliasTable, make_rng, zipf_weights
 from .generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..bench.harness import RunResult
+    from ..bench.harness import MeasurementWindow, RunResult
     from ..core.client import LibFS
 
 __all__ = ["UserTable", "PopulationClient", "run_fanin"]
@@ -111,8 +112,7 @@ class PopulationClient:
     __slots__ = (
         "name", "sim", "fs", "stream", "users", "rate_per_us", "rng",
         "issued", "completed", "inflight", "peak_inflight", "epoch_catchups",
-        "samples", "all_samples", "warmup", "window", "arrival_log",
-        "_target", "_open_hook", "_drained",
+        "samples", "done", "arrival_log", "_target", "_drained",
     )
 
     def __init__(
@@ -123,9 +123,7 @@ class PopulationClient:
         users: UserTable,
         offered_load_ops: float,
         seed: int,
-        latency: LatencyRecorder,
-        warmup: Optional[List[int]] = None,
-        window: Optional[List[float]] = None,
+        window: "MeasurementWindow",
         record_arrivals: bool = False,
     ):
         if offered_load_ops <= 0:
@@ -142,20 +140,15 @@ class PopulationClient:
         self.inflight = 0
         self.peak_inflight = 0
         self.epoch_catchups = 0
-        # Per-population latency bucket plus the shared "all" bucket;
+        # Per-population latency bucket beside the shared window's "all";
         # appended to directly (run_stream's hot-path idiom).
-        self.samples = latency.bucket(name)
-        self.all_samples = latency.bucket("all")
-        # Shared across aggregates: warmup[0] counts down completions to
-        # the window open; window is [start_us, end_us] maintained here.
-        self.warmup = warmup if warmup is not None else [0]
-        self.window = window if window is not None else [self.sim.now, self.sim.now]
+        self.samples = window.latency.bucket(name)
+        self.done = window.done
         self.arrival_log: Optional[List[Any]] = [] if record_arrivals else None
         epoch = fs.view_epoch
         if epoch:
             users.epoch_seen[:] = array("Q", [epoch]) * users.n
         self._target: Optional[int] = None
-        self._open_hook: Optional[Callable[[], None]] = None
         self._drained = self.sim.event()
 
     def drive(self, total_ops: int) -> Generator:
@@ -180,7 +173,7 @@ class PopulationClient:
             self.issued += 1
             if log is not None:
                 log.append((sim.now, uid))
-            thunk = take(uid)
+            thunk = take()
             self.inflight += 1
             if self.inflight > self.peak_inflight:
                 self.peak_inflight = self.inflight
@@ -191,10 +184,10 @@ class PopulationClient:
         yield self._drained
 
     def _op(self, uid: int, thunk) -> Generator:
-        sim = self.sim
-        t0 = sim.now
+        t0 = self.sim.now
         yield from thunk(self.fs)
-        elapsed = sim.now - t0
+        elapsed = self.done(t0)
+        self.samples.append(elapsed)
         users = self.users
         users.ops_done[uid] += 1
         users.lat_sum[uid] += elapsed
@@ -207,17 +200,6 @@ class PopulationClient:
             self.epoch_catchups += 1
         self.inflight -= 1
         self.completed += 1
-        warmup = self.warmup
-        if warmup[0] > 0:
-            warmup[0] -= 1
-            if warmup[0] == 0:
-                self.window[0] = sim.now
-                if self._open_hook is not None:
-                    self._open_hook()
-        else:
-            self.samples.append(elapsed)
-            self.all_samples.append(elapsed)
-            self.window[1] = sim.now
         if self._target is not None and self.completed >= self._target:
             self._drained.succeed()
 
@@ -248,10 +230,7 @@ def run_fanin(
     offered_load_ops: float,
     total_ops: int,
     aggregates: int = 1,
-    theta: float = 0.99,
     seed: int = 42,
-    warmup_ops: int = 0,
-    record_arrivals: bool = False,
     extra_procs: Optional[List[Generator]] = None,
 ) -> "RunResult":
     """Open-loop run: *users* logical users over *aggregates* processes.
@@ -260,25 +239,21 @@ def run_fanin(
     with them; ``make_stream(agg_index)`` builds each aggregate's op
     stream (seed it by index for decorrelated streams).  *extra_procs*
     generators (e.g. a mid-run ``scale_up`` controller) are spawned
-    alongside and joined with the drivers.  Returns a
+    alongside and joined with the drivers.  The measurement window is the
+    whole call, as for ``run_stream``.  Returns a
     :class:`~repro.bench.harness.RunResult` whose latency recorder has
     one bucket per population ("pop0", ...) and whose ``populations``
     dict carries the per-population percentiles and load accounting.
     """
     # Deferred: bench imports workloads.
-    from ..bench.harness import MeasurementWindow, RunResult, run_collector_off
+    from ..bench.harness import MeasurementWindow
 
-    if total_ops <= warmup_ops:
-        raise ValueError("total_ops must exceed warmup_ops")
     if aggregates < 1:
         raise ValueError(f"need >= 1 aggregate, got {aggregates}")
     if users < aggregates:
         raise ValueError(f"need >= 1 user per aggregate ({users} users, "
                          f"{aggregates} aggregates)")
-    sim = cluster.sim
-    latency = LatencyRecorder()
-    warmup = [warmup_ops]
-    window = [sim.now, sim.now]
+    window = MeasurementWindow(cluster, aggregates, total_ops)
     pops: List[PopulationClient] = []
     base_users = users // aggregates
     base_ops = total_ops // aggregates
@@ -288,24 +263,14 @@ def run_fanin(
             f"pop{a}",
             cluster.client(a),
             make_stream(a),
-            UserTable(k, theta),
+            UserTable(k),
             offered_load_ops * (k / users),
             seed=seed + a,
-            latency=latency,
-            warmup=warmup,
             window=window,
-            record_arrivals=record_arrivals,
         )
         pops.append(pop)
 
-    measured = MeasurementWindow(cluster, aggregates)
-    if warmup_ops == 0:
-        window[0] = sim.now
-        measured.open()
-    else:
-        for pop in pops:
-            pop._open_hook = measured.open
-
+    sim = cluster.sim
     shares = [base_ops + (1 if a < total_ops % aggregates else 0)
               for a in range(aggregates)]
     procs = [
@@ -314,18 +279,4 @@ def run_fanin(
     ]
     for extra in extra_procs or []:
         procs.append(sim.spawn(extra, name="fanin-extra"))
-    wall_seconds = run_collector_off(sim, procs, "fanin-join")
-    if warmup_ops > 0 and warmup[0] > 0:
-        raise RuntimeError("measurement window never opened; increase total_ops")
-    window_start, window_end = window
-    phases, switch_cache = measured.close(latency, window_start, window_end)
-    return RunResult(
-        ops_completed=total_ops - warmup_ops,
-        sim_elapsed_us=window_end - window_start,
-        wall_seconds=wall_seconds,
-        latency=latency,
-        inflight=max(pop.peak_inflight for pop in pops),
-        phases=phases,
-        switch_cache=switch_cache,
-        populations={pop.name: pop.summary() for pop in pops},
-    )
+    return window.run(procs, "fanin-join", populations=pops)

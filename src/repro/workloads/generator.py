@@ -20,12 +20,12 @@ import zlib
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.client import LibFS
-from ..core.errors import FSError
+from ..errors import FSError
 from ..sim import AliasTable, ZipfGenerator, make_rng
 from .mixes import OpMix
 from .population import Population
 
-__all__ = ["OpThunk", "OpStream", "FixedOpStream", "MixStream", "safe_op"]
+__all__ = ["OpThunk", "OpStream", "FixedOpStream", "MixStream", "safe_op", "file_op"]
 
 OpThunk = Callable[[LibFS], Generator]
 
@@ -40,6 +40,24 @@ def safe_op(fs: LibFS, gen: Generator, swallow: Tuple[str, ...]) -> Generator:
         raise
 
 
+def file_op(op: str, path: str, data_latency_us: float = 0.0) -> OpThunk:
+    """The thunk for one mix or trace op on *path*, racing errors swallowed.
+
+    ``read`` / ``write`` are a client-side data-node access of
+    *data_latency_us*: the metadata cluster is off that path, matching
+    the paper's datanode split.
+    """
+    if op in ("read", "write"):
+
+        def data_thunk(fs: LibFS) -> Generator:
+            yield fs.sim.timeout(data_latency_us)
+            return {"status": "ok", "data_op": op}
+
+        return data_thunk
+    swallow = ("EEXIST",) if op == "create" else ("ENOENT",)
+    return lambda fs: safe_op(fs, getattr(fs, op)(path), swallow)
+
+
 class OpStream:
     """Base stream: subclasses implement :meth:`next_thunk`."""
 
@@ -50,19 +68,12 @@ class OpStream:
     def next_thunk(self) -> OpThunk:
         raise NotImplementedError
 
-    def take(self, uid: int = 0) -> OpThunk:
-        """Hand out the next op thunk, stamped with the issuing user id.
-
-        *uid* is the logical user on whose behalf the op runs (always 0
-        for the legacy closed-loop harness); the client-population engine
-        threads real user ids through so per-user accounting can follow
-        the thunk to completion.
-        """
+    def take(self) -> OpThunk:
+        """Hand out the next op thunk, stamped with its ``op_name``."""
         self.issued += 1
         thunk = self.next_thunk()
         if not hasattr(thunk, "op_name"):
             thunk.op_name = getattr(self, "op", self.name)
-        thunk.uid = uid
         return thunk
 
 
@@ -153,9 +164,8 @@ class MixStream(OpStream):
     """Operations sampled from an :class:`OpMix` over a population.
 
     ``skew`` applies the 80/20 rule of §6.6: 80% of operations land in the
-    hottest 20% of directories.  Data ops (read/write) are modelled as a
-    client-side data-node access of ``data_latency_us`` — the metadata
-    cluster is not involved, matching the paper's datanode split.
+    hottest 20% of directories.  Data ops (read/write) are a client-side
+    data-node access of ``data_latency_us`` (:func:`file_op`).
     """
 
     def __init__(
@@ -209,26 +219,19 @@ class MixStream(OpStream):
             self._create_seq[d] = seq + 1
             path = f"{d}/mx{seq}"
             self._created.setdefault(d, []).append(path)
-            return lambda fs: safe_op(fs, fs.create(path), ("EEXIST",))
+            return file_op(op, path)
         if op == "delete":
             created = self._created.get(d)
             if created:
                 path = created.pop(self._rng.randrange(len(created)))
             else:
                 path = self._existing_file(d)
-            return lambda fs: safe_op(fs, fs.delete(path), ("ENOENT",))
+            return file_op(op, path)
         if op in ("stat", "open", "close", "chmod"):
-            path = self._existing_file(d)
-            method = "stat" if op == "chmod" else op  # chmod modelled as stat-cost
-            return lambda fs: safe_op(fs, getattr(fs, method)(path), ("ENOENT",))
+            # chmod modelled as stat-cost
+            return file_op("stat" if op == "chmod" else op, self._existing_file(d))
         if op in ("read", "write"):
-            latency = self.data_latency_us if self.data_enabled else 0.0
-
-            def data_thunk(fs: LibFS) -> Generator:
-                yield fs.sim.timeout(latency)
-                return {"status": "ok", "data_op": op}
-
-            return data_thunk
+            return file_op(op, "", self.data_latency_us if self.data_enabled else 0.0)
         if op == "mkdir":
             self._mkdir_seq += 1
             path = f"{d}/mdir{self._mkdir_seq}"

@@ -19,12 +19,10 @@ path, as in the paper's 8-metadata + 8-datanode deployment).
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+from typing import List, Tuple
 
-from ..core.client import LibFS
-from ..core.errors import FSError
 from ..sim import make_rng
-from .generator import OpStream, OpThunk, safe_op
+from .generator import OpStream, OpThunk, file_op
 from .population import Population
 
 __all__ = ["CNNTrainingTrace", "ThumbnailTrace", "trace_population"]
@@ -38,7 +36,35 @@ def trace_population(num_dirs: int, files_per_dir: int, prefix: str = "img") -> 
     )
 
 
-class CNNTrainingTrace(OpStream):
+class _ScriptTrace(OpStream):
+    """Replays an ``(op, path)`` script, wrapping around at its end."""
+
+    def __init__(
+        self,
+        name: str,
+        population: Population,
+        data_latency_us: float,
+        data_enabled: bool,
+        script: List[Tuple[str, str]],
+    ):
+        super().__init__(name)
+        self.pop = population
+        self.data_latency_us = data_latency_us if data_enabled else 0.0
+        self._script = script
+        self._pos = 0
+
+    def __len__(self) -> int:
+        return len(self._script)
+
+    def next_thunk(self) -> OpThunk:
+        op, path = self._script[self._pos % len(self._script)]
+        self._pos += 1
+        thunk = file_op(op, path, self.data_latency_us)
+        thunk.op_name = op
+        return thunk
+
+
+class CNNTrainingTrace(_ScriptTrace):
     """Download → epoch access → removal lifecycle over a class-directory tree."""
 
     def __init__(
@@ -49,47 +75,34 @@ class CNNTrainingTrace(OpStream):
         data_latency_us: float = 120.0,
         data_enabled: bool = True,
     ):
-        super().__init__("cnn-training")
-        self.pop = population
-        self.data_latency_us = data_latency_us if data_enabled else 0.0
         rng = make_rng(seed, "cnn")
         files: List[Tuple[str, str]] = [
             (d, population.file_name(i))
             for d in population.dir_paths
             for i in range(population.files_per_dir)
         ]
-        self._script: List[Tuple[str, str]] = []
+        script: List[Tuple[str, str]] = []
         # Phase 1: download (create + write each file). Files are
         # pre-populated by bootstrap as the *download target namespace*;
         # the trace creates fresh epoch-local shard files alongside.
         for d, f in files:
-            self._script.append(("create", f"{d}/dl-{f}"))
-            self._script.append(("write", f"{d}/dl-{f}"))
+            script.append(("create", f"{d}/dl-{f}"))
+            script.append(("write", f"{d}/dl-{f}"))
         # Phase 2: epochs of randomised open/read/close.
         for _ in range(epochs):
             order = list(files)
             rng.shuffle(order)
             for d, f in order:
-                self._script.append(("open", f"{d}/dl-{f}"))
-                self._script.append(("read", f"{d}/dl-{f}"))
-                self._script.append(("close", f"{d}/dl-{f}"))
+                script.append(("open", f"{d}/dl-{f}"))
+                script.append(("read", f"{d}/dl-{f}"))
+                script.append(("close", f"{d}/dl-{f}"))
         # Phase 3: removal.
         for d, f in files:
-            self._script.append(("delete", f"{d}/dl-{f}"))
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._script)
-
-    def next_thunk(self) -> OpThunk:
-        op, path = self._script[self._pos % len(self._script)]
-        self._pos += 1
-        thunk = _make_thunk(op, path, self.data_latency_us)
-        thunk.op_name = op
-        return thunk
+            script.append(("delete", f"{d}/dl-{f}"))
+        super().__init__("cnn-training", population, data_latency_us, data_enabled, script)
 
 
-class ThumbnailTrace(OpStream):
+class ThumbnailTrace(_ScriptTrace):
     """Per image: open/read/close the source, create/write/close a thumbnail."""
 
     def __init__(
@@ -99,9 +112,6 @@ class ThumbnailTrace(OpStream):
         data_latency_us: float = 120.0,
         data_enabled: bool = True,
     ):
-        super().__init__("thumbnail")
-        self.pop = population
-        self.data_latency_us = data_latency_us if data_enabled else 0.0
         rng = make_rng(seed, "thumb")
         images = [
             (d, population.file_name(i))
@@ -109,38 +119,13 @@ class ThumbnailTrace(OpStream):
             for i in range(population.files_per_dir)
         ]
         rng.shuffle(images)
-        self._script: List[Tuple[str, str]] = []
+        script: List[Tuple[str, str]] = []
         for d, f in images:
-            self._script.append(("open", f"{d}/{f}"))
-            self._script.append(("read", f"{d}/{f}"))
-            self._script.append(("stat", f"{d}/{f}"))
-            self._script.append(("close", f"{d}/{f}"))
-            self._script.append(("create", f"{d}/thumb-{f}"))
-            self._script.append(("write", f"{d}/thumb-{f}"))
-            self._script.append(("close", f"{d}/thumb-{f}"))
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._script)
-
-    def next_thunk(self) -> OpThunk:
-        op, path = self._script[self._pos % len(self._script)]
-        self._pos += 1
-        thunk = _make_thunk(op, path, self.data_latency_us)
-        thunk.op_name = op
-        return thunk
-
-
-def _make_thunk(op: str, path: str, data_latency_us: float) -> OpThunk:
-    if op in ("read", "write"):
-
-        def data_thunk(fs: LibFS) -> Generator:
-            yield fs.sim.timeout(data_latency_us)
-            return {"status": "ok", "data_op": op}
-
-        return data_thunk
-    if op == "create":
-        return lambda fs: safe_op(fs, fs.create(path), ("EEXIST",))
-    if op == "delete":
-        return lambda fs: safe_op(fs, fs.delete(path), ("ENOENT",))
-    return lambda fs: safe_op(fs, getattr(fs, op)(path), ("ENOENT",))
+            script.append(("open", f"{d}/{f}"))
+            script.append(("read", f"{d}/{f}"))
+            script.append(("stat", f"{d}/{f}"))
+            script.append(("close", f"{d}/{f}"))
+            script.append(("create", f"{d}/thumb-{f}"))
+            script.append(("write", f"{d}/thumb-{f}"))
+            script.append(("close", f"{d}/thumb-{f}"))
+        super().__init__("thumbnail", population, data_latency_us, data_enabled, script)

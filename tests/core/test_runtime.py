@@ -223,8 +223,7 @@ class TestPhaseStats:
 
 class TestErrorHierarchy:
     def test_fs_and_kv_errors_share_the_root(self):
-        from repro.core.errors import FSError
-        from repro.kvstore.errors import KeyNotFound, KVError
+        from repro.errors import FSError, KeyNotFound, KVError
         from repro.net import RpcError
 
         assert issubclass(RpcError, ReproError)
@@ -234,8 +233,7 @@ class TestErrorHierarchy:
         assert issubclass(KeyNotFound, KVError)
 
     def test_one_except_catches_every_layer(self):
-        from repro.core.errors import ENOENT, FSError
-        from repro.kvstore.errors import KeyNotFound
+        from repro.errors import ENOENT, FSError, KeyNotFound
 
         for exc in (FSError(ENOENT, "x"), KeyNotFound("k")):
             try:

@@ -37,6 +37,19 @@ class TestThroughput:
         ])
         assert code == 0
 
+    def test_open_loop_prints_populations(self, capsys):
+        code, out = run_cli(capsys, [
+            "throughput", "--op", "stat", "--users", "1000",
+            "--offered-load", "200000", "--ops", "400",
+        ])
+        assert code == 0
+        assert "open-loop stat, 1,000 users" in out
+        assert "== populations ==" in out
+        assert "pop0" in out and "pop1" in out
+
+    def test_users_need_offered_load(self, capsys):
+        assert main(["throughput", "--users", "10"]) == 2
+
 
 class TestCompare:
     def test_two_systems(self, capsys):

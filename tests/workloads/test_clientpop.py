@@ -12,8 +12,8 @@ import weakref
 import pytest
 
 from repro.bench import run_stream
+from repro.bench.harness import MeasurementWindow
 from repro.core import FSConfig, SwitchFSCluster
-from repro.sim import LatencyRecorder
 from repro.workloads import (
     FixedOpStream,
     PopulationClient,
@@ -40,7 +40,7 @@ def _drive_population(users, ops=150, load=100_000.0, seed=7):
         UserTable(users),
         load,
         seed=seed,
-        latency=LatencyRecorder(),
+        window=MeasurementWindow(cluster, 1, ops),
         record_arrivals=True,
     )
     sim = cluster.sim
@@ -238,61 +238,72 @@ class TestRunFanin:
                       total_ops=10, aggregates=2)
         with pytest.raises(ValueError):
             run_fanin(cluster, make, users=10, offered_load_ops=1e5,
-                      total_ops=5, warmup_ops=5)
+                      total_ops=0)
         with pytest.raises(ValueError):
             PopulationClient(
                 "p", cluster.client(0), make(0), UserTable(1), 0.0,
-                seed=1, latency=LatencyRecorder(),
+                seed=1, window=MeasurementWindow(cluster, 1, 1),
             )
 
     def test_warmup_excludes_early_samples(self):
+        # A warm-up call is not in the next call's result.
         cluster = _cluster()
         ns = bootstrap(cluster, single_large_directory(16), warm_clients=[0])
-        result = run_fanin(
-            cluster,
-            lambda a: FixedOpStream("stat", ns, seed=5, dir_choice="single"),
-            users=100,
-            offered_load_ops=100_000.0,
-            total_ops=200,
-            warmup_ops=50,
-        )
+        stream = FixedOpStream("stat", ns, seed=5, dir_choice="single")
+
+        def call(total_ops):
+            return run_fanin(cluster, lambda a: stream, users=100,
+                             offered_load_ops=100_000.0, total_ops=total_ops)
+
+        call(50)
+        result = call(150)
         assert result.ops_completed == 150
         assert len(result.latency.bucket("all")) == 150
+        assert result.populations["pop0"]["ops_completed"] == 150
 
     @pytest.mark.parametrize("cache", [True, False])
     def test_switch_cache_window_is_reported(self, cache):
-        """The open-loop driver fills ``RunResult.switch_cache`` and the
-        switch-served-reply buckets for its window, as run_stream does."""
-        # Eight cache lines under 64 files: hits and misses both occur.
-        cluster = SwitchFSCluster(FSConfig(
-            num_servers=2, seed=3, switch_cache=cache,
-            switch_cache_stages=1, switch_cache_index_bits=3,
-        ))
-        ns = bootstrap(cluster, single_large_directory(64), warm_clients=[0, 1])
-        result = run_fanin(
-            cluster,
-            lambda a: FixedOpStream("stat", ns, seed=5 + a, dir_choice="single"),
-            users=1_000,
-            offered_load_ops=120_000.0,
-            total_ops=400,
-            aggregates=2,
-            warmup_ops=100,
-            seed=7,
-        )
-        latency = result.latency
-        assert latency.count("all") == 300
-        if not cache:
-            assert result.switch_cache == {}
-            assert result.switch_cache_hit_rate == 0.0
-            assert set(latency.ops()) == {"all", "pop0", "pop1"}
-            return
-        counts = result.switch_cache
-        assert counts["hits"] > 0 and counts["misses"] > 0
-        assert 0.0 < result.switch_cache_hit_rate <= 1.0
-        # One probe per stat: the 100 warm-up stats are in neither the
-        # counters nor the buckets (give or take the stats in flight when
-        # the window opened, probed before it and answered inside it).
-        assert abs(counts["hits"] + counts["misses"] - 300) <= result.inflight
-        assert 0 < latency.count("switch_hit") <= counts["hits"] + result.inflight
-        assert 0 < latency.count("switch_miss") <= counts["misses"] + result.inflight
-        assert latency.count("switch_hit") + latency.count("switch_miss") == 300
+        """Both drivers fill ``RunResult.switch_cache`` and the
+        switch-served-reply buckets for their window only."""
+
+        def fanin(cluster, ns, total_ops):
+            return run_fanin(
+                cluster,
+                lambda a: FixedOpStream("stat", ns, seed=5 + a, dir_choice="single"),
+                users=1_000,
+                offered_load_ops=120_000.0,
+                total_ops=total_ops,
+                aggregates=2,
+                seed=7,
+            )
+
+        def stream(cluster, ns, total_ops):
+            ops = FixedOpStream("stat", ns, seed=5, dir_choice="single")
+            return run_stream(cluster, ops, total_ops=total_ops, inflight=16)
+
+        for drive, buckets in ((fanin, {"all", "pop0", "pop1"}),
+                               (stream, {"all", "stat"})):
+            # Eight cache lines under 64 files: hits and misses both occur.
+            cluster = SwitchFSCluster(FSConfig(
+                num_servers=2, seed=3, switch_cache=cache,
+                switch_cache_stages=1, switch_cache_index_bits=3,
+            ))
+            ns = bootstrap(cluster, single_large_directory(64), warm_clients=[0, 1])
+            drive(cluster, ns, 100)  # the warm-up call
+            result = drive(cluster, ns, 300)
+            latency = result.latency
+            assert latency.count("all") == 300
+            if not cache:
+                assert result.switch_cache == {}
+                assert result.switch_cache_hit_rate == 0.0
+                assert set(latency.ops()) == buckets
+                continue
+            counts = result.switch_cache
+            assert counts["hits"] > 0 and counts["misses"] > 0
+            assert 0.0 < result.switch_cache_hit_rate <= 1.0
+            # One probe per stat: the warm-up call's 100 stats finished
+            # before the window opened, so they are in neither the
+            # counters nor the buckets.
+            assert counts["hits"] + counts["misses"] == 300
+            assert latency.count("switch_hit") == counts["hits"]
+            assert latency.count("switch_miss") == counts["misses"]
