@@ -104,14 +104,6 @@ class CFG:
     def node(self, idx: int) -> CFGNode:
         return self.nodes[idx]
 
-    def preds(self, idx: int) -> List[Tuple[int, str]]:
-        out = []
-        for src, edges in self.succs.items():
-            for dst, kind in edges:
-                if dst == idx:
-                    out.append((src, kind))
-        return out
-
     def yield_nodes(self) -> List[CFGNode]:
         return [n for n in self.nodes if n.kind == "yield"]
 

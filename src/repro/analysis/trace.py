@@ -248,12 +248,6 @@ class SimTracer:
                 return True
         return False
 
-    def current_lockset(self) -> frozenset:
-        holds = self._holds.get(self._proc_key())
-        if not holds:
-            return frozenset()
-        return frozenset(h.label for h in holds)
-
     def global_lockset(self) -> frozenset:
         """Every orderable lock currently held by *any* process.
 

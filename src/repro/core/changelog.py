@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["ChangeOp", "ChangeLogEntry", "ChangeLog", "ChangeLogTable", "RecastLog"]
 
@@ -43,9 +43,9 @@ class ChangeOp(enum.Enum):
         return self in (ChangeOp.CREATE, ChangeOp.MKDIR)
 
 
-@dataclass(frozen=True)
-class ChangeLogEntry:
-    """One delayed directory update (Figure 6)."""
+class ChangeLogEntry(NamedTuple):
+    """One delayed directory update (Figure 6): an immutable tuple record,
+    built positionally on the create path (DESIGN.md §11)."""
 
     timestamp: float
     op: ChangeOp

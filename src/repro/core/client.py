@@ -17,7 +17,7 @@ rename``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from ..net import RpcError, RpcNode, StaleSetHeader, StaleSetOp
 from ..net.topology import Network
@@ -54,6 +54,15 @@ def split_path(path: str) -> Tuple[str, str]:
     idx = path.rfind("/")
     parent = path[:idx] or "/"
     return parent, path[idx + 1 :]
+
+
+def _ancestors(path: str) -> Iterator[str]:
+    """The ``/``-prefixes of absolute *path* short of itself, root
+    excluded: exactly the paths *path* is under."""
+    end = path.find("/", 1)
+    while end > 0:
+        yield path[:end]
+        end = path.find("/", end + 1)
 
 
 class LibFS:
@@ -93,8 +102,10 @@ class LibFS:
             perm=root.perm,
             ancestor_ids=(),
         )
-        # path -> ResolvedDir for directories only.
+        # path -> ResolvedDir for directories only, indexed by directory:
+        # path -> every cached path under it (see invalidate_path).
         self._cache: Dict[str, ResolvedDir] = {}
+        self._under: Dict[str, Set[str]] = {}
 
     @property
     def view_epoch(self) -> int:
@@ -144,25 +155,41 @@ class LibFS:
             perm=value["perm"],
             ancestor_ids=parent.ancestor_ids + (value["id"],),
         )
-        self._cache[path] = resolved
+        self.prime_cache(path, resolved)
         return resolved
 
     def prime_cache(self, path: str, resolved: ResolvedDir) -> None:
-        """Pre-populate the metadata cache (bootstrap/warm-up helper)."""
+        """Cache *resolved* as directory *path* (also the bootstrap/warm-up
+        helper)."""
+        if path not in self._cache:
+            for ancestor in _ancestors(path):
+                self._under.setdefault(ancestor, set()).add(path)
         self._cache[path] = resolved
 
+    def _forget(self, path: str) -> None:
+        """Drop cached directory *path* and its place in the index."""
+        if self._cache.pop(path, None) is not None:
+            for ancestor in _ancestors(path):
+                under = self._under[ancestor]
+                under.discard(path)
+                if not under:
+                    del self._under[ancestor]
+
     def invalidate_path(self, path: str) -> None:
-        """Drop every cached entry on *path* (server said our view is stale)."""
+        """Drop every cached entry on *path* (server said our view is stale):
+        its ancestors, itself and everything under it (a removed subtree),
+        which the index names without a scan of the cache."""
         path = path.rstrip("/")
+        if not path:  # the root: everything is under it
+            self._cache.clear()
+            self._under.clear()
+            return
         prefix = ""
         for part in path.split("/")[1:]:
             prefix = f"{prefix}/{part}"
-            self._cache.pop(prefix, None)
-        # Also drop anything *under* the path (a removed subtree).
-        under = path + "/"
-        doomed = [p for p in self._cache if p.startswith(under)]
-        for p in doomed:
-            del self._cache[p]
+            self._forget(prefix)
+        for below in list(self._under.get(path, ())):
+            self._forget(below)
 
     # ------------------------------------------------------------------
     # POSIX operations
@@ -283,14 +310,14 @@ class LibFS:
             value, _ = yield from self._call(owner, "mkdir", args)
             # What mkdir made is what a lookup would return: an rmdir or a
             # create under it right after resolves from the cache.
-            self._cache[path] = ResolvedDir(
+            self.prime_cache(path, ResolvedDir(
                 id=value["id"],
                 fingerprint=value["fingerprint"],
                 pid=parent.id,
                 name=name,
                 perm=perm,
                 ancestor_ids=parent.ancestor_ids + (value["id"],),
-            )
+            ))
             return value
 
         return self._with_revalidation(attempt, path)
@@ -311,7 +338,7 @@ class LibFS:
                 "path": path,
             }
             value, _ = yield from self._call(owner, "rmdir", args)
-            self._cache.pop(path, None)
+            self._forget(path)
             return value
 
         return self._with_revalidation(attempt, path)
@@ -440,7 +467,6 @@ class LibFS:
                     raise
                 except RpcError as exc:
                     raise fs_error(str(exc)) from exc
-            self._cache.pop(src, None)
             self.invalidate_path(src)
             return value
 

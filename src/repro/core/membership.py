@@ -88,12 +88,6 @@ class MembershipView:
         self._others: Dict[str, Tuple[str, ...]] = {}
 
     # -- routing ------------------------------------------------------------
-    def shard_of_fp(self, fingerprint: int) -> int:
-        return fingerprint % self.num_shards
-
-    def shard_of_file(self, pid: int, name: str) -> int:
-        return file_shard_of(pid, name, self.num_shards)
-
     def dir_owner_by_fp(self, fingerprint: int) -> str:
         """Owner server address for a directory fingerprint group."""
         return self.shard_table[fingerprint % self.num_shards]

@@ -34,7 +34,6 @@ same apply as every synchronous parent update.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Any, Dict, Generator, List, TYPE_CHECKING
 
@@ -255,11 +254,8 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
             # -- build the commit plan (all state known, all locks held) -----
             plan = _Plan()
             plan.delete(src_owner, src_key)
+            moved = src_inode.moved(dst_pid, dst_name)
             if is_dir:
-                moved = dataclasses.replace(
-                    src_inode, pid=dst_pid, name=dst_name,
-                    fingerprint=fingerprint_of(dst_pid, dst_name),
-                )
                 plan.index_drop(src_owner, src_inode.id)
                 plan.index(dst_owner, src_inode.id, dst_key)
                 if src_owner != dst_owner:
@@ -274,8 +270,6 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
                     for ekey, evalue in e_value["items"]:
                         plan.delete(src_owner, tuple(ekey))
                         plan.put(dst_owner, tuple(ekey), evalue)
-            else:
-                moved = dataclasses.replace(src_inode, pid=dst_pid, name=dst_name)
             plan.put(dst_owner, dst_key, moved)
             if defer_parents:
                 from .changelog import ChangeLogEntry, ChangeOp

@@ -21,9 +21,8 @@ tag 0 remapped (0 marks an empty switch register).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from ..net.packet import FINGERPRINT_BITS
 
@@ -33,6 +32,7 @@ __all__ = [
     "DirInode",
     "FileInode",
     "DirEntry",
+    "dir_entry",
     "dir_meta_key",
     "dir_entry_key",
     "file_meta_key",
@@ -148,9 +148,13 @@ def file_meta_key(pid: int, name: str) -> Tuple[str, int, str]:
 
 
 # -- values -----------------------------------------------------------------
+#
+# Value records are immutable tuples (DESIGN.md §11): a tuple is built in
+# one allocation with no per-field ``__setattr__``, keeps no ``__dict__``,
+# hashes and compares as the plain tuple of its fields, and pickles.  Hot
+# paths construct them positionally; copies go through the methods below.
 
-@dataclass(frozen=True)
-class DirInode:
+class DirInode(NamedTuple):
     """Directory metadata (the "Dir Metadata" value of Table 3)."""
 
     id: int
@@ -164,15 +168,19 @@ class DirInode:
 
     def touched(self, mtime: float, entry_delta: int = 0) -> "DirInode":
         """Copy with updated mtime and entry count (inode update)."""
-        return replace(
-            self,
-            mtime=max(self.mtime, mtime),
-            entry_count=self.entry_count + entry_delta,
+        id_, pid, name, fp, perm, ctime, old_mtime, count = self
+        return DirInode(
+            id_, pid, name, fp, perm, ctime,
+            mtime if mtime > old_mtime else old_mtime, count + entry_delta,
         )
 
+    def moved(self, pid: int, name: str) -> "DirInode":
+        """Copy under a new parent and name (rename): a directory's id is
+        permanent, its fingerprint follows the new (pid, name)."""
+        return self._replace(pid=pid, name=name, fingerprint=fingerprint_of(pid, name))
 
-@dataclass(frozen=True)
-class FileInode:
+
+class FileInode(NamedTuple):
     """Regular-file metadata (the "File Metadata" value of Table 3)."""
 
     pid: int
@@ -182,13 +190,28 @@ class FileInode:
     mtime: float = 0.0
     size: int = 0
 
+    def moved(self, pid: int, name: str) -> "FileInode":
+        """Copy under a new parent and name (rename)."""
+        return self._replace(pid=pid, name=name)
 
-@dataclass(frozen=True)
-class DirEntry:
-    """One directory-entry value: file type and permissions (Table 3)."""
+
+class DirEntry(NamedTuple):
+    """One directory-entry value: file type and permissions (Table 3).
+
+    Build it with :func:`dir_entry`, which shares one object per value.
+    """
 
     is_dir: bool
     perm: int
+
+
+@lru_cache(maxsize=None)
+def dir_entry(is_dir: bool, perm: int) -> DirEntry:
+    """The one shared :class:`DirEntry` for ``(is_dir, perm)``: every entry
+    of a directory listing holds one of a handful of values, so the store
+    keeps a reference per entry instead of a record.  The memo holds one
+    record per value in use, two per permission word at most."""
+    return DirEntry(is_dir, perm)
 
 
 def root_inode() -> DirInode:

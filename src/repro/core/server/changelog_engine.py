@@ -22,7 +22,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from ...net import Packet, RpcError, RpcRequest
 from ...sim import RWLock
 from ..changelog import ChangeLog, ChangeLogEntry
-from ..schema import DirEntry, dir_entry_key
+from ..schema import dir_entry, dir_entry_key
 
 __all__ = ["ChangeLogEngine"]
 
@@ -221,10 +221,7 @@ class ChangeLogEngine:
             if was is None:
                 was = dir_entry_key(dir_id, name) in kv
             if entry.op.adds_entry:
-                txn.put(
-                    dir_entry_key(dir_id, name),
-                    DirEntry(is_dir=entry.is_dir, perm=entry.perm),
-                )
+                txn.put(dir_entry_key(dir_id, name), dir_entry(entry.is_dir, entry.perm))
                 if not was:
                     delta += 1
                 present[name] = True

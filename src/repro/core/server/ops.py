@@ -131,12 +131,9 @@ class ServerOps:
             perm = args.get("perm", 0o755 if is_dir and adds else 0o644)
             inode = None
             if adds and is_dir:
-                inode = DirInode(
-                    id=self._new_dir_id(pid, name), pid=pid, name=name,
-                    fingerprint=fp, perm=perm, ctime=now, mtime=now,
-                )
+                inode = DirInode(self._new_dir_id(pid, name), pid, name, fp, perm, now, now)
             elif adds:
-                inode = FileInode(pid=pid, name=name, perm=perm, ctime=now, mtime=now)
+                inode = FileInode(pid, name, perm, now, now)
             yield self._cpu(perf.kv_put_us)
             if adds:
                 self.kv.put(key, inode)
@@ -151,7 +148,7 @@ class ServerOps:
             if self.config.switch_cache:
                 self._send_cache_evict(fp if is_dir else file_cache_fingerprint(pid, name))
 
-            entry = ChangeLogEntry(timestamp=now, op=op, name=name, is_dir=is_dir, perm=perm)
+            entry = ChangeLogEntry(now, op, name, is_dir, perm)
             if self.config.async_updates:
                 # The locks are held across the switch round-trip; unlock
                 # defers to the INSERT multicast.
@@ -270,7 +267,7 @@ class ServerOps:
                 "parent_fp": parent_fp,
                 "entry": entry,
             },
-            header=StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=parent_fp),
+            header=StaleSetHeader(StaleSetOp.INSERT, parent_fp),
         )
 
     def _detach_entry(self, log: ChangeLog, entry: ChangeLogEntry, lsn: int) -> None:

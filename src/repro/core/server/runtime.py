@@ -36,7 +36,7 @@ from ...sim import Counter, Event, Hold, Lock, PhaseStats, Resource, RWLock, Sim
 from ..changelog import ChangeLogEntry
 from ..config import FSConfig
 from ...errors import EWRONGEPOCH, FSError
-from ..schema import DirEntry, dir_entry_key, dir_meta_key, root_inode
+from ..schema import dir_entry, dir_entry_key, dir_meta_key, root_inode
 
 __all__ = ["ServerRuntime"]
 
@@ -278,7 +278,7 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         ekey = dir_entry_key(dir_id, entry.name)
         present = ekey in self.kv
         if entry.op.adds_entry:
-            self.kv.put(ekey, DirEntry(is_dir=entry.is_dir, perm=entry.perm))
+            self.kv.put(ekey, dir_entry(entry.is_dir, entry.perm))
             return 0 if present else 1
         if present:
             self.kv.delete(ekey)

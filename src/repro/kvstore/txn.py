@@ -70,7 +70,3 @@ class Transaction:
         self._done = True
         self._staged.clear()
         self._order.clear()
-
-    @property
-    def op_count(self) -> int:
-        return len(self._order)

@@ -22,10 +22,11 @@ construction paths avoid both dataclass machinery and revalidation:
   validates the port/header pairing (external callers, tests); the
   internal :func:`alloc_packet` / :meth:`Packet.clone` paths skip the
   check because their inputs are already-validated packets.
-* :meth:`StaleSetHeader.with_ret` and :meth:`StaleSetHeader.unpack`
-  construct headers through ``object.__new__`` with explicit range
-  checks, skipping the frozen-dataclass ``__init__`` on the switch's
-  per-packet path.
+* :class:`StaleSetHeader` is a tuple record.  Its constructor
+  range-checks; :meth:`StaleSetHeader.with_ret` and
+  :meth:`StaleSetHeader.unpack` (with its own wire checks) build headers
+  through :func:`alloc_header`, an unchecked ``tuple.__new__``, on the
+  switch's per-packet path.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import struct
+from collections import namedtuple
 from typing import Any, Optional
 
 __all__ = [
@@ -78,10 +80,11 @@ class StaleSetOp(enum.IntEnum):
     EVICT = 6
 
 
-class StaleSetHeader:
+class StaleSetHeader(namedtuple("StaleSetHeader", "op fingerprint seq ret", defaults=(0, 0, 0))):
     """The optional switch-visible header at the head of the UDP payload.
 
-    Immutable (all mutation goes through :meth:`with_ret`, which copies).
+    An immutable tuple record (DESIGN.md §11): all mutation goes through
+    :meth:`with_ret`, which copies.
 
     Attributes
     ----------
@@ -98,35 +101,16 @@ class StaleSetHeader:
         insert succeeded (0 means overflow, triggering sync fallback).
     """
 
-    __slots__ = ("op", "fingerprint", "seq", "ret")
+    __slots__ = ()
 
-    def __init__(self, op: StaleSetOp, fingerprint: int = 0, seq: int = 0, ret: int = 0):
+    def __new__(cls, op: StaleSetOp, fingerprint: int = 0, seq: int = 0, ret: int = 0):
         if not 0 <= fingerprint < (1 << FINGERPRINT_BITS):
             raise ValueError(f"fingerprint out of 49-bit range: {fingerprint:#x}")
         if not 0 <= seq < (1 << 32):
             raise ValueError(f"seq out of 32-bit range: {seq}")
         if ret not in (0, 1):
             raise ValueError(f"ret must be 0 or 1, got {ret}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "fingerprint", fingerprint)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "ret", ret)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("StaleSetHeader is immutable")
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, StaleSetHeader):
-            return NotImplemented
-        return (
-            self.op == other.op
-            and self.fingerprint == other.fingerprint
-            and self.seq == other.seq
-            and self.ret == other.ret
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.fingerprint, self.seq, self.ret))
+        return _new_tuple(cls, (op, fingerprint, seq, ret))
 
     def __repr__(self) -> str:
         return (
@@ -136,14 +120,15 @@ class StaleSetHeader:
 
     def pack(self) -> bytes:
         """Serialise to the 14-byte on-wire layout."""
-        return HEADER_STRUCT.pack(int(self.op), self.ret, self.seq, self.fingerprint)
+        op, fingerprint, seq, ret = self
+        return HEADER_STRUCT.pack(int(op), ret, seq, fingerprint)
 
     @classmethod
     def unpack(cls, data: bytes) -> "StaleSetHeader":
         """Parse the on-wire layout back into a header.
 
         Validates the same domains as the constructor (the wire could
-        carry anything) but skips ``__init__`` dispatch: this runs once
+        carry anything) but skips ``__new__`` dispatch: this runs once
         per stale-set packet in the switch parser.
         """
         op, ret, seq, fingerprint = HEADER_STRUCT.unpack(data[: HEADER_STRUCT.size])
@@ -155,7 +140,11 @@ class StaleSetHeader:
 
     def with_ret(self, ret: int) -> "StaleSetHeader":
         """Copy with the switch-written RET field set (hot switch path)."""
-        return alloc_header(self.op, self.fingerprint, self.seq, 1 if ret else 0)
+        op, fingerprint, seq, _ = self
+        return alloc_header(op, fingerprint, seq, 1 if ret else 0)
+
+
+_new_tuple = tuple.__new__
 
 
 def alloc_header(
@@ -163,16 +152,11 @@ def alloc_header(
 ) -> StaleSetHeader:
     """Validation-free header construction (internal hot path).
 
-    Callers (:meth:`StaleSetHeader.unpack`, :meth:`StaleSetHeader.with_ret`,
-    the switch pipeline) pass already-validated field values; external
-    code should use ``StaleSetHeader(...)``, which validates.
+    Callers (:meth:`StaleSetHeader.unpack`, :meth:`StaleSetHeader.with_ret`)
+    pass already-validated field values; external code should use
+    ``StaleSetHeader(...)``, which validates.
     """
-    h = object.__new__(StaleSetHeader)
-    object.__setattr__(h, "op", op)
-    object.__setattr__(h, "fingerprint", fingerprint)
-    object.__setattr__(h, "seq", seq)
-    object.__setattr__(h, "ret", ret)
-    return h
+    return _new_tuple(StaleSetHeader, (op, fingerprint, seq, ret))
 
 
 _packet_ids = itertools.count(1)

@@ -22,10 +22,10 @@ from typing import Dict, List, Optional
 from ..core.client import ResolvedDir
 from ..core.cluster import Cluster
 from ..core.schema import (
-    DirEntry,
     DirInode,
     FileInode,
     ROOT_ID,
+    dir_entry,
     dir_entry_key,
     dir_meta_key,
     file_meta_key,
@@ -54,9 +54,6 @@ class Population:
     def file_name(self, idx: int) -> str:
         return f"{self.file_prefix}{idx}"
 
-    def total_files(self) -> int:
-        return len(self.dirs) * self.files_per_dir
-
 
 def single_large_directory(num_files: int) -> Population:
     """The single-shared-directory hotspot layout (§6.2.1)."""
@@ -84,6 +81,7 @@ def bootstrap(
     placement = cluster.placement
     servers = {server.addr: server for server in cluster.servers}
     root_owner = servers[placement.root_owner()]
+    file_entry = dir_entry(False, 0o644)
     for nonce, dname in enumerate(population.dirs, start=1):
         dir_path = f"/{dname}"
         fp = fingerprint_of(ROOT_ID, dname)
@@ -91,14 +89,11 @@ def bootstrap(
         population.dir_ids[dname] = dir_id
         population.dir_fps[dname] = fp
         owner = servers[placement.dir_owner(ROOT_ID, dname, dir_path)]
-        inode = DirInode(
-            id=dir_id, pid=ROOT_ID, name=dname, fingerprint=fp,
-            ctime=now, mtime=now, entry_count=population.files_per_dir,
-        )
+        inode = DirInode(dir_id, ROOT_ID, dname, fp, 0o755, now, now, population.files_per_dir)
         owner.kv.put(dir_meta_key(ROOT_ID, dname), inode, log=log_writes)
         owner.index_directory(dir_id, dir_meta_key(ROOT_ID, dname))
         root_owner.kv.put(
-            dir_entry_key(ROOT_ID, dname), DirEntry(True, 0o755), log=log_writes
+            dir_entry_key(ROOT_ID, dname), dir_entry(True, 0o755), log=log_writes
         )
 
         for i in range(population.files_per_dir):
@@ -106,10 +101,10 @@ def bootstrap(
             fowner = servers[placement.file_owner(dir_id, fname, dir_path)]
             fowner.kv.put(
                 file_meta_key(dir_id, fname),
-                FileInode(pid=dir_id, name=fname, ctime=now, mtime=now),
+                FileInode(dir_id, fname, 0o644, now, now),
                 log=log_writes,
             )
-            owner.kv.put(dir_entry_key(dir_id, fname), DirEntry(False, 0o644), log=log_writes)
+            owner.kv.put(dir_entry_key(dir_id, fname), file_entry, log=log_writes)
 
     root_key = dir_meta_key(0, "/")
     root = root_owner.kv.get(root_key)
