@@ -28,9 +28,8 @@ RL002 ``private-access``
 
 RL003 ``bare-except``
     No ``except:`` and no ``except BaseException`` that swallows the
-    exception (no re-raise and the bound name unused): both eat the
-    kernel's ``Interrupt`` and ``GeneratorExit``, wedging process
-    cleanup.
+    exception (no re-raise and the bound name unused): both eat
+    ``GeneratorExit`` and ``KeyboardInterrupt``, wedging process cleanup.
 
 RL004 ``unadopted-generator``
     A bare expression statement calling a same-module generator function
@@ -106,7 +105,7 @@ _RL006_HOT_SUFFIXES = (
 )
 # Base-class names that exempt a class: exception hierarchies (instances
 # are off the hot path) and enums (the metaclass owns the layout).
-_RL006_EXC_BASES_RE = re.compile(r"(Error|Exception|Interrupt|Enum)$")
+_RL006_EXC_BASES_RE = re.compile(r"(Error|Exception|Enum)$")
 
 
 class Finding:
@@ -320,7 +319,7 @@ class _Linter(ast.NodeVisitor):
             self._add(
                 node,
                 "RL003",
-                "bare 'except:' swallows the kernel's Interrupt/GeneratorExit "
+                "bare 'except:' swallows GeneratorExit/KeyboardInterrupt "
                 "— catch a concrete exception type",
             )
         elif isinstance(node.type, ast.Name) and node.type.id == "BaseException":
@@ -337,8 +336,8 @@ class _Linter(ast.NodeVisitor):
                     node,
                     "RL003",
                     "'except BaseException' without re-raise or use of the "
-                    "exception swallows the kernel's Interrupt — narrow it or "
-                    "propagate",
+                    "exception swallows GeneratorExit/KeyboardInterrupt — "
+                    "narrow it or propagate",
                 )
         self.generic_visit(node)
 

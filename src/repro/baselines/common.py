@@ -30,7 +30,7 @@ from ..core.config import FSConfig
 from ..core.membership import Membership, Placement
 from ..core.schema import new_dir_id
 from ..core.server import MetadataServer
-from ..net import FaultModel, Network, PassthroughSwitch, single_rack_path
+from ..net import FaultModel, Network, PassthroughSwitch
 
 __all__ = ["GroupedPartition", "SubtreePartition", "BaselineCluster", "heavy_stack"]
 
@@ -118,7 +118,7 @@ class BaselineCluster(Cluster):
         self.placement = placement
         self.net = Network(
             self.sim,
-            single_rack_path([PassthroughSwitch(latency_us=config.perf.switch_latency_us)]),
+            [PassthroughSwitch(latency_us=config.perf.switch_latency_us)],
             link_latency_us=config.perf.link_latency_us,
             faults=faults,
         )

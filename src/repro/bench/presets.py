@@ -45,6 +45,5 @@ def paper_scale(num_servers: int = 16, cores_per_server: int = 4, **overrides) -
     """
     overrides.setdefault("stale_stages", 10)
     overrides.setdefault("stale_index_bits", 17)
-    overrides.setdefault("num_clients", PAPER_CLIENT_MACHINES)
     return FSConfig(num_servers=num_servers, cores_per_server=cores_per_server,
                     **overrides)

@@ -117,7 +117,6 @@ def cmd_info(args) -> int:
             ["async_updates / recast", f"{cfg.async_updates} / {cfg.recast}"],
             ["stale set", f"{cfg.stale_stages} stages x 2^{cfg.stale_index_bits}"],
             ["proactive push threshold", cfg.proactive_push_entries],
-            ["topology", cfg.topology],
         ],
     )
     return 0

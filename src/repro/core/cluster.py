@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..net import (
-    FaultModel,
-    Network,
-    PassthroughSwitch,
-    RpcNode,
-    leaf_spine_path,
-    single_rack_path,
-)
+from ..net import FaultModel, Network, PassthroughSwitch, RpcNode
 from ..sim import AllOf, Simulator
 from ..switchfab import ProgrammableSwitch, SwitchControlPlane
 from .client import LibFS
@@ -42,19 +35,6 @@ from .server import MetadataServer, ServerRuntime
 from .staleset_backend import StaleSetServer
 
 __all__ = ["Cluster", "SwitchFSCluster"]
-
-
-class _RackMap:
-    """Host address -> rack index: servers and clients stripe round-robin."""
-
-    def __init__(self, num_racks: int):
-        self.num_racks = num_racks
-
-    def __getitem__(self, addr: str) -> int:
-        name, _, idx = addr.rpartition("-")
-        if idx.isdigit():
-            return int(idx) % self.num_racks
-        return 0  # singleton hosts (e.g. a stale-set server) sit in rack 0
 
 
 class Cluster:
@@ -118,36 +98,23 @@ class SwitchFSCluster(Cluster):
 
         latency_us = config.perf.switch_latency_us
         if config.stale_backend == "switch":
-            # One programmable switch on a single rack, one per spine on
-            # leaf-spine (FSConfig rejects spines without leaf-spine).
-            switches = [
-                ProgrammableSwitch(
-                    stale_config=config.stale_geometry,
-                    latency_us=latency_us,
-                    cache_config=(
-                        config.switch_cache_geometry if config.switch_cache else None
-                    ),
-                )
-                for _ in range(config.num_spine_switches)
-            ]
-            self.control = SwitchControlPlane(switches)
+            # The programmable switch is the rack's ToR.
+            switch = ProgrammableSwitch(
+                stale_config=config.stale_geometry,
+                latency_us=latency_us,
+                cache_config=config.switch_cache_geometry if config.switch_cache else None,
+            )
+            self.control = SwitchControlPlane(switch)
             # Bound to the bootstrap *view*, not the live membership: routes
             # are an epoch snapshot the control plane reprograms explicitly
             # at each epoch bump (apply_epoch), mirroring real switch state.
             self.control.install_routes(self.membership.current.dir_owner_by_fp)
         else:
-            switches = [PassthroughSwitch(latency_us)]
-        if config.topology == "leaf-spine":  # FSConfig: only with the switch backend
-            # §5.4: passthrough ToR leaves, programmable spines with
-            # directories partitioned over them by fingerprint.
-            leaves = {r: PassthroughSwitch(latency_us) for r in range(config.num_racks)}
-            path_fn = leaf_spine_path(_RackMap(config.num_racks), leaves, switches)
-        else:
-            path_fn = single_rack_path(switches)
+            switch = PassthroughSwitch(latency_us)
 
         self.net = Network(
             self.sim,
-            path_fn,
+            [switch],
             link_latency_us=config.perf.link_latency_us,
             faults=faults,
         )

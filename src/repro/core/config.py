@@ -77,21 +77,12 @@ class FSConfig:
 
     num_servers: int = 4
     cores_per_server: int = 4
-    num_clients: int = 1
     seed: int = 42
 
     # Fixed shard space for epoch-versioned membership: fingerprints and
     # files hash into num_servers * shards_per_server shards; migration
     # reassigns shards to servers without rehashing keys.
     shards_per_server: int = 8
-
-    # Topology (§5.4): "single-rack" puts the programmable stale set on
-    # the ToR switch; "leaf-spine" deploys num_racks racks with
-    # num_spine_switches programmable spines, directories range-
-    # partitioned over the spines by fingerprint.
-    topology: str = "single-rack"
-    num_racks: int = 2
-    num_spine_switches: int = 1
 
     # Protocol features (ablation knobs, §6.5.1).
     async_updates: bool = True
@@ -137,14 +128,6 @@ class FSConfig:
             raise ValueError(f"cores_per_server must be >= 1")
         if self.stale_backend not in ("switch", "server"):
             raise ValueError(f"unknown stale_backend: {self.stale_backend!r}")
-        if self.topology not in ("single-rack", "leaf-spine"):
-            raise ValueError(f"unknown topology: {self.topology!r}")
-        if self.num_racks < 1 or self.num_spine_switches < 1:
-            raise ValueError("need at least one rack and one spine switch")
-        if self.num_spine_switches > 1 and self.topology != "leaf-spine":
-            raise ValueError("num_spine_switches > 1 requires topology='leaf-spine'")
-        if self.stale_backend == "server" and self.topology == "leaf-spine":
-            raise ValueError("stale_backend='server' requires topology='single-rack'")
         if self.recast and not self.async_updates:
             raise ValueError("recast requires async_updates")
         if self.proactive_push_entries < 1:

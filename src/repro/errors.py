@@ -71,10 +71,6 @@ class FSError(RpcError):
         self.detail = detail
         super().__init__(f"{code}: {detail}" if detail else code)
 
-    def wire_format(self) -> str:
-        """Encoding used inside RPC error strings."""
-        return f"{self.code}: {self.detail}"
-
 
 def fs_error(wire: str) -> FSError:
     """Parse an RPC error string back into :class:`FSError`.

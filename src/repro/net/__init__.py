@@ -1,4 +1,4 @@
-"""Simulated UDP network substrate: packets, faults, topology, and RPC."""
+"""Simulated UDP network substrate: packets, faults, the fabric, and RPC."""
 
 from .faults import FaultDecision, FaultModel
 from .packet import (
@@ -13,15 +13,7 @@ from .packet import (
 )
 from ..errors import RpcError, RpcTimeout
 from .rpc import Reply, RpcNode, RpcRequest, RpcResponse
-from .sniffer import CapturedPacket, Sniffer
-from .topology import (
-    Network,
-    PassthroughSwitch,
-    PathFn,
-    SwitchDevice,
-    leaf_spine_path,
-    single_rack_path,
-)
+from .topology import Network, PassthroughSwitch, SwitchDevice
 
 __all__ = [
     "Packet",
@@ -37,15 +29,10 @@ __all__ = [
     "Network",
     "PassthroughSwitch",
     "SwitchDevice",
-    "single_rack_path",
-    "leaf_spine_path",
-    "PathFn",
     "RpcNode",
     "RpcRequest",
     "RpcResponse",
     "Reply",
     "RpcError",
     "RpcTimeout",
-    "Sniffer",
-    "CapturedPacket",
 ]

@@ -78,7 +78,7 @@ _BACKOFF_CAP = 64
 #: Sentinel delivered to a waiting call when its retransmit deadline
 #: fires first.  Racing the deadline and the response on ONE event
 #: (whoever triggers first wins; the loser sees ``triggered`` and backs
-#: off) is cheaper than an AnyOf combinator per attempt.
+#: off) is cheaper than a combinator event per attempt.
 _TIMED_OUT = object()
 
 
@@ -393,7 +393,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 header = make_header(attempt) if make_header else None
                 port = STALESET_PORT if header is not None else REGULAR_PORT
                 # Race the response against the retransmit deadline on ONE
-                # fresh event (no AnyOf combinator): whichever triggers it
+                # fresh event (no combinator): whichever triggers it
                 # first wins, the loser sees `triggered` and backs off.
                 ev = pending_map[rpc_id] = sim.event()
                 self.net.send(

@@ -1,56 +1,46 @@
-"""Simulated network fabric and topologies (§5.4).
+"""Simulated network fabric: one rack behind one ToR device chain.
 
 :class:`Network` connects named hosts through a chain of switch devices.
 Every transmitted packet:
 
 1. rolls the :class:`~repro.net.faults.FaultModel` dice (loss / dup /
    reorder);
-2. traverses the path's links, paying ``link_latency_us`` per link;
-3. is handed to each switch device on the path in order — a device may
+2. traverses the chain's links, paying ``link_latency_us`` per link;
+3. is handed to each switch device of the chain in order — a device may
    forward, rewrite, multicast, or consume the packet;
 4. lands in the destination host's inbox (``put``).
 
-Two topologies cover the paper's deployments:
-
-* :func:`single_rack_path` — host → ToR switch → host (the programmable
-  switch is the ToR, monitoring all rack traffic);
-* :func:`leaf_spine_path` — host → leaf → spine → leaf → host, with the
-  programmable stale set at the spine (Figure 10), partitioned over
-  several spines by :func:`switch_of_fingerprint` when one is not enough.
+The chain is the paper's testbed: every pair of hosts talks through
+the same ToR, and the programmable switch is that ToR, seeing all rack
+traffic.  The multi-rack deployment of §5.4 is not modelled (DESIGN.md §2).
 
 Fast paths (DESIGN.md §10)
 --------------------------
-A path compiles into one ``stages`` tuple of absolute offsets: one
-``(offset_us, device)`` per *non-transparent* device, ending in
-``(total_us, None)`` for the delivery; every link latency and device
-latency (transparent ones included) is folded in.  The chain every packet
-shares on a single rack compiles once, when the network is built; a keyed
-path (leaf-spine) caches its stages per ``plan_key``.  Each transmitted
-copy is one plain kernel entry (:class:`_Hop`) re-pushed per stage: a
-device stage hands the packet to ``device.process``, the delivery stage
-puts the packets into their hosts' inboxes.  The arithmetic is that of a
-per-link walk, so delivery timestamps, packet arrival order at the switch
-and the FIFO tie-break contract of DESIGN.md §9 are unchanged.
+The chain compiles once, when the network is built, into one ``stages``
+tuple of absolute offsets: one ``(offset_us, device)`` per
+*non-transparent* device, ending in ``(total_us, None)`` for the delivery;
+every link latency and device latency (transparent ones included) is
+folded in.  Each transmitted copy is one plain kernel entry (:class:`_Hop`)
+re-pushed per stage: a device stage hands the packet to
+``device.process``, the delivery stage puts the packets into their hosts'
+inboxes.  The arithmetic is that of a per-link walk, so delivery
+timestamps, packet arrival order at the switch and the FIFO tie-break
+contract of DESIGN.md §9 are unchanged.
 """
 
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from zlib import crc32
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..sim import Simulator, Store
 from .faults import FaultModel
-from .packet import Packet, STALESET_PORT
+from .packet import Packet
 
 __all__ = [
     "SwitchDevice",
     "PassthroughSwitch",
     "Network",
-    "PathFn",
-    "single_rack_path",
-    "leaf_spine_path",
-    "switch_of_fingerprint",
 ]
 
 
@@ -85,90 +75,7 @@ class PassthroughSwitch:  # reprolint: allow[RL006] one per network, built at bo
         return [packet]
 
 
-#: A path function maps a packet to the ordered device chain it traverses.
-#: It may carry ``chain``, the one chain every packet takes (compiled once),
-#: or ``plan_key(packet)``, a routing key the compiled stages are cached
-#: under — ``None`` for a packet no route reaches (an unknown host).
-PathFn = Callable[[Packet], List[SwitchDevice]]
-
-
-def single_rack_path(devices: Sequence[SwitchDevice]) -> PathFn:
-    """All pairs of hosts communicate through the same ToR device chain."""
-    chain = list(devices)
-
-    def path(packet: Packet) -> List[SwitchDevice]:
-        return chain
-
-    path.chain = chain  # one chain for everyone
-    return path
-
-
-def switch_of_fingerprint(fingerprint: int, num_switches: int) -> int:
-    """Which of a deployment's programmable switches holds *fingerprint*.
-
-    The one answer to that question: the path function routes a stale-set
-    packet by it and the control plane reads, clears and counts state by
-    it, so the two can never disagree about where a bit lives.
-    """
-    return fingerprint % num_switches
-
-
-def leaf_spine_path(
-    rack_of: Dict[str, int],
-    leaves: Dict[int, SwitchDevice],
-    spines: Sequence[SwitchDevice],
-) -> PathFn:
-    """Leaf-spine routing with the programmable stale set at the spines.
-
-    ToR switches no longer see all traffic in a multi-rack deployment
-    (Figure 10), so the stale set moves to the spine.  SwitchFS routes
-    every packet that carries (or may trigger) a stale-set operation
-    through the spine; we model that by climbing to the spine for all
-    traffic — intra-rack round trips just pay the two extra links the
-    detour costs, which is exactly the trade the paper describes.
-
-    With several spines (§5.4 scaling) directories are partitioned over
-    them by fingerprint: a packet carrying a stale-set operation climbs to
-    the spine :func:`switch_of_fingerprint` names, so each spine holds a
-    disjoint slice of the stale set.  Packets without stale-set headers
-    balance over the spines by flow hash.
-    """
-    spines = list(spines)
-    if not spines:
-        raise ValueError("need at least one spine switch")
-    k = len(spines)
-    # A stable hash of the address pair (``hash()`` of a string moves with
-    # PYTHONHASHSEED), computed once per pair.
-    flow_spine: Dict[Tuple[str, str], int] = {}
-
-    def spine_index(packet: Packet) -> int:
-        if packet.port == STALESET_PORT and packet.header is not None:
-            return switch_of_fingerprint(packet.header.fingerprint, k)
-        flow = (packet.src, packet.dst)
-        idx = flow_spine.get(flow)
-        if idx is None:
-            idx = flow_spine[flow] = crc32(f"{flow[0]}>{flow[1]}".encode()) % k
-        return idx
-
-    def path(packet: Packet) -> List[SwitchDevice]:
-        idx = spine_index(packet)
-        return [leaves[rack_of[packet.src]], spines[idx], leaves[rack_of[packet.dst]]]
-
-    def plan_key(packet: Packet) -> Optional[Tuple[int, int, int]]:
-        # The key must include the chosen spine: two stale-set packets
-        # between the same pair of hosts can take different spines
-        # depending on their fingerprint.
-        try:
-            src_rack, dst_rack = rack_of[packet.src], rack_of[packet.dst]
-        except KeyError:
-            return None  # a host in no rack: no route
-        return src_rack, dst_rack, spine_index(packet)
-
-    path.plan_key = plan_key
-    return path
-
-
-#: A compiled path: ``(offset_us, device)`` per non-transparent device,
+#: A compiled chain: ``(offset_us, device)`` per non-transparent device,
 #: then ``(total_us, None)``; offsets are relative to transmission.
 Stages = Tuple[Tuple[float, Optional[SwitchDevice]], ...]
 
@@ -240,24 +147,20 @@ _ON_TIME = (0.0,)
 
 
 class Network:  # reprolint: allow[RL006] one per cluster, built at boot
-    """The fabric: registers hosts, owns the path function, moves packets."""
+    """The fabric: registers hosts, owns the device chain, moves packets."""
 
     def __init__(
         self,
         sim: Simulator,
-        path_fn: "PathFn",
+        devices: Sequence[SwitchDevice],
         link_latency_us: float = 0.75,
         faults: Optional[FaultModel] = None,
     ):
         if link_latency_us < 0:
             raise ValueError(f"link latency must be >= 0, got {link_latency_us}")
         self.sim = sim
-        self._path_fn = path_fn
-        self._plan_key_fn = getattr(path_fn, "plan_key", None)
-        self._plans: Dict[object, Stages] = {}
-        chain = getattr(path_fn, "chain", None)
-        # The stages every packet takes, or None when routed per packet.
-        self._stages = None if chain is None else _plan(chain, link_latency_us)
+        # The stages every packet takes, compiled once.
+        self._stages = _plan(devices, link_latency_us)
         self.link_latency_us = link_latency_us
         self.faults = faults or FaultModel.reliable()
         self._inboxes: Dict[str, object] = {}
@@ -285,8 +188,8 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
     def send(self, packet: Packet) -> None:
         """Transmit *packet* asynchronously (fire and forget, UDP-style).
 
-        A packet to a host no route reaches is dropped; anything a path
-        function or a device raises propagates (DESIGN.md §10).
+        A packet to an unattached host is dropped at delivery; anything a
+        device raises propagates (DESIGN.md §10).
         """
         self.packets_sent += 1
         faults = self.faults
@@ -300,11 +203,6 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
             delays = decision.extra_delays
             clone = decision.copies != 1  # duplicated: every copy is a clone
         stages = self._stages
-        if stages is None:
-            stages = self._route(packet)
-            if stages is None:
-                self.packets_dropped += 1
-                return
         sim = self.sim
         now = sim.now
         for extra in delays:
@@ -317,16 +215,3 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
             # Inlined Simulator.schedule_at: this push runs once per packet,
             # the hottest schedule site in the datapath.
             _heappush(sim._heap, (base + stages[0][0], next(sim._counter), hop))  # reprolint: allow[private-access] documented scheduler fast path
-
-    def _route(self, packet: Packet) -> Optional[Stages]:
-        key_fn = self._plan_key_fn
-        if key_fn is None:
-            # Custom path function (tests): no cache contract, recompile.
-            return _plan(self._path_fn(packet), self.link_latency_us)
-        key = key_fn(packet)
-        if key is None:
-            return None
-        stages = self._plans.get(key)
-        if stages is None:
-            stages = self._plans[key] = _plan(self._path_fn(packet), self.link_latency_us)
-        return stages

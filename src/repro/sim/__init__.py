@@ -9,9 +9,7 @@ measurement helpers (:mod:`repro.sim.stats`), and seeded randomness
 
 from .kernel import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -27,8 +25,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
     "Resource",
     "Hold",

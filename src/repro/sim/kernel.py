@@ -65,8 +65,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -77,18 +75,6 @@ _heappush = heapq.heappush
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel itself."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -233,7 +219,7 @@ class Process(Event):
     by refcount once its last waiter has run (DESIGN.md §9).
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_cb", "_adopted")
+    __slots__ = ("gen", "name", "_started", "_resume_cb", "_adopted")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "", boot: bool = True):
         # Event.__init__ inlined, as in Timeout.
@@ -242,7 +228,6 @@ class Process(Event):
         self._triggered = self._processed = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # One bound method reused for every wait, instead of allocating a
         # fresh one per yield.
         self._resume_cb = self._resume
@@ -260,38 +245,19 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op, matching SimPy's
-        forgiving behaviour for racing interrupts.
-        """
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target._processed:
-            # Detach from the event we were waiting on so its later firing
-            # does not resume us twice.
-            target._discard_callback(self._resume_cb)
-        self._waiting_on = None
-        kick = Event(self.sim)
-        kick._cb1 = self._resume_cb
-        kick.fail(Interrupt(cause))
-
     # -- internals ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator; trampoline over already-processed targets.
 
         This loop is also the callback registered on every awaited event,
         so one Python frame covers callback entry, generator advance, and
-        re-wait (and delivers an :meth:`interrupt`'s failed carrier).  A
+        re-wait (a failed event is thrown into the generator).  A
         yielded event that is *already processed* (uncontended resource
         grant, pre-fired event) feeds straight back into the loop rather
         than recursing or taking a trip through the scheduler.
         """
         if self._triggered:
             return
-        self._waiting_on = None
         value = event._value
         exc = event._exc
         gen = self.gen
@@ -337,7 +303,6 @@ class Process(Event):
                 value = target._value
                 exc = target._exc
                 continue
-            self._waiting_on = target
             # Inlined add_callback single-waiter case (the overwhelmingly
             # common one: we are the event's only waiter).
             if target._cb1 is None and target.callbacks is None:
@@ -396,49 +361,6 @@ class AllOf(Event):
         for ev in self._events:
             if not ev._processed:
                 ev._discard_callback(cb)
-
-
-class AnyOf(Event):
-    """Fires when the first constituent event triggers.
-
-    Succeeds with ``(index, value)`` of the first event to succeed; fails
-    if the first event to trigger failed.  Either way the losing events
-    are detached so the combinator leaks no callbacks.
-    """
-
-    __slots__ = ("_events", "_cbs")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        self._cbs: List[Callable[[Event], None]] = []
-        for idx, ev in enumerate(self._events):
-            if self._triggered:
-                break
-            cb = self._make_cb(idx)
-            self._cbs.append(cb)
-            ev.add_callback(cb)
-
-    def _make_cb(self, idx: int) -> Callable[[Event], None]:
-        def cb(ev: Event) -> None:
-            if self._triggered:
-                return
-            if ev._exc is not None:
-                self.fail(ev._exc)
-            else:
-                self.succeed((idx, ev._value))
-            self._detach()
-
-        return cb
-
-    def _detach(self) -> None:
-        for ev, cb in zip(self._events, self._cbs):
-            if not ev._processed:
-                ev._discard_callback(cb)
-        # Each callback closes over this combinator.
-        self._cbs.clear()
 
 
 class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__dict__ entries
@@ -538,9 +460,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling surface ------------------------------------------------
     def reserve_seq(self) -> int:

@@ -141,7 +141,7 @@ class Hold(Event):
     itself at ``now + delay`` — two entries, because the finish push takes
     its tick at grant time (DESIGN.md §9).  The final pop releases the
     unit and books queue/cpu time inline, then runs the callbacks.  Not
-    cancellable: an interrupted waiter detaches, the hold runs on.
+    cancellable: once taken or queued, the hold runs to its end.
     """
 
     __slots__ = ("resource", "delay", "phases", "requested", "start", "proc")

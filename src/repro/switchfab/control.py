@@ -3,16 +3,14 @@
 The control plane is the slow-path management interface a real deployment
 drives through the switch OS.  It installs the fingerprint → owner-server
 routes the address rewriter needs, injects switch failures for the
-recovery drill of §6.7, and exports occupancy / traffic statistics — for
-every programmable switch of the deployment at once.
+recovery drill of §6.7, and exports occupancy / traffic statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from ..net.topology import switch_of_fingerprint
 from .switch import ProgrammableSwitch
 
 __all__ = ["SwitchControlPlane", "SwitchStats"]
@@ -46,26 +44,15 @@ class SwitchStats:
 
 
 class SwitchControlPlane:
-    """Management handle over every programmable switch of a deployment.
+    """Management handle over the deployment's one programmable switch."""
 
-    One switch on a single rack, one per spine on leaf-spine; a
-    fingerprint's state lives at :meth:`switch_for` and nowhere else, so
-    routes, flushes, failure and reconciliation are written once over the
-    whole sequence and :meth:`stats` is its sum.
-    """
-
-    def __init__(self, switches: Sequence[ProgrammableSwitch]):
-        self.switches = tuple(switches)
+    def __init__(self, switch: ProgrammableSwitch):
+        self.switch = switch
         self._ctl_remove_seq = 0
-
-    def switch_for(self, fingerprint: int) -> ProgrammableSwitch:
-        """The switch whose tables hold *fingerprint*."""
-        return self.switches[switch_of_fingerprint(fingerprint, len(self.switches))]
 
     def install_routes(self, fingerprint_owner: Callable[[int], str]) -> None:
         """Program the fingerprint → owner-server mapping (fallback path)."""
-        for switch in self.switches:
-            switch.install_fingerprint_owner(fingerprint_owner)
+        self.switch.install_fingerprint_owner(fingerprint_owner)
 
     def apply_epoch(self, view) -> None:
         """Reprogram the data plane for a new membership epoch.
@@ -82,8 +69,7 @@ class SwitchControlPlane:
         cutover (DESIGN.md §15) — a cold cache is always safe.
         """
         self.install_routes(view.dir_owner_by_fp)
-        for switch in self.switches:
-            switch.flush_cache()
+        self.switch.flush_cache()
 
     def reconcile_stale_set(self, fingerprints: Iterable[int]) -> int:
         """Control-plane removal of stale-set bits after a migration.
@@ -94,49 +80,48 @@ class SwitchControlPlane:
         would hide a completed update from readers.  Uses the per-source
         SEQ filter with a dedicated control-plane source id, so a
         retransmitted data-plane REMOVE can never be mistaken for (or
-        filtered against) these; one counter serves every switch, since
-        each switch only needs its own share to be increasing.  Returns
-        the bits cleared: a fingerprint whose bit is already gone (the
-        online drain's REMOVE got through) counts for nothing.
+        filtered against) these.  Returns the bits cleared: a fingerprint
+        whose bit is already gone (the online drain's REMOVE got through)
+        counts for nothing.
         """
-        cleared = 0
+        stale_set = self.switch.stale_set
+        before = stale_set.occupancy
         for fp in fingerprints:
             self._ctl_remove_seq += 1
-            stale_set = self.switch_for(fp).stale_set
-            before = stale_set.occupancy
             stale_set.remove(fp, source="ctl-plane", seq=self._ctl_remove_seq)
-            cleared += before - stale_set.occupancy
-        return cleared
+        return before - stale_set.occupancy
 
     def fail(self) -> None:
-        """Crash every switch: all data-plane state is lost (§4.4.2).
+        """Crash the switch: all data-plane state is lost (§4.4.2).
 
-        SwitchFS recovery starts from *empty* stale sets and has every
+        SwitchFS recovery starts from an *empty* stale set and has every
         server flush its change-logs; the cluster drives that flush.
         """
-        for switch in self.switches:
-            switch.reset()
+        self.switch.reset()
 
     def stats(self) -> SwitchStats:
-        """Data-plane statistics, summed over the switches."""
-        switches = self.switches
-        sets = [sw.stale_set for sw in switches]
-        caches = [sw.dentry_cache for sw in switches if sw.dentry_cache is not None]
+        """Data-plane statistics."""
+        switch = self.switch
+        s = switch.stale_set
+        c = switch.dentry_cache
+        cache = {} if c is None else dict(
+            cache_hits=c.hits,
+            cache_misses=c.misses,
+            cache_fills=c.fills,
+            cache_evictions=c.evictions,
+            cache_occupancy=c.occupancy,
+            cache_capacity=c.geometry.capacity,
+        )
         return SwitchStats(
-            occupancy=sum(s.occupancy for s in sets),
-            capacity=sum(s.geometry.capacity for s in sets),
-            inserts=sum(s.inserts for s in sets),
-            insert_overflows=sum(s.insert_overflows for s in sets),
-            removes=sum(s.removes for s in sets),
-            removes_filtered=sum(s.removes_filtered for s in sets),
-            queries=sum(s.queries for s in sets),
-            forwarded=sum(sw.forwarded for sw in switches),
-            multicasts=sum(sw.multicasts for sw in switches),
-            redirects=sum(sw.redirects for sw in switches),
-            cache_hits=sum(c.hits for c in caches),
-            cache_misses=sum(c.misses for c in caches),
-            cache_fills=sum(c.fills for c in caches),
-            cache_evictions=sum(c.evictions for c in caches),
-            cache_occupancy=sum(c.occupancy for c in caches),
-            cache_capacity=sum(c.geometry.capacity for c in caches),
+            occupancy=s.occupancy,
+            capacity=s.geometry.capacity,
+            inserts=s.inserts,
+            insert_overflows=s.insert_overflows,
+            removes=s.removes,
+            removes_filtered=s.removes_filtered,
+            queries=s.queries,
+            forwarded=switch.forwarded,
+            multicasts=switch.multicasts,
+            redirects=switch.redirects,
+            **cache,
         )

@@ -6,11 +6,8 @@ combining the paper's components:
 * **Parser** — extracts the stale-set header from packets on the reserved
   stale-set UDP port (exercising the byte codec end-to-end);
 * **Router** — regular packets forward by destination;
-* **Stale set** — one per switch.  Figure 7's split of the set over
-  egress pipes (and the mirroring between them) is not modelled: a
-  fingerprint space larger than one table is partitioned once, over
-  switches, by :func:`~repro.net.topology.switch_of_fingerprint`
-  (DESIGN.md §3);
+* **Stale set** — one table.  Figure 7's split of the set over egress
+  pipes (and the mirroring between them) is not modelled (DESIGN.md §3);
 * **Address rewriter** — on insert overflow, rewrites the destination to
   the directory's owner server so updates fall back to synchronous mode.
 

@@ -143,7 +143,7 @@ class TestRL003BareExcept:
         )
         findings = lint_file(p)
         assert _rules(findings) == ["RL003"]
-        assert "Interrupt" in findings[0].message
+        assert "GeneratorExit" in findings[0].message
 
     def test_swallowing_baseexception_flagged(self, tmp_path):
         p = _write(

@@ -2,6 +2,7 @@
 
 from repro.bench import paper_scale
 from repro.bench.presets import (
+    PAPER_CLIENT_MACHINES,
     PAPER_INFLIGHT,
     PAPER_MULTI_DIRS,
     PAPER_SINGLE_DIR_FILES,
@@ -14,11 +15,11 @@ def test_paper_scale_matches_table4():
     assert cfg.stale_stages == 10          # ten pipeline stages
     assert cfg.stale_index_bits == 17      # 131,072 registers each
     assert cfg.stale_geometry.capacity == 1_310_720  # the paper's stale-set capacity
-    assert cfg.num_clients == 3
 
 
 def test_paper_constants():
     assert PAPER_INFLIGHT == 256
+    assert PAPER_CLIENT_MACHINES == 3
     assert PAPER_SINGLE_DIR_FILES == 10_000_000
     assert PAPER_MULTI_DIRS == 1024
 

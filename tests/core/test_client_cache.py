@@ -47,7 +47,7 @@ def _index_of(cached):
 
 
 def _client():
-    return SwitchFSCluster(FSConfig(num_servers=2, num_clients=1, seed=3)).client(0)
+    return SwitchFSCluster(FSConfig(num_servers=2, seed=3)).client(0)
 
 
 def test_invalidate_drops_ancestors_and_subtree_but_not_a_sibling_prefix():

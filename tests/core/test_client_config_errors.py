@@ -37,10 +37,11 @@ class TestSplitPath:
 
 class TestErrors:
     def test_wire_roundtrip(self):
-        err = FSError(EEXIST, "/a/b")
-        parsed = fs_error(err.wire_format())
-        assert parsed.code == EEXIST
-        assert parsed.detail == "/a/b"
+        # The wire carries str(exc): what the RPC layer sends for a raised
+        # FSError, and what LibFS parses back.
+        for err in (FSError(EEXIST, "/a/b"), FSError(ENOENT)):
+            parsed = fs_error(str(err))
+            assert (parsed.code, parsed.detail) == (err.code, err.detail)
 
     def test_unknown_code_becomes_eio(self):
         parsed = fs_error("rpc create to server-1 timed out")
@@ -95,6 +96,29 @@ class TestConfig:
     def test_boundary_timing_accepted(self):
         FSConfig(grace_period_us=500.0, unlock_watchdog_us=0.0, proactive_idle_push_us=0.0)
         PerfModel(rpc_max_attempts=1, stack_multiplier=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(stale_stages=0),
+            dict(stale_index_bits=0),
+            dict(stale_index_bits=60),
+            dict(stale_index_bits=18),
+            dict(switch_cache_stages=0),
+            dict(switch_cache_index_bits=0),
+            dict(switch_cache_index_bits=18),
+        ],
+    )
+    def test_bad_table_geometry_rejected_up_front(self, bad):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            FSConfig(**bad)
+
+    def test_one_index_bound_for_both_tables(self):
+        # FINGERPRINT_BITS - TAG_BITS = 17 fingerprint bits above the tag.
+        cfg = FSConfig(stale_index_bits=17, switch_cache_index_bits=17)
+        assert cfg.stale_geometry.capacity == 10 << 17
+        assert cfg.switch_cache_geometry.capacity == 4 << 17
 
     def test_perf_scaled(self):
         perf = PerfModel().scaled(3.0)

@@ -1,16 +1,16 @@
-"""Cluster assembly, introspection, and the rack map."""
+"""Cluster assembly and introspection."""
 
 import pytest
 
 from repro.core import FSConfig, SwitchFSCluster
-from repro.core.cluster import _RackMap
+from repro.switchfab import ProgrammableSwitch
 
 
 class TestAssembly:
     def test_servers_and_switch_wired(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=3, cores_per_server=2))
         assert len(cluster.servers) == 3
-        assert len(cluster.control.switches) == 1
+        assert isinstance(cluster.control.switch, ProgrammableSwitch)
         # Exactly one server holds the root inode.
         roots = sum(
             1 for s in cluster.servers if ("D", 0, "/") in s.kv
@@ -38,15 +38,6 @@ class TestAssembly:
         with pytest.raises(KeyError):
             cluster.server_by_addr("server-9")
 
-    def test_leaf_spine_builds_spines(self):
-        cluster = SwitchFSCluster(
-            FSConfig(
-                num_servers=4, cores_per_server=2,
-                topology="leaf-spine", num_racks=2, num_spine_switches=2,
-            )
-        )
-        assert len(cluster.control.switches) == 2
-
 
 class TestSettle:
     def test_settle_raises_when_entries_stuck(self):
@@ -68,16 +59,3 @@ class TestSettle:
             cluster.run_op(fs.create(f"/d/f{i}"))
         cluster.settle()
         assert cluster.total_pending_entries() == 0
-
-
-class TestRackMap:
-    def test_striping(self):
-        racks = _RackMap(2)
-        assert racks["server-0"] == 0
-        assert racks["server-1"] == 1
-        assert racks["server-2"] == 0
-        assert racks["client-3"] == 1
-
-    def test_singleton_hosts_default_to_rack_zero(self):
-        racks = _RackMap(4)
-        assert racks["staleset-server"] == 0

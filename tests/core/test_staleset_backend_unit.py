@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import FSConfig
 from repro.core.staleset_backend import ServerBackendClient, StaleSetServer
-from repro.net import Network, PassthroughSwitch, RpcNode, single_rack_path
+from repro.net import Network, PassthroughSwitch, RpcNode
 from repro.sim import Simulator
 
 
 def make_pair(cores=2, op_us=1.0):
     sim = Simulator()
-    net = Network(sim, single_rack_path([PassthroughSwitch()]))
+    net = Network(sim, [PassthroughSwitch()])
     config = FSConfig(
         num_servers=2, stale_backend="server",
         staleset_server_cores=cores, staleset_server_op_us=op_us,

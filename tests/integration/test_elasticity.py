@@ -13,7 +13,8 @@ from repro.analysis import (
     lock_order_cycles,
     race_findings,
 )
-from repro.core import FSConfig, SwitchFSCluster
+from repro.core import FSConfig, SwitchFSCluster, fingerprint_of, ROOT_ID
+from repro.core.membership import plan_scale_up
 
 
 def _workload_ops(phase: int):
@@ -200,3 +201,101 @@ class TestDrainAccounting:
         # The zero is explained, not ambiguous: no groups needed draining.
         assert up["drain_groups"] == 0
         assert up["drain_us"] == 0.0
+
+
+class TestStaleSetReconciliation:
+    """After a migration the control plane clears the stale-set bits of
+    provably settled directories, and only those."""
+
+    @staticmethod
+    def make():
+        return SwitchFSCluster(
+            FSConfig(num_servers=4, cores_per_server=2, seed=14, proactive_enabled=False)
+        )
+
+    @staticmethod
+    def twelve_directories(cluster):
+        fs = cluster.client(0)
+        for i in range(12):
+            cluster.run_op(fs.mkdir(f"/dir{i}"))
+            cluster.run_op(fs.create(f"/dir{i}/f"))
+        return fs
+
+    @staticmethod
+    def moving_directories(cluster, count):
+        view = cluster.membership.current
+        _, _, moved = plan_scale_up(view, f"server-{len(view.servers)}")
+        fps = {f"/dir{i}": fingerprint_of(ROOT_ID, f"dir{i}") for i in range(count)}
+        moving = {d: fp for d, fp in fps.items() if fp % view.num_shards in moved}
+        return fps, moving
+
+    def test_bits_left_by_lost_removes_are_reclaimed(self):
+        cluster = self.make()
+        fs = cluster.client(0)
+        for i in range(40):
+            cluster.run_op(fs.mkdir(f"/dir{i}"))
+        cluster.run_op(fs.statdir("/"))  # aggregate the root: nothing pending
+        assert cluster.total_pending_entries() == 0
+        assert cluster.switch_stats().occupancy == 0
+        # A bit with nothing pending behind it, as a lost REMOVE leaves it.
+        stale_set = cluster.control.switch.stale_set
+        fps, moving = self.moving_directories(cluster, 40)
+        for fp in fps.values():
+            assert stale_set.insert(fp)
+        stats = cluster.scale_up()
+        assert stats["stale_bits_cleared"] == len(moving)
+        for name, fp in fps.items():
+            assert stale_set.query(fp) == (name not in moving), name
+        assert cluster.switch_stats().occupancy == len(fps) - len(moving) == 35
+
+    def test_bits_the_drain_already_cleared_are_not_counted(self):
+        """Fault-free, the online drain's REMOVE clears the moving
+        directory's bit before the cutover: the control plane clears
+        nothing more and reports so."""
+        cluster = self.make()
+        self.twelve_directories(cluster)
+        _, moving = self.moving_directories(cluster, 12)
+        (fp,) = moving.values()
+        stale_set = cluster.control.switch.stale_set
+        assert stale_set.query(fp)
+        occupancy = cluster.switch_stats().occupancy
+        stats = cluster.scale_up()
+        assert stats["drain_groups"] > 0
+        assert not stale_set.query(fp)
+        assert stats["stale_bits_cleared"] == 0
+        assert cluster.switch_stats().occupancy == occupancy - 1
+
+    def test_directory_with_pending_entries_keeps_its_bit(self):
+        cluster = self.make()
+        fs = self.twelve_directories(cluster)
+        _, moving = self.moving_directories(cluster, 12)
+        (name, fp), = moving.items()
+        writer_fs = cluster.client(1)
+
+        def writer():
+            # Lands creates in the moving directory between the online
+            # drain and the cutover, so entries are pending at reconcile.
+            yield cluster.sim.timeout(10.0)
+            for j in range(6):
+                yield from writer_fs.create(f"{name}/g{j}")
+
+        control = cluster.control
+        stale_set = control.switch.stale_set
+        seen = {}
+        reconcile = control.reconcile_stale_set
+
+        def spy(safe):
+            safe = list(safe)
+            seen["safe"] = safe
+            seen["pending"] = cluster._pending_for_fp(fp)
+            seen["bit"] = stale_set.query(fp)
+            return reconcile(safe)
+
+        control.reconcile_stale_set = spy
+        proc = cluster.sim.spawn(writer(), name="writer")
+        cluster.scale_up()
+        assert seen["pending"] > 0 and seen["bit"] and fp not in seen["safe"]
+        assert stale_set.query(fp)  # still scattered
+        cluster.sim.run_process(proc)
+        assert cluster.run_op(fs.statdir(name))["entry_count"] == 7
+        assert not stale_set.query(fp)  # aggregated

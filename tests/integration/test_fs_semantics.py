@@ -8,12 +8,30 @@ import pytest
 
 from repro.baselines import CFSKVCluster, InfiniFSCluster
 from repro.core import FSConfig, FSError, SwitchFSCluster
-from repro.net import Sniffer
+from repro.net import RpcRequest
 
 
 @pytest.fixture
 def cluster():
     return SwitchFSCluster(FSConfig(num_servers=4, cores_per_server=2, seed=11))
+
+
+def record_sends(monkeypatch, cluster):
+    """Log every packet *cluster* transmits from now on, at send time, as
+    ``(rpc method or None, stale-set op name or None)``."""
+    log = []
+    send = cluster.net.send
+
+    def recording_send(packet):
+        payload, header = packet.payload, packet.header
+        log.append((
+            payload.method if isinstance(payload, RpcRequest) else None,
+            None if header is None else header.op.name,
+        ))
+        send(packet)
+
+    monkeypatch.setattr(cluster.net, "send", recording_send)
+    return log
 
 
 @pytest.fixture
@@ -117,20 +135,20 @@ class TestMkdirRmdir:
         assert err.value.code == "ENOENT"
 
     @pytest.mark.parametrize("make", [SwitchFSCluster, InfiniFSCluster, CFSKVCluster])
-    def test_mkdir_caches_what_it_made(self, make):
+    def test_mkdir_caches_what_it_made(self, make, monkeypatch):
         """mkdir returns the new directory's id and fingerprint and the
         client keeps them: the rmdir and the create that follow resolve
         the directory without a lookup_dir."""
         cluster = make(FSConfig(num_servers=4, cores_per_server=2, seed=11))
         fs = cluster.client(0)
-        sniffer = Sniffer.attach(cluster.net)
+        sent = record_sends(monkeypatch, cluster)
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
         cluster.run_op(fs.delete("/d/f"))
         cluster.run_op(fs.rmdir("/d"))
-        sniffer.detach()
-        assert sniffer.count(method="lookup_dir") == 0
-        assert sniffer.count(method="rmdir") == 1
+        methods = [method for method, _ in sent]
+        assert methods.count("lookup_dir") == 0
+        assert methods.count("rmdir") == 1
 
     def test_create_under_removed_dir_fails(self, cluster, fs):
         cluster.run_op(fs.mkdir("/dying"))
@@ -149,6 +167,41 @@ class TestMkdirRmdir:
         with pytest.raises(FSError) as err:
             cluster.run_op(fs1.create("/dying/f"))
         assert err.value.code in ("ENOENT", "EINVALIDPATH")
+
+
+class TestOnTheWire:
+    @staticmethod
+    def make():
+        cluster = SwitchFSCluster(
+            FSConfig(num_servers=3, cores_per_server=2, seed=44, proactive_enabled=False)
+        )
+        return cluster, cluster.client(0)
+
+    def test_create_is_a_handful_of_messages(self, monkeypatch):
+        """One-RTT protocol: a create costs the request and the response
+        (the switch multicasts it, not the server), nothing more."""
+        cluster, fs = self.make()
+        cluster.run_op(fs.mkdir("/d"))
+        cluster.run_op(fs.create("/d/warm"))  # warm the resolution cache
+        sent = record_sends(monkeypatch, cluster)
+        for i in range(10):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        assert [method for method, _ in sent].count("create") == 10
+        assert len(sent) <= 30
+
+    def test_stale_set_ops_ride_the_packets(self, monkeypatch):
+        cluster, fs = self.make()
+        sent = record_sends(monkeypatch, cluster)
+        cluster.run_op(fs.mkdir("/d"))
+        cluster.run_op(fs.create("/d/f"))
+        # The create's response left the server carrying an INSERT.
+        ops = [op for _, op in sent]
+        assert "INSERT" in ops
+        cluster.run_op(fs.statdir("/d"))
+        ops = [op for _, op in sent]
+        assert "QUERY" in ops
+        cluster.run(until=cluster.sim.now + 2_000)
+        assert "REMOVE" in [op for _, op in sent]
 
 
 class TestOpenCloseStat:

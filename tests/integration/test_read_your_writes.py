@@ -58,7 +58,7 @@ def _client_ops(fs, i, sim, violations):
 
 def _violations(**config):
     cluster = SwitchFSCluster(
-        FSConfig(num_servers=4, cores_per_server=2, num_clients=CLIENTS, seed=2, **config)
+        FSConfig(num_servers=4, cores_per_server=2, seed=2, **config)
     )
     fs0 = cluster.client(0)
     for d in range(DIRS):

@@ -3,17 +3,17 @@
 The reference below is the per-packet path as it stood before plans became
 one stages tuple: a ``_Plan`` of ``(offset, device)`` hops plus a total, an
 ``Event``-based ``_Hop`` built per packet, and an ``_arrive`` that hands the
-packets to their inboxes.  Hypothesis builds send schedules over single-rack
-and leaf-spine paths with transparent, consuming, multicasting and
-address-rewriting devices, zero link and device latencies, unknown hosts and
-a :class:`FaultModel` that loses, duplicates and reorders; the stock
+packets to their inboxes.  Hypothesis builds send schedules over device
+chains with transparent, consuming, multicasting and address-rewriting
+devices, zero link and device latencies, unknown hosts and a
+:class:`FaultModel` that loses, duplicates and reorders; the stock
 :class:`Network` and the reference must deliver the same packets to the same
 hosts at the same instants, in the same order, draw the same number of
 kernel ticks, and count the same packets sent, delivered and dropped.
 """
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,8 +25,6 @@ from repro.net import (
     STALESET_PORT,
     StaleSetHeader,
     StaleSetOp,
-    leaf_spine_path,
-    single_rack_path,
 )
 from repro.sim import Event, Simulator
 from repro.sim.rand import make_rng
@@ -85,14 +83,12 @@ class _RefHop(Event):
 
 
 class ReferenceNetwork:
-    """The reference fabric: plans cached per ``plan_key``, an unroutable
-    packet counted as a drop at send, an unknown destination at arrival."""
+    """The reference fabric: one plan for every packet, an unknown
+    destination counted as a drop at arrival."""
 
-    def __init__(self, sim, path_fn, link_latency_us=0.75, faults=None):
+    def __init__(self, sim, devices, link_latency_us=0.75, faults=None):
         self.sim = sim
-        self._path_fn = path_fn
-        self._plan_key_fn = getattr(path_fn, "plan_key", None)
-        self._plans = {}
+        self._plan = _RefPlan(devices, link_latency_us)
         self.link_latency_us = link_latency_us
         self.faults = faults or FaultModel.reliable()
         self._inboxes = {}
@@ -108,24 +104,9 @@ class ReferenceNetwork:
         if decision.dropped:
             self.packets_dropped += 1
             return
-        try:
-            plan = self._plan_for(packet)
-        except KeyError:  # a host the leaf-spine rack map does not know
-            self.packets_dropped += 1
-            return
         for extra in decision.extra_delays:
             copy = packet if decision.copies == 1 else packet.clone()
-            _RefHop(self, plan, [copy], self.sim.now + extra)
-
-    def _plan_for(self, packet):
-        key_fn = self._plan_key_fn
-        if key_fn is None:
-            return _RefPlan(self._path_fn(packet), self.link_latency_us)
-        key = key_fn(packet)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = _RefPlan(self._path_fn(packet), self.link_latency_us)
-        return plan
+            _RefHop(self, self._plan, [copy], self.sim.now + extra)
 
     def _arrive(self, packets):
         for p in packets:
@@ -137,7 +118,7 @@ class ReferenceNetwork:
             box.put(p)
 
 
-# -- devices: every kind a path can hold, each deterministic --------------------
+# -- devices: every kind a chain can hold, each deterministic --------------------
 
 
 class _Forward:
@@ -197,8 +178,7 @@ def _device(spec):
 
 
 HOSTS = ("h0", "h1", "h2", "h3")
-GHOST = "ghost"      # in no rack, attached nowhere
-GONE = "gone"        # has a rack but no inbox (a detached host)
+GHOST = "ghost"      # attached nowhere
 
 _latency = st.sampled_from([0.0, 0.0, 0.25, 1.0])
 _kind = st.sampled_from(["pass", "fwd", "sink", "mirror", "redirect:h1", f"redirect:{GHOST}"])
@@ -212,7 +192,7 @@ _fault = st.sampled_from([
 _send = st.tuples(
     st.sampled_from([0.0, 0.0, 0.5, 2.0]),             # gap before the send
     st.sampled_from(HOSTS),
-    st.sampled_from(HOSTS + (GHOST, GONE)),
+    st.sampled_from(HOSTS + (GHOST,)),
     st.one_of(st.none(), st.integers(0, 7)),            # stale-set fingerprint
 )
 
@@ -228,17 +208,7 @@ class _Recorder:
         self.log.append((self.sim.now, packet.dst, packet.payload))
 
 
-def _path(topology, chain, leaves, spines):
-    if topology == "single":
-        return single_rack_path([_device(s) for s in chain])
-    rack_of: Dict[str, int] = {h: i % 2 for i, h in enumerate(HOSTS)}
-    rack_of[GONE] = 1
-    return leaf_spine_path(
-        rack_of, {r: _device(s) for r, s in enumerate(leaves)}, [_device(s) for s in spines]
-    )
-
-
-def _run(net_cls, topology, chain, leaves, spines, link, fault, seed, sends):
+def _run(net_cls, chain, link, fault, seed, sends):
     sim = Simulator()
     faults = None
     if fault is not None:
@@ -247,7 +217,7 @@ def _run(net_cls, topology, chain, leaves, spines, link, fault, seed, sends):
             make_rng(seed, "hop"), loss_prob=loss, dup_prob=dup,
             reorder_prob=reorder, reorder_jitter_us=3.0,
         )
-    net = net_cls(sim, _path(topology, chain, leaves, spines), link_latency_us=link, faults=faults)
+    net = net_cls(sim, [_device(s) for s in chain], link_latency_us=link, faults=faults)
     log: List[Tuple[float, str, int]] = []
     for host in HOSTS:
         net.attach(host, _Recorder(sim, log))
@@ -283,25 +253,12 @@ def _agree(*case):
     sends=st.lists(_send, min_size=1, max_size=12),
 )
 def test_single_rack_delivery_matches_the_reference(chain, link, fault, seed, sends):
-    _agree("single", chain, (), (), link, fault, seed, sends)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    leaves=st.lists(_spec, min_size=2, max_size=2),
-    spines=st.lists(_spec, min_size=1, max_size=2),
-    link=_latency,
-    fault=_fault,
-    seed=st.integers(0, 3),
-    sends=st.lists(_send, min_size=1, max_size=12),
-)
-def test_leaf_spine_delivery_matches_the_reference(leaves, spines, link, fault, seed, sends):
-    _agree("leaf-spine", (), leaves, spines, link, fault, seed, sends)
+    _agree(chain, link, fault, seed, sends)
 
 
 def test_a_schedule_that_exercises_every_device_kind():
     sends = [(0.0, "h0", "h1", None), (0.0, "h2", "h3", 5), (0.5, "h1", GHOST, None),
-             (0.0, "h3", GONE, 2), (2.0, "h0", "h2", 3)] * 3
+             (0.0, "h3", GHOST, 2), (2.0, "h0", "h2", 3)] * 3
     chain = [("pass", 0.0), ("mirror", 0.25), ("sink", 0.0), ("redirect:h1", 1.0)]
-    _agree("single", chain, (), (), 0.0, (0.2, 0.4, 0.4), 1, sends)
-    _agree("leaf-spine", (), chain[:2], chain[2:], 0.75, None, 0, sends)
+    _agree(chain, 0.0, (0.2, 0.4, 0.4), 1, sends)
+    _agree(chain, 0.75, None, 0, sends)

@@ -7,14 +7,12 @@ from repro.net import (
     Network,
     Packet,
     PassthroughSwitch,
-    single_rack_path,
-    leaf_spine_path,
 )
 from repro.sim import Simulator, make_rng
 
 
 def make_net(sim, **kwargs):
-    return Network(sim, single_rack_path([PassthroughSwitch()]), **kwargs)
+    return Network(sim, [PassthroughSwitch()], **kwargs)
 
 
 class TestFaultModel:
@@ -81,16 +79,6 @@ class TestNetwork:
         assert net.packets_dropped == 1
         assert net.packets_delivered == 0
 
-    def test_unknown_destination_dropped_on_leaf_spine(self):
-        sim = Simulator()
-        leaves = {0: PassthroughSwitch(), 1: PassthroughSwitch()}
-        net = Network(sim, leaf_spine_path({"a": 0, "b": 1}, leaves, [PassthroughSwitch()]))
-        net.attach("a")
-        net.attach("b")
-        net.send(Packet(src="a", dst="ghost", payload="x"))
-        sim.run()
-        assert (net.packets_sent, net.packets_dropped, net.packets_delivered) == (1, 1, 0)
-
     def test_a_raising_device_fails_the_run(self):
         """A device bug (a switch with no owner route, say) is not a lost
         packet: it surfaces from the run instead of as a far-off timeout."""
@@ -102,7 +90,7 @@ class TestNetwork:
                 raise RuntimeError("no route installed")
 
         sim = Simulator()
-        net = Network(sim, single_rack_path([Broken()]))
+        net = Network(sim, [Broken()])
         net.attach("a")
         net.attach("b")
         net.send(Packet(src="a", dst="b", payload="x"))
@@ -110,20 +98,11 @@ class TestNetwork:
             sim.run()
         assert net.packets_dropped == 0
 
-    def test_a_raising_path_function_fails_the_send(self):
-        def path(packet):
-            raise LookupError("no such rack")
-
-        net = Network(Simulator(), path)
-        net.attach("a")
-        with pytest.raises(LookupError, match="no such rack"):
-            net.send(Packet(src="a", dst="a", payload="x"))
-
     def test_lossy_network_counts_drops(self):
         sim = Simulator()
         net = Network(
             sim,
-            single_rack_path([PassthroughSwitch()]),
+            [PassthroughSwitch()],
             faults=FaultModel(make_rng(3, "loss"), loss_prob=1.0),
         )
         net.attach("a")
@@ -136,7 +115,7 @@ class TestNetwork:
         sim = Simulator()
         net = Network(
             sim,
-            single_rack_path([PassthroughSwitch()]),
+            [PassthroughSwitch()],
             faults=FaultModel(make_rng(3, "dup"), dup_prob=1.0),
         )
         net.attach("a")
@@ -154,12 +133,10 @@ class TestNetwork:
         assert len(got) == 2
         assert got[0] != got[1]  # clones carry distinct uids
 
-    def test_leaf_spine_has_more_hops(self):
+    def test_every_device_of_the_chain_adds_a_link(self):
         sim = Simulator()
-        rack_of = {"a": 0, "b": 1}
-        leaves = {0: PassthroughSwitch(), 1: PassthroughSwitch()}
-        spine = PassthroughSwitch()
-        net = Network(sim, leaf_spine_path(rack_of, leaves, [spine]), link_latency_us=1.0)
+        chain = [PassthroughSwitch(), PassthroughSwitch(latency_us=0.5), PassthroughSwitch()]
+        net = Network(sim, chain, link_latency_us=1.0)
         net.attach("a")
         inbox = net.attach("b")
         got = []
@@ -171,8 +148,8 @@ class TestNetwork:
         sim.spawn(receiver(sim, inbox))
         net.send(Packet(src="a", dst="b", payload="x"))
         sim.run()
-        # 4 links: a->leaf0->spine->leaf1->b.
-        assert got == [4.0]
+        # 4 links and the middle device's forwarding delay.
+        assert got == [4.5]
 
     def test_consuming_switch_ends_delivery(self):
         class BlackHole:
@@ -182,7 +159,7 @@ class TestNetwork:
                 return []
 
         sim = Simulator()
-        net = Network(sim, single_rack_path([BlackHole()]))
+        net = Network(sim, [BlackHole()])
         net.attach("a")
         net.attach("b")
         net.send(Packet(src="a", dst="b", payload="x"))

@@ -7,7 +7,7 @@ that contract written as plainly as it can be: every entry on one heap,
 one pop per event.  Hypothesis builds schedules out of timeouts (zero
 delays, forced ties), ``succeed`` / ``fail`` chains, spawned and adopted
 processes, ticks reserved early and pushed late (at the current instant
-too), interrupts, and a driver of ``step`` / ``run(until)`` /
+too), and a driver of ``step`` / ``run(until)`` /
 ``run_process`` / ``stop``; the stock simulator and the reference must
 record the same trace.
 """
@@ -17,7 +17,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 class _OntoTheHeap:
@@ -65,7 +65,6 @@ class _Schedule:
         self.trace = []
         self.names = itertools.count()
         self.procs = []          # (name, process) in creation order
-        self.waiting = set()     # names of processes suspended at a yield
         self.reserved = []       # (seq, name) taken and not pushed yet
 
     def note(self, what):
@@ -96,10 +95,6 @@ class _Schedule:
                 event = sim.event()
                 event.add_callback(lambda _ev: self.note(f"{reserved} pushed by {name}"))
                 sim.schedule_at(sim.now + action[1], event, seq)
-        elif kind == "interrupt":
-            waiting = [proc for n, proc in self.procs if n in self.waiting]
-            if waiting:
-                waiting[action[1] % len(waiting)].interrupt(name)
         else:
             sim.stop()
 
@@ -130,15 +125,10 @@ class _Schedule:
                     target.succeed(name)
                 else:
                     target.fail(RuntimeError(name))
-            self.waiting.add(name)
             try:
                 got = yield target
-            except Interrupt as intr:
-                got = f"interrupted by {intr.cause}"
             except RuntimeError as exc:
                 got = f"failed: {exc}"
-            finally:
-                self.waiting.discard(name)
             self.note(f"{name} step {i}: {got}")
         return name
 
@@ -187,7 +177,6 @@ _leaf = st.one_of(
     st.tuples(st.sampled_from(("succeed", "fail")), st.just(())),
     st.tuples(st.just("reserve")),
     st.tuples(st.just("push"), st.sampled_from((0.0, 0.0, 1.0))),
-    st.tuples(st.just("interrupt"), st.integers(0, 7)),
     st.tuples(st.just("stop")),
 )
 

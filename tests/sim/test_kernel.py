@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -172,61 +171,6 @@ def test_all_of_empty_fires_immediately():
     sim.spawn(parent(sim))
     sim.run()
     assert done == [[]]
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def child(sim, delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def parent(sim, out):
-        procs = [
-            sim.spawn(child(sim, 3.0, "slow")),
-            sim.spawn(child(sim, 1.0, "fast")),
-        ]
-        idx, value = yield sim.any_of(procs)
-        out.append((idx, value, sim.now))
-
-    out = []
-    sim.spawn(parent(sim, out))
-    sim.run()
-    assert out == [(1, "fast", 1.0)]
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept-through")
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause, sim.now))
-
-    def interrupter(sim, target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake")
-
-    target = sim.spawn(sleeper(sim))
-    sim.spawn(interrupter(sim, target))
-    sim.run()
-    assert log == [("interrupted", "wake", 2.0)]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1.0)
-
-    proc = sim.spawn(quick(sim))
-    sim.run()
-    proc.interrupt("late")  # must not raise
-    sim.run()
-    assert proc.ok
 
 
 def test_run_until_stops_clock_exactly():

@@ -3,15 +3,14 @@
 Covers the single-waiter callback slot, process boot without a kick-off
 event, the immediate-grant trampoline, adopt and silent completion, the
 one dispatch loop behind step/run/run_process, timeouts,
-combinator callback detaching, and interrupt catch/re-raise semantics.
+combinator callback detaching, and how a failed event thrown into its
+waiter is caught, re-raised or translated.
 """
 
 import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
-    Interrupt,
     Lock,
     Resource,
     RWLock,
@@ -424,19 +423,6 @@ def _dangling(ev):
 
 
 class TestCombinatorDetach:
-    def test_anyof_detaches_losers(self):
-        sim = Simulator()
-        fast, slow = sim.timeout(1.0, "fast"), sim.event()
-        out = []
-
-        def proc(sim):
-            out.append((yield AnyOf(sim, [fast, slow])))
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert out == [(0, "fast")]
-        assert _dangling(slow) == 0  # loser holds no combinator callback
-
     def test_allof_detaches_on_failure(self):
         sim = Simulator()
         doomed, pending = sim.event(), sim.event()
@@ -454,85 +440,71 @@ class TestCombinatorDetach:
         assert caught == ["boom"]
         assert _dangling(pending) == 0
 
-    def test_anyof_loser_can_still_fire_safely(self):
-        sim = Simulator()
-        a, b = sim.event(), sim.event()
-        out = []
-
-        def proc(sim):
-            out.append((yield AnyOf(sim, [a, b])))
-
-        sim.spawn(proc(sim))
-        a.succeed("first")
-        sim.run()
-        b.succeed("late")  # detached: firing the loser is inert
-        sim.run()
-        assert out == [(0, "first")]
-
 
 # ---------------------------------------------------------------------------
-# interrupt delivery: catch vs re-raise (satellite fix for _step_throw)
+# a failed event thrown into its waiter: catch vs re-raise (the _resume throw)
 # ---------------------------------------------------------------------------
 
 
-class TestInterruptHandling:
-    def test_process_catches_interrupt_and_continues(self):
+def _fail_at(sim, event, when, exc):
+    """A process that fails *event* with *exc* at virtual time *when*."""
+
+    def poker(sim):
+        yield sim.timeout(when)
+        event.fail(exc)
+
+    return sim.spawn(poker(sim))
+
+
+class TestThrownFailureHandling:
+    def test_process_catches_a_failed_event_and_continues(self):
         sim = Simulator()
+        wake = sim.event()
         log = []
 
         def worker(sim):
             try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                log.append(("caught", intr.cause, sim.now))
+                yield wake
+            except RuntimeError as exc:
+                log.append(("caught", str(exc), sim.now))
             yield sim.timeout(5.0)
             log.append(("done", sim.now))
             return "finished"
 
-        def poker(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt("poke")
-
         target = sim.spawn(worker(sim))
-        sim.spawn(poker(sim, target))
+        _fail_at(sim, wake, 2.0, RuntimeError("poke"))
         sim.run()
         assert log == [("caught", "poke", 2.0), ("done", 7.0)]
         assert target.ok and target.value == "finished"
 
-    def test_process_reraises_interrupt_and_fails(self):
+    def test_process_reraises_a_failed_event_and_fails(self):
         sim = Simulator()
+        wake = sim.event()
 
         def worker(sim):
-            yield sim.timeout(100.0)
-
-        def poker(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt("fatal")
+            yield wake
 
         target = sim.spawn(worker(sim))
-        sim.spawn(poker(sim, target))
+        _fail_at(sim, wake, 2.0, RuntimeError("fatal"))
         sim.run()
         assert target.triggered and not target.ok
-        with pytest.raises(Interrupt):
+        with pytest.raises(RuntimeError, match="fatal"):
             _ = target.value
 
-    def test_process_translates_interrupt_into_new_exception(self):
+    def test_process_translates_a_failed_event_into_new_exception(self):
         """The old dead `err is exc` branch: a *different* exception escaping
         the handler must fail the process with the new exception."""
         sim = Simulator()
+        wake = sim.event()
 
         def worker(sim):
             try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                raise ValueError(f"translated {intr.cause}") from intr
-
-        def poker(sim, target):
-            yield sim.timeout(2.0)
-            target.interrupt("x")
+                yield wake
+            except RuntimeError as exc:
+                raise ValueError(f"translated {exc}") from exc
 
         target = sim.spawn(worker(sim))
-        sim.spawn(poker(sim, target))
+        _fail_at(sim, wake, 2.0, RuntimeError("x"))
         sim.run()
         with pytest.raises(ValueError, match="translated x"):
             _ = target.value

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import SimTracer
 from repro.analysis.trace import _TracedProcess
-from repro.sim import AllOf, AnyOf, Interrupt, Process, RWLock, Simulator
+from repro.sim import AllOf, Process, RWLock, Simulator
 
 
 # The kernel's event classes are slotted without ``__weakref__`` (8 bytes
@@ -27,10 +27,6 @@ class _WeakTracedProcess(_TracedProcess):
 
 
 class _WeakAllOf(AllOf):
-    __slots__ = ("__weakref__",)
-
-
-class _WeakAnyOf(AnyOf):
     __slots__ = ("__weakref__",)
 
 
@@ -61,7 +57,7 @@ def _waiter(sim, holder, seen):
     # pop(): the waiter keeps no local reference to the process it awaits.
     try:
         seen.append((yield holder.pop()))
-    except (ValueError, Interrupt) as exc:
+    except (ValueError, RuntimeError) as exc:
         seen.append(type(exc).__name__)
 
 
@@ -108,30 +104,31 @@ class TestFinishedProcessIsFreed:
         assert [entry.name for entry in info.traceback][-1] == "_raises"
 
     @pytest.mark.parametrize("catches", [False, True])
-    def test_interrupt_that_ends_the_process(self, catches):
+    def test_failure_that_ends_the_process(self, catches):
         sim = _simulator()
+        wake = sim.event()
 
         def victim(sim):
             try:
-                yield sim.timeout(100.0)
-            except Interrupt:
+                yield wake
+            except RuntimeError:
                 if not catches:
                     raise
-            return "interrupted"
+            return "stopped"
 
         seen = []
         proc = sim.spawn(victim(sim))
         ref = weakref.ref(proc)
         sim.spawn(_waiter(sim, [proc], seen))
 
-        def killer(sim, holder):
+        def killer(sim):
             yield sim.timeout(1.0)
-            holder.pop().interrupt("stop")
+            wake.fail(RuntimeError("stop"))
 
-        sim.spawn(killer(sim, [proc]))
+        sim.spawn(killer(sim))
         del proc
         sim.run()
-        assert seen == ["interrupted" if catches else "Interrupt"]
+        assert seen == ["stopped" if catches else "RuntimeError"]
         assert ref() is None
 
     def test_adopted_process(self):
@@ -158,30 +155,20 @@ class TestFinishedProcessIsFreed:
         sim.run()
         assert proc.gen is None and proc._resume_cb is None
         assert proc.value == "done"
-        proc.interrupt()  # still a no-op on a finished process
 
 
 class TestCombinatorsLeaveNothing:
-    @pytest.mark.parametrize("combinator", [_WeakAllOf, _WeakAnyOf])
     @pytest.mark.parametrize("finished_first", [False, True])
-    def test_over_processes(self, combinator, finished_first):
+    def test_over_processes(self, finished_first):
         sim = _simulator()
         procs = [sim.spawn(_returns(sim)) for _ in range(3)]
         if finished_first:
             sim.run()
-        combo = combinator(sim, procs)
+        combo = _WeakAllOf(sim, procs)
         refs = [weakref.ref(p) for p in procs] + [weakref.ref(combo)]
         del procs, combo
         sim.run()
         assert [r() for r in refs] == [None] * 4
-
-    def test_anyof_loser_still_pending(self):
-        sim = _simulator()
-        combo = _WeakAnyOf(sim, [sim.spawn(_returns(sim)), sim.spawn(_sleeps(sim))])
-        ref = weakref.ref(combo)
-        del combo
-        sim.run(until=2.0)  # the winner fired; the loser sleeps on
-        assert ref() is None
 
     def test_allof_failing_child(self):
         sim = _simulator()

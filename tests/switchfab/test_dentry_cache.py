@@ -240,7 +240,7 @@ class TestSwitchLifecycle:
 
     def test_stats_carry_cache_counters(self):
         sw = make_switch()
-        cp = SwitchControlPlane([sw])
+        cp = SwitchControlPlane(sw)
         sw.process(pkt(hdr(StaleSetOp.LOOKUP), payload=object()))  # miss
         fill_via_packet(sw, FP_A, "v")
         sw.process(
@@ -255,6 +255,6 @@ class TestSwitchLifecycle:
 
     def test_disabled_cache_reports_zero_capacity(self):
         sw = make_switch(cache_config=None)
-        stats = SwitchControlPlane([sw]).stats()
+        stats = SwitchControlPlane(sw).stats()
         assert stats.cache_capacity == 0
         assert (stats.cache_hits, stats.cache_misses) == (0, 0)

@@ -1,12 +1,9 @@
-"""Property tests on fingerprint partitioning: a two-switch fabric behaves
-like one sequential set, every fingerprint lives in exactly one switch, and
-SEQ filtering is per (source, switch).
+"""Property tests on the switch's stale set: it behaves like one sequential
+set, and SEQ filtering is per source.
 
-The file and ``test_two_pipe_switch_matches_model`` keep the names they had
-when the partition they check sat between a switch's pipes; it now sits
-between switches (DESIGN.md §3), one level, same property."""
+The file keeps the name it had when the set was split over a switch's
+pipes; that split is not modelled (DESIGN.md §3)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,17 +20,6 @@ def make_switch():
         stale_config=TableGeometry(num_stages=6, index_bits=6),
         fingerprint_owner=lambda fp: "owner",
     )
-
-
-class Fabric:
-    """Routes each packet to the switch that holds its fingerprint, as the
-    path function does."""
-
-    def __init__(self, num_switches):
-        self.control = SwitchControlPlane([make_switch() for _ in range(num_switches)])
-
-    def process(self, packet):
-        return self.control.switch_for(packet.header.fingerprint).process(packet)
 
 
 def insert(sw, fp, src="s0", dst="c0"):
@@ -63,43 +49,40 @@ def remove(sw, fp, src="s0", seq=None):
         max_size=40,
     )
 )
-def test_two_pipe_switch_matches_model(ops):
-    fabric = Fabric(2)
-    switches = fabric.control.switches
+def test_switch_matches_sequential_model(ops):
+    sw = make_switch()
+    control = SwitchControlPlane(sw)
     model = set()
     seq = {"s0": 0, "s1": 0}
     last_remove = {}
     for kind, fp, src in ops:
         if kind == "i":
-            out = insert(fabric, fp, src=src)
+            out = insert(sw, fp, src=src)
             if out[0].header.ret == 1:
                 model.add(fp)
         elif kind == "r":
             seq[src] += 1
-            remove(fabric, fp, src=src, seq=seq[src])
+            remove(sw, fp, src=src, seq=seq[src])
             last_remove[src] = (fp, seq[src])
             model.discard(fp)
         elif kind == "dup" and src in last_remove:
-            # A retransmitted REMOVE reaches the same switch with the same
-            # SEQ: that source's filter there drops it.
+            # A retransmitted REMOVE carries the same SEQ: that source's
+            # filter drops it.
             old_fp, old_seq = last_remove[src]
-            remove(fabric, old_fp, src=src, seq=old_seq)
+            remove(sw, old_fp, src=src, seq=old_seq)
         else:
-            assert query(fabric, fp) == (fp in model)
+            assert query(sw, fp) == (fp in model)
     for fp in model:
-        assert query(fabric, fp)
-        # In exactly one switch, and it is the one the partition names.
-        holders = [sw for sw in switches if sw.stale_set.query(fp)]
-        assert holders == [fabric.control.switch_for(fp)]
-    assert fabric.control.stats().occupancy == len(model)
-    # Failure empties every switch and forgets every SEQ filter.
-    fabric.control.fail()
-    assert [sw.occupancy for sw in switches] == [0, 0]
+        assert query(sw, fp)
+    assert control.stats().occupancy == len(model)
+    # Failure empties the switch and forgets every SEQ filter.
+    control.fail()
+    assert sw.occupancy == 0
     for n, fp in enumerate(model, start=1):
-        assert not query(fabric, fp)
-        insert(fabric, fp)
-        remove(fabric, fp, src="s0", seq=n)  # far below the pre-failure SEQs
-        assert not query(fabric, fp)
+        assert not query(sw, fp)
+        insert(sw, fp)
+        remove(sw, fp, src="s0", seq=n)  # far below the pre-failure SEQs
+        assert not query(sw, fp)
 
 
 @settings(max_examples=60)

@@ -112,7 +112,7 @@ class TestRemove:
 class TestControlPlane:
     def test_stats_aggregate(self):
         sw = make_switch()
-        cp = SwitchControlPlane([sw])
+        cp = SwitchControlPlane(sw)
         sw.process(pkt(hdr(StaleSetOp.INSERT)))
         sw.process(pkt(hdr(StaleSetOp.QUERY)))
         stats = cp.stats()
@@ -121,22 +121,18 @@ class TestControlPlane:
         assert stats.occupancy == 1
         assert stats.capacity == 16  # 2 stages x 2^3
 
-    def test_failure_resets_every_switch(self):
-        switches = [make_switch(), make_switch()]
-        cp = SwitchControlPlane(switches)
+    def test_failure_resets_the_switch(self):
+        sw = make_switch()
+        cp = SwitchControlPlane(sw)
         for fp in (0x1_0000_0001, 0x1_0000_0002):
-            cp.switch_for(fp).process(pkt(hdr(StaleSetOp.INSERT, fp=fp)))
-        assert [sw.occupancy for sw in switches] == [1, 1]
+            sw.process(pkt(hdr(StaleSetOp.INSERT, fp=fp)))
+        assert sw.occupancy == 2
         cp.fail()
-        assert [sw.occupancy for sw in switches] == [0, 0]
+        assert sw.occupancy == 0
 
     def test_install_routes(self):
-        switches = [
-            ProgrammableSwitch(stale_config=TableGeometry(num_stages=1, index_bits=1))
-            for _ in range(2)
-        ]
-        SwitchControlPlane(switches).install_routes(lambda fp: "routed-owner")
-        for sw in switches:
-            sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
-            out = sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0002)))
-            assert out[0].dst == "routed-owner"
+        sw = ProgrammableSwitch(stale_config=TableGeometry(num_stages=1, index_bits=1))
+        SwitchControlPlane(sw).install_routes(lambda fp: "routed-owner")
+        sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
+        out = sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0002)))
+        assert out[0].dst == "routed-owner"
