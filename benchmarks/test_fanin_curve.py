@@ -4,9 +4,10 @@
 The open-loop client-population engine drives a stat hotspot (512 files,
 8 servers) at 200 000 offered ops per simulated second over 4 aggregate
 processes while the logical user count sweeps 10 K -> 100 K -> 1 M.  Users
-are Zipf(0.99)-weighted rows of flat array columns, not processes, so the
-simulated run depends on the load, not on the user count: the arms differ
-only in how many distinct users got to issue an op.  A fourth arm reruns
+are draws from one shared Zipf(0.99) table, with state kept only for those
+who arrive, not processes, so the simulated run depends on the load, not on
+the user count: the arms differ only in how many distinct users got to
+issue an op.  A fourth arm reruns
 the largest population with a server joining at the half-way mark, which
 surfaces the per-user cache-epoch catch-up.
 

@@ -15,7 +15,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .rand import AliasTable, ZipfGenerator, make_rng, weighted_choice, zipf_weights
+from .rand import AliasTable, ZipfGenerator, make_rng, zipf_cdf
 from .resources import Hold, Lock, Resource, RWLock, Store
 from .stats import Counter, LatencyRecorder, PhaseStats, percentile
 
@@ -36,8 +36,7 @@ __all__ = [
     "Counter",
     "percentile",
     "make_rng",
+    "zipf_cdf",
     "ZipfGenerator",
-    "weighted_choice",
     "AliasTable",
-    "zipf_weights",
 ]

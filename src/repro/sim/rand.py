@@ -2,27 +2,27 @@
 
 Every stochastic component (workload generators, network fault injection)
 draws from an explicitly seeded :class:`random.Random` so experiments are
-reproducible run-to-run.  ``ZipfGenerator`` provides the skewed access
-pattern used for hotspot experiments; its inverse-CDF table makes sampling
-O(log n) without scipy.  :class:`AliasTable` is the O(1) counterpart used
-on hot paths: Vose's alias method turns any fixed weight vector into a
-constant-time sampler that consumes exactly **one** uniform draw per
-sample regardless of the table size — which is why the client-population
-engine's arrival sequence is bit-identical across population sizes
-(DESIGN.md §16).
+reproducible run-to-run.  :func:`zipf_cdf` is the repo's one Zipf table:
+a normalised cumulative ``array('d')`` built at C speed, sampled by
+inverse CDF (``bisect_left(cdf, rng.random())``, O(log n), exactly one
+uniform per draw).  ``ZipfGenerator`` wraps it for the skewed directory
+choice of hotspot experiments, and the client-population engine shares
+one per ``(n, theta)`` across its aggregates (DESIGN.md §16).
+:class:`AliasTable` is the O(1) sampler for small fixed weight vectors
+(the op mix): Vose's alias method, also one uniform per sample.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 from array import array
+from bisect import bisect_left
+from itertools import accumulate, repeat
 from math import fsum
-from typing import List, Sequence, TypeVar
+from operator import truediv
+from typing import List, Sequence
 
-__all__ = ["make_rng", "ZipfGenerator", "weighted_choice", "AliasTable", "zipf_weights"]
-
-T = TypeVar("T")
+__all__ = ["make_rng", "zipf_cdf", "ZipfGenerator", "AliasTable"]
 
 
 def make_rng(seed: int, stream: str = "") -> random.Random:
@@ -32,6 +32,32 @@ def make_rng(seed: int, stream: str = "") -> random.Random:
     single experiment seed without sharing state.
     """
     return random.Random(f"{seed}:{stream}")
+
+
+def zipf_cdf(n: int, theta: float) -> array:
+    """Normalised cumulative Zipf weights, rank 0 hottest: w[i] = 1/(i+1)^theta.
+
+    ``cdf[i]`` is the probability of a rank <= i and the last cell is
+    exactly 1.0, so ``bisect_left(cdf, u)`` maps a uniform ``u`` in
+    [0, 1) to a rank.  The weights are generated twice (once for the
+    total, once for the running sum) rather than kept: the only n-cell
+    buffer is the result, 8 bytes a rank.  The total is ``math.fsum``,
+    correctly rounded on every Python version (builtin ``sum`` of floats
+    is compensated from 3.12 on only, which made the table's bytes
+    depend on the interpreter).
+    """
+    if n < 1:
+        raise ValueError(f"zipf universe must be >= 1, got {n}")
+    if theta < 0:
+        raise ValueError(f"zipf theta must be >= 0, got {theta}")
+
+    def weights():
+        return map(truediv, repeat(1.0), map(pow, range(1, n + 1), repeat(theta)))
+
+    total = fsum(weights())
+    cdf = array("d", accumulate(map(truediv, weights(), repeat(total))))
+    cdf[-1] = 1.0  # guard against float drift
+    return cdf
 
 
 class ZipfGenerator:
@@ -44,39 +70,14 @@ class ZipfGenerator:
     __slots__ = ("n", "theta", "_rng", "_cdf")
 
     def __init__(self, n: int, theta: float, rng: random.Random):
-        if n < 1:
-            raise ValueError(f"zipf universe must be >= 1, got {n}")
-        if theta < 0:
-            raise ValueError(f"zipf theta must be >= 0, got {theta}")
+        self._cdf = zipf_cdf(n, theta)
         self.n = n
         self.theta = theta
         self._rng = rng
-        weights = [1.0 / ((i + 1) ** theta) for i in range(n)]
-        total = sum(weights)
-        self._cdf: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0  # guard against float drift
 
     def sample(self) -> int:
         """Draw one rank; rank 0 is the hottest."""
-        u = self._rng.random()
-        return bisect.bisect_left(self._cdf, u)
-
-
-def zipf_weights(n: int, theta: float) -> array:
-    """Unnormalised Zipf weights, rank 0 hottest: w[i] = 1/(i+1)^theta.
-
-    Compact ``array('d')`` so a million-user weight vector costs 8 MB,
-    not a list of boxed floats.
-    """
-    if n < 1:
-        raise ValueError(f"zipf universe must be >= 1, got {n}")
-    if theta < 0:
-        raise ValueError(f"zipf theta must be >= 0, got {theta}")
-    return array("d", (1.0 / ((i + 1) ** theta) for i in range(n)))
+        return bisect_left(self._cdf, self._rng.random())
 
 
 class AliasTable:
@@ -85,16 +86,10 @@ class AliasTable:
     Construction is O(n); :meth:`sample` is O(1) and consumes exactly one
     uniform draw: the integer part of ``u * n`` picks a column, the
     fractional part decides between the column's own index and its alias.
-    Because the draw count per sample is independent of ``n``, two
-    samplers seeded identically walk their RNG streams in lockstep even
-    when their universes differ — the property the client-population
-    engine's cross-population determinism tests pin down.
-
-    Immutable once built, so one instance may be shared (and cached
-    weakly); ``weights`` is the vector it was built from.
+    Immutable once built, so one instance may be shared.
     """
 
-    __slots__ = ("n", "weights", "_prob", "_alias", "__weakref__")
+    __slots__ = ("n", "_prob", "_alias")
 
     def __init__(self, weights: Sequence[float]):
         n = len(weights)
@@ -104,7 +99,6 @@ class AliasTable:
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
         self.n = n
-        self.weights = weights
         prob = array("d", [0.0]) * n
         alias = array("L", [0]) * n
         scaled = array("d", [0.0]) * n
@@ -137,23 +131,3 @@ class AliasTable:
         if i >= self.n:  # u == 1.0 cannot happen, but guard float edges
             i = self.n - 1
         return i if (u - i) < self._prob[i] else self._alias[i]
-
-
-def weighted_choice(items: Sequence[T], weights: Sequence[float], rng: random.Random) -> T:
-    """Pick one item with probability proportional to its weight.
-
-    O(len(items)) per call; hot paths that sample the same weight vector
-    repeatedly should precompute an :class:`AliasTable` instead.
-    """
-    if len(items) != len(weights):
-        raise ValueError("items and weights length mismatch")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    u = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if u < acc:
-            return item
-    return items[-1]

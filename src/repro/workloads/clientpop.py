@@ -7,19 +7,21 @@ curve is flatly infeasible that way.  This module aggregates
 ``K`` logical users into one :class:`PopulationClient` sim process (the
 λFS play: multiplex thousands of tenants over a small serving pool):
 
-* **Array-of-struct user table** — per-user state lives in parallel
-  ``array`` columns (:class:`UserTable`), not per-user objects: ops
-  issued/completed, latency sums, and the last membership epoch each
-  user observed.  A million users cost a few flat arrays, and the per-op
-  record is a handful of array writes — no allocation on the op path.
+* **Sparse user table** — a user costs memory only once it arrives.
+  :class:`UserTable` keeps ops completed and the last membership epoch
+  observed in dicts keyed by uid, so a run's per-user state grows with
+  the users that issue an op (bounded by the op count), not with ``K``.
+  The one O(K) structure is the Zipf activity table: a normalised
+  cumulative ``array('d')`` (:func:`~repro.sim.zipf_cdf`, 8 bytes a
+  user, built at C speed) that every aggregate of the same size shares.
 * **One next-arrival timer per aggregate** — arrivals form a Poisson
   process at the *summed* per-user rate (superposition), so the engine
   re-arms a single exponential timer per aggregate instead of K user
   timers (PR 7's dead-timer lesson).  The arriving user is drawn from
-  Zipf-skewed activity weights through an O(1)
-  :class:`~repro.sim.AliasTable`; since one arrival consumes exactly two
-  uniforms (gap + user) regardless of K, the arrival *time* sequence is
-  bit-identical across population sizes at a fixed offered load.
+  the Zipf table by inverse CDF (``bisect_left(cdf, rng.random())``);
+  since one arrival consumes exactly two uniforms (gap + user)
+  regardless of K, the arrival *time* sequence is bit-identical across
+  population sizes at a fixed offered load.
 * **Per-user cache-epoch multiplexing** — all K users share one warm
   ``LibFS`` (so switch/dentry-cache and stale-set behaviour stays
   faithful to a real fan-in where a serving process fronts many users),
@@ -37,11 +39,13 @@ population percentiles and achieved load.
 
 from __future__ import annotations
 
+import random
 import weakref
-from array import array
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
+from bisect import bisect_left
+from collections import defaultdict
+from typing import TYPE_CHECKING, Any, Callable, DefaultDict, Dict, Generator, List, Optional
 
-from ..sim import AliasTable, make_rng, zipf_weights
+from ..sim import make_rng, zipf_cdf
 from .generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,52 +55,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["UserTable", "PopulationClient", "run_fanin"]
 
 
-# (n, theta) -> AliasTable(zipf_weights(n, theta)): a pure function of its
-# key and never written once built, so the aggregates of a run share it;
-# held weakly, its three n-cell columns die with their last UserTable.
+# (n, theta) -> zipf_cdf(n, theta): a pure function of its key and never
+# written once built, so the aggregates of a run share it; held weakly, it
+# dies with its last UserTable.
 _activity: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 class UserTable:
-    """Per-user state for one aggregate, as parallel array columns.
+    """Per-user state for one aggregate, kept only for users who arrive.
 
-    Rank 0 is the most active user.  Columns are plain ``array`` objects:
-    compact (8 bytes per cell), allocation-free to update, and cheap to
-    compare byte-for-byte in determinism tests (``tobytes()``).
-
-    ``weights`` and ``alias`` are immutable and shared by every live table
-    of the same ``(n, theta)``; ``ops_done``, ``lat_sum`` and
-    ``epoch_seen`` are written per op and belong to this table alone.
+    Rank 0 is the most active user.  ``cdf`` is the Zipf activity table
+    of ``(n, theta)``: immutable and shared by every live table of that
+    key.  ``ops_done`` (uid -> ops completed) and ``epoch_seen`` (uid ->
+    the membership epoch it last observed, for users whose epoch moved
+    since their :class:`PopulationClient` was built) belong to this
+    table alone and hold only users who completed an op.
     """
 
-    __slots__ = ("n", "theta", "weights", "alias", "ops_done", "lat_sum", "epoch_seen")
+    __slots__ = ("n", "theta", "cdf", "ops_done", "epoch_seen")
 
     def __init__(self, n: int, theta: float = 0.99):
         if n < 1:
             raise ValueError(f"population must have >= 1 user, got {n}")
         self.n = n
         self.theta = theta
-        alias = _activity.get((n, theta))
-        if alias is None:
-            alias = _activity[n, theta] = AliasTable(zipf_weights(n, theta))
-        self.alias = alias
-        self.weights = alias.weights
-        self.ops_done = array("Q", [0]) * n
-        self.lat_sum = array("d", [0.0]) * n
-        self.epoch_seen = array("Q", [0]) * n
+        cdf = _activity.get((n, theta))
+        if cdf is None:
+            cdf = _activity[n, theta] = zipf_cdf(n, theta)
+        self.cdf = cdf
+        self.ops_done: DefaultDict[int, int] = defaultdict(int)
+        self.epoch_seen: Dict[int, int] = {}
+
+    def sample(self, rng: random.Random) -> int:
+        """Draw the arriving user, consuming exactly one uniform from *rng*."""
+        return bisect_left(self.cdf, rng.random())
 
     def active_users(self) -> int:
         """Users that completed at least one op."""
-        return self.n - self.ops_done.count(0)
-
-    def mean_latency_us(self, uid: int) -> float:
-        count = self.ops_done[uid]
-        return self.lat_sum[uid] / count if count else 0.0
+        return len(self.ops_done)
 
     def top_user_share(self) -> float:
         """Fraction of completed ops done by the most active user."""
-        total = sum(self.ops_done)
-        return max(self.ops_done) / total if total else 0.0
+        done = self.ops_done.values()
+        return max(done) / sum(done) if done else 0.0
 
 
 class PopulationClient:
@@ -112,7 +113,7 @@ class PopulationClient:
     __slots__ = (
         "name", "sim", "fs", "stream", "users", "rate_per_us", "rng",
         "issued", "completed", "inflight", "peak_inflight", "epoch_catchups",
-        "samples", "done", "arrival_log", "_target", "_drained",
+        "samples", "done", "_base_epoch", "_target", "_drained",
     )
 
     def __init__(
@@ -124,7 +125,6 @@ class PopulationClient:
         offered_load_ops: float,
         seed: int,
         window: "MeasurementWindow",
-        record_arrivals: bool = False,
     ):
         if offered_load_ops <= 0:
             raise ValueError(f"offered load must be > 0 ops/s, got {offered_load_ops}")
@@ -144,10 +144,8 @@ class PopulationClient:
         # appended to directly (run_stream's hot-path idiom).
         self.samples = window.latency.bucket(name)
         self.done = window.done
-        self.arrival_log: Optional[List[Any]] = [] if record_arrivals else None
-        epoch = fs.view_epoch
-        if epoch:
-            users.epoch_seen[:] = array("Q", [epoch]) * users.n
+        # The epoch every user absent from users.epoch_seen last observed.
+        self._base_epoch = fs.view_epoch
         self._target: Optional[int] = None
         self._drained = self.sim.event()
 
@@ -162,17 +160,14 @@ class PopulationClient:
         sim = self.sim
         rng = self.rng
         expovariate = rng.expovariate
-        sample = self.users.alias.sample
+        sample = self.users.sample
         take = self.stream.take
         spawn = sim.spawn
         rate = self.rate_per_us
-        log = self.arrival_log
         while self.issued < total_ops:
             yield sim.timeout(expovariate(rate))
             uid = sample(rng)
             self.issued += 1
-            if log is not None:
-                log.append((sim.now, uid))
             thunk = take()
             self.inflight += 1
             if self.inflight > self.peak_inflight:
@@ -186,13 +181,14 @@ class PopulationClient:
     def _op(self, uid: int, thunk) -> Generator:
         t0 = self.sim.now
         yield from thunk(self.fs)
-        elapsed = self.done(t0)
-        self.samples.append(elapsed)
+        self.samples.append(self.done(t0))
         users = self.users
         users.ops_done[uid] += 1
-        users.lat_sum[uid] += elapsed
         epoch = self.fs.view_epoch
-        if users.epoch_seen[uid] != epoch:
+        # Epochs only move forward and a user absent from epoch_seen last
+        # observed the base epoch: until the first bump every user is
+        # current, and after it an absent user is not.
+        if epoch != self._base_epoch and users.epoch_seen.get(uid) != epoch:
             # This user's first completion since the membership epoch
             # moved: its logical cache epoch rolls forward for free —
             # the shared LibFS already revalidated on behalf of everyone.

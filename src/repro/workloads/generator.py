@@ -182,8 +182,7 @@ class MixStream(OpStream):
         self.pop = population
         self._rng = make_rng(seed, f"mix-{mix.name}")
         # Precomputed O(1) alias table over the mix probabilities: one
-        # uniform draw per op, independent of how many op kinds the mix
-        # has (the old weighted_choice linear scan was O(kinds) per op).
+        # uniform draw per op, independent of how many op kinds the mix has.
         self._op_alias = AliasTable(mix.probs)
         self._dirs = population.dir_paths
         self._skew = skew_8020 and len(self._dirs) >= 5

@@ -12,6 +12,7 @@ import cProfile
 import gc
 import os
 import sys
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -263,3 +264,31 @@ def test_fanin_event_budget_is_flat_in_users(switch_cache):
         return ticks, result[0].throughput_kops, result[0].mean_latency_us
 
     assert window(10_000) == window(100_000)
+
+
+# ... and so is its memory.  Per-user state is kept only for users who
+# arrive (bounded by the op count), and the one O(users) structure is the
+# Zipf table the aggregates share: 8 B a cell, one cell per user of an
+# aggregate, so 4 B per added user at two aggregates.  The tracemalloc
+# peak of the same cold call (table build included) grew by 36.2 B per
+# added user with dense per-user columns and an alias table, and by 4.3 B
+# with the sparse table; the ceiling sits between the two.
+FANIN_PEAK_BYTES_PER_USER_CEILING = 10.0
+
+
+def test_fanin_memory_is_flat_in_users():
+    def peak(users):
+        cluster, population = _hot_directory()
+        tracemalloc.start()
+        try:
+            run_fanin(
+                cluster,
+                lambda a: FixedOpStream("stat", population, seed=17 + a, dir_choice="single"),
+                users=users, offered_load_ops=1_000_000.0, total_ops=2000, aggregates=2, seed=17,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_user = (peak(100_000) - peak(10_000)) / 90_000
+    assert per_user <= FANIN_PEAK_BYTES_PER_USER_CEILING, per_user

@@ -1,5 +1,9 @@
 """Unit and property tests for stats helpers and seeded randomness."""
 
+import math
+from array import array
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +15,12 @@ from repro.sim import (
     ZipfGenerator,
     make_rng,
     percentile,
-    weighted_choice,
-    zipf_weights,
+    zipf_cdf,
 )
+
+
+def _zipf_weights(n, theta):
+    return [1.0 / ((i + 1) ** theta) for i in range(n)]
 
 
 class TestPercentile:
@@ -132,24 +139,6 @@ class TestZipf:
             assert 0 <= z.sample() < n
 
 
-class TestWeightedChoice:
-    def test_deterministic_single(self):
-        assert weighted_choice(["a"], [1.0], make_rng(0, "wc")) == "a"
-
-    def test_zero_weight_never_chosen(self):
-        rng = make_rng(5, "wc")
-        picks = {weighted_choice(["a", "b"], [0.0, 1.0], rng) for _ in range(200)}
-        assert picks == {"b"}
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(["a"], [1.0, 2.0], make_rng(0, "wc"))
-
-    def test_nonpositive_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(["a"], [0.0], make_rng(0, "wc"))
-
-
 class _CountingRng:
     """Wraps an RNG counting random() calls (the one-draw invariant)."""
 
@@ -185,7 +174,7 @@ class TestAliasTable:
             assert abs(c / n - w / 10.0) < 0.02
 
     def test_matches_weighted_choice_distribution_on_zipf(self):
-        weights = zipf_weights(64, 0.99)
+        weights = _zipf_weights(64, 0.99)
         t = AliasTable(weights)
         rng = make_rng(3, "alias")
         counts = [0] * 64
@@ -208,7 +197,7 @@ class TestAliasTable:
         # The population engine's cross-size determinism rests on this:
         # a sample consumes exactly one uniform regardless of table size.
         for n in (1, 7, 1000):
-            t = AliasTable(zipf_weights(n, 0.99))
+            t = AliasTable(_zipf_weights(n, 0.99))
             rng = _CountingRng(make_rng(5, "alias"))
             for _ in range(100):
                 t.sample(rng)
@@ -224,16 +213,45 @@ class TestAliasTable:
 
 
 class TestZipfWeights:
+    """The one Zipf table, ``zipf_cdf``: normalised cumulative weights."""
+
     def test_shape(self):
-        w = zipf_weights(10, 0.99)
-        assert len(w) == 10 and w[0] == 1.0
-        assert list(w) == sorted(w, reverse=True)
+        cdf = zipf_cdf(10, 0.99)
+        assert len(cdf) == 10 and cdf[-1] == 1.0
+        steps = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
+        # Rank 0 is hottest: each rank weighs less than the one before.
+        assert steps == sorted(steps, reverse=True) and steps[0] > steps[-1] > 0
 
     def test_theta_zero_uniform(self):
-        assert set(zipf_weights(5, 0.0)) == {1.0}
+        assert list(zipf_cdf(5, 0.0)) == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            zipf_weights(0, 1.0)
+            zipf_cdf(0, 1.0)
         with pytest.raises(ValueError):
-            zipf_weights(5, -0.1)
+            zipf_cdf(5, -0.1)
+
+    @pytest.mark.parametrize("n, theta", [(1, 0.99), (7, 1.2), (64, 0.0), (250_000, 0.99)])
+    def test_matches_fsum_reference_bit_for_bit(self, n, theta):
+        # The reference is the table ZipfGenerator used to build in Python,
+        # totalled with fsum: correctly rounded, so the bytes are the same
+        # on every Python version (builtin sum() of floats is compensated
+        # from 3.12 on and naive before, which made the old table's bytes
+        # depend on the interpreter at (250 000, 0.99)).
+        weights = _zipf_weights(n, theta)
+        total = math.fsum(weights)
+        reference, acc = [], 0.0
+        for w in weights:
+            acc += w / total
+            reference.append(acc)
+        reference[-1] = 1.0
+        assert zipf_cdf(n, theta).tobytes() == array("d", reference).tobytes()
+
+    def test_zipf_generator_samples_the_shared_table(self):
+        z = ZipfGenerator(1000, 0.99, make_rng(6, "z"))
+        cdf = zipf_cdf(1000, 0.99)
+        assert z._cdf.tobytes() == cdf.tobytes()
+        rng = make_rng(6, "z")
+        assert [z.sample() for _ in range(500)] == [
+            bisect_left(cdf, rng.random()) for _ in range(500)
+        ]

@@ -1,19 +1,24 @@
 """Open-loop client-population engine (DESIGN.md §16).
 
 Covers the three tentpole invariants: seeded determinism (bit-identical
-arrival sequences, latency buckets, and user-table columns), the
+arrival sequences, latency buckets, and per-user state), the
 one-draw-per-arrival lockstep property (arrival *times* independent of
 the population size at a fixed offered load), and the K=1 equivalence
-oracle against the legacy closed-loop harness.
+oracle against the legacy closed-loop harness; plus a differential of
+the sparse user table against the dense per-user columns it replaced.
 """
 
 import weakref
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench import run_stream
 from repro.bench.harness import MeasurementWindow
 from repro.core import FSConfig, SwitchFSCluster
+from repro.sim import Simulator, make_rng
 from repro.workloads import (
     FixedOpStream,
     PopulationClient,
@@ -29,23 +34,42 @@ def _cluster(seed=3, num_servers=2):
 
 
 def _drive_population(users, ops=150, load=100_000.0, seed=7):
-    """Drive one PopulationClient directly; returns it for inspection."""
+    """Drive one PopulationClient directly.
+
+    Returns the client and its arrivals as ``(time, uid)`` pairs, observed
+    by wrapping ``UserTable.sample`` (the uid) and the stream's ``take``
+    (called at the arrival's instant, right after the uid is drawn).
+    """
     cluster = _cluster()
+    sim = cluster.sim
     ns = bootstrap(cluster, single_large_directory(16), warm_clients=[0])
     stream = FixedOpStream("stat", ns, seed=5, dir_choice="single")
-    pc = PopulationClient(
-        "pop0",
-        cluster.client(0),
-        stream,
-        UserTable(users),
-        load,
-        seed=seed,
-        window=MeasurementWindow(cluster, 1, ops),
-        record_arrivals=True,
-    )
-    sim = cluster.sim
-    sim.run_process(sim.spawn(pc.drive(ops)))
-    return pc
+    uids, times = [], []
+    sample, take = UserTable.sample, stream.take
+
+    def recording_sample(table, rng):
+        uids.append(sample(table, rng))
+        return uids[-1]
+
+    def recording_take():
+        times.append(sim.now)
+        return take()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UserTable, "sample", recording_sample)
+        mp.setattr(stream, "take", recording_take)
+        pc = PopulationClient(
+            "pop0",
+            cluster.client(0),
+            stream,
+            UserTable(users),
+            load,
+            seed=seed,
+            window=MeasurementWindow(cluster, 1, ops),
+        )
+        sim.run_process(sim.spawn(pc.drive(ops)))
+    assert len(uids) == len(times) == ops
+    return pc, list(zip(times, uids))
 
 
 def _fanin_once(seed=7):
@@ -75,15 +99,24 @@ def _namespace(cluster, fs, dirs):
 
 class TestUserTable:
     def test_columns_sized_and_zeroed(self):
+        # A fresh table holds no user: per-user state starts empty and
+        # grows only with the users who arrive; the Zipf table is n long.
         t = UserTable(100)
-        assert len(t.ops_done) == len(t.lat_sum) == len(t.epoch_seen) == 100
-        assert not any(t.ops_done) and not any(t.lat_sum)
+        assert t.n == 100 and len(t.cdf) == 100
+        assert not t.ops_done and not t.epoch_seen
         assert t.active_users() == 0 and t.top_user_share() == 0.0
+        rng = make_rng(1, "users")
+        assert {t.sample(rng) for _ in range(2_000)} <= set(range(100))
 
     def test_rank_zero_is_hottest(self):
         t = UserTable(50, theta=0.99)
-        assert t.weights[0] == max(t.weights)
-        assert list(t.weights) == sorted(t.weights, reverse=True)
+        rng = make_rng(2, "users")
+        counts = [0] * 50
+        for _ in range(20_000):
+            counts[t.sample(rng)] += 1
+        assert counts[0] == max(counts)
+        assert counts[0] > 5 * counts[-1]
+        assert sum(counts[:25]) > 2 * sum(counts[25:])
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
@@ -91,23 +124,86 @@ class TestUserTable:
 
     def test_activity_columns_shared_mutable_columns_private(self):
         a, b = UserTable(5_000, 0.99), UserTable(5_000, 0.99)
-        assert a.weights is b.weights and a.alias is b.alias
-        for column in ("ops_done", "lat_sum", "epoch_seen"):
-            assert getattr(a, column) is not getattr(b, column)
-        a.ops_done[7] += 1
-        assert b.ops_done[7] == 0 and a.active_users() == 1 and b.active_users() == 0
-        # Another size or skew is another table, with its own columns.
-        assert UserTable(5_001, 0.99).alias is not a.alias
-        assert UserTable(5_000, 0.5).weights is not a.weights
+        assert a.cdf is b.cdf
+        # Sharing cannot change a draw: sampling reads the table and
+        # advances only the caller's rng.
+        ra, rb = make_rng(3, "users"), make_rng(3, "users")
+        assert [a.sample(ra) for _ in range(200)] == [b.sample(rb) for _ in range(200)]
+        # Per-user state is each table's own.
+        assert a.ops_done is not b.ops_done and a.epoch_seen is not b.epoch_seen
+        a.ops_done[7] = 1
+        assert a.active_users() == 1 and b.active_users() == 0
+        assert a.top_user_share() == 1.0 and b.top_user_share() == 0.0
+        # Another size or skew is another table.
+        assert UserTable(5_001, 0.99).cdf is not a.cdf
+        assert UserTable(5_000, 0.5).cdf is not a.cdf
 
     def test_shared_columns_die_with_their_last_table(self):
         a = UserTable(5_000, 0.75)
-        alias = weakref.ref(a.alias)
+        cdf = weakref.ref(a.cdf)
         b = UserTable(5_000, 0.75)
         del a
-        assert alias() is b.alias
+        assert cdf() is b.cdf
         del b
-        assert alias() is None
+        assert cdf() is None
+
+
+class _DenseReference:
+    """The dense bookkeeping the sparse table replaced: one cell per user,
+    the epoch column filled with the view epoch when the client is built."""
+
+    def __init__(self, n, epoch):
+        self.ops_done = [0] * n
+        self.epoch_seen = [epoch] * n
+        self.epoch_catchups = 0
+
+    def complete(self, uid, epoch):
+        self.ops_done[uid] += 1
+        if self.epoch_seen[uid] != epoch:
+            self.epoch_seen[uid] = epoch
+            self.epoch_catchups += 1
+
+    def active_users(self):
+        return len(self.ops_done) - self.ops_done.count(0)
+
+    def top_user_share(self):
+        total = sum(self.ops_done)
+        return max(self.ops_done) / total if total else 0.0
+
+
+class TestSparseTableDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        start_epoch=st.integers(min_value=0, max_value=3),
+        steps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=10**6), st.booleans()),
+            max_size=60,
+        ),
+    )
+    @example(n=3, start_epoch=2, steps=[(0, False), (1, True), (0, False), (0, True)])
+    def test_matches_dense_reference(self, n, start_epoch, steps):
+        # Completions run through the real PopulationClient._op over a
+        # stub LibFS whose view epoch the steps bump; the client may be
+        # built at a non-zero epoch.
+        fs = SimpleNamespace(sim=Simulator(), view_epoch=start_epoch)
+        window = SimpleNamespace(
+            latency=SimpleNamespace(bucket=lambda name: []), done=lambda t0: 0.0
+        )
+        users = UserTable(n)
+        pc = PopulationClient("pop0", fs, None, users, 1.0, seed=1, window=window)
+        ref = _DenseReference(n, start_epoch)
+        for raw_uid, bump in steps:
+            uid = raw_uid % n
+            if bump:
+                fs.view_epoch += 1
+            for _ in pc._op(uid, lambda fs: iter(())):
+                pass
+            ref.complete(uid, fs.view_epoch)
+            assert users.active_users() == ref.active_users()
+            assert users.top_user_share() == ref.top_user_share()
+            assert pc.epoch_catchups == ref.epoch_catchups
+        assert {u: c for u, c in enumerate(ref.ops_done) if c} == users.ops_done
 
 
 class TestDeterminism:
@@ -120,29 +216,26 @@ class TestDeterminism:
         assert r1.populations == r2.populations
 
     def test_same_seed_bit_identical_user_columns(self):
-        p1, p2 = _drive_population(2_000), _drive_population(2_000)
-        assert p1.users.ops_done.tobytes() == p2.users.ops_done.tobytes()
-        assert p1.users.lat_sum.tobytes() == p2.users.lat_sum.tobytes()
-        assert p1.arrival_log == p2.arrival_log
+        (p1, arrivals1), (p2, arrivals2) = _drive_population(2_000), _drive_population(2_000)
+        # Same users, same counts, recorded in the same order.
+        assert list(p1.users.ops_done.items()) == list(p2.users.ops_done.items())
+        assert sum(p1.users.ops_done.values()) == 150
+        assert p1.users.epoch_seen == p2.users.epoch_seen == {}
+        assert arrivals1 == arrivals2
 
     def test_arrival_times_independent_of_population_size(self):
         # One arrival consumes exactly two uniforms (gap + user) through
-        # the alias table, so at a fixed offered load the arrival *time*
-        # sequence is bit-identical whether the aggregate carries 10
+        # the inverse-CDF draw, so at a fixed offered load the arrival
+        # *time* sequence is bit-identical whether the aggregate carries 10
         # users or 10,000 — only the sampled uids differ.
-        small = _drive_population(10)
-        large = _drive_population(10_000)
-        assert [t for t, _ in small.arrival_log] == [
-            t for t, _ in large.arrival_log
-        ]
-        assert any(
-            u1 != u2
-            for (_, u1), (_, u2) in zip(small.arrival_log, large.arrival_log)
-        )
+        _, small = _drive_population(10)
+        _, large = _drive_population(10_000)
+        assert [t for t, _ in small] == [t for t, _ in large]
+        assert any(u1 != u2 for (_, u1), (_, u2) in zip(small, large))
 
     def test_different_seeds_diverge(self):
-        a, b = _drive_population(100, seed=1), _drive_population(100, seed=2)
-        assert a.arrival_log != b.arrival_log
+        (_, a), (_, b) = _drive_population(100, seed=1), _drive_population(100, seed=2)
+        assert a != b
 
 
 class TestEquivalenceOracle:
