@@ -1,7 +1,7 @@
 """Benchmark harness: one measurement window, sweeps, and table reporters."""
 
 from .harness import RunResult, find_peak_throughput, run_stream
-from .report import Series, ascii_chart, format_table, print_series, print_table
+from .report import Series, ascii_chart, format_table, print_table
 from .presets import paper_scale
 from .sweep import (
     SYSTEMS,
@@ -17,7 +17,6 @@ __all__ = [
     "find_peak_throughput",
     "Series",
     "print_table",
-    "print_series",
     "format_table",
     "ascii_chart",
     "SYSTEMS",

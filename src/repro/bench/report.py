@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-__all__ = ["print_table", "format_table", "Series", "print_series", "ascii_chart"]
+__all__ = ["print_table", "format_table", "Series", "ascii_chart"]
 
 
 def format_table(title: str, headers: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -59,11 +59,6 @@ class Series:
         for x in self.xs:
             rows.append([x] + [self.lines[name].get(x, "-") for name in self.lines])
         return headers, rows
-
-
-def print_series(series: Series) -> None:
-    headers, rows = series.as_table()
-    print_table(f"{series.title} [{series.y_label}]", headers, rows)
 
 
 _BARS = " ▏▎▍▌▋▊▉█"

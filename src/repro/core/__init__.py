@@ -11,7 +11,7 @@ Public surface:
 * schema helpers (fingerprints, partitioning) and error codes.
 """
 
-from .changelog import ChangeLog, ChangeLogEntry, ChangeLogTable, ChangeOp, RecastLog
+from .changelog import ChangeLog, ChangeLogEntry, ChangeLogTable, ChangeOp
 from .client import LibFS, ResolvedDir, split_path
 from .cluster import SwitchFSCluster
 from .config import FSConfig, PerfModel
@@ -58,7 +58,6 @@ __all__ = [
     "ChangeLogEntry",
     "ChangeLogTable",
     "ChangeOp",
-    "RecastLog",
     "InvalidationList",
     "FSError",
     "fs_error",

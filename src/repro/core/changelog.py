@@ -1,28 +1,26 @@
-"""Per-directory change-logs and change-log recast (§4.3).
+"""Per-directory change-logs (§4.3).
 
 A server keeps one change-log per *scattered* remote directory.  Each
 entry records a delayed parent-directory update: the timestamp, the
 operation type, and the entry name (Figure 6).
 
-**Recast** exploits the commutativity of directory updates: since the new
-``mtime`` is simply the maximum timestamp, entries' timestamps are
-consolidated into a single maximum as they are appended, and only the
-(op, name) pairs queue up for entry-list application.  The application of
-a recast log therefore needs **one** directory-inode transaction plus a
-set of independent entry-list puts/deletes — the independent part is what
-unlocks intra-server (multi-core) parallelism.
-
-Without recast (the +Async ablation), entries stay raw and application
-replays each one as its own inode transaction, serialising on the inode.
+The logs only hold entries; **recast** happens where they are applied,
+in the owner's ``ChangeLogEngine._apply_recast``
+(``core/server/changelog_engine.py``).  Directory updates commute, so
+the new ``mtime`` is the batch's largest timestamp: one
+directory-inode transaction plus one grouped entry-list transaction per
+directory, with the per-entry CPU spread over the server's cores.
+Without recast (the +Async ablation), each entry replays as its own
+inode transaction, serialising on the inode.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-__all__ = ["ChangeOp", "ChangeLogEntry", "ChangeLog", "ChangeLogTable", "RecastLog"]
+__all__ = ["ChangeOp", "ChangeLogEntry", "ChangeLog", "ChangeLogTable"]
 
 
 class ChangeOp(enum.Enum):
@@ -32,11 +30,6 @@ class ChangeOp(enum.Enum):
     DELETE = "delete"
     MKDIR = "mkdir"
     RMDIR = "rmdir"
-
-    @property
-    def entry_delta(self) -> int:
-        """Effect on the parent's entry count."""
-        return 1 if self in (ChangeOp.CREATE, ChangeOp.MKDIR) else -1
 
     @property
     def adds_entry(self) -> bool:
@@ -55,27 +48,12 @@ class ChangeLogEntry(NamedTuple):
 
 
 @dataclass
-class RecastLog:
-    """A change-log after recast: one consolidated timestamp + an op queue."""
-
-    dir_id: int
-    max_timestamp: float
-    entry_delta: int
-    ops: List[ChangeLogEntry]
-
-    @property
-    def num_ops(self) -> int:
-        return len(self.ops)
-
-
-@dataclass
 class ChangeLog:
     """The change-log one server holds for one remote directory.
 
-    ``max_timestamp`` and ``entry_delta`` are *running* values maintained
-    on every :meth:`append`, so :meth:`recast` consolidates in O(1) — the
-    recast state is computed as the log grows, never re-derived from a
-    scan of the entries (DESIGN.md §11).
+    Entries queue here in arrival order until a push, a pull or a flush
+    drains them; the owner recasts the drained batch in
+    ``ChangeLogEngine._apply_recast``.
     """
 
     dir_id: int
@@ -84,65 +62,32 @@ class ChangeLog:
     # WAL LSNs of the records covering these entries (marked applied on ack).
     wal_lsns: List[int] = field(default_factory=list)
     last_append_at: float = 0.0
-    # Running recast state (invariant: max/sum over `entries`).
-    max_timestamp: float = 0.0
-    entry_delta: int = 0
 
     def append(self, entry: ChangeLogEntry, lsn: int, now: float) -> None:
         self.entries.append(entry)
         self.wal_lsns.append(lsn)
         self.last_append_at = now
-        if entry.timestamp > self.max_timestamp:
-            self.max_timestamp = entry.timestamp
-        self.entry_delta += entry.op.entry_delta
 
     def extend(self, entries: List[ChangeLogEntry], lsns: List[int], now: float) -> None:
-        """Batched :meth:`append` — one bookkeeping pass per shipment."""
+        """Batched :meth:`append`: one shipment in one call."""
         self.entries.extend(entries)
         self.wal_lsns.extend(lsns)
         self.last_append_at = now
-        max_ts = self.max_timestamp
-        delta = self.entry_delta
-        for entry in entries:
-            if entry.timestamp > max_ts:
-                max_ts = entry.timestamp
-            delta += entry.op.entry_delta
-        self.max_timestamp = max_ts
-        self.entry_delta = delta
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def recast(self) -> RecastLog:
-        """Consolidate timestamps; keep the op queue (§4.3 *Recast*).
-
-        O(1) in the log length (modulo the op-queue reference copy): the
-        consolidated values are the running ones.
-        """
-        if not self.entries:
-            return RecastLog(dir_id=self.dir_id, max_timestamp=0.0, entry_delta=0, ops=[])
-        return RecastLog(
-            dir_id=self.dir_id,
-            max_timestamp=self.max_timestamp,
-            entry_delta=self.entry_delta,
-            ops=list(self.entries),
-        )
 
     def drain(self) -> Tuple[List[ChangeLogEntry], List[int]]:
         """Remove and return all entries with their WAL LSNs."""
         entries, lsns = self.entries, self.wal_lsns
         self.entries, self.wal_lsns = [], []
-        self.max_timestamp = 0.0
-        self.entry_delta = 0
         return entries, lsns
 
     def detach(self, entry: ChangeLogEntry, lsn: int) -> bool:
         """Remove one entry that was applied out-of-band (sync fallback).
 
         Returns False when the entry is gone (drained by a racing
-        aggregation — harmless).  The rare removal recomputes the running
-        recast state: ``entry_delta`` just subtracts, but ``max_timestamp``
-        is a max and cannot be decremented incrementally.
+        aggregation — harmless).
         """
         try:
             idx = self.entries.index(entry)
@@ -150,20 +95,12 @@ class ChangeLog:
             return False
         self.entries.pop(idx)
         self.wal_lsns.remove(lsn)
-        self.entry_delta -= entry.op.entry_delta
-        if entry.timestamp >= self.max_timestamp:
-            self.max_timestamp = max(
-                (e.timestamp for e in self.entries), default=0.0
-            )
         return True
 
     def load(self, entries: List[ChangeLogEntry], lsns: List[int]) -> None:
-        """Replace contents wholesale (checkpoint restore); rebuilds the
-        running recast state from the loaded entries."""
+        """Replace contents wholesale (checkpoint restore)."""
         self.entries = list(entries)
         self.wal_lsns = list(lsns)
-        self.max_timestamp = max((e.timestamp for e in self.entries), default=0.0)
-        self.entry_delta = sum(e.op.entry_delta for e in self.entries)
 
 
 class ChangeLogTable:
@@ -187,7 +124,6 @@ class ChangeLogTable:
         # fp -> insertion-ordered set (dict keyed by dir_id) of logs that
         # *may* be non-empty; superset of the truly non-empty ones.
         self._live_by_fp: Dict[int, Dict[int, None]] = {}
-        self.total_appends = 0
 
     def log_for(self, dir_id: int, fingerprint: int) -> ChangeLog:
         """Get or create the change-log for *dir_id*."""
@@ -196,9 +132,6 @@ class ChangeLogTable:
             log = ChangeLog(dir_id=dir_id, fingerprint=fingerprint)
             self._by_dir[dir_id] = log
         return log
-
-    def existing(self, dir_id: int) -> Optional[ChangeLog]:
-        return self._by_dir.get(dir_id)
 
     def _mark_live(self, fingerprint: int, dir_id: int) -> None:
         group = self._live_by_fp.get(fingerprint)
@@ -213,7 +146,6 @@ class ChangeLogTable:
         log = self.log_for(dir_id, fingerprint)
         log.append(entry, lsn, now)
         self._mark_live(fingerprint, dir_id)
-        self.total_appends += 1
         return log
 
     def extend(
@@ -229,7 +161,6 @@ class ChangeLogTable:
         if entries:
             log.extend(entries, lsns, now)
             self._mark_live(fingerprint, dir_id)
-            self.total_appends += len(entries)
         return log
 
     def load(

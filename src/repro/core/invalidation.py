@@ -27,8 +27,6 @@ class InvalidationList:
 
     def __init__(self):
         self._ids: Set[int] = set()
-        self.checks = 0
-        self.rejections = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -45,10 +43,8 @@ class InvalidationList:
 
     def validate(self, ancestor_ids: Iterable[int]) -> bool:
         """True when *no* ancestor has been invalidated."""
-        self.checks += 1
         for dir_id in ancestor_ids:
             if dir_id in self._ids:
-                self.rejections += 1
                 return False
         return True
 

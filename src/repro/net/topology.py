@@ -31,7 +31,7 @@ contract of DESIGN.md §9 are unchanged.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..sim import Simulator, Store
 from .faults import FaultModel
@@ -179,10 +179,6 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
             inbox = Store(self.sim)
         self._inboxes[addr] = inbox
         return inbox
-
-    @property
-    def hosts(self) -> Iterable[str]:
-        return self._inboxes.keys()
 
     # -- transmission --------------------------------------------------------
     def send(self, packet: Packet) -> None:

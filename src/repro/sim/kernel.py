@@ -458,9 +458,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         proc._resume(self._granted_none)
         return proc
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling surface ------------------------------------------------
     def reserve_seq(self) -> int:
         """Take the next tick now for a later :meth:`schedule_at`: the entry

@@ -221,10 +221,6 @@ class Lock(Resource):
     def __init__(self, sim: Simulator, name: str = ""):
         super().__init__(sim, capacity=1, name=name)
 
-    @property
-    def locked(self) -> bool:
-        return self._in_use > 0
-
 
 class RWLock:
     """A FIFO-fair readers-writer lock.

@@ -20,7 +20,11 @@ __all__ = ["SwitchControlPlane", "SwitchStats"]
 class SwitchStats:
     """Point-in-time data-plane statistics.
 
-    The ``cache_*`` fields cover the optional hot-dentry cache and stay
+    Stale-set occupancy, capacity and op counts, response multicasts and
+    the dentry-cache counts: each field has a reader outside the tests
+    (the ledger, the measurement window, the benches or the examples),
+    and ``tests/analysis/test_reprolint.py`` keeps it that way.  The
+    ``cache_*`` fields cover the optional hot-dentry cache and stay
     zero when it is not provisioned (``cache_capacity == 0`` then
     distinguishes "disabled" from "enabled but cold").
     """
@@ -30,11 +34,8 @@ class SwitchStats:
     inserts: int
     insert_overflows: int
     removes: int
-    removes_filtered: int
     queries: int
-    forwarded: int
     multicasts: int
-    redirects: int
     cache_hits: int = 0
     cache_misses: int = 0
     cache_fills: int = 0
@@ -118,10 +119,7 @@ class SwitchControlPlane:
             inserts=s.inserts,
             insert_overflows=s.insert_overflows,
             removes=s.removes,
-            removes_filtered=s.removes_filtered,
             queries=s.queries,
-            forwarded=switch.forwarded,
             multicasts=switch.multicasts,
-            redirects=switch.redirects,
             **cache,
         )

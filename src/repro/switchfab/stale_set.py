@@ -40,7 +40,6 @@ class StaleSet:
         self.inserts = 0
         self.insert_overflows = 0
         self.removes = 0
-        self.removes_filtered = 0
         self.queries = 0
 
     # -- operations ---------------------------------------------------------
@@ -89,7 +88,6 @@ class StaleSet:
         if seq is not None:
             last = self._remove_seq.get(source, -1)
             if seq <= last:
-                self.removes_filtered += 1
                 return False
             self._remove_seq[source] = seq
         self.removes += 1

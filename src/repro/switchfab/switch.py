@@ -66,11 +66,7 @@ class ProgrammableSwitch:
             DentryCache(cache_config) if cache_config is not None else None
         )
         self._fingerprint_owner = fingerprint_owner
-        self.forwarded = 0
         self.multicasts = 0
-        self.redirects = 0
-        self.cache_replies = 0
-        self.cache_flushes = 0
 
     # -- control plane hooks -------------------------------------------------
     def install_fingerprint_owner(self, fn: Callable[[int], str]) -> None:
@@ -96,7 +92,6 @@ class ProgrammableSwitch:
         """
         if self.dentry_cache is not None:
             self.dentry_cache.reset()
-            self.cache_flushes += 1
 
     @property
     def occupancy(self) -> int:
@@ -105,7 +100,6 @@ class ProgrammableSwitch:
     # -- data plane -----------------------------------------------------------
     def process(self, packet: Packet) -> List[Packet]:
         if packet.port != STALESET_PORT:
-            self.forwarded += 1
             return [packet]
         assert packet.header is not None
         # Parser: run the real byte codec so header layout stays honest.
@@ -115,7 +109,6 @@ class ProgrammableSwitch:
 
         if header.op == StaleSetOp.QUERY:
             present = stale_set.query(header.fingerprint)
-            self.forwarded += 1
             return [packet.clone(header=header.with_ret(1 if present else 0))]
 
         if header.op == StaleSetOp.LOOKUP:
@@ -126,7 +119,6 @@ class ProgrammableSwitch:
                     # the packet around — the server is never touched.
                     # RET := 1 marks the reply as switch-served so the
                     # client can bucket its latency separately.
-                    self.cache_replies += 1
                     response = RpcResponse(rpc_id=packet.payload.rpc_id, value=value)
                     return [
                         packet.clone(
@@ -135,7 +127,6 @@ class ProgrammableSwitch:
                     ]
             # Miss (or cache not provisioned): the request proceeds to the
             # server, which sees the LOOKUP header and attaches a FILL.
-            self.forwarded += 1
             return [packet]
 
         if header.op == StaleSetOp.FILL:
@@ -148,7 +139,6 @@ class ProgrammableSwitch:
                 # Opportunistic fill on the return path; error replies are
                 # never cached (a later retry may succeed).
                 dentry_cache.fill(header.fingerprint, payload.value)
-            self.forwarded += 1
             return [packet]
 
         if header.op == StaleSetOp.EVICT:
@@ -174,15 +164,12 @@ class ProgrammableSwitch:
                 raise RuntimeError(
                     "stale-set overflow but no fingerprint->owner route installed"
                 )
-            self.redirects += 1
             fallback_dst = self._fingerprint_owner(header.fingerprint)
             return [packet.clone(dst=fallback_dst, header=header.with_ret(0))]
 
         if header.op == StaleSetOp.REMOVE:
             stale_set.remove(header.fingerprint, source=packet.src, seq=header.seq)
-            self.forwarded += 1
             return [packet]
 
         # NONE: the header was attached for transport symmetry; forward.
-        self.forwarded += 1
         return [packet]

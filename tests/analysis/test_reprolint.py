@@ -1,6 +1,8 @@
 """reprolint: each rule catches its seeded violation, allowlists work."""
 
+import ast
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 from repro.analysis import RULES, Finding, format_finding, lint_paths
@@ -519,3 +521,71 @@ class TestRepoIsClean:
             if "getrefcount" in path.read_text(encoding="utf-8")
         )
         assert readers == []
+
+    # Tallies only tests read, each kept for the test that reads it.
+    TEST_ONLY_TALLIES = {
+        # Network.packets_delivered: the reference count test_hop_equivalence
+        # holds the packet hop to.
+        "packets_delivered",
+        # KVStore.merges: pins DESIGN §11's amortised sort.
+        "merges",
+    }
+
+    def test_every_tally_the_program_bumps_is_read(self):
+        """A counter nothing reads costs an add on the op path and a name
+        to keep.  Every attribute ``src/repro`` (outside ``analysis/``)
+        changes with ``+=`` / ``-=`` is read somewhere in ``src/``,
+        ``benchmarks/`` or ``examples/`` other than at its own update
+        sites: an attribute load, or a string naming it (the ledger reads
+        its counters by ``getattr``).  A copy into a ``SwitchStats`` field
+        counts as a read only if something outside tests reads that
+        field."""
+        root = self.SRC.parent
+        package = self.SRC / "repro"
+        control = package / "switchfab" / "control.py"
+
+        def trees(*dirs):
+            for d in dirs:
+                for path in sorted(d.rglob("*.py")):
+                    yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+        updated = {}
+        for path, tree in trees(package):
+            if path.relative_to(package).parts[0] == "analysis":
+                continue
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub))
+                        and isinstance(node.target, ast.Attribute)):
+                    site = f"{path.relative_to(self.SRC)}:{node.lineno}"
+                    updated.setdefault(node.target.attr, []).append(site)
+
+        (stats_cls,) = [node for node in ast.walk(ast.parse(control.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.ClassDef) and node.name == "SwitchStats"]
+        fields = {node.target.id for node in stats_cls.body if isinstance(node, ast.AnnAssign)}
+        reads = Counter()
+        copies = []  # (SwitchStats field, attribute copied into it)
+        for path, tree in trees(self.SRC, root / "benchmarks", root / "examples"):
+            skip = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                    skip.update(id(n) for n in ast.walk(node.value)
+                                if isinstance(n, ast.Attribute) and n.attr == node.target.attr)
+                elif (path == control and isinstance(node, ast.keyword)
+                      and node.arg in fields and isinstance(node.value, ast.Attribute)):
+                    skip.add(id(node.value))
+                    copies.append((node.arg, node.value.attr))
+            for node in ast.walk(tree):
+                if id(node) in skip:
+                    continue
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads[node.attr] += 1
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    reads[node.value] += 1
+        for field, attr in copies:
+            if reads[field]:
+                reads[attr] += 1
+
+        unread = {attr: sites for attr, sites in sorted(updated.items())
+                  if not reads[attr] and attr not in self.TEST_ONLY_TALLIES}
+        assert unread == {}
+        assert self.TEST_ONLY_TALLIES <= set(updated)

@@ -1,11 +1,11 @@
-"""Unit + property tests for change-logs and recast (§4.3)."""
+"""Unit tests for change-logs, and the recast differential (§4.3)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ChangeLogEntry, ChangeLogTable, ChangeOp
+from repro.core import ChangeLogEntry, ChangeLogTable, ChangeOp, FSConfig, SwitchFSCluster
 from repro.core.changelog import ChangeLog
+from repro.core.schema import dir_entry, dir_entry_key
 
 
 def entry(ts, op=ChangeOp.CREATE, name="f"):
@@ -27,29 +27,8 @@ class TestChangeLog:
         assert len(entries) == 1 and lsns == [5]
         assert len(log) == 0
 
-    def test_recast_consolidates_timestamp(self):
-        log = ChangeLog(dir_id=1, fingerprint=10)
-        log.append(entry(3.0, name="a"), lsn=0, now=3.0)
-        log.append(entry(1.0, ChangeOp.DELETE, name="b"), lsn=1, now=3.5)
-        log.append(entry(2.0, name="c"), lsn=2, now=4.0)
-        recast = log.recast()
-        assert recast.max_timestamp == 3.0
-        assert recast.entry_delta == 1  # +1 +1 -1
-        assert recast.num_ops == 3
-
-    def test_recast_empty(self):
-        log = ChangeLog(dir_id=1, fingerprint=10)
-        recast = log.recast()
-        assert recast.num_ops == 0 and recast.entry_delta == 0
-
 
 class TestChangeOp:
-    def test_entry_deltas(self):
-        assert ChangeOp.CREATE.entry_delta == 1
-        assert ChangeOp.MKDIR.entry_delta == 1
-        assert ChangeOp.DELETE.entry_delta == -1
-        assert ChangeOp.RMDIR.entry_delta == -1
-
     def test_adds_entry(self):
         assert ChangeOp.CREATE.adds_entry and ChangeOp.MKDIR.adds_entry
         assert not ChangeOp.DELETE.adds_entry
@@ -94,65 +73,47 @@ class TestChangeLogTable:
         assert table.pending_entries() == 0
 
 
-# -- property: recast application is equivalent to raw replay ----------------
+# -- differential: the recast apply against the per-entry apply -------------
 
-ops = st.sampled_from(list(ChangeOp))
-entry_strategy = st.builds(
-    ChangeLogEntry,
-    timestamp=st.floats(min_value=0, max_value=1e6),
-    op=ops,
-    name=st.text(alphabet="abcdef", min_size=1, max_size=4),
-    is_dir=st.booleans(),
-    perm=st.just(0o644),
+NAMES = "abcd"
+batch_entry = st.tuples(
+    st.integers(min_value=-2, max_value=2),  # mtime offset: ties, some below
+    st.sampled_from(list(ChangeOp)),
+    st.sampled_from(NAMES),
 )
 
 
-def apply_raw(entries, initial_mtime=0.0):
-    """Reference semantics: replay entries in timestamp order."""
-    listing = {}
-    mtime = initial_mtime
-    for e in sorted(entries, key=lambda e: e.timestamp):
-        mtime = max(mtime, e.timestamp)
-        if e.op.adds_entry:
-            listing[e.name] = e.is_dir
-        else:
-            listing.pop(e.name, None)
-    return listing, mtime
+def apply_batch(recast, present, batch):
+    """One server, one directory holding *present*; apply *batch* through
+    ``_apply_logs``.  Returns the entry list, mtime and entry_count."""
+    cluster = SwitchFSCluster(FSConfig(num_servers=1, recast=recast))
+    fs = cluster.client(0)
+    cluster.run_op(fs.mkdir("/d"))
+    (server,) = cluster.servers
+    kv = server.kv
+    ((dir_id, key),) = [(d, k) for d, k in server._dir_index.items() if kv.get(k).name == "d"]
+    for name in present:
+        kv.put(dir_entry_key(dir_id, name), dir_entry(False, 0o644))
+    inode = kv.get(key).touched(0.0, len(present))
+    kv.put(key, inode)
+    entries = [
+        ChangeLogEntry(inode.mtime + offset, op, name, op in (ChangeOp.MKDIR, ChangeOp.RMDIR))
+        for offset, op, name in batch
+    ]
+    cluster.run_op(server._apply_logs([(dir_id, entries, None)]))
+    inode = kv.get(key)
+    return list(kv.scan_prefix(("E", dir_id))), inode.mtime, inode.entry_count
 
 
-def apply_recast(entries, initial_mtime=0.0):
-    """Recast semantics: one consolidated mtime + op-queue application.
-
-    The op queue preserves append order (which is timestamp order per
-    origin log and commutative across logs for distinct names).
-    """
-    log = ChangeLog(dir_id=1, fingerprint=1)
-    for i, e in enumerate(sorted(entries, key=lambda e: e.timestamp)):
-        log.append(e, lsn=i, now=e.timestamp)
-    recast = log.recast()
-    listing = {}
-    for e in recast.ops:
-        if e.op.adds_entry:
-            listing[e.name] = e.is_dir
-        else:
-            listing.pop(e.name, None)
-    mtime = max(initial_mtime, recast.max_timestamp) if recast.ops else initial_mtime
-    return listing, mtime
-
-
-@settings(max_examples=300)
-@given(entries=st.lists(entry_strategy, max_size=30))
-def test_recast_equivalent_to_raw_replay(entries):
-    raw_listing, raw_mtime = apply_raw(entries)
-    recast_listing, recast_mtime = apply_recast(entries)
-    assert recast_listing == raw_listing
-    assert recast_mtime == raw_mtime
-
-
-@settings(max_examples=200)
-@given(entries=st.lists(entry_strategy, min_size=1, max_size=30))
-def test_recast_delta_matches_op_sum(entries):
-    log = ChangeLog(dir_id=1, fingerprint=1)
-    for i, e in enumerate(entries):
-        log.append(e, lsn=i, now=e.timestamp)
-    assert log.recast().entry_delta == sum(e.op.entry_delta for e in entries)
+@settings(max_examples=200, deadline=None)
+@given(
+    present=st.sets(st.sampled_from(NAMES)),
+    batch=st.lists(batch_entry, min_size=1, max_size=12),
+)
+def test_recast_equivalent_to_raw_replay(present, batch):
+    """DESIGN §6 invariant 4: a batch merged from several servers, in no
+    timestamp order, leaves the directory exactly as the +Async path's
+    one-inode-transaction-per-entry replay in timestamp order does."""
+    listing, mtime, count = apply_batch(True, present, batch)
+    assert (listing, mtime) == apply_batch(False, present, batch)[:2]
+    assert count == len(listing)

@@ -1,9 +1,9 @@
-"""Incremental recast state and the batched/live-indexed change-log table.
+"""Batched change-log bookkeeping and the live-indexed change-log table.
 
-``ChangeLog`` maintains ``max_timestamp``/``entry_delta`` as running
-values so ``recast()`` is O(1); ``extend``/``detach``/``load`` must keep
-that invariant.  ``ChangeLogTable`` keeps a lazily-filtered live index of
-non-empty groups instead of rescanning every log (DESIGN.md §11).
+``ChangeLog.extend`` is a batched ``append``; ``detach`` and ``load``
+remove or replace entries with their WAL LSNs.  ``ChangeLogTable`` keeps
+a lazily-filtered live index of non-empty groups instead of rescanning
+every log (DESIGN.md §11).
 """
 
 from repro.core.changelog import ChangeLog, ChangeLogEntry, ChangeLogTable, ChangeOp
@@ -13,24 +13,7 @@ def entry(ts, op=ChangeOp.CREATE, name="f"):
     return ChangeLogEntry(timestamp=ts, op=op, name=name)
 
 
-def assert_running_state_consistent(log: ChangeLog):
-    """The running recast values must equal a scan-derived recomputation."""
-    assert log.max_timestamp == max((e.timestamp for e in log.entries), default=0.0)
-    assert log.entry_delta == sum(e.op.entry_delta for e in log.entries)
-
-
-class TestChangeLogRunningRecast:
-    def test_append_maintains_running_values(self):
-        log = ChangeLog(dir_id=1, fingerprint=7)
-        log.append(entry(5.0), 0, now=5.0)
-        log.append(entry(3.0, ChangeOp.DELETE, "g"), 1, now=6.0)
-        log.append(entry(9.0, ChangeOp.MKDIR, "h"), 2, now=7.0)
-        assert_running_state_consistent(log)
-        recast = log.recast()
-        assert recast.max_timestamp == 9.0
-        assert recast.entry_delta == 1
-        assert recast.num_ops == 3
-
+class TestChangeLogBatch:
     def test_extend_equals_repeated_append(self):
         a = ChangeLog(dir_id=1, fingerprint=7)
         b = ChangeLog(dir_id=1, fingerprint=7)
@@ -40,39 +23,25 @@ class TestChangeLogRunningRecast:
         b.extend(entries, [0, 1, 2], now=10.0)
         assert a.entries == b.entries
         assert a.wal_lsns == b.wal_lsns
-        assert a.max_timestamp == b.max_timestamp
-        assert a.entry_delta == b.entry_delta
         assert a.last_append_at == b.last_append_at
 
-    def test_drain_resets_running_values(self):
-        log = ChangeLog(dir_id=1, fingerprint=7)
-        log.append(entry(5.0), 0, now=5.0)
-        entries, lsns = log.drain()
-        assert (entries, lsns) == ([entry(5.0)], [0])
-        assert log.max_timestamp == 0.0
-        assert log.entry_delta == 0
-        assert log.recast().num_ops == 0
-
-    def test_detach_recomputes_max_only_when_needed(self):
+    def test_detach_removes_one_entry_and_its_lsn(self):
         log = ChangeLog(dir_id=1, fingerprint=7)
         log.append(entry(5.0, name="a"), 0, now=5.0)
         log.append(entry(9.0, name="b"), 1, now=9.0)
         assert log.detach(entry(9.0, name="b"), 1)
-        assert_running_state_consistent(log)
-        assert log.max_timestamp == 5.0
+        assert (log.entries, log.wal_lsns) == ([entry(5.0, name="a")], [0])
         # Detaching an entry that was already drained is a harmless no-op.
         assert not log.detach(entry(9.0, name="b"), 1)
         assert log.detach(entry(5.0, name="a"), 0)
-        assert log.max_timestamp == 0.0
-        assert log.entry_delta == 0
+        assert (log.entries, log.wal_lsns) == ([], [])
 
-    def test_load_rebuilds_running_state(self):
+    def test_load_replaces_contents(self):
         log = ChangeLog(dir_id=1, fingerprint=7)
         log.append(entry(99.0), 5, now=99.0)
-        log.load([entry(2.0), entry(6.0, ChangeOp.DELETE, "g")], [10, 11])
-        assert_running_state_consistent(log)
-        assert log.max_timestamp == 6.0
-        assert log.entry_delta == 0
+        loaded = [entry(2.0), entry(6.0, ChangeOp.DELETE, "g")]
+        log.load(loaded, [10, 11])
+        assert (log.entries, log.wal_lsns) == (loaded, [10, 11])
 
 
 class TestChangeLogTableLiveIndex:
@@ -114,7 +83,6 @@ class TestChangeLogTableLiveIndex:
         table = ChangeLogTable()
         table.extend(1, 7, [], [], now=1.0)
         assert table.non_empty_groups() == []
-        assert table.total_appends == 0
 
     def test_load_marks_live(self):
         table = ChangeLogTable()

@@ -144,7 +144,7 @@ class TestSwitchLookup:
         out = sw.process(pkt(hdr(StaleSetOp.LOOKUP), payload=object()))
         assert len(out) == 1
         assert out[0].dst == "server-0"
-        assert sw.cache_replies == 0
+        assert sw.dentry_cache.hits == 0
 
     def test_hit_fabricates_consumed_reply(self):
         sw = make_switch()
@@ -161,7 +161,7 @@ class TestSwitchLookup:
         assert isinstance(reply.payload, RpcResponse)
         assert reply.payload.rpc_id == 99
         assert reply.payload.value == {"size": 42}
-        assert sw.cache_replies == 1
+        assert sw.dentry_cache.hits == 1
 
     def test_lookup_without_cache_forwards(self):
         sw = make_switch(cache_config=None)
@@ -236,7 +236,7 @@ class TestSwitchLifecycle:
         sw.flush_cache()
         assert sw.dentry_cache.occupancy == 0
         assert sw.occupancy == 1  # stale-set bit survives
-        assert sw.cache_flushes == 1
+        assert sw.process(pkt(hdr(StaleSetOp.QUERY, FP_B)))[0].header.ret == 1
 
     def test_stats_carry_cache_counters(self):
         sw = make_switch()

@@ -79,7 +79,6 @@ class TestInsert:
         assert len(out) == 1
         assert out[0].dst == "fallback-server"
         assert out[0].header.ret == 0
-        assert sw.redirects == 1
 
     def test_overflow_without_route_is_an_error(self):
         sw = ProgrammableSwitch(
