@@ -24,7 +24,7 @@ bit-identical for static clusters (the pinned fig-11 test certifies it).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from .config import FSConfig
 from .schema import file_shard_of, fingerprint_of, new_dir_id, root_inode
@@ -165,29 +165,23 @@ def bootstrap_view(config: FSConfig) -> MembershipView:
 class Membership:
     """The mutable holder of the cluster's current view.
 
-    The cluster driver advances it during migration; subscribers (the
-    switch control plane, telemetry) are notified with the new view after
-    the swap.  Everyone else should grab ``current`` and route against
-    that snapshot.
+    The cluster driver advances it during migration.  Everyone else
+    should grab ``current`` and route against that snapshot.
     """
 
     def __init__(self, view: MembershipView):
         self._view = view
-        self._listeners: List[Callable[[MembershipView], None]] = []
 
     @property
     def current(self) -> MembershipView:
         return self._view
-
-    def subscribe(self, listener: Callable[[MembershipView], None]) -> None:
-        self._listeners.append(listener)
 
     def advance(
         self,
         servers: Optional[Sequence[str]] = None,
         shard_table: Optional[Sequence[str]] = None,
     ) -> MembershipView:
-        """Install a new view at epoch+1 and notify subscribers."""
+        """Install a new view at epoch+1."""
         old = self._view
         view = MembershipView(
             old.epoch + 1,
@@ -195,8 +189,6 @@ class Membership:
             old.shard_table if shard_table is None else shard_table,
         )
         self._view = view
-        for listener in list(self._listeners):
-            listener(view)
         return view
 
 

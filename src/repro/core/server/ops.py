@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, List, Tuple
 
-from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, StaleSetOp
+from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, StaleSetOp, alloc_packet
 from ...sim import Event, RWLock
 from ..changelog import ChangeLog, ChangeLogEntry, ChangeOp
 from ..client import split_path
@@ -436,10 +436,10 @@ class ServerOps:
         yield from self._update_parent_sync(owner, value["parent_id"], value["entry"])
         # Forward the (now fulfilled) response to the client.
         self.node.net.send(
-            Packet(
-                src=self.addr,
-                dst=value["client"],
-                payload=RpcResponse(rpc_id=response.rpc_id, value={"status": "ok"}),
+            alloc_packet(
+                self.addr,
+                value["client"],
+                RpcResponse(rpc_id=response.rpc_id, value={"status": "ok"}),
             )
         )
         origin = value["origin"]

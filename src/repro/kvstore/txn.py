@@ -13,7 +13,7 @@ Reads inside a transaction observe its own staged writes
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from ..errors import KeyNotFound, TransactionError
 
@@ -36,7 +36,7 @@ class Transaction:
 
     def _check_open(self) -> None:
         if self._done:
-            raise TransactionError("transaction already committed or aborted")
+            raise TransactionError("transaction already committed")
 
     def put(self, key: Tuple[Any, ...], value: Any) -> None:
         self._check_open()
@@ -64,9 +64,3 @@ class Transaction:
         self._done = True
         if self._order:
             self._store.commit_ops(self._order)
-
-    def abort(self) -> None:
-        self._check_open()
-        self._done = True
-        self._staged.clear()
-        self._order.clear()

@@ -5,8 +5,6 @@ from .packet import (
     FINGERPRINT_BITS,
     HEADER_STRUCT,
     Packet,
-    REGULAR_PORT,
-    STALESET_PORT,
     StaleSetHeader,
     StaleSetOp,
     alloc_packet,
@@ -19,8 +17,6 @@ __all__ = [
     "Packet",
     "StaleSetHeader",
     "StaleSetOp",
-    "REGULAR_PORT",
-    "STALESET_PORT",
     "FINGERPRINT_BITS",
     "HEADER_STRUCT",
     "alloc_packet",

@@ -3,8 +3,8 @@
 The paper runs its protocol over UDP.  The UDP payload optionally begins
 with a *stale-set operation header* that the programmable switch parses at
 line rate; the rest of the payload is an RPC request/response that only
-servers interpret.  Two reserved UDP ports distinguish traffic with and
-without the switch header so the parser can branch cheaply.
+servers interpret.  The switch parser branches on one thing: whether the
+packet carries that header.  A packet without one is forwarded unread.
 
 We keep simulated payloads as Python objects (the servers never serialise
 them), but the stale-set header has a real byte-level codec
@@ -15,13 +15,12 @@ the switch parser, mirroring Figure 8's layout::
 
 Fast paths (DESIGN.md §10)
 --------------------------
-Packets are the per-message allocation of the whole datapath, so the hot
-construction paths avoid both dataclass machinery and revalidation:
+Packets are the per-message allocation of the whole datapath:
 
-* :class:`Packet` is a plain ``__slots__`` class.  The public constructor
-  validates the port/header pairing (external callers, tests); the
-  internal :func:`alloc_packet` / :meth:`Packet.clone` paths skip the
-  check because their inputs are already-validated packets.
+* :class:`Packet` is a plain ``__slots__`` class of four fields, built
+  only by :func:`alloc_packet` (and :meth:`Packet.clone`, which calls
+  it).  There is nothing to validate: any header, or none, is a valid
+  packet.
 * :class:`StaleSetHeader` is a tuple record.  Its constructor
   range-checks; :meth:`StaleSetHeader.with_ret` and
   :meth:`StaleSetHeader.unpack` (with its own wire checks) build headers
@@ -32,7 +31,6 @@ construction paths avoid both dataclass machinery and revalidation:
 from __future__ import annotations
 
 import enum
-import itertools
 import struct
 from collections import namedtuple
 from typing import Any, Optional
@@ -43,16 +41,9 @@ __all__ = [
     "Packet",
     "alloc_packet",
     "alloc_header",
-    "REGULAR_PORT",
-    "STALESET_PORT",
     "FINGERPRINT_BITS",
     "HEADER_STRUCT",
 ]
-
-#: UDP port for SwitchFS traffic the switch must inspect (carries a header).
-STALESET_PORT = 5901
-#: UDP port for SwitchFS traffic the switch forwards without inspection.
-REGULAR_PORT = 5900
 
 #: Width of a directory fingerprint (§3.3): 17 index bits + 32 tag bits.
 FINGERPRINT_BITS = 49
@@ -159,45 +150,21 @@ def alloc_header(
     return _new_tuple(StaleSetHeader, (op, fingerprint, seq, ret))
 
 
-_packet_ids = itertools.count(1)
-
-
 class Packet:
     """A simulated UDP datagram.
 
     ``src``/``dst`` are host addresses (strings such as ``"server-3"``).
-    ``header`` is present only for packets on :data:`STALESET_PORT`.
-    ``payload`` is the RPC message object.  ``size_bytes`` feeds the MTU
-    accounting of proactive change-log pushes.
+    ``payload`` is the RPC message object.  ``header`` is the stale-set
+    header the switch acts on, or ``None`` for a packet it only forwards.
+    Build one with :func:`alloc_packet`.
     """
 
-    __slots__ = ("src", "dst", "payload", "port", "header", "size_bytes", "uid")
-
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        payload: Any,
-        port: int = REGULAR_PORT,
-        header: Optional[StaleSetHeader] = None,
-        size_bytes: int = 128,
-    ):
-        if port == STALESET_PORT and header is None:
-            raise ValueError("stale-set port packets require a header")
-        if port == REGULAR_PORT and header is not None:
-            raise ValueError("regular-port packets must not carry a header")
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.port = port
-        self.header = header
-        self.size_bytes = size_bytes
-        self.uid = next(_packet_ids)
+    __slots__ = ("src", "dst", "payload", "header")
 
     def __repr__(self) -> str:
         return (
-            f"Packet(src={self.src!r}, dst={self.dst!r}, port={self.port}, "
-            f"uid={self.uid}, payload={self.payload!r})"
+            f"Packet(src={self.src!r}, dst={self.dst!r}, "
+            f"header={self.header!r}, payload={self.payload!r})"
         )
 
     def clone(
@@ -206,44 +173,27 @@ class Packet:
         payload: Any = None,
         header: Optional[StaleSetHeader] = None,
     ) -> "Packet":
-        """Duplicate this packet (fresh uid), overriding the fields given.
+        """A new packet with this one's fields, overriding those given.
 
         Used by the fault model for duplication, by the RPC layer to resend
         a kept reply and by the switch for multicast, address rewriting and
-        turning a request around.  Skips revalidation — the source fields
-        are already valid and the switch only rewrites ``dst``/``header``
-        consistently.
+        turning a request around.
         """
         return alloc_packet(
             self.src,
             self.dst if dst is None else dst,
             self.payload if payload is None else payload,
-            self.port,
             self.header if header is None else header,
-            self.size_bytes,
         )
 
 
 def alloc_packet(
-    src: str,
-    dst: str,
-    payload: Any,
-    port: int = REGULAR_PORT,
-    header: Optional[StaleSetHeader] = None,
-    size_bytes: int = 128,
+    src: str, dst: str, payload: Any, header: Optional[StaleSetHeader] = None
 ) -> Packet:
-    """Validation-free packet construction (internal hot path).
-
-    Callers are the RPC layer and the switch, whose port/header pairing
-    is correct by construction; external code should use ``Packet(...)``,
-    which validates.
-    """
+    """Build a packet: the one constructor, on every send path."""
     p = object.__new__(Packet)
-    p.uid = next(_packet_ids)
     p.src = src
     p.dst = dst
     p.payload = payload
-    p.port = port
     p.header = header
-    p.size_bytes = size_bytes
     return p

@@ -35,9 +35,6 @@ Fast paths (DESIGN.md §10)
 * **One retransmit deadline per node** (:class:`_Deadlines`) instead of
   a timer per attempt; the backoff is a table, the lowest outstanding id
   the first key of the pending map.
-* **Validation-free packets**: outbound packets come from
-  :func:`alloc_packet`, which skips the port/header pairing check the
-  public constructor makes (the pairing is correct by construction here).
 * **Acknowledged replies**: a request carries ``acked``, its sender's
   lowest outstanding ``rpc_id``; a server keeps per source that watermark
   and the replies above it (:class:`_Replies`), never runs a request
@@ -54,20 +51,15 @@ from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Option
 
 from ..errors import RpcError, RpcTimeout
 from ..sim import Event, Simulator
-from .packet import (
-    Packet,
-    REGULAR_PORT,
-    STALESET_PORT,
-    StaleSetHeader,
-    alloc_packet,
-)
+from .packet import Packet, StaleSetHeader, alloc_packet
 from .topology import Network
 
 __all__ = ["RpcRequest", "RpcResponse", "Reply", "RpcNode"]
 
 
 # rpc_id 0 is reserved for one-way notifications (they never match a
-# response, so they don't consume ids from the shared counter).
+# response, so they don't consume ids from the shared counter): a request
+# wants a reply exactly when its rpc_id is not 0.
 _rpc_ids = itertools.count(1)
 
 #: Retransmit backoff per attempt: the timeout doubles up to 64 times.
@@ -90,30 +82,19 @@ class RpcRequest:
     ``__dict__`` is measurable on the op fast path.
     """
 
-    __slots__ = ("rpc_id", "method", "args", "src", "wants_reply", "attempt", "acked")
+    __slots__ = ("rpc_id", "method", "args", "src", "acked")
 
-    def __init__(
-        self,
-        rpc_id: int,
-        method: str,
-        args: Any,
-        src: str,
-        wants_reply: bool = True,
-        attempt: int = 0,
-        acked: int = 0,
-    ):
-        self.rpc_id = rpc_id
+    def __init__(self, rpc_id: int, method: str, args: Any, src: str, acked: int = 0):
+        self.rpc_id = rpc_id  # 0: a notification, which gets no reply
         self.method = method
         self.args = args
         self.src = src
-        self.wants_reply = wants_reply
-        self.attempt = attempt
         self.acked = acked  # sender's lowest outstanding rpc_id (0: unsaid)
 
     def __repr__(self) -> str:
         return (
             f"RpcRequest(rpc_id={self.rpc_id}, method={self.method!r}, "
-            f"src={self.src!r}, attempt={self.attempt})"
+            f"src={self.src!r})"
         )
 
 
@@ -137,10 +118,9 @@ class Reply:
     ``header`` attaches a stale-set operation for the switch to execute on
     the way back (e.g. INSERT of the parent fingerprint after a create).
     ``dst`` overrides the destination (defaults to the requester).
-    ``size_bytes`` sizes the response packet.
     """
 
-    __slots__ = ("value", "error", "header", "dst", "size_bytes")
+    __slots__ = ("value", "error", "header", "dst")
 
     def __init__(
         self,
@@ -148,13 +128,11 @@ class Reply:
         error: Optional[str] = None,
         header: Optional[StaleSetHeader] = None,
         dst: Optional[str] = None,
-        size_bytes: int = 128,
     ):
         self.value = value
         self.error = error
         self.header = header
         self.dst = dst
-        self.size_bytes = size_bytes
 
     def __repr__(self) -> str:
         return (
@@ -362,7 +340,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         make_header: Optional[Callable[[int], StaleSetHeader]] = None,
         timeout_us: float = 100.0,
         max_attempts: int = 5,
-        size_bytes: int = 128,
     ) -> Generator:
         """Generator: perform an RPC and return ``(value, response_packet)``.
 
@@ -389,16 +366,13 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 )
                 for acked in pending_map:  # the first key: lowest outstanding id
                     break
-                request = RpcRequest(rpc_id, method, args, self.addr, True, attempt, acked)
+                request = RpcRequest(rpc_id, method, args, self.addr, acked)
                 header = make_header(attempt) if make_header else None
-                port = STALESET_PORT if header is not None else REGULAR_PORT
                 # Race the response against the retransmit deadline on ONE
                 # fresh event (no combinator): whichever triggers it
                 # first wins, the loser sees `triggered` and backs off.
                 ev = pending_map[rpc_id] = sim.event()
-                self.net.send(
-                    alloc_packet(self.addr, dst, request, port, header, size_bytes)
-                )
+                self.net.send(alloc_packet(self.addr, dst, request, header))
                 set_deadline(attempt_timeout, ev)
                 packet = yield ev
                 if packet is _TIMED_OUT:
@@ -419,7 +393,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         method: str,
         args: Any,
         header: Optional[StaleSetHeader] = None,
-        size_bytes: int = 128,
     ) -> None:
         """Fire-and-forget request (no reply, no retransmission).
 
@@ -427,18 +400,14 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         response, so they don't consume ids from the shared counter (which
         would inflate ids and muddy reply-cache keying diagnostics).
         """
-        request = RpcRequest(
-            rpc_id=0, method=method, args=args, src=self.addr, wants_reply=False
-        )
-        port = STALESET_PORT if header is not None else REGULAR_PORT
-        self.net.send(alloc_packet(self.addr, dst, request, port, header, size_bytes))
+        request = RpcRequest(0, method, args, self.addr)
+        self.net.send(alloc_packet(self.addr, dst, request, header))
 
     def notify_many(
         self,
         pairs: Iterable[Tuple[str, Any]],
         method: str,
         header: Optional[StaleSetHeader] = None,
-        size_bytes: int = 128,
     ) -> None:
         """Fire-and-forget *method* to many destinations in one sweep.
 
@@ -449,12 +418,8 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         """
         addr = self.addr
         send = self.net.send
-        port = STALESET_PORT if header is not None else REGULAR_PORT
         for dst, args in pairs:
-            request = RpcRequest(
-                rpc_id=0, method=method, args=args, src=addr, wants_reply=False
-            )
-            send(alloc_packet(addr, dst, request, port, header, size_bytes))
+            send(alloc_packet(addr, dst, RpcRequest(0, method, args, addr), header))
 
     def multicast_call(
         self,
@@ -463,7 +428,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         args: Any,
         timeout_us: float = 100.0,
         max_attempts: int = 5,
-        size_bytes: int = 128,
     ) -> Generator:
         """Generator: call every destination, return list of values in order.
 
@@ -503,8 +467,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                         continue  # already answered
                     if attempt > 0:
                         self.retransmits += 1
-                    request = RpcRequest(rpc_id, method, args, addr, True, attempt, acked)
-                    send(alloc_packet(addr, dst, request, REGULAR_PORT, None, size_bytes))
+                    send(alloc_packet(addr, dst, RpcRequest(rpc_id, method, args, addr, acked)))
                 # Same deadline/response race as `call`: one fresh event per
                 # round, sentinel on timeout.  The extra remaining/error
                 # check catches completions that land in the sentinel's
@@ -565,8 +528,8 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
     ) -> Generator:
         """Run *handler* for *request* and send its response packet, at most
         once per ``rpc_id`` for a request that wants a reply."""
-        wants_reply = request.wants_reply
         rpc_id = request.rpc_id
+        wants_reply = rpc_id != 0
         replies = None
         if handler is None:
             if not wants_reply:
@@ -600,14 +563,13 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 value, error = None, f"EINTERNAL: {type(exc).__name__}: {exc}"
             if not wants_reply:
                 return None
-        dst, header, size_bytes = request.src, None, 128
+        dst, header = request.src, None
         if value.__class__ is Reply:
             reply = value
             value, error, header = reply.value, reply.error, reply.header
-            dst, size_bytes = reply.dst or dst, reply.size_bytes
-        port = REGULAR_PORT if header is None else STALESET_PORT
+            dst = reply.dst or dst
         response = RpcResponse(rpc_id, value, error)
-        sent = alloc_packet(self.addr, dst, response, port, header, size_bytes)
+        sent = alloc_packet(self.addr, dst, response, header)
         if replies is not None:
             if rpc_id < replies.acked:
                 del replies[rpc_id]  # abandoned meanwhile: nobody will ask again

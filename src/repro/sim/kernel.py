@@ -190,7 +190,7 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -199,7 +199,6 @@ class Timeout(Event):
         self.sim = sim
         self._cb1 = self.callbacks = self._exc = None
         self._processed = False
-        self.delay = delay
         self._triggered = True
         self._value = value
         _heappush(sim._heap, (sim.now + delay, next(sim._counter), self))
@@ -240,10 +239,6 @@ class Process(Event):
         else:
             # Adopted process: Simulator.adopt starts the generator inline.
             self._started = True
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
 
     # -- internals ---------------------------------------------------------
     def _resume(self, event: Event) -> None:

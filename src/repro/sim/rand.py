@@ -67,12 +67,11 @@ class ZipfGenerator:
     YCSB-style hot-spot skew.
     """
 
-    __slots__ = ("n", "theta", "_rng", "_cdf")
+    __slots__ = ("n", "_rng", "_cdf")
 
     def __init__(self, n: int, theta: float, rng: random.Random):
         self._cdf = zipf_cdf(n, theta)
         self.n = n
-        self.theta = theta
         self._rng = rng
 
     def sample(self) -> int:

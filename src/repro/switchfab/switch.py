@@ -3,9 +3,9 @@
 :class:`ProgrammableSwitch` is a :class:`~repro.net.topology.SwitchDevice`
 combining the paper's components:
 
-* **Parser** — extracts the stale-set header from packets on the reserved
-  stale-set UDP port (exercising the byte codec end-to-end);
-* **Router** — regular packets forward by destination;
+* **Parser** — extracts the stale-set header from a packet that carries
+  one (exercising the byte codec end-to-end);
+* **Router** — a packet without a header forwards by destination;
 * **Stale set** — one table.  Figure 7's split of the set over egress
   pipes (and the mirroring between them) is not modelled (DESIGN.md §3);
 * **Address rewriter** — on insert overflow, rewrites the destination to
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..net.packet import Packet, StaleSetHeader, StaleSetOp, STALESET_PORT
+from ..net.packet import Packet, StaleSetHeader, StaleSetOp
 from ..net.rpc import RpcResponse
 from .dentry_cache import DentryCache
 from .pipeline import TableGeometry
@@ -99,11 +99,11 @@ class ProgrammableSwitch:
 
     # -- data plane -----------------------------------------------------------
     def process(self, packet: Packet) -> List[Packet]:
-        if packet.port != STALESET_PORT:
+        wire = packet.header
+        if wire is None:
             return [packet]
-        assert packet.header is not None
         # Parser: run the real byte codec so header layout stays honest.
-        header = StaleSetHeader.unpack(packet.header.pack())
+        header = StaleSetHeader.unpack(wire.pack())
         stale_set = self.stale_set
         dentry_cache = self.dentry_cache
 

@@ -72,13 +72,12 @@ class UserTable:
     table alone and hold only users who completed an op.
     """
 
-    __slots__ = ("n", "theta", "cdf", "ops_done", "epoch_seen")
+    __slots__ = ("n", "cdf", "ops_done", "epoch_seen")
 
     def __init__(self, n: int, theta: float = 0.99):
         if n < 1:
             raise ValueError(f"population must have >= 1 user, got {n}")
         self.n = n
-        self.theta = theta
         cdf = _activity.get((n, theta))
         if cdf is None:
             cdf = _activity[n, theta] = zipf_cdf(n, theta)

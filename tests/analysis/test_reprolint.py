@@ -589,3 +589,55 @@ class TestRepoIsClean:
                   if not reads[attr] and attr not in self.TEST_ONLY_TALLIES}
         assert unread == {}
         assert self.TEST_ONLY_TALLIES <= set(updated)
+
+    def test_every_slot_a_record_declares_is_read(self):
+        """A field nothing reads costs a store per instance and a name to
+        keep.  Every literal ``__slots__`` entry of a class in
+        ``src/repro`` (outside ``analysis/``) has an attribute load in
+        ``src/``, ``benchmarks/`` or ``examples/``.  A load inside
+        ``__repr__`` or ``clone`` does not count, nor does one passed
+        straight into ``alloc_packet`` or a ``src`` class constructor: a
+        copy into another record is not a read."""
+        root = self.SRC.parent
+        package = self.SRC / "repro"
+
+        def trees(*dirs):
+            for d in dirs:
+                for path in sorted(d.rglob("*.py")):
+                    yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+        declared = {}  # slot -> the classes declaring it
+        constructors = {"alloc_packet"}  # and every src class, added below
+        for path, tree in trees(package):
+            in_analysis = path.relative_to(package).parts[0] == "analysis"
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                constructors.add(node.name)
+                for stmt in node.body:
+                    if (not in_analysis and isinstance(stmt, ast.Assign)
+                            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                    for t in stmt.targets)
+                            and isinstance(stmt.value, (ast.Tuple, ast.List))):
+                        for elt in stmt.value.elts:
+                            site = f"{path.relative_to(self.SRC)}:{node.name}"
+                            declared.setdefault(elt.value, []).append(site)
+
+        reads = set()
+        for path, tree in trees(self.SRC, root / "benchmarks", root / "examples"):
+            skip = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in ("__repr__", "clone"):
+                    skip.update(id(n) for n in ast.walk(node))
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in constructors:
+                        skip.update(id(arg) for arg in node.args)
+                        skip.update(id(kw.value) for kw in node.keywords)
+            reads.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                         and id(node) not in skip)
+
+        unread = {slot: sites for slot, sites in sorted(declared.items()) if slot not in reads}
+        assert unread == {}

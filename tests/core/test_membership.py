@@ -69,14 +69,6 @@ class TestViewInvariants:
         assert old.others("a") is old_others  # old snapshot untouched
         assert new.others("a") == ("b", "c")
 
-    def test_subscribe_sees_each_advance(self):
-        membership = Membership(MembershipView(0, ["a"], ["a"]))
-        seen = []
-        membership.subscribe(lambda v: seen.append(v.epoch))
-        membership.advance()
-        membership.advance()
-        assert seen == [1, 2]
-
     def test_wire_roundtrip(self):
         view = MembershipView(3, ["a", "b"], ["b", "a", "b", "a"])
         clone = MembershipView.from_wire(view.to_wire())

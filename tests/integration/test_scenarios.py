@@ -133,7 +133,7 @@ class TestHeldPacketsStayValid:
         def fields(packet):
             header = packet.header
             return (
-                packet.uid, packet.src, packet.dst, packet.port, header,
+                packet.src, packet.dst, header,
                 header and (header.op, header.fingerprint, header.seq, header.ret),
                 packet.payload,
             )
@@ -158,4 +158,4 @@ class TestHeldPacketsStayValid:
             now = fields(packet)
             assert now == delivered
             # The header and payload are the same objects, not equal ones.
-            assert now[4] is delivered[4] and now[6] is delivered[6]
+            assert now[2] is delivered[2] and now[4] is delivered[4]

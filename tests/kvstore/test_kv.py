@@ -87,13 +87,6 @@ class TestTransactions:
         assert kv.get((1, "a")) == "x"
         assert kv.get((1, "b")) == "y"
 
-    def test_abort_applies_nothing(self):
-        kv = KVStore()
-        txn = kv.transaction()
-        txn.put((1, "a"), "x")
-        txn.abort()
-        assert (1, "a") not in kv
-
     def test_read_your_writes(self):
         kv = KVStore()
         kv.put((1, "a"), "old")

@@ -20,11 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.net import (
     FaultModel,
     Network,
-    Packet,
     PassthroughSwitch,
-    STALESET_PORT,
     StaleSetHeader,
     StaleSetOp,
+    alloc_packet,
 )
 from repro.sim import Event, Simulator
 from repro.sim.rand import make_rng
@@ -226,11 +225,8 @@ def _run(net_cls, chain, link, fault, seed, sends):
         for payload, (gap, src, dst, fp) in enumerate(sends):
             if gap:
                 yield sim.timeout(gap)
-            if fp is None:
-                net.send(Packet(src=src, dst=dst, payload=payload))
-            else:
-                header = StaleSetHeader(StaleSetOp.QUERY, fingerprint=fp)
-                net.send(Packet(src=src, dst=dst, payload=payload, port=STALESET_PORT, header=header))
+            header = None if fp is None else StaleSetHeader(StaleSetOp.QUERY, fingerprint=fp)
+            net.send(alloc_packet(src, dst, payload, header))
 
     sim.spawn(sender(sim))
     sim.run()

@@ -8,8 +8,6 @@ from repro.net import (
     FINGERPRINT_BITS,
     HEADER_STRUCT,
     Packet,
-    REGULAR_PORT,
-    STALESET_PORT,
     StaleSetHeader,
     StaleSetOp,
 )
@@ -109,48 +107,33 @@ class TestStaleSetHeaderBoundaries:
 
 
 class TestPacket:
-    def test_staleset_port_requires_header(self):
-        with pytest.raises(ValueError):
-            Packet(src="a", dst="b", payload=None, port=STALESET_PORT)
-
-    def test_regular_port_forbids_header(self):
-        h = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=1)
-        with pytest.raises(ValueError):
-            Packet(src="a", dst="b", payload=None, port=REGULAR_PORT, header=h)
-
-    def test_clone_gets_fresh_uid(self):
-        p = Packet(src="a", dst="b", payload="x")
+    def test_clone_returns_a_distinct_packet(self):
+        p = alloc_packet("a", "b", "x")
         q = p.clone()
-        assert q.uid != p.uid
-        assert (q.src, q.dst, q.payload) == ("a", "b", "x")
+        assert q is not p
+        assert (q.src, q.dst, q.payload, q.header) == ("a", "b", "x", None)
 
     def test_clone_overrides(self):
-        p = Packet(src="a", dst="b", payload="x")
+        p = alloc_packet("a", "b", "x")
         q = p.clone(dst="c")
         assert q.dst == "c" and p.dst == "b"
 
     def test_clone_is_independent_of_its_source(self):
         h = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=9)
-        p = alloc_packet("a", "b", "x", STALESET_PORT, h)
+        p = alloc_packet("a", "b", "x", h)
         q = p.clone(dst="c")
-        assert q.uid != p.uid and q.dst == "c" and p.dst == "b"
+        assert q is not p and q.dst == "c" and p.dst == "b"
         assert q.header is p.header  # headers are immutable, sharing is safe
         q.header = q.header.with_ret(1)
         q.payload = "y"
         assert p.header is h and h.ret == 0 and p.payload == "x"
 
-    def test_alloc_packet_skips_the_pairing_check_and_numbers_like_packet(self):
-        # The internal constructor trusts its callers: a pairing that
-        # Packet(...) rejects goes through.
-        with pytest.raises(ValueError):
-            Packet("a", "b", None, STALESET_PORT, None)
-        unchecked = alloc_packet("a", "b", None, STALESET_PORT, None)
-        assert unchecked.port == STALESET_PORT and unchecked.header is None
-        # Both constructors draw from one strictly increasing uid sequence.
-        uids = [
-            Packet("a", "b", 0).uid,
-            alloc_packet("a", "b", 1).uid,
-            Packet("a", "b", 2).uid,
-            alloc_packet("a", "b", 3).clone().uid,
-        ]
-        assert uids == sorted(set(uids))
+    def test_alloc_packet_is_the_one_constructor(self):
+        # A packet is its four fields; there is no pairing left to check.
+        assert Packet.__slots__ == ("src", "dst", "payload", "header")
+        with pytest.raises(TypeError):
+            Packet("a", "b", None)
+        h = StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=3)
+        p = alloc_packet("a", "b", None, h)
+        assert (p.src, p.dst, p.payload, p.header) == ("a", "b", None, h)
+        assert alloc_packet("a", "b", 0).header is None

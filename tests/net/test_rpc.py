@@ -110,7 +110,7 @@ class TestRetransmission:
         executions = []
 
         def handler(request, packet):
-            executions.append(request.attempt)
+            executions.append(1)
             yield sim.timeout(50.0)  # slower than the client's timeout
             return "done"
 
@@ -133,14 +133,14 @@ class TestRetransmission:
         server.register("h", handler)
         run_call(sim, client, "server", "h", None)
         # Manually re-deliver a duplicate of the same request id.
-        from repro.net import Packet, RpcRequest
+        from repro.net import RpcRequest, alloc_packet
 
         # The one call the server holds a reply for is the one just made.
         (rpc_id,) = server._replies["client"]
-        dup = RpcRequest(rpc_id=rpc_id, method="h", args=None, src="client", attempt=1)
+        dup = RpcRequest(rpc_id=rpc_id, method="h", args=None, src="client")
         resent = []
         client.add_raw_tap(lambda p: resent.append(p.payload.value) or True)
-        net.send(Packet(src="client", dst="server", payload=dup))
+        net.send(alloc_packet("client", "server", dup))
         sim.run()
         assert len(executions) == 1
         assert resent == ["v"]
@@ -347,7 +347,7 @@ class TestFaultModelRpc:
 
     def test_duplicated_remove_filtered_by_switch_end_to_end(self):
         """A duplicated REMOVE (same SEQ) must not clear a newer insert."""
-        from repro.net import Packet, STALESET_PORT, StaleSetHeader, StaleSetOp
+        from repro.net import StaleSetHeader, StaleSetOp, alloc_packet
         from repro.switchfab import ProgrammableSwitch, TableGeometry
 
         sim = Simulator()
@@ -364,12 +364,8 @@ class TestFaultModelRpc:
         fp = 0x1_0000_0001
 
         def staleset(op, seq=0):
-            return Packet(
-                src="server",
-                dst="client",
-                payload=None,
-                port=STALESET_PORT,
-                header=StaleSetHeader(op=op, fingerprint=fp, seq=seq),
+            return alloc_packet(
+                "server", "client", None, StaleSetHeader(op=op, fingerprint=fp, seq=seq)
             )
 
         net.send(staleset(StaleSetOp.INSERT))
@@ -381,12 +377,8 @@ class TestFaultModelRpc:
         net.send(staleset(StaleSetOp.INSERT))
         sim.run()
         probe = sw.process(
-            Packet(
-                src="client",
-                dst="server",
-                payload=None,
-                port=STALESET_PORT,
-                header=StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=fp),
+            alloc_packet(
+                "client", "server", None, StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=fp)
             )
         )
         assert probe[0].header.ret == 1
@@ -455,10 +447,9 @@ class TestAcknowledgedReplies:
         # ... which forgets finished calls, never a running one: a copy of
         # the parked request meets its marker or the watermark, not the handler.
         assert replies[abandoned] is None and len(replies) == 2
-        from repro.net import Packet, RpcRequest
+        from repro.net import RpcRequest, alloc_packet
 
-        net.send(Packet(src="client", dst="server", payload=RpcRequest(
-            abandoned, "bump", "park", "client", attempt=2)))
+        net.send(alloc_packet("client", "server", RpcRequest(abandoned, "bump", "park", "client")))
         sim.run()
         assert runs.count(abandoned) == 1
         # When the handler finally returns, nobody can ask for its reply.
@@ -473,17 +464,17 @@ class TestAcknowledgedReplies:
             run_call(sim, client, "server", "bump", None)
         first = runs[0]
         assert server._replies["client"].acked > first
-        from repro.net import Packet, RpcRequest
+        from repro.net import RpcRequest, alloc_packet
 
-        copy = RpcRequest(first, "bump", None, "client", attempt=1)
-        net.send(Packet(src="client", dst="server", payload=copy))
+        copy = RpcRequest(first, "bump", None, "client")
+        net.send(alloc_packet("client", "server", copy))
         sim.run()
         assert runs.count(first) == 1  # refused: below the watermark
         server.clear_reply_cache()
         assert server._replies == {}
         # A restarted server knows nothing of what it served before (§4.4.2
         # recovery replays the WAL instead), so the same copy now runs.
-        net.send(Packet(src="client", dst="server", payload=copy))
+        net.send(alloc_packet("client", "server", copy))
         sim.run()
         assert runs.count(first) == 2
 
@@ -500,9 +491,9 @@ class TestRawTap:
             return False
 
         server.add_raw_tap(tap)
-        from repro.net import Packet
+        from repro.net import alloc_packet
 
-        net.send(Packet(src="client", dst="server", payload="raw"))
+        net.send(alloc_packet("client", "server", "raw"))
         sim.run()
         assert len(tapped) == 1
 
@@ -537,7 +528,7 @@ class TestOneDeadlinePerNode:
         arrivals, dropped = [], []
 
         def handler(request, packet):
-            arrivals.append((sim.now, request.attempt))
+            arrivals.append(sim.now)
             return "ok"
             yield
 
@@ -553,9 +544,10 @@ class TestOneDeadlinePerNode:
         assert value == "ok"
         one_way = self.RTT / 2
         # t0 = 0: retransmits leave at t0 + T and then 2T later (backoff).
-        # At-most-once: the handler ran for attempt 0 only; the retries were
-        # answered from the reply cache, and the third reply got through.
-        assert arrivals == [(one_way, 0)]
+        # At-most-once: the handler ran once, for the first attempt; the
+        # retries were answered from the reply cache, and the third reply
+        # got through.
+        assert arrivals == [one_way]
         assert dropped == [self.RTT, self.T + self.RTT]
         assert sim.now == self.T + 2 * self.T + self.RTT
         assert client.retransmits == 2
@@ -567,7 +559,7 @@ class TestOneDeadlinePerNode:
         the deadline fires, the inbox entry pops and finds the attempt's
         event triggered, stashes the reply, and the resuming caller takes
         it instead of retransmitting."""
-        from repro.net import Packet, RpcResponse
+        from repro.net import RpcResponse, alloc_packet
 
         sim, net, client, server = setup_pair()
         rpc_ids = []
@@ -578,7 +570,7 @@ class TestOneDeadlinePerNode:
 
         def deliver_jittered_reply(_ev):
             reply = RpcResponse(rpc_id=rpc_ids[0], value="jittered")
-            client._inbox.put(Packet(src="server", dst="client", payload=reply))
+            client._inbox.put(alloc_packet("server", "client", reply))
 
         server.register("h", handler)
         # Scheduled before the call exists, so at t = T it precedes the
@@ -635,10 +627,10 @@ class TestInbox:
             return True
 
         server.add_raw_tap(tap)
-        from repro.net import Packet
+        from repro.net import alloc_packet
 
         for tag in ("first", "second"):
-            net.send(Packet(src="client", dst="server", payload=tag))
+            net.send(alloc_packet("client", "server", tag))
         sim.run()
         # Both handled in arrival order under the first packet's inbox
         # entry: nothing is pending while either is handled.
@@ -646,13 +638,12 @@ class TestInbox:
 
     def test_killed_node_drops_before_the_taps(self):
         from repro.net import alloc_packet
-        from repro.net.packet import REGULAR_PORT
 
         sim, net, client, server = setup_pair()
         seen = []
         server.add_raw_tap(lambda packet: seen.append(packet) or False)
         server.kill()
-        net.send(alloc_packet("client", "server", "raw", REGULAR_PORT, None, 128))
+        net.send(alloc_packet("client", "server", "raw"))
         sim.run()
         assert seen == []                    # dead host: not even the taps run
         assert net.packets_delivered == 1    # it did reach the inbox

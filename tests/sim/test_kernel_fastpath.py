@@ -167,7 +167,7 @@ class TestAdopt:
         proc = sim.adopt(self._sleeper(sim, log))
         assert log == [("started", 0.0)]    # ran in the caller's frame
         assert [type(ev) for _, _, ev in pending(sim)] == [Timeout]   # no boot entry
-        assert proc.is_alive
+        assert not proc.triggered
 
     def test_generator_that_never_blocks_is_finished_on_return(self):
         sim = Simulator()

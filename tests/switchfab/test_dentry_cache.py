@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.net import (
-    Packet,
-    RpcResponse,
-    STALESET_PORT,
-    StaleSetHeader,
-    StaleSetOp,
-)
+from repro.net import RpcResponse, StaleSetHeader, StaleSetOp, alloc_packet
 from repro.switchfab import (
     DentryCache,
     ProgrammableSwitch,
@@ -124,7 +118,7 @@ def hdr(op, fp=FP_A):
 
 
 def pkt(header, payload="p", src="client-0", dst="server-0"):
-    return Packet(src=src, dst=dst, payload=payload, port=STALESET_PORT, header=header)
+    return alloc_packet(src, dst, payload, header)
 
 
 def fill_via_packet(sw, fp, value, rpc_id=1):

@@ -7,7 +7,7 @@ pipes; that split is not modelled (DESIGN.md §3)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import FINGERPRINT_BITS, Packet, STALESET_PORT, StaleSetHeader, StaleSetOp
+from repro.net import FINGERPRINT_BITS, StaleSetHeader, StaleSetOp, alloc_packet
 from repro.switchfab import ProgrammableSwitch, SwitchControlPlane, TableGeometry
 
 fingerprints = st.integers(min_value=0, max_value=(1 << 10) - 1).map(
@@ -24,22 +24,20 @@ def make_switch():
 
 def insert(sw, fp, src="s0", dst="c0"):
     return sw.process(
-        Packet(src=src, dst=dst, payload="p", port=STALESET_PORT,
-               header=StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=fp))
+        alloc_packet(src, dst, "p", StaleSetHeader(op=StaleSetOp.INSERT, fingerprint=fp))
     )
 
 
 def query(sw, fp):
     out = sw.process(
-        Packet(src="s0", dst="c0", payload="p", port=STALESET_PORT,
-               header=StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=fp))
+        alloc_packet("s0", "c0", "p", StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=fp))
     )
     return out[0].header.ret == 1
 
 
 def remove(sw, fp, src="s0", seq=None):
     header = StaleSetHeader(op=StaleSetOp.REMOVE, fingerprint=fp, seq=seq or 0)
-    sw.process(Packet(src=src, dst="c0", payload="p", port=STALESET_PORT, header=header))
+    sw.process(alloc_packet(src, "c0", "p", header))
 
 
 @settings(max_examples=100)
