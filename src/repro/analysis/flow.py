@@ -99,9 +99,9 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
 
     Covers direct producer calls (``klock = self._inode_lock(key)``),
     one-level aliases, list/comprehension element classes, ``for``
-    targets iterating such lists, and the list a delegate hands back
-    still locked (``locks = yield from self._take_group(fp)``: elements
-    of the callee's residual class).
+    targets iterating such lists, and the lock a delegate hands back
+    still held (``lock = yield from self._take_group(fp)``: the callee's
+    residual class).
     """
     classes: Dict[str, str] = {}
     elem: Dict[str, str] = {}
@@ -117,6 +117,8 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
                 idx = callee.acquire_wrapper_param
                 if idx is not None and idx < len(expr.value.args):
                     return class_of(expr.value.args[idx])
+                if callee.residual_classes:
+                    return min(callee.residual_classes)
         return None
 
     def elem_class_of(expr: ast.expr) -> Optional[str]:
@@ -129,10 +131,6 @@ def _lockvar_classes(info: FuncInfo, project: Project) -> Dict[str, str]:
                     return cls
         if isinstance(expr, ast.Name):
             return elem.get(expr.id)
-        if isinstance(expr, ast.YieldFrom) and isinstance(expr.value, ast.Call):
-            for callee in project.resolve_call(expr.value):
-                if callee.residual_classes:
-                    return min(callee.residual_classes)
         return None
 
     for _ in range(2):  # two rounds propagate one level of aliasing

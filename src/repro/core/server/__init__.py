@@ -53,7 +53,7 @@ the former single-module implementation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ...net.topology import Network
 from ...sim import Event, RWLock, Simulator
@@ -115,10 +115,9 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         self._dir_nonce = 0
         self._remove_seq = 0
         self._grace_pending: Dict[int, bool] = {}
-        # Change-log write locks held between an agg_pull and its ack (§4.2.2
-        # step 9a): fp -> list of held RWLocks, plus waiters for release.
-        self._pull_locks: Dict[int, List[RWLock]] = {}
-        self._pull_waiters: Dict[int, Event] = {}
+        # The group change-log write lock held between an agg_pull and its
+        # ack (§4.2.2 step 9a), by fp; a second pull queues on the lock.
+        self._pull_locks: Dict[int, RWLock] = {}
         self._last_push_at: Dict[int, float] = {}
         # fp -> count of pushes drained from the local table but not yet
         # landed at (or restored from) their destination; consulted by the

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcRequest, RpcTimeout, StaleSetHeader, StaleSetOp
-from ...sim import Event
 from ..changelog import ChangeLog, ChangeLogEntry
 
 __all__ = ["AggregationProtocol"]
@@ -71,7 +70,9 @@ class AggregationProtocol:
         rmdir's round (Figure 5) is the same one behind an invalidation:
         *invalidate* goes on every peer's invalidation list with the pull
         and on ours once they answered.  *already_locked* names the inode
-        keys the caller write-holds.
+        keys the caller write-holds, and *fp* itself when the caller
+        write-holds the group's change-log lock (an rmdir whose directory
+        shares its parent's fingerprint).
         """
         block = self.sim.event()
         self._group_blocks[fp] = block
@@ -98,7 +99,9 @@ class AggregationProtocol:
                     others, results = [o for o, _ in answered], [r for _, r in answered]
             if invalidate is not None and silent is None:
                 self.inval.insert(invalidate)
-            local_locks = yield from self._take_group(fp)
+            local_lock = None
+            if fp not in already_locked:
+                local_lock = yield from self._take_group(fp)
             try:
                 local = self.changelogs.drain_group(fp)
                 pulled = self._merge_pulled(results, local)
@@ -108,8 +111,8 @@ class AggregationProtocol:
                     yield from self._apply_logs(pulled, already_locked)
                 self._send_agg_ack(fp, others, results, local, remove=silent is None)  # reprolint: allow[RL104] the round's peers
             finally:
-                for lock in local_locks:
-                    self._release(lock, "w")
+                if local_lock is not None:
+                    self._release(local_lock, "w")
             if silent is not None:
                 if invalidate is not None and others:  # reprolint: allow[RL104] the round's peers
                     yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})  # reprolint: allow[RL104] the round's peers
@@ -119,15 +122,13 @@ class AggregationProtocol:
             block.succeed()
 
     def _take_group(self, fp: int) -> Generator:
-        """Write-lock every change-log this server holds for the group, in
-        ``logs_in_group`` order (one taker per group at a time, DESIGN
-        §17.4), and return the locks: the caller drains under them and
-        releases after application (locally) or at the ack (pull side)."""
-        locks = []
-        for log in self.changelogs.logs_in_group(fp):
-            lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")  # reprolint: allow[RL103] one group, one taker; logs_in_group order is stable under a held lock
-            locks.append(lock)
-        return locks
+        """Write-lock the group's change-log lock and return it, whether or
+        not this server holds entries for the group: an append that comes
+        after the drain must wait for the round's ack, or the ack's REMOVE
+        would clear the stale-set bit its INSERT set.  The caller drains
+        under the lock and releases it after application (locally) or at
+        the ack (pull side)."""
+        return (yield from self._acquire(self._changelog_lock(fp), "w"))
 
     def _merge_pulled(
         self,
@@ -213,17 +214,13 @@ class AggregationProtocol:
         while the aggregator applies the group's updates, no new entries
         may be appended for it anywhere.  This back-pressure is what bounds
         sustained update throughput by the application rate — the effect
-        the +Async/+Recast ablation of §6.5.1 measures.
+        the +Async/+Recast ablation of §6.5.1 measures.  A second pull of
+        the group queues on the lock behind the first until that one's ack.
         """
-        # If a previous aggregation's ack is still in flight, wait for it —
-        # answering early with empty logs would hide entries appended since
-        # that aggregation's drain (a visibility violation).
-        while fp in self._pull_locks:
-            yield self._pull_waiter(fp)
-        locks = yield from self._take_group(fp)
-        self._pull_locks[fp] = locks
+        lock = yield from self._take_group(fp)
+        self._pull_locks[fp] = lock
         if self.config.unlock_watchdog_us:
-            self._arm_pull_watchdog(fp, locks)
+            self._arm_pull_watchdog(fp, lock)
         yield self._cpu(self.perf.kv_get_us)
         if invalidate is not None:
             self.inval.insert(invalidate)
@@ -233,31 +230,23 @@ class AggregationProtocol:
             "lsns": [lsn for _d, _e, lsn_list in drained for lsn in lsn_list],
         }
 
-    def _pull_waiter(self, fp: int) -> Event:
-        ev = self._pull_waiters.get(fp)
-        if ev is None:
-            ev = self.sim.event()
-            self._pull_waiters[fp] = ev
-        return ev
-
     def _release_pull_locks(self, fp: int) -> None:
-        for lock in self._pull_locks.pop(fp, []):
+        lock = self._pull_locks.pop(fp, None)
+        if lock is not None:
             self._release(lock, "w")
-        waiter = self._pull_waiters.pop(fp, None)
-        if waiter is not None:
-            waiter.succeed()
 
-    def _arm_pull_watchdog(self, fp: int, locks) -> None:
+    def _arm_pull_watchdog(self, fp: int, lock) -> None:
         """Release pull locks if the aggregation ack is lost (UDP).
 
         One scanner timer per server, not one per pull — same rationale
-        as :meth:`ServerOps._arm_unlock_watchdog`.  The identity check at
-        scan time (``_pull_locks.get(fp) is locks``) makes entries from
-        already-acked pulls harmless, so they lazily expire instead of
-        being eagerly removed on the ack path.
+        as :meth:`ServerOps._arm_unlock_watchdog`.  Every pull re-arms
+        its group's entry, and the identity check at scan time
+        (``_pull_locks.get(fp) is lock``) makes entries from already-acked
+        pulls harmless, so they lazily expire instead of being eagerly
+        removed on the ack path.
         """
         deadline = self.sim.now + self.config.unlock_watchdog_us
-        self._pull_wd[fp] = (deadline, locks)
+        self._pull_wd[fp] = (deadline, lock)
         if not self._pull_wd_armed:
             self._pull_wd_armed = True
             self.sim.timeout(
@@ -269,8 +258,8 @@ class AggregationProtocol:
         wd = self._pull_wd
         expired = [fp for fp, (deadline, _) in wd.items() if deadline <= now]
         for fp in expired:
-            _, locks = wd.pop(fp)
-            if self._pull_locks.get(fp) is locks:
+            _, lock = wd.pop(fp)
+            if self._pull_locks.get(fp) is lock:
                 self.counters.inc("pull_watchdog_fires")
                 self._release_pull_locks(fp)
         if wd:

@@ -16,7 +16,7 @@ The engine owns everything that moves or applies change-log entries:
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcError, RpcRequest
@@ -35,13 +35,16 @@ class ChangeLogEngine:
     __slots__ = ()
 
     # ------------------------------------------------------------------
-    # lock table for change-logs (keyed by directory id)
+    # lock table for change-logs (one lock per fingerprint group)
     # ------------------------------------------------------------------
-    def _changelog_lock(self, dir_id: int) -> RWLock:
-        lock = self._changelog_locks.get(dir_id)
+    def _changelog_lock(self, fp: int) -> RWLock:
+        """The lock over every change-log of group *fp* on this server:
+        appenders hold it in read mode, drains in write mode, so a round
+        excludes appends to the group whether or not a log exists yet."""
+        lock = self._changelog_locks.get(fp)
         if lock is None:
-            lock = self._changelog_locks[dir_id] = RWLock(
-                self.sim, name="changelog", scope=self.addr, key=dir_id,
+            lock = self._changelog_locks[fp] = RWLock(
+                self.sim, name="changelog", scope=self.addr, key=fp,
                 table=self._changelog_locks,
             )
         return lock
@@ -64,7 +67,7 @@ class ChangeLogEngine:
             if len(log):
                 self._note_push(log.fingerprint)
             return
-        lock = yield from self._acquire(self._changelog_lock(log.dir_id), "w")
+        lock = yield from self._acquire(self._changelog_lock(log.fingerprint), "w")
         entries, lsns = log.drain()
         self._release(lock, "w")
         if not entries:
@@ -126,9 +129,9 @@ class ChangeLogEngine:
         """
         lsns = self.wal.append_many("changelog", [(dir_id, fp, entry) for entry in entries])
         # Appender discipline (same as create/delete/mkdir): hold the
-        # directory's change-log lock in read mode across the extend so a
+        # group's change-log lock in read mode across the extend so a
         # concurrent drain (write-holder) is excluded.
-        cl_lock = yield from self._acquire(self._changelog_lock(dir_id), "r")
+        cl_lock = yield from self._acquire(self._changelog_lock(fp), "r")
         try:
             self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)
         finally:
@@ -276,26 +279,26 @@ class ChangeLogEngine:
         ``_apply_recast`` fast path returns early on unknown dir ids)."""
         args = request.args
         yield self._cpu(self.perf.wal_append_us)
-        pulled = []
+        pulled, fps = [], set()
         for dir_id, fp, entries in args["logs"]:
             if self.membership.current.dir_owner_by_fp(fp) == self.addr:
                 pulled.append((dir_id, entries, None))
+                fps.add(fp)
                 continue
             yield from self._stage_entries(dir_id, fp, entries)
             for log in self.changelogs.logs_in_group(fp):
                 if log.dir_id == dir_id:
                     self.sim.spawn(self._push_log(log), name="flush-restage")
         if pulled:
-            # Write-hold each directory's change-log lock across the apply
-            # (the same discipline the aggregation drain uses): appenders
-            # are excluded while the pulled entries land.  Every server
-            # flushes to this owner in its own drain order, so the locks
-            # are taken in dir_id order: two handlers holding one lock each
-            # and waiting for the other's would never finish (§17.4).
-            pulled.sort(key=itemgetter(0))
+            # Write-hold each group's change-log lock across the apply (the
+            # same discipline the aggregation drain uses): appenders are
+            # excluded while the pulled entries land.  Every server flushes
+            # to this owner in its own drain order, so the locks are taken
+            # in fingerprint order: two handlers holding one lock each and
+            # waiting for the other's would never finish (§17.4).
             locks = []
-            for dir_id, _e, _l in pulled:
-                lock = yield from self._acquire(self._changelog_lock(dir_id), "w")  # reprolint: allow[RL103] dir_id order (sorted above), behind the recovery gate
+            for fp in sorted(fps):
+                lock = yield from self._acquire(self._changelog_lock(fp), "w")  # reprolint: allow[RL103] fingerprint order (sorted), behind the recovery gate
                 locks.append(lock)
             try:
                 self.wal.append("agg", [(d, e) for d, e, _ in pulled])

@@ -71,9 +71,9 @@ class ShardMigration:
         """Package every shard-resident datum for shipping.
 
         The KV capture is synchronous (atomic in virtual time); the
-        change-log drains write-hold each directory's change-log lock —
-        the same ``_take_group`` the aggregation drain uses — so appenders
-        are excluded per directory.  The source is gated and quiesced, so the
+        change-log drains write-hold each group's change-log lock — the
+        same ``_take_group`` the aggregation drain uses — so appenders are
+        excluded per group.  The source is gated and quiesced, so the
         whole capture is still a consistent cut.  Change-log custody
         transfers with the package: shipped entries are marked applied in
         the local WAL so a later crash-recovery here cannot resurrect
@@ -99,16 +99,12 @@ class ShardMigration:
             if fp % num_shards not in shards:
                 continue
             fingerprints.add(fp)
-            locks = yield from self._take_group(fp)
-            try:
-                for dir_id, entries, lsns in self.changelogs.drain_group(fp):
-                    logs.append((dir_id, fp, list(entries)))
-                    self.wal.mark_applied_many(
-                        lsn for lsn in lsns if lsn is not None
-                    )
-            finally:
-                for lock in locks:
-                    self._release(lock, "w")
+            lock = yield from self._take_group(fp)
+            drained = self.changelogs.drain_group(fp)
+            self._release(lock, "w")
+            for dir_id, entries, lsns in drained:
+                logs.append((dir_id, fp, list(entries)))
+                self.wal.mark_applied_many(lsn for lsn in lsns if lsn is not None)
         return {
             "shards": sorted(shards),
             "kv_pairs": kv_pairs,
@@ -120,12 +116,14 @@ class ShardMigration:
     def _stage_locked(self, kv_pairs: List[Tuple[list, Any]], stage) -> Generator:
         """``stage(key, value)`` each shipped pair under the lock a
         foreground mutator of that key holds (inode lock for D/F keys, the
-        directory's change-log lock for entry-list keys), one at a time —
-        never nested, so no new lock-order edges."""
+        directory's group change-log lock for entry-list keys), one at a
+        time — never nested, so no new lock-order edges.  An ``E`` key's
+        directory ships in the same package, as a ``D`` inode."""
+        fp_of = {inode.id: inode.fingerprint for key, inode in kv_pairs if key[0] == "D"}
         for key, value in kv_pairs:
             key = tuple(key)
             lock = yield from self._acquire(
-                self._changelog_lock(key[1]) if key[0] == "E" else self._inode_lock(key), "w"
+                self._changelog_lock(fp_of[key[1]]) if key[0] == "E" else self._inode_lock(key), "w"
             )
             try:
                 stage(key, value)

@@ -104,11 +104,15 @@ class ServerOps:
         self._mutator_begin()
         # Locks go through _acquire (not inlined): the lock-discipline
         # characterization tests observe acquisition order through it.
-        cl_lock = yield from self._acquire(self._changelog_lock(pid), "r")
+        # An rmdir whose directory shares its parent's fingerprint takes
+        # the group's change-log lock once, in the write mode its own
+        # round needs.
+        cl_mode = "w" if is_dir and not adds and fp == parent_fp else "r"
+        cl_lock = yield from self._acquire(self._changelog_lock(parent_fp), cl_mode)
         klock = yield from self._acquire(self._inode_lock(key), "w")
         # Custody: whoever holds this list releases what is in it — the
         # unlock token once _finish_async_update emptied it, else `finally`.
-        held = [(klock, "w"), (cl_lock, "r")]
+        held = [(klock, "w"), (cl_lock, cl_mode)]
         try:
             yield self._cpu(perf.kv_get_us)
             exists = key in self.kv
@@ -124,7 +128,7 @@ class ServerOps:
                 # flight (a reader's, a colliding rmdir's): that round
                 # holds the group's logs and will want this inode while we
                 # wait for its block (DESIGN §17.4, open).
-                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL103] parent's log and own inode first, then the group's logs in _take_group order, then the group's other inodes (already_locked skips this one)
+                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL103] parent's group log and own inode first, then the group's log, then the group's other inodes (already_locked skips the ones held)
 
             yield self._cpu(perf.wal_append_us)
             now = self.sim.now
@@ -188,13 +192,15 @@ class ServerOps:
         """rmdir only (Figure 5, steps 4-7): freeze the directory on every
         server, gather its group's scattered updates, and fail ENOTEMPTY —
         thawing it again — unless that leaves it empty.  Runs under the
-        caller's locks on *key*."""
+        caller's locks on *key* and, when the directory shares its
+        parent's fingerprint, on the group's change-log."""
         dir_id, fp = args["dir_id"], args["fp"]
         frozen = self.config.async_updates
         if frozen:
             yield from self._wait_group_unblocked(fp)
+            locked = (key, fp) if fp == args["parent_fp"] else (key,)
             yield from self._aggregation_round(
-                fp, invalidate=dir_id, already_locked=frozenset([key])
+                fp, invalidate=dir_id, already_locked=frozenset(locked)
             )
         inode = self.kv.get(key)  # refreshed by aggregation
         yield self._cpu(self.perf.kv_get_us)

@@ -81,14 +81,6 @@ class CrashRecovery:
         self._inflight_mutators = 0
         self._rename_locks.clear()
         self._push_inflight.clear()
-        # Wake anyone parked on a pull lock: the locks just vanished, and
-        # a waiter left pending would re-check `fp in _pull_locks` only
-        # when its event fires — which, without this, is never (found by
-        # the lock/race analysis work; a latent post-crash wedge).
-        for ev in self._pull_waiters.values():
-            if not ev.triggered:
-                ev.succeed()
-        self._pull_waiters.clear()
         self.node.clear_reply_cache()
 
     def recover(self, peer: Optional[str] = None) -> Generator:

@@ -80,13 +80,13 @@ class RenameParticipant:
         """
         args = request.args
         # Same discipline as every other appender (create/delete/mkdir in
-        # ops.py): hold the parent's change-log lock in read mode across
+        # ops.py): hold the parent's group change-log lock in read mode across
         # the append; drain and aggregation passes write-hold it.  The
         # rename transaction behind this RPC holds only the two *file*
         # inode locks (parents are deliberately unlocked in async mode),
         # and change-log write-holders only ever acquire *directory*
         # inode locks, so this acquisition cannot complete a lock cycle.
-        cl_lock = yield from self._acquire(self._changelog_lock(args["parent_id"]), "r")
+        cl_lock = yield from self._acquire(self._changelog_lock(args["parent_fp"]), "r")
         held = [(cl_lock, "r")]
         try:
             return (yield from self._finish_async_update(  # async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast

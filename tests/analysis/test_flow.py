@@ -124,6 +124,28 @@ class TestRL103LockOrderGraph:
         assert wrappers["_acquire"] == (0, None) and wrappers["_release"] == (None, 0)
         assert set(flow.analyze_paths([tmp_path]).lock_graph) == {("changelog", "inode")}
 
+    def test_lock_a_delegate_hands_back_is_released_by_its_caller(self, tmp_path):
+        """``lock = yield from self._take_group(fp)``: the name carries the
+        delegate's residual class, so a loop that releases it each turn
+        nests nothing."""
+        _write(tmp_path, "delegate.py", RUNTIME + """
+        return lock
+
+    def _release(self, lock, mode):
+        lock.release_write()
+        self.forget(lock)
+
+    def _take_group(self, fp):
+        return (yield from self._acquire(self._changelog_lock(fp), "w"))
+
+    def drain_each(self, fps):
+        for fp in fps:
+            lock = yield from self._take_group(fp)
+            self._release(lock, "w")
+        """)
+        report = flow.analyze_paths([tmp_path])
+        assert report.lock_graph == {} and report.findings == []
+
 
 # Two functions that each nest two change-log locks: one class-level
 # self-loop, two places that each need their own instance-level order.

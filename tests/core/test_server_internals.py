@@ -130,16 +130,6 @@ class TestGroupBlocks:
 
 
 class TestPullLocks:
-    def test_pull_waiter_event_reused(self):
-        cluster = make()
-        server = cluster.servers[0]
-        ev1 = server._pull_waiter(42)
-        ev2 = server._pull_waiter(42)
-        assert ev1 is ev2
-        server._pull_locks[42] = []
-        server._release_pull_locks(42)
-        assert ev1.triggered
-
     def test_release_without_locks_is_safe(self):
         cluster = make()
         cluster.servers[0]._release_pull_locks(999)  # no-op
@@ -173,11 +163,49 @@ class TestPullLocks:
         assert replies[0]["logs"] and fp in peer._pull_locks
         cluster.sim.spawn(pull(), name="pull-2")
         cluster.run(until=cluster.sim.now + 1_000.0)
-        assert len(replies) == 1  # parked behind the first pull's locks
+        assert len(replies) == 1  # parked behind the first pull's lock
         puller.notify(peer.addr, "agg_ack", {"fp": fp, "lsns": replies[0]["lsns"]})
         cluster.run(until=cluster.sim.now + 1_000.0)
         assert len(replies) == 2 and replies[1]["logs"] == []
         assert (dir_id in peer.inval) == (method == "invalidate_and_pull")
+
+    def test_pull_parked_across_a_crash_is_answered_after_recovery(self):
+        """A crash drops the group lock a second pull is parked on; the
+        aggregator's retry reaches the recovered server, which answers it
+        from a fresh lock and forgets that lock at the ack."""
+        cluster = make(proactive_enabled=False)
+        fs = cluster.client(0)
+        made = cluster.run_op(fs.mkdir("/d"))
+        for i in range(6):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        fp = made["fingerprint"]
+        owner = cluster.membership.current.dir_owner_by_fp(fp)
+        idx, peer = next(
+            (i, s) for i, s in enumerate(cluster.servers)
+            if s.addr != owner and s.changelogs.logs_in_group(fp)
+        )
+        puller = cluster.client(1).node
+        replies = []
+
+        def pull():
+            value, _ = yield from puller.call(peer.addr, "agg_pull", {"fp": fp}, max_attempts=50)
+            replies.append(value)
+
+        cluster.sim.run_process(cluster.sim.spawn(pull(), name="pull-1"))
+        drained = {e.name for _d, entries in replies[0]["logs"] for e in entries}
+        second = cluster.sim.spawn(pull(), name="pull-2")
+        cluster.run(until=cluster.sim.now + 300.0)
+        assert len(replies) == 1  # parked on the group lock the first pull holds
+        cluster.crash_server(idx)
+        cluster.recover_server(idx)
+        cluster.sim.run_process(second)
+        # The first pull was never acked, so WAL replay restored its entries
+        # and the retried pull hands them over again.
+        assert {e.name for _d, entries in replies[1]["logs"] for e in entries} == drained
+        assert fp in peer._pull_locks
+        puller.notify(peer.addr, "agg_ack", {"fp": fp, "lsns": replies[1]["lsns"]})
+        cluster.run(until=cluster.sim.now + 1_000.0)
+        assert not peer._pull_locks and not peer._changelog_locks and not peer._inode_locks
 
 
 class TestFlushAllChangelogs:
@@ -227,11 +255,12 @@ class TestRecoveryBlocksOps:
 class TestDoubleInodeLockDiscipline:
     """Characterization: the double-inode flow's lock acquisition order.
 
-    Create/delete/mkdir/rmdir take the parent's change-log READ lock
-    first, then the target inode's WRITE lock (ops.py).  Aggregation
-    takes change-log WRITE locks, so this ordering is what lets updates
-    of one directory proceed concurrently while an aggregation drains
-    the log exclusively.  A reordering would be a protocol change.
+    Create/delete/mkdir/rmdir take the READ lock of the parent's
+    change-log group, keyed by the parent's fingerprint, first, then the
+    target inode's WRITE lock (ops.py).  Aggregation write-locks the
+    group, so this ordering is what lets updates of one directory proceed
+    concurrently while an aggregation drains its group exclusively.  A
+    reordering would be a protocol change.
     """
 
     @pytest.mark.parametrize("op", ["create", "delete", "mkdir", "rmdir"])
@@ -239,7 +268,8 @@ class TestDoubleInodeLockDiscipline:
         cluster = make(num_servers=1, proactive_enabled=False)
         server = cluster.servers[0]
         fs = cluster.client(0)
-        d_id = cluster.run_op(fs.mkdir("/d"))["id"]
+        made = cluster.run_op(fs.mkdir("/d"))
+        d_id, d_fp = made["id"], made["fingerprint"]
         cluster.run_op(fs.create("/d/f"))
         cluster.run_op(fs.mkdir("/d/sub"))
         target = {"create": "/d/g", "delete": "/d/f", "mkdir": "/d/sub2", "rmdir": "/d/sub"}[op]
@@ -260,10 +290,37 @@ class TestDoubleInodeLockDiscipline:
         finally:
             server._acquire = orig_acquire
 
-        cl_lock = f"changelog:{server.addr}:{d_id!r}"
+        cl_lock = f"changelog:{server.addr}:{d_fp!r}"
         inode_lock = f"inode:{server.addr}:{make_key(d_id, target.rsplit('/', 1)[1])!r}"
         assert order.index((cl_lock, "r")) < order.index((inode_lock, "w"))
         assert not server._inode_locks and not server._changelog_locks
+
+    def test_rmdir_of_a_directory_sharing_its_parents_fingerprint(self, monkeypatch):
+        """rmdir read-locks its parent's group and its round write-locks
+        its own: when the two groups are one, rmdir takes the lock once, in
+        write mode, and its round does not take it again."""
+        from repro.core import client, membership, schema
+        from repro.core.server import ops, reads, renamepart
+
+        cluster = make(proactive_enabled=False)
+        fs = cluster.client(0)
+        made = cluster.run_op(fs.mkdir("/d"))
+        real = schema.fingerprint_of
+
+        def colliding(pid, name):
+            return made["fingerprint"] if (pid, name) == (made["id"], "sub") else real(pid, name)
+
+        for module in (schema, client, membership, ops, reads, renamepart):
+            monkeypatch.setattr(module, "fingerprint_of", colliding)
+        sub = cluster.run_op(fs.mkdir("/d/sub"))
+        assert sub["fingerprint"] == made["fingerprint"]
+        cluster.run_op(fs.create("/d/f"))
+        start = cluster.sim.now
+        cluster.run_op(fs.rmdir("/d/sub"))
+        assert cluster.sim.now - start < 1_000.0  # no RPC ran out of attempts
+        assert cluster.run_op(fs.readdir("/d"))["entries"] == ["f"]
+        for server in cluster.servers:
+            assert not server._inode_locks and not server._changelog_locks
 
 
 class TestUnlockTokenLifecycle:
