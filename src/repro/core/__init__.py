@@ -36,8 +36,6 @@ from .schema import (
     file_meta_key,
     fingerprint_of,
     new_dir_id,
-    owner_of_dir,
-    owner_of_file,
     root_inode,
 )
 from .server import MetadataServer, ServerRuntime
@@ -76,7 +74,5 @@ __all__ = [
     "file_meta_key",
     "fingerprint_of",
     "new_dir_id",
-    "owner_of_dir",
-    "owner_of_file",
     "root_inode",
 ]

@@ -39,8 +39,6 @@ __all__ = [
     "new_dir_id",
     "fingerprint_of",
     "file_cache_fingerprint",
-    "owner_of_file",
-    "owner_of_dir",
     "file_shard_of",
     "root_inode",
 ]
@@ -54,7 +52,7 @@ _TAG_MASK = (1 << 32) - 1
 
 
 def _h256(*parts) -> int:
-    digest = hashlib.sha256("\x00".join(str(p) for p in parts).encode()).digest()
+    digest = hashlib.sha256("\x00".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -85,7 +83,15 @@ def fingerprint_of(pid: int, name: str) -> int:
     return fp
 
 
-@lru_cache(maxsize=1 << 16)
+# The per-op memos below are reused within one op, not across ops: the
+# client hashes a name to route it and the serving server re-hashes it
+# (to check ownership, or to evict its cache line) while the op is still
+# in flight.  A bound this size keeps that pair a hit and keeps no copy of
+# the namespace's names (DESIGN.md §11).
+_PER_OP_MEMO = 1 << 12
+
+
+@lru_cache(maxsize=_PER_OP_MEMO)
 def file_cache_fingerprint(pid: int, name: str) -> int:
     """The 49-bit dentry-cache key for file *name* under parent *pid*.
 
@@ -101,36 +107,23 @@ def file_cache_fingerprint(pid: int, name: str) -> int:
     return fp
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=_PER_OP_MEMO)
 def _file_hash(pid: int, name: str) -> int:
     """The per-file routing hash (salt ``"file-owner"``) and the one
-    routing memo: client, then server, ask for each name's, so the sha256
-    runs once per distinct (pid, name) and both mappings below are a ``%``
-    on it (``num_shards`` is fixed for a run; what moves is the shard →
-    server table in the membership view)."""
+    routing memo.  Its job is one op's pair of asks — the client routes
+    the name, then the server re-checks it — so the sha256 runs once per
+    op, and :func:`file_shard_of` is a ``%`` on it (``num_shards`` is
+    fixed for a run; what moves is the shard → server table in the
+    membership view).  It is bounded to that window: a name hashed by
+    ``bootstrap`` or by an op long done is recomputed on its next use."""
     return _h256("file-owner", pid, name)
-
-
-def owner_of_file(pid: int, name: str, num_servers: int) -> int:
-    """Per-file hash partitioning: the server index owning a file inode."""
-    return _file_hash(pid, name) % num_servers
 
 
 def file_shard_of(pid: int, name: str, num_shards: int) -> int:
     """Per-file hash partitioning into the fixed shard space: with the
-    bootstrap shard table (shard ``s`` → server ``s % num_servers``)
-    routing is bit-identical to :func:`owner_of_file`."""
+    bootstrap shard table (shard ``s`` → server ``s % num_servers``) a
+    file lives on server ``_file_hash(pid, name) % num_servers``."""
     return _file_hash(pid, name) % num_shards
-
-
-def owner_of_dir(fingerprint: int, num_servers: int) -> int:
-    """Directory partitioning by fingerprint.
-
-    Using the fingerprint (not the full id/name hash) guarantees that all
-    directories of a fingerprint group land on the same server, which is
-    what lets an aggregation handle the whole group locally (§4.1).
-    """
-    return fingerprint % num_servers
 
 
 # -- keys ----------------------------------------------------------------------

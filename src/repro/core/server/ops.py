@@ -108,13 +108,27 @@ class ServerOps:
         # the group's change-log lock once, in the write mode its own
         # round needs.
         cl_mode = "w" if is_dir and not adds and fp == parent_fp else "r"
-        cl_lock = yield from self._acquire(self._changelog_lock(parent_fp), cl_mode)
-        klock = yield from self._acquire(self._inode_lock(key), "w")
+        # rmdir runs a round on its own group (_rmdir_check_empty), and a
+        # round already in flight there (a reader's, a colliding rmdir's)
+        # will want this inode: wait for its block holding nothing, and
+        # step aside again if one set it while the locks were granted.
+        frozen_rmdir = is_dir and not adds and self.config.async_updates
         # Custody: whoever holds this list releases what is in it — the
         # unlock token once _finish_async_update emptied it, else `finally`.
-        held = [(klock, "w"), (cl_lock, cl_mode)]
+        held = []
         try:
-            yield self._cpu(perf.kv_get_us)
+            while True:
+                if frozen_rmdir:
+                    yield from self._wait_group_unblocked(fp)
+                cl_lock = yield from self._acquire(self._changelog_lock(parent_fp), cl_mode)
+                klock = yield from self._acquire(self._inode_lock(key), "w")
+                held[:] = [(klock, "w"), (cl_lock, cl_mode)]
+                yield self._cpu(perf.kv_get_us)
+                # No yield from here to the round's block in _rmdir_check_empty.
+                if not (frozen_rmdir and fp in self._group_blocks):
+                    break
+                self._release_locks(held)
+                held.clear()
             exists = key in self.kv
             if adds and exists:
                 raise FSError(EEXIST, f"{pid}/{name}")
@@ -123,11 +137,7 @@ class ServerOps:
             if is_dir and not adds:
                 # rmdir freeze (Fig 5 steps 4-7): barrier, invalidation
                 # multicast, aggregation and revert all run under the dir
-                # locks.  The order below is this op's own; nothing orders
-                # it against a round on the same group that is already in
-                # flight (a reader's, a colliding rmdir's): that round
-                # holds the group's logs and will want this inode while we
-                # wait for its block (DESIGN §17.4, open).
+                # locks, and no round on the group is in flight (above).
                 yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL103] parent's group log and own inode first, then the group's log, then the group's other inodes (already_locked skips the ones held)
 
             yield self._cpu(perf.wal_append_us)
@@ -193,11 +203,11 @@ class ServerOps:
         server, gather its group's scattered updates, and fail ENOTEMPTY —
         thawing it again — unless that leaves it empty.  Runs under the
         caller's locks on *key* and, when the directory shares its
-        parent's fingerprint, on the group's change-log."""
+        parent's fingerprint, on the group's change-log; the caller saw
+        the group unblocked with no yield since."""
         dir_id, fp = args["dir_id"], args["fp"]
         frozen = self.config.async_updates
         if frozen:
-            yield from self._wait_group_unblocked(fp)
             locked = (key, fp) if fp == args["parent_fp"] else (key,)
             yield from self._aggregation_round(
                 fp, invalidate=dir_id, already_locked=frozenset(locked)

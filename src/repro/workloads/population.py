@@ -76,6 +76,11 @@ def bootstrap(
     Placement follows the cluster's own — a membership view or a
     baseline's partition — so the installed state is exactly what
     protocol-driven population would have produced.
+
+    Each directory's files go in in key (name) order, so every store
+    keeps a directory's keys as one sorted list and a file costs its
+    model state: an inode, a reference to the shared entry value and two
+    keys (DESIGN.md §11).
     """
     now = cluster.sim.now
     placement = cluster.placement
@@ -96,8 +101,9 @@ def bootstrap(
             dir_entry_key(ROOT_ID, dname), dir_entry(True, 0o755), log=log_writes
         )
 
-        for i in range(population.files_per_dir):
-            fname = population.file_name(i)
+        # In name order ("pre10" < "pre9"): each put is an in-order append
+        # to the directory's sorted key list in the store.
+        for fname in sorted(map(population.file_name, range(population.files_per_dir))):
             fowner = servers[placement.file_owner(dir_id, fname, dir_path)]
             fowner.kv.put(
                 file_meta_key(dir_id, fname),

@@ -10,7 +10,7 @@ from repro.core.membership import (
     plan_scale_down,
     plan_scale_up,
 )
-from repro.core.schema import fingerprint_of, owner_of_dir, owner_of_file
+from repro.core.schema import _file_hash, fingerprint_of
 
 
 class TestBootstrapIdentity:
@@ -23,7 +23,7 @@ class TestBootstrapIdentity:
         for pid in range(1, 40):
             for name in ("a", "subdir", "x-9"):
                 fp = fingerprint_of(pid, name)
-                legacy = config.server_addr(owner_of_dir(fp, num_servers))
+                legacy = config.server_addr(fp % num_servers)
                 assert view.dir_owner_by_fp(fp) == legacy
 
     @pytest.mark.parametrize("num_servers", [1, 3, 4])
@@ -32,7 +32,7 @@ class TestBootstrapIdentity:
         view = bootstrap_view(config)
         for pid in range(1, 40):
             for name in ("f0", "data.bin", "tmp"):
-                legacy = config.server_addr(owner_of_file(pid, name, num_servers))
+                legacy = config.server_addr(_file_hash(pid, name) % num_servers)
                 assert view.file_owner(pid, name) == legacy
 
     def test_shard_table_shape(self):

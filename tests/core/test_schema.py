@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     DirInode,
+    FSConfig,
     FileInode,
     ROOT_ID,
     dir_entry_key,
@@ -13,14 +14,20 @@ from repro.core import (
     file_meta_key,
     fingerprint_of,
     new_dir_id,
-    owner_of_dir,
-    owner_of_file,
     root_inode,
 )
+from repro.core.membership import bootstrap_view
+from repro.core.schema import _file_hash
 from repro.net import FINGERPRINT_BITS
 
 names = st.text(alphabet="abcdefghij0123456789_-", min_size=1, max_size=12)
 pids = st.integers(min_value=0, max_value=(1 << 256) - 1)
+
+
+def _view(num_servers):
+    """The epoch-0 view of *num_servers* servers and its config."""
+    config = FSConfig(num_servers=num_servers)
+    return config, bootstrap_view(config)
 
 
 class TestFingerprints:
@@ -41,18 +48,21 @@ class TestFingerprints:
     def test_fingerprint_group_affinity(self, pid, name, n):
         """Directories with equal fingerprints always share an owner."""
         fp = fingerprint_of(pid, name)
-        assert owner_of_dir(fp, n) == fp % n
-        assert 0 <= owner_of_dir(fp, n) < n
+        config, view = _view(n)
+        assert view.dir_owner(pid, name) == view.dir_owner_by_fp(fp)
+        assert view.dir_owner_by_fp(fp) == config.server_addr(fp % n)
 
 
 class TestPartitioning:
     @given(pid=pids, name=names, n=st.integers(min_value=1, max_value=64))
     def test_file_owner_in_range(self, pid, name, n):
-        assert 0 <= owner_of_file(pid, name, n) < n
+        config, view = _view(n)
+        assert view.file_owner(pid, name) == config.server_addr(_file_hash(pid, name) % n)
 
     def test_file_partition_spreads(self):
         """Per-file hashing spreads a directory's files over servers."""
-        owners = {owner_of_file(7, f"f{i}", 8) for i in range(200)}
+        _, view = _view(8)
+        owners = {view.file_owner(7, f"f{i}") for i in range(200)}
         assert len(owners) == 8
 
 
