@@ -1,8 +1,7 @@
 """``reprolint``: the repo-specific lint and its one rule driver (stdlib
 ``ast`` only).
 
-:func:`lint_paths` runs every rule — the syntactic ones below and the
-flow-sensitive RL103/RL104 of :mod:`repro.analysis.flow` — and puts the
+:func:`lint_paths` runs every rule below over each file and puts the
 union of their findings through one suppression pass and one
 dead-suppression audit.  ``repro lint`` and the tier-1 "repo is clean"
 test call it; nothing else excuses a finding.
@@ -54,9 +53,6 @@ RL007 ``dead-suppression``
     typo, a retired id), which never suppressed anything.  Delete it.
     ``allow[*]`` is not audited.
 
-RL103 ``lock-order-cycle``, RL104 ``stale-view-across-yield``
-    The flow-sensitive rules; see :mod:`repro.analysis.flow`.
-
 Suppression: append ``# reprolint: allow[<rule-or-id>] <reason>`` on the
 flagged line.  ``allow[*]`` suppresses every rule on that line.
 """
@@ -68,9 +64,7 @@ import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
-
-from .callgraph import is_generator, python_files
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 __all__ = ["Finding", "LintReport", "lint_paths", "format_finding", "RULES"]
 
@@ -82,8 +76,6 @@ RULES = {
     "RL004": "unadopted-generator",
     "RL006": "slotless-hot-class",
     "RL007": "dead-suppression",
-    "RL103": "lock-order-cycle",
-    "RL104": "stale-view-across-yield",
 }
 _NAME_TO_ID = {v: k for k, v in RULES.items()}
 
@@ -106,6 +98,28 @@ _RL006_HOT_SUFFIXES = (
 # Base-class names that exempt a class: exception hierarchies (instances
 # are off the hot path) and enums (the metaclass owns the layout).
 _RL006_EXC_BASES_RE = re.compile(r"(Error|Exception|Enum)$")
+
+
+def is_generator(fn: ast.AST) -> bool:
+    """True when *fn* is a generator function (yield at its own level)."""
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # yields inside nested defs belong to them
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def python_files(paths: Iterable) -> List[Path]:
+    """The ``*.py`` files under files/directories (recursively, sorted)."""
+    files: List[Path] = []
+    for path in paths:
+        p = Path(path)
+        files.extend(sorted(p.rglob("*.py")) if p.is_dir() else [p])
+    return files
 
 
 class Finding:
@@ -420,25 +434,13 @@ class LintReport(NamedTuple):
     """What one :func:`lint_paths` run produced."""
 
     findings: List[Finding]  #: what survived suppression, plus the RL007 audit
-    files: List[Path]  #: the files reported on (``restrict_to`` applied)
-    flow: Any  #: the flow rules' ``FlowReport`` (the static lock graph)
+    files: List[Path]  #: the files scanned
 
 
-def lint_paths(paths: Iterable, restrict_to: Optional[Iterable] = None) -> LintReport:
-    """Run every rule over files and directories (recursively, ``*.py``).
-
-    *restrict_to* limits what is **reported** to those files; the whole
-    *paths* scope is still scanned for the flow rules' interprocedural
-    facts (``repro lint --changed``).
-    """
-    from .flow import analyze_paths  # flow builds its findings from this module's Finding
-
+def lint_paths(paths: Iterable) -> LintReport:
+    """Run every rule over files and directories (recursively, ``*.py``)."""
     files = python_files(paths)
-    if restrict_to is not None:
-        restrict = {Path(p).as_posix() for p in restrict_to}
-        files = [f for f in files if f.as_posix() in restrict]
-    flow = analyze_paths(paths, restrict_to=restrict_to)
-    raw = list(flow.findings)
+    raw: List[Finding] = []
     allows: Dict[str, Dict[int, Tuple[int, List[str]]]] = {}
     for f in files:
         source = f.read_text(encoding="utf-8")
@@ -476,4 +478,4 @@ def lint_paths(paths: Iterable, restrict_to: Optional[Iterable] = None) -> LintR
                     f"any more — delete the dead comment",
                 ))
     out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return LintReport(out, files, flow)
+    return LintReport(out, files)

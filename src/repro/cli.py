@@ -259,22 +259,22 @@ def cmd_lint(args) -> int:
     if missing:
         print(f"reprolint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    restrict = None
+    paths = args.paths
     if args.changed is not None:
-        # Full-scope scan (interprocedural facts), changed-only report.
-        restrict = _changed_paths(args.changed, args.paths)
-        if restrict == []:
+        changed = _changed_paths(args.changed, args.paths)
+        if changed == []:
             print(f"reprolint: no python files changed vs {args.changed}")
             return 0
-    report = lint_paths(args.paths, restrict_to=restrict)
+        if changed is not None:
+            paths = changed
+    report = lint_paths(paths)
     for f in report.findings:
         print(format_finding(f))
     scope = f"{len(report.files)} file(s)"
     if report.findings:
         print(f"reprolint: {len(report.findings)} finding(s) in {scope}")
         return 1
-    print(f"reprolint: clean ({scope}; rules {' '.join(RULES)}; "
-          f"{len(report.flow.lock_graph)} lock-order edge(s))")
+    print(f"reprolint: clean ({scope}; rules {' '.join(RULES)})")
     return 0
 
 
@@ -424,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to lint (default: src)")
     p.add_argument("--changed", nargs="?", const="HEAD", default=None,
                    metavar="BASE",
-                   help="report only on files changed vs BASE (git diff "
-                        "--name-only; default base: HEAD); the whole scope "
-                        "is still scanned")
+                   help="lint only the files changed vs BASE (git diff "
+                        "--name-only; default base: HEAD)")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("analyze",

@@ -266,8 +266,10 @@ class LibFS:
                     )
                 t0 = sim.now
                 try:
+                    # A stale owner is safe: EWRONGEPOCH refreshes the view
+                    # and the loop retries.
                     value, pkt = yield from self.node.call(
-                        owner,  # reprolint: allow[RL104] a stale owner is safe: EWRONGEPOCH refreshes the view and the loop retries
+                        owner,
                         method,
                         args,
                         make_header=make_header,

@@ -140,21 +140,25 @@ class SwitchFSCluster(Cluster):
         return self.servers[idx]
 
     def settle(self, quiet_us: float = 20_000.0) -> None:
-        """Run until all proactive aggregation activity has drained.
+        """Run until the cluster is quiescent.
 
         Advances virtual time in *quiet_us* slices until no server holds
-        pending change-log entries (useful before asserting final state).
+        pending change-log entries, then one more so in-flight acks land,
+        and until every server, live or retired, holds no lock, group
+        block, pull lock, deferred unlock or in-flight push
+        (:meth:`MetadataServer.unsettled`).  Raises ``RuntimeError``
+        naming every stuck item if 200 slices do not get there.
         """
+        servers = self.servers + self.retired
+        drained = False
         for _ in range(200):
             self.sim.run(until=self.sim.now + quiet_us)
-            if all(
-                s.pending_changelog_entries() == 0
-                for s in self.servers + self.retired
-            ):
-                # One more slice so in-flight acks land.
-                self.sim.run(until=self.sim.now + quiet_us)
+            if drained and not any(s.unsettled() for s in servers):
                 return
-        raise RuntimeError("cluster did not settle: change-log entries stuck")
+            drained = all(s.pending_changelog_entries() == 0 for s in servers)
+        stuck = [item for s in servers for item in s.unsettled()]
+        if stuck:
+            raise RuntimeError("cluster did not settle: " + "; ".join(stuck))
 
     # ------------------------------------------------------------------
     # elasticity: epoch-versioned membership + live shard migration

@@ -53,7 +53,7 @@ the former single-module implementation.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from ...net.topology import Network
 from ...sim import Event, RWLock, Simulator
@@ -76,6 +76,11 @@ __all__ = ["MetadataServer", "ServerRuntime"]
 
 def _routed_here(*_key) -> None:
     """The owner check of a placement that never moves."""
+
+
+def _lock_state(lock: RWLock) -> str:
+    held = "w" if lock.write_locked else f"r x{lock.readers}" if lock.readers else "nobody"
+    return f"held by {held}, {lock.waiting} waiting"
 
 
 class MetadataServer(  # reprolint: allow[RL006] one instance per server, built at boot
@@ -172,6 +177,34 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
             self._check_owner_file = self._check_owner_dir = _routed_here
         if config.proactive_enabled and config.async_updates:
             sim.spawn(self._idle_push_sweeper(), name=f"sweeper-{addr}")
+
+    def unsettled(self) -> List[str]:
+        """What this server still holds or owes, one line per item; empty
+        when it is quiescent.  ``SwitchFSCluster.settle`` raises on any.
+
+        Lock tables drop a lock once it is idle, so any entry left in one
+        is a lock still held or waited on."""
+        out = []
+        for table, locks in (
+            ("_inode_locks", self._inode_locks),
+            ("_changelog_locks", self._changelog_locks),
+            ("_pull_locks", self._pull_locks),
+        ):
+            out.extend(f"{self.addr} {table}[{key!r}]: {_lock_state(lock)}"
+                       for key, lock in locks.items())
+        for txn_id, locks in self._rename_locks.items():
+            out.extend(f"{self.addr} _rename_locks[{txn_id!r}]: {lock.name} {_lock_state(lock)}"
+                       for lock in locks)
+        for table, items in (
+            ("_group_blocks", self._group_blocks),
+            ("_pending_unlocks", self._pending_unlocks),
+            ("_push_inflight", self._push_inflight),
+        ):
+            out.extend(f"{self.addr} {table}[{key!r}]" for key in items)
+        pending = self.pending_changelog_entries()
+        if pending:
+            out.append(f"{self.addr} changelogs: {pending} pending entries")
+        return out
 
     def install_root(self) -> None:
         """Install the root inode if this server owns it."""

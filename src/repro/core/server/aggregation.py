@@ -95,7 +95,7 @@ class AggregationProtocol:
                     # the silent peer may hold entries, so the stale-set
                     # bit stays and the next read aggregates again.
                     silent = exc
-                    answered = [(o, r) for o, r in zip(others, exc.values) if r is not None]  # reprolint: allow[RL104] the round's peers
+                    answered = [(o, r) for o, r in zip(others, exc.values) if r is not None]
                     others, results = [o for o, _ in answered], [r for _, r in answered]
             if invalidate is not None and silent is None:
                 self.inval.insert(invalidate)
@@ -109,13 +109,13 @@ class AggregationProtocol:
                     yield self._cpu(self.perf.wal_append_us)
                     self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                     yield from self._apply_logs(pulled, already_locked)
-                self._send_agg_ack(fp, others, results, local, remove=silent is None)  # reprolint: allow[RL104] the round's peers
+                self._send_agg_ack(fp, others, results, local, remove=silent is None)
             finally:
                 if local_lock is not None:
                     self._release(local_lock, "w")
             if silent is not None:
-                if invalidate is not None and others:  # reprolint: allow[RL104] the round's peers
-                    yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})  # reprolint: allow[RL104] the round's peers
+                if invalidate is not None and others:
+                    yield from self._multicast(others, "uninvalidate", {"dir_id": invalidate})
                 raise silent
         finally:
             del self._group_blocks[fp]

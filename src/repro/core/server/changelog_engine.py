@@ -79,8 +79,10 @@ class ChangeLogEngine:
         self._push_inflight_inc(log.fingerprint)
         try:
             try:
+                # An owner that lost the group meanwhile stages the entries
+                # like any peer; its push or the next pull delivers them.
                 yield from self._call(
-                    owner,  # reprolint: allow[RL104] an owner that lost the group meanwhile stages the entries like any peer; its push or the next pull delivers them
+                    owner,
                     "changelog_push",
                     {
                         "dir_id": log.dir_id,
@@ -262,7 +264,9 @@ class ChangeLogEngine:
             self._push_inflight_inc(fp)
         try:
             for owner, logs in by_owner.items():
-                yield from self._call(owner, "flush_apply", {"logs": logs})  # reprolint: allow[RL104] _handle_flush_apply re-stages groups routed to it with a stale view
+                # _handle_flush_apply re-stages groups routed to it with a
+                # stale view.
+                yield from self._call(owner, "flush_apply", {"logs": logs})
         finally:
             for fp in remote_fps:
                 self._push_inflight_dec(fp)
@@ -295,10 +299,12 @@ class ChangeLogEngine:
             # excluded while the pulled entries land.  Every server flushes
             # to this owner in its own drain order, so the locks are taken
             # in fingerprint order: two handlers holding one lock each and
-            # waiting for the other's would never finish (§17.4).
+            # waiting for the other's would never finish (DESIGN §12.4).
+            # This runs behind the recovery gate, which admits no new
+            # aggregation.
             locks = []
             for fp in sorted(fps):
-                lock = yield from self._acquire(self._changelog_lock(fp), "w")  # reprolint: allow[RL103] fingerprint order (sorted), behind the recovery gate
+                lock = yield from self._acquire(self._changelog_lock(fp), "w")
                 locks.append(lock)
             try:
                 self.wal.append("agg", [(d, e) for d, e, _ in pulled])

@@ -138,7 +138,10 @@ class ServerOps:
                 # rmdir freeze (Fig 5 steps 4-7): barrier, invalidation
                 # multicast, aggregation and revert all run under the dir
                 # locks, and no round on the group is in flight (above).
-                yield from self._rmdir_check_empty(args, key)  # reprolint: allow[RL103] parent's group log and own inode first, then the group's log, then the group's other inodes (already_locked skips the ones held)
+                # Lock order: the parent's group log and our own inode
+                # first, then the group's log, then the group's other
+                # inodes (already_locked skips the ones held).
+                yield from self._rmdir_check_empty(args, key)
 
             yield self._cpu(perf.wal_append_us)
             now = self.sim.now
@@ -165,14 +168,18 @@ class ServerOps:
             entry = ChangeLogEntry(now, op, name, is_dir, perm)
             if self.config.async_updates:
                 # The locks are held across the switch round-trip; unlock
-                # defers to the INSERT multicast.
-                reply = yield from self._finish_async_update(  # reprolint: allow[RL103] child before parent: only the ss-backend fallback locks again, the parent's inode
+                # defers to the INSERT multicast.  Lock order: child before
+                # parent; only the ss-backend fallback locks again, the
+                # parent's inode.
+                reply = yield from self._finish_async_update(
                     request, parent_fp, pid, entry, held
                 )
             else:
                 # Held across the parent update by design (the measured
-                # cost of a synchronous scheme).
-                applied = yield from self._update_parent_sync(  # reprolint: allow[RL103] child before parent: locks the parent's inode and nothing else
+                # cost of a synchronous scheme).  Lock order: child before
+                # parent; the update locks the parent's inode and nothing
+                # else.
+                applied = yield from self._update_parent_sync(
                     self._parent_owner(args), pid, entry
                 )
                 if not applied:

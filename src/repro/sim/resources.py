@@ -267,6 +267,11 @@ class RWLock:
     def write_locked(self) -> bool:
         return self._writer
 
+    @property
+    def waiting(self) -> int:
+        """How many acquisitions are queued behind the holders."""
+        return len(self._waiters) if self._waiters else 0
+
     def acquire_read(self) -> Event:
         tracer = self.sim.tracer
         if tracer is not None:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import FSConfig, SwitchFSCluster
+from repro.core import FSConfig, SwitchFSCluster, fingerprint_of
+from repro.core.schema import ROOT_ID, dir_meta_key
 from repro.switchfab import ProgrammableSwitch
 
 
@@ -48,8 +49,35 @@ class TestSettle:
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
         # Proactive aggregation disabled: entries never drain.
-        with pytest.raises(RuntimeError, match="did not settle"):
+        with pytest.raises(RuntimeError, match="did not settle: .* pending entries"):
             cluster.settle(quiet_us=100.0)
+
+    @staticmethod
+    def _settled_cluster():
+        cluster = SwitchFSCluster(FSConfig(num_servers=4, cores_per_server=2, seed=2))
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        cluster.run_op(fs.create("/d/x"))
+        cluster.settle()
+        return cluster, cluster.servers[1]
+
+    def test_a_parked_inode_lock_is_named(self):
+        """Quiescence is more than drained logs: a lock still held at rest
+        is the mark of a wedged op, and settle names where it is."""
+        cluster, server = self._settled_cluster()
+        key = dir_meta_key(ROOT_ID, "d")
+        assert server._inode_lock(key).try_acquire_write()
+        with pytest.raises(RuntimeError) as err:
+            cluster.settle(quiet_us=100.0)
+        assert f"{server.addr} _inode_locks[{key!r}]: held by w, 0 waiting" in str(err.value)
+
+    def test_a_parked_group_block_is_named(self):
+        cluster, server = self._settled_cluster()
+        fp = fingerprint_of(ROOT_ID, "d")
+        server._group_blocks[fp] = cluster.sim.event()
+        with pytest.raises(RuntimeError) as err:
+            cluster.settle(quiet_us=100.0)
+        assert str(err.value) == f"cluster did not settle: {server.addr} _group_blocks[{fp!r}]"
 
     def test_settle_succeeds_with_proactive(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=2, cores_per_server=2))
