@@ -62,6 +62,9 @@ class ChangeLog:
     # WAL LSNs of the records covering these entries (marked applied on ack).
     wal_lsns: List[int] = field(default_factory=list)
     last_append_at: float = 0.0
+    # An idle push of this log waits for the group's change-log lock; the
+    # sweeper spawns no other until it has the lock.
+    push_queued: bool = False
 
     def append(self, entry: ChangeLogEntry, lsn: int, now: float) -> None:
         self.entries.append(entry)

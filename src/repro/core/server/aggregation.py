@@ -107,8 +107,12 @@ class AggregationProtocol:
                 pulled = self._merge_pulled(results, local)
                 if pulled:
                     yield self._cpu(self.perf.wal_append_us)
-                    self.wal.append("agg", [(d, e) for d, e, _ in pulled])
+                    agg_lsn = self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                     yield from self._apply_logs(pulled, already_locked)
+                    # Committed: the batch needs no replay, so its payload
+                    # goes.  A checkpoint during the apply may already
+                    # have truncated the record.
+                    self.wal.mark_applied_if_present(agg_lsn)
                 self._send_agg_ack(fp, others, results, local, remove=silent is None)
             finally:
                 if local_lock is not None:

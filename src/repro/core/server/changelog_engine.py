@@ -64,10 +64,12 @@ class ChangeLogEngine:
             # nudging the grace-period policy.  (Draining and re-appending
             # here would copy the whole backlog once per push trigger —
             # quadratic in the log length under a hotspot.)
+            log.push_queued = False
             if len(log):
                 self._note_push(log.fingerprint)
             return
         lock = yield from self._acquire(self._changelog_lock(log.fingerprint), "w")
+        log.push_queued = False
         entries, lsns = log.drain()
         self._release(lock, "w")
         if not entries:
@@ -140,14 +142,19 @@ class ChangeLogEngine:
             self._release(cl_lock, "r")
 
     def _idle_push_sweeper(self) -> Generator:
-        """Periodically push change-logs that have gone idle (§4.3 cond. 2)."""
+        """Periodically push change-logs that have gone idle (§4.3 cond. 2).
+
+        A log whose push still waits for its group's change-log lock gets
+        no second one: behind a long hold (a round's apply, a pull held to
+        its watchdog) every sweep would otherwise queue another waiter."""
         interval = self.config.proactive_idle_push_us
         while True:
             yield self.sim.timeout(interval / 2)
             now = self.sim.now
             for fp in self.changelogs.non_empty_groups():
                 for log in self.changelogs.logs_in_group(fp):
-                    if now - log.last_append_at >= interval and len(log):
+                    if now - log.last_append_at >= interval and len(log) and not log.push_queued:
+                        log.push_queued = True
                         self.sim.spawn(self._push_log(log), name="idle-push")
 
     # ------------------------------------------------------------------
@@ -307,8 +314,9 @@ class ChangeLogEngine:
                 lock = yield from self._acquire(self._changelog_lock(fp), "w")
                 locks.append(lock)
             try:
-                self.wal.append("agg", [(d, e) for d, e, _ in pulled])
+                agg_lsn = self.wal.append("agg", [(d, e) for d, e, _ in pulled])
                 yield from self._apply_logs(pulled)
+                self.wal.mark_applied_if_present(agg_lsn)
             finally:
                 for lock in locks:
                     self._release(lock, "w")

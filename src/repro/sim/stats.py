@@ -9,12 +9,15 @@ rather than approximated.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from array import array
+from collections import defaultdict
+from functools import partial
+from typing import DefaultDict, Dict, Iterable, List, Sequence
 
 __all__ = ["LatencyRecorder", "PhaseStats", "Counter", "percentile"]
 
 
-def percentile(samples: List[float], q: float) -> float:
+def percentile(samples: Sequence[float], q: float) -> float:
     """Exact percentile by linear interpolation (numpy 'linear' method).
 
     *q* is in [0, 100].  Raises ``ValueError`` on an empty sample set so a
@@ -37,30 +40,36 @@ def percentile(samples: List[float], q: float) -> float:
 
 
 class LatencyRecorder:
-    """Collects per-operation latency samples, optionally keyed by op name."""
+    """Collects per-operation latency samples, optionally keyed by op name.
+
+    Each op's samples are an unboxed ``array('d')``: 8 B a sample instead
+    of a float object and its list slot (DESIGN.md §11).  They hold the
+    same doubles a list would, so sums, sorts and percentiles read the
+    same values.
+    """
 
     def __init__(self):
-        self._samples: Dict[str, List[float]] = {}
+        self._samples: DefaultDict[str, array] = defaultdict(partial(array, "d"))
 
     def record(self, latency_us: float, op: str = "all") -> None:
         if latency_us < 0:
             raise ValueError(f"negative latency: {latency_us}")
-        self._samples.setdefault(op, []).append(latency_us)
+        self._samples[op].append(latency_us)
 
     def samples(self, op: str = "all") -> List[float]:
-        return list(self._samples.get(op, []))
+        return list(self._samples.get(op, ()))
 
-    def bucket(self, op: str = "all") -> List[float]:
-        """The live (mutable) sample list for *op*, created on first use.
+    def bucket(self, op: str = "all") -> array:
+        """The live (mutable) sample array for *op*, created on first use.
 
         Hot-path accessor: a harness inner loop appends to the returned
-        list directly instead of paying a :meth:`record` call per sample.
+        array directly instead of paying a :meth:`record` call per sample.
         Callers own the non-negativity guarantee record() would enforce.
         """
-        return self._samples.setdefault(op, [])
+        return self._samples[op]
 
     def count(self, op: str = "all") -> int:
-        return len(self._samples.get(op, []))
+        return len(self._samples.get(op, ()))
 
     def mean(self, op: str = "all") -> float:
         xs = self._samples.get(op)
@@ -79,7 +88,7 @@ class LatencyRecorder:
 
     def merge(self, other: "LatencyRecorder") -> None:
         for op, xs in other._samples.items():
-            self._samples.setdefault(op, []).extend(xs)
+            self._samples[op].extend(xs)
 
 
 class PhaseStats:

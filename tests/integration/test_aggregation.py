@@ -87,6 +87,42 @@ class TestProactiveAggregation:
         cluster.run(until=cluster.sim.now + 10_000)
         assert cluster.total_pending_entries() == 0
 
+    def test_an_idle_log_queues_one_push_behind_a_held_lock(self):
+        """A group's change-log lock held for ten idle intervals over an
+        idle, non-empty log that another server owns: every sweep finds
+        the log idle, but only the first spawns a push, which waits for
+        the lock and delivers once it is free."""
+        idle = 500.0
+        cluster = make(
+            proactive_push_entries=1000,  # threshold never reached
+            proactive_idle_push_us=idle,
+            grace_period_us=20.0,
+        )
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        fp = fingerprint_of(ROOT_ID, "d")
+        view = cluster.membership.current
+        server = next(s for s in cluster.servers if s.addr != view.dir_owner_by_fp(fp))
+        # Only *server* logs entries for /d, so no other push starts a
+        # round whose pull would queue on the held lock too.
+        names = [f"f{i}" for i in range(64)]
+        names = [n for n in names if view.file_owner(fs._cache["/d"].id, n) == server.addr][:3]
+        for name in names:
+            cluster.run_op(fs.create(f"/d/{name}"))
+        waiting = []
+
+        def hold():
+            lock = yield from server._acquire(server._changelog_lock(fp), "w")
+            yield cluster.sim.timeout(10 * idle)
+            waiting.append(lock.waiting)
+            server._release(lock, "w")
+
+        cluster.sim.run_process(cluster.sim.spawn(hold(), name="holder"))
+        assert waiting == [1]
+        cluster.settle()
+        assert cluster.total_pending_entries() == 0
+        assert cluster.run_op(fs.statdir("/d"))["entry_count"] == len(names) == 3
+
     def test_disabled_proactive_keeps_entries(self):
         cluster = make(proactive_enabled=False)
         fs = cluster.client(0)
@@ -94,6 +130,24 @@ class TestProactiveAggregation:
         cluster.run_op(fs.create("/d/f"))
         cluster.run(until=cluster.sim.now + 50_000)
         assert cluster.total_pending_entries() > 0
+
+
+class TestWalRetention:
+    def test_a_round_leaves_nothing_to_replay(self):
+        """Once a read's round has applied the group and its acks have
+        landed, no server's WAL replays a change-log or "agg" record:
+        applied records have let go of their payloads."""
+        cluster = make(proactive_enabled=False)
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(6):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        cluster.run_op(fs.statdir("/d"))
+        cluster.run_op(fs.statdir("/"))  # the mkdir's entry on root
+        cluster.settle()
+        kinds = [r.kind for s in cluster.servers for r in s.wal.replay()]
+        assert kinds.count("changelog") == 0 and kinds.count("agg") == 0
+        assert "txn" in kinds  # kv records stay until a checkpoint
 
 
 class TestOverflowFallback:

@@ -147,6 +147,18 @@ class TestSwitchFailure:
         info = cluster.run_op(fs.statdir("/d"))
         assert info["entry_count"] == 10
 
+    def test_switch_failure_flush_leaves_nothing_to_replay(self):
+        cluster = SwitchFSCluster(
+            FSConfig(num_servers=4, cores_per_server=2, proactive_enabled=False)
+        )
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(10):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        cluster.fail_switch()
+        kinds = [r.kind for s in cluster.servers for r in s.wal.replay()]
+        assert kinds.count("changelog") == 0 and kinds.count("agg") == 0
+
     def test_switch_failure_recovery_time_scales(self):
         def drill(n_files):
             cluster = SwitchFSCluster(

@@ -1,5 +1,7 @@
 """Unit + property tests for the KV store, WAL, and transactions."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,8 +180,27 @@ class TestWal:
         a = wal.append("changelog", "x")
         b = wal.append("changelog", "y")
         wal.mark_applied(a)
-        assert [r.payload for r in wal.replay()] == ["y"]
-        assert wal.unapplied_count() == 1
+        assert [(r.lsn, r.payload) for r in wal.replay()] == [(b, "y")]
+
+    def test_mark_applied_releases_the_payload(self):
+        class Payload:
+            pass
+
+        wal = WriteAheadLog()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        lsn = wal.append("changelog", payload)
+        del payload
+        assert ref() is not None  # the unapplied record keeps it
+        wal.mark_applied(lsn)
+        assert ref() is None
+        assert len(wal) == 1  # the slot stays until a checkpoint
+
+    def test_none_payload_rejected(self):
+        wal = WriteAheadLog()
+        with pytest.raises(ValueError):
+            wal.append("kv", None)
+        assert len(wal) == 0 and wal.appends == 0
 
     def test_checkpoint_drops_applied_prefix(self):
         wal = WriteAheadLog()

@@ -1,5 +1,7 @@
 """Batched WAL bookkeeping: ``append_many`` / ``mark_applied_many``."""
 
+import pytest
+
 from repro.kvstore.wal import WriteAheadLog
 
 
@@ -35,7 +37,6 @@ class TestMarkAppliedMany:
         wal = WriteAheadLog()
         lsns = wal.append_many("changelog", list(range(6)))
         assert wal.mark_applied_many(lsns[::2]) == 3
-        assert wal.unapplied_count() == 3
         assert [r.lsn for r in wal.replay()] == lsns[1::2]
 
     def test_tolerates_checkpointed_lsns(self):
@@ -46,7 +47,13 @@ class TestMarkAppliedMany:
         # Re-marking dropped LSNs is silently skipped, like
         # mark_applied_if_present.
         assert wal.mark_applied_many(lsns) == 2
-        assert wal.unapplied_count() == 0
+        assert list(wal.replay()) == []
 
     def test_empty_log(self):
         assert WriteAheadLog().mark_applied_many([0, 1]) == 0
+
+    def test_batch_rejects_a_none_payload(self):
+        wal = WriteAheadLog()
+        with pytest.raises(ValueError):
+            wal.append_many("changelog", ["a", None])
+        assert len(wal) == 0 and wal.appends == 0
