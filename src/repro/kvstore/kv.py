@@ -11,6 +11,8 @@ relies on:
   inode's timestamps and size together, §4.3);
 * WAL-backed crash recovery: a crash destroys the memtable, recovery
   replays the WAL (§4.4.2, "servers maintain data structures in DRAM").
+  Records: ``"put"`` ``(key, value)``, ``"delete"`` ``key``, and one
+  ``"txn"`` ``(keys, values)`` per transaction, ``DELETED`` for a delete.
 
 Keys are ``(pid, name)`` tuples ordered lexicographically; values are
 opaque objects.
@@ -21,13 +23,12 @@ partition.  The layout keeps that property (DESIGN.md §11):
 
 * ``_mem`` — the authoritative live map (O(1) point ops);
 * ``_dirs`` — the live keys grouped by immediate parent prefix
-  (``key[:-1]``), each key held once.  A directory is a sorted ``list``
-  while its order is known — a scan bisects and slices it — and an
-  insertion-ordered ``dict`` after a write broke that order (an
-  out-of-order put, or a delete).  The first scan of a dict sorts it back
-  into a list; timsort finds the old sorted run at the front, so a write
-  burst costs about O(k + b log b).  In-order appends keep the list.
-  Writes to other directories never touch it;
+  (``key[:-1]``), each key held once in one ``list`` per directory.  A
+  put appends; one that sorts below the list's last key puts the
+  directory in ``_unsorted``.  The first scan or delete of an unsorted
+  directory sorts it in place; timsort finds the old sorted run at the
+  front, so a write burst costs about O(k + b log b).  A delete on a
+  sorted list bisects.  Writes to other directories never touch it;
 * ``_len_counts`` — live keys by length: tells whether any key lies more
   than one field below a prefix, the one case ``_dirs`` cannot answer.
 """
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import KeyNotFound
-from .txn import Transaction
+from .txn import DELETED, Transaction
 from .wal import WriteAheadLog
 
 __all__ = ["KVStore"]
@@ -55,7 +56,8 @@ class KVStore:
 
     def __init__(self, wal: Optional[WriteAheadLog] = None, log_writes: bool = True):
         self._mem: Dict[Key, Any] = {}
-        self._dirs: Dict[Key, Union[List[Key], Dict[Key, None]]] = {}
+        self._dirs: Dict[Key, List[Key]] = {}
+        self._unsorted: Set[Key] = set()
         self._len_counts: Dict[int, int] = {}
         self.wal = wal if wal is not None else WriteAheadLog()
         self._log_writes = log_writes
@@ -75,7 +77,7 @@ class KVStore:
     def put(self, key: Key, value: Any, log: bool = True) -> None:
         """Insert or overwrite *key*; WAL-logged unless *log* is False."""
         if log and self._log_writes:
-            self.wal.append("kv", ("put", key, value))
+            self.wal.append("put", (key, value))
         self._apply_put(key, value)
         self.puts += 1
 
@@ -94,7 +96,7 @@ class KVStore:
     def delete(self, key: Key, log: bool = True) -> bool:
         """Remove *key*; returns False when absent (no error, like RocksDB)."""
         if log and self._log_writes:
-            self.wal.append("kv", ("delete", key, None))
+            self.wal.append("delete", key)
         self.deletes += 1
         return self._apply_delete(key)
 
@@ -119,9 +121,8 @@ class KVStore:
         self.scans += 1
         if self._is_flat(prefix):
             keys = self._dirs.get(prefix, ())
-            if type(keys) is dict:
-                self._dirs[prefix] = keys = sorted(keys, key=_LAST_FIELD)
-                self.merges += 1
+            if prefix in self._unsorted:
+                self._sort(prefix, keys)
         else:
             n = len(prefix)
             keys = sorted(k for k in self._mem if k[:n] == prefix)
@@ -131,20 +132,11 @@ class KVStore:
         page = keys[i:end]
         return zip(page, map(self._mem.__getitem__, page))
 
-    def count_prefix(self, prefix: Key) -> int:
-        """The number of live keys extending *prefix* — O(1) on the
-        ``statdir`` hot path; a key-only pass over the store for prefixes
-        that deeper keys extend (no sort, no value materialisation)."""
-        if self._is_flat(prefix):
-            return len(self._dirs.get(prefix, ()))
-        n = len(prefix)
-        return sum(1 for k in self._mem if k[:n] == prefix)
-
     def _is_flat(self, prefix: Key) -> bool:
         """True when ``_dirs[prefix]`` is everything under *prefix*: no live
         key equals it or extends it by two or more fields.  Server reads of
         one directory always are; ``("D",)`` / ``()`` (migration, recovery)
-        are not and fall back to filtering ``_mem``.  The test is store-wide:
+        are not and fall back to sorting ``_mem``.  The test is store-wide:
         one live key that deep anywhere sends every shorter prefix to the
         fallback (DESIGN.md §11, "the cliff")."""
         if prefix in self._mem:
@@ -160,23 +152,16 @@ class KVStore:
         """Begin a local transaction; commit applies all ops atomically."""
         return Transaction(self)
 
-    def commit_ops(self, ops: List[Tuple[str, Key, Any]]) -> None:
-        """Apply a transaction's ops under a single WAL record.
-
-        Called by :meth:`Transaction.commit`; usable directly for
-        replaying an already-validated op list (recovery).
-        """
+    def commit_ops(self, staged: Dict[Key, Any]) -> None:
+        """Apply a transaction's staged map (each key's last write,
+        ``DELETED`` for a delete) under a single WAL record."""
+        keys = tuple(staged)
+        values = tuple(staged.values())
         if self._log_writes:
-            self.wal.append("txn", list(ops))
-        for op, key, value in ops:
-            if op == "put":
-                self._apply_put(key, value)
-                self.puts += 1
-            elif op == "delete":
-                self._apply_delete(key)
-                self.deletes += 1
-            else:
-                raise ValueError(f"unknown txn op: {op}")
+            self.wal.append("txn", (keys, values))
+        deletes = self._apply_txn(keys, values)
+        self.deletes += deletes
+        self.puts += len(keys) - deletes
 
     # -- snapshots (checkpointing) ---------------------------------------
     def snapshot(self) -> Dict[Key, Any]:
@@ -194,28 +179,23 @@ class KVStore:
         """Lose all DRAM state; the WAL survives."""
         self._mem.clear()
         self._dirs.clear()
+        self._unsorted.clear()
         self._len_counts.clear()
 
     def recover(self) -> int:
         """Replay unapplied WAL records; returns the number replayed."""
         replayed = 0
         for record in self.wal.replay():
-            if record.kind == "kv":
-                op, key, value = record.payload
-                if op == "put":
-                    self._apply_put(key, value)
-                else:
-                    self._apply_delete(key)
-                replayed += 1
-            elif record.kind == "txn":
-                for op, key, value in record.payload:
-                    if op == "put":
-                        self._apply_put(key, value)
-                    else:
-                        self._apply_delete(key)
-                replayed += 1
-            # Foreign record kinds (e.g. change-log) belong to other
-            # components sharing the WAL; they replay themselves.
+            kind, payload = record.kind, record.payload
+            if kind == "txn":
+                self._apply_txn(*payload)
+            elif kind == "put":
+                self._apply_put(*payload)
+            elif kind == "delete":
+                self._apply_delete(payload)
+            else:
+                continue  # foreign kinds (change-log, agg) replay themselves
+            replayed += 1
         return replayed
 
     # -- internals ---------------------------------------------------------
@@ -226,13 +206,10 @@ class KVStore:
             keys = self._dirs.get(parent)
             if keys is None:
                 self._dirs[parent] = [key]
-            elif type(keys) is dict:
-                keys[key] = None
-            elif keys[-1] < key:
-                keys.append(key)  # in-order append: the list stays sorted
             else:
-                self._dirs[parent] = keys = dict.fromkeys(keys)
-                keys[key] = None
+                if key < keys[-1]:
+                    self._unsorted.add(parent)
+                keys.append(key)
             len_counts = self._len_counts
             n = len(key)
             len_counts[n] = len_counts.get(n, 0) + 1
@@ -246,10 +223,28 @@ class KVStore:
         parent = key[:-1]
         keys = self._dirs[parent]
         if len(keys) == 1:
+            # One key is in order: an emptied directory was never unsorted.
             del self._dirs[parent]
         else:
-            if type(keys) is list:
-                self._dirs[parent] = keys = dict.fromkeys(keys)
-            del keys[key]
+            if parent in self._unsorted:
+                self._sort(parent, keys)
+            del keys[bisect.bisect_left(keys, key)]
         self._len_counts[len(key)] -= 1
         return True
+
+    def _apply_txn(self, keys: Tuple[Key, ...], values: Tuple[Any, ...]) -> int:
+        """Apply a transaction's last writes; returns how many were deletes."""
+        deletes = 0
+        for key, value in zip(keys, values):
+            if value is DELETED:
+                self._apply_delete(key)
+                deletes += 1
+            else:
+                self._apply_put(key, value)
+        return deletes
+
+    def _sort(self, parent: Key, keys: List[Key]) -> None:
+        """Sort an unsorted directory in place: the one sort it owes."""
+        keys.sort(key=_LAST_FIELD)
+        self._unsorted.remove(parent)
+        self.merges += 1

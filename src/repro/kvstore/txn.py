@@ -7,22 +7,26 @@ blocked during aggregation).  These transactions are single-store and
 non-interactive: ops are staged, then committed in one atomic step with a
 single WAL record.
 
+A transaction is its staged map: each key's last write, :data:`DELETED`
+for a delete, which is the state the ordered op list leaves.
+
 Reads inside a transaction observe its own staged writes
 (read-your-writes) layered over the store.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Tuple, TYPE_CHECKING
 
 from ..errors import KeyNotFound, TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kv import KVStore
 
-__all__ = ["Transaction"]
+__all__ = ["DELETED", "Transaction"]
 
-_DELETED = object()
+#: The staged value, and the logged value, of a delete.
+DELETED = object()
 
 
 class Transaction:
@@ -31,7 +35,6 @@ class Transaction:
     def __init__(self, store: "KVStore"):
         self._store = store
         self._staged: Dict[Tuple[Any, ...], Any] = {}
-        self._order: List[Tuple[str, Tuple[Any, ...], Any]] = []
         self._done = False
 
     def _check_open(self) -> None:
@@ -41,26 +44,24 @@ class Transaction:
     def put(self, key: Tuple[Any, ...], value: Any) -> None:
         self._check_open()
         self._staged[key] = value
-        self._order.append(("put", key, value))
 
     def delete(self, key: Tuple[Any, ...]) -> None:
         self._check_open()
-        self._staged[key] = _DELETED
-        self._order.append(("delete", key, None))
+        self._staged[key] = DELETED
 
     def get(self, key: Tuple[Any, ...]) -> Any:
         """Read through staged writes, then the underlying store."""
         self._check_open()
         if key in self._staged:
             value = self._staged[key]
-            if value is _DELETED:
+            if value is DELETED:
                 raise KeyNotFound(repr(key))
             return value
         return self._store.get(key)
 
     def commit(self) -> None:
-        """Apply every staged op atomically (single WAL record)."""
+        """Apply every key's last write atomically (single WAL record)."""
         self._check_open()
         self._done = True
-        if self._order:
-            self._store.commit_ops(self._order)
+        if self._staged:
+            self._store.commit_ops(self._staged)

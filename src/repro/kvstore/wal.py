@@ -31,7 +31,7 @@ __all__ = ["WalRecord", "WriteAheadLog"]
 class WalRecord(NamedTuple):
     """One unapplied durable log record, as seen by replay.
 
-    ``kind`` is a free-form tag ("kv", "txn", "changelog", ...);
+    ``kind`` is a free-form tag ("put", "delete", "txn", "changelog", ...);
     ``payload`` is whatever the writer needs to redo the operation.
     """
 

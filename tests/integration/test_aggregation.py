@@ -147,7 +147,7 @@ class TestWalRetention:
         cluster.settle()
         kinds = [r.kind for s in cluster.servers for r in s.wal.replay()]
         assert kinds.count("changelog") == 0 and kinds.count("agg") == 0
-        assert "txn" in kinds  # kv records stay until a checkpoint
+        assert "txn" in kinds  # store records stay until a checkpoint
 
 
 class TestOverflowFallback:

@@ -70,24 +70,26 @@ def test_fanin_stat_window_leaves_no_cyclic_garbage():
 # create leaves no reply, no lock and one routing-memo entry behind, 16.74
 # once a kept reply was its packet, and 12.30 with the metadata values as
 # tuple records (no per-record `__dict__` values block) and one shared
-# `DirEntry` per (is_dir, perm).  Later PRs moved it back to 13.72; it is
-# 11.01 now that an applied WAL record lets go of its payload (the
+# `DirEntry` per (is_dir, perm).  Later PRs moved it back to 13.72; it
+# was 11.01 once an applied WAL record let go of its payload (the
 # change-log record's `ChangeLogEntry` and tuple, a pushed log's
-# re-logged records, the round's "agg" batch).  CPython 3.9.18 / 3.11.7 /
-# 3.12.1 measure 11.17 / 11.01 / 11.01 here, and 13.88 / 13.72 / 13.72
-# before the release.
+# re-logged records, the round's "agg" batch), and is 9.95 now that a
+# directory's key index stays a list and a logged put or txn entry is no
+# 3-tuple.  CPython 3.9.18 / 3.11.7 / 3.12.1 measure 10.12 / 9.95 / 9.96
+# here, and 11.17 / 11.01 / 11.01 before.
 # What remains is model state: the inode and entry in the store, the
-# unapplied kv/txn records of the WAL.  It is a count, the same on every
+# unapplied put/txn records of the WAL.  It is a count, the same on every
 # run and under every PYTHONHASHSEED, so it gates with no wall clock; the
-# ceiling sits between the two, so keeping applied payloads again fails
-# it on every interpreter CI runs.  (What the tables and the reply store
-# hold when a window ends is counted directly by the churn test below.)
-CREATE_BLOCKS_CEILING = 12.5
+# ceiling sits between the two, so a dict index or a 3-tuple per logged
+# op fails it on every interpreter CI runs.  (What the tables and the
+# reply store hold when a window ends is counted directly by the churn
+# test below.)
+CREATE_BLOCKS_CEILING = 10.6
 
 
 def test_create_allocation_budget():
     # The routing memo is process-wide: the names the tests above hashed
-    # would hit it here (8.46 blocks now, 11.17 before the release).
+    # would hit it here (7.40 blocks now, 8.46 at the commit before).
     _file_hash.cache_clear()
     cluster, population = _hot_directory()
     stream = FixedOpStream("create", population, seed=17, dir_choice="single")
@@ -105,23 +107,27 @@ def test_create_allocation_budget():
 # 500-create warm-up).  By site, CPython 3.11.7:
 #   190 B  the `_file_hash` memo entry (130) and its 256-bit int (60): the
 #          window's names all fit under the memo's 4 096 bound
-#   171 B  the store: `_mem`'s slots (97) and the `_dirs` index (74, a
-#          dict, because created names arrive out of name order)
+#   115 B  the store: `_mem`'s slots (97) and the key's slot in its
+#          directory's `_dirs` list (18, amortised)
 #   131 B  the ("E", pid, name) and ("F", pid, name) keys
-#   131 B  the payloads of the unapplied WAL records: the inode put's
-#          ("put", key, value) (64) and the entry-list txn's op (67)
+#    73 B  the payloads of the unapplied WAL records: the inode put's
+#          (key, value) (56) and the entry's key and value slots in the
+#          entry-list txn's two tuples (17)
 #    95 B  the `FileInode` record
 #    56 B  the name string
-#    58 B  the WAL's and the txn's list slots, amortised
-#    80 B  what is in flight when the window closes: heap entries,
+#    48 B  the WAL's list slots, amortised
+#    82 B  what is in flight when the window closes: heap entries,
 #          replies not yet acknowledged
-# 911 B in all (3.9.18 / 3.12.1: 979 / 904).  While applied records kept
-# their payloads it was 1 141 B (1 209 / 1 133): the change-log record's
+# 790 B in all (3.9.18 / 3.12.1: 857 / 782).  It was 911 B (979 / 904)
+# while the `_dirs` index turned into a dict on out-of-name-order creates
+# (74 B) and the WAL kept a ("put", key, value) tuple per put (64 B) and
+# one per txn op in a list copy (76 B), and 1 141 B (1 209 / 1 133) while
+# applied records kept their payloads: the change-log record's
 # `ChangeLogEntry` (90) and payload tuple (64), a pushed log's re-logged
 # records (41) and the rounds' "agg" batches (8).  The latency sample is
 # not retained here: the window's result is dropped.  The ceiling sits
-# between the two on all three interpreters.
-CREATE_BYTES_CEILING = 1_060.0
+# between 790 and 911 on all three interpreters.
+CREATE_BYTES_CEILING = 880.0
 
 
 def test_create_memory_per_op():

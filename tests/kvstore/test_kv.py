@@ -65,12 +65,6 @@ class TestScan:
         kv.put((1, "a"), 1)
         assert list(kv.scan_prefix((2,))) == []
 
-    def test_count_prefix(self):
-        kv = KVStore()
-        for name in "abc":
-            kv.put((7, name), name)
-        assert kv.count_prefix((7,)) == 3
-
     def test_scan_does_not_leak_across_prefix(self):
         kv = KVStore()
         kv.put((1, "x"), 1)
@@ -122,6 +116,39 @@ class TestTransactions:
         txn.put((1, "b"), 2)
         txn.commit()
         assert len(kv.wal) == before + 1
+
+    # A transaction keeps each key's last write: the state the ordered op
+    # list leaves, before and after a crash and WAL replay.
+    def test_put_delete_reput_leaves_the_last_put(self):
+        kv = KVStore()
+        kv.put((1, "b"), "b")
+        txn = kv.transaction()
+        txn.put((1, "a"), "first")
+        txn.delete((1, "a"))
+        txn.put((1, "b"), "b2")
+        txn.put((1, "a"), "last")
+        txn.commit()
+        state = list(kv.scan_prefix((1,)))
+        assert state == [((1, "a"), "last"), ((1, "b"), "b2")]
+        kv.crash()
+        kv.recover()
+        assert list(kv.scan_prefix((1,))) == state
+
+    def test_put_then_delete_leaves_no_key(self):
+        kv = KVStore()
+        kv.put((1, "b"), "b")
+        txn = kv.transaction()
+        txn.put((1, "a"), "a")
+        txn.put((1, "c"), "c")
+        txn.delete((1, "a"))
+        txn.commit()
+        state = list(kv.scan_prefix((1,)))
+        assert state == [((1, "b"), "b"), ((1, "c"), "c")]
+        assert (1, "a") not in kv
+        kv.crash()
+        kv.recover()
+        assert list(kv.scan_prefix((1,))) == state
+        assert (1, "a") not in kv
 
 
 class TestCrashRecovery:

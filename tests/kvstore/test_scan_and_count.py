@@ -1,4 +1,4 @@
-"""Paginated scans, the O(1) prefix count, and per-directory scan locality."""
+"""Paginated scans, entry counts, and per-directory scan locality."""
 
 from repro.kvstore import KVStore
 
@@ -48,27 +48,24 @@ class TestScanPagination:
         assert page == ["f02", "f03"]
 
 
+def count(store, prefix):
+    return len(list(store.scan_prefix(prefix)))
+
+
 class TestCountPrefixCache:
-    def test_count_is_cached_not_scanned(self):
-        store = filled()
-        scans_before = store.scans
-        merges_before = store.merges
-        assert store.count_prefix(("E", 1)) == 10
-        assert store.count_prefix(("D", 0)) == 1
-        assert store.count_prefix(("E", 2)) == 0
-        assert store.scans == scans_before
-        assert store.merges == merges_before
+    """A directory's entry count is the length of its scan (statdir reads
+    the count kept in the directory's inode instead)."""
 
     def test_count_tracks_puts_deletes_and_overwrites(self):
         store = KVStore()
-        assert store.count_prefix(("E", 1)) == 0
+        assert count(store, ("E", 1)) == 0
         store.put(("E", 1, "a"), 1)
         store.put(("E", 1, "a"), 2)  # overwrite: no double count
         store.put(("E", 1, "b"), 3)
-        assert store.count_prefix(("E", 1)) == 2
+        assert count(store, ("E", 1)) == 2
         store.delete(("E", 1, "a"))
         store.delete(("E", 1, "a"))  # double delete: no under-count
-        assert store.count_prefix(("E", 1)) == 1
+        assert count(store, ("E", 1)) == 1
 
     def test_count_survives_transactions_restore_and_recovery(self):
         store = KVStore()
@@ -77,23 +74,16 @@ class TestCountPrefixCache:
         txn.put(("E", 1, "b"), 2)
         txn.delete(("E", 1, "a"))
         txn.commit()
-        assert store.count_prefix(("E", 1)) == 1
+        assert count(store, ("E", 1)) == 1
         image = store.snapshot()
         store.put(("E", 1, "c"), 3)
         store.restore(image)
-        assert store.count_prefix(("E", 1)) == 1
+        assert count(store, ("E", 1)) == 1
         store.crash()
-        assert store.count_prefix(("E", 1)) == 0
+        assert count(store, ("E", 1)) == 0
         store.recover()
         # Replay reconstructs everything logged, including the pre-restore c.
-        assert store.count_prefix(("E", 1)) == 2
-
-    def test_short_prefix_falls_back_to_range_count(self):
-        store = filled()
-        # ("E",) has live keys two fields deeper: the one-level cache cannot
-        # answer, so the slow key-only range count must.
-        assert store.count_prefix(("E",)) == 10
-        assert store.count_prefix(()) == 11
+        assert count(store, ("E", 1)) == 2
 
 
 class TestScanLocality:
@@ -108,22 +98,47 @@ class TestScanLocality:
         warm = store.merges
         assert warm == 1
 
+        def scan_a():
+            assert len(list(store.scan_prefix(("E", "A")))) == 4
+            assert list(store.scan_prefix(("E", "A"), start=("c",), limit=2))
+
         for i in reversed(range(50)):
             store.put(("E", "B", f"f{i:02d}"), i)
+        scan_a()
+        assert store.merges == warm  # A's scans never pay for B's puts
         for i in range(0, 50, 2):
             store.delete(("E", "B", f"f{i:02d}"))
         store.put(("D", 0, "B"), "inode")
-
-        assert len(list(store.scan_prefix(("E", "A")))) == 4
-        assert list(store.scan_prefix(("E", "A"), start=("c",), limit=2))
-        assert store.merges == warm
+        paid_by_b = store.merges - warm
+        scan_a()
+        assert store.merges == warm + paid_by_b  # ... nor for B's deletes
         assert [k[2] for k, _ in store.scan_prefix(("E", "B"))] == [
             f"f{i:02d}" for i in range(1, 50, 2)
         ]
-        assert store.merges == warm + 1
         list(store.scan_prefix(("E", "B")))
         list(store.scan_prefix(("E", "B"), limit=3))
+        # B pays exactly one sort across all its deletes and scans.
         assert store.merges == warm + 1
+
+    def test_a_delete_sorts_an_out_of_order_directory_once(self):
+        store = KVStore()
+        for i in reversed(range(40)):
+            store.put(("E", 1, f"f{i:02d}"), i)
+        for i in (3, 17, 0, 39, 21):
+            assert store.delete(("E", 1, f"f{i:02d}"))
+        assert store.merges == 1  # the first delete sorted it
+        kept = [f"f{i:02d}" for i in range(40) if i not in (3, 17, 0, 39, 21)]
+        seen, start = [], None
+        while True:
+            page = [k[2] for k, _ in store.scan_prefix(("E", 1), start=start, limit=8)]
+            if start is not None:
+                page = page[1:]  # the token's own entry
+            if not page:
+                break
+            seen.extend(page)
+            start = (page[-1],)
+        assert seen == kept
+        assert store.merges == 1
 
     def test_in_order_appends_keep_the_directory_sorted(self):
         store = filled()
@@ -138,7 +153,6 @@ class TestScanLocality:
     def test_empty_directory_scan_never_walks_the_store(self):
         store = filled()
         assert list(store.scan_prefix(("E", 2))) == []
-        assert store.count_prefix(("E", 2)) == 0
         assert store.merges == 0
 
     def test_fallback_sorts_are_counted_so_the_cliff_shows(self):
