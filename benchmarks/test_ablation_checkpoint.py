@@ -6,8 +6,6 @@ checkpointing".  This bench quantifies that: recovery time with a full
 WAL vs. with a checkpoint plus a short tail.
 """
 
-import pytest
-
 from repro.bench import format_table
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import bootstrap, multiple_directories
@@ -17,7 +15,7 @@ from _util import one_shot, save_table
 
 def _drill(n_files: int, with_checkpoint: bool, tail: int = 20):
     cluster = SwitchFSCluster(
-        FSConfig(num_servers=4, cores_per_server=4, seed=87, proactive_enabled=False)
+        FSConfig(num_servers=4, cores_per_server=4, proactive_enabled=False)
     )
     bootstrap(cluster, multiple_directories(8, 2), warm_clients=[0])
     fs = cluster.client(0)

@@ -6,8 +6,6 @@ of cold directories; the grace cap bounds deferral under continuous load.
 This sweep shows the read-latency / churn trade-off.
 """
 
-import pytest
-
 from repro.bench import format_table
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import bootstrap, single_large_directory
@@ -28,7 +26,7 @@ def _statdir_latency(threshold):
             proactive_push_entries=threshold,
         )
     )
-    pop = bootstrap(cluster, single_large_directory(8), warm_clients=[0])
+    bootstrap(cluster, single_large_directory(8), warm_clients=[0])
     fs = cluster.client(0)
     latencies = []
     pushes = 0

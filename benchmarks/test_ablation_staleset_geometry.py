@@ -6,8 +6,6 @@ re-expose cross-server latency.  This sweep shrinks the geometry and
 watches fallbacks rise while visibility stays intact.
 """
 
-import pytest
-
 from repro.bench import format_table, run_stream
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories

@@ -7,8 +7,6 @@ Repeatedly: a burst of creates into one directory, then a single statdir.
     (more scattered change-logs to pull).
 """
 
-import pytest
-
 from repro.bench import Series, format_table
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import bootstrap, single_large_directory
@@ -20,9 +18,9 @@ ROUNDS = 12
 
 def _statdir_after_creates(num_servers: int, preceding: int) -> float:
     cluster = SwitchFSCluster(
-        FSConfig(num_servers=num_servers, cores_per_server=4, seed=31)
+        FSConfig(num_servers=num_servers, cores_per_server=4)
     )
-    pop = bootstrap(cluster, single_large_directory(8), warm_clients=[0])
+    bootstrap(cluster, single_large_directory(8), warm_clients=[0])
     fs = cluster.client(0)
     latencies = []
     seq = 0

@@ -24,7 +24,7 @@ OPS = 4000
 
 
 def _run(variant: str, cores: int, inflight: int = 64):
-    cfg = FSConfig(num_servers=8, cores_per_server=cores, seed=41, **VARIANTS[variant])
+    cfg = FSConfig(num_servers=8, cores_per_server=cores, **VARIANTS[variant])
     cluster = SwitchFSCluster(cfg)
     pop = bootstrap(cluster, single_large_directory(16), warm_clients=[0])
     stream = FixedOpStream("create", pop, seed=41, dir_choice="single")

@@ -9,8 +9,6 @@
     metadata servers.
 """
 
-import pytest
-
 from repro.bench import Series, format_table, run_stream
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories

@@ -11,8 +11,6 @@ SwitchFS must beat CFS-KV by tens of percent, IndexFS by ~2x on metadata
 (1.1x end-to-end), and Ceph by orders of magnitude.
 """
 
-import pytest
-
 from repro.bench import format_table, make_cluster, run_stream, scaled_config
 from repro.workloads import (
     CNNTrainingTrace,
@@ -36,7 +34,7 @@ def _run_workload(system: str, workload: str):
     total = 3000 if system != "Ceph" else 800
     if workload == "dcs":
         pop = bootstrap(cluster, multiple_directories(100, 10), warm_clients=[0])
-        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=61, data_enabled=False)
+        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=61, data_latency_us=0.0)
     elif workload == "cnn":
         pop = bootstrap(cluster, trace_population(25, 8), warm_clients=[0])
         stream = CNNTrainingTrace(pop, epochs=1, seed=61)

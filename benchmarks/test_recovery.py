@@ -7,8 +7,6 @@ Recovery time is proportional to the number of records — the property
 this benchmark reproduces at simulation scale.
 """
 
-import pytest
-
 from repro.bench import format_table
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import bootstrap, multiple_directories
@@ -18,9 +16,9 @@ from _util import one_shot, save_table
 
 def _populated_cluster(n_files: int):
     cluster = SwitchFSCluster(
-        FSConfig(num_servers=8, cores_per_server=4, seed=71, proactive_enabled=False)
+        FSConfig(num_servers=8, cores_per_server=4, proactive_enabled=False)
     )
-    pop = bootstrap(cluster, multiple_directories(16, 2), warm_clients=[0])
+    bootstrap(cluster, multiple_directories(16, 2), warm_clients=[0])
     fs = cluster.client(0)
     for i in range(n_files):
         cluster.run_op(fs.create(f"/d{i % 16}/r{i}"))

@@ -31,7 +31,7 @@ FILES = 512
 WORKLOADS = {
     "hotspot_stat": lambda pop: FixedOpStream("stat", pop, seed=17, dir_choice="single"),
     "dcs_mix": lambda pop: MixStream(
-        DATA_CENTER_SERVICES_MIX, pop, seed=17, data_enabled=False
+        DATA_CENTER_SERVICES_MIX, pop, seed=17, data_latency_us=0.0
     ),
 }
 ARMS = {

@@ -4,8 +4,6 @@ These are inputs rather than results, but the reproduction regenerates
 them so every number in the harness traces back to the paper.
 """
 
-import pytest
-
 from repro.bench import format_table
 from repro.workloads import (
     CNN_TRAINING_MIX,

@@ -5,8 +5,6 @@ end-to-end win comes from (deferred create/delete and cheap directory
 reads) and what rename costs under each system.
 """
 
-import pytest
-
 from repro.bench import format_table, make_cluster, run_stream, scaled_config
 from repro.workloads import (
     DATA_CENTER_SERVICES_MIX,
@@ -29,7 +27,7 @@ def test_dcs_per_op_latency(benchmark):
             cluster = make_cluster(system, config)
             pop = bootstrap(cluster, multiple_directories(100, 10), warm_clients=[0])
             stream = MixStream(
-                DATA_CENTER_SERVICES_MIX, pop, seed=91, data_enabled=False
+                DATA_CENTER_SERVICES_MIX, pop, seed=91, data_latency_us=0.0
             )
             result = run_stream(cluster, stream, total_ops=4000, inflight=64)
             for op in SHOW_OPS:

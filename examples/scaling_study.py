@@ -8,17 +8,16 @@ workload (the paper's Figure 11(a) create panel) and renders the result
 as a unicode bar chart — no plotting libraries required.
 """
 
-from repro.bench import Series, ascii_chart, run_stream
-from repro.baselines import InfiniFSCluster
-from repro.core import FSConfig, SwitchFSCluster
+from repro.bench import Series, ascii_chart, make_cluster, run_stream
+from repro.core import FSConfig
 from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
 OPS = 4000
 SERVERS = (2, 4, 8, 16)
 
 
-def point(make_cluster, servers):
-    cluster = make_cluster(FSConfig(num_servers=servers, cores_per_server=4))
+def point(system, servers):
+    cluster = make_cluster(system, FSConfig(num_servers=servers, cores_per_server=4))
     pop = bootstrap(cluster, single_large_directory(OPS + 100), warm_clients=[0])
     stream = FixedOpStream("create", pop, seed=5, dir_choice="single")
     return run_stream(cluster, stream, total_ops=OPS, inflight=64).throughput_kops
@@ -27,10 +26,9 @@ def point(make_cluster, servers):
 def main() -> None:
     series = Series("create throughput, one shared directory", "#servers", "Kops/s")
     for n in SERVERS:
-        series.add("SwitchFS", n, round(point(lambda c: SwitchFSCluster(c), n), 1))
-        print(f"  SwitchFS @ {n} servers done")
-        series.add("InfiniFS", n, round(point(InfiniFSCluster, n), 1))
-        print(f"  InfiniFS @ {n} servers done")
+        for system in ("SwitchFS", "InfiniFS"):
+            series.add(system, n, round(point(system, n), 1))
+            print(f"  {system} @ {n} servers done")
     print()
     print(ascii_chart(series, width=44))
     s16 = series.lines["SwitchFS"][16]

@@ -11,17 +11,16 @@ switch track the directory's scattered state, so throughput scales.
 
 import time
 
-from repro.baselines import CFSKVCluster, InfiniFSCluster
-from repro.bench import run_stream
-from repro.core import FSConfig, SwitchFSCluster
+from repro.bench import make_cluster, run_stream
+from repro.core import FSConfig
 from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
 N_OPS = 6_000
 INFLIGHT = 32
 
 
-def measure(name, make_cluster):
-    cluster = make_cluster(FSConfig(num_servers=8, cores_per_server=4))
+def measure(name):
+    cluster = make_cluster(name, FSConfig(num_servers=8, cores_per_server=4))
     pop = bootstrap(cluster, single_large_directory(64), warm_clients=[0])
     stream = FixedOpStream("create", pop, seed=7, dir_choice="single")
     wall = time.time()
@@ -37,9 +36,9 @@ def measure(name, make_cluster):
 def main() -> None:
     print(f"create x {N_OPS} into ONE shared directory, 8 servers x 4 cores, "
           f"{INFLIGHT} in flight:\n")
-    switchfs = measure("SwitchFS", lambda cfg: SwitchFSCluster(cfg))
-    infinifs = measure("InfiniFS", InfiniFSCluster)
-    cfskv = measure("CFS-KV", CFSKVCluster)
+    switchfs = measure("SwitchFS")
+    infinifs = measure("InfiniFS")
+    cfskv = measure("CFS-KV")
     print(f"\nSwitchFS speedup: {switchfs.throughput_ops/infinifs.throughput_ops:.1f}x "
           f"over InfiniFS, {switchfs.throughput_ops/cfskv.throughput_ops:.1f}x over CFS-KV")
     print("(paper reports up to 13.34x over InfiniFS on skewed workloads)")

@@ -9,9 +9,8 @@ and replays it against SwitchFS and CFS-KV with data accesses modelled
 as fixed-latency datanode reads.
 """
 
-from repro.baselines import CFSKVCluster
-from repro.bench import run_stream
-from repro.core import FSConfig, SwitchFSCluster
+from repro.bench import make_cluster, run_stream
+from repro.core import FSConfig
 from repro.workloads import CNNTrainingTrace, bootstrap, trace_population
 
 CLASSES = 40
@@ -19,8 +18,8 @@ FILES_PER_CLASS = 12
 INFLIGHT = 64
 
 
-def replay(name, make_cluster):
-    cluster = make_cluster(FSConfig(num_servers=8, cores_per_server=4))
+def replay(name):
+    cluster = make_cluster(name, FSConfig(num_servers=8, cores_per_server=4))
     pop = bootstrap(cluster, trace_population(CLASSES, FILES_PER_CLASS), warm_clients=[0])
     trace = CNNTrainingTrace(pop, epochs=1, seed=3, data_latency_us=120.0)
     total = len(trace)
@@ -33,8 +32,8 @@ def replay(name, make_cluster):
 def main() -> None:
     print(f"CNN training lifecycle: {CLASSES} class dirs x {FILES_PER_CLASS} files, "
           f"download -> epoch -> removal, {INFLIGHT} in flight\n")
-    s = replay("SwitchFS", lambda cfg: SwitchFSCluster(cfg))
-    c = replay("CFS-KV", CFSKVCluster)
+    s = replay("SwitchFS")
+    c = replay("CFS-KV")
     print(f"\nSwitchFS end-to-end speedup over CFS-KV: {(s/c - 1)*100:.0f}%")
     print("(paper reports +30.1% end-to-end over CFS-KV on real-world traces)")
 

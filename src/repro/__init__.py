@@ -1,4 +1,4 @@
-"""SwitchFS/AsyncFS reproduction: asynchronous metadata updates for
+"""SwitchFS reproduction: asynchronous metadata updates for
 distributed filesystems with in-network coordination (EuroSys 2026).
 
 Subpackages
@@ -34,37 +34,11 @@ Quickstart
 
 Terminology
 -----------
-The paper names the system **SwitchFS** in its title and **AsyncFS** in
-its evaluation; both name the same design.  This package exposes aliases
-under the AsyncFS terminology (``AsyncFSCluster``, ``AsyncFSServer``,
-``AsyncFSClient``, ``AsyncFSConfig``) resolving to the SwitchFS-named
-classes, so code written against either vocabulary reads naturally.
+The paper names the system **SwitchFS** in its title; its preprint
+(arXiv 2410.08618) calls the same design **AsyncFS**.  This package uses
+SwitchFS throughout.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
-# AsyncFS-terminology aliases -> (module, canonical name).  Resolved
-# lazily (PEP 562) so `import repro` stays cheap and free of cycles.
-_ALIASES = {
-    "AsyncFSCluster": ("repro.core", "SwitchFSCluster"),
-    "AsyncFSServer": ("repro.core", "MetadataServer"),
-    "AsyncFSClient": ("repro.core", "LibFS"),
-    "AsyncFSConfig": ("repro.core", "FSConfig"),
-    "AsyncFSRuntime": ("repro.core", "ServerRuntime"),
-}
-
-__all__ = ["__version__", *sorted(_ALIASES)]
-
-
-def __getattr__(name: str):
-    try:
-        module, canonical = _ALIASES[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(importlib.import_module(module), canonical)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_ALIASES))
+__all__ = ["__version__"]

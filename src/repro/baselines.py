@@ -1,7 +1,7 @@
-"""What the baseline distributed filesystems share (§6.1).
+"""The baseline distributed filesystems on the shared substrate (§6.1).
 
 The paper builds InfiniFS and CFS-KV "on the same storage and networking
-framework" as AsyncFS, so that only the *metadata scheme* differs.  Here
+framework" as SwitchFS, so that only the *metadata scheme* differs.  Here
 a baseline is SwitchFS's own :class:`~repro.core.server.MetadataServer`
 and :class:`~repro.core.client.LibFS` with ``async_updates=False`` —
 every double-inode op updates its parent before replying, cross-server
@@ -19,18 +19,19 @@ across both phases — routed by its
   server.
 
 A heavier software stack (IndexFS, Ceph) is data: :func:`heavy_stack`.
+Each system is one row of :data:`repro.bench.sweep.SYSTEMS`, which pairs
+a placement with a stack.
 """
 
 import hashlib
 from dataclasses import replace
-from typing import Optional
 
-from ..core.cluster import Cluster
-from ..core.config import FSConfig
-from ..core.membership import Membership, Placement
-from ..core.schema import new_dir_id
-from ..core.server import MetadataServer
-from ..net import FaultModel, Network, PassthroughSwitch
+from .core.cluster import Cluster
+from .core.config import FSConfig
+from .core.membership import Membership, Placement
+from .core.schema import new_dir_id
+from .core.server import MetadataServer
+from .net import Network, PassthroughSwitch
 
 __all__ = ["GroupedPartition", "SubtreePartition", "BaselineCluster", "heavy_stack"]
 
@@ -107,9 +108,7 @@ class BaselineCluster(Cluster):
     update parents synchronously, routed by *placement*, behind a switch
     that forwards and nothing else."""
 
-    def __init__(
-        self, config: FSConfig, placement: Placement, faults: Optional[FaultModel] = None
-    ):
+    def __init__(self, config: FSConfig, placement: Placement):
         # With the stale set declared out of the switch, no client sends a
         # QUERY or a LOOKUP header.
         config = replace(config, async_updates=False, recast=False,
@@ -120,7 +119,6 @@ class BaselineCluster(Cluster):
             self.sim,
             [PassthroughSwitch(latency_us=config.perf.switch_latency_us)],
             link_latency_us=config.perf.link_latency_us,
-            faults=faults,
         )
         membership = Membership(placement)
         self.servers = [

@@ -3,13 +3,7 @@
 from .harness import RunResult, find_peak_throughput, run_stream
 from .report import Series, ascii_chart, format_table, print_table
 from .presets import paper_scale
-from .sweep import (
-    SYSTEMS,
-    SweepPool,
-    derive_seed,
-    make_cluster,
-    scaled_config,
-)
+from .sweep import SYSTEMS, SweepPool, make_cluster, scaled_config
 
 __all__ = [
     "RunResult",
@@ -23,6 +17,5 @@ __all__ = [
     "make_cluster",
     "scaled_config",
     "SweepPool",
-    "derive_seed",
     "paper_scale",
 ]

@@ -25,7 +25,6 @@ from ..workloads.generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..workloads.clientpop import PopulationClient
-    from .sweep import SweepPool
 
 __all__ = [
     "RunResult",
@@ -245,26 +244,17 @@ def run_stream(
 def find_peak_throughput(
     make_run: Callable[[int], RunResult],
     inflight_levels: Sequence[int] = (16, 32, 64, 128),
-    tolerance: float = 1.02,
-    pool: Optional["SweepPool"] = None,
 ) -> RunResult:
     """Increase the in-flight level until throughput stops improving.
 
     ``make_run(inflight)`` must build a **fresh** cluster and run the
-    workload.  Returns the best run.  Stops early when the next level
-    improves by less than ``tolerance``×.
-
-    With *pool* (a :class:`repro.bench.sweep.SweepPool`), every level is
-    evaluated concurrently — ``make_run`` must then be picklable (a
-    module-level function) — and the same knee scan runs over the ordered
-    results, so the chosen peak is identical to the serial search (the
-    levels past the knee are computed in parallel instead of skipped).
+    workload.  Returns the best run.  Stops at the first level that
+    improves on the best by less than 2 % (keeping it if it is still
+    higher), so the later levels never run.
     """
-    # Serial: a lazy map, so breaking at the knee skips the later levels.
-    results = (pool.map if pool is not None else map)(make_run, inflight_levels)
     best: Optional[RunResult] = None
-    for result in results:
-        if best is not None and result.throughput_ops < best.throughput_ops * tolerance:
+    for result in map(make_run, inflight_levels):
+        if best is not None and result.throughput_ops < best.throughput_ops * 1.02:
             if result.throughput_ops > best.throughput_ops:
                 best = result
             break

@@ -9,16 +9,16 @@ Two layers live here:
   relative shapes (EXPERIMENTS.md records both);
 * the **sweep runner** (:class:`SweepPool`) — every benchmark point in
   the figure sweeps builds a *fresh* cluster, so the (system × op ×
-  scale) grids and the in-flight ladder of ``find_peak_throughput`` are
-  embarrassingly parallel.  ``SweepPool.map`` fans such points across a
-  process pool and merges results back **in input order**, so a parallel
-  sweep returns exactly what the serial loop would.
+  scale) grids and the in-flight ladders are embarrassingly parallel.
+  ``SweepPool.map`` fans such points across a process pool and merges
+  results back **in input order**, so a parallel sweep returns exactly
+  what the serial loop would.
 
 Determinism rules for sweep workers:
 
-* the worker function must be module-level (picklable) and must derive
-  all randomness from the point's own seed (:func:`derive_seed` gives a
-  stable per-point seed from a base seed and the point key);
+* the worker function must be module-level (picklable), and each point
+  carries its own seed: the worker derives all randomness from it, never
+  from process state;
 * results are merged in input order regardless of completion order;
 * the ``REPRO_SWEEP_SERIAL=1`` environment variable (or
   ``serial=True``/a single-core host) is the escape hatch that runs the
@@ -30,27 +30,46 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..baselines import CephLikeCluster, CFSKVCluster, IndexFSCluster, InfiniFSCluster
+from ..baselines import BaselineCluster, GroupedPartition, SubtreePartition, heavy_stack
 from ..core import FSConfig, SwitchFSCluster
+from ..core.membership import bootstrap_view
 
 __all__ = [
     "SYSTEMS",
     "make_cluster",
     "scaled_config",
     "SweepPool",
-    "derive_seed",
 ]
 
-#: name -> cluster factory (config) -> cluster
+#: name -> cluster factory (config) -> cluster.  A baseline is a placement
+#: and a stack on SwitchFS's own servers and clients (repro.baselines).
 SYSTEMS: Dict[str, Callable] = {
-    "SwitchFS": lambda cfg: SwitchFSCluster(cfg),
-    "InfiniFS": lambda cfg: InfiniFSCluster(cfg),
-    "CFS-KV": lambda cfg: CFSKVCluster(cfg),
-    "IndexFS": lambda cfg: IndexFSCluster(cfg),
-    "Ceph": lambda cfg: CephLikeCluster(cfg),
+    "SwitchFS": SwitchFSCluster,
+    # InfiniFS (FAST'22, reimplemented per §6.1): parent-children grouping
+    # by per-directory hashing.  A file create or delete is single-server,
+    # but every file of a hot directory hits one server, and directory
+    # updates serialise on the parent inode lock (Figure 2's flat scaling).
+    "InfiniFS": lambda cfg: BaselineCluster(cfg, GroupedPartition(cfg.num_servers)),
+    # CFS-KV: InfiniFS's codebase with EuroSys'23 CFS's parent-children
+    # separating (per-file hashing), which is SwitchFS's own epoch-0 view.
+    # File inodes spread evenly, but every double-inode op needs a
+    # cross-server transaction to update the remote parent directory.
+    "CFS-KV": lambda cfg: BaselineCluster(cfg, bootstrap_view(cfg)),
+    # IndexFS (SC'14): grouped like InfiniFS, on Linux kernel networking
+    # with a thread-pool server, which the paper blames for its higher
+    # latency (§6.2.2 obs. 3): 2.0x on every CPU segment, and 15 µs of
+    # syscalls, copies and wakeups per message.
+    "IndexFS": lambda cfg: BaselineCluster(
+        heavy_stack(cfg, 2.0, 15.0), GroupedPartition(cfg.num_servers)),
+    # Ceph (v12.2.13 CephFS): static subtree partitioning, with metadata in
+    # the RADOS object store behind the MDS daemons, the paper's reason it
+    # stays below 100 Kops/s on every op: 18.0x for journaling through
+    # RADOS and the extra daemon hops, and 60 µs per message for kernel
+    # networking and object-store round trips.
+    "Ceph": lambda cfg: BaselineCluster(
+        heavy_stack(cfg, 18.0, 60.0), SubtreePartition(cfg.num_servers)),
 }
 
 
@@ -75,17 +94,6 @@ def scaled_config(
 # ---------------------------------------------------------------------------
 # process-pool sweep runner
 # ---------------------------------------------------------------------------
-
-
-def derive_seed(base_seed: int, *key: Any) -> int:
-    """A stable per-point seed from a base seed and the point's identity.
-
-    Uses CRC32 over the repr of the key parts — deterministic across
-    processes and interpreter launches (unlike ``hash()``, which is
-    randomized by PYTHONHASHSEED).
-    """
-    text = repr((base_seed,) + key).encode()
-    return zlib.crc32(text) & 0x7FFFFFFF
 
 
 def _serial_env() -> bool:

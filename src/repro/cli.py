@@ -40,6 +40,7 @@ from .workloads import (
     run_fanin,
     single_large_directory,
 )
+from .workloads.generator import DATA_LATENCY_US
 
 __all__ = ["main"]
 
@@ -89,7 +90,7 @@ def _build(args, system: Optional[str] = None):
     # SwitchFS datapath has; the knob is a no-op for baseline systems.
     cache = getattr(args, "switch_cache", False) and (system or args.system) == "SwitchFS"
     config = scaled_config(num_servers=args.servers, cores_per_server=args.cores,
-                           seed=args.seed, switch_cache=cache)
+                           switch_cache=cache)
     cluster = make_cluster(system or args.system, config)
     population = bootstrap(cluster, _population(args), warm_clients=[0])
     return cluster, population
@@ -283,8 +284,7 @@ def cmd_analyze(args) -> int:
     from .analysis import SimTracer, analyze_report, instrument_server
     from .analysis.detect import lock_order_cycles, race_findings
 
-    config = scaled_config(num_servers=args.servers, cores_per_server=args.cores,
-                           seed=args.seed)
+    config = scaled_config(num_servers=args.servers, cores_per_server=args.cores)
     cluster = make_cluster(args.system, config)
     tracer = SimTracer(capture_stacks=not args.no_stacks)
     tracer.attach(cluster.sim)
@@ -330,7 +330,7 @@ def cmd_analyze(args) -> int:
 def cmd_workload(args) -> int:
     cluster, population = _build(args)
     stream = MixStream(MIXES[args.mix], population, seed=args.seed,
-                       data_enabled=not args.no_data)
+                       data_latency_us=0.0 if args.no_data else DATA_LATENCY_US)
     result = run_stream(cluster, stream, total_ops=args.ops, inflight=args.inflight)
     print_table(
         f"{args.system} on mix {args.mix!r}",
@@ -350,8 +350,7 @@ def cmd_faults(args) -> int:
         loss_prob=args.loss, dup_prob=args.dup,
         reorder_prob=args.reorder, reorder_jitter_us=3.0,
     )
-    config = scaled_config(num_servers=args.servers, cores_per_server=args.cores,
-                           seed=args.seed)
+    config = scaled_config(num_servers=args.servers, cores_per_server=args.cores)
     cluster = SwitchFSCluster(config, faults=faults)
     fs = cluster.client(0)
     cluster.run_op(fs.mkdir("/drill"))

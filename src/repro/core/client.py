@@ -133,18 +133,16 @@ class LibFS:
         parent_path, name = split_path(path)
         parent = yield from self.resolve_dir(parent_path)
         owner = self._view.dir_owner(parent.id, name, path)
-        make_header = None
+        header = None
         if self._switch_cache:
-            fp = fingerprint_of(parent.id, name)
-            make_header = lambda attempt_no: StaleSetHeader(  # noqa: E731
-                op=StaleSetOp.LOOKUP, fingerprint=fp
+            header = StaleSetHeader(
+                op=StaleSetOp.LOOKUP, fingerprint=fingerprint_of(parent.id, name)
             )
         t0 = self.sim.now
         value, pkt = yield from self._call(
-            owner, "lookup_dir", {"pid": parent.id, "name": name},
-            make_header=make_header,
+            owner, "lookup_dir", {"pid": parent.id, "name": name}, header=header
         )
-        if make_header is not None:
+        if header is not None:
             self._note_switch_reply(pkt, self.sim.now - t0)
         # value: {"id", "fingerprint", "perm"}
         resolved = ResolvedDir(
@@ -258,11 +256,11 @@ class LibFS:
                     args["parent_fp"] = parent.fingerprint
                     args.update(update)
                 yield sim.timeout(perf.client_cpu_us)
-                make_header = None
+                header = None
                 if lookup:
-                    fp = file_cache_fingerprint(parent.id, name)
-                    make_header = lambda attempt_no: StaleSetHeader(  # noqa: E731
-                        op=StaleSetOp.LOOKUP, fingerprint=fp
+                    header = StaleSetHeader(
+                        op=StaleSetOp.LOOKUP,
+                        fingerprint=file_cache_fingerprint(parent.id, name),
                     )
                 t0 = sim.now
                 try:
@@ -272,7 +270,7 @@ class LibFS:
                         owner,
                         method,
                         args,
-                        make_header=make_header,
+                        header=header,
                         timeout_us=perf.rpc_timeout_us,
                         max_attempts=perf.rpc_max_attempts,
                     )
@@ -404,11 +402,8 @@ class LibFS:
                 args["limit"] = limit
             header = None
             if self.config.stale_backend == "switch":
-                fp = target.fingerprint
-                header = lambda attempt_no: StaleSetHeader(  # noqa: E731
-                    op=StaleSetOp.QUERY, fingerprint=fp
-                )
-            value, _ = yield from self._call(owner, method, args, make_header=header)
+                header = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=target.fingerprint)
+            value, _ = yield from self._call(owner, method, args, header=header)
             return value
 
         return self._with_revalidation(attempt, path)
@@ -478,7 +473,7 @@ class LibFS:
     # plumbing
     # ------------------------------------------------------------------
     def _call(
-        self, dst: str, method: str, args: Dict[str, Any], make_header=None
+        self, dst: str, method: str, args: Dict[str, Any], header=None
     ) -> Generator:
         yield self.sim.timeout(self.perf.client_cpu_us)
         try:
@@ -487,7 +482,7 @@ class LibFS:
                     dst,
                     method,
                     args,
-                    make_header=make_header,
+                    header=header,
                     timeout_us=self.perf.rpc_timeout_us,
                     max_attempts=self.perf.rpc_max_attempts,
                 )
@@ -517,16 +512,16 @@ class LibFS:
         # Every server of the stale view unreachable: keep the view; the
         # retry loop will surface the original error if it persists.
 
-    def _with_revalidation(self, attempt, path: str, retries: int = 2) -> Generator:
+    def _with_revalidation(self, attempt, path: str) -> Generator:
         """Run *attempt*; retry after repairing recoverable staleness.
 
         Two independent budgets: EINVALIDPATH (stale path cache →
-        invalidate and re-resolve) and EWRONGEPOCH (stale membership view
-        → refresh and re-route).  A migration can move an op's target
+        invalidate and re-resolve, twice) and EWRONGEPOCH (stale membership
+        view → refresh and re-route).  A migration can move an op's target
         more than once, so epoch retries get one extra attempt.
         """
-        invalid_left = retries
-        epoch_left = retries + 1
+        invalid_left = 2
+        epoch_left = 3
         while True:
             try:
                 return (yield from attempt())

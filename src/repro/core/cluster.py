@@ -136,9 +136,6 @@ class SwitchFSCluster(Cluster):
     def placement(self) -> MembershipView:
         return self.membership.current
 
-    def server(self, idx: int) -> MetadataServer:
-        return self.servers[idx]
-
     def settle(self, quiet_us: float = 20_000.0) -> None:
         """Run until the cluster is quiescent.
 
@@ -163,11 +160,10 @@ class SwitchFSCluster(Cluster):
     # ------------------------------------------------------------------
     # elasticity: epoch-versioned membership + live shard migration
     # ------------------------------------------------------------------
-    def add_server(self, addr: Optional[str] = None) -> MetadataServer:
+    def add_server(self) -> MetadataServer:
         """Boot a new, empty metadata server (owns nothing until a
         migration assigns it shards)."""
-        if addr is None:
-            addr = f"server-{self._server_seq}"
+        addr = f"server-{self._server_seq}"
         self._server_seq += 1
         server = MetadataServer(self.sim, self.net, addr, self.config, self.membership)
         # A joiner missed every invalidation broadcast so far; clone the
@@ -200,12 +196,6 @@ class SwitchFSCluster(Cluster):
         )
         stats["left"] = addr
         return stats
-
-    def scale_up(self) -> Dict[str, Any]:
-        return self.run_op(self.scale_up_gen())
-
-    def scale_down(self, addr: str) -> Dict[str, Any]:
-        return self.run_op(self.scale_down_gen(addr))
 
     def _migrate_gen(
         self,

@@ -77,6 +77,8 @@ class FSConfig:
 
     num_servers: int = 4
     cores_per_server: int = 4
+    # Read by nothing: streams and fault models take their own seeds.  Kept
+    # only because benchmarks/ledger/scenarios.py passes it (ROADMAP item 4).
     seed: int = 42
 
     # Fixed shard space for epoch-versioned membership: fingerprints and
@@ -116,7 +118,7 @@ class FSConfig:
 
     # Safety net: release deferred unlocks / pull locks whose notification
     # packet is lost (UDP).  Must exceed any legitimate hold time (a large
-    # aggregation's application phase).  0 disables.
+    # aggregation's application phase).
     unlock_watchdog_us: float = 20_000.0
 
     perf: PerfModel = field(default_factory=PerfModel)
@@ -125,7 +127,7 @@ class FSConfig:
         if self.num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {self.num_servers}")
         if self.cores_per_server < 1:
-            raise ValueError(f"cores_per_server must be >= 1")
+            raise ValueError(f"cores_per_server must be >= 1, got {self.cores_per_server}")
         if self.stale_backend not in ("switch", "server"):
             raise ValueError(f"unknown stale_backend: {self.stale_backend!r}")
         if self.recast and not self.async_updates:
@@ -143,9 +145,13 @@ class FSConfig:
                 getattr(self, f"{table}_geometry")
             except ValueError as exc:
                 raise ValueError(f"{table}_stages / {table}_index_bits: {exc}") from None
-        for name in ("proactive_idle_push_us", "grace_period_us", "unlock_watchdog_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # A zero idle-push or watchdog interval would re-arm its timer in a
+        # zero-time loop, as a zero rpc_timeout_us would retransmit in one.
+        for name in ("proactive_idle_push_us", "unlock_watchdog_us"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.grace_period_us < 0:
+            raise ValueError(f"grace_period_us must be >= 0, got {self.grace_period_us}")
         if self.grace_period_us > self.grace_cap_us:
             raise ValueError("grace_period_us must not exceed grace_cap_us")
 

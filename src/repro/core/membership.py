@@ -125,9 +125,6 @@ class MembershipView:
         member in the view."""
         return self.servers[0]
 
-    def owned_shards(self, addr: str) -> List[int]:
-        return [s for s, owner in enumerate(self.shard_table) if owner == addr]
-
     # -- wire format --------------------------------------------------------
     def to_wire(self) -> dict:
         return {

@@ -35,11 +35,10 @@ same apply as every synchronous parent update.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, TYPE_CHECKING
+from typing import Any, Dict, Generator, TYPE_CHECKING
 
 from ..errors import EEXIST, EINVAL, ENOENT, FSError
 from .schema import (
-    dir_entry_key,
     dir_meta_key,
     file_meta_key,
     fingerprint_of,
@@ -109,19 +108,13 @@ class _Plan:
 
 
 def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
-    """Coordinator-side rename workflow (directory renames).
-
-    File renames normally run client-driven via
-    :func:`rename_transaction`; this coordinator path still handles them
-    for clients that choose to delegate.
-    """
+    """Coordinator-side rename workflow: directory renames, serialised
+    through the one coordinator (orphan-loop prevention).  A client drives
+    a file rename's :func:`rename_transaction` itself."""
     sim, perf = server.sim, server.perf
     node = server.node
 
-    is_dir = args["is_dir"]
-    serialise = is_dir  # directory renames only (orphan-loop prevention)
-    if serialise:
-        yield server.rename_serializer().acquire()
+    yield server.rename_serializer().acquire()
     try:
         yield server.charge_cpu(perf.path_check_us)
         if not server.inval.validate(args.get("ancestor_ids", ())):
@@ -136,8 +129,7 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
         server.counters.inc("renames")
         return result
     finally:
-        if serialise:
-            server.rename_serializer().release()
+        server.rename_serializer().release()
 
 
 def rename_transaction(node, sim, view, perf, args: Dict[str, Any],

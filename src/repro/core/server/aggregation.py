@@ -223,8 +223,7 @@ class AggregationProtocol:
         """
         lock = yield from self._take_group(fp)
         self._pull_locks[fp] = lock
-        if self.config.unlock_watchdog_us:
-            self._arm_pull_watchdog(fp, lock)
+        self._arm_pull_watchdog(fp, lock)
         yield self._cpu(self.perf.kv_get_us)
         if invalidate is not None:
             self.inval.insert(invalidate)

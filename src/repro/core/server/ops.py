@@ -278,8 +278,7 @@ class ServerOps:
             "lsn": lsn,
         }
         held.clear()  # custody handed over: release_unlock_token unlocks
-        if self.config.unlock_watchdog_us:
-            self._arm_unlock_watchdog(token)
+        self._arm_unlock_watchdog(token)
         return Reply(
             value={
                 "status": "ok",

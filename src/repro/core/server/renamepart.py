@@ -27,13 +27,12 @@ class RenameParticipant:
     def _handle_rename(self, request: RpcRequest, packet: Packet) -> Generator:
         from ..rename import run_rename  # local import: avoids module cycle
 
-        if request.args.get("is_dir"):
-            # Directory renames must serialise through the one live
-            # coordinator; a client whose view predates a coordinator
-            # hand-off (server 0 left) is redirected.
-            coordinator = self.membership.current.rename_coordinator
-            if coordinator != self.addr:
-                raise FSError(EWRONGEPOCH, f"rename coordinator is {coordinator}")
+        # Directory renames (the only ones a client sends here) serialise
+        # through the one live coordinator; a client whose view predates a
+        # coordinator hand-off (server 0 left) is redirected.
+        coordinator = self.membership.current.rename_coordinator
+        if coordinator != self.addr:
+            raise FSError(EWRONGEPOCH, f"rename coordinator is {coordinator}")
         return (yield from run_rename(self, request.args))
 
     def _handle_rename_lock(self, request: RpcRequest, packet: Packet) -> Generator:

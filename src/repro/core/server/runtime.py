@@ -83,7 +83,6 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         dst: str,
         method: str,
         args: Any,
-        timeout_us: Optional[float] = None,
         max_attempts: Optional[int] = None,
     ) -> Generator:
         """Nested RPC with the perf model's timeout/retry policy.
@@ -95,7 +94,7 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         try:
             value, _ = yield from self.node.call(
                 dst, method, args,
-                timeout_us=timeout_us if timeout_us is not None else self.perf.rpc_timeout_us,
+                timeout_us=self.perf.rpc_timeout_us,
                 max_attempts=max_attempts if max_attempts is not None
                 else self.perf.rpc_max_attempts,
             )
@@ -204,10 +203,6 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
         if self._recovered_ev is not None:
             self._recovered_ev.succeed()
             self._recovered_ev = None
-
-    @property
-    def recovering(self) -> bool:
-        return self._recovered_ev is not None
 
     # ------------------------------------------------------------------
     # epoch-aware routing checks (membership refactor)

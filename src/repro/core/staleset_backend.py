@@ -19,9 +19,9 @@ issue the extra RPC.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from ..net import RpcNode, Reply
+from ..net import RpcNode
 from ..sim import Resource, Simulator
 from ..switchfab import StaleSet
 from .config import FSConfig

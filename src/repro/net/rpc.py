@@ -337,14 +337,13 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         dst: str,
         method: str,
         args: Any,
-        make_header: Optional[Callable[[int], StaleSetHeader]] = None,
+        header: Optional[StaleSetHeader] = None,
         timeout_us: float = 100.0,
         max_attempts: int = 5,
     ) -> Generator:
         """Generator: perform an RPC and return ``(value, response_packet)``.
 
-        ``make_header(attempt)`` builds a fresh stale-set header per
-        transmission — REMOVE requests need a new SEQ per resend (§4.4.1).
+        *header* (immutable) rides every transmission of the request.
         Raises :class:`RpcTimeout` after ``max_attempts`` silent attempts
         and :class:`RpcError` for application errors.
         """
@@ -367,7 +366,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 for acked in pending_map:  # the first key: lowest outstanding id
                     break
                 request = RpcRequest(rpc_id, method, args, self.addr, acked)
-                header = make_header(attempt) if make_header else None
                 # Race the response against the retransmit deadline on ONE
                 # fresh event (no combinator): whichever triggers it
                 # first wins, the loser sees `triggered` and backs off.

@@ -9,7 +9,7 @@ each group targeting one directory, directories chosen uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict
 
 from ..sim import make_rng
 from .generator import OpStream, OpThunk

@@ -15,7 +15,6 @@ Streams are deterministic given their seed, so runs replay identically.
 
 from __future__ import annotations
 
-import random
 import zlib
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
@@ -25,9 +24,15 @@ from ..sim import AliasTable, ZipfGenerator, make_rng
 from .mixes import OpMix
 from .population import Population
 
-__all__ = ["OpThunk", "OpStream", "FixedOpStream", "MixStream", "safe_op", "file_op"]
+__all__ = [
+    "OpThunk", "OpStream", "FixedOpStream", "MixStream", "safe_op", "file_op",
+    "DATA_LATENCY_US",
+]
 
 OpThunk = Callable[[LibFS], Generator]
+
+#: A data op's client-side data-node access; 0.0 leaves data ops free.
+DATA_LATENCY_US = 120.0
 
 
 def safe_op(fs: LibFS, gen: Generator, swallow: Tuple[str, ...]) -> Generator:
@@ -174,8 +179,7 @@ class MixStream(OpStream):
         population: Population,
         seed: int = 1,
         skew_8020: bool = True,
-        data_latency_us: float = 120.0,
-        data_enabled: bool = True,
+        data_latency_us: float = DATA_LATENCY_US,
     ):
         super().__init__(f"mix-{mix.name}")
         self.mix = mix
@@ -188,7 +192,6 @@ class MixStream(OpStream):
         self._skew = skew_8020 and len(self._dirs) >= 5
         self._hot_count = max(1, len(self._dirs) // 5)
         self.data_latency_us = data_latency_us
-        self.data_enabled = data_enabled
         self._create_seq: Dict[str, int] = {}
         self._created: Dict[str, List[str]] = {}
         self._mkdir_seq = 0
@@ -230,7 +233,7 @@ class MixStream(OpStream):
             # chmod modelled as stat-cost
             return file_op("stat" if op == "chmod" else op, self._existing_file(d))
         if op in ("read", "write"):
-            return file_op(op, "", self.data_latency_us if self.data_enabled else 0.0)
+            return file_op(op, "", self.data_latency_us)
         if op == "mkdir":
             self._mkdir_seq += 1
             path = f"{d}/mdir{self._mkdir_seq}"

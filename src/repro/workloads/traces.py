@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..sim import make_rng
-from .generator import OpStream, OpThunk, file_op
+from .generator import DATA_LATENCY_US, OpStream, OpThunk, file_op
 from .population import Population
 
 __all__ = ["CNNTrainingTrace", "ThumbnailTrace", "trace_population"]
@@ -44,12 +44,11 @@ class _ScriptTrace(OpStream):
         name: str,
         population: Population,
         data_latency_us: float,
-        data_enabled: bool,
         script: List[Tuple[str, str]],
     ):
         super().__init__(name)
         self.pop = population
-        self.data_latency_us = data_latency_us if data_enabled else 0.0
+        self.data_latency_us = data_latency_us
         self._script = script
         self._pos = 0
 
@@ -72,8 +71,7 @@ class CNNTrainingTrace(_ScriptTrace):
         population: Population,
         epochs: int = 1,
         seed: int = 7,
-        data_latency_us: float = 120.0,
-        data_enabled: bool = True,
+        data_latency_us: float = DATA_LATENCY_US,
     ):
         rng = make_rng(seed, "cnn")
         files: List[Tuple[str, str]] = [
@@ -99,7 +97,7 @@ class CNNTrainingTrace(_ScriptTrace):
         # Phase 3: removal.
         for d, f in files:
             script.append(("delete", f"{d}/dl-{f}"))
-        super().__init__("cnn-training", population, data_latency_us, data_enabled, script)
+        super().__init__("cnn-training", population, data_latency_us, script)
 
 
 class ThumbnailTrace(_ScriptTrace):
@@ -109,8 +107,7 @@ class ThumbnailTrace(_ScriptTrace):
         self,
         population: Population,
         seed: int = 7,
-        data_latency_us: float = 120.0,
-        data_enabled: bool = True,
+        data_latency_us: float = DATA_LATENCY_US,
     ):
         rng = make_rng(seed, "thumb")
         images = [
@@ -128,4 +125,4 @@ class ThumbnailTrace(_ScriptTrace):
             script.append(("create", f"{d}/thumb-{f}"))
             script.append(("write", f"{d}/thumb-{f}"))
             script.append(("close", f"{d}/thumb-{f}"))
-        super().__init__("thumbnail", population, data_latency_us, data_enabled, script)
+        super().__init__("thumbnail", population, data_latency_us, script)

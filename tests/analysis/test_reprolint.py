@@ -1,6 +1,7 @@
 """reprolint: each rule catches its seeded violation, allowlists work."""
 
 import ast
+import re
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -640,3 +641,117 @@ class TestRepoIsClean:
 
         unread = {slot: sites for slot, sites in sorted(declared.items()) if slot not in reads}
         assert unread == {}
+
+    # Public defs only tests reach, each kept for the reason beside it.
+    TEST_ONLY_DEFS = {
+        # ROADMAP item 10 re-runs the figures at the paper's Table 4 scale.
+        "paper_scale",
+        # The next five are how tests/sim and the kernel-entries-per-op gate
+        # in test_refcount_clean.py check DESIGN §9's dispatch contract:
+        # whether an event has been popped,
+        "Event.processed",
+        # the tick count, which is the number of kernel entries,
+        "Simulator.reserve_seq",
+        # one entry at a time,
+        "Simulator.step",
+        # and a resource's holders and waiters.
+        "Resource.in_use",
+        "Resource.queued",
+    }
+
+    def test_every_public_def_is_reached_outside_tests(self):
+        """A def only tests call is surface to keep that the program never
+        runs.  Every public function, method and class in ``src/repro`` is
+        reached by name from the program's entry points: ``repro/cli.py``,
+        ``repro/__main__.py``, ``benchmarks/`` (the ledger too),
+        ``examples/``, and the module-level statements of ``src/repro``
+        (imports and ``__all__`` aside).  A name is an attribute or name
+        load, an import alias, or an identifier inside a string that is not
+        a docstring.  A reached function adds the names in its body; a
+        reached class adds its bases, decorators and class-level
+        statements, and its dunders and ``visit_*`` methods count as
+        reached (Python and ``ast.NodeVisitor`` call them).
+
+        Names collide (a local variable reaches every method of its name),
+        so this is a lower bound: a def it passes may still be test-only."""
+        root = self.SRC.parent
+        package = self.SRC / "repro"
+        words = re.compile(r"[A-Za-z_]\w*")
+        defs_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+        def is_doc(stmt):
+            return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                    and isinstance(stmt.value.value, str))
+
+        def names(node):
+            docs = {id(n.body[0]) for n in ast.walk(node)
+                    if isinstance(n, (ast.Module, *defs_types)) and n.body and is_doc(n.body[0])}
+            found, skip = set(), set()
+            for n in ast.walk(node):
+                if id(n) in docs:
+                    skip.add(id(n.value))
+                elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    found.add(n.id)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    found.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    found.update(n.name.split("."))
+                    found.add(n.asname or n.name)
+                elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                      and id(n) not in skip):
+                    found.update(words.findall(n.value))
+            return found
+
+        reached = set()
+        roots = [package / "cli.py", package / "__main__.py",
+                 *(root / "benchmarks").rglob("*.py"), *(root / "examples").rglob("*.py")]
+        for path in roots:
+            reached |= names(ast.parse(path.read_text(encoding="utf-8")))
+
+        defs = []  # (qualified name, node, enclosing class's qualified name)
+
+        def collect(body, owner):
+            for stmt in body:
+                if isinstance(stmt, defs_types):
+                    qual = f"{owner}.{stmt.name}" if owner else stmt.name
+                    defs.append((qual, stmt, owner))
+                    if isinstance(stmt, ast.ClassDef):
+                        collect(stmt.body, qual)
+
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for stmt in tree.body:
+                if ((stmt is tree.body[0] and is_doc(stmt))
+                        or isinstance(stmt, (ast.Import, ast.ImportFrom, *defs_types))):
+                    continue
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+                    continue
+                reached |= names(stmt)
+            collect(tree.body, "")
+
+        done = set()
+        grew = True
+        while grew:
+            grew = False
+            for qual, node, owner in defs:
+                implicit = owner in done and (node.name.startswith("visit_") or (
+                    node.name.startswith("__") and node.name.endswith("__")))
+                if qual in done or not (node.name in reached or implicit):
+                    continue
+                done.add(qual)
+                grew = True
+                if isinstance(node, ast.ClassDef):
+                    for part in (*node.bases, *node.keywords, *node.decorator_list):
+                        reached |= names(part)
+                    for stmt in node.body:
+                        if not ((stmt is node.body[0] and is_doc(stmt))
+                                or isinstance(stmt, defs_types)):
+                            reached |= names(stmt)
+                else:
+                    reached |= names(node)
+
+        unreached = {qual for qual, node, _ in defs
+                     if qual not in done and not node.name.startswith("_")}
+        assert unreached - self.TEST_ONLY_DEFS == set()
+        assert self.TEST_ONLY_DEFS <= unreached

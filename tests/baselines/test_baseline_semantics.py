@@ -1,30 +1,64 @@
 """The baseline DFSs must provide the same POSIX metadata semantics —
 they differ from SwitchFS only in partition strategy and protocol."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.baselines import (
-    CephLikeCluster,
-    CFSKVCluster,
-    GroupedPartition,
-    IndexFSCluster,
-    InfiniFSCluster,
-    SubtreePartition,
-)
+from repro.baselines import GroupedPartition, SubtreePartition
+from repro.bench import make_cluster
 from repro.core import FSConfig, FSError
-from repro.core.membership import bootstrap_view
+from repro.core.membership import MembershipView, bootstrap_view
 
-ALL_SYSTEMS = [InfiniFSCluster, CFSKVCluster, IndexFSCluster, CephLikeCluster]
+# System name -> test id.  The ids keep the names of the per-system
+# cluster classes the SYSTEMS rows replaced, so each test's history reads
+# across that change.
+BASELINES = {
+    "InfiniFS": "InfiniFSCluster",
+    "CFS-KV": "CFSKVCluster",
+    "IndexFS": "IndexFSCluster",
+    "Ceph": "CephLikeCluster",
+}
 
 
-def make(cluster_cls):
-    return cluster_cls(FSConfig(num_servers=4, cores_per_server=2, seed=2))
+def make(system):
+    return make_cluster(system, FSConfig(num_servers=4, cores_per_server=2, seed=2))
 
 
-@pytest.mark.parametrize("cluster_cls", ALL_SYSTEMS)
+# name -> (placement type, stack multiplier, per-message µs, async updates)
+BUILDS = {
+    "SwitchFS": (MembershipView, 1.0, 0.0, True),
+    "InfiniFS": (GroupedPartition, 1.0, 0.0, False),
+    "CFS-KV": (MembershipView, 1.0, 0.0, False),
+    "IndexFS": (GroupedPartition, 2.0, 15.0, False),
+    "Ceph": (SubtreePartition, 18.0, 60.0, False),
+}
+
+
+@pytest.mark.parametrize("system", sorted(BUILDS))
+def test_each_name_builds_its_placement_and_stack(system):
+    """A row of SYSTEMS is a placement, a stack and a scheme: the baselines
+    run SwitchFS's servers synchronously, with the stale set off the
+    switch, and a heavy stack adds its cost to the base performance model."""
+    placement, multiplier, per_message_us, asynchronous = BUILDS[system]
+    config = FSConfig(num_servers=4, cores_per_server=2)
+    cluster = make_cluster(system, config)
+    assert type(cluster.placement) is placement
+    base = config.perf
+    assert cluster.config.perf == replace(
+        base, stack_multiplier=multiplier,
+        path_check_us=base.path_check_us + per_message_us,
+        txn_phase_us=base.txn_phase_us + per_message_us,
+    )
+    assert cluster.config.async_updates is asynchronous
+    assert cluster.config.recast is asynchronous
+    assert cluster.config.stale_backend == ("switch" if asynchronous else "server")
+
+
+@pytest.mark.parametrize("system", list(BASELINES), ids=list(BASELINES.values()))
 class TestBaselineSemantics:
-    def test_create_stat_delete(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_create_stat_delete(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
@@ -33,8 +67,8 @@ class TestBaselineSemantics:
         with pytest.raises(FSError):
             cluster.run_op(fs.stat("/d/f"))
 
-    def test_readdir_and_counts(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_readdir_and_counts(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         for i in range(5):
@@ -44,8 +78,8 @@ class TestBaselineSemantics:
         assert sorted(listing["entries"]) == ["f0", "f1", "f3", "f4"]
         assert cluster.run_op(fs.statdir("/d"))["entry_count"] == 4
 
-    def test_eexist_enoent(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_eexist_enoent(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
@@ -56,8 +90,8 @@ class TestBaselineSemantics:
             cluster.run_op(fs.delete("/d/ghost"))
         assert err.value.code == "ENOENT"
 
-    def test_rmdir_semantics(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_rmdir_semantics(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
@@ -69,16 +103,16 @@ class TestBaselineSemantics:
         with pytest.raises(FSError):
             cluster.run_op(fs.statdir("/d"))
 
-    def test_nested_directories(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_nested_directories(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/a"))
         cluster.run_op(fs.mkdir("/a/b"))
         cluster.run_op(fs.create("/a/b/f"))
         assert cluster.run_op(fs.stat("/a/b/f"))["mtime"] > 0
 
-    def test_file_rename(self, cluster_cls):
-        cluster = make(cluster_cls)
+    def test_file_rename(self, system):
+        cluster = make(system)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/s"))
         cluster.run_op(fs.mkdir("/t"))
@@ -112,7 +146,7 @@ class TestPartitionPlacement:
 
     def test_grouped_create_is_single_server(self):
         """The defining InfiniFS property: file create touches one server."""
-        cluster = make(InfiniFSCluster)
+        cluster = make("InfiniFS")
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         before = {s.addr: s.counters.get("cross_server_updates") for s in cluster.servers}
@@ -122,7 +156,7 @@ class TestPartitionPlacement:
         assert before == after  # no cross-server parent updates
 
     def test_per_file_create_is_cross_server(self):
-        cluster = make(CFSKVCluster)
+        cluster = make("CFS-KV")
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         for i in range(10):
@@ -133,23 +167,23 @@ class TestPartitionPlacement:
 
 class TestStackModels:
     def test_ceph_is_much_slower(self):
-        def create_latency(cluster_cls):
-            cluster = make(cluster_cls)
+        def create_latency(system):
+            cluster = make(system)
             fs = cluster.client(0)
             cluster.run_op(fs.mkdir("/d"))
             t0 = cluster.sim.now
             cluster.run_op(fs.create("/d/f"))
             return cluster.sim.now - t0
 
-        assert create_latency(CephLikeCluster) > 5 * create_latency(InfiniFSCluster)
+        assert create_latency("Ceph") > 5 * create_latency("InfiniFS")
 
     def test_indexfs_slower_than_infinifs(self):
-        def create_latency(cluster_cls):
-            cluster = make(cluster_cls)
+        def create_latency(system):
+            cluster = make(system)
             fs = cluster.client(0)
             cluster.run_op(fs.mkdir("/d"))
             t0 = cluster.sim.now
             cluster.run_op(fs.create("/d/f"))
             return cluster.sim.now - t0
 
-        assert create_latency(IndexFSCluster) > create_latency(InfiniFSCluster)
+        assert create_latency("IndexFS") > create_latency("InfiniFS")

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.baselines import CephLikeCluster, CFSKVCluster, IndexFSCluster, InfiniFSCluster
+from repro.bench import SYSTEMS
 from repro.core import FSConfig, FSError, SwitchFSCluster
 from repro.core.schema import ROOT_ID
 
@@ -14,6 +14,16 @@ from repro.core.schema import ROOT_ID
 def switchfs_sync(config):
     """SwitchFS with synchronous parent updates (Fig 15's Baseline)."""
     return SwitchFSCluster(replace(config, async_updates=False, recast=False))
+
+
+# The baselines' SYSTEMS rows, with test ids that keep the names of the
+# per-system cluster classes those rows replaced.
+BASELINES = [
+    pytest.param(SYSTEMS[name], id=old) for name, old in (
+        ("InfiniFS", "InfiniFSCluster"), ("CFS-KV", "CFSKVCluster"),
+        ("IndexFS", "IndexFSCluster"), ("Ceph", "CephLikeCluster"),
+    )
+]
 
 
 def removed_parent(cluster_cls):
@@ -34,7 +44,7 @@ def keys_under(cluster, dir_id):
 
 @pytest.mark.parametrize(
     "cluster_cls",
-    [InfiniFSCluster, CFSKVCluster, IndexFSCluster, CephLikeCluster, switchfs_sync],
+    [*BASELINES, switchfs_sync],
 )
 @pytest.mark.parametrize("op", ["create", "mkdir"])
 def test_add_under_a_removed_parent_leaves_no_orphan(cluster_cls, op):
@@ -83,7 +93,7 @@ def race(cluster_cls, offset_us):
 def test_create_racing_rmdir_is_refused_cleanly_and_strands_no_lock():
     """A prepare that queues behind rmdir's lock is granted it after the
     directory is gone: it must answer ENOENT and hold nothing."""
-    sweep_create_against_rmdir(CFSKVCluster)
+    sweep_create_against_rmdir(SYSTEMS["CFS-KV"])
 
 
 def test_switchfs_sync_create_racing_rmdir_is_refused_cleanly():

@@ -1,7 +1,5 @@
 """ASCII charts and per-op latency labelling."""
 
-import pytest
-
 from repro.bench import Series, ascii_chart, run_stream
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import (
@@ -48,7 +46,7 @@ class TestPerOpLabels:
     def test_mix_stream_latency_breakdown(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=2, cores_per_server=2, seed=55))
         pop = bootstrap(cluster, multiple_directories(8, 4), warm_clients=[0])
-        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=55, data_enabled=False)
+        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=55, data_latency_us=0.0)
         result = run_stream(cluster, stream, total_ops=150, inflight=8)
         ops_seen = set(result.latency.ops())
         # The dominant ops of the mix must each have their own series.

@@ -1,16 +1,10 @@
 """Tests for the process-pool sweep runner (repro.bench.sweep)."""
 
-from repro.bench import (
-    SweepPool,
-    derive_seed,
-    find_peak_throughput,
-    run_stream,
-)
+import pytest
+
+from repro.bench import SweepPool, run_stream
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories
-
-
-import pytest
 
 
 def square(x):
@@ -80,41 +74,3 @@ class TestSweepPool:
         (serial_result,) = SweepPool(serial=True).map(tiny_run, [4])
         pooled = SweepPool(max_workers=2, serial=False).map(tiny_run, [4, 8])
         assert run_fingerprint(pooled[0]) == run_fingerprint(serial_result)
-
-
-class TestDeriveSeed:
-    def test_stable_across_calls(self):
-        assert derive_seed(17, "SwitchFS", "create", 8) == derive_seed(
-            17, "SwitchFS", "create", 8
-        )
-
-    def test_distinct_points_get_distinct_seeds(self):
-        seeds = {
-            derive_seed(17, system, op, n)
-            for system in ("SwitchFS", "InfiniFS")
-            for op in ("create", "stat")
-            for n in (2, 8)
-        }
-        assert len(seeds) == 8
-
-    def test_non_negative_31_bit(self):
-        s = derive_seed(0, "x")
-        assert 0 <= s < 2**31
-
-    def test_pinned_values(self):
-        """Exact pins: a CRC/repr change would silently re-seed every
-        sweep point and invalidate all recorded figures."""
-        assert derive_seed(17, "SwitchFS", "create", 8) == 1226099211
-        assert derive_seed(42, "fig11") == 1019583860
-        assert derive_seed(0, "x") == 688745975
-
-
-class TestFindPeakWithPool:
-    def test_pool_mode_picks_same_peak_as_serial(self):
-        levels = (2, 4, 8)
-        serial_best = find_peak_throughput(tiny_run, inflight_levels=levels)
-        pooled_best = find_peak_throughput(
-            tiny_run, inflight_levels=levels, pool=SweepPool(max_workers=2, serial=False)
-        )
-        assert pooled_best.inflight == serial_best.inflight
-        assert run_fingerprint(pooled_best) == run_fingerprint(serial_best)

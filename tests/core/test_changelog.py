@@ -54,7 +54,7 @@ class TestChangeLogTable:
 
     def test_empty_logs_excluded_from_group(self):
         table = ChangeLogTable()
-        log = table.log_for(1, 99)
+        table.log_for(1, 99)
         assert table.logs_in_group(99) == []
         assert table.non_empty_groups() == []
 

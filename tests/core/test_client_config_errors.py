@@ -86,7 +86,10 @@ class TestConfig:
             (FSConfig, "grace_period_us", 501.0),    # above the default grace_cap_us
             (FSConfig, "grace_period_us", -1.0),
             (FSConfig, "proactive_idle_push_us", -5.0),
+            (FSConfig, "proactive_idle_push_us", 0.0),  # the idle sweeper would
+                                                        # spin at sim.now
             (FSConfig, "unlock_watchdog_us", -1.0),
+            (FSConfig, "unlock_watchdog_us", 0.0),
         ],
     )
     def test_bad_timing_rejected_up_front(self, cls, field, value):
@@ -94,7 +97,8 @@ class TestConfig:
             cls(**{field: value})
 
     def test_boundary_timing_accepted(self):
-        FSConfig(grace_period_us=500.0, unlock_watchdog_us=0.0, proactive_idle_push_us=0.0)
+        FSConfig(grace_period_us=500.0)
+        FSConfig(grace_period_us=0.0)
         PerfModel(rpc_max_attempts=1, stack_multiplier=0.0)
 
     @pytest.mark.parametrize(

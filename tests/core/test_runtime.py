@@ -1,11 +1,10 @@
 """Tests for the shared server runtime substrate (ServerRuntime),
-the phase instrumentation, the unified error hierarchy, and the
-AsyncFS-terminology aliases."""
+the phase instrumentation and the unified error hierarchy."""
 
 import pytest
 
-import repro
-from repro.baselines import BaselineCluster, CFSKVCluster
+from repro.baselines import BaselineCluster
+from repro.bench import make_cluster
 from repro.core import FSConfig, LibFS, MetadataServer, ServerRuntime, SwitchFSCluster
 from repro.core.cluster import Cluster
 from repro.errors import ReproError
@@ -21,7 +20,7 @@ def switchfs(**overrides):
 def baseline(**overrides):
     defaults = dict(num_servers=2, cores_per_server=2, seed=9)
     defaults.update(overrides)
-    return CFSKVCluster(FSConfig(**defaults))
+    return make_cluster("CFS-KV", FSConfig(**defaults))
 
 
 class TestSharedRuntime:
@@ -78,7 +77,6 @@ class TestSharedRuntime:
         cluster.run_op(fs.create("/f"))
         for server in cluster.servers:
             server.begin_recovery()
-            assert server.recovering
         done = []
 
         def op():
@@ -90,7 +88,6 @@ class TestSharedRuntime:
         assert not done  # gated
         for server in cluster.servers:
             server.end_recovery()
-            assert not server.recovering
         cluster.run(until=cluster.sim.now + 2_000.0)
         assert done
 
@@ -240,27 +237,3 @@ class TestErrorHierarchy:
                 raise exc
             except ReproError:
                 pass
-
-
-class TestAsyncFSAliases:
-    def test_aliases_resolve_to_switchfs_classes(self):
-        from repro.core import LibFS
-
-        assert repro.AsyncFSCluster is SwitchFSCluster
-        assert repro.AsyncFSServer is MetadataServer
-        assert repro.AsyncFSClient is LibFS
-        assert repro.AsyncFSConfig is FSConfig
-        assert repro.AsyncFSRuntime is ServerRuntime
-
-    def test_alias_cluster_runs_ops(self):
-        cluster = repro.AsyncFSCluster(repro.AsyncFSConfig(num_servers=2, seed=3))
-        fs = cluster.client(0)
-        assert cluster.run_op(fs.mkdir("/x"))["status"] == "ok"
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            repro.AsyncFSNope
-
-    def test_dir_lists_aliases(self):
-        listing = dir(repro)
-        assert "AsyncFSCluster" in listing

@@ -1,7 +1,6 @@
 """Unit + property tests for the metadata scheme."""
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (

@@ -1,7 +1,5 @@
 """Unit tests for the stale-set-server backend (§6.5.2)."""
 
-import pytest
-
 from repro.core import FSConfig
 from repro.core.staleset_backend import ServerBackendClient, StaleSetServer
 from repro.net import Network, PassthroughSwitch, RpcNode

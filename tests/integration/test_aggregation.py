@@ -1,7 +1,5 @@
 """Aggregation machinery: stale set interplay, proactive pushes, fallback."""
 
-import pytest
-
 from repro.core import (
     ChangeLogEntry,
     ChangeOp,

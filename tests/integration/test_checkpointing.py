@@ -1,7 +1,5 @@
 """WAL checkpointing (the §6.7 recovery optimisation)."""
 
-import pytest
-
 from repro.core import FSConfig, SwitchFSCluster
 
 
@@ -46,7 +44,6 @@ class TestCheckpoint:
 
     def test_post_checkpoint_writes_replay_from_tail(self):
         cluster, fs = build(20)
-        server0 = cluster.servers[0]
         for server in cluster.servers:
             run_checkpoint(cluster, server)
         for i in range(20, 30):

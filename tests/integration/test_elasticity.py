@@ -54,9 +54,9 @@ def _run_elastic(seed=11):
     cluster = SwitchFSCluster(FSConfig(num_servers=2, seed=seed))
     fs = cluster.client(0)
     _apply(cluster, fs, _workload_ops(0))
-    up = cluster.scale_up()
+    up = cluster.run_op(cluster.scale_up_gen())
     _apply(cluster, fs, _workload_ops(1))
-    down = cluster.scale_down("server-0")
+    down = cluster.run_op(cluster.scale_down_gen("server-0"))
     _apply(cluster, fs, _workload_ops(2))
     cluster.settle()
     dirs = ["/", "/phase0", "/phase1", "/phase2"]
@@ -107,7 +107,7 @@ class TestScaleDownDetails:
         cluster.run_op(fs.mkdir("/proj/v1"))
         assert cluster.membership.current.rename_coordinator == "server-0"
 
-        cluster.scale_down("server-0")
+        cluster.run_op(cluster.scale_down_gen("server-0"))
         assert cluster.membership.current.rename_coordinator == "server-1"
 
         # The client still holds the pre-leave view; the directory rename
@@ -124,7 +124,7 @@ class TestScaleDownDetails:
         cluster.run_op(fs.mkdir("/d"))
         for i in range(10):
             cluster.run_op(fs.create(f"/d/f{i}"))
-        cluster.scale_down("server-1")
+        cluster.run_op(cluster.scale_down_gen("server-1"))
         cluster.settle()
         leaver = cluster.server_by_addr("server-1")
         assert leaver in cluster.retired
@@ -137,7 +137,7 @@ class TestScaleDownDetails:
     def test_scale_down_last_member_is_rejected(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=1, seed=3))
         with pytest.raises(ValueError):
-            cluster.scale_down("server-0")
+            cluster.run_op(cluster.scale_down_gen("server-0"))
 
 
 class TestMigrationLockDiscipline:
@@ -153,10 +153,10 @@ class TestMigrationLockDiscipline:
         cluster.run_op(fs.mkdir("/t"))
         for i in range(12):
             cluster.run_op(fs.create(f"/t/f{i}"))
-        cluster.scale_up()
+        cluster.run_op(cluster.scale_up_gen())
         for i in range(12, 20):
             cluster.run_op(fs.create(f"/t/f{i}"))
-        cluster.scale_down("server-1")
+        cluster.run_op(cluster.scale_down_gen("server-1"))
         for i in range(20, 24):
             cluster.run_op(fs.create(f"/t/f{i}"))
         cluster.settle()
@@ -186,7 +186,7 @@ class TestDrainAccounting:
         assert any(
             list(s.changelogs.non_empty_groups()) for s in cluster.servers
         )
-        up = cluster.scale_up()
+        up = cluster.run_op(cluster.scale_up_gen())
         assert up["drain_groups"] > 0
         assert up["drain_us"] > 0.0
 
@@ -197,7 +197,7 @@ class TestDrainAccounting:
         for j in range(6):
             cluster.run_op(fs.create(f"/q/f{j}"))
         cluster.settle()  # flush every change-log before migrating
-        up = cluster.scale_up()
+        up = cluster.run_op(cluster.scale_up_gen())
         # The zero is explained, not ambiguous: no groups needed draining.
         assert up["drain_groups"] == 0
         assert up["drain_us"] == 0.0
@@ -242,7 +242,7 @@ class TestStaleSetReconciliation:
         fps, moving = self.moving_directories(cluster, 40)
         for fp in fps.values():
             assert stale_set.insert(fp)
-        stats = cluster.scale_up()
+        stats = cluster.run_op(cluster.scale_up_gen())
         assert stats["stale_bits_cleared"] == len(moving)
         for name, fp in fps.items():
             assert stale_set.query(fp) == (name not in moving), name
@@ -259,7 +259,7 @@ class TestStaleSetReconciliation:
         stale_set = cluster.control.switch.stale_set
         assert stale_set.query(fp)
         occupancy = cluster.switch_stats().occupancy
-        stats = cluster.scale_up()
+        stats = cluster.run_op(cluster.scale_up_gen())
         assert stats["drain_groups"] > 0
         assert not stale_set.query(fp)
         assert stats["stale_bits_cleared"] == 0
@@ -293,7 +293,7 @@ class TestStaleSetReconciliation:
 
         control.reconcile_stale_set = spy
         proc = cluster.sim.spawn(writer(), name="writer")
-        cluster.scale_up()
+        cluster.run_op(cluster.scale_up_gen())
         assert seen["pending"] > 0 and seen["bit"] and fp not in seen["safe"]
         assert stale_set.query(fp)  # still scattered
         cluster.sim.run_process(proc)

@@ -6,7 +6,7 @@ the directory update itself was deferred (visibility, §1/§4.1)."""
 
 import pytest
 
-from repro.baselines import CFSKVCluster, InfiniFSCluster
+from repro.bench import SYSTEMS
 from repro.core import FSConfig, FSError, SwitchFSCluster
 from repro.net import RpcRequest
 
@@ -134,7 +134,12 @@ class TestMkdirRmdir:
             cluster.run_op(fs.rmdir("/ghost"))
         assert err.value.code == "ENOENT"
 
-    @pytest.mark.parametrize("make", [SwitchFSCluster, InfiniFSCluster, CFSKVCluster])
+    # The ids keep the names of the per-system classes the SYSTEMS rows
+    # replaced.
+    @pytest.mark.parametrize("make", [
+        pytest.param(SYSTEMS[name], id=f"{name.replace('-', '')}Cluster")
+        for name in ("SwitchFS", "InfiniFS", "CFS-KV")
+    ])
     def test_mkdir_caches_what_it_made(self, make, monkeypatch):
         """mkdir returns the new directory's id and fingerprint and the
         client keeps them: the rmdir and the create that follow resolve

@@ -1,8 +1,6 @@
 """Concurrent rename stress: the lock-free-parents design must stay
 deadlock-free and linearizable under racing renames, creates, and reads."""
 
-import pytest
-
 from repro.core import FSConfig, FSError, SwitchFSCluster
 from repro.sim import AllOf
 

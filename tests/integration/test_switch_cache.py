@@ -204,7 +204,7 @@ class TestLifecycle:
         cluster.run_op(fs.stat("/d/f0"))
         cluster.run_op(fs.stat("/d/f1"))
         assert cluster.switch_stats().cache_occupancy > 0
-        up = cluster.scale_up()
+        up = cluster.run_op(cluster.scale_up_gen())
         assert up["epoch"] == 1
         # apply_epoch flushed every line: replies cached under the old
         # epoch may name outgoing owners.

@@ -309,8 +309,8 @@ class TestFaultModelRpc:
         run_call(sim, client, "server", "h", None)
         assert _cached(server) == 1
 
-    def test_fresh_header_seq_per_retransmission(self):
-        """make_header(attempt) runs per transmission: REMOVE gets a new SEQ."""
+    def test_header_rides_every_retransmission(self):
+        """The call's header goes out with every transmission, unchanged."""
         from repro.net import StaleSetHeader, StaleSetOp
 
         sim, net, client, server = setup_pair()
@@ -335,15 +335,13 @@ class TestFaultModelRpc:
             "server",
             "h",
             None,
-            make_header=lambda attempt: StaleSetHeader(
-                op=StaleSetOp.REMOVE, fingerprint=1, seq=attempt
-            ),
+            header=StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=1, seq=7),
             timeout_us=10.0,
             max_attempts=8,
         )
         assert value == "done"
         assert len(sent_seqs) >= 2  # at least one retransmission happened
-        assert len(set(sent_seqs)) == len(sent_seqs)  # every resend: fresh SEQ
+        assert set(sent_seqs) == {7}
 
     def test_duplicated_remove_filtered_by_switch_end_to_end(self):
         """A duplicated REMOVE (same SEQ) must not clear a newer insert."""

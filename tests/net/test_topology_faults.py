@@ -142,7 +142,7 @@ class TestNetwork:
         got = []
 
         def receiver(sim, inbox):
-            pkt = yield inbox.get()
+            yield inbox.get()
             got.append(sim.now)
 
         sim.spawn(receiver(sim, inbox))

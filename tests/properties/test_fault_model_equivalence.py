@@ -5,11 +5,10 @@ packet rolls loss/duplication/reordering dice.  Retransmission,
 at-most-once execution, SEQ-filtered removes, and the watchdogs must make
 the fault layer invisible to semantics."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FSConfig, FSError, SwitchFSCluster
+from repro.core import FSConfig, SwitchFSCluster
 from repro.net import FaultModel
 from repro.sim import make_rng
 

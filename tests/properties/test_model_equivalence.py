@@ -9,7 +9,6 @@ directory updates are never observable as missing or duplicated state.
 
 from typing import Dict, Set
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

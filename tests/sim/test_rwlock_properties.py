@@ -1,6 +1,5 @@
 """Property tests: RWLock safety and FIFO fairness under random schedules."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -124,3 +124,55 @@ def test_every_rule_id_and_environment_variable_exists(doc, variables_read):
     assert not retired, f"{doc} names rules no tool enforces: {retired}"
     unread = sorted(set(_ENV_VAR.findall(text)) - variables_read)
     assert not unread, f"{doc} names environment variables nothing reads: {unread}"
+
+
+_CLASS_ATTR = re.compile(r"\b([A-Z]\w*)\.([A-Za-z_]\w*)\b(?!\*)")  # not a `Class.attr_*` glob
+
+
+@pytest.fixture(scope="module")
+def class_bindings():
+    """Class name -> (the names it binds, its bases' names) for every class
+    in src/.  A class binds its defs, its class-level assignments, its
+    ``__slots__`` entries and every ``self.<name>`` its methods store."""
+    classes = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bound, bases = classes.setdefault(node.name, (set(), set()))
+            bases.update(base.id if isinstance(base, ast.Name) else base.attr
+                         for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    bound.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                    bound |= names
+                    if "__slots__" in names:
+                        bound.update(elt.value for elt in ast.walk(stmt.value)
+                                     if isinstance(elt, ast.Constant))
+            bound.update(sub.attr for sub in ast.walk(node)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                         and isinstance(sub.value, ast.Name) and sub.value.id == "self")
+    return classes
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+def test_every_class_attribute_exists(doc, class_bindings):
+    """A `Class.attr` in a code span, for a class defined in src/, names
+    something that class or one of its bases binds: a deleted method or
+    field may not linger in the present-tense docs."""
+    def binds(cls, attr, seen=()):
+        bound, bases = class_bindings[cls]
+        return attr in bound or any(
+            binds(base, attr, (*seen, cls))
+            for base in bases if base in class_bindings and base not in seen)
+
+    text = _FENCE.sub("", (ROOT / doc).read_text(encoding="utf-8"))
+    cited = {
+        match for _ticks, span in _SPAN.findall(text) for match in _CLASS_ATTR.findall(span)
+    }
+    missing = sorted(f"{cls}.{attr}" for cls, attr in cited
+                     if cls in class_bindings and not binds(cls, attr))
+    assert not missing, f"{doc} names class attributes that do not exist: {missing}"

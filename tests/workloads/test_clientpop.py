@@ -322,7 +322,10 @@ class TestRunFanin:
     def test_validation(self):
         cluster = _cluster()
         ns = bootstrap(cluster, single_large_directory(8), warm_clients=[0])
-        make = lambda a: FixedOpStream("stat", ns, seed=5, dir_choice="single")
+
+        def make(a):
+            return FixedOpStream("stat", ns, seed=5, dir_choice="single")
+
         with pytest.raises(ValueError):
             run_fanin(cluster, make, users=10, offered_load_ops=1e5,
                       total_ops=10, aggregates=0)

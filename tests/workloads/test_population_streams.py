@@ -34,7 +34,7 @@ def small_cluster():
 class TestBootstrap:
     def test_single_large_directory_visible(self):
         cluster = small_cluster()
-        pop = bootstrap(cluster, single_large_directory(30), warm_clients=[0])
+        bootstrap(cluster, single_large_directory(30), warm_clients=[0])
         fs = cluster.client(0)
         info = cluster.run_op(fs.statdir("/shared"))
         assert info["entry_count"] == 30
@@ -45,7 +45,7 @@ class TestBootstrap:
 
     def test_multiple_directories_layout(self):
         cluster = small_cluster()
-        pop = bootstrap(cluster, multiple_directories(16, 5), warm_clients=[0])
+        bootstrap(cluster, multiple_directories(16, 5), warm_clients=[0])
         fs = cluster.client(0)
         for i in (0, 7, 15):
             assert cluster.run_op(fs.statdir(f"/d{i}"))["entry_count"] == 5
@@ -124,7 +124,7 @@ class TestMixStream:
         cluster = small_cluster()
         pop = bootstrap(cluster, multiple_directories(8, 4), warm_clients=[0])
         fs = cluster.client(0)
-        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=5, data_enabled=False)
+        stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=5, data_latency_us=0.0)
         for _ in range(60):
             cluster.run_op(stream.take()(fs))
         assert stream.issued == 60
@@ -169,7 +169,7 @@ class TestBurstStream:
 class TestTraces:
     def test_cnn_trace_phases(self):
         pop = trace_population(4, 3)
-        trace = CNNTrainingTrace(pop, epochs=1, data_enabled=False)
+        trace = CNNTrainingTrace(pop, epochs=1, data_latency_us=0.0)
         # download (2 ops/file) + epoch (3 ops/file) + removal (1 op/file)
         assert len(trace) == 12 * 6
 
@@ -177,7 +177,7 @@ class TestTraces:
         cluster = small_cluster()
         pop = bootstrap(cluster, trace_population(3, 2), warm_clients=[0])
         fs = cluster.client(0)
-        trace = CNNTrainingTrace(pop, epochs=1, data_enabled=False)
+        trace = CNNTrainingTrace(pop, epochs=1, data_latency_us=0.0)
         for _ in range(len(trace)):
             cluster.run_op(trace.take()(fs))
         # After removal phase, all dl- files are gone again.
@@ -188,7 +188,7 @@ class TestTraces:
         cluster = small_cluster()
         pop = bootstrap(cluster, trace_population(2, 2), warm_clients=[0])
         fs = cluster.client(0)
-        trace = ThumbnailTrace(pop, data_enabled=False)
+        trace = ThumbnailTrace(pop, data_latency_us=0.0)
         for _ in range(len(trace)):
             cluster.run_op(trace.take()(fs))
         listing = cluster.run_op(fs.readdir("/class1"))
@@ -198,7 +198,7 @@ class TestTraces:
         cluster = small_cluster()
         pop = bootstrap(cluster, trace_population(1, 1), warm_clients=[0])
         fs = cluster.client(0)
-        with_data = CNNTrainingTrace(pop, data_latency_us=500.0, data_enabled=True)
+        with_data = CNNTrainingTrace(pop, data_latency_us=500.0)
         t0 = cluster.sim.now
         for _ in range(2):  # create + write of the first file
             cluster.run_op(with_data.take()(fs))
