@@ -117,7 +117,7 @@ class BaselineCluster(Cluster):
         self.placement = placement
         self.net = Network(
             self.sim,
-            [PassthroughSwitch(latency_us=config.perf.switch_latency_us)],
+            PassthroughSwitch(latency_us=config.perf.switch_latency_us),
             link_latency_us=config.perf.link_latency_us,
         )
         membership = Membership(placement)

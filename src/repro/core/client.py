@@ -17,14 +17,14 @@ rename``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Iterator, Optional, Set, Tuple
 
 from ..net import RpcError, RpcNode, StaleSetHeader, StaleSetOp
 from ..net.topology import Network
 from ..sim import Counter, LatencyRecorder, Simulator
 from .config import FSConfig
 from ..errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
-from .membership import MembershipView, Placement
+from .membership import Placement
 from .schema import file_cache_fingerprint, fingerprint_of, root_inode
 
 __all__ = ["LibFS", "ResolvedDir"]
@@ -433,9 +433,9 @@ class LibFS:
                 "src_dir_id": src_dir_id,
                 "src_parent_fp": src_parent.fingerprint,
                 "dst_parent_fp": dst_parent.fingerprint,
-                "src_parent_key": list(src_parent.key),
-                "dst_parent_key": list(dst_parent.key),
-                "ancestor_ids": tuple(src_parent.ancestor_ids) + tuple(dst_parent.ancestor_ids),
+                "src_parent_key": src_parent.key,
+                "dst_parent_key": dst_parent.key,
+                "ancestor_ids": src_parent.ancestor_ids + dst_parent.ancestor_ids,
                 "dst_ancestor_ids": dst_parent.ancestor_ids,
                 "path": src,
                 "dst_path": dst,
@@ -504,7 +504,7 @@ class LibFS:
                 value, _ = yield from self._call(addr, "get_membership", {})
             except FSError:
                 continue
-            view = MembershipView.from_wire(value["view"])
+            view = value["view"]
             if view.epoch > self._view.epoch:
                 self._view = view
                 self.counters.inc("epoch_refreshes")

@@ -20,7 +20,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..net import FaultModel, Network, PassthroughSwitch, RpcNode
 from ..sim import AllOf, Simulator
-from ..switchfab import ProgrammableSwitch, SwitchControlPlane
+from ..switchfab import ProgrammableSwitch
 from .client import LibFS
 from .config import FSConfig
 from .membership import (
@@ -45,8 +45,8 @@ class Cluster:
     client_cls = LibFS
     #: What a client built now, and ``bootstrap``, route by.
     placement: Placement
-    #: The control plane of a programmable switch; None when there is none.
-    control: Optional[SwitchControlPlane] = None
+    #: The rack's programmable switch; None when the ToR only forwards.
+    switch: Optional[ProgrammableSwitch] = None
 
     def __init__(self, config: FSConfig):
         self.config = config
@@ -84,9 +84,9 @@ class Cluster:
         self.sim.run(until=until)
 
     def switch_stats(self):
-        if self.control is None:
+        if self.switch is None:
             return None
-        return self.control.stats()
+        return self.switch.stats()
 
 
 class SwitchFSCluster(Cluster):
@@ -99,22 +99,21 @@ class SwitchFSCluster(Cluster):
         latency_us = config.perf.switch_latency_us
         if config.stale_backend == "switch":
             # The programmable switch is the rack's ToR.
-            switch = ProgrammableSwitch(
-                stale_config=config.stale_geometry,
-                latency_us=latency_us,
-                cache_config=config.switch_cache_geometry if config.switch_cache else None,
-            )
-            self.control = SwitchControlPlane(switch)
             # Bound to the bootstrap *view*, not the live membership: routes
             # are an epoch snapshot the control plane reprograms explicitly
             # at each epoch bump (apply_epoch), mirroring real switch state.
-            self.control.install_routes(self.membership.current.dir_owner_by_fp)
+            device = self.switch = ProgrammableSwitch(
+                stale_config=config.stale_geometry,
+                latency_us=latency_us,
+                fingerprint_owner=self.membership.current.dir_owner_by_fp,
+                cache_config=config.switch_cache_geometry if config.switch_cache else None,
+            )
         else:
-            switch = PassthroughSwitch(latency_us)
+            device = PassthroughSwitch(latency_us)
 
         self.net = Network(
             self.sim,
-            [switch],
+            device,
             link_latency_us=config.perf.link_latency_us,
             faults=faults,
         )
@@ -290,8 +289,8 @@ class SwitchFSCluster(Cluster):
         new_view = self.membership.advance(
             servers=servers, shard_table=shard_table
         )
-        if self.control is not None:
-            self.control.apply_epoch(new_view)
+        if self.switch is not None:
+            self.switch.apply_epoch(new_view)
             # Reclaim stale-set bits for groups that are provably
             # settled: zero staged entries anywhere and zero drained
             # entries still in flight, checked atomically while the
@@ -302,7 +301,7 @@ class SwitchFSCluster(Cluster):
                 for fp in sorted(migrated_fps)
                 if self._pending_for_fp(fp) == 0
             ]
-            stats["stale_bits_cleared"] = self.control.reconcile_stale_set(safe)
+            stats["stale_bits_cleared"] = self.switch.reconcile_stale_set(safe)
         for source, package in packages:
             yield from source.discard_shards(package)
         for server in sources:
@@ -337,10 +336,10 @@ class SwitchFSCluster(Cluster):
         Returns the simulated recovery duration in microseconds.  All
         filesystem operations are blocked during recovery (§4.4.2).
         """
-        if self.control is None:
+        if self.switch is None:
             raise RuntimeError("no programmable switch in server-backend mode")
         start = self.sim.now
-        self.control.fail()
+        self.switch.reset()
         members = self.servers + self.retired
         for server in members:
             server.begin_recovery()

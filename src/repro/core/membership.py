@@ -125,18 +125,6 @@ class MembershipView:
         member in the view."""
         return self.servers[0]
 
-    # -- wire format --------------------------------------------------------
-    def to_wire(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "servers": list(self.servers),
-            "shard_table": list(self.shard_table),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "MembershipView":
-        return cls(wire["epoch"], wire["servers"], wire["shard_table"])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MembershipView(epoch={self.epoch}, servers={len(self.servers)}, "

@@ -53,7 +53,7 @@ _txn_ids = itertools.count(1)
 
 
 class _Plan:
-    """Per-participant accumulation of locks, expectations, and ops."""
+    """Per-participant accumulation of the commit's ops."""
 
     def __init__(self):
         self.by_server: Dict[str, Dict[str, list]] = {}
@@ -62,8 +62,6 @@ class _Plan:
         return self.by_server.setdefault(
             addr,
             {
-                "lock_keys": [],
-                "expect": [],
                 "ops": [],
                 "entry_ops": [],
                 "async_entries": [],
@@ -72,28 +70,16 @@ class _Plan:
             },
         )
 
-    def lock(self, addr: str, key) -> None:
-        slot = self._slot(addr)
-        if list(key) not in slot["lock_keys"]:
-            slot["lock_keys"].append(list(key))
-
-    def expect(self, addr: str, key, must_exist: bool) -> None:
-        self.lock(addr, key)
-        self._slot(addr)["expect"].append((list(key), must_exist))
-
     def put(self, addr: str, key, value) -> None:
-        self.lock(addr, key)
-        self._slot(addr)["ops"].append(("put", list(key), value))
+        self._slot(addr)["ops"].append(("put", key, value))
 
     def delete(self, addr: str, key) -> None:
-        self.lock(addr, key)
-        self._slot(addr)["ops"].append(("delete", list(key), None))
+        self._slot(addr)["ops"].append(("delete", key, None))
 
     def entry_op(self, addr: str, parent_key, parent_id, name, add, is_dir, ts) -> None:
         """A presence-aware parent entry-list fix-up + inode touch."""
-        self.lock(addr, parent_key)
         self._slot(addr)["entry_ops"].append(
-            (list(parent_key), parent_id, name, add, is_dir, ts)
+            (parent_key, parent_id, name, add, is_dir, ts)
         )
 
     def async_entry(self, addr: str, parent_id, parent_fp, entry) -> None:
@@ -101,7 +87,7 @@ class _Plan:
         self._slot(addr)["async_entries"].append((parent_id, parent_fp, entry))
 
     def index(self, addr: str, dir_id: int, key) -> None:
-        self._slot(addr)["dir_index"].append((dir_id, list(key)))
+        self._slot(addr)["dir_index"].append((dir_id, key))
 
     def index_drop(self, addr: str, dir_id: int) -> None:
         self._slot(addr)["dir_index_drop"].append(dir_id)
@@ -212,8 +198,8 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
     # create/delete of the same names), so the hot parent inodes are never
     # locked — the whole point of asynchronous directory updates.
     lock_specs = {
-        tuple(src_key): (src_owner, {"expect": True, "want_inode": not is_dir}),
-        tuple(dst_key): (dst_owner, {"expect": False}),
+        src_key: (src_owner, {"expect": True, "want_inode": not is_dir}),
+        dst_key: (dst_owner, {"expect": False}),
     }
     target_keys = set(lock_specs)
     defer_parents = (not is_dir) and async_updates
@@ -221,8 +207,8 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
         src_parent_key, dst_parent_key = args["src_parent_key"], args["dst_parent_key"]
         src_parent_owner = view.dir_owner(src_parent_key[1], src_parent_key[2], src_parent_path)
         dst_parent_owner = view.dir_owner(dst_parent_key[1], dst_parent_key[2], dst_parent_path)
-        lock_specs.setdefault(tuple(src_parent_key), (src_parent_owner, {}))
-        lock_specs.setdefault(tuple(dst_parent_key), (dst_parent_owner, {}))
+        lock_specs.setdefault(src_parent_key, (src_parent_owner, {}))
+        lock_specs.setdefault(dst_parent_key, (dst_parent_owner, {}))
     lock_order = sorted(target_keys) + sorted(set(lock_specs) - target_keys)
     locked_at = []
     failed_vote = None
@@ -231,7 +217,7 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
             addr, extra = lock_specs[key]
             value, _ = yield from node.call(
                 addr, "rename_lock",
-                {"txn_id": txn_id, "key": list(key), **extra},
+                {"txn_id": txn_id, "key": key, **extra},
                 timeout_us=perf.rpc_timeout_us, max_attempts=perf.rpc_max_attempts,
             )
             if addr not in locked_at:
@@ -255,13 +241,13 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
                     # migrates with the inode to the new fingerprint owner.
                     e_value, _ = yield from node.call(
                         src_owner, "read_inode_scan",
-                        {"prefix": ["E", src_inode.id]},
+                        {"prefix": ("E", src_inode.id)},
                         timeout_us=perf.rpc_timeout_us,
                         max_attempts=perf.rpc_max_attempts,
                     )
                     for ekey, evalue in e_value["items"]:
-                        plan.delete(src_owner, tuple(ekey))
-                        plan.put(dst_owner, tuple(ekey), evalue)
+                        plan.delete(src_owner, ekey)
+                        plan.put(dst_owner, ekey, evalue)
             plan.put(dst_owner, dst_key, moved)
             if defer_parents:
                 from .changelog import ChangeLogEntry, ChangeOp
@@ -326,4 +312,4 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
         )
     if failed_vote["exists"]:
         raise FSError(EEXIST, f"{dst_pid}/{dst_name}")
-    raise FSError(ENOENT, f"{tuple(failed_vote['key'])}")
+    raise FSError(ENOENT, f"{failed_vote['key']}")

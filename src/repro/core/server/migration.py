@@ -80,20 +80,20 @@ class ShardMigration:
         (and re-push) them.
         """
         num_shards = self.config.num_shards
-        kv_pairs: List[Tuple[list, Any]] = []
-        dir_index: List[Tuple[int, list]] = []
+        kv_pairs: List[Tuple[tuple, Any]] = []
+        dir_index: List[Tuple[int, tuple]] = []
         fingerprints: Set[int] = set()
         for key, inode in list(self.kv.scan_prefix(("D",))):
             if inode.fingerprint % num_shards not in shards:
                 continue
             fingerprints.add(inode.fingerprint)
-            kv_pairs.append((list(key), inode))
-            dir_index.append((inode.id, list(key)))
+            kv_pairs.append((key, inode))
+            dir_index.append((inode.id, key))
             for ekey, entry in list(self.kv.scan_prefix(("E", inode.id))):
-                kv_pairs.append((list(ekey), entry))
+                kv_pairs.append((ekey, entry))
         for key, inode in list(self.kv.scan_prefix(("F",))):
             if file_shard_of(key[1], key[2], num_shards) in shards:
-                kv_pairs.append((list(key), inode))
+                kv_pairs.append((key, inode))
         logs: List[Tuple[int, int, list]] = []
         for fp in list(self.changelogs.non_empty_groups()):
             if fp % num_shards not in shards:
@@ -113,7 +113,7 @@ class ShardMigration:
             "fingerprints": sorted(fingerprints),
         }
 
-    def _stage_locked(self, kv_pairs: List[Tuple[list, Any]], stage) -> Generator:
+    def _stage_locked(self, kv_pairs: List[Tuple[tuple, Any]], stage) -> Generator:
         """``stage(key, value)`` each shipped pair under the lock a
         foreground mutator of that key holds (inode lock for D/F keys, the
         directory's group change-log lock for entry-list keys), one at a
@@ -121,7 +121,6 @@ class ShardMigration:
         directory ships in the same package, as a ``D`` inode."""
         fp_of = {inode.id: inode.fingerprint for key, inode in kv_pairs if key[0] == "D"}
         for key, value in kv_pairs:
-            key = tuple(key)
             lock = yield from self._acquire(
                 self._changelog_lock(fp_of[key[1]]) if key[0] == "E" else self._inode_lock(key), "w"
             )
@@ -162,7 +161,7 @@ class ShardMigration:
         yield from self._stage_locked(args["kv_pairs"], txn.put)
         txn.commit()
         for dir_id, key in args["dir_index"]:
-            self._dir_index[dir_id] = tuple(key)
+            self._dir_index[dir_id] = key
         staged = 0
         for dir_id, fp, entries in args["logs"]:
             yield from self._stage_entries(dir_id, fp, entries)

@@ -192,20 +192,19 @@ class ReadOps:
         answering so stale views always have a reachable refresh source.
         """
         yield self._cpu(self.perf.kv_get_us)
-        return {"view": self.membership.current.to_wire()}
+        return {"view": self.membership.current}
 
     def _handle_read_inode(self, request: RpcRequest, packet: Packet) -> Generator:
         """Raw inode read used by the rename coordinator."""
         args = request.args
         yield self._cpu(self.perf.kv_get_us)
-        inode = self.kv.get_or_none(tuple(args["key"]))
+        inode = self.kv.get_or_none(args["key"])
         if inode is None:
             raise FSError(ENOENT, str(args["key"]))
         return {"inode": inode}
 
     def _handle_read_inode_scan(self, request: RpcRequest, packet: Packet) -> Generator:
         """Prefix scan used by the rename coordinator to migrate entry lists."""
-        prefix = tuple(request.args["prefix"])
-        items = list(self.kv.scan_prefix(prefix))
+        items = list(self.kv.scan_prefix(request.args["prefix"]))
         yield self._cpu(self.perf.readdir_per_entry_us * max(1, len(items)))
-        return {"items": [(list(k), v) for k, v in items]}
+        return {"items": items}

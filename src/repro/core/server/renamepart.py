@@ -47,7 +47,7 @@ class RenameParticipant:
         args = request.args
         yield from self._wait_recovered()
         yield self._cpu(self.perf.txn_phase_us)
-        key = tuple(args["key"])
+        key = args["key"]
         # Ownership check before taking the lock: a coordinator routing
         # with a stale view aborts cleanly (no lock registered here) and
         # the client retries against the new owner after a view refresh.
@@ -62,7 +62,7 @@ class RenameParticipant:
         if "expect" in args:
             exists = key in self.kv
             if exists != args["expect"]:
-                result = {"vote": False, "key": list(key), "exists": exists}
+                result = {"vote": False, "key": key, "exists": exists}
         if result["vote"] and args.get("want_inode"):
             result["inode"] = self.kv.get_or_none(key)
         return result
@@ -101,9 +101,9 @@ class RenameParticipant:
         for op in args["ops"]:
             kind, key, value = op
             if kind == "put":
-                txn.put(tuple(key), value)
+                txn.put(key, value)
             elif kind == "delete":
-                txn.delete(tuple(key))
+                txn.delete(key)
         txn.commit()
         # Dentry-cache eviction per mutated inode key, right after the
         # commit and before any reply departs (same ordering argument as
@@ -120,7 +120,7 @@ class RenameParticipant:
         # a self-RPC whose response performs the stale-set INSERT.  The
         # commit completes only once the parents are marked scattered, so
         # the rename's effects are visible to any later directory read.
-        async_entries = args.get("async_entries", [])
+        async_entries = args["async_entries"]
         if async_entries:
             marks = [
                 self.sim.spawn(
@@ -137,7 +137,7 @@ class RenameParticipant:
             yield AllOf(self.sim, marks)
         # Synchronous parent fix-ups (sync mode, directory renames): the
         # shared apply, under the parent lock round 1 took.
-        for parent_key, parent_id, name, add, is_dir, ts in args.get("entry_ops", []):
+        for parent_key, parent_id, name, add, is_dir, ts in args["entry_ops"]:
             entry = ChangeLogEntry(
                 timestamp=ts,
                 op=ChangeOp.CREATE if add else ChangeOp.DELETE,
@@ -145,11 +145,11 @@ class RenameParticipant:
                 is_dir=is_dir,
             )
             yield from self._apply_entry_with_inode_txn(
-                parent_id, entry, frozenset([tuple(parent_key)])
+                parent_id, entry, frozenset([parent_key])
             )
-        for dir_id, key in args.get("dir_index", []):
-            self._dir_index[dir_id] = tuple(key)
-        for dir_id in args.get("dir_index_drop", []):
+        for dir_id, key in args["dir_index"]:
+            self._dir_index[dir_id] = key
+        for dir_id in args["dir_index_drop"]:
             self._dir_index.pop(dir_id, None)
         self._release_rename_locks(args["txn_id"])
         return {"status": "ok"}

@@ -5,16 +5,19 @@ programmable switch: the stale set can also live on a DPDK server.  The
 trade-off the paper quantifies (Figure 16) is exactly what the two
 backends here expose:
 
-* :class:`SwitchBackend` — operations piggyback on packets already in
-  flight, so they cost **zero additional RTTs**; the switch processes at
-  line rate (no throughput ceiling relevant to a metadata cluster).
-* :class:`ServerBackend` — every operation is an explicit RPC to a
-  stale-set server: **+1 RTT** on the critical path, and the server's
-  cores cap throughput (~11 Mops/s at 12 cores in the paper).
+* in the switch (``stale_backend="switch"``) — operations piggyback, as
+  stale-set headers, on packets already in flight, so they cost **zero
+  additional RTTs**; the switch processes at line rate (no throughput
+  ceiling relevant to a metadata cluster).  Nothing in this module is
+  involved;
+* on a server (``stale_backend="server"``) — :class:`StaleSetServer`
+  hosts the set, and every operation is an explicit RPC to it through a
+  :class:`ServerBackendClient`: **+1 RTT** on the critical path, and the
+  server's cores cap throughput (~11 Mops/s at 12 cores in the paper).
 
-Metadata servers call this interface from their op workflows; in switch
-mode the calls are no-ops (the header does the work), in server mode they
-issue the extra RPC.
+A metadata server holds a :class:`ServerBackendClient` as ``ss`` in
+server mode and calls it from its op workflows.  In switch mode ``ss`` is
+None and the servers call nothing: the header does the work.
 """
 
 from __future__ import annotations

@@ -54,13 +54,12 @@ _LAST_FIELD = itemgetter(-1)
 class KVStore:
     """An ordered KV store with write-ahead logging."""
 
-    def __init__(self, wal: Optional[WriteAheadLog] = None, log_writes: bool = True):
+    def __init__(self):
         self._mem: Dict[Key, Any] = {}
         self._dirs: Dict[Key, List[Key]] = {}
         self._unsorted: Set[Key] = set()
         self._len_counts: Dict[int, int] = {}
-        self.wal = wal if wal is not None else WriteAheadLog()
-        self._log_writes = log_writes
+        self.wal = WriteAheadLog()
         self.puts = 0
         self.gets = 0
         self.deletes = 0
@@ -76,7 +75,7 @@ class KVStore:
     # -- point operations -------------------------------------------------
     def put(self, key: Key, value: Any, log: bool = True) -> None:
         """Insert or overwrite *key*; WAL-logged unless *log* is False."""
-        if log and self._log_writes:
+        if log:
             self.wal.append("put", (key, value))
         self._apply_put(key, value)
         self.puts += 1
@@ -95,7 +94,7 @@ class KVStore:
 
     def delete(self, key: Key, log: bool = True) -> bool:
         """Remove *key*; returns False when absent (no error, like RocksDB)."""
-        if log and self._log_writes:
+        if log:
             self.wal.append("delete", key)
         self.deletes += 1
         return self._apply_delete(key)
@@ -157,8 +156,7 @@ class KVStore:
         ``DELETED`` for a delete) under a single WAL record."""
         keys = tuple(staged)
         values = tuple(staged.values())
-        if self._log_writes:
-            self.wal.append("txn", (keys, values))
+        self.wal.append("txn", (keys, values))
         deletes = self._apply_txn(keys, values)
         self.deletes += deletes
         self.puts += len(keys) - deletes

@@ -120,25 +120,20 @@ class Reply:
     ``dst`` overrides the destination (defaults to the requester).
     """
 
-    __slots__ = ("value", "error", "header", "dst")
+    __slots__ = ("value", "header", "dst")
 
     def __init__(
         self,
         value: Any = None,
-        error: Optional[str] = None,
         header: Optional[StaleSetHeader] = None,
         dst: Optional[str] = None,
     ):
         self.value = value
-        self.error = error
         self.header = header
         self.dst = dst
 
     def __repr__(self) -> str:
-        return (
-            f"Reply(value={self.value!r}, error={self.error!r}, "
-            f"header={self.header!r}, dst={self.dst!r})"
-        )
+        return f"Reply(value={self.value!r}, header={self.header!r}, dst={self.dst!r})"
 
 
 #: Handler signature: (request, packet) -> generator returning value|Reply.
@@ -564,7 +559,7 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         dst, header = request.src, None
         if value.__class__ is Reply:
             reply = value
-            value, error, header = reply.value, reply.error, reply.header
+            value, header = reply.value, reply.header
             dst = reply.dst or dst
         response = RpcResponse(rpc_id, value, error)
         sent = alloc_packet(self.addr, dst, response, header)

@@ -1,37 +1,37 @@
-"""Simulated network fabric: one rack behind one ToR device chain.
+"""Simulated network fabric: one rack behind one ToR switch.
 
-:class:`Network` connects named hosts through a chain of switch devices.
-Every transmitted packet:
+:class:`Network` connects named hosts through the rack's one switch
+device.  Every transmitted packet:
 
 1. rolls the :class:`~repro.net.faults.FaultModel` dice (loss / dup /
    reorder);
-2. traverses the chain's links, paying ``link_latency_us`` per link;
-3. is handed to each switch device of the chain in order — a device may
-   forward, rewrite, multicast, or consume the packet;
+2. crosses the link to the switch, the switch, and the link to its
+   destination, paying ``link_latency_us`` per link;
+3. is handed to the switch device — it may forward, rewrite, multicast,
+   or consume the packet;
 4. lands in the destination host's inbox (``put``).
 
-The chain is the paper's testbed: every pair of hosts talks through
-the same ToR, and the programmable switch is that ToR, seeing all rack
-traffic.  The multi-rack deployment of §5.4 is not modelled (DESIGN.md §2).
+This is the paper's testbed: every pair of hosts talks through the same
+ToR, and the programmable switch is that ToR, seeing all rack traffic.
+The multi-rack deployment of §5.4 is not modelled (DESIGN.md §2).
 
 Fast paths (DESIGN.md §10)
 --------------------------
-The chain compiles once, when the network is built, into one ``stages``
-tuple of absolute offsets: one ``(offset_us, device)`` per
-*non-transparent* device, ending in ``(total_us, None)`` for the delivery;
-every link latency and device latency (transparent ones included) is
-folded in.  Each transmitted copy is one plain kernel entry (:class:`_Hop`)
-re-pushed per stage: a device stage hands the packet to
-``device.process``, the delivery stage puts the packets into their hosts'
-inboxes.  The arithmetic is that of a per-link walk, so delivery
-timestamps, packet arrival order at the switch and the FIFO tie-break
-contract of DESIGN.md §9 are unchanged.
+The path compiles once, when the network is built, into one ``stages``
+tuple of absolute offsets: ``(offset_us, device)`` unless the device is
+transparent, then ``(total_us, None)`` for the delivery; both link
+latencies and the device latency are folded in.  Each transmitted copy
+is one plain kernel entry (:class:`_Hop`) re-pushed per stage: the
+device stage hands the packet to ``device.process``, the delivery stage
+puts the packets into their hosts' inboxes.  The arithmetic is that of a
+per-link walk, so delivery timestamps, packet arrival order at the
+switch and the FIFO tie-break contract of DESIGN.md §9 are unchanged.
 """
 
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..sim import Simulator, Store
 from .faults import FaultModel
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class SwitchDevice(Protocol):  # reprolint: allow[RL006] structural type, never instantiated
-    """Anything that can sit on a packet path.
+    """Anything that can be the rack's switch.
 
     ``process`` returns the packets leaving the device: usually the input
     unchanged, possibly rewritten (address rewriter), replicated
@@ -75,43 +75,39 @@ class PassthroughSwitch:  # reprolint: allow[RL006] one per network, built at bo
         return [packet]
 
 
-#: A compiled chain: ``(offset_us, device)`` per non-transparent device,
-#: then ``(total_us, None)``; offsets are relative to transmission.
+#: A compiled path: ``(offset_us, device)`` unless the device is
+#: transparent, then ``(total_us, None)``; offsets are relative to
+#: transmission.
 Stages = Tuple[Tuple[float, Optional[SwitchDevice]], ...]
 
 
-def _plan(devices: Sequence[SwitchDevice], link_latency_us: float) -> Stages:
-    """Compile *devices* into stages: device *i* processes at
-    ``(i+1)·link + Σ_{j≤i} lat_j`` and delivery lands at
-    ``(n+1)·link + Σ lat_j``, exactly the timing of a per-link walk."""
-    t = link_latency_us
-    stages = []
-    for device in devices:
-        t += device.latency_us
-        if not getattr(device, "is_transparent", False):
-            stages.append((t, device))
-        t += link_latency_us
-    stages.append((t, None))
-    return tuple(stages)
+def _plan(device: SwitchDevice, link_latency_us: float) -> Stages:
+    """Compile *device* into stages: it processes at ``link + lat`` and
+    delivery lands at ``link + lat + link``, exactly the timing of a
+    per-link walk."""
+    at_device = link_latency_us + device.latency_us
+    delivery = (at_device + link_latency_us, None)
+    if getattr(device, "is_transparent", False):
+        return (delivery,)
+    return ((at_device, device), delivery)
 
 
 class _Hop:
     """One transmitted copy in flight: a plain kernel entry (DESIGN.md §9),
     re-pushed for each stage of its plan, so a delivery allocates one
-    object no matter how many devices it crosses.
+    object whether or not the switch processes it.
 
     :meth:`Network.send` builds it (no ``__init__``).  ``packets`` is the
-    one packet sent until a device returns a list; the delivery stage puts
-    every packet into its host's inbox and never dispatches it: the inbox
-    takes its own entry (DESIGN.md §10).
+    one packet sent until the device returns a list; the delivery stage
+    puts every packet into its host's inbox and never dispatches it: the
+    inbox takes its own entry (DESIGN.md §10).
     """
 
     __slots__ = ("net", "stages", "idx", "packets", "base")
 
     def _run_callbacks(self) -> None:
         stages = self.stages
-        idx = self.idx
-        device = stages[idx][1]
+        device = stages[self.idx][1]
         packets = self.packets
         net = self.net
         if device is None:
@@ -126,20 +122,15 @@ class _Hop:
                     # UDP silently drops.
                     net.packets_dropped += 1
             return
-        if packets.__class__ is list:  # several in flight (an upstream multicast)
-            out: List[Packet] = []
-            for p in packets:
-                out.extend(device.process(p))
-        else:
-            out = device.process(packets)
+        out = device.process(packets)
         if not out:
             return  # consumed (e.g. dropped by policy)
-        idx += 1
-        self.idx = idx
+        # The device is stage 0: what it returns goes on to the delivery.
+        self.idx = 1
         self.packets = out
         sim = net.sim
         # Inlined Simulator.schedule_at, as in Network.send.
-        _heappush(sim._heap, (self.base + stages[idx][0], next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
+        _heappush(sim._heap, (self.base + stages[1][0], next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
 
 
 #: The fault-free fate of a transmission: one copy, on time.
@@ -147,12 +138,12 @@ _ON_TIME = (0.0,)
 
 
 class Network:  # reprolint: allow[RL006] one per cluster, built at boot
-    """The fabric: registers hosts, owns the device chain, moves packets."""
+    """The fabric: registers hosts, owns the rack's switch, moves packets."""
 
     def __init__(
         self,
         sim: Simulator,
-        devices: Sequence[SwitchDevice],
+        device: SwitchDevice,
         link_latency_us: float = 0.75,
         faults: Optional[FaultModel] = None,
     ):
@@ -160,7 +151,7 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
             raise ValueError(f"link latency must be >= 0, got {link_latency_us}")
         self.sim = sim
         # The stages every packet takes, compiled once.
-        self._stages = _plan(devices, link_latency_us)
+        self._stages = _plan(device, link_latency_us)
         self.link_latency_us = link_latency_us
         self.faults = faults or FaultModel.reliable()
         self._inboxes: Dict[str, object] = {}

@@ -1,10 +1,9 @@
 """Programmable-switch data plane: register stages, stale set, dentry cache, device."""
 
-from .control import SwitchControlPlane, SwitchStats
 from .dentry_cache import DentryCache
 from .pipeline import RegisterStage, TableGeometry
 from .stale_set import StaleSet
-from .switch import ProgrammableSwitch
+from .switch import ProgrammableSwitch, SwitchStats
 
 __all__ = [
     "RegisterStage",
@@ -12,6 +11,5 @@ __all__ = [
     "StaleSet",
     "DentryCache",
     "ProgrammableSwitch",
-    "SwitchControlPlane",
     "SwitchStats",
 ]

@@ -11,6 +11,15 @@ combining the paper's components:
 * **Address rewriter** — on insert overflow, rewrites the destination to
   the directory's owner server so updates fall back to synchronous mode.
 
+The control-plane surface (the slow path a real deployment drives
+through the switch OS) is a handful of methods on the same class:
+:meth:`~ProgrammableSwitch.install_fingerprint_owner` programs the
+fallback routes, :meth:`~ProgrammableSwitch.apply_epoch` reprograms them
+at a membership cutover, :meth:`~ProgrammableSwitch.reconcile_stale_set`
+clears settled bits after a migration, :meth:`~ProgrammableSwitch.reset`
+is a switch failure (§6.7), and :meth:`~ProgrammableSwitch.stats` exports
+:class:`SwitchStats`.
+
 Behaviour per stale-set op:
 
 * ``QUERY``  — RET := membership; forward to the original destination.
@@ -39,7 +48,8 @@ With a :class:`~repro.switchfab.dentry_cache.DentryCache` provisioned
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional
 
 from ..net.packet import Packet, StaleSetHeader, StaleSetOp
 from ..net.rpc import RpcResponse
@@ -47,7 +57,35 @@ from .dentry_cache import DentryCache
 from .pipeline import TableGeometry
 from .stale_set import StaleSet
 
-__all__ = ["ProgrammableSwitch"]
+__all__ = ["ProgrammableSwitch", "SwitchStats"]
+
+
+@dataclass(frozen=True)
+class SwitchStats:
+    """Point-in-time data-plane statistics.
+
+    Stale-set occupancy, capacity and op counts, response multicasts and
+    the dentry-cache counts: each field has a reader outside the tests
+    (the ledger, the measurement window, the benches or the examples),
+    and ``tests/analysis/test_reprolint.py`` keeps it that way.  The
+    ``cache_*`` fields cover the optional hot-dentry cache and stay
+    zero when it is not provisioned (``cache_capacity == 0`` then
+    distinguishes "disabled" from "enabled but cold").
+    """
+
+    occupancy: int
+    capacity: int
+    inserts: int
+    insert_overflows: int
+    removes: int
+    queries: int
+    multicasts: int
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_fills: int = 0
+    cache_evictions: int = 0
+    cache_occupancy: int = 0
+    cache_capacity: int = 0
 
 
 class ProgrammableSwitch:
@@ -67,6 +105,8 @@ class ProgrammableSwitch:
         )
         self._fingerprint_owner = fingerprint_owner
         self.multicasts = 0
+        # SEQ source for control-plane REMOVEs (reconcile_stale_set).
+        self._ctl_remove_seq = 0
 
     # -- control plane hooks -------------------------------------------------
     def install_fingerprint_owner(self, fn: Callable[[int], str]) -> None:
@@ -93,9 +133,69 @@ class ProgrammableSwitch:
         if self.dentry_cache is not None:
             self.dentry_cache.reset()
 
+    def apply_epoch(self, view) -> None:
+        """Reprogram the data plane for a new membership epoch.
+
+        Installs the new view's fingerprint → owner routes (the overflow
+        rewriter must redirect to the *new* owner from the first packet of
+        the new epoch).  Must run **before** the migration sources
+        unblock: stale-set bits are fingerprint-keyed and
+        ownership-agnostic, so the bits themselves need no rewrite — the
+        routes are the only switch state that encodes ownership.
+
+        The dentry cache, by contrast, holds whole replies that may name
+        owners from the outgoing epoch, so its lines are flushed at
+        cutover (DESIGN.md §15) — a cold cache is always safe.
+        """
+        self.install_fingerprint_owner(view.dir_owner_by_fp)
+        self.flush_cache()
+
+    def reconcile_stale_set(self, fingerprints: Iterable[int]) -> int:
+        """Control-plane removal of stale-set bits after a migration.
+
+        Only safe for fingerprints with **zero** pending change-log
+        entries cluster-wide at call time (the driver checks while the
+        sources are quiesced): a bit cleared while an entry is pending
+        would hide a completed update from readers.  Uses the per-source
+        SEQ filter with a dedicated control-plane source id, so a
+        retransmitted data-plane REMOVE can never be mistaken for (or
+        filtered against) these.  Returns the bits cleared: a fingerprint
+        whose bit is already gone (the online drain's REMOVE got through)
+        counts for nothing.
+        """
+        stale_set = self.stale_set
+        before = stale_set.occupancy
+        for fp in fingerprints:
+            self._ctl_remove_seq += 1
+            stale_set.remove(fp, source="ctl-plane", seq=self._ctl_remove_seq)
+        return before - stale_set.occupancy
+
     @property
     def occupancy(self) -> int:
         return self.stale_set.occupancy
+
+    def stats(self) -> SwitchStats:
+        """Data-plane statistics."""
+        s = self.stale_set
+        c = self.dentry_cache
+        cache = {} if c is None else dict(
+            cache_hits=c.hits,
+            cache_misses=c.misses,
+            cache_fills=c.fills,
+            cache_evictions=c.evictions,
+            cache_occupancy=c.occupancy,
+            cache_capacity=c.geometry.capacity,
+        )
+        return SwitchStats(
+            occupancy=s.occupancy,
+            capacity=s.geometry.capacity,
+            inserts=s.inserts,
+            insert_overflows=s.insert_overflows,
+            removes=s.removes,
+            queries=s.queries,
+            multicasts=self.multicasts,
+            **cache,
+        )
 
     # -- data plane -----------------------------------------------------------
     def process(self, packet: Packet) -> List[Packet]:

@@ -542,7 +542,7 @@ class TestRepoIsClean:
         field."""
         root = self.SRC.parent
         package = self.SRC / "repro"
-        control = package / "switchfab" / "control.py"
+        switch = package / "switchfab" / "switch.py"
 
         def trees(*dirs):
             for d in dirs:
@@ -559,7 +559,7 @@ class TestRepoIsClean:
                     site = f"{path.relative_to(self.SRC)}:{node.lineno}"
                     updated.setdefault(node.target.attr, []).append(site)
 
-        (stats_cls,) = [node for node in ast.walk(ast.parse(control.read_text(encoding="utf-8")))
+        (stats_cls,) = [node for node in ast.walk(ast.parse(switch.read_text(encoding="utf-8")))
                         if isinstance(node, ast.ClassDef) and node.name == "SwitchStats"]
         fields = {node.target.id for node in stats_cls.body if isinstance(node, ast.AnnAssign)}
         reads = Counter()
@@ -570,7 +570,7 @@ class TestRepoIsClean:
                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
                     skip.update(id(n) for n in ast.walk(node.value)
                                 if isinstance(n, ast.Attribute) and n.attr == node.target.attr)
-                elif (path == control and isinstance(node, ast.keyword)
+                elif (path == switch and isinstance(node, ast.keyword)
                       and node.arg in fields and isinstance(node.value, ast.Attribute)):
                     skip.add(id(node.value))
                     copies.append((node.arg, node.value.attr))

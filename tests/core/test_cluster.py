@@ -11,7 +11,7 @@ class TestAssembly:
     def test_servers_and_switch_wired(self):
         cluster = SwitchFSCluster(FSConfig(num_servers=3, cores_per_server=2))
         assert len(cluster.servers) == 3
-        assert isinstance(cluster.control.switch, ProgrammableSwitch)
+        assert isinstance(cluster.switch, ProgrammableSwitch)
         # Exactly one server holds the root inode.
         roots = sum(
             1 for s in cluster.servers if ("D", 0, "/") in s.kv
@@ -22,7 +22,7 @@ class TestAssembly:
         cluster = SwitchFSCluster(
             FSConfig(num_servers=2, cores_per_server=2, stale_backend="server")
         )
-        assert cluster.control is None
+        assert cluster.switch is None
         assert cluster.switch_stats() is None
         assert cluster.staleset_server is not None
         with pytest.raises(RuntimeError):

@@ -8,7 +8,7 @@ from repro.sim import Simulator
 
 def make_pair(cores=2, op_us=1.0):
     sim = Simulator()
-    net = Network(sim, [PassthroughSwitch()])
+    net = Network(sim, PassthroughSwitch())
     config = FSConfig(
         num_servers=2, stale_backend="server",
         staleset_server_cores=cores, staleset_server_op_us=op_us,

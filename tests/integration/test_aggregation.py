@@ -24,7 +24,7 @@ class TestStaleSetInterplay:
         cluster.run_op(fs.mkdir("/d"))
         fp = fingerprint_of(ROOT_ID, "d")
         cluster.run_op(fs.create("/d/f"))
-        assert cluster.control.switch.stale_set.query(fp)
+        assert cluster.switch.stale_set.query(fp)
 
     def test_statdir_clears_scattered_state(self):
         cluster = make(proactive_enabled=False)
@@ -34,7 +34,7 @@ class TestStaleSetInterplay:
         cluster.run_op(fs.create("/d/f"))
         cluster.run_op(fs.statdir("/d"))
         cluster.run(until=cluster.sim.now + 1_000)  # let the REMOVE land
-        assert not cluster.control.switch.stale_set.query(fp)
+        assert not cluster.switch.stale_set.query(fp)
 
     def test_normal_statdir_needs_no_aggregation(self):
         cluster = make(proactive_enabled=False)

@@ -238,7 +238,7 @@ class TestStaleSetReconciliation:
         assert cluster.total_pending_entries() == 0
         assert cluster.switch_stats().occupancy == 0
         # A bit with nothing pending behind it, as a lost REMOVE leaves it.
-        stale_set = cluster.control.switch.stale_set
+        stale_set = cluster.switch.stale_set
         fps, moving = self.moving_directories(cluster, 40)
         for fp in fps.values():
             assert stale_set.insert(fp)
@@ -256,7 +256,7 @@ class TestStaleSetReconciliation:
         self.twelve_directories(cluster)
         _, moving = self.moving_directories(cluster, 12)
         (fp,) = moving.values()
-        stale_set = cluster.control.switch.stale_set
+        stale_set = cluster.switch.stale_set
         assert stale_set.query(fp)
         occupancy = cluster.switch_stats().occupancy
         stats = cluster.run_op(cluster.scale_up_gen())
@@ -279,10 +279,10 @@ class TestStaleSetReconciliation:
             for j in range(6):
                 yield from writer_fs.create(f"{name}/g{j}")
 
-        control = cluster.control
-        stale_set = control.switch.stale_set
+        switch = cluster.switch
+        stale_set = switch.stale_set
         seen = {}
-        reconcile = control.reconcile_stale_set
+        reconcile = switch.reconcile_stale_set
 
         def spy(safe):
             safe = list(safe)
@@ -291,7 +291,7 @@ class TestStaleSetReconciliation:
             seen["bit"] = stale_set.query(fp)
             return reconcile(safe)
 
-        control.reconcile_stale_set = spy
+        switch.reconcile_stale_set = spy
         proc = cluster.sim.spawn(writer(), name="writer")
         cluster.run_op(cluster.scale_up_gen())
         assert seen["pending"] > 0 and seen["bit"] and fp not in seen["safe"]

@@ -22,7 +22,7 @@ def setup_pair(loss_prob=0.0, seed=1):
         if loss_prob
         else FaultModel.reliable()
     )
-    net = Network(sim, [PassthroughSwitch()], faults=faults)
+    net = Network(sim, PassthroughSwitch(), faults=faults)
     client = RpcNode(sim, net, "client")
     server = RpcNode(sim, net, "server")
     return sim, net, client, server
@@ -180,7 +180,7 @@ class TestNotify:
 class TestMulticast:
     def test_multicast_gathers_all(self):
         sim = Simulator()
-        net = Network(sim, [PassthroughSwitch()])
+        net = Network(sim, PassthroughSwitch())
         client = RpcNode(sim, net, "client")
         servers = [RpcNode(sim, net, f"s{i}") for i in range(3)]
 
@@ -236,7 +236,7 @@ class TestFaultModelRpc:
     def test_multicast_completes_under_loss(self):
         sim = Simulator()
         faults = FaultModel(make_rng(3, "loss"), loss_prob=0.3)
-        net = Network(sim, [PassthroughSwitch()], faults=faults)
+        net = Network(sim, PassthroughSwitch(), faults=faults)
         client = RpcNode(sim, net, "client")
         servers = [RpcNode(sim, net, f"s{i}") for i in range(4)]
         executions = []
@@ -265,7 +265,7 @@ class TestFaultModelRpc:
     def test_at_most_once_under_duplication(self):
         sim = Simulator()
         faults = FaultModel(make_rng(5, "dup"), dup_prob=0.5)
-        net = Network(sim, [PassthroughSwitch()], faults=faults)
+        net = Network(sim, PassthroughSwitch(), faults=faults)
         client = RpcNode(sim, net, "client")
         server = RpcNode(sim, net, "server")
         executions = []
@@ -356,7 +356,7 @@ class TestFaultModelRpc:
             stale_config=TableGeometry(num_stages=2, index_bits=3),
             fingerprint_owner=lambda fp: "server",
         )
-        net = Network(sim, [sw], faults=faults)
+        net = Network(sim, sw, faults=faults)
         RpcNode(sim, net, "client")
         RpcNode(sim, net, "server")
         fp = 0x1_0000_0001
@@ -414,7 +414,7 @@ class TestAcknowledgedReplies:
         the fabric held back past that many later calls ran the handler a
         second time; below the caller's watermark it is refused."""
         sim = Simulator()
-        net = Network(sim, [PassthroughSwitch()], faults=_LateDuplicate(1e6))
+        net = Network(sim, PassthroughSwitch(), faults=_LateDuplicate(1e6))
         client, server = RpcNode(sim, net, "client"), RpcNode(sim, net, "server")
         runs = self._counting_server(sim, server)
         later = 2 * 4096 + 1

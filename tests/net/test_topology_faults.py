@@ -12,7 +12,7 @@ from repro.sim import Simulator, make_rng
 
 
 def make_net(sim, **kwargs):
-    return Network(sim, [PassthroughSwitch()], **kwargs)
+    return Network(sim, PassthroughSwitch(), **kwargs)
 
 
 class TestFaultModel:
@@ -90,7 +90,7 @@ class TestNetwork:
                 raise RuntimeError("no route installed")
 
         sim = Simulator()
-        net = Network(sim, [Broken()])
+        net = Network(sim, Broken())
         net.attach("a")
         net.attach("b")
         net.send(alloc_packet("a", "b", "x"))
@@ -102,7 +102,7 @@ class TestNetwork:
         sim = Simulator()
         net = Network(
             sim,
-            [PassthroughSwitch()],
+            PassthroughSwitch(),
             faults=FaultModel(make_rng(3, "loss"), loss_prob=1.0),
         )
         net.attach("a")
@@ -115,7 +115,7 @@ class TestNetwork:
         sim = Simulator()
         net = Network(
             sim,
-            [PassthroughSwitch()],
+            PassthroughSwitch(),
             faults=FaultModel(make_rng(3, "dup"), dup_prob=1.0),
         )
         net.attach("a")
@@ -133,10 +133,9 @@ class TestNetwork:
         assert len(got) == 2
         assert got[0] is not got[1]  # a duplicate is a clone, not the same packet
 
-    def test_every_device_of_the_chain_adds_a_link(self):
+    def test_the_switch_sits_between_two_links(self):
         sim = Simulator()
-        chain = [PassthroughSwitch(), PassthroughSwitch(latency_us=0.5), PassthroughSwitch()]
-        net = Network(sim, chain, link_latency_us=1.0)
+        net = Network(sim, PassthroughSwitch(latency_us=0.5), link_latency_us=1.0)
         net.attach("a")
         inbox = net.attach("b")
         got = []
@@ -148,8 +147,8 @@ class TestNetwork:
         sim.spawn(receiver(sim, inbox))
         net.send(alloc_packet("a", "b", "x"))
         sim.run()
-        # 4 links and the middle device's forwarding delay.
-        assert got == [4.5]
+        # 2 links and the switch's forwarding delay.
+        assert got == [2.5]
 
     def test_consuming_switch_ends_delivery(self):
         class BlackHole:
@@ -159,7 +158,7 @@ class TestNetwork:
                 return []
 
         sim = Simulator()
-        net = Network(sim, [BlackHole()])
+        net = Network(sim, BlackHole())
         net.attach("a")
         net.attach("b")
         net.send(alloc_packet("a", "b", "x"))

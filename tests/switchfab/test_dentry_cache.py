@@ -6,7 +6,6 @@ from repro.net import RpcResponse, StaleSetHeader, StaleSetOp, alloc_packet
 from repro.switchfab import (
     DentryCache,
     ProgrammableSwitch,
-    SwitchControlPlane,
     TableGeometry,
 )
 
@@ -234,13 +233,12 @@ class TestSwitchLifecycle:
 
     def test_stats_carry_cache_counters(self):
         sw = make_switch()
-        cp = SwitchControlPlane(sw)
         sw.process(pkt(hdr(StaleSetOp.LOOKUP), payload=object()))  # miss
         fill_via_packet(sw, FP_A, "v")
         sw.process(
             pkt(hdr(StaleSetOp.LOOKUP), payload=RpcResponse(rpc_id=1, value=None))
         )  # hit
-        stats = cp.stats()
+        stats = sw.stats()
         assert stats.cache_hits == 1
         assert stats.cache_misses == 1
         assert stats.cache_fills == 1
@@ -249,6 +247,6 @@ class TestSwitchLifecycle:
 
     def test_disabled_cache_reports_zero_capacity(self):
         sw = make_switch(cache_config=None)
-        stats = SwitchControlPlane(sw).stats()
+        stats = sw.stats()
         assert stats.cache_capacity == 0
         assert (stats.cache_hits, stats.cache_misses) == (0, 0)

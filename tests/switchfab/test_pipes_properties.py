@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import FINGERPRINT_BITS, StaleSetHeader, StaleSetOp, alloc_packet
-from repro.switchfab import ProgrammableSwitch, SwitchControlPlane, TableGeometry
+from repro.switchfab import ProgrammableSwitch, TableGeometry
 
 fingerprints = st.integers(min_value=0, max_value=(1 << 10) - 1).map(
     lambda n: ((n >> 5) << 32) | ((n & 0x1F) + 1) | ((n % 2) << (FINGERPRINT_BITS - 1))
@@ -49,7 +49,6 @@ def remove(sw, fp, src="s0", seq=None):
 )
 def test_switch_matches_sequential_model(ops):
     sw = make_switch()
-    control = SwitchControlPlane(sw)
     model = set()
     seq = {"s0": 0, "s1": 0}
     last_remove = {}
@@ -72,9 +71,9 @@ def test_switch_matches_sequential_model(ops):
             assert query(sw, fp) == (fp in model)
     for fp in model:
         assert query(sw, fp)
-    assert control.stats().occupancy == len(model)
+    assert sw.stats().occupancy == len(model)
     # Failure empties the switch and forgets every SEQ filter.
-    control.fail()
+    sw.reset()
     assert sw.occupancy == 0
     for n, fp in enumerate(model, start=1):
         assert not query(sw, fp)

@@ -1,13 +1,9 @@
-"""Unit tests for the programmable switch device and its control plane."""
+"""Unit tests for the programmable switch: data plane and control-plane methods."""
 
 import pytest
 
 from repro.net import StaleSetHeader, StaleSetOp, alloc_packet
-from repro.switchfab import (
-    ProgrammableSwitch,
-    SwitchControlPlane,
-    TableGeometry,
-)
+from repro.switchfab import ProgrammableSwitch, TableGeometry
 
 
 def make_switch(**kwargs):
@@ -105,10 +101,9 @@ class TestRemove:
 class TestControlPlane:
     def test_stats_aggregate(self):
         sw = make_switch()
-        cp = SwitchControlPlane(sw)
         sw.process(pkt(hdr(StaleSetOp.INSERT)))
         sw.process(pkt(hdr(StaleSetOp.QUERY)))
-        stats = cp.stats()
+        stats = sw.stats()
         assert stats.inserts == 1
         assert stats.queries == 1
         assert stats.occupancy == 1
@@ -116,16 +111,15 @@ class TestControlPlane:
 
     def test_failure_resets_the_switch(self):
         sw = make_switch()
-        cp = SwitchControlPlane(sw)
         for fp in (0x1_0000_0001, 0x1_0000_0002):
             sw.process(pkt(hdr(StaleSetOp.INSERT, fp=fp)))
         assert sw.occupancy == 2
-        cp.fail()
+        sw.reset()
         assert sw.occupancy == 0
 
     def test_install_routes(self):
         sw = ProgrammableSwitch(stale_config=TableGeometry(num_stages=1, index_bits=1))
-        SwitchControlPlane(sw).install_routes(lambda fp: "routed-owner")
+        sw.install_fingerprint_owner(lambda fp: "routed-owner")
         sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0001)))
         out = sw.process(pkt(hdr(StaleSetOp.INSERT, fp=0x0_0000_0002)))
         assert out[0].dst == "routed-owner"
