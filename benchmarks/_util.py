@@ -18,11 +18,11 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.bench import (
     RunResult,
-    SweepPool,
     make_cluster,
     run_stream,
     scaled_config,
 )
+from repro.bench.sweep import sweep
 from repro.workloads import (
     FixedOpStream,
     Population,
@@ -92,13 +92,9 @@ def measure_point(point: dict) -> RunResult:
     )
 
 
-def run_points(points: Sequence[dict], serial: Optional[bool] = None) -> List[RunResult]:
-    """Fan independent benchmark points across cores; results in input order.
-
-    Serial escape hatches for debugging: ``pytest benchmarks/ --serial``
-    or ``REPRO_SWEEP_SERIAL=1`` (see ``repro.bench.sweep``).
-    """
-    return SweepPool(serial=serial).map(measure_point, list(points))
+def run_points(points: Sequence[dict]) -> List[RunResult]:
+    """Fan independent benchmark points across cores; results in input order."""
+    return sweep(measure_point, points)
 
 
 def one_shot(benchmark, fn):

@@ -15,7 +15,8 @@ Virtual-time columns only: what a million users cost the host is the
 ledger's ``fanin_1m_stat`` (``setup_s`` included).
 """
 
-from repro.bench import SweepPool, format_table, make_cluster, scaled_config
+from repro.bench import format_table, make_cluster, scaled_config
+from repro.bench.sweep import sweep
 from repro.workloads import FixedOpStream, bootstrap, run_fanin, single_large_directory
 
 from _util import one_shot, save_table
@@ -63,7 +64,7 @@ def _run_arm(point):
 
 def test_fanin_curve(benchmark):
     points = [(users, False) for users in USERS] + [(USERS[-1], True)]
-    rows = one_shot(benchmark, lambda: SweepPool().map(_run_arm, points))
+    rows = one_shot(benchmark, lambda: sweep(_run_arm, points))
     save_table(
         "fanin_curve",
         format_table(

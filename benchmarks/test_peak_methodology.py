@@ -7,7 +7,8 @@ workload and verifies the fixed in-flight level the other benchmarks use
 (64) sits at or near the knee.
 """
 
-from repro.bench import SweepPool, find_peak_throughput, format_table, run_stream, scaled_config
+from repro.bench import find_peak_throughput, format_table, run_stream, scaled_config
+from repro.bench.sweep import sweep
 from repro.core import SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
@@ -31,7 +32,7 @@ def test_peak_search(benchmark):
         # a fresh cluster), so probe every level through the sweep pool and
         # apply the paper's knee-selection scan to the ordered results —
         # identical to the serial early-stopping search.
-        probed = SweepPool().map(_run, list(LEVELS))
+        probed = sweep(_run, list(LEVELS))
         results = dict(zip(LEVELS, probed))
         best = find_peak_throughput(results.__getitem__, inflight_levels=LEVELS)
         return best, results

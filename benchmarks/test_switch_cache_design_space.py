@@ -14,7 +14,8 @@ Arms: ``off`` is the stale-set-only datapath; ``small`` (2 stages x 2^4 =
 shows; ``large`` (4 x 2^10) covers the population.
 """
 
-from repro.bench import SweepPool, format_table, make_cluster, run_stream, scaled_config
+from repro.bench import format_table, make_cluster, run_stream, scaled_config
+from repro.bench.sweep import sweep
 from repro.workloads import (
     DATA_CENTER_SERVICES_MIX,
     FixedOpStream,
@@ -53,7 +54,7 @@ def test_switch_cache_design_space(benchmark):
     points = [(w, a) for w in WORKLOADS for a in ARMS]
 
     def run():
-        return dict(zip(points, SweepPool().map(_run_arm, points)))
+        return dict(zip(points, sweep(_run_arm, points)))
 
     results = one_shot(benchmark, run)
     save_table(

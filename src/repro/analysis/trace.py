@@ -38,6 +38,7 @@ __all__ = ["SimTracer", "instrument_server", "LockEvent", "StateAccess"]
 
 # Kernel/infrastructure frames stripped from acquisition stacks.
 _STACK_NOISE = ("sim/kernel.py", "sim/resources.py", "analysis/trace.py")
+_STACK_LIMIT = 16  # innermost frames kept per acquisition stack
 
 
 def _lock_label(lock: Any) -> str:
@@ -141,9 +142,8 @@ class SimTracer:
     then run the analyses in :mod:`repro.analysis.detect`.
     """
 
-    def __init__(self, capture_stacks: bool = True, stack_limit: int = 16):
+    def __init__(self, capture_stacks: bool = True):
         self.capture_stacks = capture_stacks
-        self.stack_limit = stack_limit
         self.sim: Optional[Simulator] = None
         #: Set by the kernel: the process currently advancing (or None).
         self.current: Optional[Process] = None
@@ -182,14 +182,14 @@ class SimTracer:
     def _stack(self) -> Optional[List[str]]:
         if not self.capture_stacks:
             return None
-        frames = traceback.extract_stack(limit=self.stack_limit + 4)
+        frames = traceback.extract_stack(limit=_STACK_LIMIT + 4)
         out = []
         for fr in frames:
             fn = fr.filename.replace("\\", "/")
             if any(fn.endswith(noise) for noise in _STACK_NOISE):
                 continue
             out.append(f"{fn.rsplit('/', 1)[-1]}:{fr.lineno} in {fr.name}")
-        return out[-self.stack_limit:]
+        return out[-_STACK_LIMIT:]
 
     # -- hooks called by repro.sim.resources ------------------------------
     def on_acquire(self, lock: Any, mode: str) -> None:

@@ -3,7 +3,7 @@
 from .harness import RunResult, find_peak_throughput, run_stream
 from .report import Series, ascii_chart, format_table, print_table
 from .presets import paper_scale
-from .sweep import SYSTEMS, SweepPool, make_cluster, scaled_config
+from .sweep import SYSTEMS, make_cluster, scaled_config
 
 __all__ = [
     "RunResult",
@@ -16,6 +16,5 @@ __all__ = [
     "SYSTEMS",
     "make_cluster",
     "scaled_config",
-    "SweepPool",
     "paper_scale",
 ]

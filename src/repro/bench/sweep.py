@@ -7,30 +7,27 @@ Two layers live here:
   shared substrate, and :func:`scaled_config` builds the shrunken default
   scales that keep pytest-benchmark runs tractable while preserving the
   relative shapes (EXPERIMENTS.md records both);
-* the **sweep runner** (:class:`SweepPool`) — every benchmark point in
-  the figure sweeps builds a *fresh* cluster, so the (system × op ×
-  scale) grids and the in-flight ladders are embarrassingly parallel.
-  ``SweepPool.map`` fans such points across a process pool and merges
-  results back **in input order**, so a parallel sweep returns exactly
-  what the serial loop would.
+* the **sweep runner** (:func:`sweep`) — every benchmark point in the
+  figure sweeps builds a *fresh* cluster, so the (system × op × scale)
+  grids and the in-flight ladders are embarrassingly parallel.
+  ``sweep`` fans such points across a process pool and merges results
+  back **in input order**, so a parallel sweep returns exactly what the
+  in-process loop would.
 
 Determinism rules for sweep workers:
 
 * the worker function must be module-level (picklable), and each point
   carries its own seed: the worker derives all randomness from it, never
   from process state;
-* results are merged in input order regardless of completion order;
-* the ``REPRO_SWEEP_SERIAL=1`` environment variable (or
-  ``serial=True``/a single-core host) is the escape hatch that runs the
-  same points in-process for debugging — bit-identical results either
-  way.
+* results are merged in input order regardless of completion order, so
+  a pooled sweep and an in-process one return bit-identical results.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List
 
 from ..baselines import BaselineCluster, GroupedPartition, SubtreePartition, heavy_stack
 from ..core import FSConfig, SwitchFSCluster
@@ -40,7 +37,7 @@ __all__ = [
     "SYSTEMS",
     "make_cluster",
     "scaled_config",
-    "SweepPool",
+    "sweep",
 ]
 
 #: name -> cluster factory (config) -> cluster.  A baseline is a placement
@@ -96,10 +93,6 @@ def scaled_config(
 # ---------------------------------------------------------------------------
 
 
-def _serial_env() -> bool:
-    return os.environ.get("REPRO_SWEEP_SERIAL", "") not in ("", "0")
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -107,42 +100,24 @@ def _fork_available() -> bool:
         return False
 
 
-class SweepPool:
-    """Deterministic fan-out of independent benchmark points.
+def sweep(fn: Callable[[Any], Any], points: Iterable[Any]) -> List[Any]:
+    """Evaluate ``fn(point)`` for every point; results **in input order**.
 
-    ``map(fn, points)`` evaluates ``fn(point)`` for every point and
-    returns the results **in input order**.  Points fan across a process
-    pool when that is possible and worthwhile; otherwise (``serial=True``,
-    ``REPRO_SWEEP_SERIAL=1``, a single usable core, one point, or no
-    ``fork`` start method) they run in-process.  Because every point
-    builds its own cluster from its own seed, parallel and serial
-    execution produce identical results.
+    Points fan across a process pool of up to one worker per core when
+    there is more than one point, more than one core and the ``fork``
+    start method; otherwise they run in-process.  Because every point
+    builds its own cluster from its own seed, both produce identical
+    results.
 
-    The ``fork`` start method is required so workers inherit ``sys.path``
-    (the benchmark files import helpers from their own directory); on
-    platforms without it the pool silently degrades to serial.
+    ``fork`` is required so workers inherit ``sys.path`` (the benchmark
+    files import helpers from their own directory).
     """
+    points = list(points)
+    cpus = os.cpu_count() or 1
+    if len(points) <= 1 or cpus <= 1 or not _fork_available():
+        return [fn(p) for p in points]
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        serial: Optional[bool] = None,
-    ):
-        cpus = os.cpu_count() or 1
-        if max_workers is None:
-            max_workers = cpus
-        self.max_workers = max(1, max_workers)
-        if serial is None:
-            serial = _serial_env() or self.max_workers == 1 or not _fork_available()
-        self.serial = serial
-
-    def map(self, fn: Callable[[Any], Any], points: Iterable[Any]) -> List[Any]:
-        points = list(points)
-        if self.serial or len(points) <= 1:
-            return [fn(p) for p in points]
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(self.max_workers, len(points))
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-            return list(ex.map(fn, points))
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(cpus, len(points)), mp_context=ctx) as ex:
+        return list(ex.map(fn, points))

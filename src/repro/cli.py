@@ -14,9 +14,9 @@ Examples
 All numbers but ``throughput``'s ``wall time`` row are virtual-time
 measurements from the deterministic simulation; repeated invocations with
 the same arguments reproduce the same results bit-for-bit.  ``compare``
-fans its per-system runs across a process pool (``--serial`` / ``--jobs``
-control it), which does not change the reported numbers — each run is an
-independent seeded simulation.
+fans its per-system runs across a process pool when the host has more
+than one core, which does not change the reported numbers — each run is
+an independent seeded simulation.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import SweepPool, SYSTEMS, make_cluster, print_table, run_stream, scaled_config
+from .bench import SYSTEMS, make_cluster, print_table, run_stream, scaled_config
+from .bench.sweep import sweep
 from .core import FSConfig, SwitchFSCluster
+from .errors import FSError
 from .net import FaultModel
 from .sim import make_rng
 from .workloads import (
@@ -211,43 +213,13 @@ def cmd_compare(args) -> int:
     systems = [s.strip() for s in args.systems.split(",")]
     arg_dict = {k: v for k, v in vars(args).items() if k != "fn"}
     points = [{"system": system, "args": arg_dict} for system in systems]
-    pool = SweepPool(max_workers=args.jobs, serial=True if args.serial else None)
-    rows = pool.map(_compare_point, points)
+    rows = sweep(_compare_point, points)
     print_table(
         f"compare: {args.op} over {args.dirs} dir(s), "
         f"{args.servers} servers x {args.cores} cores",
         ["system", "Kops/s", "avg us", "sw-cache hit"], rows,
     )
     return 0
-
-
-def _changed_paths(base: str, scope: List[str]) -> Optional[List[str]]:
-    """Python files changed vs *base* (``git diff --name-only``), kept to
-    those under one of the *scope* paths and still present on disk.
-
-    Returns None when git is unavailable (caller falls back to a full
-    run) and [] when nothing relevant changed.
-    """
-    import subprocess
-    from pathlib import Path
-
-    try:
-        out = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    prefixes = [Path(s).as_posix().rstrip("/") for s in scope]
-    changed: List[str] = []
-    for line in out.splitlines():
-        name = line.strip()
-        if not name.endswith(".py") or not Path(name).exists():
-            continue
-        posix = Path(name).as_posix()
-        if any(posix == p or posix.startswith(p + "/") for p in prefixes):
-            changed.append(name)
-    return changed
 
 
 def cmd_lint(args) -> int:
@@ -260,15 +232,7 @@ def cmd_lint(args) -> int:
     if missing:
         print(f"reprolint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    paths = args.paths
-    if args.changed is not None:
-        changed = _changed_paths(args.changed, args.paths)
-        if changed == []:
-            print(f"reprolint: no python files changed vs {args.changed}")
-            return 0
-        if changed is not None:
-            paths = changed
-    report = lint_paths(paths)
+    report = lint_paths(args.paths)
     for f in report.findings:
         print(format_finding(f))
     scope = f"{len(report.files)} file(s)"
@@ -306,7 +270,7 @@ def cmd_analyze(args) -> int:
         elif which == 2 and i > 0:
             try:
                 cluster.run_op(fs.rename(f"/a/f{i-1}", f"/b/r{i}"))
-            except Exception:
+            except FSError:
                 pass
         elif which == 3:
             cluster.run_op(fs.statdir("/a"))
@@ -315,7 +279,7 @@ def cmd_analyze(args) -> int:
         else:
             try:
                 cluster.run_op(fs.rmdir(f"/a/d{i-1}"))
-            except Exception:
+            except FSError:
                 pass
     tracer.detach()
 
@@ -404,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", default="create", choices=OPS)
     p.add_argument("--systems", default="SwitchFS,InfiniFS,CFS-KV",
                    help="comma-separated system list")
-    p.add_argument("--serial", action="store_true",
-                   help="run systems in-process instead of across a process pool")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max sweep worker processes (default: all cores)")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("workload", help="run a Table-5 workload mix")
@@ -421,10 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint", help="the static gate: every reprolint rule")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files/directories to lint (default: src)")
-    p.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                   metavar="BASE",
-                   help="lint only the files changed vs BASE (git diff "
-                        "--name-only; default base: HEAD)")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("analyze",

@@ -135,10 +135,10 @@ class SwitchFSCluster(Cluster):
     def placement(self) -> MembershipView:
         return self.membership.current
 
-    def settle(self, quiet_us: float = 20_000.0) -> None:
+    def settle(self) -> None:
         """Run until the cluster is quiescent.
 
-        Advances virtual time in *quiet_us* slices until no server holds
+        Advances virtual time in 20 ms slices until no server holds
         pending change-log entries, then one more so in-flight acks land,
         and until every server, live or retired, holds no lock, group
         block, pull lock, deferred unlock or in-flight push
@@ -148,7 +148,7 @@ class SwitchFSCluster(Cluster):
         servers = self.servers + self.retired
         drained = False
         for _ in range(200):
-            self.sim.run(until=self.sim.now + quiet_us)
+            self.sim.run(until=self.sim.now + 20_000.0)
             if drained and not any(s.unsettled() for s in servers):
                 return
             drained = all(s.pending_changelog_entries() == 0 for s in servers)

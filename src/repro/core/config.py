@@ -23,6 +23,11 @@ from ..switchfab import TableGeometry
 
 __all__ = ["PerfModel", "FSConfig"]
 
+#: Fixed shard space for epoch-versioned membership: fingerprints and files
+#: hash into ``num_servers * SHARDS_PER_SERVER`` shards; migration reassigns
+#: shards to servers without rehashing keys.
+SHARDS_PER_SERVER = 8
+
 
 @dataclass(frozen=True)
 class PerfModel:
@@ -81,11 +86,6 @@ class FSConfig:
     # only because benchmarks/ledger/scenarios.py passes it (ROADMAP item 4).
     seed: int = 42
 
-    # Fixed shard space for epoch-versioned membership: fingerprints and
-    # files hash into num_servers * shards_per_server shards; migration
-    # reassigns shards to servers without rehashing keys.
-    shards_per_server: int = 8
-
     # Protocol features (ablation knobs, §6.5.1).
     async_updates: bool = True
     recast: bool = True
@@ -109,17 +109,7 @@ class FSConfig:
 
     # Proactive aggregation (§4.3).
     proactive_push_entries: int = 29       # change-log entries per MTU
-    proactive_idle_push_us: float = 5_000.0   # push if log idle this long
-    grace_period_us: float = 50.0          # quiet window before aggregation
-    grace_cap_us: float = 500.0            # aggregate at latest this long
-                                           # after the first pending push,
-                                           # even if pushes keep arriving
     proactive_enabled: bool = True
-
-    # Safety net: release deferred unlocks / pull locks whose notification
-    # packet is lost (UDP).  Must exceed any legitimate hold time (a large
-    # aggregation's application phase).
-    unlock_watchdog_us: float = 20_000.0
 
     perf: PerfModel = field(default_factory=PerfModel)
 
@@ -134,8 +124,12 @@ class FSConfig:
             raise ValueError("recast requires async_updates")
         if self.proactive_push_entries < 1:
             raise ValueError("proactive_push_entries must be >= 1")
-        if self.shards_per_server < 1:
-            raise ValueError("shards_per_server must be >= 1")
+        if self.staleset_server_cores < 1:
+            raise ValueError(
+                f"staleset_server_cores must be >= 1, got {self.staleset_server_cores}")
+        if self.staleset_server_op_us < 0:
+            raise ValueError(
+                f"staleset_server_op_us must be >= 0, got {self.staleset_server_op_us}")
         if self.switch_cache and self.stale_backend != "switch":
             raise ValueError("switch_cache requires stale_backend='switch'")
         # Building a geometry validates it (stages >= 1, index bits within
@@ -145,15 +139,6 @@ class FSConfig:
                 getattr(self, f"{table}_geometry")
             except ValueError as exc:
                 raise ValueError(f"{table}_stages / {table}_index_bits: {exc}") from None
-        # A zero idle-push or watchdog interval would re-arm its timer in a
-        # zero-time loop, as a zero rpc_timeout_us would retransmit in one.
-        for name in ("proactive_idle_push_us", "unlock_watchdog_us"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.grace_period_us < 0:
-            raise ValueError(f"grace_period_us must be >= 0, got {self.grace_period_us}")
-        if self.grace_period_us > self.grace_cap_us:
-            raise ValueError("grace_period_us must not exceed grace_cap_us")
 
     def server_addr(self, idx: int) -> str:
         if not 0 <= idx < self.num_servers:
@@ -170,7 +155,7 @@ class FSConfig:
     @property
     def num_shards(self) -> int:
         """Size of the fixed shard space (constant for a run's lifetime)."""
-        return self.num_servers * self.shards_per_server
+        return self.num_servers * SHARDS_PER_SERVER
 
     @property
     def stale_geometry(self) -> TableGeometry:

@@ -5,7 +5,7 @@ cannot express servers joining or leaving mid-run.  This module replaces
 it with a first-class membership layer:
 
 * the shard space is fixed for the lifetime of a run —
-  ``num_shards = num_servers * shards_per_server`` at bootstrap — and
+  ``num_shards = num_servers * SHARDS_PER_SERVER`` at bootstrap — and
   every fingerprint group / file hashes to a shard, never directly to a
   server;
 * a :class:`MembershipView` is an immutable snapshot (epoch number,

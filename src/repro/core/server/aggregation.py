@@ -11,7 +11,7 @@ throughput by the application rate (§6.5.1).
 
 Proactive aggregation (§4.3): pushes stage change-logs at the directory
 owner, and the owner aggregates once pushes quiesce for a grace period
-(capped by ``grace_cap_us`` so continuous load cannot defer forever).
+(capped by ``GRACE_CAP_US`` so continuous load cannot defer forever).
 """
 
 from __future__ import annotations
@@ -20,8 +20,13 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...net import Packet, RpcRequest, RpcTimeout, StaleSetHeader, StaleSetOp
 from ..changelog import ChangeLog, ChangeLogEntry
+from .ops import UNLOCK_WATCHDOG_US
 
 __all__ = ["AggregationProtocol"]
+
+GRACE_PERIOD_US = 50.0  # quiet window before a proactive aggregation
+GRACE_CAP_US = 500.0    # aggregate at latest this long after the first
+                        # pending push, even if pushes keep arriving
 
 
 class AggregationProtocol:
@@ -248,13 +253,11 @@ class AggregationProtocol:
         pulls harmless, so they lazily expire instead of being eagerly
         removed on the ack path.
         """
-        deadline = self.sim.now + self.config.unlock_watchdog_us
+        deadline = self.sim.now + UNLOCK_WATCHDOG_US
         self._pull_wd[fp] = (deadline, lock)
         if not self._pull_wd_armed:
             self._pull_wd_armed = True
-            self.sim.timeout(
-                self.config.unlock_watchdog_us
-            ).add_callback(self._pull_watchdog_scan)
+            self.sim.timeout(UNLOCK_WATCHDOG_US).add_callback(self._pull_watchdog_scan)
 
     def _pull_watchdog_scan(self, ev) -> None:
         now = self.sim.now
@@ -322,13 +325,13 @@ class AggregationProtocol:
         """Aggregate once pushes quiesce for a grace period (§4.3).
 
         Under a continuous update stream the quiet window would never
-        arrive, so ``grace_cap_us`` bounds the total deferral: at latest
+        arrive, so ``GRACE_CAP_US`` bounds the total deferral: at latest
         that long after the first pending push, aggregation proceeds —
         this keeps change-logs bounded and is what throttles sustained
         update throughput to the application rate.
         """
-        grace = self.config.grace_period_us
-        deadline = self.sim.now + self.config.grace_cap_us
+        grace = GRACE_PERIOD_US
+        deadline = self.sim.now + GRACE_CAP_US
         while True:
             since = self.sim.now - self._last_push_at.get(fp, 0.0)
             wait = min(grace - since, deadline - self.sim.now)

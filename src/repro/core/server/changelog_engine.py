@@ -28,6 +28,9 @@ __all__ = ["ChangeLogEngine"]
 
 _BY_TIMESTAMP = attrgetter("timestamp")  # stable: ties keep arrival order
 
+#: Push a change-log that has gone this long without an append (§4.3).
+IDLE_PUSH_US = 5_000.0
+
 
 class ChangeLogEngine:
     """Mixin: change-log movement and application."""
@@ -147,7 +150,7 @@ class ChangeLogEngine:
         A log whose push still waits for its group's change-log lock gets
         no second one: behind a long hold (a round's apply, a pull held to
         its watchdog) every sweep would otherwise queue another waiter."""
-        interval = self.config.proactive_idle_push_us
+        interval = IDLE_PUSH_US
         while True:
             yield self.sim.timeout(interval / 2)
             now = self.sim.now

@@ -46,6 +46,11 @@ __all__ = ["ServerOps"]
 
 _unlock_tokens = itertools.count(1)
 
+#: Safety net for a lost notification (UDP): a deferred unlock here, a pull
+#: lock in aggregation.py, is released this long after it was taken.  It
+#: must exceed any legitimate hold time (a large aggregation's apply phase).
+UNLOCK_WATCHDOG_US = 20_000.0
+
 
 class ServerOps:
     """Mixin: op workflows over the :class:`ServerRuntime` substrate."""
@@ -313,13 +318,11 @@ class ServerOps:
         an expired token is still released at exactly ``now + W`` — the
         same virtual time a dedicated timer would have fired.
         """
-        deadline = self.sim.now + self.config.unlock_watchdog_us
+        deadline = self.sim.now + UNLOCK_WATCHDOG_US
         self._pending_unlocks[token]["deadline"] = deadline
         if not self._wd_armed:
             self._wd_armed = True
-            self.sim.timeout(
-                self.config.unlock_watchdog_us
-            ).add_callback(self._unlock_watchdog_scan)
+            self.sim.timeout(UNLOCK_WATCHDOG_US).add_callback(self._unlock_watchdog_scan)
 
     def _unlock_watchdog_scan(self, ev: Event) -> None:
         now = self.sim.now

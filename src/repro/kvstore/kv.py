@@ -92,10 +92,9 @@ class KVStore:
         self.gets += 1
         return self._mem.get(key)
 
-    def delete(self, key: Key, log: bool = True) -> bool:
+    def delete(self, key: Key) -> bool:
         """Remove *key*; returns False when absent (no error, like RocksDB)."""
-        if log:
-            self.wal.append("delete", key)
+        self.wal.append("delete", key)
         self.deletes += 1
         return self._apply_delete(key)
 

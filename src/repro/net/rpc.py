@@ -117,23 +117,16 @@ class Reply:
 
     ``header`` attaches a stale-set operation for the switch to execute on
     the way back (e.g. INSERT of the parent fingerprint after a create).
-    ``dst`` overrides the destination (defaults to the requester).
     """
 
-    __slots__ = ("value", "header", "dst")
+    __slots__ = ("value", "header")
 
-    def __init__(
-        self,
-        value: Any = None,
-        header: Optional[StaleSetHeader] = None,
-        dst: Optional[str] = None,
-    ):
+    def __init__(self, value: Any = None, header: Optional[StaleSetHeader] = None):
         self.value = value
         self.header = header
-        self.dst = dst
 
     def __repr__(self) -> str:
-        return f"Reply(value={self.value!r}, header={self.header!r}, dst={self.dst!r})"
+        return f"Reply(value={self.value!r}, header={self.header!r})"
 
 
 #: Handler signature: (request, packet) -> generator returning value|Reply.
@@ -556,13 +549,11 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
                 value, error = None, f"EINTERNAL: {type(exc).__name__}: {exc}"
             if not wants_reply:
                 return None
-        dst, header = request.src, None
+        header = None
         if value.__class__ is Reply:
-            reply = value
-            value, header = reply.value, reply.header
-            dst = reply.dst or dst
+            value, header = value.value, value.header
         response = RpcResponse(rpc_id, value, error)
-        sent = alloc_packet(self.addr, dst, response, header)
+        sent = alloc_packet(self.addr, request.src, response, header)
         if replies is not None:
             if rpc_id < replies.acked:
                 del replies[rpc_id]  # abandoned meanwhile: nobody will ask again

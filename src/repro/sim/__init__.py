@@ -15,7 +15,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .rand import AliasTable, ZipfGenerator, make_rng, zipf_cdf
+from .rand import AliasTable, make_rng, zipf_cdf
 from .resources import Hold, Lock, Resource, RWLock, Store
 from .stats import Counter, LatencyRecorder, PhaseStats, percentile
 
@@ -37,6 +37,5 @@ __all__ = [
     "percentile",
     "make_rng",
     "zipf_cdf",
-    "ZipfGenerator",
     "AliasTable",
 ]

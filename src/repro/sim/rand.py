@@ -5,9 +5,8 @@ draws from an explicitly seeded :class:`random.Random` so experiments are
 reproducible run-to-run.  :func:`zipf_cdf` is the repo's one Zipf table:
 a normalised cumulative ``array('d')`` built at C speed, sampled by
 inverse CDF (``bisect_left(cdf, rng.random())``, O(log n), exactly one
-uniform per draw).  ``ZipfGenerator`` wraps it for the skewed directory
-choice of hotspot experiments, and the client-population engine shares
-one per ``(n, theta)`` across its aggregates (DESIGN.md §16).
+uniform per draw); the client-population engine shares one per
+``(n, theta)`` across its aggregates (DESIGN.md §16).
 :class:`AliasTable` is the O(1) sampler for small fixed weight vectors
 (the op mix): Vose's alias method, also one uniform per sample.
 """
@@ -16,13 +15,12 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
 from itertools import accumulate, repeat
 from math import fsum
 from operator import truediv
 from typing import List, Sequence
 
-__all__ = ["make_rng", "zipf_cdf", "ZipfGenerator", "AliasTable"]
+__all__ = ["make_rng", "zipf_cdf", "AliasTable"]
 
 
 def make_rng(seed: int, stream: str = "") -> random.Random:
@@ -58,25 +56,6 @@ def zipf_cdf(n: int, theta: float) -> array:
     cdf = array("d", accumulate(map(truediv, weights(), repeat(total))))
     cdf[-1] = 1.0  # guard against float drift
     return cdf
-
-
-class ZipfGenerator:
-    """Samples ranks 0..n-1 with probability proportional to 1/(rank+1)^theta.
-
-    theta=0 degenerates to uniform; theta around 0.99 is the classic
-    YCSB-style hot-spot skew.
-    """
-
-    __slots__ = ("n", "_rng", "_cdf")
-
-    def __init__(self, n: int, theta: float, rng: random.Random):
-        self._cdf = zipf_cdf(n, theta)
-        self.n = n
-        self._rng = rng
-
-    def sample(self) -> int:
-        """Draw one rank; rank 0 is the hottest."""
-        return bisect_left(self._cdf, self._rng.random())
 
 
 class AliasTable:

@@ -184,8 +184,8 @@ class Counter:
     def __init__(self):
         self._counts: Dict[str, int] = {}
 
-    def inc(self, name: str, by: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + by
+    def inc(self, name: str) -> None:
+        self._counts[name] = self._counts.get(name, 0) + 1
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)

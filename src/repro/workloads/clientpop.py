@@ -45,7 +45,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, DefaultDict, Dict, Generator, List, Optional
 
-from ..sim import make_rng, zipf_cdf
+from ..sim import make_rng, percentile, zipf_cdf
 from .generator import OpStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -213,8 +213,8 @@ class PopulationClient:
         if count:
             xs = sorted(self.samples)
             out["mean_latency_us"] = round(sum(xs) / count, 3)
-            out["p50_latency_us"] = round(xs[count // 2], 3)
-            out["p99_latency_us"] = round(xs[min(count - 1, (count * 99) // 100)], 3)
+            out["p50_latency_us"] = round(percentile(xs, 50), 3)
+            out["p99_latency_us"] = round(percentile(xs, 99), 3)
         return out
 
 

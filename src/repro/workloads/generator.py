@@ -4,8 +4,8 @@ An :class:`OpStream` hands out operation *thunks*: callables that take a
 :class:`~repro.core.LibFS` and return the generator performing one
 operation.  Streams encode the experiment's access pattern:
 
-* which directory each op targets (uniform, Zipf-skewed, or a single
-  shared directory);
+* which directory each op targets (uniform, or a single shared
+  directory);
 * which file (fresh names for create, existing names for stat/delete);
 * which operation (a fixed op, or sampled from an
   :class:`~repro.workloads.mixes.OpMix`).
@@ -16,11 +16,11 @@ Streams are deterministic given their seed, so runs replay identically.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Tuple
 
 from ..core.client import LibFS
 from ..errors import FSError
-from ..sim import AliasTable, ZipfGenerator, make_rng
+from ..sim import AliasTable, make_rng
 from .mixes import OpMix
 from .population import Population
 
@@ -86,7 +86,7 @@ class FixedOpStream(OpStream):
     """All operations are the same type, spread over a population.
 
     ``op`` ∈ {create, delete, mkdir, rmdir, stat, open, close, statdir,
-    readdir}.  Directory choice: "uniform" | "zipf" | "single".  create
+    readdir}.  Directory choice: "uniform" | "single".  create
     uses fresh names; delete/stat/open target pre-populated files.
     """
 
@@ -96,19 +96,12 @@ class FixedOpStream(OpStream):
         population: Population,
         seed: int = 1,
         dir_choice: str = "uniform",
-        zipf_theta: float = 0.99,
     ):
         super().__init__(f"fixed-{op}")
         self.op = op
         self.pop = population
         self._rng = make_rng(seed, f"stream-{op}")
         self._dirs = population.dir_paths
-        if dir_choice == "zipf":
-            self._zipf: Optional[ZipfGenerator] = ZipfGenerator(
-                len(self._dirs), zipf_theta, make_rng(seed, "zipf")
-            )
-        else:
-            self._zipf = None
         self._dir_choice = dir_choice
         self._create_seq: Dict[str, int] = {}
         self._mkdir_seq = 0
@@ -117,8 +110,6 @@ class FixedOpStream(OpStream):
     def _pick_dir(self) -> str:
         if self._dir_choice == "single" or len(self._dirs) == 1:
             return self._dirs[0]
-        if self._zipf is not None:
-            return self._dirs[self._zipf.sample()]
         return self._dirs[self._rng.randrange(len(self._dirs))]
 
     def next_thunk(self) -> OpThunk:
@@ -168,8 +159,8 @@ class FixedOpStream(OpStream):
 class MixStream(OpStream):
     """Operations sampled from an :class:`OpMix` over a population.
 
-    ``skew`` applies the 80/20 rule of §6.6: 80% of operations land in the
-    hottest 20% of directories.  Data ops (read/write) are a client-side
+    Directory choice follows the 80/20 rule of §6.6: 80% of operations land
+    in the hottest 20% of directories (given five or more).  Data ops (read/write) are a client-side
     data-node access of ``data_latency_us`` (:func:`file_op`).
     """
 
@@ -178,7 +169,6 @@ class MixStream(OpStream):
         mix: OpMix,
         population: Population,
         seed: int = 1,
-        skew_8020: bool = True,
         data_latency_us: float = DATA_LATENCY_US,
     ):
         super().__init__(f"mix-{mix.name}")
@@ -189,7 +179,7 @@ class MixStream(OpStream):
         # uniform draw per op, independent of how many op kinds the mix has.
         self._op_alias = AliasTable(mix.probs)
         self._dirs = population.dir_paths
-        self._skew = skew_8020 and len(self._dirs) >= 5
+        self._skew = len(self._dirs) >= 5
         self._hot_count = max(1, len(self._dirs) // 5)
         self.data_latency_us = data_latency_us
         self._create_seq: Dict[str, int] = {}

@@ -6,8 +6,7 @@ files each").  Creating millions of files through the full protocol
 would dominate simulation wall-time, so :func:`bootstrap` installs
 inodes, entries, and directory indexes **directly** into the servers'
 KV stores — exactly the state a protocol-driven population would reach
-after settling, minus the WAL history (pass ``log_writes=True`` when a
-recovery drill needs the WAL).
+after settling, minus the WAL history.
 
 Client caches are pre-warmed with the created directories so that
 experiments measure the operations under test, not cold path resolution
@@ -68,7 +67,6 @@ def multiple_directories(num_dirs: int = 1024, files_per_dir: int = 100) -> Popu
 def bootstrap(
     cluster: Cluster,
     population: Population,
-    log_writes: bool = False,
     warm_clients: Optional[List[int]] = None,
 ) -> Population:
     """Install *population* into *cluster* directly (no protocol traffic).
@@ -95,10 +93,10 @@ def bootstrap(
         population.dir_fps[dname] = fp
         owner = servers[placement.dir_owner(ROOT_ID, dname, dir_path)]
         inode = DirInode(dir_id, ROOT_ID, dname, fp, 0o755, now, now, population.files_per_dir)
-        owner.kv.put(dir_meta_key(ROOT_ID, dname), inode, log=log_writes)
+        owner.kv.put(dir_meta_key(ROOT_ID, dname), inode, log=False)
         owner.index_directory(dir_id, dir_meta_key(ROOT_ID, dname))
         root_owner.kv.put(
-            dir_entry_key(ROOT_ID, dname), dir_entry(True, 0o755), log=log_writes
+            dir_entry_key(ROOT_ID, dname), dir_entry(True, 0o755), log=False
         )
 
         # In name order ("pre10" < "pre9"): each put is an in-order append
@@ -108,13 +106,13 @@ def bootstrap(
             fowner.kv.put(
                 file_meta_key(dir_id, fname),
                 FileInode(dir_id, fname, 0o644, now, now),
-                log=log_writes,
+                log=False,
             )
-            owner.kv.put(dir_entry_key(dir_id, fname), file_entry, log=log_writes)
+            owner.kv.put(dir_entry_key(dir_id, fname), file_entry, log=False)
 
     root_key = dir_meta_key(0, "/")
     root = root_owner.kv.get(root_key)
-    root_owner.kv.put(root_key, root.touched(now, len(population.dirs)), log=log_writes)
+    root_owner.kv.put(root_key, root.touched(now, len(population.dirs)), log=False)
     for client_idx in warm_clients or []:
         warm_client_cache(cluster, population, client_idx)
     return population

@@ -28,11 +28,11 @@ from .population import Population
 __all__ = ["CNNTrainingTrace", "ThumbnailTrace", "trace_population"]
 
 
-def trace_population(num_dirs: int, files_per_dir: int, prefix: str = "img") -> Population:
+def trace_population(num_dirs: int, files_per_dir: int) -> Population:
     return Population(
         dirs=[f"class{i}" for i in range(num_dirs)],
         files_per_dir=files_per_dir,
-        file_prefix=prefix,
+        file_prefix="img",
     )
 
 

@@ -642,6 +642,62 @@ class TestRepoIsClean:
         unread = {slot: sites for slot, sites in sorted(declared.items()) if slot not in reads}
         assert unread == {}
 
+    # Config fields the gate below excuses, each kept for the reason beside it.
+    TEST_ONLY_FIELDS = {
+        # Read by nothing: the ledger's scenarios pass it (ROADMAP 4(i)).
+        "FSConfig.seed",
+    }
+
+    def test_every_config_field_is_read_and_set_outside_tests(self):
+        """A field the program never reads is a knob that does nothing, and
+        one only tests set is a code path only tests run.  Every
+        ``FSConfig`` field is read and given a value in ``src/``,
+        ``benchmarks/`` or ``examples/``; every ``PerfModel`` field is read
+        there.  A read is an attribute load through a name ending in
+        ``config``, ``cfg`` or ``perf`` (``self.config.recast``,
+        ``server.perf.kv_get_us``), or through ``self`` in ``config.py``
+        outside ``__post_init__``, whose checks are not a use.  A value is
+        a keyword argument of that name in any call (``scaled_config`` and
+        ``dataclasses.replace`` pass theirs on), or a positional argument
+        to the class itself."""
+        root = self.SRC.parent
+        config = self.SRC / "repro" / "core" / "config.py"
+        classes = {node.name: node for node in ast.parse(config.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.ClassDef) and node.name in ("FSConfig", "PerfModel")}
+        fields = {name: [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+                  for name, cls in classes.items()}
+        owner = {field: name for name, names in fields.items() for field in names}
+        assert set(fields["FSConfig"]).isdisjoint(fields["PerfModel"])
+
+        read, given = set(), set()
+        for path in sorted([*self.SRC.rglob("*.py"), *(root / "benchmarks").rglob("*.py"),
+                            *(root / "examples").rglob("*.py")]):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            checks = set()
+            if path == config:
+                checks = {id(n) for cls in classes.values() for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                          for n in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and node.attr in owner and id(node) not in checks):
+                    base = node.value
+                    name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+                    if (name.endswith(("config", "cfg", "perf"))
+                            or (path == config and name == "self")):
+                        read.add(f"{owner[node.attr]}.{node.attr}")
+                elif isinstance(node, ast.Call):
+                    given.update(f"{owner[kw.arg]}.{kw.arg}" for kw in node.keywords
+                                 if kw.arg in owner)
+                    func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if func in fields:
+                        given.update(f"{func}.{f}" for f in fields[func][:len(node.args)])
+
+        unread = {f"{cls}.{f}" for cls, names in fields.items() for f in names} - read
+        unset = {f"FSConfig.{f}" for f in fields["FSConfig"]} - given
+        assert (unread | unset) - self.TEST_ONLY_FIELDS == set(), (sorted(unread), sorted(unset))
+        assert self.TEST_ONLY_FIELDS <= unread | unset
+
     # Public defs only tests reach, each kept for the reason beside it.
     TEST_ONLY_DEFS = {
         # ROADMAP item 10 re-runs the figures at the paper's Table 4 scale.

@@ -1,14 +1,21 @@
 """Tests for the process-pool sweep runner (repro.bench.sweep)."""
 
+import os
+
 import pytest
 
-from repro.bench import SweepPool, run_stream
+from repro.bench import run_stream
+from repro.bench.sweep import sweep
 from repro.core import FSConfig, SwitchFSCluster
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories
 
 
 def square(x):
     return x * x
+
+
+def worker_pid(_):
+    return os.getpid()
 
 
 def boom(x):
@@ -39,38 +46,33 @@ def run_fingerprint(result):
 
 class TestSweepPool:
     def test_serial_map_preserves_order(self):
-        pool = SweepPool(serial=True)
-        assert pool.map(square, [3, 1, 2]) == [9, 1, 4]
+        assert sweep(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_parallel_map_matches_serial(self):
-        serial = SweepPool(serial=True).map(square, list(range(8)))
-        parallel = SweepPool(max_workers=2, serial=False).map(square, list(range(8)))
-        assert parallel == serial
+        assert sweep(square, range(8)) == [square(x) for x in range(8)]
+        if (os.cpu_count() or 1) > 1:  # several points, several cores: a pool
+            assert os.getpid() not in sweep(worker_pid, range(4))
 
     def test_single_point_runs_in_process(self):
-        pool = SweepPool(max_workers=4, serial=False)
-        assert pool.map(square, [5]) == [25]
+        assert sweep(worker_pid, [5]) == [os.getpid()]
 
-    def test_env_escape_hatch_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_SERIAL", "1")
-        assert SweepPool().serial
-
-    def test_single_core_defaults_to_serial(self):
-        assert SweepPool(max_workers=1).serial
+    def test_single_core_defaults_to_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert sweep(worker_pid, [0, 1, 2]) == [os.getpid()] * 3
 
     def test_worker_crash_propagates_from_pool(self):
         """A crash in a pool worker surfaces as the original exception,
         not a hang or a silently truncated result list."""
         with pytest.raises(ValueError, match="worker exploded on 2"):
-            SweepPool(max_workers=2, serial=False).map(boom, [0, 1, 2, 3])
+            sweep(boom, [0, 1, 2, 3])
 
     def test_worker_crash_propagates_serially(self):
         with pytest.raises(ValueError, match="worker exploded on 2"):
-            SweepPool(serial=True).map(boom, [0, 1, 2, 3])
+            sweep(boom, [2])
 
     def test_benchmark_point_identical_serial_vs_pool(self):
         """A real simulation point returns bit-identical results from a
-        worker process and from the in-process escape hatch."""
-        (serial_result,) = SweepPool(serial=True).map(tiny_run, [4])
-        pooled = SweepPool(max_workers=2, serial=False).map(tiny_run, [4, 8])
+        worker process and from an in-process run."""
+        (serial_result,) = sweep(tiny_run, [4])
+        pooled = sweep(tiny_run, [4, 8])
         assert run_fingerprint(pooled[0]) == run_fingerprint(serial_result)

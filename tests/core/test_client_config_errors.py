@@ -83,13 +83,8 @@ class TestConfig:
             (PerfModel, "rpc_max_attempts", 0),      # would time out without sending
             (PerfModel, "kv_put_us", -4.0),          # negative CPU segment
             (PerfModel, "link_latency_us", -0.75),
-            (FSConfig, "grace_period_us", 501.0),    # above the default grace_cap_us
-            (FSConfig, "grace_period_us", -1.0),
-            (FSConfig, "proactive_idle_push_us", -5.0),
-            (FSConfig, "proactive_idle_push_us", 0.0),  # the idle sweeper would
-                                                        # spin at sim.now
-            (FSConfig, "unlock_watchdog_us", -1.0),
-            (FSConfig, "unlock_watchdog_us", 0.0),
+            (FSConfig, "staleset_server_op_us", -1.0),  # a negative hold fails mid-run
+            (FSConfig, "staleset_server_cores", 0),     # fails at cluster build
         ],
     )
     def test_bad_timing_rejected_up_front(self, cls, field, value):
@@ -97,8 +92,7 @@ class TestConfig:
             cls(**{field: value})
 
     def test_boundary_timing_accepted(self):
-        FSConfig(grace_period_us=500.0)
-        FSConfig(grace_period_us=0.0)
+        FSConfig(stale_backend="server", staleset_server_cores=1, staleset_server_op_us=0.0)
         PerfModel(rpc_max_attempts=1, stack_multiplier=0.0)
 
     @pytest.mark.parametrize(

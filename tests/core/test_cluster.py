@@ -50,7 +50,7 @@ class TestSettle:
         cluster.run_op(fs.create("/d/f"))
         # Proactive aggregation disabled: entries never drain.
         with pytest.raises(RuntimeError, match="did not settle: .* pending entries"):
-            cluster.settle(quiet_us=100.0)
+            cluster.settle()
 
     @staticmethod
     def _settled_cluster():
@@ -68,7 +68,7 @@ class TestSettle:
         key = dir_meta_key(ROOT_ID, "d")
         assert server._inode_lock(key).try_acquire_write()
         with pytest.raises(RuntimeError) as err:
-            cluster.settle(quiet_us=100.0)
+            cluster.settle()
         assert f"{server.addr} _inode_locks[{key!r}]: held by w, 0 waiting" in str(err.value)
 
     def test_a_parked_group_block_is_named(self):
@@ -76,7 +76,7 @@ class TestSettle:
         fp = fingerprint_of(ROOT_ID, "d")
         server._group_blocks[fp] = cluster.sim.event()
         with pytest.raises(RuntimeError) as err:
-            cluster.settle(quiet_us=100.0)
+            cluster.settle()
         assert str(err.value) == f"cluster did not settle: {server.addr} _group_blocks[{fp!r}]"
 
     def test_settle_succeeds_with_proactive(self):

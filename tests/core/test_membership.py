@@ -36,11 +36,11 @@ class TestBootstrapIdentity:
                 assert view.file_owner(pid, name) == legacy
 
     def test_shard_table_shape(self):
-        config = FSConfig(num_servers=4, shards_per_server=8)
+        config = FSConfig(num_servers=4)
         view = bootstrap_view(config)
-        assert view.num_shards == 32
+        assert view.num_shards == config.num_shards == 32
         assert view.epoch == 0
-        # Every server owns exactly shards_per_server shards at bootstrap.
+        # Every server owns exactly its 8 shards at bootstrap.
         for addr in view.servers:
             assert view.shard_table.count(addr) == 8
 
@@ -75,8 +75,8 @@ class TestViewInvariants:
 
 
 class TestScalePlans:
-    def _view(self, n, sps=8):
-        return bootstrap_view(FSConfig(num_servers=n, shards_per_server=sps))
+    def _view(self, n):
+        return bootstrap_view(FSConfig(num_servers=n))
 
     def test_scale_up_quota_and_minimal_movement(self):
         view = self._view(4)

@@ -14,6 +14,7 @@ from repro.core import (
     fingerprint_of,
     ROOT_ID,
 )
+from repro.core.server.ops import UNLOCK_WATCHDOG_US
 
 
 def make(**overrides):
@@ -81,7 +82,7 @@ class TestUnlockTokens:
             assert not server._pending_unlocks
 
     def test_watchdog_releases_leaked_locks(self):
-        cluster = make(proactive_enabled=False, unlock_watchdog_us=100.0)
+        cluster = make(proactive_enabled=False)
         server = cluster.servers[0]
         # Forge a pending unlock with held locks.
         from repro.sim import RWLock
@@ -94,7 +95,10 @@ class TestUnlockTokens:
             "entry": ChangeLogEntry(1.0, ChangeOp.CREATE, "z"), "lsn": 0,
         }
         server._arm_unlock_watchdog(777)
-        cluster.run(until=cluster.sim.now + 500.0)
+        deadline = cluster.sim.now + UNLOCK_WATCHDOG_US
+        cluster.run(until=deadline - 1.0)
+        assert lock.write_locked  # held until the watchdog's deadline
+        cluster.run(until=deadline + 1.0)
         assert not lock.write_locked
         assert server.counters.get("unlock_watchdog_fires") == 1
 

@@ -9,6 +9,7 @@ from repro.core import (
     fingerprint_of,
     ROOT_ID,
 )
+from repro.core.server.changelog_engine import IDLE_PUSH_US
 
 
 def make(**overrides):
@@ -63,7 +64,7 @@ class TestStaleSetInterplay:
 
 class TestProactiveAggregation:
     def test_push_threshold_triggers_aggregation(self):
-        cluster = make(proactive_push_entries=5, grace_period_us=20.0, grace_cap_us=100.0)
+        cluster = make(proactive_push_entries=5)
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         for i in range(30):
@@ -74,15 +75,13 @@ class TestProactiveAggregation:
         assert aggs >= 1
 
     def test_idle_push_flushes_small_logs(self):
-        cluster = make(
-            proactive_push_entries=1000,  # threshold never reached
-            proactive_idle_push_us=500.0,
-            grace_period_us=20.0,
-        )
+        cluster = make(proactive_push_entries=1000)  # threshold never reached
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/only"))
-        cluster.run(until=cluster.sim.now + 10_000)
+        cluster.run(until=cluster.sim.now + IDLE_PUSH_US / 2)
+        assert cluster.total_pending_entries() > 0  # not idle long enough yet
+        cluster.run(until=cluster.sim.now + 4 * IDLE_PUSH_US)
         assert cluster.total_pending_entries() == 0
 
     def test_an_idle_log_queues_one_push_behind_a_held_lock(self):
@@ -90,12 +89,7 @@ class TestProactiveAggregation:
         idle, non-empty log that another server owns: every sweep finds
         the log idle, but only the first spawns a push, which waits for
         the lock and delivers once it is free."""
-        idle = 500.0
-        cluster = make(
-            proactive_push_entries=1000,  # threshold never reached
-            proactive_idle_push_us=idle,
-            grace_period_us=20.0,
-        )
+        cluster = make(proactive_push_entries=1000)  # threshold never reached
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
         fp = fingerprint_of(ROOT_ID, "d")
@@ -111,7 +105,7 @@ class TestProactiveAggregation:
 
         def hold():
             lock = yield from server._acquire(server._changelog_lock(fp), "w")
-            yield cluster.sim.timeout(10 * idle)
+            yield cluster.sim.timeout(10 * IDLE_PUSH_US)
             waiting.append(lock.waiting)
             server._release(lock, "w")
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.bench import run_stream
 from repro.bench.harness import MeasurementWindow
 from repro.core import FSConfig, SwitchFSCluster
-from repro.sim import Simulator, make_rng
+from repro.sim import Simulator, make_rng, zipf_cdf
 from repro.workloads import (
     FixedOpStream,
     PopulationClient,
@@ -102,7 +102,7 @@ class TestUserTable:
         # A fresh table holds no user: per-user state starts empty and
         # grows only with the users who arrive; the Zipf table is n long.
         t = UserTable(100)
-        assert t.n == 100 and len(t.cdf) == 100
+        assert t.n == 100 and t.cdf.tobytes() == zipf_cdf(100, 0.99).tobytes()
         assert not t.ops_done and not t.epoch_seen
         assert t.active_users() == 0 and t.top_user_share() == 0.0
         rng = make_rng(1, "users")
@@ -117,6 +117,22 @@ class TestUserTable:
         assert counts[0] == max(counts)
         assert counts[0] > 5 * counts[-1]
         assert sum(counts[:25]) > 2 * sum(counts[25:])
+
+    def test_skew_concentrates_on_low_ranks(self):
+        t = UserTable(1000, theta=0.99)
+        rng = make_rng(1, "z")
+        samples = [t.sample(rng) for _ in range(20_000)]
+        assert all(0 <= s < 1000 for s in samples)
+        # With theta=0.99 the top 10% of ranks take well over half the mass.
+        assert sum(1 for s in samples if s < 100) / len(samples) > 0.6
+
+    def test_uniform_when_theta_zero(self):
+        t = UserTable(10, theta=0.0)
+        rng = make_rng(1, "z")
+        counts = [0] * 10
+        for _ in range(20_000):
+            counts[t.sample(rng)] += 1
+        assert all(1600 < c < 2400 for c in counts)  # each near 2000
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
@@ -318,6 +334,26 @@ class TestRunFanin:
             assert 0 < p["active_users"] <= p["users"]
             assert 0.0 < p["top_user_share"] <= 1.0
             assert p["p99_latency_us"] >= p["p50_latency_us"] > 0
+
+    def test_population_percentiles_match_the_latency_recorder(self):
+        """One percentile definition: a population's summary and the run's
+        recorder report the same p50 and p99 for the same samples."""
+        # Two cores a server at 400 Kops/s offered: ops queue, so the
+        # samples spread and the two definitions would disagree.
+        cluster = SwitchFSCluster(FSConfig(num_servers=2, cores_per_server=2))
+        ns = bootstrap(cluster, single_large_directory(16), warm_clients=[0, 1])
+        result = run_fanin(
+            cluster,
+            lambda a: FixedOpStream("stat", ns, seed=5 + a, dir_choice="single"),
+            users=1_000,
+            offered_load_ops=400_000.0,
+            total_ops=300,
+            aggregates=2,
+            seed=7,
+        )
+        for name, p in result.populations.items():
+            assert p["p50_latency_us"] == round(result.latency.p(50, name), 3)
+            assert p["p99_latency_us"] == round(result.latency.p(99, name), 3)
 
     def test_validation(self):
         cluster = _cluster()

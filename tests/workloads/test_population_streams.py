@@ -9,7 +9,6 @@ from repro.workloads import (
     DATA_CENTER_SERVICES_MIX,
     FixedOpStream,
     MixStream,
-    Population,
     ThumbnailTrace,
     bootstrap,
     multiple_directories,
@@ -89,17 +88,6 @@ class TestFixedOpStream:
         for _ in range(10):
             stream.take()
         assert stream.issued == 10
-
-    def test_zipf_choice_skews(self):
-        pop = multiple_directories(64, 2)
-        stream = FixedOpStream("create", pop, seed=1, dir_choice="zipf", zipf_theta=1.2)
-        hits = {}
-        for _ in range(400):
-            thunk = stream.take()
-            d = _thunk_path(thunk).rsplit("/", 1)[0]
-            hits[d] = hits.get(d, 0) + 1
-        top = max(hits.values())
-        assert top > 400 / 64 * 4  # far above uniform share
 
     def test_unknown_op_rejected(self):
         stream = FixedOpStream("create", single_large_directory(1))
