@@ -59,8 +59,7 @@ def measure_fixed_op(
     cluster = make_cluster(system, config)
     population = bootstrap(cluster, population_factory(), warm_clients=[0])
     stream = FixedOpStream(op, population, seed=seed, dir_choice=dir_choice)
-    return run_stream(cluster, stream, total_ops=total_ops, inflight=inflight,
-                      op_label=op)
+    return run_stream(cluster, stream, total_ops=total_ops, inflight=inflight)
 
 
 def resolve_population(spec: Sequence) -> Population:

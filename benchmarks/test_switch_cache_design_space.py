@@ -46,8 +46,7 @@ def _run_arm(point):
     workload, arm = point
     cluster = make_cluster("SwitchFS", scaled_config(num_servers=8, **ARMS[arm]))
     pop = bootstrap(cluster, single_large_directory(FILES), warm_clients=[0])
-    return run_stream(cluster, WORKLOADS[workload](pop), total_ops=OPS,
-                      inflight=64, op_label=workload)
+    return run_stream(cluster, WORKLOADS[workload](pop), total_ops=OPS, inflight=64)
 
 
 def test_switch_cache_design_space(benchmark):

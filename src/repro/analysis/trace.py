@@ -410,9 +410,9 @@ class _KVProxy:
         self._tracer.on_state_access(("kv", self._addr, key), True)
         return self._kv.delete(key, **kwargs)
 
-    def scan_prefix(self, prefix, **kwargs):
+    def scan_prefix(self, prefix):
         self._tracer.on_state_access(("kv-scan", self._addr, tuple(prefix)), False)
-        return self._kv.scan_prefix(prefix, **kwargs)
+        return self._kv.scan_prefix(prefix)
 
     def transaction(self):
         return _KVTxnProxy(self._kv.transaction(), self._tracer, self._addr)

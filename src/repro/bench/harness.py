@@ -48,9 +48,8 @@ class RunResult:
     # every server, covering exactly this run's window.
     phases: PhaseStats = field(default_factory=PhaseStats)
     # In-switch dentry-cache counters (hits/misses/fills/evictions) for
-    # this run's window; empty when the cache is not provisioned.  The
-    # per-call latency split lives in the recorder's "switch_hit" /
-    # "switch_miss" buckets.
+    # this run's window, read from the switch, which is their one record;
+    # empty when the cache is not provisioned.
     switch_cache: Dict[str, int] = field(default_factory=dict)
     # Per-population fan-in summaries (users, offered vs achieved load,
     # percentiles, epoch catch-ups) from the open-loop client-population
@@ -88,20 +87,18 @@ class RunResult:
 class MeasurementWindow:
     """The one measurement of a run, whichever arrival policy drives it.
 
-    The window opens when built: server phase accounting restarts, the
-    switch dentry-cache counters are snapshotted and the clients get fresh
-    switch-served-reply buckets, so bootstrap and warm-up traffic (a
-    separate driver call) stay out of it.  Every completed op reports to
-    :meth:`done`; :meth:`run` joins the driver's processes, closes the
-    window and builds the run's :class:`RunResult`.
+    The window opens when built: server phase accounting restarts and the
+    switch dentry-cache counters are snapshotted, so bootstrap and warm-up
+    traffic (a separate driver call) stay out of it.  Every completed op
+    reports to :meth:`done`; :meth:`run` joins the driver's processes,
+    closes the window and builds the run's :class:`RunResult`.
     """
 
-    def __init__(self, cluster: Cluster, clients: int, total_ops: int):
+    def __init__(self, cluster: Cluster, total_ops: int):
         if total_ops < 1:
             raise ValueError(f"total_ops must be >= 1, got {total_ops}")
         self.cluster = cluster
         self.sim = cluster.sim
-        self.clients = [cluster.client(c) for c in range(clients)]
         self.latency = LatencyRecorder()
         # Appended to directly: elapsed is non-negative by construction
         # (virtual time is monotone), so record()'s check adds nothing.
@@ -109,9 +106,6 @@ class MeasurementWindow:
         for server in cluster.servers:
             server.phases.clear()
         self.cache_base = self._switch_cache_counts() or {}
-        # LatencyRecorder has no clear(), so swap in fresh recorders.
-        for fs in self.clients:
-            fs.switch_latency = LatencyRecorder()
         self.start = self.end = self.sim.now
 
     def _switch_cache_counts(self) -> Optional[Dict[str, int]]:
@@ -156,8 +150,6 @@ class MeasurementWindow:
         counts = self._switch_cache_counts()
         if counts is not None:
             switch_cache = {k: v - self.cache_base.get(k, 0) for k, v in counts.items()}
-            for fs in self.clients:
-                self.latency.merge(fs.switch_latency)
         if populations:
             inflight = max(pop.peak_inflight for pop in populations)
         return RunResult(
@@ -205,21 +197,18 @@ def run_stream(
     stream: OpStream,
     total_ops: int,
     inflight: int = 32,
-    op_label: Optional[str] = None,
 ) -> RunResult:
     """Run *total_ops* operations from *stream* with a fixed in-flight level.
 
     *inflight* persistent workers share client 0.  The measurement window
     is the whole call: warm up with a separate call before it.
     """
-    window = MeasurementWindow(cluster, 1, total_ops)
+    window = MeasurementWindow(cluster, total_ops)
     sim = cluster.sim
     fs = cluster.client(0)
     take = stream.take
     done = window.done
-    latency = window.latency
-    label = op_label or "all"
-    labelled = latency.bucket(label) if label != "all" else None
+    record = window.latency.record
     issued = 0
 
     def worker():
@@ -230,12 +219,10 @@ def run_stream(
             t0 = sim.now
             yield from thunk(fs)
             elapsed = done(t0)
-            if labelled is not None:
-                labelled.append(elapsed)
             # Per-op breakdown when the stream labels its thunks.
             op_name = thunk.op_name
-            if op_name and op_name != label:
-                latency.record(elapsed, op_name)
+            if op_name:
+                record(elapsed, op_name)
 
     procs = [sim.spawn(worker(), name=f"bench-worker-{w}") for w in range(inflight)]
     return window.run(procs, "bench-join", inflight)

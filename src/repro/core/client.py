@@ -21,7 +21,7 @@ from typing import Any, Dict, Generator, Iterator, Optional, Set, Tuple
 
 from ..net import RpcError, RpcNode, StaleSetHeader, StaleSetOp
 from ..net.topology import Network
-from ..sim import Counter, LatencyRecorder, Simulator
+from ..sim import Counter, Simulator
 from .config import FSConfig
 from ..errors import EINVALIDPATH, ENOENT, EWRONGEPOCH, FSError, fs_error
 from .membership import Placement
@@ -89,10 +89,8 @@ class LibFS:
         self.node = RpcNode(sim, net, addr)
         self.counters = Counter()
         # In-switch dentry cache (DESIGN.md §15): when enabled, lookups
-        # and stats carry a LOOKUP header and switch-served replies land
-        # in their own latency bucket ("switch_hit" vs "switch_miss").
+        # and stats carry a LOOKUP header; the switch counts its hits.
         self._switch_cache = config.switch_cache and config.stale_backend == "switch"
-        self.switch_latency = LatencyRecorder()
         root = root_inode()
         self._root = ResolvedDir(
             id=root.id,
@@ -138,12 +136,9 @@ class LibFS:
             header = StaleSetHeader(
                 op=StaleSetOp.LOOKUP, fingerprint=fingerprint_of(parent.id, name)
             )
-        t0 = self.sim.now
-        value, pkt = yield from self._call(
+        value, _ = yield from self._call(
             owner, "lookup_dir", {"pid": parent.id, "name": name}, header=header
         )
-        if header is not None:
-            self._note_switch_reply(pkt, self.sim.now - t0)
         # value: {"id", "fingerprint", "perm"}
         resolved = ResolvedDir(
             id=value["id"],
@@ -262,11 +257,10 @@ class LibFS:
                         op=StaleSetOp.LOOKUP,
                         fingerprint=file_cache_fingerprint(parent.id, name),
                     )
-                t0 = sim.now
                 try:
                     # A stale owner is safe: EWRONGEPOCH refreshes the view
                     # and the loop retries.
-                    value, pkt = yield from self.node.call(
+                    value, _ = yield from self.node.call(
                         owner,
                         method,
                         args,
@@ -278,8 +272,6 @@ class LibFS:
                     raise
                 except RpcError as exc:
                     raise fs_error(str(exc)) from exc
-                if lookup:
-                    self._note_switch_reply(pkt, sim.now - t0)
                 return value
             except FSError as exc:
                 if exc.code == EINVALIDPATH and invalid_left > 0:
@@ -343,47 +335,14 @@ class LibFS:
 
         return self._with_revalidation(attempt, path)
 
-    def _note_switch_reply(self, packet, elapsed_us: float) -> None:
-        """Bucket a LOOKUP-headed call by who answered it.
-
-        A switch-served reply carries the LOOKUP header back with
-        RET == 1; a server-served (cache-miss) reply carries a FILL
-        header instead.  Counted + recorded separately so cache efficacy
-        shows up next to the queue/cpu/lock/net breakdowns.
-        """
-        if (
-            packet is not None
-            and packet.header is not None
-            and packet.header.op == StaleSetOp.LOOKUP
-            and packet.header.ret == 1
-        ):
-            self.counters.inc("switch_cache_hits")
-            self.switch_latency.record(elapsed_us, "switch_hit")
-        else:
-            self.counters.inc("switch_cache_misses")
-            self.switch_latency.record(elapsed_us, "switch_miss")
-
     def statdir(self, path: str) -> Generator:
         return self._dir_read("statdir", path)
 
-    def readdir(
-        self,
-        path: str,
-        start_after: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> Generator:
-        """List a directory.  *start_after*/*limit* paginate: entries
-        strictly after the token, at most *limit* of them; a truncated
-        reply carries ``next`` — the token for the following page."""
-        return self._dir_read("readdir", path, start_after=start_after, limit=limit)
+    def readdir(self, path: str) -> Generator:
+        """List a directory: every entry's name, in name order."""
+        return self._dir_read("readdir", path)
 
-    def _dir_read(
-        self,
-        method: str,
-        path: str,
-        start_after: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> Generator:
+    def _dir_read(self, method: str, path: str) -> Generator:
         """Directory reads carry a QUERY header the switch fills in (§4.2.2)."""
 
         def attempt() -> Generator:
@@ -396,10 +355,6 @@ class LibFS:
                 "ancestor_ids": target.ancestor_ids[:-1],
                 "path": path,
             }
-            if start_after is not None:
-                args["start_after"] = start_after
-            if limit is not None:
-                args["limit"] = limit
             header = None
             if self.config.stale_backend == "switch":
                 header = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=target.fingerprint)
@@ -507,7 +462,6 @@ class LibFS:
             view = value["view"]
             if view.epoch > self._view.epoch:
                 self._view = view
-                self.counters.inc("epoch_refreshes")
             return
         # Every server of the stale view unreachable: keep the view; the
         # retry loop will surface the original error if it persists.

@@ -108,12 +108,10 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
         # The whole transaction routes against the view as of now, under
         # the serialiser; a participant that has since lost a shard answers
         # EWRONGEPOCH and the client refreshes and retries.
-        result = yield from rename_transaction(  # the rename serialiser spans the whole distributed transaction by design
+        return (yield from rename_transaction(  # the rename serialiser spans the whole distributed transaction by design
             node, sim, server.membership.current, perf, args,
             async_updates=server.config.async_updates,
-        )
-        server.counters.inc("renames")
-        return result
+        ))
     finally:
         server.rename_serializer().release()
 

@@ -266,7 +266,6 @@ class AggregationProtocol:
         for fp in expired:
             _, lock = wd.pop(fp)
             if self._pull_locks.get(fp) is lock:
-                self.counters.inc("pull_watchdog_fires")
                 self._release_pull_locks(fp)
         if wd:
             nxt = min(deadline for deadline, _ in wd.values())
@@ -344,4 +343,3 @@ class AggregationProtocol:
         self._grace_pending[fp] = False
         yield from self._wait_group_unblocked(fp)
         yield from self._aggregate_group(fp)
-        self.counters.inc("proactive_aggregations")

@@ -100,9 +100,7 @@ class ChangeLogEngine:
                 # Push failed (owner slow/dead): restore entries for a later
                 # push or pull; order within one log does not matter
                 # (commutative).
-                self.changelogs.extend(
-                    log.dir_id, log.fingerprint, entries, lsns, self.sim.now
-                )
+                yield from self._append_entries(log.dir_id, log.fingerprint, entries, lsns)
                 return
             self.counters.inc("proactive_pushes")
             self.wal.mark_applied_many(lsns)
@@ -135,9 +133,15 @@ class ChangeLogEngine:
         to this server's change-log for the directory.
         """
         lsns = self.wal.append_many("changelog", [(dir_id, fp, entry) for entry in entries])
-        # Appender discipline (same as create/delete/mkdir): hold the
-        # group's change-log lock in read mode across the extend so a
-        # concurrent drain (write-holder) is excluded.
+        yield from self._append_entries(dir_id, fp, entries, lsns)
+
+    def _append_entries(
+        self, dir_id: int, fp: int, entries: List[ChangeLogEntry], lsns: List[int]
+    ) -> Generator:
+        """Append WAL-logged entries to this server's change-log for the
+        directory.  Appender discipline (same as create/delete/mkdir): hold
+        the group's change-log lock in read mode across the extend, so a
+        drain (the write-holder) never sees entries land mid-round."""
         cl_lock = yield from self._acquire(self._changelog_lock(fp), "r")
         try:
             self.changelogs.extend(dir_id, fp, entries, lsns, self.sim.now)

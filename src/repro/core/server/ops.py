@@ -329,7 +329,6 @@ class ServerOps:
         pending = self._pending_unlocks
         expired = [t for t, info in pending.items() if info["deadline"] <= now]
         for token in expired:
-            self.counters.inc("unlock_watchdog_fires")
             self.release_unlock_token(token, applied_sync=False)
         if pending:
             nxt = min(info["deadline"] for info in pending.values())
@@ -491,7 +490,6 @@ class ServerOps:
         EVICT does.  The EVICT packet is consumed at the switch — the
         self-address only gives the topology a routable destination.
         """
-        self.counters.inc("cache_evicts_sent")
         self.node.notify(
             self.addr,
             "cache_evict",

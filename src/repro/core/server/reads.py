@@ -57,36 +57,9 @@ class ReadOps:
 
     def _handle_readdir(self, request: RpcRequest, packet: Packet) -> Generator:
         inode = yield from self._read_dir_inode(request, packet)
-        args = request.args
-        start_after, limit = args.get("start_after"), args.get("limit")
-        next_token = None
-        if start_after is None and limit is None:
-            names = [key[2] for key, _ in self.kv.scan_prefix(("E", inode.id))]
-        else:
-            # Paginated listing: resume strictly after the client's token
-            # (the scan's start bound is inclusive, so over-fetch covers
-            # the token itself plus one look-ahead for next-page detection).
-            fetch = None
-            if limit is not None:
-                fetch = limit + 1 + (1 if start_after is not None else 0)
-            names = [
-                key[2]
-                for key, _ in self.kv.scan_prefix(
-                    ("E", inode.id),
-                    start=None if start_after is None else (start_after,),
-                    limit=fetch,
-                )
-            ]
-            if start_after is not None and names and names[0] == start_after:
-                names = names[1:]
-            if limit is not None and len(names) > limit:
-                names = names[:limit]
-                next_token = names[-1] if names else None
+        names = [key[2] for key, _ in self.kv.scan_prefix(("E", inode.id))]
         yield self._cpu(self.perf.readdir_per_entry_us * max(1, len(names)))
-        result = {"id": inode.id, "entries": names, "entry_count": inode.entry_count}
-        if next_token is not None:
-            result["next"] = next_token
-        return result
+        return {"id": inode.id, "entries": names, "entry_count": inode.entry_count}
 
     def _read_dir_inode(self, request: RpcRequest, packet: Packet) -> Generator:
         args = request.args
@@ -113,7 +86,6 @@ class ReadOps:
             yield self._cpu(self.perf.agg_check_us)
             yield from self._wait_group_unblocked(fp)
             if scattered:
-                self.counters.inc("read_triggered_aggregations")
                 yield from self._aggregate_group(fp)
 
         key = dir_meta_key(pid, name)

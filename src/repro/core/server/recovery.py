@@ -53,7 +53,6 @@ class CrashRecovery:
         for lsn in covered:
             self.wal.mark_applied(lsn)
         self.wal.checkpoint()
-        self.counters.inc("checkpoints")
         # Charge background CPU proportional to the image size.
         yield self._cpu(self.perf.kv_put_us * max(1, len(image["kv"])) * 0.002)
         return len(image["kv"])
@@ -101,7 +100,6 @@ class CrashRecovery:
                 self.changelogs.load(dir_id, fp, entries, lsns)
             self.inval.restore(image["inval"])
             self._dir_index.update(image["dir_index"])
-            self.counters.inc("recovered_from_checkpoint")
         replayed = self.kv.recover()
         # Rebuild change-logs from unapplied change-log records, grouped by
         # directory so each log takes one batched extend.
@@ -134,6 +132,6 @@ class CrashRecovery:
                 # Peer down too (correlated failure): proceed with an empty
                 # list — directories invalidated before the crash have no
                 # surviving inode, so their operations fail with ENOENT.
-                self.counters.inc("recovery_clone_failed")
+                pass
         self.end_recovery()
         return total

@@ -99,36 +99,24 @@ class KVStore:
         return self._apply_delete(key)
 
     # -- scans ---------------------------------------------------------------
-    def scan_prefix(
-        self,
-        prefix: Key,
-        start: Optional[Key] = None,
-        limit: Optional[int] = None,
-    ) -> Iterator[Tuple[Key, Any]]:
+    def scan_prefix(self, prefix: Key) -> Iterator[Tuple[Key, Any]]:
         """Iterate (key, value) over all keys whose leading fields equal *prefix*.
 
         With keys of shape ``(pid, name)``, ``scan_prefix((pid,))`` lists a
-        directory's entries in name order.
-
-        *start* resumes a paginated scan: only keys ``>= prefix + start``
-        are yielded (pass the last key's suffix fields from the previous
-        page, e.g. ``start=(last_name,)``, and skip the first result — or
-        bump the token yourself).  *limit* caps the number of yielded
-        entries.  Both default to the full range.
+        directory's entries in name order.  The keys are a copy taken at
+        the call, so the caller may write to the store while it iterates.
         """
         self.scans += 1
         if self._is_flat(prefix):
             keys = self._dirs.get(prefix, ())
             if prefix in self._unsorted:
                 self._sort(prefix, keys)
+            keys = keys[:]  # the live index changes under later writes
         else:
             n = len(prefix)
             keys = sorted(k for k in self._mem if k[:n] == prefix)
             self.merges += 1  # O(store) on every call: keep it visible
-        i = 0 if start is None else bisect.bisect_left(keys, prefix + tuple(start))
-        end = len(keys) if limit is None else i + limit
-        page = keys[i:end]
-        return zip(page, map(self._mem.__getitem__, page))
+        return zip(keys, map(self._mem.__getitem__, keys))
 
     def _is_flat(self, prefix: Key) -> bool:
         """True when ``_dirs[prefix]`` is everything under *prefix*: no live

@@ -86,10 +86,6 @@ class LatencyRecorder:
     def ops(self) -> Iterable[str]:
         return self._samples.keys()
 
-    def merge(self, other: "LatencyRecorder") -> None:
-        for op, xs in other._samples.items():
-            self._samples[op].extend(xs)
-
 
 class PhaseStats:
     """Per-phase service-time accumulators for one server.

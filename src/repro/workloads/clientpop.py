@@ -248,7 +248,7 @@ def run_fanin(
     if users < aggregates:
         raise ValueError(f"need >= 1 user per aggregate ({users} users, "
                          f"{aggregates} aggregates)")
-    window = MeasurementWindow(cluster, aggregates, total_ops)
+    window = MeasurementWindow(cluster, total_ops)
     pops: List[PopulationClient] = []
     base_users = users // aggregates
     base_ops = total_ops // aggregates

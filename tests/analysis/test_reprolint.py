@@ -530,16 +530,24 @@ class TestRepoIsClean:
         # KVStore.merges: pins DESIGN §11's amortised sort.
         "merges",
     }
+    # Named counters only tests read, each kept for the behaviour it pins.
+    TEST_ONLY_COUNTERS = {
+        # The baselines' placements: InfiniFS's grouped create never updates
+        # a parent on another server, CFS-KV's per-file one does
+        # (test_baseline_semantics).
+        "cross_server_updates",
+    }
 
     def test_every_tally_the_program_bumps_is_read(self):
         """A counter nothing reads costs an add on the op path and a name
         to keep.  Every attribute ``src/repro`` (outside ``analysis/``)
-        changes with ``+=`` / ``-=`` is read somewhere in ``src/``,
+        changes with ``+=`` / ``-=``, and every name it bumps with
+        ``counters.inc("<name>")``, is read somewhere in ``src/``,
         ``benchmarks/`` or ``examples/`` other than at its own update
-        sites: an attribute load, or a string naming it (the ledger reads
-        its counters by ``getattr``).  A copy into a ``SwitchStats`` field
-        counts as a read only if something outside tests reads that
-        field."""
+        sites: an attribute load, or a string naming it (the ledger names
+        its counters in tuples and reads attributes by ``getattr``).  A
+        copy into a ``SwitchStats`` field counts as a read only if
+        something outside tests reads that field."""
         root = self.SRC.parent
         package = self.SRC / "repro"
         switch = package / "switchfab" / "switch.py"
@@ -549,7 +557,16 @@ class TestRepoIsClean:
                 for path in sorted(d.rglob("*.py")):
                     yield path, ast.parse(path.read_text(encoding="utf-8"))
 
-        updated = {}
+        def named_counter(node):
+            """The literal *node* bumps if it is ``<...>.counters.inc("<name>")``."""
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "inc" and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "counters" and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Constant)):
+                return node.args[0]
+            return None
+
+        updated, named = {}, {}
         for path, tree in trees(package):
             if path.relative_to(package).parts[0] == "analysis":
                 continue
@@ -558,6 +575,9 @@ class TestRepoIsClean:
                         and isinstance(node.target, ast.Attribute)):
                     site = f"{path.relative_to(self.SRC)}:{node.lineno}"
                     updated.setdefault(node.target.attr, []).append(site)
+                elif (literal := named_counter(node)) is not None:
+                    site = f"{path.relative_to(self.SRC)}:{node.lineno}"
+                    named.setdefault(literal.value, []).append(site)
 
         (stats_cls,) = [node for node in ast.walk(ast.parse(switch.read_text(encoding="utf-8")))
                         if isinstance(node, ast.ClassDef) and node.name == "SwitchStats"]
@@ -574,6 +594,8 @@ class TestRepoIsClean:
                       and node.arg in fields and isinstance(node.value, ast.Attribute)):
                     skip.add(id(node.value))
                     copies.append((node.arg, node.value.attr))
+                elif (literal := named_counter(node)) is not None:
+                    skip.add(id(literal))
             for node in ast.walk(tree):
                 if id(node) in skip:
                     continue
@@ -587,8 +609,11 @@ class TestRepoIsClean:
 
         unread = {attr: sites for attr, sites in sorted(updated.items())
                   if not reads[attr] and attr not in self.TEST_ONLY_TALLIES}
+        unread.update((name, sites) for name, sites in sorted(named.items())
+                      if not reads[name] and name not in self.TEST_ONLY_COUNTERS)
         assert unread == {}
         assert self.TEST_ONLY_TALLIES <= set(updated)
+        assert self.TEST_ONLY_COUNTERS <= set(named)
 
     def test_every_slot_a_record_declares_is_read(self):
         """A field nothing reads costs a store per instance and a name to

@@ -137,6 +137,15 @@ class TestInvalidationList:
         inval.insert(2)
         assert not inval.validate([1, 2, 3])
 
+    def test_discard_reverts_insert(self):
+        inval = InvalidationList()
+        inval.insert(42)
+        assert 42 in inval
+        inval.discard(42)
+        assert 42 not in inval
+        inval.discard(42)  # idempotent on absent ids
+        assert len(inval) == 0
+
     def test_snapshot_restore(self):
         a, b = InvalidationList(), InvalidationList()
         a.insert(5)

@@ -15,6 +15,7 @@ from repro.core import (
     ROOT_ID,
 )
 from repro.core.server.ops import UNLOCK_WATCHDOG_US
+from repro.net import RpcError
 
 
 def make(**overrides):
@@ -100,7 +101,7 @@ class TestUnlockTokens:
         assert lock.write_locked  # held until the watchdog's deadline
         cluster.run(until=deadline + 1.0)
         assert not lock.write_locked
-        assert server.counters.get("unlock_watchdog_fires") == 1
+        assert 777 not in server._pending_unlocks  # the watchdog released it
 
 
 def _acquire(lock):
@@ -131,6 +132,42 @@ class TestGroupBlocks:
         block.succeed()
         cluster.run(until=cluster.sim.now + 2_000.0)
         assert done and done[0]["entry_count"] == 1
+
+
+class TestFailedPush:
+    def test_restore_waits_for_a_pull_holding_the_group_lock(self, monkeypatch):
+        """A push whose RPC fails puts its entries back as an appender does:
+        under the group's change-log lock in read mode, so a pull that
+        write-holds the lock never sees them land in the middle of its
+        round."""
+        cluster = make(proactive_enabled=False)
+        sim = cluster.sim
+        server = cluster.servers[0]
+        view = cluster.membership.current
+        # A directory another server owns, so the push ships its log.
+        fp = next(fp for fp in (fingerprint_of(ROOT_ID, f"d{i}") for i in range(64))
+                  if view.dir_owner_by_fp(fp) != server.addr)
+        entries = [ChangeLogEntry(float(i), ChangeOp.CREATE, f"f{i}") for i in range(3)]
+        lsns = server.wal.append_many("changelog", [(7, fp, e) for e in entries])
+        server.changelogs.extend(7, fp, entries, lsns, sim.now)
+        log = server.changelogs.log_for(7, fp)
+
+        def failing_call(dst, method, args, max_attempts=None):
+            yield sim.timeout(10.0)
+            raise RpcError("owner unreachable")
+
+        monkeypatch.setattr(server, "_call", failing_call)
+        sim.spawn(server._push_log(log), name="push")
+        cluster.run(until=sim.now + 5.0)
+        assert len(log) == 0  # drained; the push is in flight
+        lock = server._changelog_lock(fp)
+        sim.spawn(_acquire(lock), name="pull")  # a pull write-holds the group
+        cluster.run(until=sim.now + 20.0)  # the push has failed meanwhile
+        assert lock.write_locked
+        assert len(log) == 0
+        lock.release_write()
+        cluster.run(until=sim.now + 1.0)
+        assert log.entries == entries
 
 
 class TestPullLocks:

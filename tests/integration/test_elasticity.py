@@ -87,9 +87,10 @@ class TestNamespaceEquivalenceOracle:
         cluster, fs, _ns, _stats = _run_elastic()
         counts = fs.counters.as_dict()
         # The client rode through both transitions on stale views: the
-        # WrongEpoch redirect protocol must actually have fired.
+        # WrongEpoch redirect protocol must actually have fired, and the
+        # refresh it triggers is the only way a client's view moves.
         assert counts.get("wrong_epoch_retries", 0) > 0
-        assert counts.get("epoch_refreshes", 0) > 0
+        assert fs.view_epoch == cluster.membership.current.epoch == 2
 
     def test_elastic_run_is_deterministic(self):
         c1, _fs1, ns1, stats1 = _run_elastic()

@@ -121,6 +121,18 @@ class TestMkdirRmdir:
         cluster.run_op(fs.create("/d/g"))
         assert cluster.run_op(fs.statdir("/d"))["entry_count"] == 2
 
+    def test_rmdir_of_non_empty_directory_uninvalidates(self, cluster, fs):
+        cluster.run_op(fs.mkdir("/d"))
+        for name in ("f000", "f001"):
+            cluster.run_op(fs.create(f"/d/{name}"))
+        with pytest.raises(FSError):
+            cluster.run_op(fs.rmdir("/d"))
+        # The directory must stay fully usable after the failed rmdir.
+        result = cluster.run_op(fs.readdir("/d"))
+        assert result["entries"] == ["f000", "f001"]
+        cluster.run_op(fs.create("/d/after"))
+        assert "after" in cluster.run_op(fs.readdir("/d"))["entries"]
+
     def test_rmdir_empty_succeeds(self, cluster, fs):
         cluster.run_op(fs.mkdir("/d"))
         cluster.run_op(fs.create("/d/f"))
@@ -344,10 +356,10 @@ class TestSettle:
         # cleared the switch: a statdir needs no aggregation.
         before = cluster.server_by_addr(
             cluster.membership.current.dir_owner_by_fp(fs._cache["/d"].fingerprint)
-        ).counters.get("read_triggered_aggregations")
+        ).counters.get("aggregations")
         info = cluster.run_op(fs.statdir("/d"))
         after = cluster.server_by_addr(
             cluster.membership.current.dir_owner_by_fp(fs._cache["/d"].fingerprint)
-        ).counters.get("read_triggered_aggregations")
+        ).counters.get("aggregations")
         assert info["entry_count"] == 40
         assert after == before

@@ -38,14 +38,9 @@ class ReferenceStore:
             else:
                 self.data.pop(key, None)
 
-    def scan_prefix(self, prefix, start=None, limit=None):
+    def scan_prefix(self, prefix):
         n = len(prefix)
         keys = sorted(k for k in self.data if k[:n] == prefix)
-        if start is not None:
-            lo = prefix + tuple(start)
-            keys = [k for k in keys if k >= lo]
-        if limit is not None:
-            keys = keys[:limit]
         return [(k, self.data[k]) for k in keys]
 
     def snapshot(self):
@@ -80,11 +75,6 @@ ops_st = st.lists(
             max_size=6,
         ), st.none()),
         st.tuples(st.just("scan"), keys_st(), st.none()),
-        st.tuples(
-            st.just("scan_page"),
-            keys_st(),
-            st.tuples(keys_st(), st.integers(0, 5)),
-        ),
         st.tuples(st.just("snapshot"), st.none(), st.none()),
         st.tuples(st.just("restore"), st.none(), st.none()),
         st.tuples(st.just("crash_recover"), st.none(), st.none()),
@@ -125,11 +115,6 @@ class TestLsmMatchesReference:
                 ref.txn([(top, k, v if top == "put" else None) for top, k, v in a])
             elif op == "scan":
                 assert list(store.scan_prefix(a)) == ref.scan_prefix(a)
-            elif op == "scan_page":
-                start, limit = b
-                assert list(store.scan_prefix(a, start=start, limit=limit)) == (
-                    ref.scan_prefix(a, start=start, limit=limit)
-                )
             elif op == "snapshot":
                 image, ref_image = store.snapshot(), ref.snapshot()
             elif op == "restore":
@@ -196,14 +181,7 @@ dir_ops_st = st.lists(
         st.tuples(st.just("delete"), dir_keys_st(), st.none()),
         # delete -> re-put of one key with no scan in between
         st.tuples(st.just("reput"), dir_keys_st(), st.integers(0, 99)),
-        st.tuples(
-            st.just("scan_page"),
-            dir_prefix_st(),
-            st.tuples(
-                st.none() | st.tuples(st.sampled_from(["a", "c", "e", "g"])),
-                st.none() | st.integers(0, 4),
-            ),
-        ),
+        st.tuples(st.just("scan"), dir_prefix_st(), st.none()),
         st.tuples(st.just("crash_recover"), st.none(), st.none()),
         st.tuples(st.just("checkpoint_restore"), st.none(), st.none()),
     ),
@@ -226,13 +204,8 @@ class TestPerDirectoryIndexMatchesReference:
                 assert store.delete(a) == ref.delete(a)
                 store.put(a, b)
                 ref.put(a, b)
-            elif op == "scan_page":
-                start, limit = b
-                if len(a) < 2:
-                    start = None  # a name token only orders against names
-                assert list(store.scan_prefix(a, start=start, limit=limit)) == (
-                    ref.scan_prefix(a, start=start, limit=limit)
-                )
+            elif op == "scan":
+                assert list(store.scan_prefix(a)) == ref.scan_prefix(a)
             elif op == "crash_recover":
                 store.crash()
                 store.recover()
@@ -252,19 +225,13 @@ class TestPerDirectoryIndexMatchesReference:
         assert [k for k, _ in store.scan_prefix(("E", 1))] == [
             ("E", 1), ("E", 1, "a"), ("E", 1, "b"),
         ]
-        assert [k for k, _ in store.scan_prefix(("E", 1), start=("a",), limit=1)] == [
-            ("E", 1, "a")
-        ]
 
-    def test_paging_over_a_dirty_directory(self):
+    def test_scanning_a_dirty_directory(self):
         store = KVStore()
         for name in "dbfa":
             store.put(("E", 1, name), name)
-        assert [k[2] for k, _ in store.scan_prefix(("E", 1), limit=2)] == ["a", "b"]
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1))] == ["a", "b", "d", "f"]
         store.delete(("E", 1, "b"))
         store.put(("E", 1, "c"), "c")
         store.put(("E", 2, "z"), "z")
-        assert [k[2] for k, _ in store.scan_prefix(("E", 1), start=("b",), limit=2)] == [
-            "c", "d",
-        ]
-        assert [k[2] for k, _ in store.scan_prefix(("E", 1), start=("e",))] == ["f"]
+        assert [k[2] for k, _ in store.scan_prefix(("E", 1))] == ["a", "c", "d", "f"]

@@ -71,13 +71,6 @@ class TestLatencyRecorder:
         with pytest.raises(ValueError):
             rec.mean("nope")
 
-    def test_merge(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
-        a.record(1.0, "x")
-        b.record(3.0, "x")
-        a.merge(b)
-        assert a.mean("x") == 2.0
-
 
 def test_counter():
     c = Counter()
