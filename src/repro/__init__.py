@@ -8,8 +8,8 @@ Subpackages
     directory updates, change-log recast, in-network stale set
     coordination, LibFS clients, and cluster assembly.
 ``repro.switchfab``
-    The programmable-switch data plane (register stages, stale set,
-    parser/router/rewriter device, control plane).
+    The programmable-switch data plane: register stages, the stale set,
+    the dentry cache, and the one parser/router/rewriter switch.
 ``repro.net``
     Simulated UDP fabric: packets and headers, faults, topologies, RPC.
 ``repro.kvstore``

@@ -28,7 +28,6 @@ from typing import List, Optional
 from .bench import SYSTEMS, make_cluster, print_table, run_stream, scaled_config
 from .bench.sweep import sweep
 from .core import FSConfig, SwitchFSCluster
-from .errors import FSError
 from .net import FaultModel
 from .sim import make_rng
 from .workloads import (
@@ -243,54 +242,6 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    """Run a traced workload and report lock-order cycles and races."""
-    from .analysis import SimTracer, analyze_report, instrument_server
-    from .analysis.detect import lock_order_cycles, race_findings
-
-    config = scaled_config(num_servers=args.servers, cores_per_server=args.cores)
-    cluster = make_cluster(args.system, config)
-    tracer = SimTracer(capture_stacks=not args.no_stacks)
-    tracer.attach(cluster.sim)
-    for server in cluster.servers:
-        instrument_server(tracer, server)
-
-    fs = cluster.client(0)
-    rng = make_rng(args.seed, "cli-analyze")
-    cluster.run_op(fs.mkdir("/a"))
-    cluster.run_op(fs.mkdir("/b"))
-    for i in range(args.ops):
-        # A mixed metadata workload that exercises the double-inode and
-        # rename participant paths the detector is aimed at.
-        which = rng.randrange(6)
-        if which == 0:
-            cluster.run_op(fs.create(f"/a/f{i}"))
-        elif which == 1:
-            cluster.run_op(fs.create(f"/b/f{i}"))
-        elif which == 2 and i > 0:
-            try:
-                cluster.run_op(fs.rename(f"/a/f{i-1}", f"/b/r{i}"))
-            except FSError:
-                pass
-        elif which == 3:
-            cluster.run_op(fs.statdir("/a"))
-        elif which == 4:
-            cluster.run_op(fs.mkdir(f"/a/d{i}"))
-        else:
-            try:
-                cluster.run_op(fs.rmdir(f"/a/d{i-1}"))
-            except FSError:
-                pass
-    tracer.detach()
-
-    print(analyze_report(tracer, include_reads=args.include_reads))
-    failed = args.strict and (
-        lock_order_cycles(tracer)
-        or race_findings(tracer, include_reads=args.include_reads)
-    )
-    return 1 if failed else 0
-
-
 def cmd_workload(args) -> int:
     cluster, population = _build(args)
     stream = MixStream(MIXES[args.mix], population, seed=args.seed,
@@ -382,19 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files/directories to lint (default: src)")
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser("analyze",
-                       help="traced run: lock-order cycle + race detection")
-    _add_cluster_args(p)
-    p.add_argument("--ops", type=int, default=200,
-                   help="mixed metadata ops to trace (default: 200)")
-    p.add_argument("--no-stacks", action="store_true",
-                   help="skip acquisition-stack capture (faster)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when any cycle or race is reported")
-    p.add_argument("--include-reads", action="store_true",
-                   help="also report read/write conflicts (lock-free reads)")
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("faults", help="correctness drill on a lossy network")
     _add_cluster_args(p)

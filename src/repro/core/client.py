@@ -90,7 +90,7 @@ class LibFS:
         self.counters = Counter()
         # In-switch dentry cache (DESIGN.md §15): when enabled, lookups
         # and stats carry a LOOKUP header; the switch counts its hits.
-        self._switch_cache = config.switch_cache and config.stale_backend == "switch"
+        self._switch_cache = config.switch_cache
         root = root_inode()
         self._root = ResolvedDir(
             id=root.id,

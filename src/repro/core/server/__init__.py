@@ -201,7 +201,8 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
             ("_push_inflight", self._push_inflight),
         ):
             out.extend(f"{self.addr} {table}[{key!r}]" for key in items)
-        pending = self.pending_changelog_entries()
+        # Without proactive pushes an entry is parked until a read pulls it.
+        pending = self.config.proactive_enabled and self.pending_changelog_entries()
         if pending:
             out.append(f"{self.addr} changelogs: {pending} pending entries")
         return out

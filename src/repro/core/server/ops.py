@@ -28,7 +28,7 @@ import itertools
 from typing import Any, Dict, Generator, List, Tuple
 
 from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, StaleSetOp, alloc_packet
-from ...sim import Event, RWLock
+from ...sim import Event, RWLock, SimulationError
 from ..changelog import ChangeLog, ChangeLogEntry, ChangeOp
 from ..client import split_path
 from ...errors import EEXIST, EINVALIDPATH, ENOENT, ENOTEMPTY, FSError
@@ -254,7 +254,16 @@ class ServerOps:
         them out of *held*, the caller's custody list.  With the server
         backend the stale-set RPC completes inline and the caller, still
         holding them, releases.
+
+        The appender rule (DESIGN §12): the caller holds the group's
+        change-log lock, last in *held*.  An append without it can land
+        after a round's drain, and the ack's REMOVE then clears the bit
+        this INSERT sets.
         """
+        locks = self._changelog_locks  # subscripts, not .get: no call per append
+        if not held or parent_fp not in locks or held[-1][0] is not locks[parent_fp]:
+            raise SimulationError(
+                f"{self.addr}: append to group {parent_fp} without its change-log lock")
         lsn = self.wal.append("changelog", (parent_id, parent_fp, entry))
         yield self._cpu(self.perf.changelog_append_us)
         log = self.changelogs.append(parent_id, parent_fp, entry, lsn, self.sim.now)

@@ -358,18 +358,13 @@ class AllOf(Event):
                 ev._discard_callback(cb)
 
 
-class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__dict__ entries
+class Simulator:  # reprolint: allow[RL006] one per cluster, built at boot
     """The virtual clock and event loop.
 
     All simulated components hold a reference to one ``Simulator`` and
     schedule their activity through it.  The loop is strictly
     deterministic: ties in virtual time break by insertion order.
     """
-
-    #: Process class used by spawn/adopt.  Swapped for a traced subclass
-    #: while an analysis tracer is attached (see :meth:`set_tracer`) so
-    #: the stock :class:`Process` trampoline carries zero tracing cost.
-    _process_cls = Process
 
     def __init__(self):
         #: Current virtual time in microseconds.  A plain attribute (not a
@@ -382,10 +377,6 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         self._ready: Deque[Tuple[float, int, Event]] = deque()
         self._counter = itertools.count()
         self._stopped = False
-        #: Attached :class:`repro.analysis.trace.SimTracer`, or ``None``.
-        #: The resource primitives test this on every acquire/release —
-        #: their only instrumentation cost when tracing is off.
-        self.tracer = None
         # Shared pre-processed success event for valueless immediate grants
         # (see resources.py).  Processed events are immutable, so one
         # instance serves every uncontended acquire in this simulator.
@@ -418,22 +409,9 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         ev._processed = True
         return ev
 
-    def set_tracer(self, tracer, process_cls=None) -> None:
-        """Attach (or, with ``None``, detach) an analysis tracer.
-
-        *process_cls*, when given, replaces the class used for newly
-        spawned/adopted processes — the tracing hook point.  Passing
-        ``tracer=None`` restores the stock :class:`Process`.
-        """
-        self.tracer = tracer
-        if tracer is None:
-            self.__dict__.pop("_process_cls", None)  # back to the class attr
-        elif process_cls is not None:
-            self._process_cls = process_cls
-
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from generator *gen*."""
-        return self._process_cls(self, gen, name=name)
+        return Process(self, gen, name=name)
 
     def adopt(self, gen: Generator, name: str = "") -> Process:
         """Run *gen* inline, now, as a process (inline dispatch).
@@ -449,7 +427,7 @@ class Simulator:  # reprolint: allow[RL006] singleton; set_tracer swaps self.__d
         the caller drops (the RPC serve path); to wait on the handle,
         register before the generator finishes, or use :meth:`spawn`.
         """
-        proc = self._process_cls(self, gen, name=name, boot=False)
+        proc = Process(self, gen, name=name, boot=False)
         proc._resume(self._granted_none)
         return proc
 

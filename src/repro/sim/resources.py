@@ -65,10 +65,6 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        # Analysis hook: one global-attribute load + None test when idle.
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_acquire(self, "x")
         if self._in_use < self.capacity:
             self._in_use += 1
             return self.sim.granted()
@@ -77,9 +73,6 @@ class Resource:
         return ev
 
     def release(self) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_release(self, "x")
         if self._in_use <= 0:
             raise SimulationError("release of an idle resource")
         if self._waiters:
@@ -107,8 +100,6 @@ class Resource:
         if n < 1:
             raise SimulationError(f"hold_all needs at least one hold, got {n}")
         sim = self.sim
-        tracer = sim.tracer
-        proc = None if tracer is None else tracer.current
         done, last = Event(sim), Event(sim)
         last.add_callback(lambda _ev: done.succeed())
         left = n
@@ -120,12 +111,8 @@ class Resource:
                 last.succeed()
 
         def boot(_ev: Event) -> None:
-            if tracer is not None:  # issue the holds as the process that asked
-                tracer.current = proc
             for _ in range(n):
                 Hold(self, delay, phases).add_callback(ended)
-            if tracer is not None:
-                tracer.current = None
 
         sim.timeout(0.0).add_callback(boot)
         return done
@@ -144,7 +131,7 @@ class Hold(Event):
     cancellable: once taken or queued, the hold runs to its end.
     """
 
-    __slots__ = ("resource", "delay", "phases", "requested", "start", "proc")
+    __slots__ = ("resource", "delay", "phases", "requested", "start")
 
     def __init__(self, resource: Resource, delay: float, phases: Optional[PhaseStats]):
         if delay < 0:
@@ -157,11 +144,6 @@ class Hold(Event):
         self.delay = delay
         self.phases = phases
         self.requested = now = sim.now
-        # The final pop runs outside any process; remember who asked.
-        tracer = sim.tracer
-        self.proc = None if tracer is None else tracer.current
-        if tracer is not None:
-            tracer.on_acquire(resource, "x")
         if resource._in_use < resource.capacity:
             resource._in_use += 1
             self._triggered = True
@@ -182,20 +164,14 @@ class Hold(Event):
             self.start = now
             _heappush(sim._heap, (now + self.delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
             return
-        # Resource.release inlined, tracer hook and idle check included.
+        # Resource.release inlined, idle check included.
         resource = self.resource
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.current = self.proc
-            tracer.on_release(resource, "x")
         if resource._in_use <= 0:
             raise SimulationError("release of an idle resource")
         if resource._waiters:
             resource._waiters.popleft().succeed()  # the unit passes on
         else:
             resource._in_use -= 1
-        if tracer is not None:
-            tracer.current = None
         phases = self.phases
         if phases is not None:
             # Neither duration can be negative: the delay was checked at
@@ -273,9 +249,6 @@ class RWLock:
         return len(self._waiters) if self._waiters else 0
 
     def acquire_read(self) -> Event:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_acquire(self, "r")
         if not self._writer and not self._waiters:
             self._readers += 1
             return self.sim.granted()
@@ -289,17 +262,11 @@ class RWLock:
         means the caller must ``yield acquire_read()`` (the queued path).
         """
         if not self._writer and not self._waiters:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.on_acquire(self, "r")
             self._readers += 1
             return True
         return False
 
     def acquire_write(self) -> Event:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_acquire(self, "w")
         if not self._writer and self._readers == 0 and not self._waiters:
             self._writer = True
             return self.sim.granted()
@@ -308,9 +275,6 @@ class RWLock:
     def try_acquire_write(self) -> bool:
         """Immediate-grant fast path (see :meth:`try_acquire_read`)."""
         if not self._writer and self._readers == 0 and not self._waiters:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.on_acquire(self, "w")
             self._writer = True
             return True
         return False
@@ -318,9 +282,6 @@ class RWLock:
     def release_read(self) -> bool:
         """Drop a read hold; True when that left the lock idle (nobody
         holds it, nobody waits for it), as for :meth:`release_write`."""
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_release(self, "r")
         if self._readers <= 0:
             raise SimulationError("release_read without a read hold")
         self._readers -= 1
@@ -328,9 +289,6 @@ class RWLock:
         return not (self._readers or self._writer or self._waiters)
 
     def release_write(self) -> bool:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.on_release(self, "w")
         if not self._writer:
             raise SimulationError("release_write without a write hold")
         self._writer = False

@@ -41,16 +41,18 @@ class TestAssembly:
 
 
 class TestSettle:
-    def test_settle_raises_when_entries_stuck(self):
-        cluster = SwitchFSCluster(
-            FSConfig(num_servers=2, cores_per_server=2, proactive_enabled=False)
-        )
+    def test_settle_returns_with_entries_parked_for_a_read(self):
+        """With proactive pushes off an entry waits for a directory read by
+        design: settle() tells it from a stuck one and returns."""
+        cluster = SwitchFSCluster(FSConfig(num_servers=4, seed=5, proactive_enabled=False))
         fs = cluster.client(0)
         cluster.run_op(fs.mkdir("/d"))
-        cluster.run_op(fs.create("/d/f"))
-        # Proactive aggregation disabled: entries never drain.
-        with pytest.raises(RuntimeError, match="did not settle: .* pending entries"):
-            cluster.settle()
+        for i in range(40):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        cluster.run_op(fs.statdir("/d"))
+        cluster.settle()
+        assert cluster.total_pending_entries() > 0  # the mkdir's, parked on "/"
+        assert cluster.run_op(fs.statdir("/d"))["entry_count"] == 40
 
     @staticmethod
     def _settled_cluster():
@@ -85,5 +87,6 @@ class TestSettle:
         cluster.run_op(fs.mkdir("/d"))
         for i in range(5):
             cluster.run_op(fs.create(f"/d/f{i}"))
+        assert any("pending entries" in item for s in cluster.servers for item in s.unsettled())
         cluster.settle()
         assert cluster.total_pending_entries() == 0

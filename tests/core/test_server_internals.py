@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.server.ops import UNLOCK_WATCHDOG_US
 from repro.net import RpcError
+from repro.sim import SimulationError
 
 
 def make(**overrides):
@@ -362,6 +363,29 @@ class TestDoubleInodeLockDiscipline:
         assert cluster.run_op(fs.readdir("/d"))["entries"] == ["f"]
         for server in cluster.servers:
             assert not server._inode_locks and not server._changelog_locks
+
+
+class TestAppenderRule:
+    """Whoever appends a change-log entry holds its group's change-log lock
+    (DESIGN §12): the one append site refuses a custody list without it,
+    before anything is logged."""
+
+    def test_append_without_the_group_lock_is_refused(self):
+        cluster = make(proactive_enabled=False)
+        server = cluster.servers[0]
+        fp, other_fp = fingerprint_of(ROOT_ID, "q"), fingerprint_of(ROOT_ID, "r")
+        other = server._changelog_lock(other_fp)
+        assert other.try_acquire_read()
+        inode = server._inode_lock(file_meta_key(ROOT_ID, "q"))
+        assert inode.try_acquire_write()
+        entry = ChangeLogEntry(1.0, ChangeOp.CREATE, "q")
+        logged = server.wal.appends
+        for held in ([], [(inode, "w")], [(inode, "w"), (other, "r")]):
+            append = server._finish_async_update(None, fp, ROOT_ID, entry, held)
+            with pytest.raises(SimulationError, match="without its change-log lock"):
+                next(append)
+        assert server.wal.appends == logged
+        assert server.pending_changelog_entries() == 0
 
 
 class TestUnlockTokenLifecycle:

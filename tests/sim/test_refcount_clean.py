@@ -11,9 +11,7 @@ import weakref
 
 import pytest
 
-from repro.analysis import SimTracer
-from repro.analysis.trace import _TracedProcess
-from repro.sim import AllOf, Process, RWLock, Simulator
+from repro.sim import AllOf, Process, RWLock, Simulator, kernel
 
 
 # The kernel's event classes are slotted without ``__weakref__`` (8 bytes
@@ -22,21 +20,17 @@ class _WeakProcess(Process):
     __slots__ = ("__weakref__",)
 
 
-class _WeakTracedProcess(_TracedProcess):
-    __slots__ = ("__weakref__",)
-
-
 class _WeakAllOf(AllOf):
     __slots__ = ("__weakref__",)
 
 
-def _simulator():
-    sim = Simulator()
-    sim._process_cls = _WeakProcess
-    return sim
+@pytest.fixture
+def weak_processes(monkeypatch):
+    """``spawn`` and ``adopt`` build the kernel module's ``Process``."""
+    monkeypatch.setattr(kernel, "Process", _WeakProcess)
 
 
-pytestmark = pytest.mark.usefixtures("collector_off")
+pytestmark = pytest.mark.usefixtures("collector_off", "weak_processes")
 
 
 def _returns(sim):
@@ -62,11 +56,7 @@ def _waiter(sim, holder, seen):
 
 
 class TestFinishedProcessIsFreed:
-    def _run(self, sim, body, traced=False):
-        tracer = None
-        if traced:
-            tracer = SimTracer().attach(sim)
-            sim.set_tracer(tracer, _WeakTracedProcess)
+    def _run(self, sim, body):
         seen = []
         proc = sim.spawn(body(sim))
         ref = weakref.ref(proc)
@@ -74,29 +64,27 @@ class TestFinishedProcessIsFreed:
         sim.spawn(_waiter(sim, [proc], seen))
         del proc
         sim.run()
-        if tracer is not None:
-            tracer.detach()
         return ref, gen_ref, seen
 
     def test_normal_return(self):
-        ref, gen_ref, seen = self._run(_simulator(), _returns)
+        ref, gen_ref, seen = self._run(Simulator(), _returns)
         assert seen == ["done"]
         assert ref() is None and gen_ref() is None
 
     def test_uncaught_exception(self):
-        ref, gen_ref, seen = self._run(_simulator(), _raises)
+        ref, gen_ref, seen = self._run(Simulator(), _raises)
         assert seen == ["ValueError"]
         assert ref() is None and gen_ref() is None
 
     def test_uncaught_exception_without_a_waiter(self):
-        sim = _simulator()
+        sim = Simulator()
         ref = weakref.ref(sim.spawn(_raises(sim)))
         sim.run()
         assert ref() is None
 
     def test_failed_process_keeps_the_generator_frames_in_its_traceback(self):
         # Only the kernel's own frame is dropped from the stored exception.
-        sim = _simulator()
+        sim = Simulator()
         proc = sim.spawn(_raises(sim))
         sim.run()
         with pytest.raises(ValueError) as info:
@@ -105,7 +93,7 @@ class TestFinishedProcessIsFreed:
 
     @pytest.mark.parametrize("catches", [False, True])
     def test_failure_that_ends_the_process(self, catches):
-        sim = _simulator()
+        sim = Simulator()
         wake = sim.event()
 
         def victim(sim):
@@ -132,7 +120,7 @@ class TestFinishedProcessIsFreed:
         assert ref() is None
 
     def test_adopted_process(self):
-        sim = _simulator()
+        sim = Simulator()
         proc = sim.adopt(_returns(sim))  # runs inline up to its first pending yield
         ref = weakref.ref(proc)
         seen = []
@@ -142,14 +130,8 @@ class TestFinishedProcessIsFreed:
         assert seen == ["done"]
         assert ref() is None
 
-    @pytest.mark.parametrize("body", [_returns, _raises])
-    def test_under_an_attached_tracer(self, body):
-        ref, gen_ref, seen = self._run(_simulator(), body, traced=True)
-        assert len(seen) == 1
-        assert ref() is None and gen_ref() is None
-
     def test_completion_releases_generator_and_resume_callback(self):
-        sim = _simulator()
+        sim = Simulator()
         proc = sim.spawn(_returns(sim))
         assert proc.gen is not None and proc._resume_cb is not None
         sim.run()
@@ -160,7 +142,7 @@ class TestFinishedProcessIsFreed:
 class TestCombinatorsLeaveNothing:
     @pytest.mark.parametrize("finished_first", [False, True])
     def test_over_processes(self, finished_first):
-        sim = _simulator()
+        sim = Simulator()
         procs = [sim.spawn(_returns(sim)) for _ in range(3)]
         if finished_first:
             sim.run()
@@ -171,7 +153,7 @@ class TestCombinatorsLeaveNothing:
         assert [r() for r in refs] == [None] * 4
 
     def test_allof_failing_child(self):
-        sim = _simulator()
+        sim = Simulator()
         combo = _WeakAllOf(sim, [sim.spawn(_raises(sim)), sim.spawn(_sleeps(sim))])
         ref = weakref.ref(combo)
         del combo
@@ -181,7 +163,7 @@ class TestCombinatorsLeaveNothing:
 
 class TestIdleRWLockIsLean:
     def test_never_queued_lock_has_no_queue(self):
-        sim = _simulator()
+        sim = Simulator()
         lock = RWLock(sim)
         assert lock.try_acquire_read() and lock.try_acquire_read()
         assert lock.release_read() is False  # the other reader still holds it
@@ -191,7 +173,7 @@ class TestIdleRWLockIsLean:
         assert lock._waiters is None
 
     def test_first_waiter_allocates_the_queue(self):
-        sim = _simulator()
+        sim = Simulator()
         lock = RWLock(sim)
         assert lock.try_acquire_write()
         waiting = lock.acquire_read()
@@ -201,7 +183,7 @@ class TestIdleRWLockIsLean:
         assert waiting.processed and lock.readers == 1
 
     def test_name_is_formatted_on_demand(self):
-        sim = _simulator()
+        sim = Simulator()
         key = ("F", 7, "name")
         lock = RWLock(sim, name="inode", scope=3, key=key)
         assert lock.name == f"inode:3:{key!r}"

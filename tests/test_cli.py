@@ -129,31 +129,6 @@ class TestLint:
         assert "no such path" in captured.err and "clean" not in captured.out
 
 
-class TestAnalyze:
-    def test_traced_run_reports_clean(self, capsys):
-        code, out = run_cli(capsys, [
-            "analyze", "--ops", "25", "--servers", "2", "--cores", "2",
-            "--no-stacks", "--strict",
-        ])
-        assert code == 0
-        assert "simulation analysis report" in out
-        assert "lock-order cycles: 0" in out
-        assert "no lock-order cycles or lockset races detected" in out
-
-    def test_an_internal_error_is_not_swallowed(self, monkeypatch):
-        """Only the filesystem's own errors (a name already gone) are part
-        of the traced workload; anything else fails the run."""
-        from repro.core import LibFS
-
-        def broken_rename(self, src, dst):
-            raise RuntimeError("internal rename bug")
-            yield  # pragma: no cover - makes this a generator
-
-        monkeypatch.setattr(LibFS, "rename", broken_rename)
-        with pytest.raises(RuntimeError, match="internal rename bug"):
-            main(["analyze", "--ops", "25", "--servers", "2", "--cores", "2", "--no-stacks"])
-
-
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -189,3 +164,11 @@ class TestParser:
         help_text = capsys.readouterr().out
         for option in ("--baseline", "--sarif", "--lock-graph", "--json", "--changed"):
             assert option not in help_text
+
+    def test_analyze_command_is_gone(self, capsys):
+        """The appender rule is checked where entries are appended, on
+        every run: there is no traced-run ``analyze`` command."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--strict"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'analyze'" in capsys.readouterr().err
