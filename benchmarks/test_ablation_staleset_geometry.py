@@ -32,9 +32,7 @@ def _run(stages, bits):
     stream = FixedOpStream("create", pop, seed=81)
     result = run_stream(cluster, stream, total_ops=OPS, inflight=64)
     stats = cluster.switch_stats()
-    fallbacks = sum(s.counters.get("sync_fallbacks") for s in cluster.servers) + sum(
-        s.counters.get("fallback_applied") for s in cluster.servers
-    )
+    fallbacks = sum(s.counters.get("sync_fallbacks") for s in cluster.servers)
     return {
         "tput": result.throughput_kops,
         "capacity": stats.capacity,

@@ -169,7 +169,7 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
                 "migrate_install": self._handle_migrate_install,
             }
         )
-        self.node.add_raw_tap(self._tap)
+        self.node.tap = self._tap
         if not isinstance(membership.current, MembershipView):
             # A baseline's partition has no epochs: whatever reaches this
             # server was routed here by the placement it would be checked

@@ -7,7 +7,8 @@
   *scattered* and multicasts the response to the client (completion) and
   back to this server (unlock).  On stale-set overflow the switch
   redirects the response to the parent's owner, which applies the update
-  synchronously (fallback) before completing the operation.
+  synchronously (fallback) and then forwards that same response to the
+  client.
 
 * **The synchronous parent update** (:meth:`ServerOps._update_parent_sync`)
   is the one way a parent directory is updated before a reply: with
@@ -17,7 +18,7 @@
 
 Read workflows live in :mod:`repro.core.server.reads`.
 
-The deferred-unlock machinery (unlock tokens, the raw-packet tap that
+The deferred-unlock machinery (unlock tokens, the node's tap that
 observes switch multicast copies, and the overflow fallback) lives at
 the bottom: it is the op-side half of the asynchronous-update contract.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, List, Tuple
 
-from ...net import Packet, Reply, RpcRequest, RpcResponse, StaleSetHeader, StaleSetOp, alloc_packet
+from ...net import Packet, Reply, RpcRequest, StaleSetHeader, StaleSetOp, alloc_packet
 from ...sim import Event, RWLock, SimulationError
 from ..changelog import ChangeLog, ChangeLogEntry, ChangeOp
 from ..client import split_path
@@ -293,14 +294,14 @@ class ServerOps:
         }
         held.clear()  # custody handed over: release_unlock_token unlocks
         self._arm_unlock_watchdog(token)
+        # The op's answer plus the unlock's and the fallback's work order,
+        # which the client ignores; origin and parent fp ride the packet.
         return Reply(
             value={
                 "status": "ok",
                 "unlock_token": token,
-                "origin": self.addr,
                 "client": request.src,
                 "parent_id": parent_id,
-                "parent_fp": parent_fp,
                 "entry": entry,
             },
             header=StaleSetHeader(StaleSetOp.INSERT, parent_fp),
@@ -434,53 +435,41 @@ class ServerOps:
         return {"status": "ok"}
 
     # ------------------------------------------------------------------
-    # raw-packet tap: unlock notifications and sync fallback (§4.2.1)
+    # the node's tap: unlock notifications and sync fallback (§4.2.1)
     # ------------------------------------------------------------------
     def _tap(self, packet: Packet) -> bool:
-        if packet.header is None or packet.header.op != StaleSetOp.INSERT:
+        header = packet.header
+        if header is None or header.op != StaleSetOp.INSERT:
             return False
-        payload = packet.payload
-        if not isinstance(payload, RpcResponse) or not isinstance(payload.value, dict):
-            return False
-        value = payload.value
-        if "unlock_token" not in value:
-            return False
-        if packet.header.ret == 1:
-            # The switch's multicast copy back to us: insert confirmed.
-            # Consume exactly one copy per token — for self-addressed RPCs
-            # (mark_entry) the other, identical copy must reach the
-            # dispatcher to complete the call.
-            if value.get("origin") == self.addr:
-                return self.release_unlock_token(value["unlock_token"], applied_sync=False)
-            return False
+        if header.ret == 1:
+            # The switch's multicast copy back to the origin: insert
+            # confirmed.  Consume exactly one copy per token — for
+            # self-addressed RPCs (mark_entry) the other, identical copy
+            # must reach the dispatcher to complete the call.
+            token = packet.payload.value["unlock_token"]
+            return self.release_unlock_token(token, applied_sync=False)
         # RET == 0: overflow redirect — we are the parent's owner and must
         # apply the update synchronously, then complete the operation.
-        self.sim.spawn(self._sync_fallback(payload, packet), name=f"fallback-{self.addr}")
+        self.sim.spawn(self._sync_fallback(packet), name=f"fallback-{self.addr}")
         return True
 
-    def _sync_fallback(self, response: RpcResponse, packet: Packet) -> Generator:
+    def _sync_fallback(self, packet: Packet) -> Generator:
+        response = packet.payload
         value = response.value
         yield from self._wait_recovered()
         # Normally this server owns the parent; if the switch redirected
         # with routes from a previous epoch, the live owner takes it.  The
         # child is already written at its own server, so a parent removed
         # meanwhile goes unreported, as it would for a delayed update.
-        owner = self.membership.current.dir_owner_by_fp(value["parent_fp"])
+        owner = self.membership.current.dir_owner_by_fp(packet.header.fingerprint)
         yield from self._update_parent_sync(owner, value["parent_id"], value["entry"])
-        # Forward the (now fulfilled) response to the client.
-        self.node.net.send(
-            alloc_packet(
-                self.addr,
-                value["client"],
-                RpcResponse(rpc_id=response.rpc_id, value={"status": "ok"}),
-            )
-        )
-        origin = value["origin"]
+        # Complete the op with its own reply: what the handler returned.
+        self.node.net.send(alloc_packet(self.addr, value["client"], response))
+        origin = packet.src
         if origin == self.addr:
             self.release_unlock_token(value["unlock_token"], applied_sync=True)
         else:
             self.node.notify(origin, "unlock_fallback", {"token": value["unlock_token"]})
-        self.counters.inc("fallback_applied")
 
     def _handle_unlock_fallback(self, request: RpcRequest, packet: Packet) -> Generator:
         yield self._cpu(self.perf.changelog_append_us)

@@ -234,25 +234,24 @@ class _Inbox:
             for packet in items:
                 if not node._alive:
                     continue  # crashed host: packets fall on the floor
-                for tap in node._raw_taps:
-                    if tap(packet):
-                        break
-                else:
-                    payload = packet.payload
-                    kind = payload.__class__
-                    if kind is RpcResponse:
-                        node._complete(payload, packet)
-                    elif kind is RpcRequest:
-                        method = payload.method
-                        handler, name = (
-                            handlers[method] if method in handlers
-                            else (None, f"serve-{method}@{node.addr}")
-                        )
-                        # Inline dispatch: the serve generator runs in this
-                        # frame up to its first pending event; nobody
-                        # observes the continuation.
-                        node.sim.adopt(node._serve(payload, packet, handler), name)
-                    # Unknown payloads are dropped silently (UDP semantics).
+                tap = node.tap
+                if tap is not None and tap(packet):
+                    continue
+                payload = packet.payload
+                kind = payload.__class__
+                if kind is RpcResponse:
+                    node._complete(payload, packet)
+                elif kind is RpcRequest:
+                    method = payload.method
+                    handler, name = (
+                        handlers[method] if method in handlers
+                        else (None, f"serve-{method}@{node.addr}")
+                    )
+                    # Inline dispatch: the serve generator runs in this
+                    # frame up to its first pending event; nobody
+                    # observes the continuation.
+                    node.sim.adopt(node._serve(payload, packet, handler), name)
+                # Unknown payloads are dropped silently (UDP semantics).
             items = self.items
         self.armed = False
 
@@ -293,7 +292,9 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
         # is the `acked` every request carries.
         self._pending: Dict[int, Any] = {}
         self._replies: Dict[str, _Replies] = defaultdict(_Replies)  # by source addr
-        self._raw_taps: List[Callable[[Packet], bool]] = []
+        # Sees every inbound packet first; True consumes it (a server
+        # observes the switch's multicast copies of its INSERT replies).
+        self.tap: Optional[Callable[[Packet], bool]] = None
         self._alive = True
         self.retransmits = 0
 
@@ -301,15 +302,6 @@ class RpcNode:  # reprolint: allow[RL006] one endpoint per server/client, built 
     def register(self, method: str, handler: Handler) -> None:
         """Install *handler* for *method*; replaces any existing one."""
         self._handlers[method] = (handler, f"serve-{method}@{self.addr}")
-
-    def add_raw_tap(self, tap: Callable[[Packet], bool]) -> None:
-        """Install a packet tap that sees every inbound packet first.
-
-        A tap returning True consumes the packet (used by servers to
-        observe switch-multicast unlock notifications that are copies of
-        RPC responses addressed to clients).
-        """
-        self._raw_taps.append(tap)
 
     # -- lifecycle (crash injection) ------------------------------------------
     def kill(self) -> None:

@@ -187,6 +187,19 @@ class TestOverflowFallback:
         for i in range(10):
             assert cluster.run_op(fs.statdir(f"/dir{i}"))["entry_count"] == 3
 
+    def test_every_overflowed_mkdir_returns_what_it_made(self):
+        """The fallback completes an op with the op's own reply, so an
+        overflowed mkdir returns the id and fingerprint its client caches."""
+        cluster = make(stale_stages=1, stale_index_bits=2)
+        fs = cluster.client(0)
+        paths = [f"/p{p}" for p in range(32)]
+        paths += [f"/p{p}/c{c}" for p in range(32) for c in range(4)]
+        made = [cluster.run_op(fs.mkdir(path)) for path in paths]
+        assert cluster.switch_stats().insert_overflows == 116
+        assert len(made) == 160 and all(r["status"] == "ok" for r in made)
+        listing = cluster.run_op(fs.readdir("/p31"))
+        assert sorted(listing["entries"]) == ["c0", "c1", "c2", "c3"]
+
 
 class TestRecastBatchOrder:
     def test_batch_merged_out_of_order_applies_in_timestamp_order(self):

@@ -144,7 +144,8 @@ class TestHeldPacketsStayValid:
 
         for node in [server.node for server in cluster.servers] + [fs.node]:
             # Ahead of the server's own tap, which consumes unlock copies.
-            node._raw_taps.insert(0, keep)
+            own = node.tap
+            node.tap = keep if own is None else (lambda p, own=own: keep(p) or own(p))
         cluster.run_op(fs.mkdir("/d"))
         for i in range(12):
             cluster.run_op(fs.create(f"/d/f{i}"))

@@ -139,7 +139,7 @@ class TestRetransmission:
         (rpc_id,) = server._replies["client"]
         dup = RpcRequest(rpc_id=rpc_id, method="h", args=None, src="client")
         resent = []
-        client.add_raw_tap(lambda p: resent.append(p.payload.value) or True)
+        client.tap = lambda p: resent.append(p.payload.value) or True
         net.send(alloc_packet("client", "server", dup))
         sim.run()
         assert len(executions) == 1
@@ -488,7 +488,7 @@ class TestRawTap:
                 return True
             return False
 
-        server.add_raw_tap(tap)
+        server.tap = tap
         from repro.net import alloc_packet
 
         net.send(alloc_packet("client", "server", "raw"))
@@ -537,7 +537,7 @@ class TestOneDeadlinePerNode:
             return False
 
         server.register("h", handler)
-        client.add_raw_tap(drop_two_replies)
+        client.tap = drop_two_replies
         value, _ = run_call(sim, client, "server", "h", None, timeout_us=self.T)
         assert value == "ok"
         one_way = self.RTT / 2
@@ -624,7 +624,7 @@ class TestInbox:
             handled.append((packet.payload, len(pending(sim))))
             return True
 
-        server.add_raw_tap(tap)
+        server.tap = tap
         from repro.net import alloc_packet
 
         for tag in ("first", "second"):
@@ -639,9 +639,9 @@ class TestInbox:
 
         sim, net, client, server = setup_pair()
         seen = []
-        server.add_raw_tap(lambda packet: seen.append(packet) or False)
+        server.tap = lambda packet: seen.append(packet) or False
         server.kill()
         net.send(alloc_packet("client", "server", "raw"))
         sim.run()
-        assert seen == []                    # dead host: not even the taps run
+        assert seen == []                    # dead host: not even the tap runs
         assert net.packets_delivered == 1    # it did reach the inbox

@@ -1,9 +1,10 @@
 """Differential: SwitchFS against the same servers updating parents synchronously.
 
-One schedule runs twice: on SwitchFS (asynchronous parent updates,
-recast) and with ``async_updates=False, recast=False``, where every parent
-update lands before the reply.  Hypothesis varies the number of clients,
-the op mix, the seed and the network's ``FaultModel``.
+One schedule runs three times: on SwitchFS (asynchronous parent updates,
+recast), on SwitchFS with a two-entry stale set that overflows into the
+synchronous fallback, and with ``async_updates=False, recast=False``,
+where every parent update lands before the reply.  Hypothesis varies the
+number of clients, the op mix, the seed and the network's ``FaultModel``.
 
 Each client works only on names of its own, so the ops on one name are
 sequential and, at any read, every name that no op was in flight on has
@@ -155,8 +156,9 @@ fault_models = st.one_of(
 def test_switchfs_matches_synchronous_updates(clients, mix, dirs, ops, seed, faults):
     schedule = (faults, clients, mix, dirs, ops, seed)
     async_violations, async_ns = _run({}, *schedule)
+    tiny_violations, tiny_ns = _run({"stale_stages": 1, "stale_index_bits": 1}, *schedule)
     sync_violations, sync_ns = _run({"async_updates": False, "recast": False}, *schedule)
-    assert async_violations == [] and sync_violations == []
-    assert async_ns == sync_ns
+    assert async_violations == [] and tiny_violations == [] and sync_violations == []
+    assert async_ns == tiny_ns == sync_ns
     assert all(len(entries) == count for entries, count in async_ns.values())
 

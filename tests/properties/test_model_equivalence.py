@@ -9,7 +9,7 @@ directory updates are never observable as missing or duplicated state.
 
 from typing import Dict, Set
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FSConfig, FSError, SwitchFSCluster
@@ -141,6 +141,9 @@ def test_switchfs_matches_model(ops):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(ops=st.lists(op_strategy, min_size=1, max_size=15))
+# The second mkdir's INSERT overflows: its reply must still carry the
+# id and fingerprint the client caches.
+@example(ops=[("mkdir", "/b"), ("readdir", "/"), ("create", "/b/x"), ("mkdir", "/a")])
 def test_switchfs_matches_model_with_tiny_stale_set(ops):
     """Same equivalence when the stale set overflows constantly (sync
     fallback path exercised)."""
