@@ -237,7 +237,3 @@ class ChangeLogTable:
         for fp in dead_fps:
             del self._live_by_fp[fp]
         return live
-
-    def clear(self) -> None:
-        self._by_dir.clear()
-        self._live_by_fp.clear()

@@ -142,20 +142,23 @@ class SwitchFSCluster(Cluster):
         pending change-log entries, then one more so in-flight acks land,
         and until every server, live or retired, holds no lock, group
         block, pull lock, deferred unlock or in-flight push
-        (:meth:`MetadataServer.unsettled`).  With proactive pushes off an
+        (:meth:`MetadataServer.outstanding`).  With proactive pushes off an
         entry waits for a directory read by design, so there is no drain
         to wait for.  Raises ``RuntimeError`` naming every stuck item if
-        200 slices do not get there.
+        200 slices do not get there, or then naming every directory whose
+        ``entry_count`` differs from its listing
+        (:meth:`MetadataServer.unsettled`).
         """
         servers = self.servers + self.retired
         proactive = self.config.proactive_enabled
         drained = False
         for _ in range(200):
             self.sim.run(until=self.sim.now + 20_000.0)
-            if drained and not any(s.unsettled() for s in servers):
-                return
+            if drained and not any(s.outstanding() for s in servers):
+                break
             drained = not proactive or all(
                 s.pending_changelog_entries() == 0 for s in servers)
+        # A count that disagrees at rest stays so: it is read once, here.
         stuck = [item for s in servers for item in s.unsettled()]
         if stuck:
             raise RuntimeError("cluster did not settle: " + "; ".join(stuck))

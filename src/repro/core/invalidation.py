@@ -54,6 +54,3 @@ class InvalidationList:
 
     def restore(self, ids: Set[int]) -> None:
         self._ids = set(ids)
-
-    def clear(self) -> None:
-        self._ids.clear()

@@ -53,10 +53,12 @@ the former single-module implementation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
+from ...kvstore import KVStore
+from ...net import RpcNode
 from ...net.topology import Network
-from ...sim import Event, RWLock, Simulator
+from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, Simulator
 from ..changelog import ChangeLogTable
 from ..config import FSConfig
 from ..invalidation import InvalidationList
@@ -104,36 +106,37 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         config: FSConfig,
         membership: Membership,
     ):
-        ServerRuntime.__init__(self, sim, net, addr, config)
+        # What survives a crash (DESIGN §6); the rest is _lose_dram's.
+        self.sim = sim
+        self.addr = addr
+        self.config = config
+        self.perf = config.perf
+        # The stack multiplier is constant for the life of the server and
+        # sits on the innermost loop (every CPU charge); keep it local.
+        self._stack_mult = config.perf.stack_multiplier
+        self.node = RpcNode(sim, net, addr)
+        self.kv = KVStore()
+        self.wal = self.kv.wal  # one shared WAL per server
+        self.cores = Resource(sim, config.cores_per_server, name=f"cores:{addr}")
+        self.counters = Counter()
+        self.phases = PhaseStats()
         self.membership = membership
-        self.changelogs = ChangeLogTable()
-        self.inval = InvalidationList()
-
-        self._changelog_locks: Dict[int, RWLock] = {}
-        self._group_blocks: Dict[int, Event] = {}
-        self._pending_unlocks: Dict[int, Dict[str, Any]] = {}
-        # Watchdog scanners (ops._arm_unlock_watchdog / aggregation
-        # ._arm_pull_watchdog): at most one timer per server in flight.
-        self._wd_armed = False
-        self._pull_wd: Dict[int, Any] = {}
-        self._pull_wd_armed = False
-        self._dir_nonce = 0
-        self._remove_seq = 0
-        self._grace_pending: Dict[int, bool] = {}
-        # The group change-log write lock held between an agg_pull and its
-        # ack (§4.2.2 step 9a), by fp; a second pull queues on the lock.
-        self._pull_locks: Dict[int, RWLock] = {}
-        self._last_push_at: Dict[int, float] = {}
-        # fp -> count of pushes drained from the local table but not yet
-        # landed at (or restored from) their destination; consulted by the
-        # migration driver before clearing stale-set bits.
-        self._push_inflight: Dict[int, int] = {}
-
         self.ss = (
             ServerBackendClient(self.node, config)
             if config.stale_backend == "server"
             else None
         )
+        self._recovered_ev: Optional[Event] = None  # set while recovering
+        self._rename_serial: Optional[Lock] = None  # lazy, coordinator only
+        # The watchdog scanner's timer sits in the sim heap and outlives a
+        # crash: at most one in flight per server (ops._arm_watchdog).
+        self._wd_armed = False
+        # The switch drops a REMOVE whose SEQ is not above the last one
+        # from this address (§4.4.1); a directory id names one mkdir.
+        self._remove_seq = 0
+        self._dir_nonce = 0
+        self._checkpoint_image: Optional[Dict[str, Any]] = None
+        self._lose_dram()
 
         self.register_handlers(
             {
@@ -178,9 +181,55 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         if config.proactive_enabled and config.async_updates:
             sim.spawn(self._idle_push_sweeper(), name=f"sweeper-{addr}")
 
+    def _lose_dram(self) -> None:
+        """Assign every piece of DRAM state fresh: at boot and at
+        :meth:`crash` (§4.4.2), so a field declared here cannot outlive
+        a crash and one missing from here fails at boot."""
+        self.changelogs = ChangeLogTable()
+        self.inval = InvalidationList()
+        self._inode_locks: Dict[Tuple, RWLock] = {}
+        # Maps a directory id to its inode key (entry-list application,
+        # rename fix-ups, recovery rebuild all resolve through this).
+        self._dir_index: Dict[int, Tuple] = {}
+        # Double-inode mutators currently past the recovery gate: the
+        # migration driver waits for this to reach zero before it freezes
+        # a shard snapshot (quiesce), so no KV write straddles the move.
+        self._inflight_mutators = 0
+        self._rename_locks: Dict[int, List[RWLock]] = {}
+        self._changelog_locks: Dict[int, RWLock] = {}
+        self._group_blocks: Dict[int, Event] = {}
+        self._pending_unlocks: Dict[int, Dict[str, Any]] = {}
+        # The group change-log write lock held between an agg_pull and its
+        # ack (§4.2.2 step 9a), by fp; a second pull queues on the lock.
+        self._pull_locks: Dict[int, RWLock] = {}
+        self._pull_wd: Dict[int, Tuple[float, RWLock]] = {}  # fp -> (deadline, lock)
+        # fp -> count of pushes drained from the local table but not yet
+        # landed at (or restored from) their destination; consulted by the
+        # migration driver before clearing stale-set bits.
+        self._push_inflight: Dict[int, int] = {}
+        self._grace_pending: Dict[int, bool] = {}
+        self._last_push_at: Dict[int, float] = {}
+
     def unsettled(self) -> List[str]:
-        """What this server still holds or owes, one line per item; empty
-        when it is quiescent.  ``SwitchFSCluster.settle`` raises on any.
+        """:meth:`outstanding`, or once nothing is, each directory inode
+        here whose ``entry_count`` differs from its listing; empty when
+        the server is quiescent and consistent.  ``SwitchFSCluster.settle``
+        raises on any line."""
+        out = self.outstanding()
+        if out:
+            return out
+        for key in self._dir_index.values():
+            inode = self.kv.get_or_none(key)
+            if inode is None:
+                continue
+            listed = sum(1 for _ in self.kv.scan_prefix(("E", inode.id)))
+            if inode.entry_count != listed:
+                out.append(f"{self.addr} {key!r}: entry_count {inode.entry_count}, "
+                           f"{listed} listed")
+        return out
+
+    def outstanding(self) -> List[str]:
+        """What this server still holds or owes, one line per item.
 
         Lock tables drop a lock once it is idle, so any entry left in one
         is a lock still held or waited on."""

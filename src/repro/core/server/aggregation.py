@@ -228,7 +228,9 @@ class AggregationProtocol:
         """
         lock = yield from self._take_group(fp)
         self._pull_locks[fp] = lock
-        self._arm_pull_watchdog(fp, lock)
+        # Released by the ack, or by the watchdog if the ack is lost (UDP).
+        self._pull_wd[fp] = (self.sim.now + UNLOCK_WATCHDOG_US, lock)
+        self._arm_watchdog()
         yield self._cpu(self.perf.kv_get_us)
         if invalidate is not None:
             self.inval.insert(invalidate)
@@ -242,36 +244,6 @@ class AggregationProtocol:
         lock = self._pull_locks.pop(fp, None)
         if lock is not None:
             self._release(lock, "w")
-
-    def _arm_pull_watchdog(self, fp: int, lock) -> None:
-        """Release pull locks if the aggregation ack is lost (UDP).
-
-        One scanner timer per server, not one per pull — same rationale
-        as :meth:`ServerOps._arm_unlock_watchdog`.  Every pull re-arms
-        its group's entry, and the identity check at scan time
-        (``_pull_locks.get(fp) is lock``) makes entries from already-acked
-        pulls harmless, so they lazily expire instead of being eagerly
-        removed on the ack path.
-        """
-        deadline = self.sim.now + UNLOCK_WATCHDOG_US
-        self._pull_wd[fp] = (deadline, lock)
-        if not self._pull_wd_armed:
-            self._pull_wd_armed = True
-            self.sim.timeout(UNLOCK_WATCHDOG_US).add_callback(self._pull_watchdog_scan)
-
-    def _pull_watchdog_scan(self, ev) -> None:
-        now = self.sim.now
-        wd = self._pull_wd
-        expired = [fp for fp, (deadline, _) in wd.items() if deadline <= now]
-        for fp in expired:
-            _, lock = wd.pop(fp)
-            if self._pull_locks.get(fp) is lock:
-                self._release_pull_locks(fp)
-        if wd:
-            nxt = min(deadline for deadline, _ in wd.values())
-            self.sim.timeout(nxt - now).add_callback(self._pull_watchdog_scan)
-        else:
-            self._pull_wd_armed = False
 
     def _handle_agg_ack(self, request: RpcRequest, packet: Packet) -> Generator:
         """Aggregation done: unlock change-logs, mark shipped WAL records."""

@@ -291,9 +291,10 @@ class ServerOps:
             "log": log,
             "entry": entry,
             "lsn": lsn,
+            "deadline": self.sim.now + UNLOCK_WATCHDOG_US,
         }
         held.clear()  # custody handed over: release_unlock_token unlocks
-        self._arm_unlock_watchdog(token)
+        self._arm_watchdog()
         # The op's answer plus the unlock's and the fallback's work order,
         # which the client ignores; origin and parent fp ride the packet.
         return Reply(
@@ -312,37 +313,43 @@ class ServerOps:
         if log.detach(entry, lsn):
             self.wal.mark_applied_if_present(lsn)
 
-    def _arm_unlock_watchdog(self, token: int) -> None:
-        """Release a deferred unlock whose switch notification was lost.
+    def _arm_watchdog(self) -> None:
+        """Release what a lost notification (UDP) would hold forever: a
+        deferred unlock (``_pending_unlocks``) whose switch multicast was
+        lost, and a pull lock (``_pull_wd``) whose aggregation ack was.
 
         The insert either succeeded (entry stays in the change-log, to be
         aggregated normally) or was redirected to the fallback path whose
         own notification releases the token first — either way holding the
         locks forever would wedge the directory, so time out and release.
 
-        One scanner timer per server, not one timer per token: the
+        One scanner timer per server, not one timer per entry: the
         watchdog window (20 ms) dwarfs the op rate, so per-op timers pile
         up as thousands of dead heap entries that deepen every push/pop
-        for the whole run.  The scanner keeps at most one entry in the
-        heap and re-arms itself at the earliest outstanding deadline, so
-        an expired token is still released at exactly ``now + W`` — the
-        same virtual time a dedicated timer would have fired.
+        for the whole run.  Every entry's deadline is ``now + W`` and
+        ``now`` never decreases, so the scanner, re-armed at the earliest
+        outstanding deadline in either table, still releases each entry at
+        exactly its own deadline.
         """
-        deadline = self.sim.now + UNLOCK_WATCHDOG_US
-        self._pending_unlocks[token]["deadline"] = deadline
         if not self._wd_armed:
             self._wd_armed = True
-            self.sim.timeout(UNLOCK_WATCHDOG_US).add_callback(self._unlock_watchdog_scan)
+            self.sim.timeout(UNLOCK_WATCHDOG_US).add_callback(self._watchdog_scan)
 
-    def _unlock_watchdog_scan(self, ev: Event) -> None:
+    def _watchdog_scan(self, ev: Event) -> None:
         now = self.sim.now
         pending = self._pending_unlocks
-        expired = [t for t, info in pending.items() if info["deadline"] <= now]
-        for token in expired:
+        for token in [t for t, info in pending.items() if info["deadline"] <= now]:
             self.release_unlock_token(token, applied_sync=False)
-        if pending:
-            nxt = min(info["deadline"] for info in pending.values())
-            self.sim.timeout(nxt - now).add_callback(self._unlock_watchdog_scan)
+        # A pull entry outlives its ack; the identity check makes it a no-op.
+        pulls = self._pull_wd
+        for fp in [fp for fp, (deadline, _) in pulls.items() if deadline <= now]:
+            _, lock = pulls.pop(fp)
+            if self._pull_locks.get(fp) is lock:
+                self._release_pull_locks(fp)
+        deadlines = [info["deadline"] for info in pending.values()]
+        deadlines.extend(deadline for deadline, _ in pulls.values())
+        if deadlines:
+            self.sim.timeout(min(deadlines) - now).add_callback(self._watchdog_scan)
         else:
             self._wd_armed = False
 

@@ -66,21 +66,12 @@ class CrashRecovery:
         """Lose all DRAM state; the WAL survives (§4.4.2)."""
         self.node.kill()
         self.kv.crash()
-        self.changelogs.clear()
-        self.inval.clear()
-        self._dir_index.clear()
+        self.node.clear_reply_cache()
+        # A lock fetched before the crash points back at its old table;
+        # emptied, that table makes _acquire refuse the stale handle.
         self._inode_locks.clear()
         self._changelog_locks.clear()
-        self._group_blocks.clear()
-        self._pending_unlocks.clear()
-        self._pull_locks.clear()
-        # The scanner timers themselves survive (they live in the sim
-        # heap); with the dicts empty they fire as no-ops and disarm.
-        self._pull_wd.clear()
-        self._inflight_mutators = 0
-        self._rename_locks.clear()
-        self._push_inflight.clear()
-        self.node.clear_reply_cache()
+        self._lose_dram()
 
     def recover(self, peer: Optional[str] = None) -> Generator:
         """Rebuild DRAM state from the WAL; clone the invalidation list.
@@ -93,7 +84,7 @@ class CrashRecovery:
         self.node.revive()
         # Restore the latest checkpoint image first (if any); the WAL then
         # only holds the tail written since that checkpoint.
-        image = getattr(self, "_checkpoint_image", None)
+        image = self._checkpoint_image
         if image is not None:
             self.kv.restore(image["kv"])
             for dir_id, fp, entries, lsns in image["changelogs"]:

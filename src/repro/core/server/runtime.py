@@ -2,11 +2,10 @@
 
 The paper's fair-comparison methodology ("IndexFS, CFS-KV and AsyncFS
 have the same storage and networking framework", §6.1) is realised here:
-:class:`ServerRuntime` owns the substrate a metadata server needs —
+:class:`ServerRuntime` is the substrate a metadata server needs —
 
-* an :class:`~repro.net.RpcNode` endpoint with bulk handler registration,
-* the KV store + WAL pair (the RocksDB stand-in),
-* a pool of CPU cores with service-time accounting,
+* bulk handler registration on its :class:`~repro.net.RpcNode` endpoint,
+* service-time accounting on its pool of CPU cores,
 * the inode lock table,
 * the one application of an entry to a directory under its inode lock,
 * the recovery gate that blocks operations while a server rebuilds
@@ -29,46 +28,20 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ...kvstore import KVStore
-from ...net import RpcNode
-from ...net.topology import Network
-from ...sim import Counter, Event, Hold, Lock, PhaseStats, Resource, RWLock, SimulationError, Simulator
+from ...sim import Event, Hold, Lock, RWLock, SimulationError
 from ..changelog import ChangeLogEntry
-from ..config import FSConfig
 from ...errors import EWRONGEPOCH, FSError
 from ..schema import dir_entry, dir_entry_key, dir_meta_key, root_inode
 
 __all__ = ["ServerRuntime"]
 
 
-class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built at boot
-    """CPU / lock / RPC / recovery-gate substrate shared by every server."""
+class ServerRuntime:
+    """Mixin: CPU / lock / RPC / recovery-gate substrate shared by every
+    server.  It declares no state: :class:`~repro.core.server.MetadataServer`
+    builds what survives a crash, and its ``_lose_dram`` what does not."""
 
-    def __init__(self, sim: Simulator, net: Network, addr: str, config: FSConfig):
-        self.sim = sim
-        self.addr = addr
-        self.config = config
-        self.perf = config.perf
-        # The stack multiplier is constant for the life of the server and
-        # sits on the innermost loop (every CPU charge); keep it local.
-        self._stack_mult = config.perf.stack_multiplier
-        self.node = RpcNode(sim, net, addr)
-        self.kv = KVStore()
-        self.wal = self.kv.wal  # one shared WAL per server
-        self.cores = Resource(sim, config.cores_per_server, name=f"cores:{addr}")
-        self.counters = Counter()
-        self.phases = PhaseStats()
-        self._inode_locks: Dict[Tuple, RWLock] = {}
-        # Maps a directory id to its inode key (entry-list application,
-        # rename fix-ups, recovery rebuild all resolve through this).
-        self._dir_index: Dict[int, Tuple] = {}
-        self._recovered_ev: Optional[Event] = None  # set while recovering
-        self._rename_serial: Optional[Lock] = None  # lazy, coordinator only
-        # Double-inode mutators currently past the recovery gate: the
-        # migration driver waits for this to reach zero before it freezes
-        # a shard snapshot (quiesce), so no KV write straddles the move.
-        self._inflight_mutators = 0
-        self._rename_locks: Dict[int, List[RWLock]] = {}
+    __slots__ = ()
 
     # ------------------------------------------------------------------
     # RPC plumbing

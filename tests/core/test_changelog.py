@@ -66,12 +66,6 @@ class TestChangeLogTable:
         assert len(drained) == 2
         assert table.pending_entries() == 0
 
-    def test_clear(self):
-        table = ChangeLogTable()
-        table.append(1, 99, entry(1.0), 0, 1.0)
-        table.clear()
-        assert table.pending_entries() == 0
-
 
 # -- differential: the recast apply against the per-entry apply -------------
 

@@ -154,12 +154,6 @@ class TestInvalidationList:
         a.insert(6)  # snapshot is a copy
         assert 6 not in b
 
-    def test_clear(self):
-        inval = InvalidationList()
-        inval.insert(1)
-        inval.clear()
-        assert len(inval) == 0
-
 
 class TestClientCache:
     def make(self):

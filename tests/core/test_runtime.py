@@ -166,12 +166,27 @@ class TestHeldOnlyLockTable:
         with pytest.raises(SimulationError, match="after its table forgot it"):
             sim.run_process(stale)
 
-    def test_release_of_a_lock_from_before_a_crash_leaves_the_new_entry(self):
+    def test_acquiring_through_a_handle_from_before_a_crash_raises(self):
+        """crash() gives the server a new lock table; a lock fetched from
+        the old one must still be refused, not excluding nobody."""
         cluster = switchfs(num_servers=1)
         server, sim = cluster.servers[0], cluster.sim
+
+        def fetch_crash_acquire():
+            lock = server._inode_lock(self.KEY)
+            yield sim.timeout(10.0)
+            server.crash()
+            yield from server._acquire(lock, "w")
+
+        with pytest.raises(SimulationError, match="after its table forgot it"):
+            sim.run_process(sim.spawn(fetch_crash_acquire(), name="stale"))
+
+    def test_release_of_a_lock_from_before_a_crash_leaves_the_new_entry(self):
+        cluster = switchfs(num_servers=1)
+        server = cluster.servers[0]
         old = server._inode_lock(self.KEY)
         assert old.try_acquire_write()
-        server._inode_locks.clear()  # what crash() does to the tables
+        server.crash()
         new = server._inode_lock(self.KEY)
         assert new is not old and new.try_acquire_read()
         server._release(old, "w")

@@ -14,6 +14,8 @@ from repro.core import (
     fingerprint_of,
     ROOT_ID,
 )
+from repro.bench import make_cluster
+from repro.core.server import MetadataServer
 from repro.core.server.ops import UNLOCK_WATCHDOG_US
 from repro.net import RpcError
 from repro.sim import SimulationError
@@ -23,6 +25,67 @@ def make(**overrides):
     defaults = dict(num_servers=3, cores_per_server=2, seed=6)
     defaults.update(overrides)
     return SwitchFSCluster(FSConfig(**defaults))
+
+
+#: What a crash does not lose, each with why (DESIGN §6); everything else
+#: a server holds is DRAM, assigned fresh by ``_lose_dram``.
+DURABLE = (
+    ("sim", "the hardware"),
+    ("addr", "the hardware"),
+    ("config", "the hardware"),
+    ("perf", "the hardware"),
+    ("_stack_mult", "the hardware"),
+    ("cores", "the hardware"),
+    ("node", "the hardware: crash() kills the NIC and recover() revives it"),
+    ("kv", "the WAL-backed store: kv.crash() drops what the WAL does not hold"),
+    ("wal", "the WAL-backed store"),
+    ("membership", "the cluster's view, shared by every server"),
+    ("ss", "the client of the stale-set server"),
+    ("counters", "measurement"),
+    ("phases", "measurement"),
+    ("_recovered_ev", "the gate recover() raises and lowers"),
+    ("_rename_serial", "left to ROADMAP item 17's incarnation fence"),
+    ("_wd_armed", "the scanner's timer is in the sim heap; a reset would arm a second"),
+    ("_remove_seq", "the switch drops a REMOVE whose SEQ is not above the last (§4.4.1)"),
+    ("_dir_nonce", "a directory id must name exactly one mkdir"),
+    ("_checkpoint_image", "a checkpoint is on disk"),
+)
+#: A static partition (InfiniFS's, Ceph's) never moves, so its servers'
+#: owner checks are no-ops.
+ROUTED_HERE = {"_check_owner_file", "_check_owner_dir"}
+
+
+def dram_names():
+    """The names ``_lose_dram`` assigns, read off a server it alone built."""
+    probe = object.__new__(MetadataServer)
+    probe._lose_dram()
+    return set(vars(probe))
+
+
+class TestCrashLosesDram:
+    @pytest.mark.parametrize("system, static", [
+        ("SwitchFS", False), ("CFS-KV", False), ("InfiniFS", True)])
+    def test_every_attribute_is_dram_or_durable_and_a_crash_renews_the_dram(
+            self, system, static):
+        cluster = make_cluster(system, FSConfig(num_servers=3, cores_per_server=2, seed=6))
+        fs = cluster.client(0)
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(5):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        cluster.run_op(fs.rename("/d", "/e"))
+        cluster.run_op(fs.statdir("/e"))
+        dram, durable = dram_names(), {name for name, _ in DURABLE}
+        assert not dram & durable
+        if static:
+            durable |= ROUTED_HERE
+        for server in cluster.servers:
+            cluster.run_op(server.checkpoint())
+            assert set(vars(server)) == dram | durable, "a new field needs a side"
+            before = {name: getattr(server, name) for name in dram}
+            server.crash()
+            for name in dram - {"_inflight_mutators"}:
+                assert getattr(server, name) is not before[name], name
+            assert server._inflight_mutators == 0
 
 
 class TestMergePulled:
@@ -92,12 +155,13 @@ class TestUnlockTokens:
         lock = RWLock(cluster.sim)
         cluster.sim.run_process(cluster.sim.spawn(_acquire(lock), name="acq"))
         log = server.changelogs.log_for(5, fingerprint_of(ROOT_ID, "z"))
+        deadline = cluster.sim.now + UNLOCK_WATCHDOG_US
         server._pending_unlocks[777] = {
             "locks": [(lock, "w")], "log": log,
             "entry": ChangeLogEntry(1.0, ChangeOp.CREATE, "z"), "lsn": 0,
+            "deadline": deadline,
         }
-        server._arm_unlock_watchdog(777)
-        deadline = cluster.sim.now + UNLOCK_WATCHDOG_US
+        server._arm_watchdog()
         cluster.run(until=deadline - 1.0)
         assert lock.write_locked  # held until the watchdog's deadline
         cluster.run(until=deadline + 1.0)
@@ -107,6 +171,51 @@ class TestUnlockTokens:
 
 def _acquire(lock):
     yield lock.acquire_write()
+
+
+def _scanners(server):
+    """The watchdog scanner timers of *server* waiting in the sim heap."""
+    return [e for _, _, e in server.sim._heap if e._cb1 == server._watchdog_scan]
+
+
+class TestOneWatchdogScanner:
+    def test_each_entry_is_released_at_its_own_deadline(self):
+        """A deferred unlock at t and a pull lock at t + 5 ms share one
+        scanner timer, and each is released at its own t + W."""
+        from repro.sim import RWLock
+
+        cluster = make(proactive_enabled=False)
+        server, sim = cluster.servers[0], cluster.sim
+        unlock = RWLock(sim)
+        sim.run_process(sim.spawn(_acquire(unlock), name="acq"))
+        t = sim.now
+        server._pending_unlocks[777] = {
+            "locks": [(unlock, "w")],
+            "log": server.changelogs.log_for(5, fingerprint_of(ROOT_ID, "z")),
+            "entry": ChangeLogEntry(1.0, ChangeOp.CREATE, "z"), "lsn": 0,
+            "deadline": t + UNLOCK_WATCHDOG_US,
+        }
+        server._arm_watchdog()
+        cluster.run(until=t + 5_000.0)
+        fp = fingerprint_of(ROOT_ID, "p")
+        pull = server._changelog_lock(fp)
+        sim.run_process(sim.spawn(server._acquire(pull, "w"), name="pull"))
+        server._pull_locks[fp] = pull
+        server._pull_wd[fp] = (sim.now + UNLOCK_WATCHDOG_US, pull)
+        server._arm_watchdog()
+        assert len(_scanners(server)) == 1
+
+        def at(when):
+            cluster.run(until=when)
+            assert len(_scanners(server)) == (1 if server._wd_armed else 0)
+            return unlock.write_locked, pull.write_locked
+
+        assert at(t + UNLOCK_WATCHDOG_US - 1.0) == (True, True)
+        assert at(t + UNLOCK_WATCHDOG_US + 1.0) == (False, True)
+        assert at(t + 5_000.0 + UNLOCK_WATCHDOG_US - 1.0) == (False, True)
+        assert at(t + 5_000.0 + UNLOCK_WATCHDOG_US + 1.0) == (False, False)
+        assert not server._pending_unlocks and fp not in server._pull_locks
+        assert not server._wd_armed and not _scanners(server)
 
 
 class TestGroupBlocks:

@@ -128,6 +128,40 @@ class TestServerCrashRecovery:
         assert landed > 0
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 17: a crashed aggregator's round runs on against "
+        "its new DRAM until an incarnation fence stops it",
+    )
+    def test_crash_of_the_aggregator_mid_round_keeps_count_and_listing(self):
+        """The owner of /d crashes 30 us into the round a statdir opened,
+        stays down 3 ms and recovers.  Today the dead round's apply leaves
+        /d counting 0 of the 300 names it lists, and settle() says so."""
+        cluster = SwitchFSCluster(
+            FSConfig(num_servers=4, cores_per_server=2, proactive_enabled=False)
+        )
+        fs, sim = cluster.client(0), cluster.sim
+        cluster.run_op(fs.mkdir("/d"))
+        for i in range(300):
+            cluster.run_op(fs.create(f"/d/f{i}"))
+        fp = fingerprint_of(ROOT_ID, "d")
+        owner_addr = cluster.membership.current.dir_owner_by_fp(fp)
+        owner = cluster.server_by_addr(owner_addr)
+        sim.spawn(fs.statdir("/d"), name="reader")
+        while fp not in owner._group_blocks:
+            sim.step()
+        cluster.run(until=sim.now + 30.0)
+        idx = cluster.servers.index(owner)
+        cluster.crash_server(idx)
+        cluster.run(until=sim.now + 3_000.0)
+        cluster.recover_server(idx)
+        cluster.settle()
+        other = cluster.client(1)
+        count = cluster.run_op(other.statdir("/d"))["entry_count"]
+        listed = len(cluster.run_op(other.readdir("/d"))["entries"])
+        assert count == listed == 300
+
+
 class TestSwitchFailure:
     def test_switch_failure_flush_restores_consistency(self):
         cluster = SwitchFSCluster(
