@@ -62,8 +62,8 @@ class ChangeLog:
     # WAL LSNs of the records covering these entries (marked applied on ack).
     wal_lsns: List[int] = field(default_factory=list)
     last_append_at: float = 0.0
-    # An idle push of this log waits for the group's change-log lock; the
-    # sweeper spawns no other until it has the lock.
+    # A push of this log waits for the group's change-log lock; no other
+    # starts until it has the lock (``_schedule_push``).
     push_queued: bool = False
 
     def append(self, entry: ChangeLogEntry, lsn: int, now: float) -> None:

@@ -276,15 +276,28 @@ class AggregationProtocol:
     # proactive aggregation policy (§4.3)
     # ------------------------------------------------------------------
     def _maybe_push(self, log: ChangeLog) -> None:
-        if not self.config.proactive_enabled:
+        """Push a log once it fills an MTU (§4.3 condition 1)."""
+        if self.config.proactive_enabled and len(log) >= self.config.proactive_push_entries:
+            self._schedule_push(log)
+
+    def _schedule_push(self, log: ChangeLog) -> None:
+        """Start a push of *log*: the one place a push begins.
+
+        A log this server owns has nothing to ship: its entries are
+        already where the aggregation drain looks for them, so the push
+        only nudges the grace-period aggregation.  Otherwise at most one
+        push per log is queued.  A queued push waits for the group's
+        change-log lock in write mode and drains everything appended
+        meanwhile, so a second one would only take the lock again, park
+        the appenders behind it and ship nothing.
+        """
+        if self.membership.current.dir_owner_by_fp(log.fingerprint) == self.addr:
+            self._note_push(log.fingerprint)
             return
-        if len(log) >= self.config.proactive_push_entries:
-            if self.membership.current.dir_owner_by_fp(log.fingerprint) == self.addr:
-                # Locally-owned log: nothing to ship (see _push_log); nudge
-                # the grace-period aggregation without a process spawn.
-                self._note_push(log.fingerprint)
-            else:
-                self.sim.spawn(self._push_log(log), name=f"push-{self.addr}")
+        if log.push_queued:
+            return
+        log.push_queued = True
+        self.sim.spawn(self._push_log(log), name=f"push-{self.addr}")
 
     def _note_push(self, fp: int) -> None:
         self._last_push_at[fp] = self.sim.now

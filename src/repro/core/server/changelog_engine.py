@@ -59,18 +59,9 @@ class ChangeLogEngine:
     # push path
     # ------------------------------------------------------------------
     def _push_log(self, log: ChangeLog) -> Generator:
-        """Ship one change-log to the directory's owner (MTU-full or idle)."""
+        """Ship one change-log to the directory's owner (MTU-full or idle);
+        started only by ``_schedule_push``, for a log another server owns."""
         owner = self.membership.current.dir_owner_by_fp(log.fingerprint)
-        if owner == self.addr:
-            # Our own directory: the entries are already exactly where the
-            # aggregation drain will look for them, so "pushing" is just
-            # nudging the grace-period policy.  (Draining and re-appending
-            # here would copy the whole backlog once per push trigger —
-            # quadratic in the log length under a hotspot.)
-            log.push_queued = False
-            if len(log):
-                self._note_push(log.fingerprint)
-            return
         lock = yield from self._acquire(self._changelog_lock(log.fingerprint), "w")
         log.push_queued = False
         entries, lsns = log.drain()
@@ -86,6 +77,7 @@ class ChangeLogEngine:
             try:
                 # An owner that lost the group meanwhile stages the entries
                 # like any peer; its push or the next pull delivers them.
+                # (A group that moved here meanwhile is a call to ourselves.)
                 yield from self._call(
                     owner,
                     "changelog_push",
@@ -149,20 +141,15 @@ class ChangeLogEngine:
             self._release(cl_lock, "r")
 
     def _idle_push_sweeper(self) -> Generator:
-        """Periodically push change-logs that have gone idle (§4.3 cond. 2).
-
-        A log whose push still waits for its group's change-log lock gets
-        no second one: behind a long hold (a round's apply, a pull held to
-        its watchdog) every sweep would otherwise queue another waiter."""
+        """Periodically push change-logs that have gone idle (§4.3 cond. 2)."""
         interval = IDLE_PUSH_US
         while True:
             yield self.sim.timeout(interval / 2)
             now = self.sim.now
             for fp in self.changelogs.non_empty_groups():
                 for log in self.changelogs.logs_in_group(fp):
-                    if now - log.last_append_at >= interval and len(log) and not log.push_queued:
-                        log.push_queued = True
-                        self.sim.spawn(self._push_log(log), name="idle-push")
+                    if now - log.last_append_at >= interval:
+                        self._schedule_push(log)
 
     # ------------------------------------------------------------------
     # application: raw replay or recast
@@ -304,9 +291,7 @@ class ChangeLogEngine:
                 fps.add(fp)
                 continue
             yield from self._stage_entries(dir_id, fp, entries)
-            for log in self.changelogs.logs_in_group(fp):
-                if log.dir_id == dir_id:
-                    self.sim.spawn(self._push_log(log), name="flush-restage")
+            self._schedule_push(self.changelogs.log_for(dir_id, fp))
         if pulled:
             # Write-hold each group's change-log lock across the apply (the
             # same discipline the aggregation drain uses): appenders are

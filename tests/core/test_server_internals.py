@@ -280,6 +280,53 @@ class TestFailedPush:
         assert log.entries == entries
 
 
+class TestOneQueuedPush:
+    def test_mtu_trigger_queues_one_push_behind_a_pull(self, monkeypatch):
+        """A pull write-holds a remote-owned group's change-log lock while
+        the log's appenders report in past the MTU trigger (§4.3): the
+        first report queues the one push of the log, the others start
+        none, and once the lock is free that push ships every entry."""
+        cluster = make()
+        sim = cluster.sim
+        server = cluster.servers[0]
+        view = cluster.membership.current
+        fp = next(fp for fp in (fingerprint_of(ROOT_ID, f"d{i}") for i in range(64))
+                  if view.dir_owner_by_fp(fp) != server.addr)
+        lock = server._changelog_lock(fp)
+        sim.run_process(sim.spawn(_acquire(lock), name="pull"))
+        spawned, shipped = [], []
+        push_log = server._push_log
+
+        def counted_push(log):
+            spawned.append(log)
+            return push_log(log)
+
+        def owner_call(dst, method, args, max_attempts=None):
+            shipped.append(list(args["entries"]))
+            yield sim.timeout(1.0)
+            return {"status": "ok"}
+
+        monkeypatch.setattr(server, "_push_log", counted_push)
+        monkeypatch.setattr(server, "_call", owner_call)
+        # The appenders' read locks were granted before the pull queued;
+        # each reports its append once it is done, as release_unlock_token
+        # does.
+        entries = [ChangeLogEntry(float(i), ChangeOp.CREATE, f"f{i}")
+                   for i in range(server.config.proactive_push_entries + 6)]
+        for entry in entries:
+            lsn = server.wal.append("changelog", (7, fp, entry))
+            log = server.changelogs.append(7, fp, entry, lsn, sim.now)
+            server._maybe_push(log)
+        cluster.run(until=sim.now + 20.0)
+        assert spawned == [log] and log.push_queued
+        assert log.entries == entries and shipped == []
+        lock.release_write()
+        cluster.run(until=sim.now + 20.0)
+        assert shipped == [entries]
+        assert len(log) == 0 and not log.push_queued
+        assert spawned == [log]
+
+
 class TestPullLocks:
     def test_release_without_locks_is_safe(self):
         cluster = make()

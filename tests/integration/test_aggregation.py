@@ -9,7 +9,10 @@ from repro.core import (
     fingerprint_of,
     ROOT_ID,
 )
+from repro.bench import make_cluster, run_stream, scaled_config
+from repro.core.changelog import ChangeLog
 from repro.core.server.changelog_engine import IDLE_PUSH_US
+from repro.workloads import FixedOpStream, Population, bootstrap
 
 
 def make(**overrides):
@@ -115,6 +118,30 @@ class TestProactiveAggregation:
         cluster.settle()
         assert cluster.total_pending_entries() == 0
         assert cluster.run_op(fs.statdir("/d"))["entry_count"] == len(names) == 3
+
+    def test_hot_directory_pushes_never_ship_empty(self, monkeypatch):
+        """2 000 creates into one directory, 32 in flight, four servers:
+        every push the MTU trigger starts drains a batch.  A pull drains
+        only non-empty logs, so an empty drain is a push that found
+        nothing to ship."""
+        cluster = make_cluster("SwitchFS", scaled_config(num_servers=4, seed=17))
+        population = bootstrap(
+            cluster, Population(dirs=["shared"], files_per_dir=200), warm_clients=[0, 1]
+        )
+        drained = []
+        drain = ChangeLog.drain
+
+        def counted_drain(log):
+            entries, lsns = drain(log)
+            drained.append(len(entries))
+            return entries, lsns
+
+        monkeypatch.setattr(ChangeLog, "drain", counted_drain)
+        stream = FixedOpStream("create", population, seed=17, dir_choice="single")
+        result = run_stream(cluster, stream, 2000, inflight=32)
+        assert result.sim_elapsed_us < IDLE_PUSH_US  # no log went idle
+        assert sum(s.counters.get("proactive_pushes") for s in cluster.servers) > 0
+        assert 0 not in drained
 
     def test_disabled_proactive_keeps_entries(self):
         cluster = make(proactive_enabled=False)
