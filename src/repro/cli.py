@@ -133,16 +133,16 @@ def cmd_throughput(args) -> int:
         return 2
     cluster, population = _build(args)
 
-    def make_stream(a: int = 0):
-        return FixedOpStream(
-            args.op, population, seed=args.seed + a,
-            dir_choice="single" if args.dirs == 1 else "uniform",
-        )
-
+    stream = FixedOpStream(
+        args.op, population, seed=args.seed,
+        dir_choice="single" if args.dirs == 1 else "uniform",
+    )
     if args.users:
+        # Every aggregate draws from the one stream: a stream per aggregate
+        # would mint the same create names (new0, new1, ...) in each.
         result = run_fanin(
             cluster,
-            make_stream,
+            lambda _a: stream,
             users=args.users,
             offered_load_ops=args.offered_load,
             total_ops=args.ops,
@@ -156,7 +156,7 @@ def cmd_throughput(args) -> int:
             ["peak in-flight", result.inflight],
         ]
     else:
-        result = run_stream(cluster, make_stream(), total_ops=args.ops,
+        result = run_stream(cluster, stream, total_ops=args.ops,
                             inflight=args.inflight)
         title = f"{args.system}: {args.op} x {args.ops} over {args.dirs} dir(s)"
         rows = [["throughput", f"{result.throughput_kops:,.1f} Kops/s"]]

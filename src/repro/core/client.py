@@ -29,6 +29,9 @@ from .schema import file_cache_fingerprint, fingerprint_of, root_inode
 
 __all__ = ["LibFS", "ResolvedDir"]
 
+#: Retries an op gets per staleness code (LibFS._repair).
+_RETRY_BUDGET = {EINVALIDPATH: 2, EWRONGEPOCH: 3}
+
 
 @dataclass(frozen=True)
 class ResolvedDir:
@@ -228,8 +231,7 @@ class LibFS:
         perf = self.perf
         parent_path, name = split_path(path)
         lookup = update is None and self._switch_cache and method != "close"
-        invalid_left = 2
-        epoch_left = 3
+        spent = None
         while True:
             try:
                 parent = (
@@ -274,17 +276,9 @@ class LibFS:
                     raise fs_error(str(exc)) from exc
                 return value
             except FSError as exc:
-                if exc.code == EINVALIDPATH and invalid_left > 0:
-                    invalid_left -= 1
-                    self.counters.inc("cache_invalidations")
-                    self.invalidate_path(path)
-                    continue
-                if exc.code == EWRONGEPOCH and epoch_left > 0:
-                    epoch_left -= 1
-                    self.counters.inc("wrong_epoch_retries")
-                    yield from self._refresh_view()
-                    continue
-                raise
+                spent = yield from self._repair(exc.code, path, spent)
+                if spent is None:
+                    raise
 
     def mkdir(self, path: str, perm: int = 0o755) -> Generator:
         def attempt() -> Generator:
@@ -467,27 +461,41 @@ class LibFS:
         # retry loop will surface the original error if it persists.
 
     def _with_revalidation(self, attempt, path: str) -> Generator:
-        """Run *attempt*; retry after repairing recoverable staleness.
+        """Run *attempt*; retry after repairing recoverable staleness."""
+        spent = None
+        while True:
+            try:
+                return (yield from attempt())
+            except FSError as exc:
+                spent = yield from self._repair(exc.code, path, spent)
+                if spent is None:
+                    raise
+
+    def _repair(
+        self, code: str, path: str, spent: Optional[Dict[str, int]]
+    ) -> Generator:
+        """The retry policy, run only by an op's ``except FSError`` clause:
+        repair the staleness error *code* reports and return the retries
+        *spent* so far (None before the first), or None for the caller to
+        re-raise when *code* is no staleness or its budget is gone.  It
+        takes the code and returns rather than raising: an error raised
+        from a frame that holds it is a cycle (error, traceback, frame),
+        garbage that a collector-off run window keeps.
 
         Two independent budgets: EINVALIDPATH (stale path cache →
         invalidate and re-resolve, twice) and EWRONGEPOCH (stale membership
         view → refresh and re-route).  A migration can move an op's target
         more than once, so epoch retries get one extra attempt.
         """
-        invalid_left = 2
-        epoch_left = 3
-        while True:
-            try:
-                return (yield from attempt())
-            except FSError as exc:
-                if exc.code == EINVALIDPATH and invalid_left > 0:
-                    invalid_left -= 1
-                    self.counters.inc("cache_invalidations")
-                    self.invalidate_path(path)
-                    continue
-                if exc.code == EWRONGEPOCH and epoch_left > 0:
-                    epoch_left -= 1
-                    self.counters.inc("wrong_epoch_retries")
-                    yield from self._refresh_view()
-                    continue
-                raise
+        used = spent.get(code, 0) if spent else 0
+        if used >= _RETRY_BUDGET.get(code, 0):
+            return None
+        spent = spent or {}
+        spent[code] = used + 1
+        if code == EINVALIDPATH:
+            self.counters.inc("cache_invalidations")
+            self.invalidate_path(path)
+        else:
+            self.counters.inc("wrong_epoch_retries")
+            yield from self._refresh_view()
+        return spent

@@ -28,12 +28,6 @@ class InvalidationList:
     def __init__(self):
         self._ids: Set[int] = set()
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, dir_id: int) -> bool:
-        return dir_id in self._ids
-
     def insert(self, dir_id: int) -> None:
         self._ids.add(dir_id)
 

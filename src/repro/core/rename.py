@@ -100,7 +100,9 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
     sim, perf = server.sim, server.perf
     node = server.node
 
-    yield server.rename_serializer().acquire()
+    wait = server.rename_serializer().acquire_write()
+    if wait is not None:
+        yield wait
     try:
         yield server.charge_cpu(perf.path_check_us)
         if not server.inval.validate(args.get("ancestor_ids", ())):
@@ -113,7 +115,7 @@ def run_rename(server: "MetadataServer", args: Dict[str, Any]) -> Generator:
             async_updates=server.config.async_updates,
         ))
     finally:
-        server.rename_serializer().release()
+        server.rename_serializer().release_write()
 
 
 def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
@@ -184,11 +186,11 @@ def rename_transaction(node, sim, view, perf, args: Dict[str, Any],
     # participant acquires child before parent.  A flat global key sort
     # would order "D"-prefixed parent keys before "F"-prefixed file keys
     # (parent before child), the inverse of ops.py's discipline — a real
-    # lock-order cycle against a concurrent sync-mode create (found by
-    # ``repro analyze``'s cycle detector).  Within a level the sorted
-    # order keeps concurrent renames deadlock-free against each other,
-    # and cross-level safety holds because directory renames are globally
-    # serialised by the coordinator while file targets are never parents.
+    # lock-order cycle against a concurrent sync-mode create.  Within a
+    # level the sorted order keeps concurrent renames deadlock-free
+    # against each other, and cross-level safety holds because directory
+    # renames are globally serialised by the coordinator while file
+    # targets are never parents.
     #
     # File renames in async mode lock only the two file inodes: the parent
     # fix-ups take the deferred change-log path (appended at commit on the

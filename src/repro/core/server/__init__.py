@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ...kvstore import KVStore
 from ...net import RpcNode
 from ...net.topology import Network
-from ...sim import Counter, Event, Lock, PhaseStats, Resource, RWLock, Simulator
+from ...sim import Counter, Event, PhaseStats, Resource, RWLock, Simulator
 from ..changelog import ChangeLogTable
 from ..config import FSConfig
 from ..invalidation import InvalidationList
@@ -117,7 +117,7 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         self.node = RpcNode(sim, net, addr)
         self.kv = KVStore()
         self.wal = self.kv.wal  # one shared WAL per server
-        self.cores = Resource(sim, config.cores_per_server, name=f"cores:{addr}")
+        self.cores = Resource(sim, config.cores_per_server)
         self.counters = Counter()
         self.phases = PhaseStats()
         self.membership = membership
@@ -127,7 +127,7 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
             else None
         )
         self._recovered_ev: Optional[Event] = None  # set while recovering
-        self._rename_serial: Optional[Lock] = None  # lazy, coordinator only
+        self._rename_serial: Optional[RWLock] = None  # lazy, coordinator only
         # The watchdog scanner's timer sits in the sim heap and outlives a
         # crash: at most one in flight per server (ops._arm_watchdog).
         self._wd_armed = False

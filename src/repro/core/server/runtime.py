@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ...sim import Event, Hold, Lock, RWLock, SimulationError
+from ...sim import Event, Hold, RWLock, SimulationError
 from ..changelog import ChangeLogEntry
 from ...errors import EWRONGEPOCH, FSError
 from ..schema import dir_entry, dir_entry_key, dir_meta_key, root_inode
@@ -73,7 +73,7 @@ class ServerRuntime:
             )
             return value
         finally:
-            self.phases.add("net", self.sim.now - t0)
+            self.phases.net += self.sim.now - t0
 
     def _multicast(self, dsts: List[str], method: str, args: Any) -> Generator:
         """Multicast RPC to *dsts*; returns values in order (``net`` phase).
@@ -90,7 +90,7 @@ class ServerRuntime:
             )
             return results
         finally:
-            self.phases.add("net", self.sim.now - t0)
+            self.phases.net += self.sim.now - t0
 
     # ------------------------------------------------------------------
     # service-time accounting
@@ -120,15 +120,15 @@ class ServerRuntime:
             )
         return lock
 
-    def rename_serializer(self) -> Lock:
+    def rename_serializer(self) -> RWLock:
         """The coordinator's global rename serialisation lock (lazy).
 
         Directory renames must be globally serialised to keep orphan-loop
-        prevention sound (§4.3); the rename coordinator takes this lock
-        around each directory-rename transaction.
+        prevention sound (§4.3); the rename coordinator takes this lock in
+        write mode around each directory-rename transaction.
         """
         if self._rename_serial is None:
-            self._rename_serial = Lock(self.sim, name=f"rename-serial:{self.addr}")
+            self._rename_serial = RWLock(self.sim, name=f"rename-serial:{self.addr}")
         return self._rename_serial
 
     def _acquire(self, lock: RWLock, mode: str) -> Generator:
@@ -138,14 +138,11 @@ class ServerRuntime:
         if lock.table is None or lock.table.get(lock.key) is not lock:
             # Fetched ahead of a yield, forgotten since: excludes nobody.
             raise SimulationError(f"{lock.name} acquired after its table forgot it")
-        sim = self.sim
-        t0 = sim.now
-        if mode == "w":
-            if not lock.try_acquire_write():
-                yield lock.acquire_write()
-        elif not lock.try_acquire_read():
-            yield lock.acquire_read()
-        self.phases.add("lock", sim.now - t0)
+        wait = lock.acquire_write() if mode == "w" else lock.acquire_read()
+        if wait is not None:
+            t0 = self.sim.now
+            yield wait
+            self.phases.lock += self.sim.now - t0
         return lock
 
     def _release(self, lock: RWLock, mode: str) -> None:

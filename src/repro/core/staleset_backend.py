@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..net import RpcNode
-from ..sim import Resource, Simulator
+from ..sim import Hold, Resource, Simulator
 from ..switchfab import StaleSet
 from .config import FSConfig
 
@@ -50,15 +50,15 @@ class StaleSetServer:
         node.register("ss_remove", self._handle_remove)
 
     def _handle_insert(self, request, packet) -> Generator:
-        yield self.cores.hold(self.config.staleset_server_op_us)
+        yield Hold(self.cores, self.config.staleset_server_op_us, None)
         return {"ok": self.stale_set.insert(request.args["fingerprint"])}
 
     def _handle_query(self, request, packet) -> Generator:
-        yield self.cores.hold(self.config.staleset_server_op_us)
+        yield Hold(self.cores, self.config.staleset_server_op_us, None)
         return {"present": self.stale_set.query(request.args["fingerprint"])}
 
     def _handle_remove(self, request, packet) -> Generator:
-        yield self.cores.hold(self.config.staleset_server_op_us)
+        yield Hold(self.cores, self.config.staleset_server_op_us, None)
         args = request.args
         self.stale_set.remove(
             args["fingerprint"], source=args.get("source", ""), seq=args.get("seq")

@@ -8,17 +8,15 @@ non-interactive: ops are staged, then committed in one atomic step with a
 single WAL record.
 
 A transaction is its staged map: each key's last write, :data:`DELETED`
-for a delete, which is the state the ordered op list leaves.
-
-Reads inside a transaction observe its own staged writes
-(read-your-writes) layered over the store.
+for a delete, which is the state the ordered op list leaves.  It is
+write-only: a caller reads the store before it stages.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Tuple, TYPE_CHECKING
 
-from ..errors import KeyNotFound, TransactionError
+from ..errors import TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kv import KVStore
@@ -48,16 +46,6 @@ class Transaction:
     def delete(self, key: Tuple[Any, ...]) -> None:
         self._check_open()
         self._staged[key] = DELETED
-
-    def get(self, key: Tuple[Any, ...]) -> Any:
-        """Read through staged writes, then the underlying store."""
-        self._check_open()
-        if key in self._staged:
-            value = self._staged[key]
-            if value is DELETED:
-                raise KeyNotFound(repr(key))
-            return value
-        return self._store.get(key)
 
     def commit(self) -> None:
         """Apply every key's last write atomically (single WAL record)."""

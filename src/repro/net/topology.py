@@ -33,7 +33,7 @@ from __future__ import annotations
 from heapq import heappush as _heappush
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from .faults import FaultModel
 from .packet import Packet
 
@@ -160,14 +160,11 @@ class Network:  # reprolint: allow[RL006] one per cluster, built at boot
         self.packets_dropped = 0
 
     # -- host management ---------------------------------------------------
-    def attach(self, addr: str, inbox=None):
-        """Register a host and return its inbox: *inbox*, anything with
-        ``put(packet)`` (an RPC endpoint brings its own), or by default a
-        :class:`~repro.sim.Store` for a raw host to ``get`` from."""
+    def attach(self, addr: str, inbox):
+        """Register a host and return its *inbox*: anything with
+        ``put(packet)``, as an RPC endpoint's ``_Inbox``."""
         if addr in self._inboxes:
             raise ValueError(f"host address already attached: {addr}")
-        if inbox is None:
-            inbox = Store(self.sim)
         self._inboxes[addr] = inbox
         return inbox
 

@@ -16,7 +16,7 @@ from .kernel import (
     Timeout,
 )
 from .rand import AliasTable, make_rng, zipf_cdf
-from .resources import Hold, Lock, Resource, RWLock, Store
+from .resources import Hold, Resource, RWLock
 from .stats import Counter, LatencyRecorder, PhaseStats, percentile
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "SimulationError",
     "Resource",
     "Hold",
-    "Lock",
     "RWLock",
-    "Store",
     "LatencyRecorder",
     "PhaseStats",
     "Counter",

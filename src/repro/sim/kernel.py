@@ -30,10 +30,11 @@ invariants they must preserve):
   the overflow list is only allocated for the second waiter onward;
 * processes boot by queueing *themselves* instead of allocating a
   kick-off event (an adopted one takes no entry at all);
-* a process that yields an already-*processed* event (e.g. an
-  uncontended resource grant from :mod:`repro.sim.resources`) resumes
-  inline via a trampoline in :meth:`Process._resume` — no entry and no
-  recursion.
+* a process that yields an already-*processed* event (a finished
+  process, an event whose waiters have run) resumes inline via a
+  trampoline in :meth:`Process._resume` — no entry and no recursion.
+  Nothing hands out such an event to stand for a grant: an uncontended
+  :mod:`repro.sim.resources` lock is taken with no event at all.
 
 All fast paths preserve the documented determinism contract: events
 scheduled at equal virtual times run in insertion (FIFO) order, and two
@@ -247,9 +248,9 @@ class Process(Event):
         This loop is also the callback registered on every awaited event,
         so one Python frame covers callback entry, generator advance, and
         re-wait (a failed event is thrown into the generator).  A
-        yielded event that is *already processed* (uncontended resource
-        grant, pre-fired event) feeds straight back into the loop rather
-        than recursing or taking a trip through the scheduler.
+        yielded event that is *already processed* (a finished process, a
+        pre-fired event) feeds straight back into the loop rather than
+        recursing or taking a trip through the scheduler.
         """
         if self._triggered:
             return
@@ -309,10 +310,10 @@ class Process(Event):
     def _run_callbacks(self) -> None:
         if not self._started:
             # Boot entry: start the generator instead of running completion
-            # callbacks (none can have fired yet).  The shared granted
+            # callbacks (none can have fired yet).  The shared processed
             # event is a zero-allocation (value=None, exc=None) carrier.
             self._started = True
-            self._resume(self.sim._granted_none)
+            self._resume(self.sim._processed_none)
             return
         Event._run_callbacks(self)
 
@@ -377,13 +378,11 @@ class Simulator:  # reprolint: allow[RL006] one per cluster, built at boot
         self._ready: Deque[Tuple[float, int, Event]] = deque()
         self._counter = itertools.count()
         self._stopped = False
-        # Shared pre-processed success event for valueless immediate grants
-        # (see resources.py).  Processed events are immutable, so one
-        # instance serves every uncontended acquire in this simulator.
-        granted = Event(self)
-        granted._triggered = True
-        granted._processed = True
-        self._granted_none = granted
+        # The (value=None, exc=None) a process is started with, boot or
+        # adopt: processed events are immutable, so one instance serves.
+        started = Event(self)
+        started._triggered = started._processed = True
+        self._processed_none = started
 
     # -- event constructors ----------------------------------------------
     def event(self) -> Event:
@@ -393,21 +392,6 @@ class Simulator:  # reprolint: allow[RL006] one per cluster, built at boot
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires after *delay* microseconds."""
         return Timeout(self, delay, value)
-
-    def granted(self, value: Any = None) -> Event:
-        """An already-processed successful event (immediate-grant fast path).
-
-        Yielding it resumes the process inline — no allocation for the
-        ``None``-valued case, and no entry ever.  Used by the
-        resource primitives when an acquire can be served without waiting.
-        """
-        if value is None:
-            return self._granted_none
-        ev = Event(self)
-        ev._value = value
-        ev._triggered = True
-        ev._processed = True
-        return ev
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from generator *gen*."""
@@ -428,7 +412,7 @@ class Simulator:  # reprolint: allow[RL006] one per cluster, built at boot
         register before the generator finishes, or use :meth:`spawn`.
         """
         proc = Process(self, gen, name=name, boot=False)
-        proc._resume(self._granted_none)
+        proc._resume(self._processed_none)
         return proc
 
     # -- scheduling surface ------------------------------------------------

@@ -4,25 +4,21 @@ These model the contended facilities in the reproduction:
 
 * :class:`Resource` — a counted pool; used for server CPU cores, so that a
   server with four cores can execute at most four service segments at once.
-* :class:`Lock` — a capacity-1 resource; used for inode write locks.
+  A unit is taken only by a :class:`Hold` (one timed service segment), or
+  by *n* of them behind :meth:`Resource.hold_all`.
 * :class:`RWLock` — readers-writer lock; used for directory inodes and
-  change-logs (§4.2 locks read/write change-logs and inodes separately).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``; used
-  for server request queues and mailboxes.
+  change-logs (§4.2 locks read/write change-logs and inodes separately),
+  and, taken in write mode only, for the rename coordinator's serialiser.
 
 All primitives are FIFO-fair: waiters are served in arrival order, which
 keeps the simulation deterministic.
 
-Two grant paths (see DESIGN.md §9):
-
-* **Immediate grant** — when an acquire (or ``Store.get``) can be served
-  without waiting, it returns an already-*processed* event via
-  :meth:`Simulator.granted`; the yielding process resumes inline with no
-  pending-event allocation and no kernel entry.
-* **Queued grant** — when the caller must wait, a pending event joins the
-  FIFO queue and is succeeded on release/put, which defers the resume
-  to its own kernel entry.  Release and put therefore never re-enter the
-  releasing process, and waiters wake strictly in arrival order.
+One grant path (see DESIGN.md §9): ``RWLock.acquire_read`` /
+``acquire_write`` return ``None`` when the lock is granted now, and
+otherwise a pending event at the tail of the FIFO that the caller
+yields.  A release succeeds the next waiters' events, which defers each
+resume to its own kernel entry, so a release never re-enters the
+releasing process and waiters wake strictly in arrival order.
 """
 
 from __future__ import annotations
@@ -34,27 +30,21 @@ from typing import Any, Deque, Dict, Optional, Tuple
 from .kernel import Event, Simulator, SimulationError
 from .stats import PhaseStats
 
-__all__ = ["Resource", "Hold", "Lock", "RWLock", "Store"]
+__all__ = ["Resource", "Hold", "RWLock"]
 
 
 class Resource:
-    """A counted pool of identical units (e.g. CPU cores).
+    """A counted pool of identical units (e.g. CPU cores), taken by holds."""
 
-    ``acquire()`` returns an event that fires when a unit is granted;
-    ``release()`` returns one unit.  :meth:`hold` is acquire + timed hold
-    + release as one event.
-    """
+    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
 
-    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters")
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = ""):
+    def __init__(self, sim: Simulator, capacity: int):
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Hold] = deque()
 
     @property
     def in_use(self) -> int:
@@ -64,34 +54,8 @@ class Resource:
     def queued(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return self.sim.granted()
-        ev = Event(self.sim)
-        self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release of an idle resource")
-        if self._waiters:
-            # Hand the unit straight to the next waiter; _in_use unchanged.
-            # The waiter wakes at its own entry, never inline from release().
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-    def hold(self, delay: float, phases: Optional[PhaseStats] = None) -> Event:
-        """Acquire, hold a unit for *delay* µs, release: one event.
-
-        With *phases*, the wait for the unit is booked as ``queue`` and
-        the hold as ``cpu``.
-        """
-        return Hold(self, delay, phases)
-
     def hold_all(self, n: int, delay: float, phases: Optional[PhaseStats] = None) -> Event:
-        """An event that fires when *n* parallel :meth:`hold` have all ended.
+        """An event that fires when *n* parallel :class:`Hold` have all ended.
 
         Keeps the heap positions of *n* spawned workers under an ``AllOf``:
         one boot entry issues the holds in order, and the last to end
@@ -121,7 +85,7 @@ class Resource:
 class Hold(Event):
     """A timed hold of one unit: a two-phase self-scheduling event.
 
-    :meth:`Resource.hold` and the servers' CPU charge build one directly.
+    The servers' CPU charge and the stale-set server build one directly.
     Taken immediately, the hold is its own heap entry at ``now + delay``.
     Queued, the releaser grants it like any waiter (``succeed``: a ready
     entry at ``(now, tick)``); on that pop it stamps its start and pushes
@@ -164,7 +128,7 @@ class Hold(Event):
             self.start = now
             _heappush(sim._heap, (now + self.delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
             return
-        # Resource.release inlined, idle check included.
+        # The release, with its idle check.
         resource = self.resource
         if resource._in_use <= 0:
             raise SimulationError("release of an idle resource")
@@ -176,10 +140,8 @@ class Hold(Event):
         if phases is not None:
             # Neither duration can be negative: the delay was checked at
             # issue and the clock never runs backwards.
-            phases.queue_total += start - self.requested
-            phases.queue_count += 1
-            phases.cpu_total += now - start
-            phases.cpu_count += 1
+            phases.queue += start - self.requested
+            phases.cpu += now - start
         # Event._run_callbacks with the single-waiter case inlined.
         self._processed = True
         cb1, self._cb1 = self._cb1, None
@@ -187,15 +149,6 @@ class Hold(Event):
             cb1(self)
         if self.callbacks:
             Event._run_callbacks(self)
-
-
-class Lock(Resource):
-    """A mutual-exclusion lock (capacity-1 resource)."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        super().__init__(sim, capacity=1, name=name)
 
 
 class RWLock:
@@ -248,36 +201,20 @@ class RWLock:
         """How many acquisitions are queued behind the holders."""
         return len(self._waiters) if self._waiters else 0
 
-    def acquire_read(self) -> Event:
+    def acquire_read(self) -> Optional[Event]:
+        """Take a read hold: ``None`` when granted now, otherwise the
+        queued event to yield, which fires once the hold is granted."""
         if not self._writer and not self._waiters:
             self._readers += 1
-            return self.sim.granted()
+            return None
         return self._enqueue(False)
 
-    def try_acquire_read(self) -> bool:
-        """Immediate-grant fast path: take the lock *without* an event.
-
-        Equivalent to ``yield acquire_read()`` resuming inline off a
-        processed event, minus the yield/trampoline round trip.  False
-        means the caller must ``yield acquire_read()`` (the queued path).
-        """
-        if not self._writer and not self._waiters:
-            self._readers += 1
-            return True
-        return False
-
-    def acquire_write(self) -> Event:
+    def acquire_write(self) -> Optional[Event]:
+        """Take the write hold (see :meth:`acquire_read`)."""
         if not self._writer and self._readers == 0 and not self._waiters:
             self._writer = True
-            return self.sim.granted()
+            return None
         return self._enqueue(True)
-
-    def try_acquire_write(self) -> bool:
-        """Immediate-grant fast path (see :meth:`try_acquire_read`)."""
-        if not self._writer and self._readers == 0 and not self._waiters:
-            self._writer = True
-            return True
-        return False
 
     def release_read(self) -> bool:
         """Drop a read hold; True when that left the lock idle (nobody
@@ -296,7 +233,7 @@ class RWLock:
         return not (self._writer or self._readers or self._waiters)
 
     def _enqueue(self, is_writer: bool) -> Event:
-        """Queued grant: a pending event at the tail of the FIFO."""
+        """A pending event at the tail of the FIFO."""
         ev = Event(self.sim)
         waiters = self._waiters
         if waiters is None:
@@ -321,35 +258,3 @@ class RWLock:
             self._readers += 1
             ev.succeed()
             # Keep draining: consecutive readers may all enter.
-
-
-class Store:
-    """Unbounded FIFO channel of items with blocking ``get``.
-
-    ``put`` never blocks (the network is the only bounded element in the
-    model; server queues are unbounded, with queueing delay emerging from
-    core contention instead).
-    """
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        if self._items:
-            return self.sim.granted(self._items.popleft())
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        return ev

@@ -12,7 +12,7 @@ import math
 from array import array
 from collections import defaultdict
 from functools import partial
-from typing import DefaultDict, Dict, Iterable, List, Sequence
+from typing import DefaultDict, Dict, List, Sequence
 
 __all__ = ["LatencyRecorder", "PhaseStats", "Counter", "percentile"]
 
@@ -83,12 +83,9 @@ class LatencyRecorder:
             raise ValueError(f"no latency samples for op {op!r}")
         return percentile(xs, q)
 
-    def ops(self) -> Iterable[str]:
-        return self._samples.keys()
-
 
 class PhaseStats:
-    """Per-phase service-time accumulators for one server.
+    """Per-phase service-time totals for one server.
 
     The server runtime records how long requests spend in each execution
     phase — ``queue`` (waiting for a CPU core), ``cpu`` (holding a core),
@@ -96,82 +93,30 @@ class PhaseStats:
     on a nested RPC) — so latency breakdowns (Fig 2(b), Fig 15) read
     measured hook data instead of reconstructing shares from the
     performance-model constants.  Durations are virtual microseconds.
+
+    Each phase is a plain float attribute that its recorder adds to in
+    place: the hold ending a CPU charge (``queue``, ``cpu``;
+    sim/resources.py, Hold) and the server runtime (``lock``, ``net``).
     """
 
     PHASES = ("queue", "cpu", "lock", "net")
 
-    # queue/cpu are recorded on every CPU charge (~4-6 times per op), so
-    # they live in plain public float/int attributes that the hold ending
-    # the charge bumps itself (sim/resources.py, Hold); the dict holds
-    # only the rarer phases (lock, net).  All read paths merge the two.
+    __slots__ = PHASES
 
     def __init__(self):
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-        self.queue_total = 0.0
-        self.queue_count = 0
-        self.cpu_total = 0.0
-        self.cpu_count = 0
-
-    def add(self, phase: str, us: float) -> None:
-        if us < 0:
-            raise ValueError(f"negative phase duration: {phase}={us}")
-        if phase == "queue":
-            self.queue_total += us
-            self.queue_count += 1
-        elif phase == "cpu":
-            self.cpu_total += us
-            self.cpu_count += 1
-        else:
-            self._totals[phase] = self._totals.get(phase, 0.0) + us
-            self._counts[phase] = self._counts.get(phase, 0) + 1
+        self.clear()
 
     def total(self, phase: str) -> float:
-        if phase == "queue":
-            return self.queue_total
-        if phase == "cpu":
-            return self.cpu_total
-        return self._totals.get(phase, 0.0)
-
-    def count(self, phase: str) -> int:
-        if phase == "queue":
-            return self.queue_count
-        if phase == "cpu":
-            return self.cpu_count
-        return self._counts.get(phase, 0)
-
-    def mean(self, phase: str) -> float:
-        n = self.count(phase)
-        return self.total(phase) / n if n else 0.0
-
-    def phases(self) -> Iterable[str]:
-        return self.as_dict().keys()
-
-    def as_dict(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        if self.queue_count:
-            out["queue"] = self.queue_total
-        if self.cpu_count:
-            out["cpu"] = self.cpu_total
-        out.update(self._totals)
-        return out
+        return getattr(self, phase)
 
     def merge(self, other: "PhaseStats") -> None:
-        self.queue_total += other.queue_total
-        self.queue_count += other.queue_count
-        self.cpu_total += other.cpu_total
-        self.cpu_count += other.cpu_count
-        for phase, total in other._totals.items():
-            self._totals[phase] = self._totals.get(phase, 0.0) + total
-            self._counts[phase] = self._counts.get(phase, 0) + other._counts[phase]
+        self.queue += other.queue
+        self.cpu += other.cpu
+        self.lock += other.lock
+        self.net += other.net
 
     def clear(self) -> None:
-        self._totals.clear()
-        self._counts.clear()
-        self.queue_total = 0.0
-        self.queue_count = 0
-        self.cpu_total = 0.0
-        self.cpu_count = 0
+        self.queue = self.cpu = self.lock = self.net = 0.0
 
 
 class Counter:
@@ -185,6 +130,3 @@ class Counter:
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)

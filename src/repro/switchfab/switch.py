@@ -170,10 +170,6 @@ class ProgrammableSwitch:
             stale_set.remove(fp, source="ctl-plane", seq=self._ctl_remove_seq)
         return before - stale_set.occupancy
 
-    @property
-    def occupancy(self) -> int:
-        return self.stale_set.occupancy
-
     def stats(self) -> SwitchStats:
         """Data-plane statistics."""
         s = self.stale_set

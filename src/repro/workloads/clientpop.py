@@ -179,7 +179,15 @@ class PopulationClient:
 
     def _op(self, uid: int, thunk) -> Generator:
         t0 = self.sim.now
-        yield from thunk(self.fs)
+        try:
+            yield from thunk(self.fs)
+        except Exception as exc:
+            # Nothing waits on an op: hand the first failure to drive(),
+            # whose wait on the drain raises it and fails the run, as a
+            # failed op fails run_stream's.
+            if not self._drained.triggered:
+                self._drained.fail(exc)
+            return
         self.samples.append(self.done(t0))
         users = self.users
         users.ops_done[uid] += 1

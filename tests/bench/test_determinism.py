@@ -10,7 +10,7 @@ of the figure benchmarks twice and diff every ``RunResult`` field.
 from repro.bench import make_cluster, run_stream, scaled_config
 from repro.core.cluster import SwitchFSCluster
 from repro.net import FaultModel
-from repro.sim import make_rng
+from repro.sim import PhaseStats, make_rng
 from repro.workloads import (
     FixedOpStream,
     MixStream,
@@ -32,9 +32,8 @@ def _fingerprint(result):
         "ops_completed": result.ops_completed,
         "sim_elapsed_us": result.sim_elapsed_us,
         "inflight": result.inflight,
-        "samples": {op: result.latency.samples(op) for op in sorted(result.latency.ops())},
-        "phase_totals": result.phases.as_dict(),
-        "phase_counts": {p: result.phases.count(p) for p in result.phases.phases()},
+        "samples": {op: result.latency.samples(op) for op in sorted(result.latency._samples)},
+        "phase_totals": {p: result.phases.total(p) for p in PhaseStats.PHASES},
     }
 
 

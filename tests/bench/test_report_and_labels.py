@@ -48,7 +48,7 @@ class TestPerOpLabels:
         pop = bootstrap(cluster, multiple_directories(8, 4), warm_clients=[0])
         stream = MixStream(DATA_CENTER_SERVICES_MIX, pop, seed=55, data_latency_us=0.0)
         result = run_stream(cluster, stream, total_ops=150, inflight=8)
-        ops_seen = set(result.latency.ops())
+        ops_seen = set(result.latency._samples)
         # The dominant ops of the mix must each have their own series.
         assert {"open", "close", "stat"} <= ops_seen
         total_labeled = sum(

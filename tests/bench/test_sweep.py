@@ -7,6 +7,7 @@ import pytest
 from repro.bench import run_stream
 from repro.bench.sweep import sweep
 from repro.core import FSConfig, SwitchFSCluster
+from repro.sim import PhaseStats
 from repro.workloads import FixedOpStream, bootstrap, multiple_directories
 
 
@@ -39,8 +40,8 @@ def run_fingerprint(result):
         result.ops_completed,
         result.sim_elapsed_us,
         result.inflight,
-        {op: result.latency.samples(op) for op in sorted(result.latency.ops())},
-        result.phases.as_dict(),
+        {op: result.latency.samples(op) for op in sorted(result.latency._samples)},
+        [result.phases.total(p) for p in PhaseStats.PHASES],
     )
 
 

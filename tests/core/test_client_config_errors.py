@@ -140,19 +140,19 @@ class TestInvalidationList:
     def test_discard_reverts_insert(self):
         inval = InvalidationList()
         inval.insert(42)
-        assert 42 in inval
+        assert not inval.validate([42])
         inval.discard(42)
-        assert 42 not in inval
+        assert inval.validate([42])
         inval.discard(42)  # idempotent on absent ids
-        assert len(inval) == 0
+        assert inval.snapshot() == set()
 
     def test_snapshot_restore(self):
         a, b = InvalidationList(), InvalidationList()
         a.insert(5)
         b.restore(a.snapshot())
-        assert 5 in b
+        assert not b.validate([5])
         a.insert(6)  # snapshot is a copy
-        assert 6 not in b
+        assert b.validate([6])
 
 
 class TestClientCache:
@@ -177,6 +177,23 @@ class TestClientCache:
         fs.invalidate_path("/a")
         assert "/a" not in fs._cache
         assert "/a/b" not in fs._cache
+
+    def test_dir_op_under_a_removed_cached_dir_answers_enoent(self):
+        """A dir op under a cached directory another client removed is
+        refused (EINVALIDPATH); the client drops the stale entry once,
+        re-resolves, and answers ENOENT."""
+        cluster, a = self.make()
+        b = cluster.client(1)
+        cluster.run_op(a.mkdir("/p"))
+        cluster.run_op(a.mkdir("/p/q"))
+        cluster.run_op(a.create("/p/q/f"))  # A caches /p/q
+        cluster.run_op(b.delete("/p/q/f"))
+        cluster.run_op(b.rmdir("/p/q"))
+        with pytest.raises(FSError) as err:
+            cluster.run_op(a.mkdir("/p/q/r"))
+        assert err.value.code == ENOENT
+        assert a.counters.get("cache_invalidations") == 1
+        assert "/p/q" not in a._cache
 
     def test_lookup_missing_dir_enoent(self):
         cluster, fs = self.make()

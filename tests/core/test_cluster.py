@@ -68,7 +68,7 @@ class TestSettle:
         is the mark of a wedged op, and settle names where it is."""
         cluster, server = self._settled_cluster()
         key = dir_meta_key(ROOT_ID, "d")
-        assert server._inode_lock(key).try_acquire_write()
+        assert server._inode_lock(key).acquire_write() is None
         with pytest.raises(RuntimeError) as err:
             cluster.settle()
         assert f"{server.addr} _inode_locks[{key!r}]: held by w, 0 waiting" in str(err.value)

@@ -8,7 +8,8 @@ from repro.bench import make_cluster
 from repro.core import FSConfig, LibFS, MetadataServer, ServerRuntime, SwitchFSCluster
 from repro.core.cluster import Cluster
 from repro.errors import ReproError
-from repro.sim import PhaseStats, SimulationError
+from repro.bench.harness import RunResult
+from repro.sim import LatencyRecorder, PhaseStats, SimulationError
 
 
 def switchfs(**overrides):
@@ -185,10 +186,10 @@ class TestHeldOnlyLockTable:
         cluster = switchfs(num_servers=1)
         server = cluster.servers[0]
         old = server._inode_lock(self.KEY)
-        assert old.try_acquire_write()
+        assert old.acquire_write() is None
         server.crash()
         new = server._inode_lock(self.KEY)
-        assert new is not old and new.try_acquire_read()
+        assert new is not old and new.acquire_read() is None
         server._release(old, "w")
         assert server._inode_locks[self.KEY] is new
         server._release(new, "r")
@@ -198,31 +199,36 @@ class TestHeldOnlyLockTable:
 class TestPhaseStats:
     def test_accumulates_and_means(self):
         ps = PhaseStats()
-        ps.add("cpu", 2.0)
-        ps.add("cpu", 4.0)
-        ps.add("net", 1.0)
+        ps.cpu += 2.0
+        ps.cpu += 4.0
+        ps.net += 1.0
         assert ps.total("cpu") == pytest.approx(6.0)
-        assert ps.count("cpu") == 2
-        assert ps.mean("cpu") == pytest.approx(3.0)
         assert ps.total("lock") == 0.0
-        assert ps.mean("lock") == 0.0
+        # The per-op mean is what a run reports.
+        run = RunResult(ops_completed=2, sim_elapsed_us=10.0, wall_seconds=0.0,
+                        latency=LatencyRecorder(), inflight=1, phases=ps)
+        assert run.phase_mean_us("cpu") == pytest.approx(3.0)
+        assert run.phase_mean_us("lock") == 0.0
 
     def test_negative_sample_rejected(self):
-        ps = PhaseStats()
-        with pytest.raises(ValueError):
-            ps.add("cpu", -0.1)
+        # A CPU charge books its own length as cpu time: a negative one is
+        # refused at issue and books nothing.
+        cluster = switchfs()
+        server = cluster.servers[0]
+        with pytest.raises(SimulationError):
+            server.charge_cpu(-0.1)
+        assert [server.phases.total(p) for p in PhaseStats.PHASES] == [0.0] * 4
 
     def test_merge_and_clear(self):
         a, b = PhaseStats(), PhaseStats()
-        a.add("cpu", 1.0)
-        b.add("cpu", 2.0)
-        b.add("queue", 3.0)
+        a.cpu += 1.0
+        b.cpu += 2.0
+        b.queue += 3.0
         a.merge(b)
         assert a.total("cpu") == pytest.approx(3.0)
-        assert a.count("cpu") == 2
         assert a.total("queue") == pytest.approx(3.0)
         a.clear()
-        assert a.as_dict() == {}
+        assert [a.total(p) for p in PhaseStats.PHASES] == [0.0] * 4
 
     def test_servers_record_phases_during_ops(self):
         cluster = switchfs()

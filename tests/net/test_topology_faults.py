@@ -15,6 +15,17 @@ def make_net(sim, **kwargs):
     return Network(sim, PassthroughSwitch(), **kwargs)
 
 
+class Inbox:
+    """A raw host's inbox: notes each packet with the time it lands."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.got = []
+
+    def put(self, packet):
+        self.got.append((packet, self.sim.now))
+
+
 class TestFaultModel:
     def test_reliable_never_drops(self):
         fm = FaultModel.reliable()
@@ -49,31 +60,24 @@ class TestNetwork:
     def test_delivery_latency_two_links(self):
         sim = Simulator()
         net = make_net(sim, link_latency_us=0.75)
-        inbox = net.attach("b")
-        net.attach("a")
-        got = []
-
-        def receiver(sim, inbox):
-            pkt = yield inbox.get()
-            got.append((pkt.payload, sim.now))
-
-        sim.spawn(receiver(sim, inbox))
+        inbox = net.attach("b", Inbox(sim))
+        net.attach("a", Inbox(sim))
         net.send(alloc_packet("a", "b", "hi"))
         sim.run()
         # host->switch + switch->host = 2 links = 1.5us.
-        assert got == [("hi", 1.5)]
+        assert [(pkt.payload, t) for pkt, t in inbox.got] == [("hi", 1.5)]
 
     def test_double_attach_rejected(self):
         sim = Simulator()
         net = make_net(sim)
-        net.attach("a")
+        net.attach("a", Inbox(sim))
         with pytest.raises(ValueError):
-            net.attach("a")
+            net.attach("a", Inbox(sim))
 
     def test_unknown_destination_dropped(self):
         sim = Simulator()
         net = make_net(sim)
-        net.attach("a")
+        net.attach("a", Inbox(sim))
         net.send(alloc_packet("a", "ghost", "x"))
         sim.run()
         assert net.packets_dropped == 1
@@ -91,8 +95,8 @@ class TestNetwork:
 
         sim = Simulator()
         net = Network(sim, Broken())
-        net.attach("a")
-        net.attach("b")
+        net.attach("a", Inbox(sim))
+        net.attach("b", Inbox(sim))
         net.send(alloc_packet("a", "b", "x"))
         with pytest.raises(RuntimeError, match="no route installed"):
             sim.run()
@@ -105,8 +109,8 @@ class TestNetwork:
             PassthroughSwitch(),
             faults=FaultModel(make_rng(3, "loss"), loss_prob=1.0),
         )
-        net.attach("a")
-        net.attach("b")
+        net.attach("a", Inbox(sim))
+        net.attach("b", Inbox(sim))
         net.send(alloc_packet("a", "b", "x"))
         sim.run()
         assert net.packets_dropped == 1
@@ -118,37 +122,23 @@ class TestNetwork:
             PassthroughSwitch(),
             faults=FaultModel(make_rng(3, "dup"), dup_prob=1.0),
         )
-        net.attach("a")
-        inbox = net.attach("b")
-        got = []
-
-        def receiver(sim, inbox):
-            while True:
-                pkt = yield inbox.get()
-                got.append(pkt)
-
-        sim.spawn(receiver(sim, inbox))
+        net.attach("a", Inbox(sim))
+        inbox = net.attach("b", Inbox(sim))
         net.send(alloc_packet("a", "b", "x"))
         sim.run()
+        got = [pkt for pkt, _ in inbox.got]
         assert len(got) == 2
         assert got[0] is not got[1]  # a duplicate is a clone, not the same packet
 
     def test_the_switch_sits_between_two_links(self):
         sim = Simulator()
         net = Network(sim, PassthroughSwitch(latency_us=0.5), link_latency_us=1.0)
-        net.attach("a")
-        inbox = net.attach("b")
-        got = []
-
-        def receiver(sim, inbox):
-            yield inbox.get()
-            got.append(sim.now)
-
-        sim.spawn(receiver(sim, inbox))
+        net.attach("a", Inbox(sim))
+        inbox = net.attach("b", Inbox(sim))
         net.send(alloc_packet("a", "b", "x"))
         sim.run()
         # 2 links and the switch's forwarding delay.
-        assert got == [2.5]
+        assert [t for _, t in inbox.got] == [2.5]
 
     def test_consuming_switch_ends_delivery(self):
         class BlackHole:
@@ -159,8 +149,8 @@ class TestNetwork:
 
         sim = Simulator()
         net = Network(sim, BlackHole())
-        net.attach("a")
-        net.attach("b")
+        net.attach("a", Inbox(sim))
+        net.attach("b", Inbox(sim))
         net.send(alloc_packet("a", "b", "x"))
         sim.run()
         assert net.packets_delivered == 0

@@ -5,8 +5,8 @@ The kernel's ordering contract: every entry runs at its exact
 were taken, one tick per entry from one counter.  The reference below is
 that contract written as plainly as it can be: every entry on one heap,
 one pop per event.  Hypothesis builds schedules out of timeouts (zero
-delays, forced ties), ``succeed`` / ``fail`` chains, spawned and adopted
-processes, ticks reserved early and pushed late (at the current instant
+delays, forced ties), ``succeed`` / ``fail`` chains, already-processed
+events, spawned and adopted processes, ticks reserved early and pushed late (at the current instant
 too), and a driver of ``step`` / ``run(until)`` /
 ``run_process`` / ``stop``; the stock simulator and the reference must
 record the same trace.
@@ -54,6 +54,15 @@ class ReferenceSimulator(Simulator):
             event._run_callbacks()
             if self._stopped or (proc is not None and proc._triggered):
                 return
+
+
+def _processed(sim, value):
+    """An event whose waiters have run: a process yielding it resumes
+    inline, through the trampoline, with no entry."""
+    event = sim.event()
+    event._value = value
+    event._triggered = event._processed = True
+    return event
 
 
 class _Schedule:
@@ -113,8 +122,8 @@ class _Schedule:
                 continue
             if kind == "wait":
                 target = sim.timeout(step[1])
-            elif kind == "granted":
-                target = sim.granted(name)
+            elif kind == "processed":
+                target = _processed(sim, name)
             elif kind == "join":
                 if not self.procs:
                     continue
@@ -185,7 +194,7 @@ def _extend(inner):
     kids = st.lists(inner, max_size=3).map(tuple)
     step = st.one_of(
         st.tuples(st.just("wait"), st.sampled_from(DELAYS)),
-        st.tuples(st.sampled_from(("succeed", "fail", "granted"))),
+        st.tuples(st.sampled_from(("succeed", "fail", "processed"))),
         st.tuples(st.just("join"), st.integers(0, 7)),
         st.tuples(st.just("do"), inner),
     )

@@ -1,4 +1,4 @@
-"""Position identity of ``Resource.hold`` / ``hold_all`` (DESIGN.md §9).
+"""Position identity of ``Hold`` / ``Resource.hold_all`` (DESIGN.md §9).
 
 A timed hold used to be an open-coded generator segment (take a unit or
 queue for one, sleep, release, book the time) and a fan-out used to be one
@@ -12,25 +12,31 @@ touches the pool — and the booked queue/cpu sums must be bit-equal.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import AllOf, PhaseStats, Resource, Simulator
+from repro.sim import AllOf, Event, Hold, PhaseStats, Resource, Simulator
 
 COSTS = (1.0, 2.0, 3.0)     # three values only: equal-time ties everywhere
 
 
 def _ref_charge(sim, res, cost, stats):
-    """``ServerRuntime.charge_cpu`` as it stood before ``Resource.hold``."""
+    """``ServerRuntime.charge_cpu`` as it stood before ``Hold``, with the
+    pool's acquire and release open-coded as they stood then."""
     t0 = sim.now
-    if res._in_use < res.capacity:      # was Resource.try_acquire()
+    if res._in_use < res.capacity:
         res._in_use += 1
     else:
-        yield res.acquire()
+        granted = Event(sim)
+        res._waiters.append(granted)
+        yield granted
     acquired = sim.now
     try:
         yield sim.timeout(cost)
     finally:
-        res.release()
-        stats.add("queue", acquired - t0)
-        stats.add("cpu", sim.now - acquired)
+        if res._waiters:
+            res._waiters.popleft().succeed()    # the unit passes on
+        else:
+            res._in_use -= 1
+        stats.queue += acquired - t0
+        stats.cpu += sim.now - acquired
 
 
 def _ref_fan(sim, res, n, cost, stats):
@@ -46,7 +52,7 @@ def _process(sim, res, stats, trace, pid, delay, steps, reference):
             if reference:
                 yield from _ref_charge(sim, res, step[1], stats)
             else:
-                yield res.hold(step[1], stats)
+                yield Hold(res, step[1], stats)
         elif reference:
             yield from _ref_fan(sim, res, step[1], step[2], stats)
         else:
@@ -70,7 +76,7 @@ def _run(capacity, programs, reference):
     sim.spawn(_witness(sim, trace, ticks=40))
     sim.run()
     assert res.in_use == 0 and res.queued == 0
-    sums = {p: (stats.total(p), stats.count(p)) for p in ("queue", "cpu")}
+    sums = {p: stats.total(p) for p in ("queue", "cpu")}
     return trace, sums, sim.now
 
 
@@ -99,4 +105,5 @@ def test_contended_fan_out_beside_plain_charges():
     new, ref = _run(2, programs, reference=False), _run(2, programs, reference=True)
     assert new == ref
     _trace, sums, _end = new
-    assert sums["cpu"][1] == 15 and sums["queue"][0] > 0   # 15 holds, some queued
+    # All 15 holds ran their full cost (30 µs of cpu), and some queued.
+    assert sums["cpu"] == 30.0 and sums["queue"] > 0

@@ -1,7 +1,8 @@
 """Regression tests for the kernel fast paths (DESIGN.md §9).
 
 Covers the single-waiter callback slot, process boot without a kick-off
-event, the immediate-grant trampoline, adopt and silent completion, the
+event, the trampoline over already-processed events, adopt and silent
+completion, the one grant path of the resources (None when granted now), the
 one dispatch loop behind step/run/run_process, timeouts,
 combinator callback detaching, and how a failed event thrown into its
 waiter is caught, re-raised or translated.
@@ -11,12 +12,11 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    Lock,
+    Hold,
     Resource,
     RWLock,
     SimulationError,
     Simulator,
-    Store,
     Timeout,
 )
 
@@ -108,46 +108,47 @@ class TestProcessFastPath:
 
     def test_yield_processed_event_resumes_inline_without_heap(self):
         sim = Simulator()
-        granted = sim.granted("v")
+        fired = sim.event()
+        fired.succeed("v")
+        sim.run()
         out = []
 
         def proc(sim):
+            out.append(len(pending(sim)))
             for _ in range(3):
-                out.append((yield granted))
+                out.append((yield fired))
+            out.append(len(pending(sim)))
 
         sim.spawn(proc(sim))
         sim.run()
-        assert out == ["v", "v", "v"]
+        assert out == [0, "v", "v", "v", 0]
 
     def test_deep_immediate_resume_chain_does_not_recurse(self):
-        """50k immediate grants in a row must not blow the Python stack."""
+        """50k processed events in a row must not blow the Python stack."""
         sim = Simulator()
-        store = Store(sim)
         n = 50_000
+        fired = []
+        for i in range(n):
+            fired.append(sim.event().succeed(i))
+        sim.run()
 
         def proc(sim):
             for i in range(n):
-                store.put(i)
-                got = yield store.get()
+                got = yield fired[i]
                 assert got == i
 
         done = sim.spawn(proc(sim))
         sim.run()
         assert done.ok
 
-    def test_granted_none_is_shared_and_immutable(self):
+    def test_processed_event_is_immutable(self):
         sim = Simulator()
-        a, b = sim.granted(), sim.granted()
-        assert a is b
-        assert a.processed and a.ok
+        fired = sim.event().succeed("v")
+        sim.run()
+        assert fired.processed and fired.ok
         with pytest.raises(SimulationError):
-            a.succeed()
-
-    def test_granted_value_events_are_distinct(self):
-        sim = Simulator()
-        a, b = sim.granted(1), sim.granted(2)
-        assert a is not b
-        assert a.value == 1 and b.value == 2
+            fired.succeed()
+        assert fired.value == "v"
 
 
 # ---------------------------------------------------------------------------
@@ -360,57 +361,36 @@ class TestTimeout:
 
 
 # ---------------------------------------------------------------------------
-# resource immediate grants
+# the one grant path: None when granted now, else a pending event
 # ---------------------------------------------------------------------------
 
 
 class TestImmediateGrants:
-    def test_free_resource_grant_is_processed(self):
+    def test_free_resource_hold_is_taken_at_once(self):
         sim = Simulator()
         res = Resource(sim, capacity=2)
-        ev = res.acquire()
-        assert ev.processed and ev.ok
-        assert res.in_use == 1
+        hold = Hold(res, 3.0, None)
+        assert hold.triggered and not hold.processed
+        assert res.in_use == 1 and res.queued == 0
+        assert [(t, ev) for t, _, ev in pending(sim)] == [(3.0, hold)]   # its finish
 
     def test_contended_resource_grant_is_pending(self):
         sim = Simulator()
-        lock = Lock(sim)
-        first = lock.acquire()
-        second = lock.acquire()
-        assert first.processed
+        lock = RWLock(sim)
+        assert lock.acquire_write() is None
+        second = lock.acquire_write()
         assert not second.triggered
-        lock.release()
-        assert second.triggered and not second.processed  # wakes via the heap
+        lock.release_write()
+        assert second.triggered and not second.processed  # wakes at its own entry
 
     def test_rwlock_uncontended_paths(self):
         sim = Simulator()
         rw = RWLock(sim)
-        r = rw.acquire_read()
-        assert r.processed
+        assert rw.acquire_read() is None and rw.readers == 1
         rw.release_read()
-        w = rw.acquire_write()
-        assert w.processed
+        assert rw.acquire_write() is None and rw.write_locked
         rw.release_write()
-
-    def test_store_get_with_items_is_processed(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        ev = store.get()
-        assert ev.processed and ev.value == "x"
-
-    def test_store_put_none_delivers_none(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(None)
-        got = []
-
-        def proc(sim):
-            got.append((yield store.get()))
-
-        sim.spawn(proc(sim))
-        sim.run()
-        assert got == [None]
+        assert pending(sim) == []    # no event, no entry
 
 
 # ---------------------------------------------------------------------------

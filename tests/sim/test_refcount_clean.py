@@ -165,17 +165,17 @@ class TestIdleRWLockIsLean:
     def test_never_queued_lock_has_no_queue(self):
         sim = Simulator()
         lock = RWLock(sim)
-        assert lock.try_acquire_read() and lock.try_acquire_read()
+        assert lock.acquire_read() is None and lock.acquire_read() is None
         assert lock.release_read() is False  # the other reader still holds it
         assert lock.release_read() is True  # idle: nobody holds, nobody waits
-        assert lock.acquire_write().processed
+        assert lock.acquire_write() is None
         assert lock.release_write() is True
         assert lock._waiters is None
 
     def test_first_waiter_allocates_the_queue(self):
         sim = Simulator()
         lock = RWLock(sim)
-        assert lock.try_acquire_write()
+        assert lock.acquire_write() is None
         waiting = lock.acquire_read()
         assert not waiting.triggered and len(lock._waiters) == 1
         assert lock.release_write() is False  # handed to the waiter, not idle

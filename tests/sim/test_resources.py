@@ -1,29 +1,35 @@
-"""Unit tests for Resource, Lock, RWLock, and Store."""
+"""Unit tests for Resource (taken by Hold) and RWLock."""
 
 import pytest
 
-from repro.sim import Lock, Resource, RWLock, SimulationError, Simulator, Store
+from repro.sim import Hold, Resource, RWLock, SimulationError, Simulator
+
+
+def held(queued):
+    """Wait until an acquisition is held: at once when it returned None,
+    else when its queued event fires."""
+    if queued is not None:
+        yield queued
 
 
 def test_resource_limits_concurrency():
     sim = Simulator()
     res = Resource(sim, capacity=2)
-    active = []
     peaks = []
+    ends = []
 
-    def worker(sim, res, tag):
-        yield res.acquire()
-        active.append(tag)
-        peaks.append(len(active))
-        yield sim.timeout(10.0)
-        active.remove(tag)
-        res.release()
+    def worker(sim, res):
+        hold = Hold(res, 10.0, None)
+        peaks.append(res.in_use)
+        yield hold
+        ends.append(sim.now)
 
-    for tag in range(5):
-        sim.spawn(worker(sim, res, tag))
+    for _ in range(5):
+        sim.spawn(worker(sim, res))
     sim.run()
     assert max(peaks) == 2
-    assert sim.now == 30.0  # ceil(5/2) waves of 10us
+    assert ends == [10.0, 10.0, 20.0, 20.0, 30.0]  # ceil(5/2) waves of 10us
+    assert res.in_use == 0 and res.queued == 0
 
 
 def test_resource_hold():
@@ -32,20 +38,13 @@ def test_resource_hold():
     done = []
 
     def worker(sim, res, tag):
-        yield res.hold(5.0)
+        yield Hold(res, 5.0, None)
         done.append((tag, sim.now))
 
     sim.spawn(worker(sim, res, "a"))
     sim.spawn(worker(sim, res, "b"))
     sim.run()
     assert done == [("a", 5.0), ("b", 10.0)]
-
-
-def test_resource_release_without_acquire():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
 
 
 def test_resource_invalid_capacity():
@@ -55,16 +54,17 @@ def test_resource_invalid_capacity():
 
 
 def test_lock_is_exclusive():
+    """Write mode alone, as the rename coordinator's serialiser takes it."""
     sim = Simulator()
-    lock = Lock(sim)
+    lock = RWLock(sim)
     order = []
 
     def worker(sim, lock, tag):
-        yield lock.acquire()
+        yield from held(lock.acquire_write())
         order.append((tag, "in", sim.now))
         yield sim.timeout(3.0)
         order.append((tag, "out", sim.now))
-        lock.release()
+        lock.release_write()
 
     sim.spawn(worker(sim, lock, 1))
     sim.spawn(worker(sim, lock, 2))
@@ -78,7 +78,7 @@ def test_rwlock_readers_share():
     times = []
 
     def reader(sim, rw, tag):
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         times.append((tag, sim.now))
         yield sim.timeout(5.0)
         rw.release_read()
@@ -96,7 +96,7 @@ def test_rwlock_writer_excludes_readers():
     log = []
 
     def writer(sim, rw):
-        yield rw.acquire_write()
+        yield from held(rw.acquire_write())
         log.append(("w-in", sim.now))
         yield sim.timeout(4.0)
         log.append(("w-out", sim.now))
@@ -104,7 +104,7 @@ def test_rwlock_writer_excludes_readers():
 
     def reader(sim, rw):
         yield sim.timeout(1.0)  # arrive while writer holds
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         log.append(("r-in", sim.now))
         rw.release_read()
 
@@ -121,20 +121,20 @@ def test_rwlock_fifo_prevents_writer_starvation():
     log = []
 
     def early_reader(sim, rw):
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         yield sim.timeout(10.0)
         rw.release_read()
 
     def writer(sim, rw):
         yield sim.timeout(1.0)
-        yield rw.acquire_write()
+        yield from held(rw.acquire_write())
         log.append(("writer", sim.now))
         yield sim.timeout(5.0)
         rw.release_write()
 
     def late_reader(sim, rw):
         yield sim.timeout(2.0)
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         log.append(("late-reader", sim.now))
         rw.release_read()
 
@@ -152,40 +152,3 @@ def test_rwlock_release_errors():
         rw.release_read()
     with pytest.raises(SimulationError):
         rw.release_write()
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    sim.spawn(consumer(sim, store))
-    store.put("x")
-    store.put("y")
-    store.put("z")
-    sim.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_blocking_get_wakes_on_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def producer(sim, store):
-        yield sim.timeout(7.0)
-        store.put("late")
-
-    sim.spawn(consumer(sim, store))
-    sim.spawn(producer(sim, store))
-    sim.run()
-    assert got == [("late", 7.0)]

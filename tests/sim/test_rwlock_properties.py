@@ -5,6 +5,14 @@ from hypothesis import strategies as st
 
 from repro.sim import RWLock, Simulator
 
+
+def held(queued):
+    """Wait until an acquisition is held: at once when it returned None,
+    else when its queued event fires."""
+    if queued is not None:
+        yield queued
+
+
 # Each actor: (is_writer, arrival_delay, hold_time)
 actors = st.lists(
     st.tuples(
@@ -29,7 +37,7 @@ def test_rwlock_safety_invariant(actors):
     def actor(is_writer, delay, hold):
         yield sim.timeout(delay)
         if is_writer:
-            yield rw.acquire_write()
+            yield from held(rw.acquire_write())
             if state["writer"] or state["readers"]:
                 violations.append("writer overlap")
             state["writer"] = True
@@ -37,7 +45,7 @@ def test_rwlock_safety_invariant(actors):
             state["writer"] = False
             rw.release_write()
         else:
-            yield rw.acquire_read()
+            yield from held(rw.acquire_read())
             if state["writer"]:
                 violations.append("reader during writer")
             state["readers"] += 1
@@ -64,11 +72,11 @@ def test_rwlock_all_actors_eventually_served(actors):
     def actor(idx, is_writer, delay, hold):
         yield sim.timeout(delay)
         if is_writer:
-            yield rw.acquire_write()
+            yield from held(rw.acquire_write())
             yield sim.timeout(hold)
             rw.release_write()
         else:
-            yield rw.acquire_read()
+            yield from held(rw.acquire_read())
             yield sim.timeout(hold)
             rw.release_read()
         served.append(idx)
@@ -92,20 +100,20 @@ def test_rwlock_writers_not_starved_by_reader_stream(writer_delay, n_late_reader
     order = []
 
     def early_reader():
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         yield sim.timeout(10.0)
         rw.release_read()
 
     def writer():
         yield sim.timeout(writer_delay)
-        yield rw.acquire_write()
+        yield from held(rw.acquire_write())
         order.append("writer")
         yield sim.timeout(1.0)
         rw.release_write()
 
     def late_reader(i):
         yield sim.timeout(writer_delay + 0.1 + i * 0.01)
-        yield rw.acquire_read()
+        yield from held(rw.acquire_read())
         order.append(f"late{i}")
         rw.release_read()
 

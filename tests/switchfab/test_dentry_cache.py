@@ -217,7 +217,7 @@ class TestSwitchLifecycle:
         sw.process(pkt(hdr(StaleSetOp.INSERT, FP_B), src="server-0"))
         sw.reset()
         assert sw.dentry_cache.occupancy == 0
-        assert sw.occupancy == 0
+        assert sw.stats().occupancy == 0
         # Post-reset the datapath works again from cold.
         fill_via_packet(sw, FP_A, "v2")
         assert sw.dentry_cache.lookup(FP_A) == "v2"
@@ -228,7 +228,7 @@ class TestSwitchLifecycle:
         sw.process(pkt(hdr(StaleSetOp.INSERT, FP_B), src="server-0"))
         sw.flush_cache()
         assert sw.dentry_cache.occupancy == 0
-        assert sw.occupancy == 1  # stale-set bit survives
+        assert sw.stats().occupancy == 1  # stale-set bit survives
         assert sw.process(pkt(hdr(StaleSetOp.QUERY, FP_B)))[0].header.ret == 1
 
     def test_stats_carry_cache_counters(self):

@@ -74,7 +74,7 @@ def test_switch_matches_sequential_model(ops):
     assert sw.stats().occupancy == len(model)
     # Failure empties the switch and forgets every SEQ filter.
     sw.reset()
-    assert sw.occupancy == 0
+    assert sw.stats().occupancy == 0
     for n, fp in enumerate(model, start=1):
         assert not query(sw, fp)
         insert(sw, fp)

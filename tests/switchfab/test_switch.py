@@ -113,9 +113,9 @@ class TestControlPlane:
         sw = make_switch()
         for fp in (0x1_0000_0001, 0x1_0000_0002):
             sw.process(pkt(hdr(StaleSetOp.INSERT, fp=fp)))
-        assert sw.occupancy == 2
+        assert sw.stats().occupancy == 2
         sw.reset()
-        assert sw.occupancy == 0
+        assert sw.stats().occupancy == 0
 
     def test_install_routes(self):
         sw = ProgrammableSwitch(stale_config=TableGeometry(num_stages=1, index_bits=1))

@@ -1,5 +1,9 @@
 """CLI smoke tests (fast configurations)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -46,6 +50,22 @@ class TestThroughput:
         assert "open-loop stat, 1,000 users" in out
         assert "== populations ==" in out
         assert "pop0" in out and "pop1" in out
+
+    def test_open_loop_create_mints_each_name_once(self):
+        """The aggregates share one stream: with a stream each, every one
+        minted new0, new1, ... and the colliding creates hung the run.  A
+        child process with a timeout turns a hang into a failure."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "throughput", "--op", "create",
+             "--users", "1000", "--offered-load", "100000", "--ops", "300"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "open-loop create, 1,000 users" in done.stdout
+        ops = {row[0]: row[3] for row in map(str.split, done.stdout.splitlines())
+               if row and row[0] in ("pop0", "pop1")}
+        assert ops == {"pop0": "150", "pop1": "150"}
 
     def test_users_need_offered_load(self, capsys):
         assert main(["throughput", "--users", "10"]) == 2

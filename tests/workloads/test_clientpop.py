@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.bench import run_stream
 from repro.bench.harness import MeasurementWindow
 from repro.core import FSConfig, SwitchFSCluster
+from repro.errors import EEXIST, FSError
 from repro.sim import Simulator, make_rng, zipf_cdf
 from repro.workloads import (
     FixedOpStream,
@@ -393,6 +394,25 @@ class TestRunFanin:
         assert len(result.latency.bucket("all")) == 150
         assert result.populations["pop0"]["ops_completed"] == 150
 
+    def test_a_failed_op_fails_the_run(self):
+        """Two aggregates with a stream each both create new0, new1, ...:
+        every second create answers EEXIST, and that ends the run with the
+        error, as a failed op ends run_stream's.  The deadline turns a
+        run that never ends into a failure."""
+        cluster = _cluster()
+        ns = bootstrap(cluster, single_large_directory(16), warm_clients=[0, 1])
+
+        def deadline():
+            yield cluster.sim.timeout(50_000.0)
+            raise AssertionError("the run outlived its deadline")
+
+        with pytest.raises(FSError) as err:
+            run_fanin(cluster,
+                      lambda a: FixedOpStream("create", ns, seed=5, dir_choice="single"),
+                      users=100, offered_load_ops=100_000.0, total_ops=60,
+                      aggregates=2, extra_procs=[deadline()])
+        assert err.value.code == EEXIST
+
     @pytest.mark.parametrize("cache", [True, False])
     def test_switch_cache_window_is_reported(self, cache):
         """Both drivers fill ``RunResult.switch_cache`` for their window
@@ -425,7 +445,7 @@ class TestRunFanin:
             result = drive(cluster, ns, 300)
             latency = result.latency
             assert latency.count("all") == 300
-            assert set(latency.ops()) == buckets
+            assert set(latency._samples) == buckets
             if not cache:
                 assert result.switch_cache == {}
                 assert result.switch_cache_hit_rate == 0.0
