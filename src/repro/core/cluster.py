@@ -76,9 +76,11 @@ class Cluster:
         raise KeyError(addr)
 
     def run_op(self, gen: Generator, until: Optional[float] = None):
-        """Run a single client operation to completion, returning its value."""
-        proc = self.sim.spawn(gen, name="op")
-        return self.sim.run_process(proc, until=until)
+        """Run a single client operation to completion, returning its value.
+
+        The process is never bound to a local here: a failed op's
+        traceback runs through this frame (see ``Simulator.run_process``)."""
+        return self.sim.run_process(self.sim.spawn(gen, name="op"), until=until)
 
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)

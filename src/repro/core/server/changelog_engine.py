@@ -17,7 +17,7 @@ The engine owns everything that moves or applies change-log entries:
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ...net import Packet, RpcError, RpcRequest
 from ...sim import RWLock
@@ -208,14 +208,18 @@ class ChangeLogEngine:
             if lock is not None:
                 self._release(lock, "w")
 
-    def _apply_entries_to_list(self, dir_id: int, entries: List[ChangeLogEntry]) -> int:
-        """Apply a recast log's op queue in one grouped KV transaction.
+    def _apply_entries_to_list(self, dir_id: int, entries: Sequence[ChangeLogEntry]) -> int:
+        """Apply a recast log's op queue, or one entry, in one grouped KV
+        transaction; returns the entry-count delta.
 
-        One WAL record covers the whole batch.  Presence is tracked through
-        a name→present overlay so later ops in the batch see earlier ones
-        (a create+delete of the same name nets to zero), matching what
-        per-entry application in timestamp order would produce; a batch
-        merged from several servers arrives in no such order.
+        One WAL record covers the whole batch, and a batch that changes
+        nothing (a delete of an absent name) logs none.  Presence-aware,
+        so re-application (recovery, a duplicated flush) never corrupts
+        the count.  Presence is tracked through a name→present overlay so
+        later ops in the batch see earlier ones (a create+delete of the
+        same name nets to zero), matching what per-entry application in
+        timestamp order would produce; a batch merged from several servers
+        arrives in no such order.
         """
         txn = self.kv.transaction()
         present: Dict[str, bool] = {}

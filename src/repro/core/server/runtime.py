@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ...sim import Event, Hold, RWLock, SimulationError
 from ..changelog import ChangeLogEntry
 from ...errors import EWRONGEPOCH, FSError
-from ..schema import dir_entry, dir_entry_key, dir_meta_key, root_inode
+from ..schema import dir_meta_key, root_inode
 
 __all__ = ["ServerRuntime"]
 
@@ -227,28 +227,12 @@ class ServerRuntime:
             inode = self.kv.get_or_none(key)
             if inode is None:
                 return False
-            delta = self._apply_entry_to_list(dir_id, entry)
+            delta = self._apply_entries_to_list(dir_id, (entry,))
             self.kv.put(key, inode.touched(entry.timestamp, delta))
             return True
         finally:
             if lock is not None:
                 self._release(lock, "w")
-
-    def _apply_entry_to_list(self, dir_id: int, entry: ChangeLogEntry) -> int:
-        """Apply one op to the entry list; returns the entry-count delta.
-
-        Presence-aware so that re-application (recovery, duplicated
-        flushes) never corrupts the count.
-        """
-        ekey = dir_entry_key(dir_id, entry.name)
-        present = ekey in self.kv
-        if entry.op.adds_entry:
-            self.kv.put(ekey, dir_entry(entry.is_dir, entry.perm))
-            return 0 if present else 1
-        if present:
-            self.kv.delete(ekey)
-            return -1
-        return 0
 
     # ------------------------------------------------------------------
     # bootstrap

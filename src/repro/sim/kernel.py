@@ -513,7 +513,17 @@ class Simulator:  # reprolint: allow[RL006] one per cluster, built at boot
                 if not self._heap and not self._ready:
                     raise SimulationError(f"deadlock: process {proc.name!r} never finished")
                 raise SimulationError(f"process {proc.name!r} still running at t={self.now}")
-        return proc.value
+        exc = proc._exc
+        if exc is None:
+            return proc._value
+        # The raise adds this frame and the caller's to the traceback, and
+        # the process keeps the exception: no frame on the way out may
+        # still hold the process (or the exception) when it is raised.
+        del proc
+        try:
+            raise exc
+        finally:
+            del exc
 
     def stop(self) -> None:
         """Halt :meth:`run` after the current event."""

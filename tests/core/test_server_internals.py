@@ -117,9 +117,11 @@ class TestApplyEntryToList:
         server = cluster.servers[0]
         e_add = ChangeLogEntry(1.0, ChangeOp.CREATE, "x")
         e_del = ChangeLogEntry(2.0, ChangeOp.DELETE, "x")
-        assert server._apply_entry_to_list(99, e_add) == 1
+        appends = server.kv.wal.appends
+        assert server._apply_entries_to_list(99, (e_add,)) == 1
+        assert server.kv.wal.appends == appends + 1  # one record per apply
         assert dir_entry_key(99, "x") in server.kv
-        assert server._apply_entry_to_list(99, e_del) == -1
+        assert server._apply_entries_to_list(99, (e_del,)) == -1
         assert dir_entry_key(99, "x") not in server.kv
 
     def test_reapplication_is_idempotent_for_counts(self):
@@ -127,11 +129,13 @@ class TestApplyEntryToList:
         cluster = make()
         server = cluster.servers[0]
         e = ChangeLogEntry(1.0, ChangeOp.CREATE, "y")
-        assert server._apply_entry_to_list(7, e) == 1
-        assert server._apply_entry_to_list(7, e) == 0
+        assert server._apply_entries_to_list(7, (e,)) == 1
+        assert server._apply_entries_to_list(7, (e,)) == 0
         e_del = ChangeLogEntry(2.0, ChangeOp.DELETE, "y")
-        assert server._apply_entry_to_list(7, e_del) == -1
-        assert server._apply_entry_to_list(7, e_del) == 0
+        assert server._apply_entries_to_list(7, (e_del,)) == -1
+        appends = server.kv.wal.appends
+        assert server._apply_entries_to_list(7, (e_del,)) == 0
+        assert server.kv.wal.appends == appends  # an absent name's delete logs nothing
 
 
 class TestUnlockTokens:

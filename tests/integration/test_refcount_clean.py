@@ -21,7 +21,7 @@ import repro
 from repro.bench import make_cluster, run_stream, scaled_config
 from repro.core.schema import _file_hash
 from repro.sim import Simulator
-from repro.errors import ENOENT
+from repro.errors import ENOENT, FSError
 from repro.workloads import (
     FixedOpStream, OpStream, Population, bootstrap, run_fanin, safe_op,
 )
@@ -93,6 +93,26 @@ def test_failed_op_window_leaves_no_cyclic_garbage():
     gc.collect()
     result = run_stream(cluster, stream, 1000, inflight=32)
     assert result.ops_completed == 1000
+    assert gc.collect() == 0
+
+
+def test_failed_run_op_leaves_no_cyclic_garbage():
+    """A failed ``cluster.run_op`` raises the process's exception through
+    ``run_process`` and ``run_op``: neither frame may keep the process, or
+    each failure is a process → exception → traceback → frame cycle."""
+    cluster, population = _hot_directory()
+    fs = cluster.client(0)
+    absent = f"/{population.dirs[0]}/absent"
+
+    def stat_absent():
+        try:
+            cluster.run_op(fs.stat(absent))
+        except FSError as err:
+            return err.code
+
+    assert stat_absent() == ENOENT  # warm-up
+    gc.collect()
+    assert {stat_absent() for _ in range(100)} == {ENOENT}
     assert gc.collect() == 0
 
 
