@@ -118,7 +118,7 @@ class AggregationProtocol:
                     # goes.  A checkpoint during the apply may already
                     # have truncated the record.
                     self.wal.mark_applied_if_present(agg_lsn)
-                self._send_agg_ack(fp, others, results, local, remove=silent is None)
+                yield from self._send_agg_ack(fp, others, results, local, remove=silent is None)
             finally:
                 if local_lock is not None:
                     self._release(local_lock, "w")
@@ -164,7 +164,7 @@ class AggregationProtocol:
         remote_results: List[Dict[str, Any]],
         local: List[Tuple[int, List[ChangeLogEntry], List[int]]],
         remove: bool = True,
-    ) -> None:
+    ) -> Generator:
         """Multicast the aggregation acknowledgment.
 
         Each copy carries a REMOVE stale-set header (same SEQ): the switch
@@ -177,10 +177,16 @@ class AggregationProtocol:
         if remove:
             self._remove_seq += 1
             if self.ss is not None:
-                # Server backend: one explicit remove RPC, plain acks.
-                self.sim.spawn(
-                    self.ss.remove(fp, self.addr, self._remove_seq), name="ss-remove"
-                )
+                # Server backend: one explicit remove RPC, and plain acks
+                # once it is answered.  The acks release the pull locks, so
+                # a REMOVE resent after them could land behind an
+                # appender's new INSERT and clear its bit.  A remove that
+                # exhausts its attempts does not fail the round: a bit
+                # left set only makes the next read aggregate again.
+                try:
+                    yield from self.ss.remove(fp, self.addr, self._remove_seq)
+                except RpcTimeout:
+                    pass
             else:
                 header = StaleSetHeader(
                     op=StaleSetOp.REMOVE, fingerprint=fp, seq=self._remove_seq

@@ -189,7 +189,7 @@ class ChangeLogEngine:
             return  # directory no longer exists here
         max_ts = max(e.timestamp for e in entries)
 
-        # The per-entry CPU charge fans out across cores; the entry-list
+        # The per-entry CPU work fans out across cores; the entry-list
         # mutations themselves are batched into one grouped KV transaction
         # (one WAL record per directory) after the barrier.  Group
         # read-blocking (§4.3) means nobody observes the list in between.

@@ -113,12 +113,13 @@ class ServerOps:
         # An rmdir whose directory shares its parent's fingerprint takes
         # the group's change-log lock once, in the write mode its own
         # round needs.
-        cl_mode = "w" if is_dir and not adds and fp == parent_fp else "r"
+        rmdir = is_dir and not adds
+        cl_mode = "w" if rmdir and fp == parent_fp else "r"
         # rmdir runs a round on its own group (_rmdir_check_empty), and a
         # round already in flight there (a reader's, a colliding rmdir's)
         # will want this inode: wait for its block holding nothing, and
         # step aside again if one set it while the locks were granted.
-        frozen_rmdir = is_dir and not adds and self.config.async_updates
+        frozen_rmdir = rmdir and self.config.async_updates
         # Custody: whoever holds this list releases what is in it — the
         # unlock token once _finish_async_update emptied it, else `finally`.
         held = []
@@ -129,18 +130,22 @@ class ServerOps:
                 cl_lock = yield from self._acquire(self._changelog_lock(parent_fp), cl_mode)
                 klock = yield from self._acquire(self._inode_lock(key), "w")
                 held[:] = [(klock, "w"), (cl_lock, cl_mode)]
+                if not rmdir:
+                    break
+                # rmdir reads its inode before its round, which blocks.
                 yield self._cpu(perf.kv_get_us)
                 # No yield from here to the round's block in _rmdir_check_empty.
                 if not (frozen_rmdir and fp in self._group_blocks):
                     break
                 self._release_locks(held)
                 held.clear()
-            exists = key in self.kv
-            if adds and exists:
-                raise FSError(EEXIST, f"{pid}/{name}")
-            if not adds and not exists:
-                raise FSError(ENOENT, f"{pid}/{name}")
-            if is_dir and not adds:
+            # The key's write lock is held: the outcome is known before any
+            # charge, so a failing op pays its read alone.
+            if (key in self.kv) == adds:
+                if not rmdir:
+                    yield self._cpu(perf.kv_get_us)
+                raise FSError(EEXIST if adds else ENOENT, f"{pid}/{name}")
+            if rmdir:
                 # rmdir freeze (Fig 5 steps 4-7): barrier, invalidation
                 # multicast, aggregation and revert all run under the dir
                 # locks, and no round on the group is in flight (above).
@@ -149,7 +154,13 @@ class ServerOps:
                 # inodes (already_locked skips the ones held).
                 yield from self._rmdir_check_empty(args, key)
 
-            yield self._cpu(perf.wal_append_us)
+            # One run of CPU to the next blocking point: the read (rmdir's
+            # re-read after its round), the WAL append, the put and, when
+            # asynchronous, the change-log append.
+            cost = perf.kv_get_us + perf.wal_append_us + perf.kv_put_us
+            if self.config.async_updates:
+                cost += perf.changelog_append_us
+            yield self._cpu(cost)
             now = self.sim.now
             perm = args.get("perm", 0o755 if is_dir and adds else 0o644)
             inode = None
@@ -157,7 +168,6 @@ class ServerOps:
                 inode = DirInode(self._new_dir_id(pid, name), pid, name, fp, perm, now, now)
             elif adds:
                 inode = FileInode(pid, name, perm, now, now)
-            yield self._cpu(perf.kv_put_us)
             if adds:
                 self.kv.put(key, inode)
                 if is_dir:
@@ -225,9 +235,9 @@ class ServerOps:
             yield from self._aggregation_round(
                 fp, invalidate=dir_id, already_locked=frozenset(locked)
             )
-        inode = self.kv.get(key)  # refreshed by aggregation
-        yield self._cpu(self.perf.kv_get_us)
-        if inode.entry_count > 0:
+        # The caller charges the re-read with the rest of the op.
+        if self.kv.get(key).entry_count > 0:  # refreshed by aggregation
+            yield self._cpu(self.perf.kv_get_us)
             # Not empty: revert the invalidation so the directory stays
             # usable, then fail.  The revert must be as reliable as the
             # invalidation it undoes: a lost fire-and-forget uninvalidate
@@ -248,6 +258,7 @@ class ServerOps:
         held: List[Tuple[RWLock, str]],
     ) -> Generator:
         """Log the delayed parent update and emit the INSERT response.
+        Charges nothing: the caller's last hold paid for the append.
 
         With the switch backend, the locks stay held until the switch's
         multicast copy of the response returns (the unlock notification),
@@ -266,7 +277,6 @@ class ServerOps:
             raise SimulationError(
                 f"{self.addr}: append to group {parent_fp} without its change-log lock")
         lsn = self.wal.append("changelog", (parent_id, parent_fp, entry))
-        yield self._cpu(self.perf.changelog_append_us)
         log = self.changelogs.append(parent_id, parent_fp, entry, lsn, self.sim.now)
         self.counters.inc("changelog_appends")
 

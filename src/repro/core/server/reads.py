@@ -66,24 +66,29 @@ class ReadOps:
         pid, name, fp = args["pid"], args["name"], args["fp"]
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield self._cpu(self.perf.path_check_us)
+        perf = self.perf
+        # A synchronous scheme scatters nothing: its reads ask no stale set
+        # and pay no aggregation check.  Checking for in-flight
+        # aggregations on the group costs a little even in the common
+        # (normal-state) case — the statdir premium the paper reports in
+        # §6.2.2.  With the switch backend it runs with the path check; a
+        # stale-set-server query is a blocking point between the two.
+        asynchronous, ss = self.config.async_updates, self.ss
+        cost = perf.path_check_us
+        if asynchronous and ss is None:
+            cost += perf.agg_check_us
+        yield self._cpu(cost)
         self._check_valid(args)
         self._check_owner_dir(fp)
 
-        # A synchronous scheme scatters nothing: its reads ask no stale set
-        # and pay no aggregation check.
-        if self.config.async_updates:
+        if asynchronous:
             # Directory state comes from the switch (RET bit on the request)
             # or from an explicit stale-set-server query.
-            if self.ss is not None:
-                scattered = yield from self.ss.query(fp)
+            if ss is not None:
+                scattered = yield from ss.query(fp)
+                yield self._cpu(perf.agg_check_us)
             else:
                 scattered = bool(packet.header is not None and packet.header.ret)
-
-            # Checking for in-flight aggregations on the group costs a little
-            # even in the common (normal-state) case — the statdir premium
-            # the paper reports in §6.2.2.
-            yield self._cpu(self.perf.agg_check_us)
             yield from self._wait_group_unblocked(fp)
             if scattered:
                 yield from self._aggregate_group(fp)
@@ -91,7 +96,7 @@ class ReadOps:
         key = dir_meta_key(pid, name)
         lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
-            yield self._cpu(self.perf.kv_get_us)
+            yield self._cpu(perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")
@@ -121,13 +126,13 @@ class ReadOps:
         perf = self.perf
         if self._recovered_ev is not None:  # inline _wait_recovered
             yield self._recovered_ev
-        yield self._cpu(perf.path_check_us)
-        self._check_valid(args)
-        self._check_owner_file(pid, name)
+        # The lock wait is the one blocking point: after it, one run of CPU.
         key = file_meta_key(pid, name)
         lock = yield from self._acquire(self._inode_lock(key), "r")
         try:
-            yield self._cpu(perf.kv_get_us)
+            yield self._cpu(perf.path_check_us + perf.kv_get_us)
+            self._check_valid(args)
+            self._check_owner_file(pid, name)
             inode = self.kv.get_or_none(key)
             if inode is None:
                 raise FSError(ENOENT, f"{pid}/{name}")

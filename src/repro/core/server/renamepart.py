@@ -88,6 +88,7 @@ class RenameParticipant:
         cl_lock = yield from self._acquire(self._changelog_lock(args["parent_fp"]), "r")
         held = [(cl_lock, "r")]
         try:
+            yield self._cpu(self.perf.changelog_append_us)
             return (yield from self._finish_async_update(  # async update holds the changelog lock across the switch round-trip; unlock defers to the INSERT multicast
                 request, args["parent_fp"], args["parent_id"], args["entry"], held
             ))

@@ -106,7 +106,8 @@ class ServerRuntime:
     _cpu = charge_cpu  # the server mixins' internal spelling
 
     def charge_cpu_all(self, n: int, us: float) -> Event:
-        """*n* parallel :meth:`charge_cpu` of *us* each behind one event."""
+        """*n* pieces of work of *us* each behind one event, spread over
+        at most one hold per core (:meth:`Resource.hold_all`)."""
         return self.cores.hold_all(n, us * self._stack_mult, self.phases)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ These model the contended facilities in the reproduction:
 * :class:`Resource` — a counted pool; used for server CPU cores, so that a
   server with four cores can execute at most four service segments at once.
   A unit is taken only by a :class:`Hold` (one timed service segment), or
-  by *n* of them behind :meth:`Resource.hold_all`.
+  by up to one per unit behind :meth:`Resource.hold_all`.
 * :class:`RWLock` — readers-writer lock; used for directory inodes and
   change-logs (§4.2 locks read/write change-logs and inodes separately),
   and, taken in write mode only, for the rename coordinator's serialiser.
@@ -55,30 +55,30 @@ class Resource:
         return len(self._waiters)
 
     def hold_all(self, n: int, delay: float, phases: Optional[PhaseStats] = None) -> Event:
-        """An event that fires when *n* parallel :class:`Hold` have all ended.
+        """An event that fires when *n* pieces of work of *delay* each have
+        run, spread over at most one :class:`Hold` per unit of the pool.
 
-        Keeps the heap positions of *n* spawned workers under an ``AllOf``:
-        one boot entry issues the holds in order, and the last to end
-        reaches the waiter through two zero-delay hops (DESIGN.md §9).
+        ``k = min(n, capacity)`` holds are issued now, balanced: the first
+        ``n % k`` last ``(n // k + 1) * delay`` and the rest
+        ``(n // k) * delay``.  The last to end fires the event
+        (DESIGN.md §9).
         """
         if n < 1:
             raise SimulationError(f"hold_all needs at least one hold, got {n}")
-        sim = self.sim
-        done, last = Event(sim), Event(sim)
-        last.add_callback(lambda _ev: done.succeed())
-        left = n
+        k = min(n, self.capacity)
+        share, longer = divmod(n, k)
+        done = Event(self.sim)
+        left = k
 
         def ended(_hold: Event) -> None:
             nonlocal left
             left -= 1
             if not left:
-                last.succeed()
+                done.succeed()
 
-        def boot(_ev: Event) -> None:
-            for _ in range(n):
-                Hold(self, delay, phases).add_callback(ended)
-
-        sim.timeout(0.0).add_callback(boot)
+        for i in range(k):
+            cost = (share + 1) * delay if i < longer else share * delay
+            Hold(self, cost, phases).add_callback(ended)
         return done
 
 
@@ -101,7 +101,7 @@ class Hold(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         self.sim = sim = resource.sim
-        # Event.__init__ inlined: one hold per CPU charge, ~6 per operation.
+        # Event.__init__ inlined: one hold per run of CPU, ~2 per operation.
         self._cb1 = self.callbacks = self._value = self._exc = None
         self._processed = False
         self.resource = resource
@@ -113,7 +113,7 @@ class Hold(Event):
             self._triggered = True
             self.start = now
             # Inlined Simulator.schedule_at, here and at the grant below:
-            # the two pushes run once per CPU charge.
+            # the two pushes run once per hold.
             _heappush(sim._heap, (now + delay, next(sim._counter), self))  # reprolint: allow[private-access] documented scheduler fast path
         else:
             self._triggered = False

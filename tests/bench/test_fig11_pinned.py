@@ -3,11 +3,14 @@
 KV and WAL operations consume zero virtual time (only ``_cpu`` charges
 advance the clock), so storage-engine and bookkeeping changes are pure
 wall-clock optimisations and must leave these values alone.  A change to
-the protocol's schedule moves them; the current values pin the push rule
-of §4.3 as implemented (at most one queued push per change-log), and
-EXPERIMENTS.md ("One queued push per change-log") records the values
-before and after, with the cause.  Any other drift means a change leaked
-into simulated behaviour.
+the protocol's schedule moves them.  The current values pin the push
+rule of §4.3 as implemented (at most one queued push per change-log) and
+the CPU rule of DESIGN §5: a handler holds a core once for each run of
+CPU between two points where it can block (a lock wait, an RPC, a
+round), and a recast apply of n entries holds at most one core each on
+min(n, cores) of them.  EXPERIMENTS.md ("One hold per run of CPU")
+records the values before and after, with the cause.  Any other drift
+means a change leaked into simulated behaviour.
 """
 
 import hashlib
@@ -18,15 +21,15 @@ import pytest
 from repro.bench import make_cluster, run_stream, scaled_config
 from repro.workloads import FixedOpStream, bootstrap, single_large_directory
 
-# Captured once at most one push per change-log could wait for the
-# group's change-log lock; see EXPERIMENTS.md.
+# Captured once a create held a core twice (the path check, then the
+# rest once its locks were granted); see EXPERIMENTS.md.
 PINNED = {
     "ops_completed": 250,
-    "sim_elapsed_us": 283.8500000000001,
-    "throughput_kops": 880.7468733485993,
-    "mean_latency_us": 17.630999999999975,
+    "sim_elapsed_us": 282.40000000000003,
+    "throughput_kops": 885.269121813031,
+    "mean_latency_us": 17.293799999999973,
     "n_samples": 250,
-    "samples_sha256": "d39306dd673ab91c5eae935fbb3f75daa8ece415ca4213a17e8cc506d9fe8e5f",
+    "samples_sha256": "75098995519e4920f45534cf24b987805fedd853aa12723d866a936122b46ee1",
 }
 
 
@@ -48,8 +51,10 @@ def test_fig11_small_point_bit_identical_to_seed_engine():
 # The baselines' virtual time, one small closed-loop point per system and
 # op: (sim_elapsed_us, mean latency, sha256 of the sample list), captured
 # once the baselines became MetadataServers with async_updates=False over
-# their placements.  rmdir is a mkdir -> rmdir pair, as in the figure
-# benches.
+# their placements, and Ceph's create and rmdir re-captured with one hold
+# per run of CPU (its stack multiplier makes its cores the contended
+# resource, so the merged holds queue differently).  rmdir is a mkdir ->
+# rmdir pair, as in the figure benches.
 PINNED_BASELINES = {
     ("InfiniFS", "create"): (865.6999999999999, 108.89333333333333, "87d45ae1072271c3c751dc6e460531be3240ce8c3d52a0c5d4396074f0517b98"),
     ("InfiniFS", "rmdir"): (2306.2499999999977, 293.90249999999935, "3eb25b4ca91fd6cd8a46f5992973da7a82ee325d585738263c0dc3906a858771"),
@@ -60,8 +65,8 @@ PINNED_BASELINES = {
     ("IndexFS", "create"): (1787.7, 225.29333333333335, "49776425dab6def2cadab2c882023c38ea2d30631a2ace3bd82ae1849fbe99b5"),
     ("IndexFS", "rmdir"): (7369.700000000024, 939.8591666666701, "95295126f78e68fa5cbfaab11dcc8285956cc2cdd2078549382e090bf3ad3583"),
     ("IndexFS", "statdir"): (573.6999999999999, 73.96, "6b20f3598143422cd3ac62d23e5d0e4be79836301e6fd4e2dad3850251644523"),
-    ("Ceph", "create"): (24253.399999999998, 3111.925, "6f06dec655809b590d5792d763f10e04f58b1819e1818515eb78004093403736"),
-    ("Ceph", "rmdir"): (47639.3, 6126.353333333333, "025d73bb1ba5e52aa8d0828f70089cc0ccc32087c5ccce1b0c502bdd3fd399a3"),
+    ("Ceph", "create"): (24231.7, 3111.2549999999987, "cb55ca58d3098a21caa570d22144da34a19677ef92afdda9d6beb769c9b060fe"),
+    ("Ceph", "rmdir"): (47675.3, 6131.453333333333, "ffb1d775d6ee15df900a6611486bd0c2d4bf8f17e1db1c2d20973338792bfc72"),
     ("Ceph", "statdir"): (17283.7, 2227.6933333333336, "74c972200ff0b8f64c14ddfa8675707c153c4c38bda52f1427c551abba7fd552"),
 }
 

@@ -239,10 +239,14 @@ def test_churn_leaves_protocol_state_sized_by_load_in_flight():
 # resume per packet, a grant-time resume per contended CPU charge, a
 # worker process per recast entry and a completion entry per served
 # request, and takes 22.297 without them; a switch-cached stat went
-# 10.2205 -> 10.1845 (most never reach a server).  Each ceiling sits
-# between the two, so any of those entries coming back fails it.
-CREATE_TICKS_CEILING = 24.0
-FANIN_STAT_TICKS_CEILING = 10.2
+# 10.2205 -> 10.1845 (most never reach a server).  A hold per run of CPU
+# between two blocking points, not per cost constant (two per create
+# instead of five, one per stat miss instead of two, at most one per core
+# for a recast apply), then took a create 22.297 -> 14.5425 and a stat
+# 10.1845 -> 10.1485.  Each ceiling sits between the last two counts, so
+# a per-constant hold or any of the earlier entries coming back fails it.
+CREATE_TICKS_CEILING = 18.0
+FANIN_STAT_TICKS_CEILING = 10.165
 
 # Of those entries, the ones due at the current instant with a fresh tick
 # (succeed/fail, a process boot, an inbox arrival) skip the heap for the
@@ -250,10 +254,12 @@ FANIN_STAT_TICKS_CEILING = 10.2
 # them, went 21.6525 -> 12.6885 per create and 9.1895 -> 5.149 per
 # switch-cached stat.  Moving back, the ready entries would add per create
 # 6.02 (succeed/fail, 4.55 of them core grants), 2.69 (inbox) and 0.25
-# (boot), per stat 1.00, 1.04 and 2.00: each ceiling sits between the two
-# counts, and one of them fails whichever kind returns to the heap.
-CREATE_PUSHES_CEILING = 14.0
-FANIN_STAT_PUSHES_CEILING = 6.0
+# (boot), per stat 1.00, 1.04 and 2.00.  The hold per run of CPU then
+# took them 12.4745 -> 8.3765 per create and 5.149 -> 5.113 per stat:
+# each ceiling sits between those two counts, and fails whichever kind of
+# entry returns to the heap, or a hold per cost constant.
+CREATE_PUSHES_CEILING = 10.4
+FANIN_STAT_PUSHES_CEILING = 5.13
 
 # The packet hop's cost: calls into `repro/net` per op, counted as the
 # ledger counts a layer's calls (its own functions' activations, and the
@@ -265,14 +271,14 @@ FANIN_STAT_PUSHES_CEILING = 6.0
 CREATE_NET_CALLS_CEILING = 100.0
 FANIN_STAT_NET_CALLS_CEILING = 53.5
 
-# The kernel's share, counted the same way: 134.87 calls into `repro/sim`
-# per create and 73.6755 per switch-cached stat, about 6.0 and 7.2 per
-# tick.  Each ceiling sits less than one kernel entry's calls above its
-# count, so an entry that comes back per op, or a costlier dispatch of
-# the ones there are, fails it.  With a `PhaseStats.add` call per CPU
-# charge and lock grant a create took 141.331, above the ceiling.
-CREATE_SIM_CALLS_CEILING = 141.0
-FANIN_STAT_SIM_CALLS_CEILING = 77.0
+# The kernel's share, counted the same way: 79.9655 calls into
+# `repro/sim` per create (134.8695 with a hold per cost constant) and
+# 53.773 per switch-cached stat (54.062), about 5.5 and 5.3 per tick.
+# Each ceiling sits less than one kernel entry's calls above its count,
+# so an entry that comes back per op, or a costlier dispatch of the ones
+# there are, fails it.
+CREATE_SIM_CALLS_CEILING = 85.0
+FANIN_STAT_SIM_CALLS_CEILING = 59.0
 
 # Processes spawned per create: a push of a change-log that already has
 # one waiting for the group's change-log lock took 0.143 a create; with

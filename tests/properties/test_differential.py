@@ -288,15 +288,19 @@ def check(cell: str, schedule: Schedule) -> None:
 
 #: The committed budget: every cell with and without faults, these seeds each.
 SEEDS = range(20)
+#: Schedules off the grid that once failed, kept as plain tests once their
+#: defect was mended: ROADMAP item 19, a lost stale-set REMOVE, resent
+#: after the acks, cleared a newer INSERT's bit.
+PINS = (
+    ("server+faults", Schedule((0.02, 0.05, 0.1), 1, (1, 2, 3, 3, 1, 3, 3), 1, 24, 5972,
+                               nest=False)),
+)
 #: Schedules that fail at HEAD because of an open defect, with its ROADMAP
 #: item; those off the grid were found by a probe or by the explore job.
 FLUSH_IN_FLIGHT = "ROADMAP item 20(a): a round on the new owner misses the leaver's flush"
 XFAIL = {
     ("1x2^1+faults", draw(18)): "ROADMAP item 21: the unlock watchdog keeps an entry "
     "the overflow fallback applied when its unlock_fallback is lost",
-    ("server+faults", Schedule((0.02, 0.05, 0.1), 1, (1, 2, 3, 3, 1, 3, 3), 1, 24, 5972,
-                               nest=False)): "ROADMAP item 19: a lost stale-set REMOVE, "
-    "resent after the acks, clears a newer INSERT's bit",
     ("scale-down", Schedule(None, 1, (0, 3, 3, 2, 0, 1, 3), 2, 11, 1225, nest=False,
                             at=134.2)): FLUSH_IN_FLIGHT,
     ("scale-down", draw(184)): "ROADMAP item 20(b): a mutator between the gate and its "
@@ -311,7 +315,7 @@ XFAIL = {
 
 def _pairs():
     grid = [(name + f, draw(seed)) for name in CELLS for f in ("", "+faults") for seed in SEEDS]
-    pins = [pair for pair in XFAIL if pair not in grid]
+    pins = [pair for pair in (*PINS, *XFAIL) if pair not in grid]
     for cell, schedule in grid + pins:
         reason = XFAIL.get((cell, schedule))
         marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []

@@ -1,9 +1,11 @@
 """Position identity of ``Hold`` / ``Resource.hold_all`` (DESIGN.md §9).
 
 A timed hold used to be an open-coded generator segment (take a unit or
-queue for one, sleep, release, book the time) and a fan-out used to be one
-spawned worker per hold under an ``AllOf``.  Both are kept here as the
-reference.  Random mixes of processes charging random costs on a k-unit
+queue for one, sleep, release, book the time); that segment is kept here
+as the reference for ``Hold``.  A fan-out of *n* units of work on a
+*c*-unit pool is ``k = min(n, c)`` balanced holds that end behind one
+event; its reference is those *k* holds, costed here, under an
+``AllOf``.  Random mixes of processes charging random costs on a k-unit
 pool run once through the reference and once through the events; every
 process must pass every step at the same virtual time *and in the same
 order* relative to every other process — including a witness that never
@@ -40,9 +42,11 @@ def _ref_charge(sim, res, cost, stats):
 
 
 def _ref_fan(sim, res, n, cost, stats):
-    """Recast's per-entry workers as they stood before ``hold_all``."""
-    workers = [sim.spawn(_ref_charge(sim, res, cost, stats)) for _ in range(n)]
-    yield AllOf(sim, workers)
+    """*n* units of work as at most one hold per unit of the pool: the
+    first ``n % k`` of the ``k`` holds carry one unit of work more."""
+    k = min(n, res.capacity)
+    costs = [(n // k + (1 if i < n % k else 0)) * cost for i in range(k)]
+    yield AllOf(sim, [Hold(res, c, stats) for c in costs])
 
 
 def _process(sim, res, stats, trace, pid, delay, steps, reference):
@@ -82,7 +86,7 @@ def _run(capacity, programs, reference):
 
 _step = st.one_of(
     st.tuples(st.just("charge"), st.sampled_from(COSTS)),
-    st.tuples(st.just("fan"), st.integers(1, 5), st.sampled_from(COSTS)),
+    st.tuples(st.just("fan"), st.integers(1, 9), st.sampled_from(COSTS)),
 )
 _program = st.tuples(st.sampled_from((0.0, 1.0, 2.0)), st.lists(_step, min_size=1, max_size=5))
 
@@ -105,5 +109,17 @@ def test_contended_fan_out_beside_plain_charges():
     new, ref = _run(2, programs, reference=False), _run(2, programs, reference=True)
     assert new == ref
     _trace, sums, _end = new
-    # All 15 holds ran their full cost (30 µs of cpu), and some queued.
+    # All 15 units of work ran their full cost (30 µs of cpu), and some queued.
     assert sums["cpu"] == 30.0 and sums["queue"] > 0
+
+
+def test_hold_all_issues_one_hold_per_unit_at_most():
+    """Five units of 2 µs on a 2-unit pool: holds of 6 and 4 µs, both
+    taken now, so the fan-out ends at 6 µs with no queueing."""
+    sim = Simulator()
+    res, stats = Resource(sim, 2), PhaseStats()
+    done = res.hold_all(5, 2.0, stats)
+    assert res.in_use == 2 and res.queued == 0
+    sim.run()
+    assert done.processed and sim.now == 6.0
+    assert stats.total("cpu") == 10.0 and stats.total("queue") == 0.0
