@@ -116,23 +116,27 @@ class LibFS:
     # ------------------------------------------------------------------
     # path resolution
     # ------------------------------------------------------------------
-    def resolve_dir(self, path: str) -> Generator:
-        """Resolve an absolute directory path to a :class:`ResolvedDir`.
+    def resolve_dir(self, path: str, charge: float = 0.0) -> Generator:
+        """Resolve an absolute directory path; return ``(ResolvedDir,
+        charge)``.
 
         Client-side: walks the metadata cache; cache misses issue
         ``lookup_dir`` RPCs and populate the cache (§4.2.1 step 1).
+        LibFS charges its CPU once per run between two sends (DESIGN.md
+        §5): *charge* is the client CPU the attempt owes and has not paid.
+        A hit yields nothing and adds ``cache_lookup_us`` to it; a miss
+        pays it with its lookup's send.  The charge returned is what is
+        still owed, for the caller's next send to pay.
         """
         if path == "/":
-            yield self.sim.timeout(self.perf.cache_lookup_us)
-            return self._root
+            return self._root, charge + self.perf.cache_lookup_us
         cached = self._cache.get(path)
         if cached is not None:
             self.counters.inc("cache_hits")
-            yield self.sim.timeout(self.perf.cache_lookup_us)
-            return cached
+            return cached, charge + self.perf.cache_lookup_us
         self.counters.inc("cache_misses")
         parent_path, name = split_path(path)
-        parent = yield from self.resolve_dir(parent_path)
+        parent, charge = yield from self.resolve_dir(parent_path, charge)
         owner = self._view.dir_owner(parent.id, name, path)
         header = None
         if self._switch_cache:
@@ -140,7 +144,8 @@ class LibFS:
                 op=StaleSetOp.LOOKUP, fingerprint=fingerprint_of(parent.id, name)
             )
         value, _ = yield from self._call(
-            owner, "lookup_dir", {"pid": parent.id, "name": name}, header=header
+            owner, "lookup_dir", {"pid": parent.id, "name": name}, header=header,
+            charge=charge,
         )
         # value: {"id", "fingerprint", "perm"}
         resolved = ResolvedDir(
@@ -152,7 +157,7 @@ class LibFS:
             ancestor_ids=parent.ancestor_ids + (value["id"],),
         )
         self.prime_cache(path, resolved)
-        return resolved
+        return resolved, 0.0
 
     def prime_cache(self, path: str, resolved: ResolvedDir) -> None:
         """Cache *resolved* as directory *path* (also the bootstrap/warm-up
@@ -226,7 +231,7 @@ class LibFS:
         # generator frames traversed by *every* resume of the op.  The
         # cache-hit arm of resolve_dir is inlined too (the steady-state
         # case in a warmed run).  Yield-for-yield identical to the
-        # wrapped spelling.
+        # wrapped spelling: a warm op yields once before its send.
         sim = self.sim
         perf = self.perf
         parent_path, name = split_path(path)
@@ -239,9 +244,9 @@ class LibFS:
                 )
                 if parent is not None:
                     self.counters.inc("cache_hits")
-                    yield sim.timeout(perf.cache_lookup_us)
+                    charge = perf.cache_lookup_us
                 else:
-                    parent = yield from self.resolve_dir(parent_path)
+                    parent, charge = yield from self.resolve_dir(parent_path)
                 owner = self._view.file_owner(parent.id, name, parent_path)
                 args = {
                     "pid": parent.id,
@@ -252,7 +257,7 @@ class LibFS:
                 if update is not None:
                     args["parent_fp"] = parent.fingerprint
                     args.update(update)
-                yield sim.timeout(perf.client_cpu_us)
+                yield sim.timeout(charge + perf.client_cpu_us)
                 header = None
                 if lookup:
                     header = StaleSetHeader(
@@ -283,7 +288,7 @@ class LibFS:
     def mkdir(self, path: str, perm: int = 0o755) -> Generator:
         def attempt() -> Generator:
             parent_path, name = split_path(path)
-            parent = yield from self.resolve_dir(parent_path)
+            parent, charge = yield from self.resolve_dir(parent_path)
             owner = self._view.dir_owner(parent.id, name, path)
             args = {
                 "pid": parent.id,
@@ -293,7 +298,7 @@ class LibFS:
                 "path": path,
                 "perm": perm,
             }
-            value, _ = yield from self._call(owner, "mkdir", args)
+            value, _ = yield from self._call(owner, "mkdir", args, charge=charge)
             # What mkdir made is what a lookup would return: an rmdir or a
             # create under it right after resolves from the cache.
             self.prime_cache(path, ResolvedDir(
@@ -310,9 +315,9 @@ class LibFS:
 
     def rmdir(self, path: str) -> Generator:
         def attempt() -> Generator:
-            target = yield from self.resolve_dir(path)
+            target, charge = yield from self.resolve_dir(path)
             parent_path, name = split_path(path)
-            parent = yield from self.resolve_dir(parent_path)
+            parent, charge = yield from self.resolve_dir(parent_path, charge)
             owner = self._view.dir_owner(parent.id, name, path)
             args = {
                 "pid": parent.id,
@@ -323,7 +328,7 @@ class LibFS:
                 "ancestor_ids": parent.ancestor_ids,
                 "path": path,
             }
-            value, _ = yield from self._call(owner, "rmdir", args)
+            value, _ = yield from self._call(owner, "rmdir", args, charge=charge)
             self._forget(path)
             return value
 
@@ -340,7 +345,7 @@ class LibFS:
         """Directory reads carry a QUERY header the switch fills in (§4.2.2)."""
 
         def attempt() -> Generator:
-            target = yield from self.resolve_dir(path)
+            target, charge = yield from self.resolve_dir(path)
             owner = self._view.dir_owner(target.pid, target.name, path)
             args = {
                 "pid": target.pid,
@@ -352,7 +357,9 @@ class LibFS:
             header = None
             if self.config.stale_backend == "switch":
                 header = StaleSetHeader(op=StaleSetOp.QUERY, fingerprint=target.fingerprint)
-            value, _ = yield from self._call(owner, method, args, header=header)
+            value, _ = yield from self._call(
+                owner, method, args, header=header, charge=charge
+            )
             return value
 
         return self._with_revalidation(attempt, path)
@@ -361,18 +368,20 @@ class LibFS:
         def attempt() -> Generator:
             src_parent_path, src_name = split_path(src)
             dst_parent_path, dst_name = split_path(dst)
-            src_parent = yield from self.resolve_dir(src_parent_path)
-            dst_parent = yield from self.resolve_dir(dst_parent_path)
+            src_parent, charge = yield from self.resolve_dir(src_parent_path)
+            dst_parent, charge = yield from self.resolve_dir(dst_parent_path, charge)
             # Directory-ness of the source: a cached dir entry or a probe.
             is_dir = True
             src_dir_id = None
             try:
-                target = yield from self.resolve_dir(src)
+                target, charge = yield from self.resolve_dir(src, charge)
                 src_dir_id = target.id
             except FSError as exc:
                 if exc.code != ENOENT:
                     raise
+                # Only a send raises, and a send pays what is owed first.
                 is_dir = False
+                charge = 0.0
             args = {
                 "src_pid": src_parent.id,
                 "src_name": src_name,
@@ -395,7 +404,7 @@ class LibFS:
                 # Directory renames delegate to the centralised coordinator
                 # (orphan-loop prevention needs global serialisation).
                 value, _ = yield from self._call(
-                    self._view.rename_coordinator, "rename", args
+                    self._view.rename_coordinator, "rename", args, charge=charge
                 )
             else:
                 # File renames cannot create loops: the client drives the
@@ -403,7 +412,7 @@ class LibFS:
                 # round trip.
                 from .rename import rename_transaction
 
-                yield self.sim.timeout(self.perf.client_cpu_us)
+                yield self.sim.timeout(charge + self.perf.client_cpu_us)
                 try:
                     value = yield from rename_transaction(
                         self.node, self.sim, self._view, self.perf, args,
@@ -422,9 +431,12 @@ class LibFS:
     # plumbing
     # ------------------------------------------------------------------
     def _call(
-        self, dst: str, method: str, args: Dict[str, Any], header=None
+        self, dst: str, method: str, args: Dict[str, Any], header=None,
+        charge: float = 0.0,
     ) -> Generator:
-        yield self.sim.timeout(self.perf.client_cpu_us)
+        """Send one request, after the one timeout that pays the *charge*
+        the attempt owes plus this send's ``client_cpu_us``."""
+        yield self.sim.timeout(charge + self.perf.client_cpu_us)
         try:
             return (
                 yield from self.node.call(

@@ -71,6 +71,11 @@ class StaleSetOp(enum.IntEnum):
     EVICT = 6
 
 
+#: The members in value order: ``unpack`` indexes it instead of calling
+#: ``StaleSetOp(op)``, the enum metaclass's ``__call__``, once per header.
+_OPS = tuple(StaleSetOp)
+
+
 class StaleSetHeader(namedtuple("StaleSetHeader", "op fingerprint seq ret", defaults=(0, 0, 0))):
     """The optional switch-visible header at the head of the UDP payload.
 
@@ -127,7 +132,9 @@ class StaleSetHeader(namedtuple("StaleSetHeader", "op fingerprint seq ret", defa
             raise ValueError(f"fingerprint out of 49-bit range: {fingerprint:#x}")
         if ret > 1:
             raise ValueError(f"ret must be 0 or 1, got {ret}")
-        return alloc_header(StaleSetOp(op), fingerprint, seq, ret)
+        if op >= len(_OPS):
+            raise ValueError(f"{op} is not a valid StaleSetOp")
+        return alloc_header(_OPS[op], fingerprint, seq, ret)
 
     def with_ret(self, ret: int) -> "StaleSetHeader":
         """Copy with the switch-written RET field set (hot switch path)."""

@@ -21,7 +21,9 @@ curve is flatly infeasible that way.  This module aggregates
   the Zipf table by inverse CDF (``bisect_left(cdf, rng.random())``);
   since one arrival consumes exactly two uniforms (gap + user)
   regardless of K, the arrival *time* sequence is bit-identical across
-  population sizes at a fixed offered load.
+  population sizes at a fixed offered load.  The arrival's op starts
+  inline, in the timer's own kernel entry (``Simulator.adopt``), so an
+  op costs the kernel no process boot and no completion entry.
 * **Per-user cache-epoch multiplexing** — all K users share one warm
   ``LibFS`` (so switch/dentry-cache and stale-set behaviour stays
   faithful to a real fan-in where a serving process fronts many users),
@@ -103,10 +105,11 @@ class PopulationClient:
     """One aggregate: K logical users multiplexed over one shared LibFS.
 
     Open-loop: :meth:`drive` issues arrivals on the single re-armed
-    timer and spawns each op without waiting for its completion, so the
-    in-flight level is whatever the offered load and service times
-    produce — exactly the fan-in regime the closed-loop harness cannot
-    model.
+    timer and runs each op inline (``Simulator.adopt``: no boot entry,
+    and no completion entry, as nothing waits on the op) without waiting
+    for its completion, so the in-flight level is whatever the offered
+    load and service times produce — exactly the fan-in regime the
+    closed-loop harness cannot model.
     """
 
     __slots__ = (
@@ -161,7 +164,7 @@ class PopulationClient:
         expovariate = rng.expovariate
         sample = self.users.sample
         take = self.stream.take
-        spawn = sim.spawn
+        adopt = sim.adopt
         rate = self.rate_per_us
         while self.issued < total_ops:
             yield sim.timeout(expovariate(rate))
@@ -171,7 +174,9 @@ class PopulationClient:
             self.inflight += 1
             if self.inflight > self.peak_inflight:
                 self.peak_inflight = self.inflight
-            spawn(self._op(uid, thunk), name="")
+            # Inline, no boot entry: _op turns every failure into
+            # _drained.fail, so nothing need observe its handle.
+            adopt(self._op(uid, thunk), name="")
         if self.completed >= total_ops:
             return
         self._target = total_ops

@@ -243,10 +243,15 @@ def test_churn_leaves_protocol_state_sized_by_load_in_flight():
 # between two blocking points, not per cost constant (two per create
 # instead of five, one per stat miss instead of two, at most one per core
 # for a recast apply), then took a create 22.297 -> 14.5425 and a stat
-# 10.1845 -> 10.1485.  Each ceiling sits between the last two counts, so
-# a per-constant hold or any of the earlier entries coming back fails it.
-CREATE_TICKS_CEILING = 18.0
-FANIN_STAT_TICKS_CEILING = 10.165
+# 10.1845 -> 10.1485.  LibFS charging its CPU once per send (one timeout
+# before a warm op's send, not a cache-lookup timeout and a CPU timeout)
+# and an open-loop arrival running its op inline (no boot entry, no
+# completion entry) then took a create 14.5425 -> 13.5425 and a stat
+# 10.1485 -> 7.1485.  Each ceiling sits between the last two counts, so a
+# per-constant hold or timeout or any of the earlier entries coming back
+# fails it.
+CREATE_TICKS_CEILING = 14.0
+FANIN_STAT_TICKS_CEILING = 8.6
 
 # Of those entries, the ones due at the current instant with a fresh tick
 # (succeed/fail, a process boot, an inbox arrival) skip the heap for the
@@ -255,11 +260,13 @@ FANIN_STAT_TICKS_CEILING = 10.165
 # switch-cached stat.  Moving back, the ready entries would add per create
 # 6.02 (succeed/fail, 4.55 of them core grants), 2.69 (inbox) and 0.25
 # (boot), per stat 1.00, 1.04 and 2.00.  The hold per run of CPU then
-# took them 12.4745 -> 8.3765 per create and 5.149 -> 5.113 per stat:
-# each ceiling sits between those two counts, and fails whichever kind of
-# entry returns to the heap, or a hold per cost constant.
-CREATE_PUSHES_CEILING = 10.4
-FANIN_STAT_PUSHES_CEILING = 5.13
+# took them 12.4745 -> 8.3765 per create and 5.149 -> 5.113 per stat, and
+# one client timeout per send 8.3765 -> 7.3765 per create and 5.113 ->
+# 4.113 per stat: each ceiling sits between those last two counts, and
+# fails whichever kind of entry returns to the heap, a hold per cost
+# constant or a client timeout per cost constant.
+CREATE_PUSHES_CEILING = 7.9
+FANIN_STAT_PUSHES_CEILING = 4.6
 
 # The packet hop's cost: calls into `repro/net` per op, counted as the
 # ledger counts a layer's calls (its own functions' activations, and the
@@ -267,23 +274,32 @@ FANIN_STAT_PUSHES_CEILING = 5.13
 # 76.316 and a switch-cached stat 65.383 -> 41.878 once a plan became one
 # stages tuple compiled once per shared chain, the hop a plain entry with
 # no `__init__`, the inbox drain the dispatcher and a kept reply its sent
-# packet; each ceiling sits halfway between the two counts.
+# packet; each ceiling sits halfway between the two counts.  Parsing a
+# header's op by indexing a tuple of the members, not by calling
+# `StaleSetOp(op)`, then took a stat 40.878 -> 39.842; its ceiling sits
+# between those two.
 CREATE_NET_CALLS_CEILING = 100.0
-FANIN_STAT_NET_CALLS_CEILING = 53.5
+FANIN_STAT_NET_CALLS_CEILING = 40.4
 
-# The kernel's share, counted the same way: 79.9655 calls into
-# `repro/sim` per create (134.8695 with a hold per cost constant) and
-# 53.773 per switch-cached stat (54.062), about 5.5 and 5.3 per tick.
-# Each ceiling sits less than one kernel entry's calls above its count,
-# so an entry that comes back per op, or a costlier dispatch of the ones
-# there are, fails it.
-CREATE_SIM_CALLS_CEILING = 85.0
-FANIN_STAT_SIM_CALLS_CEILING = 59.0
+# The kernel's share, counted the same way: 71.9655 calls into
+# `repro/sim` per create (79.9655 with a client timeout per cost constant,
+# 134.8695 with a hold per cost constant too) and 35.773 per
+# switch-cached stat (53.773 with a timeout per cost constant and a
+# spawned arrival), about 5.3 and 5.0 per tick.  Each ceiling sits between
+# the last two counts, so an entry that comes back per op, or a costlier
+# dispatch of the ones there are, fails it.
+CREATE_SIM_CALLS_CEILING = 76.0
+FANIN_STAT_SIM_CALLS_CEILING = 45.0
 
 # Processes spawned per create: a push of a change-log that already has
 # one waiting for the group's change-log lock took 0.143 a create; with
 # at most one queued push per log it is 0.0395.  The ceiling sits between.
 CREATE_SPAWNS_CEILING = 0.09
+
+# Processes spawned per switch-cached stat: an open-loop arrival that
+# spawned its op took 1.0015 a stat; run inline with `Simulator.adopt` it
+# takes 0.0015 (the two drivers and the join).  The ceiling sits between.
+FANIN_STAT_SPAWNS_CEILING = 0.5
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -359,18 +375,19 @@ def test_switch_cached_stat_event_budget():
         )
 
     drive(200)  # warm-up
-    ticks, pushes, net_calls, sim_calls, _spawns = _ticks_pushes_and_calls(cluster.sim, drive, 2000)
+    ticks, pushes, net_calls, sim_calls, spawns = _ticks_pushes_and_calls(cluster.sim, drive, 2000)
     assert ticks <= FANIN_STAT_TICKS_CEILING, ticks
     assert pushes <= FANIN_STAT_PUSHES_CEILING, pushes
     assert net_calls <= FANIN_STAT_NET_CALLS_CEILING, net_calls
     assert sim_calls <= FANIN_STAT_SIM_CALLS_CEILING, sim_calls
+    assert spawns <= FANIN_STAT_SPAWNS_CEILING, spawns
 
 
 # Fan-in run cost is O(offered load), not O(users): users are rows of flat
 # array columns, so ten times the population changes which user an arrival
 # is charged to and nothing the kernel sees.  Exact, no wall clock: the
-# same cold window takes the same ticks (15.052 an op with the switch cache
-# off, 10.5165 with it on) and yields the same virtual-time result.
+# same cold window takes the same ticks (11.03 an op with the switch cache
+# off, 7.4145 with it on) and yields the same virtual-time result.
 @pytest.mark.parametrize("switch_cache", [False, True])
 def test_fanin_event_budget_is_flat_in_users(switch_cache):
     def window(users):

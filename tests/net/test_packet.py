@@ -77,6 +77,17 @@ class TestStaleSetHeaderBoundaries:
         with pytest.raises(ValueError):
             StaleSetHeader.unpack(raw)
 
+    @pytest.mark.parametrize("op", [7, 255])
+    def test_unpack_rejects_an_op_byte_with_no_member(self, op):
+        raw = HEADER_STRUCT.pack(op, 0, 0, 1)
+        with pytest.raises(ValueError):
+            StaleSetHeader.unpack(raw)
+
+    def test_unpack_returns_the_member_for_every_op(self):
+        for op in StaleSetOp:
+            parsed = StaleSetHeader.unpack(HEADER_STRUCT.pack(op, 0, 0, 1)).op
+            assert parsed is op
+
     def test_reserved_empty_tag_roundtrips_verbatim(self):
         # A fingerprint whose low 32 tag bits are zero collides with the
         # switch's reserved "empty register" value.  The codec carries it
