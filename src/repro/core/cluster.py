@@ -217,11 +217,10 @@ class SwitchFSCluster(Cluster):
         Phase A (online) drains the moving fingerprint groups through the
         normal aggregation path while traffic keeps flowing.  Phase B (the
         measured stall) gates the source servers, quiesces in-flight
-        mutators, ships each shard package, bumps the membership epoch,
-        reprograms the switch routes, and reclaims provably-settled
-        stale-set bits — in that order, so a client can never reach the
-        new owner before its state is installed, nor keep mutating the old
-        one after its state left.
+        mutators, ships each shard package, bumps the membership epoch and
+        reprograms the switch routes — in that order, so a client can never
+        reach the new owner before its state is installed, nor keep
+        mutating the old one after its state left.
         """
         old_view = self.membership.current
         num_shards = old_view.num_shards
@@ -234,7 +233,6 @@ class SwitchFSCluster(Cluster):
             "shards_moved": len(moved),
             "migrated_keys": 0,
             "staged_entries": 0,
-            "stale_bits_cleared": 0,
         }
 
         # --- Phase A: online drain of the moving groups -----------------
@@ -285,12 +283,10 @@ class SwitchFSCluster(Cluster):
             # can arrive; its own groups self-apply into the KV state the
             # collect below will package.
             yield from leaving.flush_all_changelogs()
-        migrated_fps: set = set()
         packages: List[Tuple[MetadataServer, Dict[str, Any]]] = []
         for (src, tgt), shard_list in moves.items():
             source = self.server_by_addr(src)
             package = yield from source.collect_shards(set(shard_list))
-            migrated_fps.update(package["fingerprints"])
             value = yield from source.ship_package(tgt, package)
             stats["migrated_keys"] += value["installed"]
             stats["staged_entries"] += value["staged"]
@@ -300,17 +296,6 @@ class SwitchFSCluster(Cluster):
         )
         if self.switch is not None:
             self.switch.apply_epoch(new_view)
-            # Reclaim stale-set bits for groups that are provably
-            # settled: zero staged entries anywhere and zero drained
-            # entries still in flight, checked atomically while the
-            # sources are quiesced.  Anything else clears lazily via
-            # the normal aggregation REMOVE.
-            safe = [
-                fp
-                for fp in sorted(migrated_fps)
-                if self._pending_for_fp(fp) == 0
-            ]
-            stats["stale_bits_cleared"] = self.switch.reconcile_stale_set(safe)
         for source, package in packages:
             yield from source.discard_shards(package)
         for server in sources:
@@ -325,16 +310,6 @@ class SwitchFSCluster(Cluster):
             yield from leaving.flush_all_changelogs()
         stats["epoch"] = new_view.epoch
         return stats
-
-    def _pending_for_fp(self, fp: int) -> int:
-        """Cluster-wide pending-entry count for one fingerprint group,
-        including entries drained for a push that has not landed yet."""
-        total = 0
-        for server in self.servers + self.retired:
-            total += server.pushes_in_flight(fp)
-            for log in server.changelogs.logs_in_group(fp):
-                total += len(log)
-        return total
 
     # ------------------------------------------------------------------
     # fault drills (§4.4, §6.7)

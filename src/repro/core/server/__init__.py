@@ -204,8 +204,8 @@ class MetadataServer(  # reprolint: allow[RL006] one instance per server, built 
         self._pull_locks: Dict[int, RWLock] = {}
         self._pull_wd: Dict[int, Tuple[float, RWLock]] = {}  # fp -> (deadline, lock)
         # fp -> count of pushes drained from the local table but not yet
-        # landed at (or restored from) their destination; consulted by the
-        # migration driver before clearing stale-set bits.
+        # landed at (or restored from) their destination; outstanding()
+        # reports them, so settle() waits them out.
         self._push_inflight: Dict[int, int] = {}
         self._grace_pending: Dict[int, bool] = {}
         self._last_push_at: Dict[int, float] = {}

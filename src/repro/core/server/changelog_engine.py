@@ -68,10 +68,9 @@ class ChangeLogEngine:
         self._release(lock, "w")
         if not entries:
             return
-        # While drained-but-not-landed, the entries are in no server's
-        # change-log table; the in-flight counter keeps the migration
-        # driver's stale-set reconciliation from treating the group as
-        # fully settled during that window.
+        # Drained but not landed, the entries are in no change-log: the
+        # counter lets ``outstanding()`` see them, but a round that pulls
+        # this server meanwhile still clears the bit (ROADMAP item 22).
         self._push_inflight_inc(log.fingerprint)
         try:
             try:

@@ -62,11 +62,6 @@ class ShardMigration:
         install summary (``installed`` / ``staged`` counts)."""
         return (yield from self._call(target, "migrate_install", package))
 
-    def pushes_in_flight(self, fingerprint: int) -> int:
-        """Entries drained for a push that has not landed (or been
-        restored) yet — consulted by the stale-set reconciliation."""
-        return self._push_inflight.get(fingerprint, 0)
-
     def collect_shards(self, shards: Set[int]) -> Generator:
         """Package every shard-resident datum for shipping.
 
@@ -82,11 +77,9 @@ class ShardMigration:
         num_shards = self.config.num_shards
         kv_pairs: List[Tuple[tuple, Any]] = []
         dir_index: List[Tuple[int, tuple]] = []
-        fingerprints: Set[int] = set()
         for key, inode in list(self.kv.scan_prefix(("D",))):
             if inode.fingerprint % num_shards not in shards:
                 continue
-            fingerprints.add(inode.fingerprint)
             kv_pairs.append((key, inode))
             dir_index.append((inode.id, key))
             for ekey, entry in list(self.kv.scan_prefix(("E", inode.id))):
@@ -98,7 +91,6 @@ class ShardMigration:
         for fp in list(self.changelogs.non_empty_groups()):
             if fp % num_shards not in shards:
                 continue
-            fingerprints.add(fp)
             lock = yield from self._take_group(fp)
             drained = self.changelogs.drain_group(fp)
             self._release(lock, "w")
@@ -110,7 +102,6 @@ class ShardMigration:
             "kv_pairs": kv_pairs,
             "dir_index": dir_index,
             "logs": logs,
-            "fingerprints": sorted(fingerprints),
         }
 
     def _stage_locked(self, kv_pairs: List[Tuple[tuple, Any]], stage) -> Generator:

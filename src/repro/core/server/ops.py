@@ -486,7 +486,8 @@ class ServerOps:
         if origin == self.addr:
             self.release_unlock_token(value["unlock_token"], applied_sync=True)
         else:
-            self.node.notify(origin, "unlock_fallback", {"token": value["unlock_token"]})
+            # Retried: on a lost notice the watchdog keeps, and re-applies, the entry.
+            yield from self._call(origin, "unlock_fallback", {"token": value["unlock_token"]})
 
     def _handle_unlock_fallback(self, request: RpcRequest, packet: Packet) -> Generator:
         yield self._cpu(self.perf.changelog_append_us)

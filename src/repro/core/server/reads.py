@@ -99,6 +99,9 @@ class ReadOps:
             yield self._cpu(perf.kv_get_us)
             inode = self.kv.get_or_none(key)
             if inode is None:
+                # Parked across a cutover, the read finds the inode shipped
+                # away: send the client to the new owner, not ENOENT.
+                self._check_owner_dir(fp)
                 raise FSError(ENOENT, f"{pid}/{name}")
             return inode
         finally:

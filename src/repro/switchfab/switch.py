@@ -15,10 +15,10 @@ The control-plane surface (the slow path a real deployment drives
 through the switch OS) is a handful of methods on the same class:
 :meth:`~ProgrammableSwitch.install_fingerprint_owner` programs the
 fallback routes, :meth:`~ProgrammableSwitch.apply_epoch` reprograms them
-at a membership cutover, :meth:`~ProgrammableSwitch.reconcile_stale_set`
-clears settled bits after a migration, :meth:`~ProgrammableSwitch.reset`
-is a switch failure (§6.7), and :meth:`~ProgrammableSwitch.stats` exports
-:class:`SwitchStats`.
+at a membership cutover, :meth:`~ProgrammableSwitch.reset` is a switch
+failure (§6.7), and :meth:`~ProgrammableSwitch.stats` exports
+:class:`SwitchStats`.  Short of a reset, only a round's REMOVE clears a
+stale-set bit (§4.2.2 step 9).
 
 Behaviour per stale-set op:
 
@@ -49,7 +49,7 @@ With a :class:`~repro.switchfab.dentry_cache.DentryCache` provisioned
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from ..net.packet import Packet, StaleSetHeader, StaleSetOp
 from ..net.rpc import RpcResponse
@@ -105,8 +105,6 @@ class ProgrammableSwitch:
         )
         self._fingerprint_owner = fingerprint_owner
         self.multicasts = 0
-        # SEQ source for control-plane REMOVEs (reconcile_stale_set).
-        self._ctl_remove_seq = 0
 
     # -- control plane hooks -------------------------------------------------
     def install_fingerprint_owner(self, fn: Callable[[int], str]) -> None:
@@ -126,9 +124,9 @@ class ProgrammableSwitch:
     def flush_cache(self) -> None:
         """Drop every dentry-cache line (epoch cutover, DESIGN.md §15).
 
-        Unlike :meth:`reset` this preserves the stale set: migration
-        reconciles the stale set explicitly, but cached replies may name
-        owners from the outgoing epoch and are simply invalidated.
+        Unlike :meth:`reset` this preserves the stale set, whose bits are
+        ownership-agnostic; cached replies may name owners from the
+        outgoing epoch and are simply invalidated.
         """
         if self.dentry_cache is not None:
             self.dentry_cache.reset()
@@ -149,26 +147,6 @@ class ProgrammableSwitch:
         """
         self.install_fingerprint_owner(view.dir_owner_by_fp)
         self.flush_cache()
-
-    def reconcile_stale_set(self, fingerprints: Iterable[int]) -> int:
-        """Control-plane removal of stale-set bits after a migration.
-
-        Only safe for fingerprints with **zero** pending change-log
-        entries cluster-wide at call time (the driver checks while the
-        sources are quiesced): a bit cleared while an entry is pending
-        would hide a completed update from readers.  Uses the per-source
-        SEQ filter with a dedicated control-plane source id, so a
-        retransmitted data-plane REMOVE can never be mistaken for (or
-        filtered against) these.  Returns the bits cleared: a fingerprint
-        whose bit is already gone (the online drain's REMOVE got through)
-        counts for nothing.
-        """
-        stale_set = self.stale_set
-        before = stale_set.occupancy
-        for fp in fingerprints:
-            self._ctl_remove_seq += 1
-            stale_set.remove(fp, source="ctl-plane", seq=self._ctl_remove_seq)
-        return before - stale_set.occupancy
 
     def stats(self) -> SwitchStats:
         """Data-plane statistics."""

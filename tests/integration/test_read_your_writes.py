@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.core import FSConfig, ROOT_ID, SwitchFSCluster, fingerprint_of
+
 from ..properties.test_differential import READS, Schedule, check
 
 
@@ -54,3 +56,36 @@ def test_reads_observe_completed_creates_when_a_pull_ack_is_lost():
     (DESIGN §8: a watchdog release gives up custody of what the pull
     drained)."""
     check("recast-off+faults", _schedule(1322))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 22: a round clears the bit while a push of its group "
+    "is in flight",
+)
+def test_reads_observe_creates_whose_push_is_in_flight():
+    """Fault-free, one entry per push.  Each create's file lives off
+    ``/d``'s owner, so the create ends in a push to the owner; a second
+    client's ``statdir /d`` 7.75 µs after the create completed aggregates.
+    After the 4th create the owner's round pulls the file's server after
+    the push drained its log and before the push landed: the pull gets
+    nothing, the ack's REMOVE clears the bit, and the read counts 3."""
+    cluster = SwitchFSCluster(FSConfig(num_servers=2, cores_per_server=2,
+                                       proactive_push_entries=1))
+    fs, reader, sim = cluster.client(0), cluster.client(1), cluster.sim
+    cluster.run_op(fs.mkdir("/d"))
+    cluster.settle()
+    view = cluster.membership.current
+    dir_id = cluster.run_op(fs.statdir("/d"))["id"]
+    owner = view.dir_owner_by_fp(fingerprint_of(ROOT_ID, "d"))
+    names = [f"f{k}" for k in range(100) if view.file_owner(dir_id, f"f{k}") != owner][:6]
+
+    def statdir_later():
+        yield sim.timeout(7.75)
+        return (yield from reader.statdir("/d"))["entry_count"]
+
+    counts = []
+    for name in names:
+        cluster.run_op(fs.create(f"/d/{name}"))
+        counts.append(cluster.run_op(statdir_later()))
+    assert counts == [1, 2, 3, 4, 5, 6]

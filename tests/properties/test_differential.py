@@ -50,6 +50,7 @@ CELLS = {
     "cache": ({"switch_cache": True, "switch_cache_stages": 2, "switch_cache_index_bits": 4}, None),
     "proactive-off": ({"proactive_enabled": False}, None),
     "recast-off": ({"recast": False}, None),
+    "push-1": ({"proactive_push_entries": 1}, None),
     "sync": ({"async_updates": False, "recast": False}, None),
     "scale-up": ({}, "up"),
     "scale-down": ({}, "down"),
@@ -288,19 +289,25 @@ def check(cell: str, schedule: Schedule) -> None:
 
 #: The committed budget: every cell with and without faults, these seeds each.
 SEEDS = range(20)
-#: Schedules off the grid that once failed, kept as plain tests once their
-#: defect was mended: ROADMAP item 19, a lost stale-set REMOVE, resent
-#: after the acks, cleared a newer INSERT's bit.
+#: Schedules that once failed, kept as plain tests once their defect was
+#: mended (those off the grid run as "-pin"):
+#: * ROADMAP item 19, a lost stale-set REMOVE, resent after the acks,
+#:   cleared a newer INSERT's bit;
+#: * item 21, the unlock watchdog kept an entry the overflow fallback
+#:   applied when its unlock_fallback notice was lost;
+#: * item 20's read form, a directory read parked across a cutover found
+#:   its inode shipped away and answered ENOENT.
 PINS = (
     ("server+faults", Schedule((0.02, 0.05, 0.1), 1, (1, 2, 3, 3, 1, 3, 3), 1, 24, 5972,
                                nest=False)),
+    ("1x2^1+faults", draw(18)),
+    *(("scale-down", draw(seed)) for seed in (277, 317, 431, 437, 490)),
 )
 #: Schedules that fail at HEAD because of an open defect, with its ROADMAP
 #: item; those off the grid were found by a probe or by the explore job.
 FLUSH_IN_FLIGHT = "ROADMAP item 20(a): a round on the new owner misses the leaver's flush"
+PUSH_IN_FLIGHT = "ROADMAP item 22: a round clears the bit while a push of its group is in flight"
 XFAIL = {
-    ("1x2^1+faults", draw(18)): "ROADMAP item 21: the unlock watchdog keeps an entry "
-    "the overflow fallback applied when its unlock_fallback is lost",
     ("scale-down", Schedule(None, 1, (0, 3, 3, 2, 0, 1, 3), 2, 11, 1225, nest=False,
                             at=134.2)): FLUSH_IN_FLIGHT,
     ("scale-down", draw(184)): "ROADMAP item 20(b): a mutator between the gate and its "
@@ -310,6 +317,11 @@ XFAIL = {
                             at=171.29513731271805)): FLUSH_IN_FLIGHT,
     ("scale-down+faults", Schedule((0.0, 0.0, 0.1), 3, (0, 0, 1, 0, 0, 0, 1), 2, 2, 2,
                                    nest=False, at=42.0)): FLUSH_IN_FLIGHT,
+    ("scale-down+faults", draw(217)): "ROADMAP item 23: flush_apply holds a change-log "
+    "lock and waits for an inode lock whose rmdir's round waits for it",
+    ("push-1", draw(36)): PUSH_IN_FLIGHT,
+    ("push-1+faults", draw(12)): PUSH_IN_FLIGHT,
+    ("push-1+faults", draw(19)): PUSH_IN_FLIGHT,
 }
 
 
